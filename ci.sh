@@ -26,6 +26,11 @@ step() {
 step "build (release)" cargo build --release --offline
 step "tests" cargo test -q --offline
 
+# The benchmark harness (perfsuite/, its own Cargo workspace with path
+# deps on crates/*) builds against the crates' public API: building and
+# testing it here makes an API change that breaks the benchmark fail CI.
+step "perfsuite tests" cargo test --release --offline --manifest-path perfsuite/Cargo.toml
+
 # Determinism & hot-path static analysis (DESIGN.md §10–§11, §15):
 # fails on any unwaived finding — hash-order iteration, wall-clock
 # reads, f32 truncation, ad-hoc seed literals, allocations inside (or

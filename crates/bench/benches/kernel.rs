@@ -43,7 +43,8 @@ enum Kernel {
 impl Kernel {
     fn new(which: &str) -> Kernel {
         match which {
-            // Memory-subsystem geometry: 64 buckets x 16 384 ticks.
+            // A wider wheel than the bank units' 8 x 131_072, to probe
+            // hold/burst/far-future regimes in isolation.
             "wheel" => Kernel::Wheel(CalendarQueue::with_geometry(64, 16_384)),
             _ => Kernel::Heap(EventQueue::new()),
         }

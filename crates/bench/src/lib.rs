@@ -1,20 +1,12 @@
 //! # ehp-bench
 //!
-//! Historical front end for the paper experiments: one thin binary per
-//! table/figure (run `cargo run -p ehp-bench --bin table1`,
-//! `--bin figure20`, …) plus the microbenches under `benches/`.
-//!
-//! The experiment logic itself lives in `ehp-harness` — each binary
-//! delegates to [`run_default`], and the preferred interface is the
-//! `ehp` CLI (`cargo run -p ehp-harness --bin ehp -- all --jobs 8`),
-//! which adds scenario overrides, sweeps, parallel batches, and shape
-//! checks. The [`Report`] type also moved to the harness and is
-//! re-exported here for compatibility.
+//! The microbench shim ([`microbench`]) behind the benches under
+//! `benches/`, plus the workspace-root examples and cross-crate
+//! integration tests. The paper experiments themselves live in
+//! `ehp-harness` and run through the `ehp` CLI (`ehp run <id>`,
+//! `ehp all --jobs 8`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod microbench;
-
-pub use ehp_harness::report::Report;
-pub use ehp_harness::run_default;

@@ -326,22 +326,33 @@ fn compare_against_baseline(name: &str, records: &[Record], threshold: f64) -> R
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("reading baseline {}: {e}", path.display()))?;
     let json = Json::parse(&text).map_err(|e| format!("parsing {}: {e:?}", path.display()))?;
-    let saved_cal = json
+    println!("\nbaseline {}", path.display());
+    count_regressions(&json, calibrate(), records, threshold)
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Compares `records` against a parsed baseline and returns how many
+/// regressed beyond `threshold`. Pure in its inputs: `calibration_ns`
+/// is this machine's [`calibrate`] measurement, taken by the caller.
+fn count_regressions(
+    baseline: &Json,
+    calibration_ns: f64,
+    records: &[Record],
+    threshold: f64,
+) -> Result<u32, String> {
+    let saved_cal = baseline
         .get("calibration_ns")
         .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{}: missing calibration_ns", path.display()))?;
-    let benches = json
+        .ok_or("missing calibration_ns")?;
+    let benches = baseline
         .get("benches")
         .and_then(Json::as_obj)
-        .ok_or_else(|| format!("{}: missing benches object", path.display()))?;
+        .ok_or("missing benches object")?;
 
     // Scale saved times to this machine's speed: a 2x-slower machine
     // has a 2x-larger calibration and expects 2x-larger times.
-    let cal_ratio = calibrate() / saved_cal;
-    println!(
-        "\nbaseline {} (machine-speed ratio {cal_ratio:.3})",
-        path.display()
-    );
+    let cal_ratio = calibration_ns / saved_cal;
+    println!("machine-speed ratio {cal_ratio:.3}");
 
     let mut regressions = 0u32;
     let mut compared = 0u32;
@@ -374,10 +385,7 @@ fn compare_against_baseline(name: &str, records: &[Record], threshold: f64) -> R
         );
     }
     if compared == 0 {
-        return Err(format!(
-            "{}: no benchmark matched the baseline",
-            path.display()
-        ));
+        return Err("no benchmark matched the baseline".to_string());
     }
     Ok(regressions)
 }
@@ -499,41 +507,67 @@ mod tests {
         assert!(b.acc.stddev().unwrap() >= 0.0);
     }
 
+    fn record(name: &str, min_ns: f64) -> Record {
+        Record {
+            name: name.to_string(),
+            mean_ns: min_ns + 20.0,
+            stddev_ns: 10.0,
+            min_ns,
+            max_ns: min_ns + 40.0,
+            samples: 8,
+        }
+    }
+
+    #[test]
+    fn regressions_scale_with_calibration() {
+        // Saved on a machine calibrating at 100 ns with a 1000 ns min.
+        let baseline = baseline_json(&[record("x/1", 1000.0)], 100.0);
+        let count = |cal: f64, min_ns: f64| {
+            count_regressions(&baseline, cal, &[record("x/1", min_ns)], 0.30).unwrap()
+        };
+        // Same machine speed: within 30% passes, beyond it regresses.
+        assert_eq!(count(100.0, 1000.0), 0);
+        assert_eq!(count(100.0, 1290.0), 0);
+        assert_eq!(count(100.0, 1310.0), 1);
+        assert_eq!(count(100.0, 3000.0), 1);
+        // A 2x-slower machine expects 2x-larger times.
+        assert_eq!(count(200.0, 2500.0), 0);
+        assert_eq!(count(200.0, 2700.0), 1);
+        // A 2x-faster machine expects half.
+        assert_eq!(count(50.0, 700.0), 1);
+    }
+
     #[test]
     fn baseline_round_trip_detects_regressions() {
-        let fast = Record {
-            name: "x/1".to_string(),
-            mean_ns: 1000.0,
-            stddev_ns: 10.0,
-            min_ns: 980.0,
-            max_ns: 1020.0,
-            samples: 8,
-        };
-        let json = baseline_json(std::slice::from_ref(&fast), calibrate());
-        let dir = std::env::temp_dir().join("ehp-microbench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b.json");
+        // Per-test file name: parallel tests and concurrent test
+        // processes never share it.
+        let path = std::env::temp_dir().join(format!(
+            "ehp-microbench-{}-baseline_round_trip.json",
+            std::process::id()
+        ));
+        let json = baseline_json(&[record("x/1", 1000.0)], 100.0);
         std::fs::write(&path, json.to_string_pretty()).unwrap();
-        let name = path.to_str().unwrap().to_string();
-
-        // Same speed: no regression.
-        let same = compare_against_baseline(&name, std::slice::from_ref(&fast), 0.30).unwrap();
-        assert_eq!(same, 0);
-        // 3x slower: regression past any reasonable threshold.
-        let slow = Record {
-            mean_ns: 3000.0,
-            min_ns: 2900.0,
-            ..fast.clone()
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let loaded = Json::parse(&text).unwrap();
+        assert_eq!(loaded, json);
+        // Fixed calibration: the comparison never depends on how fast
+        // this machine happens to run right now.
+        let count = |min_ns: f64| {
+            count_regressions(&loaded, 100.0, &[record("x/1", min_ns)], 0.30).unwrap()
         };
-        let n = compare_against_baseline(&name, &[slow], 0.30).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(count(1000.0), 0, "same speed: no regression");
+        assert_eq!(count(3000.0), 1, "3x slower: regression");
         // A bench absent from the baseline is skipped, not an error —
         // but a run where nothing matches is.
-        let stranger = Record {
-            name: "y/2".to_string(),
-            ..fast
-        };
-        assert!(compare_against_baseline(&name, &[stranger], 0.30).is_err());
+        let mixed = [record("x/1", 1000.0), record("y/2", 1.0)];
+        assert_eq!(count_regressions(&loaded, 100.0, &mixed, 0.30), Ok(0));
+        let stranger = [record("y/2", 1.0)];
+        assert!(count_regressions(&loaded, 100.0, &stranger, 0.30).is_err());
+        assert!(
+            compare_against_baseline(path.to_str().unwrap(), &[], 0.30).is_err(),
+            "a missing baseline file is an error"
+        );
     }
 
     #[test]

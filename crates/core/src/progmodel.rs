@@ -407,12 +407,13 @@ mod tests {
 
     #[test]
     fn apu_beats_discrete_beats_cpu() {
-        let s = shape();
-        let cpu = ExecutionModel::cpu_only().run(&s).total();
-        let disc = ExecutionModel::discrete_mi250x().run(&s).total();
-        let apu = ExecutionModel::apu_mi300a().run(&s).total();
-        assert!(disc < cpu, "discrete {disc} should beat CPU-only {cpu}");
-        assert!(apu < disc, "APU {apu} should beat discrete {disc}");
+        for s in [WorkloadShape::vector_scale(64 << 20), shape()] {
+            let cpu = ExecutionModel::cpu_only().run(&s).total();
+            let disc = ExecutionModel::discrete_mi250x().run(&s).total();
+            let apu = ExecutionModel::apu_mi300a().run(&s).total();
+            assert!(disc < cpu, "discrete {disc} should beat CPU-only {cpu}");
+            assert!(apu < disc, "APU {apu} should beat discrete {disc}");
+        }
     }
 
     #[test]

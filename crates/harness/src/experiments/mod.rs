@@ -26,8 +26,6 @@ pub(crate) mod microarch_audit;
 pub(crate) mod modular_platform;
 pub(crate) mod packaging_audit;
 pub(crate) mod power_management;
-pub(crate) mod serve_audit;
-pub(crate) mod serve_selftest;
 pub(crate) mod table1;
 
 /// Resolves the optional `product` scenario parameter ("mi250x",

@@ -22,8 +22,7 @@
 //! * [`report`] / [`output`] — the text/JSON result writers; everything
 //!   lands under one `target/figures/` layout.
 //!
-//! The `ehp` binary ([`cli`]) is a thin front end over these modules,
-//! and the historical per-figure binaries in `ehp-bench` delegate here.
+//! The `ehp` binary ([`cli`]) is a thin front end over these modules.
 
 pub mod check;
 pub mod cli;
@@ -40,25 +39,3 @@ pub mod serving;
 pub use experiment::{Experiment, ExperimentResult};
 pub use report::Report;
 pub use scenario::{Scenario, ScenarioSpec};
-
-/// Runs one experiment's default scenario, prints its report, and writes
-/// its artifacts — the body of every thin per-figure binary.
-///
-/// # Panics
-///
-/// Panics if `id` is not in the registry (a per-figure binary whose id
-/// drifted out of the registry is a build error, not a user error).
-pub fn run_default(id: &str) {
-    let exp = registry::find(id).unwrap_or_else(|| panic!("experiment {id:?} not registered"));
-    let sc = Scenario::default_for(id);
-    let result = exp.run(&sc);
-    result.report.print();
-    if let Err(e) = output::write_report_text(&sc.name, result.report.text()) {
-        eprintln!("warning: cannot write report for {id}: {e}");
-    }
-    if let Some(payload) = &result.payload {
-        if let Err(e) = output::write_figure_json(&sc.name, payload) {
-            eprintln!("warning: cannot write payload for {id}: {e}");
-        }
-    }
-}

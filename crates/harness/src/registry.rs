@@ -226,35 +226,11 @@ static REGISTRY: &[FnExperiment] = &[
                 kind: ParamKind::U64 { min: 1, max: 64 },
             },
         ],
-        // Salt 1: the decorrelated interleave (DESIGN.md §14) re-aims
-        // the pinned single-bank stream and adds the gated
-        // `bank_coverage_min` metric.
-        salt: 1,
+        // Salt 2: one hot-set replay instead of three; the shard and
+        // kernel-swap identity metrics left for the test suite (salt 1
+        // was the decorrelated interleave of DESIGN.md §14).
+        salt: 2,
         runner: experiments::mem_bank_audit::run,
-    },
-    FnExperiment {
-        id: "serve_selftest",
-        title: "Serving: deterministic self-test (ok / panic / sleep modes)",
-        params: &[
-            ParamSpec {
-                name: "mode",
-                kind: ParamKind::EnumStr(&["ok", "panic", "sleep"]),
-            },
-            u64_pos("sleep_ms"),
-            u64_pos("work"),
-        ],
-        salt: 0,
-        runner: experiments::serve_selftest::run,
-    },
-    FnExperiment {
-        id: "serve_audit",
-        title: "Serving: result-cache hit-rate audit (memory store)",
-        params: &[ParamSpec {
-            name: "entries",
-            kind: ParamKind::U64 { min: 1, max: 4096 },
-        }],
-        salt: 0,
-        runner: experiments::serve_audit::run,
     },
 ];
 

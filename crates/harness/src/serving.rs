@@ -456,10 +456,10 @@ pub fn serve_loop(socket: &Path, base: ServingConfig) -> i32 {
 mod tests {
     use super::*;
 
-    fn selftest(n: usize) -> Vec<Scenario> {
+    fn paper_scenarios(n: usize) -> Vec<Scenario> {
         (0..n)
             .map(|i| {
-                let mut sc = Scenario::default_for("serve_selftest");
+                let mut sc = Scenario::default_for("figure13");
                 sc.name = format!("st{i:02}");
                 sc
             })
@@ -475,7 +475,7 @@ mod tests {
 
     #[test]
     fn served_batch_without_cache_matches_plain_run_batch() {
-        let scenarios = selftest(5);
+        let scenarios = paper_scenarios(5);
         let plain = run_batch(&scenarios, &BatchConfig::default());
         let served = run_batch_served(&scenarios, &memoryless_cfg());
         assert_eq!(
@@ -488,19 +488,19 @@ mod tests {
 
     #[test]
     fn scenario_key_moves_with_params_and_seed() {
-        let resolved = resolve_seeds(&selftest(1), 0);
+        let resolved = resolve_seeds(&paper_scenarios(1), 0);
         let base = scenario_key(&resolved[0]);
         let mut other = resolved[0].clone();
         other.seed = Some(other.effective_seed() + 1);
         assert_ne!(base, scenario_key(&other));
-        let with_param = resolved[0].clone().with_param("work", 128u64);
+        let with_param = resolved[0].clone().with_param("workgroups", 128u64);
         assert_ne!(base, scenario_key(&with_param));
         assert_eq!(base, scenario_key(&resolved[0].clone()));
     }
 
     #[test]
     fn worker_loop_round_trips_a_chunk() {
-        let resolved = resolve_seeds(&selftest(2), 7);
+        let resolved = resolve_seeds(&paper_scenarios(2), 7);
         let chunk: Vec<Json> = resolved.iter().map(Scenario::to_json).collect();
         let request = Json::object([("id", Json::from(3u64)), ("chunk", Json::Arr(chunk))]);
         let mut input = Vec::new();

@@ -27,12 +27,14 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn selftest_batch(n: usize) -> Vec<Scenario> {
+/// `n` cheap, distinct paper scenarios: Figure 13's dispatch flow at
+/// different grid sizes.
+fn paper_batch(n: usize) -> Vec<Scenario> {
     (0..n)
         .map(|i| {
-            let mut sc = Scenario::default_for("serve_selftest");
+            let mut sc = Scenario::default_for("figure13");
             sc.name = format!("e2e{i:02}");
-            sc = sc.with_param("work", 32u64 + i as u64);
+            sc = sc.with_param("workgroups", 32u64 + i as u64);
             sc
         })
         .collect()
@@ -60,7 +62,7 @@ fn summary(
 #[test]
 fn cold_warm_and_uncached_summaries_are_byte_identical() {
     let cache_dir = tmp_dir("cold-warm");
-    let scenarios = selftest_batch(6);
+    let scenarios = paper_batch(6);
     let cfg = cached_cfg(&cache_dir);
 
     let (cold, cold_traffic) = summary(&scenarios, &cfg);
@@ -95,7 +97,7 @@ fn cold_warm_and_uncached_summaries_are_byte_identical() {
 #[test]
 fn corrupted_entry_degrades_to_recompute_and_repairs() {
     let cache_dir = tmp_dir("corrupt");
-    let scenarios = selftest_batch(3);
+    let scenarios = paper_batch(3);
     let cfg = cached_cfg(&cache_dir);
     let (cold, _) = summary(&scenarios, &cfg);
 
@@ -122,7 +124,7 @@ fn corrupted_entry_degrades_to_recompute_and_repairs() {
 #[test]
 fn tampered_entry_fails_scenario_check_and_recomputes() {
     let cache_dir = tmp_dir("tamper");
-    let scenarios = selftest_batch(2);
+    let scenarios = paper_batch(2);
     let cfg = cached_cfg(&cache_dir);
     let (cold, _) = summary(&scenarios, &cfg);
 
@@ -158,8 +160,9 @@ fn fast_pool() -> PoolConfig {
 #[test]
 fn panicking_scenario_in_worker_degrades_to_identical_summary() {
     let scenarios = {
-        let mut v = selftest_batch(5);
-        let mut bad = Scenario::default_for("serve_selftest").with_param("mode", "panic");
+        let mut v = paper_batch(5);
+        // An unknown product name panics inside Figure 7.
+        let mut bad = Scenario::default_for("figure7").with_param("product", "tpu_v5");
         bad.name = "e2e-poison".to_string();
         v.insert(2, bad);
         v
@@ -252,14 +255,14 @@ fn serve_daemon_answers_sweeps_and_tracks_cache_stats() {
     let dir = tmp_dir("daemon");
     let daemon = Daemon::spawn(&dir);
 
-    // A schema-valid sweep: 3 scenarios of serve_selftest.
+    // A schema-valid sweep: 3 scenarios of Figure 13.
     let spec = Json::object([
-        ("experiment", Json::from("serve_selftest")),
+        ("experiment", Json::from("figure13")),
         ("name", Json::from("sweep")),
         (
             "sweep",
             Json::object([(
-                "work",
+                "workgroups",
                 Json::array([Json::from(8u64), Json::from(16u64), Json::from(24u64)]),
             )]),
         ),
@@ -276,7 +279,10 @@ fn serve_daemon_answers_sweeps_and_tracks_cache_stats() {
     for f in &frames[..3] {
         assert_eq!(f.get("event"), Some(&Json::from("scenario")));
         assert_eq!(f.get("status"), Some(&Json::from("ok")));
-        assert!(f.get("metrics").and_then(|m| m.get("checksum")).is_some());
+        assert!(f
+            .get("metrics")
+            .and_then(|m| m.get("sync_overhead_cycles"))
+            .is_some());
     }
     let done = &frames[3];
     assert_eq!(done.get("ok"), Some(&Json::Bool(true)));
@@ -295,8 +301,8 @@ fn serve_daemon_answers_sweeps_and_tracks_cache_stats() {
         (
             "spec",
             Json::object([
-                ("experiment", Json::from("serve_selftest")),
-                ("params", Json::object([("wrok", Json::from(8u64))])),
+                ("experiment", Json::from("figure13")),
+                ("params", Json::object([("wrokgroups", Json::from(8u64))])),
             ]),
         ),
     ]);

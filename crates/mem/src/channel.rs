@@ -5,9 +5,8 @@
 //! the bank owning their DRAM row, look up that bank's slice sub-array,
 //! and are served either at cache speed or by the bank's HBM lane.
 //! Background HBM traffic — dirty victims and prefetch fills — is not
-//! charged inline: each bank schedules it on its event kernel (a
-//! calendar queue by default, the binary-heap oracle behind a config
-//! knob) and drains the queue before the next demand access, so the
+//! charged inline: each bank schedules it on its calendar-queue event
+//! kernel and drains the queue before the next demand access, so the
 //! bank's state seen by every demand is identical to inline charging
 //! while the charges themselves become deferred, replayable events.
 //!
@@ -18,7 +17,6 @@
 //! the channel-sharding rule of `MemorySubsystem::replay_sharded`, one
 //! level down.
 
-use ehp_sim_core::event::EventQueue;
 use ehp_sim_core::resource::BandwidthPipe;
 use ehp_sim_core::stats::Accumulator;
 use ehp_sim_core::time::{Cycle, SimTime};
@@ -28,23 +26,6 @@ use ehp_sim_core::wheel::CalendarQueue;
 use crate::hbm::{HbmChannelModel, HbmTimings, ROW_BYTES};
 use crate::icache::{CacheOutcome, InfinityCacheSlice, PrefetcherConfig};
 use crate::request::ServicePoint;
-
-/// Which event kernel drives deferred background HBM charges.
-///
-/// Purely a performance/validation knob: the two kernels have the same
-/// `(time, FIFO)` ordering contract, so every simulation result is
-/// byte-identical under either (asserted by the `replay_determinism`
-/// suite and the `mem_bank_audit` experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventKernel {
-    /// Bucketed calendar queue (`ehp_sim_core::wheel`): O(1) amortized
-    /// schedule/pop. The default.
-    #[default]
-    Wheel,
-    /// Binary-heap `EventQueue`: the pre-wheel kernel, kept as a live
-    /// differential oracle.
-    Heap,
-}
 
 /// Static parameters of one channel.
 #[derive(Debug, Clone)]
@@ -69,8 +50,6 @@ pub struct ChannelConfig {
     pub icache_energy_per_byte: Energy,
     /// Prefetcher settings.
     pub prefetcher: PrefetcherConfig,
-    /// Event kernel for deferred background charges.
-    pub kernel: EventKernel,
 }
 
 impl ChannelConfig {
@@ -89,7 +68,6 @@ impl ChannelConfig {
             icache_hit_latency: SimTime::from_nanos(25),
             icache_energy_per_byte: Energy::from_picojoules(12.0), // ~1.5 pJ/bit
             prefetcher: PrefetcherConfig::mi300(),
-            kernel: EventKernel::Wheel,
         }
     }
 
@@ -107,7 +85,6 @@ impl ChannelConfig {
             icache_hit_latency: SimTime::ZERO,
             icache_energy_per_byte: Energy::ZERO,
             prefetcher: PrefetcherConfig::disabled(),
-            kernel: EventKernel::Wheel,
         }
     }
 
@@ -200,49 +177,6 @@ impl BankOp {
     }
 }
 
-/// The pluggable event kernel behind a bank's deferred charges.
-#[derive(Debug, Clone)]
-enum OpQueue {
-    Wheel(CalendarQueue<BankOp>),
-    Heap(EventQueue<BankOp>),
-}
-
-impl OpQueue {
-    fn new(kernel: EventKernel) -> OpQueue {
-        match kernel {
-            // 8 buckets x 131 ns ≈ a 1 µs horizon in picosecond ticks —
-            // comfortably past one access round-trip, so steady-state
-            // traffic never touches the overflow path. Per-bank op
-            // populations are tiny (one demand's writeback plus a few
-            // prefetch fills), so a small wheel wins: fewer cold bucket
-            // headers per bank beats finer time resolution.
-            EventKernel::Wheel => OpQueue::Wheel(CalendarQueue::with_geometry(8, 131_072)),
-            EventKernel::Heap => OpQueue::Heap(EventQueue::new()),
-        }
-    }
-
-    /// Schedules `op` keyed by its due time. The key is clamped to the
-    /// kernel's clock: charges apply in schedule order per bank (all ops
-    /// of one demand share a timestamp), and the op carries its exact
-    /// due time for the HBM model, so the clamp never reorders or
-    /// retimes anything — it only satisfies the kernels' causality
-    /// assert when a fast cache hit follows a slow miss.
-    fn schedule(&mut self, op: BankOp) {
-        let due = Cycle(op.due().as_picos());
-        match self {
-            OpQueue::Wheel(q) => q.schedule_at(due.max(q.now()), op),
-            OpQueue::Heap(q) => q.schedule_at(due.max(q.now()), op),
-        }
-    }
-
-    fn pop(&mut self) -> Option<BankOp> {
-        match self {
-            OpQueue::Wheel(q) => q.pop().map(|(_, op)| op),
-            OpQueue::Heap(q) => q.pop().map(|(_, op)| op),
-        }
-    }
-}
-
 /// One HBM bank and its share of the channel: a row state machine with a
 /// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array, its own
 /// latency accumulator, and the event queue deferring its background
@@ -254,7 +188,7 @@ pub struct BankUnit {
     icache_pipe: BandwidthPipe,
     icache_energy: Energy,
     latency: Accumulator,
-    ops: OpQueue,
+    ops: CalendarQueue<BankOp>,
     line_bytes: u64,
     icache_hit_latency: SimTime,
     icache_energy_per_byte: Energy,
@@ -286,12 +220,29 @@ impl BankUnit {
             icache_pipe,
             icache_energy: Energy::ZERO,
             latency: Accumulator::new("mem_latency_ns"),
-            ops: OpQueue::new(cfg.kernel),
+            // 8 buckets x 131 ns ≈ a 1 µs horizon in picosecond ticks —
+            // comfortably past one access round-trip, so steady-state
+            // traffic never touches the overflow path. Per-bank op
+            // populations are tiny (one demand's writeback plus a few
+            // prefetch fills), so a small wheel wins: fewer cold bucket
+            // headers per bank beats finer time resolution.
+            ops: CalendarQueue::with_geometry(8, 131_072),
             line_bytes: cfg.line_bytes,
             icache_hit_latency: cfg.icache_hit_latency,
             icache_energy_per_byte: cfg.icache_energy_per_byte,
             prefetch_scratch: Vec::with_capacity(scratch_cap),
         }
+    }
+
+    /// Schedules `op` keyed by its due time. The key is clamped to the
+    /// queue's clock: charges apply in schedule order per bank (all ops
+    /// of one demand share a timestamp), and the op carries its exact
+    /// due time for the HBM model, so the clamp never reorders or
+    /// retimes anything — it only satisfies the queue's causality
+    /// assert when a fast cache hit follows a slow miss.
+    fn schedule(&mut self, op: BankOp) {
+        let due = Cycle(op.due().as_picos());
+        self.ops.schedule_at(due.max(self.ops.now()), op);
     }
 
     /// Applies one deferred charge to the HBM model at its recorded due
@@ -316,7 +267,7 @@ impl BankUnit {
     /// final statistics include trailing traffic.
     pub fn drain_background(&mut self) {
         // lint:hot-path
-        while let Some(op) = self.ops.pop() {
+        while let Some((_, op)) = self.ops.pop() {
             self.apply(op);
         }
         // lint:hot-path-end
@@ -358,7 +309,7 @@ impl BankUnit {
                 if let Some(victim) = writeback {
                     // Background writeback occupies HBM bandwidth but is
                     // off the critical path: defer it to the kernel.
-                    self.ops.schedule(BankOp::Writeback {
+                    self.schedule(BankOp::Writeback {
                         due: fetched,
                         addr: victim,
                     });
@@ -376,7 +327,7 @@ impl BankUnit {
                 .slice
                 .as_mut()
                 .and_then(|slice| slice.fill_prefetch(pa));
-            self.ops.schedule(BankOp::PrefetchFill {
+            self.schedule(BankOp::PrefetchFill {
                 due: done,
                 addr: pa,
                 victim,
@@ -702,35 +653,5 @@ mod tests {
         assert!(e_total > e_miss);
         // A slice hit must be cheaper than the HBM fetch.
         assert!(e_total - e_miss < e_miss);
-    }
-
-    #[test]
-    fn kernel_swap_is_invisible() {
-        // The calendar queue and the heap oracle must drive identical
-        // timings, statistics, and energy for an arbitrary mixed stream.
-        let run = |kernel: EventKernel| {
-            let mut cfg = ChannelConfig::mi300();
-            cfg.kernel = kernel;
-            let mut ch = MemoryChannel::new(cfg);
-            let mut t = SimTime::ZERO;
-            let mut completions = Vec::new();
-            for i in 0..5_000u64 {
-                let addr = (i % 512) * 128 + (i / 7) * 4096;
-                let (done, point) = ch.access(t, addr, Bytes(128), i % 3 == 0);
-                completions.push((done, point));
-                if i % 2 == 0 {
-                    t = done;
-                }
-            }
-            ch.drain_background();
-            (
-                completions,
-                ch.hbm_bytes_moved(),
-                ch.icache_bytes(),
-                ch.energy_used().as_joules().to_bits(),
-                ch.latency_stats().mean().map(f64::to_bits),
-            )
-        };
-        assert_eq!(run(EventKernel::Wheel), run(EventKernel::Heap));
     }
 }

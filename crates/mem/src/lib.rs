@@ -34,7 +34,7 @@ pub mod request;
 pub mod subsystem;
 pub mod trace;
 
-pub use channel::{EventKernel, MemoryChannel};
+pub use channel::MemoryChannel;
 pub use hbm::{HbmChannelModel, HbmGeneration, HbmTimings};
 pub use icache::{InfinityCacheSlice, PrefetcherConfig};
 pub use interleave::{InterleaveConfig, Interleaver, NumaMode};

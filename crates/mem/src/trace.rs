@@ -65,9 +65,9 @@ pub struct TraceConfig {
     /// RNG seed.
     pub seed: u64,
     /// Replay worker threads. `1` (the default) replays sequentially;
-    /// higher values shard the replay by channel ownership (see
-    /// [`replay`]). Purely a performance knob: results are bit-identical
-    /// at any value.
+    /// higher values bucket the trace by flat bank and replay the banks
+    /// on work-stealing workers (see [`replay`]). Purely a performance
+    /// knob: results are bit-identical at any value.
     pub jobs: usize,
 }
 
@@ -89,11 +89,11 @@ impl TraceConfig {
     /// Streams the trace through `f`, one request at a time, in trace
     /// order, without materialising it.
     ///
-    /// This is the single source of truth for trace generation: because
-    /// the whole stream is a pure function of the config, sharded replay
-    /// workers regenerate it independently (from the same SplitMix64
-    /// seed) and keep only the requests for channels they own — no trace
-    /// buffer is shared, copied, or even fully allocated.
+    /// This is the single source of truth for trace generation: the
+    /// whole stream is a pure function of the config (one SplitMix64
+    /// seed). Sequential replay consumes it directly; sharded replay
+    /// makes one pass to bucket every request by flat bank before any
+    /// worker starts, so the trace is generated exactly once either way.
     ///
     /// # Panics
     ///

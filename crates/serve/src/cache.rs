@@ -23,8 +23,7 @@
 //!
 //! Two stores share the code path: [`ResultCache::disk`] (one file per
 //! key under `target/result-cache/`) for the CLI and the serve daemon,
-//! and [`ResultCache::memory`] for tests and the `serve_audit`
-//! experiment, which must stay filesystem-free and deterministic.
+//! and [`ResultCache::memory`] for filesystem-free tests.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -90,7 +89,7 @@ impl CacheCounters {
 /// Where entries live.
 #[derive(Debug)]
 enum Store {
-    /// In-memory map, for tests and deterministic audit experiments.
+    /// In-memory map, for filesystem-free tests.
     Memory(BTreeMap<u64, Json>),
     /// One file per key under this directory.
     Disk(PathBuf),

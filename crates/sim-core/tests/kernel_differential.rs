@@ -106,6 +106,19 @@ fn far_future_overflow_matches() {
 }
 
 #[test]
+fn memory_channel_geometry_matches() {
+    // The geometry every `ehp_mem` bank unit runs: 8 buckets of 131_072
+    // picosecond ticks, a ~1 µs horizon. Delays up to ~2 µs spill about
+    // half the schedules past the horizon into overflow, and frequent
+    // bursts mimic one demand's writeback plus prefetch fills sharing a
+    // due time.
+    let mut rng = SplitMix64::new(0x0005_7EE1_0006);
+    for _ in 0..20 {
+        lockstep(&mut rng, 400, 2_000_000, 50, (8, 131_072));
+    }
+}
+
+#[test]
 fn rewind_after_peek_matches() {
     // Deterministic reproduction of the rewind path: peek rotates the
     // wheel far forward, then a near-term schedule must still win.

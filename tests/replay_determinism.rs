@@ -17,7 +17,6 @@
 //! previous completion time), so `replay` must fall back to the
 //! sequential path for it at any `jobs` value.
 
-use ehp_mem::channel::EventKernel;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, replay_sequential, Pattern, TraceConfig};
 
@@ -109,49 +108,6 @@ fn jobs_beyond_bank_count_clamp_and_stay_identical() {
     let want = replay_sequential(&mut seq, &cfg);
     let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
     assert_eq!(replay(&mut mem, &cfg), want);
-}
-
-#[test]
-fn event_kernel_swap_is_invisible_to_replay() {
-    // The calendar-queue kernel and the binary-heap oracle must be
-    // interchangeable: same pop order, same charges, same statistics —
-    // across every preset, sequentially and sharded.
-    for make in [
-        MemConfig::mi300_hbm3,
-        MemConfig::mi300_nps4,
-        MemConfig::mi250x_hbm2e,
-    ] {
-        for jobs in [1usize, 8] {
-            let cfg = TraceConfig {
-                accesses: 15_000,
-                footprint: 1 << 24,
-                write_fraction: 0.5,
-                jobs,
-                ..TraceConfig::new(Pattern::Random)
-            };
-            let mut wheel_cfg = make();
-            wheel_cfg.channel.kernel = EventKernel::Wheel;
-            let mut heap_cfg = make();
-            heap_cfg.channel.kernel = EventKernel::Heap;
-
-            let mut wheel = MemorySubsystem::new(wheel_cfg);
-            let mut heap = MemorySubsystem::new(heap_cfg);
-            let a = replay(&mut wheel, &cfg);
-            let b = replay(&mut heap, &cfg);
-            assert_eq!(a, b, "jobs={jobs}: ReplayResult diverged across kernels");
-            assert_eq!(
-                wheel.mean_latency_ns(),
-                heap.mean_latency_ns(),
-                "jobs={jobs}"
-            );
-            assert_eq!(wheel.energy_used(), heap.energy_used(), "jobs={jobs}");
-            assert_eq!(
-                wheel.icache_hit_rate(),
-                heap.icache_hit_rate(),
-                "jobs={jobs}"
-            );
-        }
-    }
 }
 
 #[test]
