@@ -34,13 +34,13 @@ step "perfsuite tests" cargo test --release --offline --manifest-path perfsuite/
 # Determinism & hot-path static analysis (DESIGN.md §10–§11, §15):
 # fails on any unwaived finding — hash-order iteration, wall-clock
 # reads, f32 truncation, ad-hoc seed literals, allocations inside (or
-# reachable from) `// lint:hot-path` fences, shared-mutable spawn
+# reachable from) `// lint:hot-path` fences (H2), shared-mutable spawn
 # captures, nondeterminism taint reaching summary emission (N1), lock
 # discipline (L1), undrained spawn stores (L2), lock-order cycles (L3),
 # correlated placement selectors / lossy selector narrowing over the
-# bit-provenance lattice (B1/B2, DESIGN.md §16), unit-of-measure mixing
-# (U1), or scenario specs that don't match their experiment's parameter
-# schema.
+# bit-provenance lattice (B1/B2, DESIGN.md §16), or scenario specs that
+# don't match their experiment's parameter schema. Units of measure are
+# checked by the compiler through the sim-core newtypes, not the lint.
 #
 # The lint runs twice through its incremental cache: the cold run
 # (parallel, --jobs 0) re-analyzes every file, the warm run must hit
@@ -66,8 +66,6 @@ step "warm lint report byte-identical" \
 step "warm lint re-analyzed nothing" sh -c '
     ./target/release/ehp lint > target/lint_human.txt &&
     grep -q ", 0 miss(es)" target/lint_human.txt'
-step "ehp lint --sarif artifact" sh -c \
-    './target/release/ehp lint --sarif > target/figures/lint_report.sarif'
 
 if cargo fmt --version >/dev/null 2>&1; then
     step "rustfmt" cargo fmt --all -- --check

@@ -36,7 +36,7 @@ pub struct IcacheStudy {
     /// Total cache capacity per CU pair (64 KB on CDNA 3).
     pub capacity_per_pair: Bytes,
     /// Cache line size.
-    pub line_bytes: u64,
+    pub line_bytes: Bytes,
     /// Kernel instruction footprint.
     pub kernel_footprint: Bytes,
     /// Fraction of fetches that are loop-back (re-fetching resident
@@ -50,7 +50,7 @@ impl IcacheStudy {
     pub fn cdna3_default() -> IcacheStudy {
         IcacheStudy {
             capacity_per_pair: Bytes::from_kib(64),
-            line_bytes: 64,
+            line_bytes: Bytes(64),
             kernel_footprint: Bytes::from_kib(48),
             loop_locality: 0.95,
         }

@@ -7,6 +7,8 @@
 //! pass take and how much of the memory latency do the other resident
 //! wavefronts hide? It feeds per-workgroup durations to the dispatcher.
 
+use ehp_sim_core::time::Cycle;
+
 use crate::cu::CuModel;
 use crate::dtype::{DataType, ExecUnit};
 use crate::occupancy::{CuResources, KernelResources, Occupancy};
@@ -112,13 +114,13 @@ impl MemoryEnv {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTiming {
     /// Issue cycles (execution-unit occupancy) per wavefront.
-    pub issue_cycles: u64,
+    pub issue_cycles: Cycle,
     /// Raw memory-stall cycles per wavefront before latency hiding.
-    pub raw_stall_cycles: u64,
+    pub raw_stall_cycles: Cycle,
     /// Stall cycles remaining after multi-wavefront latency hiding.
-    pub exposed_stall_cycles: u64,
+    pub exposed_stall_cycles: Cycle,
     /// Total cycles per wavefront.
-    pub total_cycles: u64,
+    pub total_cycles: Cycle,
     /// Occupancy used for hiding.
     pub occupancy: Occupancy,
 }
@@ -128,7 +130,7 @@ impl KernelTiming {
     /// proxy the roofline models consume).
     #[must_use]
     pub fn issue_efficiency(&self) -> f64 {
-        self.issue_cycles as f64 / self.total_cycles as f64
+        self.issue_cycles.as_f64() / self.total_cycles.as_f64()
     }
 }
 
@@ -207,10 +209,10 @@ pub fn estimate(
     let waves = u64::from(occupancy.waves_per_cu.max(1));
     let exposed = raw_stall / waves;
     KernelTiming {
-        issue_cycles: issue,
-        raw_stall_cycles: raw_stall,
-        exposed_stall_cycles: exposed,
-        total_cycles: issue + exposed,
+        issue_cycles: Cycle(issue),
+        raw_stall_cycles: Cycle(raw_stall),
+        exposed_stall_cycles: Cycle(exposed),
+        total_cycles: Cycle(issue + exposed),
         occupancy,
     }
 }

@@ -204,7 +204,7 @@ impl ApuSystem {
     ) -> ProgramRun {
         let cu_model = ehp_compute::cu::CuModel::new(self.spec.xcd_spec().cu);
         let timing = estimate(&cu_model, &CuResources::cdna3(), prog, &MemoryEnv::mi300());
-        let wg_cycles = timing.total_cycles;
+        let wg_cycles = timing.total_cycles.0;
         let pkt = AqlPacket::dispatch_1d(
             workgroups * u32::from(prog.resources.waves_per_workgroup as u16) * 64,
             u16::try_from(prog.resources.waves_per_workgroup * 64).expect("wg size fits"),

@@ -5,8 +5,8 @@
 //! ehp run <exp...> [options]       run selected experiments / spec files
 //! ehp all [--jobs N]              run the whole registry in parallel
 //! ehp check [--jobs N]            run + compare against expected shapes
-//! ehp lint [--json|--sarif] [--no-cache] [--prune-waivers]
-//!          [--jobs N] [--explain <rule>]
+//! ehp lint [--json] [--no-cache] [--jobs N] [--explain <rule>]
+//!          [--budget FILE] [--save-budget FILE]
 //!                                  static determinism/hot-path analysis
 //! ```
 //!
@@ -14,10 +14,10 @@
 //! `--seed N` batch base seed, `--param k=v` parameter override
 //! (repeatable; `v` parsed as JSON, falling back to a string),
 //! `--spec FILE` scenario spec file (repeatable), `--quiet` suppress
-//! report text, `--json` machine-readable lint findings, `--sarif`
-//! SARIF 2.1.0 lint log, `--no-cache` skip the incremental lint cache,
-//! `--prune-waivers` rewrite `lint.waivers` dropping stale entries,
-//! `--explain <rule>` print one lint rule's documentation.
+//! report text, `--json` machine-readable lint findings, `--no-cache`
+//! skip the incremental lint cache, `--explain <rule>` print one lint
+//! rule's documentation, `--budget FILE` / `--save-budget FILE` gate or
+//! re-save the lint wall-time budget.
 //!
 //! Argument parsing is hand-rolled: the environment is offline and the
 //! surface is five subcommands.
@@ -41,9 +41,7 @@ struct Args {
     base_seed: u64,
     quiet: bool,
     json: bool,
-    sarif: bool,
     no_cache: bool,
-    prune_waivers: bool,
     /// `--jobs` exactly as the user typed it (lint distinguishes
     /// "absent" = serial from `0` = one per core; `jobs` above is
     /// clamped to ≥ 1 for the batch executor).
@@ -119,9 +117,7 @@ pub fn run(argv: &[String]) -> i32 {
             let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
             let opts = crate::lint::LintOptions {
                 json: args.json,
-                sarif: args.sarif,
                 no_cache: args.no_cache,
-                prune_waivers: args.prune_waivers,
                 jobs: args.jobs_given,
                 explain: args.explain.clone(),
                 budget: args.budget.clone(),
@@ -149,7 +145,7 @@ fn print_usage() {
          ehp run <exp...> [options]       run selected experiments\n\
          ehp all [options]                run the whole registry\n\
          ehp check [options]              run + verify expected shapes\n\
-         ehp lint [--json|--sarif] [--no-cache] [--prune-waivers] [--jobs N] [--explain <rule>]\n\
+         ehp lint [--json] [--no-cache] [--jobs N] [--explain <rule>]\n\
                   [--budget FILE] [--save-budget FILE]\n\
                                           lint the workspace (DESIGN.md §10–§11, §15)\n\
          ehp serve [--socket PATH]        long-running scenario daemon (DESIGN.md §12)\n\
@@ -166,9 +162,7 @@ fn print_usage() {
            --no-result-cache  bypass the result cache for this batch\n\
            --socket PATH   serve-mode Unix socket (default target/ehp-serve.sock)\n\
            --json          machine-readable lint findings\n\
-           --sarif         SARIF 2.1.0 lint log (for editors/dashboards)\n\
            --no-cache      skip the incremental lint cache\n\
-           --prune-waivers rewrite lint.waivers, dropping stale entries\n\
            --explain RULE  print one lint rule's documentation (name or code)\n\
            --budget FILE   fail if lint wall time exceeds the checked-in,\n\
                            machine-speed-normalised budget (crates/lint/lint_budget.json)\n\
@@ -222,9 +216,7 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--quiet" | "-q" => args.quiet = true,
             "--progress" => args.progress = true,
             "--json" => args.json = true,
-            "--sarif" => args.sarif = true,
             "--no-cache" => args.no_cache = true,
-            "--prune-waivers" => args.prune_waivers = true,
             "--no-result-cache" => args.no_result_cache = true,
             "--explain" => args.explain = Some(value_of("--explain")?.to_string()),
             "--budget" => args.budget = Some(value_of("--budget")?.to_string()),

@@ -1,10 +1,13 @@
-//! Driver for `ehp lint` / the `ehp-lint` binary: binds the generic
-//! analyzer in `ehp-lint` to this workspace's experiment registry (which
-//! supplies the S1 scenario schemas) and renders the report.
+//! Driver for `ehp lint`: binds the generic analyzer in `ehp-lint` to
+//! this workspace's experiment registry (which supplies the S1 scenario
+//! schemas), renders the report, and gates the run's wall time against
+//! a checked-in budget (`crates/lint/lint_budget.json`). The JSON report
+//! is byte-identical across cached, uncached, serial, and parallel runs;
+//! cache and timing telemetry reach only the human summary and stderr.
 
 use std::path::Path;
 
-use ehp_lint::{find_workspace_root, lint_workspace, prune_waivers, LintConfig, LintReport, Rule};
+use ehp_lint::{find_workspace_root, lint_workspace, LintConfig, LintReport, Rule};
 
 use crate::registry;
 
@@ -13,13 +16,9 @@ use crate::registry;
 pub struct LintOptions {
     /// Print the machine-readable JSON report instead of text.
     pub json: bool,
-    /// Print a SARIF 2.1.0 log instead of text (overrides `json`).
-    pub sarif: bool,
     /// Skip the incremental cache (`target/lint-cache.json`): re-tokenize
     /// every file and do not refresh the cache.
     pub no_cache: bool,
-    /// Rewrite `lint.waivers`, dropping entries that matched nothing.
-    pub prune_waivers: bool,
     /// Worker threads for cache-miss analysis: `1` = serial (the
     /// default), `0` = one per core, `n` = exactly `n`.
     pub jobs: Option<usize>,
@@ -37,7 +36,8 @@ pub struct LintOptions {
 /// Runs the linter from `start_dir` (the workspace root is found by
 /// walking up). Prints findings to stdout — JSON when `opts.json` is
 /// set, one line per finding otherwise — and returns the process exit
-/// code: 0 when every finding is waived, 1 otherwise, 2 on I/O failure
+/// code: 0 when every finding is waived, 1 when one is not or the run
+/// is over its `--budget`, 2 on I/O failure, an unreadable budget file,
 /// or an unknown `--explain` rule.
 #[must_use]
 pub fn run(start_dir: &Path, opts: &LintOptions) -> i32 {
@@ -53,52 +53,23 @@ pub fn run(start_dir: &Path, opts: &LintOptions) -> i32 {
     };
     let schemas = registry::schemas();
     let config = LintConfig {
-        root: root.clone(),
+        root,
         schemas: &schemas,
         use_cache: !opts.no_cache,
         jobs: opts.jobs.unwrap_or(1),
     };
     // lint:allow(wall-clock) timing the lint run itself, not sim state
     let started = std::time::Instant::now();
-    let mut report = match lint_workspace(&config) {
+    let report = match lint_workspace(&config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ehp lint: {e}");
             return 2;
         }
     };
-    if opts.prune_waivers {
-        match prune_waivers(&root, &report) {
-            Ok(out) => {
-                eprintln!(
-                    "ehp lint: waivers: {} kept, {} dropped{}",
-                    out.kept,
-                    out.dropped,
-                    if out.rewritten {
-                        " (file rewritten)"
-                    } else {
-                        ""
-                    }
-                );
-                if out.rewritten {
-                    // Stale-waiver findings must not survive the
-                    // rewrite that just removed their cause.
-                    report = match lint_workspace(&config) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            eprintln!("ehp lint: {e}");
-                            return 2;
-                        }
-                    };
-                }
-            }
-            Err(e) => {
-                eprintln!("ehp lint: cannot prune waivers: {e}");
-                return 2;
-            }
-        }
-    }
     let wall_secs = started.elapsed().as_secs_f64();
+    // Render before the budget verdict, so an over-budget run still
+    // shows its findings.
     render(&report, opts, wall_secs);
     let mut code = i32::from(report.unwaived_count() != 0);
     if let Some(path) = &opts.save_budget {
@@ -119,15 +90,44 @@ pub fn run(start_dir: &Path, opts: &LintOptions) -> i32 {
     code
 }
 
+/// Prints one rule's documentation; accepts names (`hot-path-reach`) and
+/// codes (`H2`), case-insensitively. An unknown rule lists every known
+/// one on stderr.
+fn explain(name: &str) -> i32 {
+    let lower = name.to_ascii_lowercase();
+    let rule = Rule::from_name_any(&lower).or_else(|| {
+        Rule::ALL
+            .iter()
+            .copied()
+            .find(|r| r.code().eq_ignore_ascii_case(name))
+    });
+    match rule {
+        Some(r) => {
+            println!("[{} {}]\n{}", r.code(), r.name(), r.explain());
+            0
+        }
+        None => {
+            eprintln!("ehp lint: unknown rule {name:?}; known rules:");
+            for r in Rule::ALL {
+                eprintln!("  {:<4} {}", r.code(), r.name());
+            }
+            2
+        }
+    }
+}
+
 /// Headroom factor applied by `--save-budget`: CI boxes run loaded, and
 /// the gate exists to catch order-of-magnitude blowups from new
-/// analysis layers, not scheduler jitter.
+/// analysis layers, not scheduler jitter. The saved budget is the
+/// measured wall time times this factor.
 const BUDGET_HEADROOM: f64 = 3.0;
 
 /// Machine-speed reference: the same loop-carried multiply-add workload
 /// the bench baselines store (`crates/bench/src/microbench.rs`), so a
 /// budget calibrated on one machine class scales to another the same
-/// way the perf-smoke gates do. Best of five, nanoseconds.
+/// way the perf-smoke gates do. Best of five, nanoseconds. Each step
+/// depends on the last, so the optimiser can neither vectorise nor
+/// elide the loop, and `black_box` keeps its result live.
 fn calibrate() -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..5 {
@@ -195,39 +195,10 @@ fn save_budget(path: &Path, wall_secs: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints one rule's documentation; accepts names (`hot-path-reach`) and
-/// codes (`H2`), case-insensitively.
-fn explain(name: &str) -> i32 {
-    let lower = name.to_ascii_lowercase();
-    let rule = Rule::from_name_any(&lower).or_else(|| {
-        Rule::ALL
-            .iter()
-            .copied()
-            .find(|r| r.code().eq_ignore_ascii_case(name))
-    });
-    match rule {
-        Some(r) => {
-            println!("[{} {}]\n{}", r.code(), r.name(), r.explain());
-            0
-        }
-        None => {
-            eprintln!("ehp lint: unknown rule {name:?}; known rules:");
-            for r in Rule::ALL {
-                eprintln!("  {:<4} {}", r.code(), r.name());
-            }
-            2
-        }
-    }
-}
-
-/// Prints the report to stdout. The JSON and SARIF forms are
-/// byte-identical across cached and uncached runs; cache and timing
-/// telemetry goes to the human summary only.
+/// Prints the report to stdout. The JSON form is byte-identical across
+/// cached and uncached runs; cache and timing telemetry goes to the
+/// human summary only.
 fn render(report: &LintReport, opts: &LintOptions, wall_secs: f64) {
-    if opts.sarif {
-        println!("{}", ehp_lint::sarif::to_sarif(report).to_string_pretty());
-        return;
-    }
     if opts.json {
         println!("{}", report.to_json().to_string_pretty());
         return;

@@ -35,7 +35,7 @@ fn real_workspace_has_zero_unwaived_findings() {
         "walker must cover scenarios/, saw {}",
         report.scenarios_scanned
     );
-    // Hold the tree clean across all fifteen evaluable rules (plus the
+    // Hold the tree clean across all thirteen evaluable rules (plus the
     // fence/waiver bookkeeping rules), naming the rule on failure.
     for &rule in Rule::ALL {
         let unwaived: Vec<String> = report
@@ -209,28 +209,4 @@ fn parallel_cold_lint_reports_byte_identically_to_serial() {
         parallel.to_json().to_string_pretty(),
         "worker count must be invisible in the report bytes"
     );
-}
-
-#[test]
-fn sarif_log_covers_every_finding_in_the_tree() {
-    let schemas = registry::schemas();
-    let report = lint_workspace(&LintConfig {
-        root: workspace_root(),
-        schemas: &schemas,
-        use_cache: false,
-        jobs: 1,
-    })
-    .expect("lint run");
-    let sarif = ehp_lint::sarif::to_sarif(&report);
-    let parsed = Json::parse(&sarif.to_string_pretty()).expect("valid JSON");
-    let runs = parsed.get("runs").and_then(Json::as_arr).expect("runs");
-    let results = runs[0]
-        .get("results")
-        .and_then(Json::as_arr)
-        .expect("results");
-    assert_eq!(results.len(), report.findings.len());
-    // A clean tree renders every result at level `note` (waived).
-    for r in results {
-        assert_eq!(r.get("level").and_then(Json::as_str), Some("note"));
-    }
 }

@@ -1,4 +1,4 @@
-//! Bit-provenance & units abstract interpretation (DESIGN.md §16).
+//! Bit-provenance abstract interpretation (DESIGN.md §16).
 //!
 //! An intraprocedural abstract interpreter over the integer expressions
 //! [`crate::parse`] captures as [`BindSite`]s. For every local it
@@ -11,7 +11,8 @@
 //! conservative call graph's symbol table so helpers like `bank_mix`
 //! and `fast_mod` compose across files.
 //!
-//! Three rules live on top:
+//! Two rules live on top, plus the L3 lock-order graph pass
+//! ([`check_lock_order`]) that shares the symbol table:
 //!
 //! - **B1 correlated-selectors** ([`check_lanes`]): two bounded
 //!   selector values in one fn whose lane sets intersect on the same
@@ -22,9 +23,6 @@
 //! - **B2 lossy-narrowing** ([`check_lanes`]): a selector with a known
 //!   power-of-two bound `2^k` but fewer than `k` surviving source
 //!   lanes — an upstream cast or mask discarded entropy it needs.
-//! - **U1 unit-mixing** ([`check_units`]): additive arithmetic over
-//!   identifiers whose units of measure (from suffixes like `_ps` /
-//!   `_cycles` / `_mib` or newtypes like `SimTime`) provably differ.
 //!
 //! Like the rest of the linter this is a tripwire, not a proof: branch
 //! *conditions* do not contribute dependence, additive carries are
@@ -37,7 +35,6 @@ use std::collections::BTreeMap;
 use crate::callgraph::{FnKey, Symbols};
 use crate::findings::{Finding, Rule};
 use crate::parse::{int_literal, BindSite, CallSite, FileIndex, FnItem, RET_BIND};
-use crate::tokenizer::{Tok, TokKind};
 
 /// Summary-propagation passes over the workspace. Two suffice for the
 /// helper-depth the sim uses (`bank_slot` → `bank_mix` → `fast_mod`);
@@ -1305,108 +1302,6 @@ fn bfs_path<'a>(
     None
 }
 
-// ---------------------------------------------------------------------
-// U1 unit-mixing.
-// ---------------------------------------------------------------------
-
-/// Newtypes with a known dimension (via the declaration heuristic).
-const UNIT_TYPES: &[(&str, &str)] = &[
-    ("SimTime", "time"),
-    ("Cycles", "cycles"),
-    ("Cycle", "cycles"),
-    ("Bytes", "bytes"),
-    ("Frequency", "frequency"),
-];
-
-/// Unit of measure for an identifier, from its declared newtype or its
-/// trailing `_suffix` (a bare `ns`/`bytes`/... name also counts).
-fn unit_of(name: &str, typed: &BTreeMap<String, String>) -> Option<&'static str> {
-    if let Some(ty) = typed.get(name) {
-        if let Some((_, unit)) = UNIT_TYPES.iter().find(|(t, _)| t == ty) {
-            return Some(unit);
-        }
-    }
-    let suffix = name.rsplit('_').next().unwrap_or(name);
-    match suffix {
-        "ps" | "ns" | "us" | "ms" => Some("time"),
-        "cycles" | "cycle" => Some("cycles"),
-        "bytes" | "kib" | "mib" | "gib" => Some("bytes"),
-        "blocks" | "block" => Some("blocks"),
-        "hz" | "mhz" | "ghz" => Some("frequency"),
-        _ => None,
-    }
-}
-
-/// Flags `a + b` / `a - b` (and the `+=`/`-=` forms) where both
-/// operands are identifiers with *known, different* units. `*` and `/`
-/// legitimately change dimension and are never flagged.
-pub fn check_units(path: &str, toks: &[Tok], index: &FileIndex, findings: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        let lhs = &toks[i];
-        if lhs.kind != TokKind::Ident {
-            continue;
-        }
-        let Some(op) = toks.get(i + 1) else { continue };
-        let is_plus = op.is_punct('+');
-        let is_minus = op.is_punct('-');
-        if !is_plus && !is_minus {
-            continue;
-        }
-        // `->` return arrows and `+=`-style compound assignments shift
-        // the right operand by one.
-        let mut r = i + 2;
-        if toks.get(i + 2).is_some_and(|t| t.is_punct('>')) {
-            continue;
-        }
-        if toks.get(i + 2).is_some_and(|t| t.is_punct('=')) {
-            r = i + 3;
-        }
-        let Some(rhs) = toks.get(r) else { continue };
-        if rhs.kind != TokKind::Ident {
-            continue;
-        }
-        // A call, path, field access, or macro after the right operand
-        // means its own name is not the operand's value.
-        if toks.get(r + 1).is_some_and(|t| {
-            t.is_punct('(') || t.is_punct(':') || t.is_punct('.') || t.is_punct('!')
-        }) {
-            continue;
-        }
-        let (Some(ul), Some(ur)) = (
-            unit_of(&lhs.text, &index.typed),
-            unit_of(&rhs.text, &index.typed),
-        ) else {
-            continue;
-        };
-        if ul == ur {
-            continue;
-        }
-        // Test code is exempt, like the other discipline rules.
-        let in_test = index
-            .fns
-            .iter()
-            .rev()
-            .find(|f| f.line <= op.line)
-            .is_some_and(|f| f.is_test);
-        if in_test {
-            continue;
-        }
-        findings.push(Finding::new(
-            Rule::UnitMixing,
-            path,
-            op.line,
-            format!(
-                "`{}` ({ul}) {} `{}` ({ur}) mixes units of measure — convert \
-                 explicitly (scale through the rate) or rename the identifier \
-                 whose suffix lies",
-                lhs.text,
-                if is_plus { "+" } else { "-" },
-                rhs.text,
-            ),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1499,17 +1394,6 @@ mod tests {
         assert_eq!(l.lanes, u64::MAX);
         assert_eq!(l.shift, None);
         assert!(!v.bounded);
-    }
-
-    #[test]
-    fn units_resolve_from_suffix_and_newtype() {
-        let typed = BTreeMap::from([("t".to_string(), "SimTime".to_string())]);
-        assert_eq!(unit_of("lat_ns", &typed), Some("time"));
-        assert_eq!(unit_of("t", &typed), Some("time"));
-        assert_eq!(unit_of("window_cycles", &typed), Some("cycles"));
-        assert_eq!(unit_of("ic_mib", &typed), Some("bytes"));
-        assert_eq!(unit_of("bananas", &typed), None);
-        assert_eq!(unit_of("runs", &typed), None);
     }
 
     #[test]

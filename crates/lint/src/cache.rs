@@ -28,7 +28,9 @@ use crate::parse::FileIndex;
 /// captures, and loop lines joined the serialized `FileIndex`.
 /// 4: absint (B1/B2/U1/L3) — fn params, bind expressions, file-local
 /// consts, and lock targets joined the serialized `FileIndex`.
-pub const CACHE_VERSION: u64 = 4;
+/// 5: H1 folded into H2 and U1 removed — cached single-file findings
+/// no longer carry either rule.
+pub const CACHE_VERSION: u64 = 5;
 
 /// Cached state for one source file.
 #[derive(Debug, Clone)]

@@ -2,10 +2,11 @@
 //!
 //! The symbol table maps function names (and `(owner, name)` pairs for
 //! methods) to their defining [`FnItem`]s across every indexed file.
-//! For each call site inside a `lint:hot-path` fence, a breadth-first
-//! walk follows resolvable calls until it reaches a function that
-//! allocates; the shortest such chain becomes the finding's evidence
-//! (`via path:line \`name\`` hops in the report).
+//! An allocation written inside a `lint:hot-path` fence is a zero-hop
+//! finding whose chain is the allocation site alone. For each call site
+//! inside a fence, a breadth-first walk follows resolvable calls until
+//! it reaches a function that allocates; the shortest such chain becomes
+//! the finding's evidence (`via path:line \`name\`` hops in the report).
 //!
 //! Resolution is deliberately conservative about *qualified* names:
 //! `Vec::new(..)` only resolves to a workspace `impl Vec` (there is
@@ -13,12 +14,13 @@
 //! declaration-typed receiver (`ws: &mut SolverWorkspace`) only resolves
 //! within that type — so `SolverWorkspace::route` is not confused with
 //! the allocating `Topology::route`. Unresolvable calls (std, closures,
-//! trait objects) are skipped: H2 extends H1, it does not replace it.
+//! trait objects) are skipped; an allocation they hide is only caught
+//! when it is written inside the fence itself.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::findings::{Finding, Rule};
-use crate::parse::{FileIndex, NondetSite};
+use crate::parse::{in_fence, FileIndex, NondetSite};
 
 /// BFS depth cap: chains longer than this are beyond what a reviewer
 /// can audit and almost certainly heuristic noise.
@@ -247,8 +249,10 @@ fn fn_label(index: &FileIndex, gi: usize) -> String {
 
 /// Runs the H2 `hot-path-reach` pass over a set of per-file indexes.
 /// `files` must be sorted by path for deterministic output. Emits one
-/// finding per fenced call site whose callee transitively allocates,
-/// carrying the shortest call chain as evidence.
+/// finding per allocation written inside a fence (zero hops, the
+/// allocation site as the whole chain) and one per fenced call site
+/// whose callee transitively allocates, carrying the shortest call
+/// chain as evidence.
 #[must_use]
 pub fn check_reachable_allocs(files: &[(String, FileIndex)]) -> Vec<Finding> {
     let symbols = Symbols::build(files);
@@ -257,6 +261,17 @@ pub fn check_reachable_allocs(files: &[(String, FileIndex)]) -> Vec<Finding> {
         for (gi, f) in index.fns.iter().enumerate() {
             if f.is_test {
                 continue;
+            }
+            for alloc in f.allocs.iter().filter(|a| in_fence(&index.fences, a.line)) {
+                findings.push(
+                    Finding::new(
+                        Rule::HotPathReach,
+                        path,
+                        alloc.line,
+                        format!("{} allocates inside a `lint:hot-path` fence", alloc.what),
+                    )
+                    .with_chain(vec![format!("{path}:{} {}", alloc.line, alloc.what)]),
+                );
             }
             for call in f.calls.iter().filter(|c| c.in_fence) {
                 if let Some(finding) = trace_call(&symbols, path, fi, (fi, gi), call) {
@@ -537,6 +552,41 @@ pub fn widen(x: u64) -> u64 {
                 "crates/x/src/helper.rs:4 `widen`".to_string(),
                 "crates/x/src/helper.rs:5 `Vec::new()`".to_string(),
             ]
+        );
+    }
+
+    #[test]
+    fn hot_path_fence_catches_allocations() {
+        let files = index_all(&[(
+            "crates/x/src/a.rs",
+            "\
+fn hot(xs: &[u64], out: &mut Vec<u64>) {
+    // lint:hot-path
+    out.extend_from_slice(xs);
+    let c = xs.to_vec();
+    let s = format!(\"{}\", c.len());
+    let v = Vec::new();
+    // lint:hot-path-end
+    drop((s, v));
+    let fine = xs.to_vec();
+    drop(fine);
+}
+",
+        )]);
+        let got: Vec<(Rule, u32, Vec<String>)> = check_reachable_allocs(&files)
+            .into_iter()
+            .map(|f| (f.rule, f.line, f.chain))
+            .collect();
+        let hop = |line: u32, what: &str| vec![format!("crates/x/src/a.rs:{line} {what}")];
+        assert_eq!(
+            got,
+            vec![
+                (Rule::HotPathReach, 4, hop(4, "`.to_vec()`")),
+                (Rule::HotPathReach, 5, hop(5, "`format!`")),
+                (Rule::HotPathReach, 6, hop(6, "`Vec::new()`")),
+            ],
+            "zero-hop allocations fire with the site as the whole chain; \
+             line 9's .to_vec() is outside the fence"
         );
     }
 

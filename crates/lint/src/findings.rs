@@ -17,10 +17,8 @@ pub enum Rule {
     /// D4: seeds outside bench/tests must derive from config state or a
     /// named constant, never an inline ad-hoc literal.
     SeedDiscipline,
-    /// H1: no allocation calls inside `// lint:hot-path` fences.
-    HotPathAlloc,
-    /// H2: no function reachable from a `// lint:hot-path` fence through
-    /// the workspace call graph may allocate.
+    /// H2: no allocation inside a `// lint:hot-path` fence, written there
+    /// (zero hops) or reachable through the workspace call graph.
     HotPathReach,
     /// R1: `thread::scope`/`spawn` closures may not capture `&mut`,
     /// `RefCell`, `Cell`, or `Rc` state shared across spawns.
@@ -48,9 +46,6 @@ pub enum Rule {
     /// B2: a cast/mask provably discards bit lanes a later selector
     /// still needs, starving it of entropy.
     LossyNarrowing,
-    /// U1: arithmetic mixing units of measure (ns/cycles/bytes/blocks)
-    /// without an explicit conversion.
-    UnitMixing,
     /// S1: scenario specs must match their experiment's parameter schema.
     ScenarioSchema,
     /// Malformed fence markers (unbalanced / nested `lint:hot-path`).
@@ -68,7 +63,6 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::F32Truncation => "f32-truncation",
             Rule::SeedDiscipline => "seed-discipline",
-            Rule::HotPathAlloc => "hot-path-alloc",
             Rule::HotPathReach => "hot-path-reach",
             Rule::ThreadCapture => "thread-capture",
             Rule::NondetTaint => "nondet-taint",
@@ -77,7 +71,6 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::CorrelatedSelectors => "correlated-selectors",
             Rule::LossyNarrowing => "lossy-narrowing",
-            Rule::UnitMixing => "unit-mixing",
             Rule::ScenarioSchema => "scenario-schema",
             Rule::Fence => "fence",
             Rule::Waiver => "waiver",
@@ -92,8 +85,7 @@ impl Rule {
             Rule::WallClock => "D2",
             Rule::F32Truncation => "D3",
             Rule::SeedDiscipline => "D4",
-            Rule::HotPathAlloc | Rule::Fence => "H1",
-            Rule::HotPathReach => "H2",
+            Rule::HotPathReach | Rule::Fence => "H2",
             Rule::ThreadCapture => "R1",
             Rule::NondetTaint => "N1",
             Rule::LockDiscipline => "L1",
@@ -101,7 +93,6 @@ impl Rule {
             Rule::LockOrder => "L3",
             Rule::CorrelatedSelectors => "B1",
             Rule::LossyNarrowing => "B2",
-            Rule::UnitMixing => "U1",
             Rule::ScenarioSchema => "S1",
             Rule::Waiver => "W0",
         }
@@ -114,7 +105,6 @@ impl Rule {
         Rule::WallClock,
         Rule::F32Truncation,
         Rule::SeedDiscipline,
-        Rule::HotPathAlloc,
         Rule::HotPathReach,
         Rule::ThreadCapture,
         Rule::NondetTaint,
@@ -123,7 +113,6 @@ impl Rule {
         Rule::LockOrder,
         Rule::CorrelatedSelectors,
         Rule::LossyNarrowing,
-        Rule::UnitMixing,
         Rule::ScenarioSchema,
         Rule::Fence,
         Rule::Waiver,
@@ -138,7 +127,6 @@ impl Rule {
             "wall-clock" => Some(Rule::WallClock),
             "f32-truncation" => Some(Rule::F32Truncation),
             "seed-discipline" => Some(Rule::SeedDiscipline),
-            "hot-path-alloc" => Some(Rule::HotPathAlloc),
             "hot-path-reach" => Some(Rule::HotPathReach),
             "thread-capture" => Some(Rule::ThreadCapture),
             "nondet-taint" => Some(Rule::NondetTaint),
@@ -147,7 +135,6 @@ impl Rule {
             "lock-order" => Some(Rule::LockOrder),
             "correlated-selectors" => Some(Rule::CorrelatedSelectors),
             "lossy-narrowing" => Some(Rule::LossyNarrowing),
-            "unit-mixing" => Some(Rule::UnitMixing),
             "scenario-schema" => Some(Rule::ScenarioSchema),
             _ => None,
         }
@@ -200,20 +187,17 @@ impl Rule {
                  create untracked randomness the harness cannot replay or \
                  sweep."
             }
-            Rule::HotPathAlloc => {
-                "H1 hot-path-alloc: no allocation calls (Vec::new, .clone(), \
-                 .to_vec(), .collect(), format!, vec!, with_capacity, ...) \
-                 between // lint:hot-path and // lint:hot-path-end. The \
-                 fenced regions are the replay/solver inner loops; steady \
-                 state must reuse caller-held workspaces."
-            }
             Rule::HotPathReach => {
-                "H2 hot-path-reach: a function *called* from inside a \
-                 // lint:hot-path fence must not allocate anywhere in its \
-                 body, transitively through the workspace call graph. The \
-                 finding prints the full call chain from the fenced call \
-                 site to the allocation so the hop that needs a workspace \
-                 (or a reasoned waiver) is obvious."
+                "H2 hot-path-reach: no allocation (Vec::new, .clone(), \
+                 .to_vec(), .collect(), format!, vec!, with_capacity, ...) \
+                 between // lint:hot-path and // lint:hot-path-end, either \
+                 written there (zero hops) or in any function called from \
+                 the fence, transitively through the workspace call graph. \
+                 The fenced regions are the replay/solver inner loops; \
+                 steady state must reuse caller-held workspaces. The \
+                 finding prints the full call chain from the fenced site \
+                 to the allocation so the hop that needs a workspace (or a \
+                 reasoned waiver) is obvious."
             }
             Rule::ThreadCapture => {
                 "R1 thread-capture: std::thread::scope/spawn closures may \
@@ -301,16 +285,6 @@ impl Rule {
                  only ever produce 4 of 16 values). Widen the upstream \
                  value or narrow the selector's bound to match."
             }
-            Rule::UnitMixing => {
-                "U1 unit-mixing: adding or subtracting two values of \
-                 different measurement dimensions (time from identifier \
-                 suffixes like _ns/_ps or the SimTime newtype; cycles; \
-                 bytes from _bytes/_kib/_mib; blocks; frequency from \
-                 _hz/_mhz/_ghz) is a fidelity bug even when the types \
-                 check out, because everything is u64 underneath. Convert \
-                 explicitly (multiply/divide through the rate) or rename \
-                 the identifier if its suffix lies."
-            }
             Rule::ScenarioSchema => {
                 "S1 scenario-schema: scenarios/*.json must match the \
                  parameter schema its experiment declares in the registry: \
@@ -319,8 +293,8 @@ impl Rule {
             }
             Rule::Fence => {
                 "fence: lint:hot-path / lint:hot-path-end markers must be \
-                 balanced and unnested; a broken fence silently disables H1 \
-                 and H2 for the region, so it is itself a finding."
+                 balanced and unnested; a broken fence silently disables H2 \
+                 for the region, so it is itself a finding."
             }
             Rule::Waiver => {
                 "waiver: lint:allow(<rule>) <reason> and lint.waivers \
@@ -471,7 +445,6 @@ mod tests {
             Rule::WallClock,
             Rule::F32Truncation,
             Rule::SeedDiscipline,
-            Rule::HotPathAlloc,
             Rule::HotPathReach,
             Rule::ThreadCapture,
             Rule::NondetTaint,
@@ -480,7 +453,6 @@ mod tests {
             Rule::LockOrder,
             Rule::CorrelatedSelectors,
             Rule::LossyNarrowing,
-            Rule::UnitMixing,
             Rule::ScenarioSchema,
         ] {
             assert_eq!(Rule::from_name(rule.name()), Some(rule));

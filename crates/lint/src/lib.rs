@@ -18,8 +18,7 @@
 //! | `wall-clock`      | D2   | no `Instant::now`/`SystemTime` outside bench     |
 //! | `f32-truncation`  | D3   | f64 end-to-end in accumulator paths              |
 //! | `seed-discipline` | D4   | seeds derive from config/constants, not literals |
-//! | `hot-path-alloc`  | H1   | no allocation inside `// lint:hot-path` fences   |
-//! | `hot-path-reach`  | H2   | no allocation reachable through fenced calls     |
+//! | `hot-path-reach`  | H2   | no allocation in or reachable from fences        |
 //! | `thread-capture`  | R1   | no shared mutable capture in spawn closures      |
 //! | `nondet-taint`    | N1   | no nondeterminism reaches summary/merge sinks    |
 //! | `lock-discipline` | L1   | no fenced/nested/same-statement lock acquisition |
@@ -27,21 +26,22 @@
 //! | `lock-order`      | L3   | no cycles in the lock acquisition-order graph    |
 //! | `correlated-selectors` | B1 | placement selectors use disjoint address lanes |
 //! | `lossy-narrowing` | B2   | selectors keep enough source bits for their range |
-//! | `unit-mixing`     | U1   | no additive arithmetic across units of measure   |
 //! | `scenario-schema` | S1   | `scenarios/*.json` match experiment schemas      |
 //!
-//! D1–D4, H1, R1, L1, L2, and U1 are single-file rules and cache per
-//! file (content-hash keyed, `target/lint-cache.json`); H2, N1, L3, and
-//! the bit-provenance rules B1/B2 walk the workspace call graph (and
+//! D1–D4, R1, L1, and L2 are single-file rules and cache per file
+//! (content-hash keyed, `target/lint-cache.json`); H2, N1, L3, and the
+//! bit-provenance rules B1/B2 walk the workspace call graph (and
 //! the [`absint`] lane summaries) built from the per-file indexes and
 //! are recomputed every run, as are S1 and the waiver file. A cold run
 //! fans the per-file work out across threads ([`LintConfig::jobs`])
 //! and merges by file index, so the report is byte-identical across
 //! serial, parallel, and cached runs.
 //!
-//! Entry point: [`lint_workspace`]. The `ehp lint` CLI subcommand and the
-//! `ehp-lint` binary (both in `ehp-harness`, which owns the experiment
-//! registry and therefore the schemas) are thin wrappers around it.
+//! Entry point: [`lint_workspace`]. The `ehp lint` CLI subcommand (in
+//! `ehp-harness`, which owns the experiment registry and therefore the
+//! schemas) is a thin wrapper around it. Units of measure are not a
+//! lint rule: the `ehp-sim-core` newtypes (`Cycle`, `SimTime`, `Bytes`,
+//! `Bandwidth`) let the compiler check them.
 
 pub mod absint;
 pub mod cache;
@@ -49,7 +49,6 @@ pub mod callgraph;
 pub mod findings;
 pub mod parse;
 pub mod rules;
-pub mod sarif;
 pub mod schema;
 pub mod tokenizer;
 pub mod waiver;
@@ -98,10 +97,6 @@ pub struct LintReport {
     pub cache_hits: usize,
     /// Files that were (re-)tokenized and analyzed this run.
     pub cache_misses: usize,
-    /// `(rule, path)` of file-level waiver entries that matched no
-    /// finding this run — the input to [`prune_waivers`]. Not part of
-    /// the serialized report (the stale findings themselves are).
-    pub stale_waivers: Vec<(Rule, String)>,
 }
 
 impl LintReport {
@@ -327,9 +322,6 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
         let (waivers, mut errs) = waiver::parse_waiver_file(WAIVER_FILE, &text);
         report.findings.append(&mut errs);
         for idx in waiver::apply_file(&mut report.findings, &waivers) {
-            report
-                .stale_waivers
-                .push((waivers[idx].rule, waivers[idx].path.clone()));
             report.findings.push(Finding::new(
                 Rule::Waiver,
                 WAIVER_FILE,
@@ -349,64 +341,6 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
         let _ = new_cache.save(&cache_path);
     }
     Ok(report)
-}
-
-/// Outcome of a [`prune_waivers`] rewrite.
-#[derive(Debug, Default)]
-pub struct PruneOutcome {
-    /// Parsed waiver entries still matching a finding (kept).
-    pub kept: usize,
-    /// Stale entries removed.
-    pub dropped: usize,
-    /// Whether the file was rewritten (only when something dropped).
-    pub rewritten: bool,
-}
-
-/// Rewrites the workspace `lint.waivers`, dropping the entries `report`
-/// found stale. Comments, blank lines, and malformed lines survive
-/// verbatim; the file is only touched when at least one entry drops.
-///
-/// # Errors
-/// Propagates I/O errors reading or rewriting the waiver file.
-pub fn prune_waivers(root: &Path, report: &LintReport) -> io::Result<PruneOutcome> {
-    let path = root.join(WAIVER_FILE);
-    let mut outcome = PruneOutcome::default();
-    if !path.is_file() {
-        return Ok(outcome);
-    }
-    let text = fs::read_to_string(&path)?;
-    let mut out = String::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        let mut stale = false;
-        if !trimmed.is_empty() && !trimmed.starts_with('#') {
-            let mut parts = trimmed.splitn(3, char::is_whitespace);
-            if let (Some(rule_s), Some(path_s)) = (parts.next(), parts.next()) {
-                if let Some(rule) = Rule::from_name(rule_s) {
-                    if report
-                        .stale_waivers
-                        .iter()
-                        .any(|(r, p)| *r == rule && p == path_s)
-                    {
-                        stale = true;
-                    } else {
-                        outcome.kept += 1;
-                    }
-                }
-            }
-        }
-        if stale {
-            outcome.dropped += 1;
-        } else {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    if outcome.dropped > 0 {
-        fs::write(&path, out)?;
-        outcome.rewritten = true;
-    }
-    Ok(outcome)
 }
 
 /// Directory entries sorted by name (empty if the directory is missing).

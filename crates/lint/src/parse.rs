@@ -23,9 +23,9 @@ use crate::findings::{Finding, Rule};
 use crate::tokenizer::{Tok, TokKind, TokenizedFile};
 use crate::waiver::{self, InlineWaiver};
 
-/// Begin marker for H1/H2 fences.
+/// Begin marker for H2 fences.
 pub const FENCE_BEGIN: &str = "lint:hot-path";
-/// End marker for H1/H2 fences.
+/// End marker for H2 fences.
 pub const FENCE_END: &str = "lint:hot-path-end";
 /// Marker for sanctioned nondeterminism-laundering sites (N1): declares
 /// that the nondeterministic value produced on the next line cannot
@@ -34,13 +34,13 @@ pub const FENCE_END: &str = "lint:hot-path-end";
 pub const ORDER_FENCE: &str = "lint:order-invisible";
 
 /// Allocation entry points: methods called as `.name(`...
-pub const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
+const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
 /// ... constructor paths `Type::new` ...
-pub const ALLOC_TYPES: &[&str] = &["Vec", "String", "Box"];
+const ALLOC_TYPES: &[&str] = &["Vec", "String", "Box"];
 /// ... allocating macros `name!` ...
-pub const ALLOC_MACROS: &[&str] = &["format", "vec"];
+const ALLOC_MACROS: &[&str] = &["format", "vec"];
 /// ... and bare allocating calls.
-pub const ALLOC_BARE: &[&str] = &["with_capacity"];
+const ALLOC_BARE: &[&str] = &["with_capacity"];
 
 /// Cell-like types whose capture by a spawn closure races (R1).
 const CELL_TYPES: &[&str] = &["RefCell", "Cell", "Rc"];
@@ -872,8 +872,8 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
     (index, findings)
 }
 
-/// Records an allocation site if the token at `i` starts one (the H1
-/// pattern set, applied file-wide so H2 can test callee bodies).
+/// Records an allocation site if the token at `i` starts one (H2 tests
+/// the fenced sites and, through the call graph, callee bodies).
 fn scan_alloc(toks: &[Tok], i: usize, out: &mut Vec<AllocSite>) {
     let t = &toks[i];
     // `.clone()`, `.collect()`, ...
@@ -1313,23 +1313,26 @@ fn collect_binds(toks: &[Tok], lo: usize, hi: usize, tail: bool, out: &mut Vec<B
         }
         if t.is_punct('{') {
             let close = matching_close(toks, k).min(hi);
-            let next = toks.get(close + 1).filter(|_| close + 1 < hi);
+            // An unclosed block runs to the end of the span; its
+            // statement must not reach past the last token.
+            let end = (close + 1).min(toks.len());
+            let next = toks.get(end).filter(|_| end < hi);
             // `else` chains and postfix uses keep the statement open.
             if next.is_some_and(|n| n.is_ident("else") || n.is_punct('.') || n.is_punct('?')) {
-                k = close + 1;
+                k = end;
                 continue;
             }
             if next.is_some_and(|n| n.is_punct(';')) {
-                record_stmt(toks, start, close + 1, false, out);
-                start = close + 2;
-                k = close + 2;
+                record_stmt(toks, start, end, false, out);
+                start = end + 1;
+                k = end + 1;
                 continue;
             }
             // The block ends the statement: a statement-position
             // `if`/`match`/loop, or the body's tail expression.
-            record_stmt(toks, start, close + 1, tail && close + 1 >= hi, out);
-            start = close + 1;
-            k = close + 1;
+            record_stmt(toks, start, end, tail && end >= hi, out);
+            start = end;
+            k = end;
             continue;
         }
         if t.is_punct(';') {

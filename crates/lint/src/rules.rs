@@ -1,7 +1,8 @@
 //! The single-file rules: D1 hash-iter, D2 wall-clock, D3 f32, D4
-//! seed-discipline, H1 hot-path allocations, and R1 thread-capture,
-//! evaluated over one tokenized + parsed file. (H2 `hot-path-reach`
-//! needs the whole workspace and lives in [`crate::callgraph`].)
+//! seed-discipline, R1 thread-capture, L1 lock-discipline, L2
+//! spawn-merge, and the N1 order-fence check, evaluated over one
+//! tokenized + parsed file. (H2 `hot-path-reach` needs the whole
+//! workspace and lives in [`crate::callgraph`].)
 //!
 //! The analysis is type-free by design (no rustc, no syn — the build
 //! environment is offline), so D1 uses a local declaration heuristic:
@@ -85,13 +86,11 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
     }
     check_wall_clock(path_rel, &file, &mut findings);
     check_f32(path_rel, &file, &mut findings);
-    check_hot_path(path_rel, &file, &index.fences, &mut findings);
     check_seeds(path_rel, &index, &mut findings);
     check_spawns(path_rel, &index, &mut findings);
     check_locks(path_rel, &index, &mut findings);
     check_spawn_sync(path_rel, &index, &mut findings);
     check_order_fences(path_rel, &index, &mut findings);
-    crate::absint::check_units(path_rel, &file.toks, &index, &mut findings);
 
     waiver::apply_inline(&mut findings, &index.waivers);
     crate::findings::sort_dedup(&mut findings);
@@ -99,7 +98,8 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
 }
 
 /// Lints one source file, findings only (see [`analyze`]). Cross-file
-/// rules (H2) are not evaluated — they need the whole workspace.
+/// rules (H2, N1 taint, B1/B2, L3) are not evaluated — they need the
+/// whole workspace; [`crate::lint_sources`] runs them.
 #[must_use]
 pub fn lint_source(path_rel: &str, src: &str) -> Vec<Finding> {
     analyze(path_rel, src).findings
@@ -409,66 +409,6 @@ fn check_f32(path: &str, file: &TokenizedFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// H1: allocation calls textually inside `// lint:hot-path` fences.
-/// (Fence bookkeeping errors are reported by the parser; transitive
-/// allocations through calls are H2's job in [`crate::callgraph`].)
-fn check_hot_path(
-    path: &str,
-    file: &TokenizedFile,
-    regions: &[(u32, u32)],
-    findings: &mut Vec<Finding>,
-) {
-    if regions.is_empty() {
-        return;
-    }
-    let toks = &file.toks;
-    let mut flag = |line: u32, what: String| {
-        findings.push(Finding::new(
-            Rule::HotPathAlloc,
-            path,
-            line,
-            format!("{what} allocates inside a `lint:hot-path` fence"),
-        ));
-    };
-    for i in 0..toks.len() {
-        if !parse::in_fence(regions, toks[i].line) {
-            continue;
-        }
-        let t = &toks[i];
-        // `.clone()`, `.collect()`, ...
-        if t.is_punct('.')
-            && i + 2 < toks.len()
-            && toks[i + 1].kind == TokKind::Ident
-            && parse::ALLOC_METHODS.contains(&toks[i + 1].text.as_str())
-            && toks[i + 2].is_punct('(')
-        {
-            flag(toks[i + 1].line, format!("`.{}()`", toks[i + 1].text));
-        }
-        // `Vec::new(`, `String::new(`, `Box::new(`.
-        if t.kind == TokKind::Ident
-            && parse::ALLOC_TYPES.contains(&t.text.as_str())
-            && i + 3 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("new")
-        {
-            flag(t.line, format!("`{}::new()`", t.text));
-        }
-        // `format!(`, `vec![`.
-        if t.kind == TokKind::Ident
-            && parse::ALLOC_MACROS.contains(&t.text.as_str())
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct('!')
-        {
-            flag(t.line, format!("`{}!`", t.text));
-        }
-        // `with_capacity(` through any path.
-        if t.kind == TokKind::Ident && parse::ALLOC_BARE.contains(&t.text.as_str()) {
-            flag(t.line, format!("`{}`", t.text));
-        }
-    }
-}
-
 /// D4: ad-hoc literal seeds outside `crates/bench` and tests. A seed
 /// built purely from numeric literals is untracked by any scenario or
 /// config, so a replay cannot name the run it reproduces.
@@ -770,32 +710,6 @@ fn f(m: &HashMap<u32, u32>) -> usize {
         assert!(rules_of("fn f(x: f64) -> f64 { x }").is_empty());
         // `Tf32` and friends are different identifiers.
         assert!(rules_of("enum D { Tf32 } fn f(_d: D) {}").is_empty());
-    }
-
-    #[test]
-    fn hot_path_fence_catches_allocations() {
-        let src = "\
-fn hot(xs: &[u64], out: &mut Vec<u64>) {
-    // lint:hot-path
-    out.extend_from_slice(xs);
-    let c = xs.to_vec();
-    let s = format!(\"{}\", c.len());
-    let v = Vec::new();
-    // lint:hot-path-end
-    drop((s, v));
-    let fine = xs.to_vec();
-    drop(fine);
-}
-";
-        let got = rules_of(src);
-        assert_eq!(
-            got,
-            vec![
-                (Rule::HotPathAlloc, 4, false),
-                (Rule::HotPathAlloc, 5, false),
-                (Rule::HotPathAlloc, 6, false),
-            ]
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ehp_lint::{lint_workspace, prune_waivers, LintConfig, Rule};
+use ehp_lint::{lint_workspace, LintConfig, Rule};
 
 const FENCED: &str = "\
 pub fn hot(xs: &[u64], out: &mut [u64]) {
@@ -180,44 +180,29 @@ fn editing_a_callee_lane_summary_updates_cross_file_b1_from_cache() {
 }
 
 #[test]
-fn prune_waivers_drops_stale_entries_and_round_trips() {
-    let root = mini_workspace("prune-waivers");
+fn stale_file_waiver_is_reported_as_a_finding() {
+    let root = mini_workspace("stale-waiver");
     write(
         &root,
         "lint.waivers",
-        "# comment survives the rewrite\n\
+        "# comment\n\
          \n\
          f32-truncation crates/demo/src/shrink.rs the oracle needs f32 precision loss\n\
-         wall-clock crates/demo/src/hot.rs this site was deleted long ago\n\
-         not-even-a-rule weird line kept verbatim\n",
+         wall-clock crates/demo/src/hot.rs this site was deleted long ago\n",
     );
     let report = lint_workspace(&cfg(&root)).unwrap();
-    // The wall-clock entry matches nothing: flagged stale, queued for prune.
-    assert!(report
+    let stale: Vec<&str> = report
         .findings
         .iter()
-        .any(|f| f.rule == Rule::Waiver && f.message.contains("stale waiver")));
-    assert_eq!(report.stale_waivers.len(), 1);
-
-    let out = prune_waivers(&root, &report).unwrap();
-    assert_eq!((out.kept, out.dropped), (1, 1));
-    assert!(out.rewritten);
-    let text = fs::read_to_string(root.join("lint.waivers")).unwrap();
-    assert!(text.contains("# comment survives"));
-    assert!(text.contains("f32-truncation crates/demo/src/shrink.rs"));
-    assert!(text.contains("not-even-a-rule weird line"));
-    assert!(!text.contains("wall-clock"));
-
-    // Round trip: the pruned file is clean (no stale findings) and a
-    // second prune is a no-op that leaves the bytes alone.
-    let clean = lint_workspace(&cfg(&root)).unwrap();
-    assert!(clean.stale_waivers.is_empty());
-    assert!(!clean
-        .findings
-        .iter()
-        .any(|f| f.rule == Rule::Waiver && f.message.contains("stale waiver")));
-    let again = prune_waivers(&root, &clean).unwrap();
-    assert_eq!((again.kept, again.dropped), (1, 0));
-    assert!(!again.rewritten);
-    assert_eq!(text, fs::read_to_string(root.join("lint.waivers")).unwrap());
+        .filter(|f| f.rule == Rule::Waiver && f.message.contains("stale waiver"))
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(stale.len(), 1, "{:?}", report.findings);
+    assert!(stale[0].contains("wall-clock crates/demo/src/hot.rs"));
+    let unwaived: Vec<Rule> = report.unwaived().map(|f| f.rule).collect();
+    assert_eq!(
+        unwaived,
+        vec![Rule::HotPathReach, Rule::Waiver],
+        "the live f32 waiver holds; the stale entry fails the run next to hot.rs's H2"
+    );
 }

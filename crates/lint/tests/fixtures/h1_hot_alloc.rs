@@ -1,4 +1,4 @@
-//! Known-bad fixture for H1 (hot-path-alloc): the `.to_vec()` on line 9,
+//! Known-bad fixture for H2 at zero hops: the `.to_vec()` on line 9,
 //! the `format!` on line 10, and the `Vec::new()` on line 11 must fire;
 //! the identical `.to_vec()` on line 18, outside the fence, must not.
 

@@ -40,7 +40,7 @@ pub struct ChannelConfig {
     /// Slice associativity.
     pub icache_ways: usize,
     /// Line size (128 B on MI300).
-    pub line_bytes: u64,
+    pub line_bytes: Bytes,
     /// Peak service rate of the slice (per-slice share of the 17 TB/s,
     /// split evenly across banks).
     pub icache_rate: Bandwidth,
@@ -63,7 +63,7 @@ impl ChannelConfig {
             hbm_rate: gen.stack_bandwidth().scale(1.0 / 16.0),
             icache_capacity: Some(Bytes::from_mib(2)),
             icache_ways: 16,
-            line_bytes: 128,
+            line_bytes: Bytes(128),
             icache_rate: Bandwidth::from_gb_s(133.0),
             icache_hit_latency: SimTime::from_nanos(25),
             icache_energy_per_byte: Energy::from_picojoules(12.0), // ~1.5 pJ/bit
@@ -80,7 +80,7 @@ impl ChannelConfig {
             hbm_rate: gen.stack_bandwidth().scale(1.0 / 16.0),
             icache_capacity: None,
             icache_ways: 16,
-            line_bytes: 128,
+            line_bytes: Bytes(128),
             icache_rate: Bandwidth::from_gb_s(1.0), // unused
             icache_hit_latency: SimTime::ZERO,
             icache_energy_per_byte: Energy::ZERO,
@@ -189,7 +189,7 @@ pub struct BankUnit {
     icache_energy: Energy,
     latency: Accumulator,
     ops: CalendarQueue<BankOp>,
-    line_bytes: u64,
+    line_bytes: Bytes,
     icache_hit_latency: SimTime,
     icache_energy_per_byte: Energy,
     /// Reused prefetch-address scratch buffer: steady-state accesses
@@ -204,7 +204,7 @@ impl BankUnit {
             InfinityCacheSlice::new(
                 Bytes(cap.as_u64() / banks),
                 cfg.icache_ways,
-                cfg.line_bytes,
+                cfg.line_bytes.as_u64(),
                 cfg.prefetcher,
             )
         });
@@ -250,12 +250,12 @@ impl BankUnit {
     fn apply(&mut self, op: BankOp) {
         match op {
             BankOp::Writeback { due, addr } => {
-                let _ = self.hbm.access(due, addr, Bytes(self.line_bytes));
+                let _ = self.hbm.access(due, addr, self.line_bytes);
             }
             BankOp::PrefetchFill { due, addr, victim } => {
-                let fetch_done = self.hbm.access(due, addr, Bytes(self.line_bytes));
+                let fetch_done = self.hbm.access(due, addr, self.line_bytes);
                 if let Some(victim) = victim {
-                    let _ = self.hbm.access(fetch_done, victim, Bytes(self.line_bytes));
+                    let _ = self.hbm.access(fetch_done, victim, self.line_bytes);
                 }
             }
         }
@@ -305,7 +305,7 @@ impl BankUnit {
             }
             CacheOutcome::Miss { writeback } => {
                 // Demand fill from HBM, then delivery through the slice.
-                let fetched = self.hbm.access(at, addr, size.max(Bytes(self.line_bytes)));
+                let fetched = self.hbm.access(at, addr, size.max(self.line_bytes));
                 if let Some(victim) = writeback {
                     // Background writeback occupies HBM bandwidth but is
                     // off the critical path: defer it to the kernel.

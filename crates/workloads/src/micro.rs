@@ -16,10 +16,10 @@ use ehp_sim_core::units::{Bandwidth, Bytes};
 pub struct StreamKernel {
     /// Elements per array (three arrays: a = b + s*c).
     pub elements: u64,
-    /// Element size in bytes.
-    pub element_bytes: u64,
+    /// Element size.
+    pub element_bytes: Bytes,
     /// Request granularity (one cache line).
-    pub line_bytes: u64,
+    pub line_bytes: Bytes,
 }
 
 impl StreamKernel {
@@ -28,33 +28,34 @@ impl StreamKernel {
     pub fn fp64(elements: u64) -> StreamKernel {
         StreamKernel {
             elements,
-            element_bytes: 8,
-            line_bytes: 128,
+            element_bytes: Bytes(8),
+            line_bytes: Bytes(128),
         }
     }
 
     /// Total bytes moved (two reads + one write per element).
     #[must_use]
     pub fn total_bytes(&self) -> Bytes {
-        Bytes(3 * self.elements * self.element_bytes)
+        self.element_bytes * (3 * self.elements)
     }
 
     /// Runs the triad through a memory subsystem; returns `(elapsed,
     /// achieved bandwidth)`.
     pub fn run(&self, mem: &mut MemorySubsystem) -> (SimTime, Bandwidth) {
-        let lines_per_array = (self.elements * self.element_bytes).div_ceil(self.line_bytes);
+        let line = self.line_bytes.as_u64();
+        let lines_per_array = (self.element_bytes * self.elements).as_u64().div_ceil(line);
         // Array base addresses spaced far apart.
         let spacing = 1u64 << 33;
         let mut last = SimTime::ZERO;
         for l in 0..lines_per_array {
-            let off = l * self.line_bytes;
+            let off = l * line;
             // b and c reads, a write — issued at t=0 batch-style; the
             // channels serialise internally.
             for (base, write) in [(spacing, false), (2 * spacing, false), (0, true)] {
                 let req = if write {
-                    MemRequest::write(base + off, self.line_bytes)
+                    MemRequest::write(base + off, line)
                 } else {
-                    MemRequest::read(base + off, self.line_bytes)
+                    MemRequest::read(base + off, line)
                 };
                 let resp = mem.access(SimTime::ZERO, req);
                 if resp.completes_at > last {
