@@ -119,6 +119,13 @@ step "perf smoke (serve)" cargo bench --offline --bench serve -- \
 step "perf smoke (kernel)" cargo bench --offline --bench kernel -- \
     --baseline crates/bench/baselines/kernel.json --threshold 0.30
 
+# Same gate for the thermal solver (Figure 12(b)/(c) and the power
+# loop): residual-stopped red-black SOR at 35×28, 70×56 and 140×112.
+# Regenerate with:
+#   cargo bench --bench thermal -- --save-baseline crates/bench/baselines/thermal.json
+step "perf smoke (thermal)" cargo bench --offline --bench thermal -- \
+    --baseline crates/bench/baselines/thermal.json --threshold 0.30
+
 # Whole-suite wall-time gate: the `ehp all` path end to end, the first
 # full-suite speed baseline. Looser threshold: it aggregates every
 # experiment, so it moves with legitimate feature growth — bump the

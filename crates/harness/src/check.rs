@@ -79,6 +79,31 @@ pub fn expected_shapes() -> &'static [ShapeRange] {
                   solver drifting by more than a few degrees",
         },
         ShapeRange {
+            experiment: "figure12",
+            metric: "energy_balance_rel_err",
+            min: 0.0,
+            max: 1e-3,
+            why: "Figure 12(b)/(c) come from a converged thermal solve: the \
+                  cold plate removes the power the grid injects to within \
+                  0.1% (the residual-stopped solver sits orders below)",
+        },
+        ShapeRange {
+            experiment: "figure12",
+            metric: "gpu_xcd_minus_hbm_phy_c",
+            min: 1e-6,
+            max: 10.0,
+            why: "Figure 12(b): in the GPU-intensive scenario the XCDs run \
+                  hotter than the HBM PHYs",
+        },
+        ShapeRange {
+            experiment: "figure12",
+            metric: "mem_usr_minus_xcd_c",
+            min: 1e-6,
+            max: 10.0,
+            why: "Figure 12(c): in the memory-intensive scenario the USR PHYs \
+                  run hotter than the XCDs",
+        },
+        ShapeRange {
             experiment: "figure13",
             metric: "sync_overhead_cycles",
             min: 1.0,

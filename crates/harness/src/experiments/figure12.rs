@@ -59,6 +59,9 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     let solver = ThermalSolver::new(ThermalConfig::default());
     let mut max_by_label = [0.0f64; 2];
+    let mut energy_balance_rel_err = 0.0;
+    let mut gpu_xcd_minus_hbm_phy = 0.0;
+    let mut mem_usr_minus_xcd = 0.0;
     for (k, (label, profile, panel)) in [
         ("GPU-intensive", WorkloadProfile::ComputeIntensive, "(b)"),
         ("memory-intensive", WorkloadProfile::MemoryIntensive, "(c)"),
@@ -93,15 +96,24 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         rep.kv("mean XCD temperature", format!("{xcd_mean:.1} C"));
         rep.kv("mean USR PHY temperature", format!("{usr_mean:.1} C"));
         rep.kv("mean HBM PHY temperature", format!("{hbm_phy_mean:.1} C"));
+        let imbalance = solver.imbalance(&fp, &field);
+        rep.kv(
+            "solver convergence",
+            format!(
+                "{} sweeps, residual {:.1e} C, energy imbalance {imbalance:.1e}",
+                field.sweeps(),
+                field.residual_c()
+            ),
+        );
+        if k == 0 {
+            energy_balance_rel_err = imbalance;
+            gpu_xcd_minus_hbm_phy = xcd_mean - hbm_phy_mean;
+        } else {
+            mem_usr_minus_xcd = usr_mean - xcd_mean;
+        }
         rep.row("");
-        // One character per ~2 mm cell.
-        let coarse = ThermalSolver::new(ThermalConfig {
-            nx: 70,
-            ny: 28,
-            ..ThermalConfig::default()
-        });
-        let small = coarse.solve(&fp);
-        for line in small.ascii_map(" .:-=+*#%@").lines() {
+        // One character per ~2 mm cell: the solved field's row pairs.
+        for line in field.merge_row_pairs().ascii_map(" .:-=+*#%@").lines() {
             rep.row(format!("  {line}"));
         }
     }
@@ -110,6 +122,9 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     res.metric("compute_chiplet_power_fraction", compute_xcd_fraction);
     res.metric("compute_scenario_max_c", max_by_label[0]);
     res.metric("memory_scenario_max_c", max_by_label[1]);
+    res.metric("energy_balance_rel_err", energy_balance_rel_err);
+    res.metric("gpu_xcd_minus_hbm_phy_c", gpu_xcd_minus_hbm_phy);
+    res.metric("mem_usr_minus_xcd_c", mem_usr_minus_xcd);
     res.set_payload(Json::Arr(rows));
     res
 }

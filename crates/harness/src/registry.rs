@@ -52,7 +52,7 @@ static REGISTRY: &[FnExperiment] = &[
         id: "figure12",
         title: "Figure 12: power distributions and thermal maps",
         params: &[num_pos("socket_power_w")],
-        salt: 0,
+        salt: 1,
         runner: experiments::figure12::run,
     },
     FnExperiment {
@@ -136,7 +136,7 @@ static REGISTRY: &[FnExperiment] = &[
         id: "power_management",
         title: "Section V.D/V.E: power/thermal/DVFS management loop",
         params: &[num_pos("socket_power_w"), num_pos("shift_w")],
-        salt: 0,
+        salt: 1,
         runner: experiments::power_management::run,
     },
     FnExperiment {

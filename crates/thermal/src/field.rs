@@ -3,47 +3,76 @@
 use ehp_package::geometry::{Point, Rect};
 use ehp_sim_core::units::Celsius;
 
-/// A temperature field sampled on a regular grid over a package outline.
+/// A temperature field sampled on a regular grid over a package outline,
+/// with the convergence evidence of the solve that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemperatureField {
     origin: Point,
     cell_w: f64,
     cell_h: f64,
-    /// Row-major: `data[j][i]` is the cell at column `i`, row `j`.
-    data: Vec<Vec<f64>>,
+    nx: usize,
+    /// Row-major: `data[j * nx + i]` is the cell at column `i`, row `j`.
+    data: Vec<f64>,
+    sweeps: usize,
+    residual_c: f64,
 }
 
 impl TemperatureField {
-    /// Wraps solved data.
+    /// Wraps solved row-major data, `nx` cells per row.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or ragged, or cell sizes are not
-    /// positive.
+    /// Panics if `data` is empty or not a whole number of rows, or cell
+    /// sizes are not positive.
     #[must_use]
-    pub fn new(origin: Point, cell_w: f64, cell_h: f64, data: Vec<Vec<f64>>) -> TemperatureField {
+    pub fn new(
+        origin: Point,
+        cell_w: f64,
+        cell_h: f64,
+        nx: usize,
+        data: Vec<f64>,
+    ) -> TemperatureField {
         assert!(cell_w > 0.0 && cell_h > 0.0, "cell size must be positive");
-        assert!(
-            !data.is_empty() && !data[0].is_empty(),
-            "field must be non-empty"
-        );
-        let w = data[0].len();
-        assert!(
-            data.iter().all(|r| r.len() == w),
-            "field must be rectangular"
-        );
+        assert!(nx > 0 && !data.is_empty(), "field must be non-empty");
+        assert!(data.len().is_multiple_of(nx), "field must be rectangular");
         TemperatureField {
             origin,
             cell_w,
             cell_h,
+            nx,
             data,
+            sweeps: 0,
+            residual_c: 0.0,
         }
+    }
+
+    /// Attaches the solver's convergence evidence: the sweeps it ran and
+    /// the largest diagonal-scaled residual of the last one (°C).
+    #[must_use]
+    pub(crate) fn with_convergence(mut self, sweeps: usize, residual_c: f64) -> TemperatureField {
+        self.sweeps = sweeps;
+        self.residual_c = residual_c;
+        self
+    }
+
+    /// Sweeps the solver ran to produce this field (0 if not solved).
+    #[must_use]
+    pub fn sweeps(&self) -> usize {
+        self.sweeps
+    }
+
+    /// Largest diagonal-scaled residual `|(b − A·T)_k / A_kk|` seen in
+    /// the solve's last sweep (°C): how far a Gauss–Seidel step would
+    /// still move the worst cell (0 if not solved).
+    #[must_use]
+    pub fn residual_c(&self) -> f64 {
+        self.residual_c
     }
 
     /// Grid dimensions `(nx, ny)`.
     #[must_use]
     pub fn dims(&self) -> (usize, usize) {
-        (self.data[0].len(), self.data.len())
+        (self.nx, self.data.len() / self.nx)
     }
 
     /// Temperature of cell `(i, j)`.
@@ -53,7 +82,8 @@ impl TemperatureField {
     /// Panics if out of range.
     #[must_use]
     pub fn at(&self, i: usize, j: usize) -> Celsius {
-        Celsius(self.data[j][i])
+        assert!(i < self.nx, "column {i} out of range");
+        Celsius(self.data[j * self.nx + i])
     }
 
     /// Temperature at a package-coordinate point (nearest cell); `None`
@@ -67,31 +97,25 @@ impl TemperatureField {
         }
         let (i, j) = (i as usize, j as usize);
         let (nx, ny) = self.dims();
-        (i < nx && j < ny).then(|| Celsius(self.data[j][i]))
+        (i < nx && j < ny).then(|| self.at(i, j))
     }
 
     /// Maximum temperature and its cell.
     #[must_use]
     pub fn max(&self) -> (f64, (usize, usize)) {
-        let mut best = (f64::NEG_INFINITY, (0, 0));
-        for (j, row) in self.data.iter().enumerate() {
-            for (i, &t) in row.iter().enumerate() {
-                if t > best.0 {
-                    best = (t, (i, j));
-                }
+        let mut best = (f64::NEG_INFINITY, 0);
+        for (k, &t) in self.data.iter().enumerate() {
+            if t > best.0 {
+                best = (t, k);
             }
         }
-        best
+        (best.0, (best.1 % self.nx, best.1 / self.nx))
     }
 
     /// Minimum temperature.
     #[must_use]
     pub fn min(&self) -> f64 {
-        self.data
-            .iter()
-            .flatten()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
+        self.data.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Mean temperature over the cells whose centres fall in `r`;
@@ -100,7 +124,7 @@ impl TemperatureField {
     pub fn mean_over(&self, r: &Rect) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0u32;
-        for (j, row) in self.data.iter().enumerate() {
+        for (j, row) in self.data.chunks_exact(self.nx).enumerate() {
             for (i, &t) in row.iter().enumerate() {
                 let c = Point::new(
                     self.origin.x + (i as f64 + 0.5) * self.cell_w,
@@ -115,8 +139,30 @@ impl TemperatureField {
         (n > 0).then(|| sum / f64::from(n))
     }
 
+    /// The field on a grid with half as many rows: each coarse cell is
+    /// the mean of the two fine cells it covers. Carries no convergence
+    /// evidence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row count is odd.
+    #[must_use]
+    pub fn merge_row_pairs(&self) -> TemperatureField {
+        let (nx, ny) = self.dims();
+        assert!(ny.is_multiple_of(2), "row count {ny} must be even");
+        let data = self
+            .data
+            .chunks_exact(2 * nx)
+            .flat_map(|pair| {
+                let (lo, hi) = pair.split_at(nx);
+                lo.iter().zip(hi).map(|(a, b)| 0.5 * (a + b))
+            })
+            .collect();
+        TemperatureField::new(self.origin, self.cell_w, 2.0 * self.cell_h, nx, data)
+    }
+
     /// Renders the field as a coarse ASCII heat map (for the figure
-    /// binaries): `levels` characters from cold to hot.
+    /// reports): `levels` characters from cold to hot.
     #[must_use]
     pub fn ascii_map(&self, levels: &str) -> String {
         assert!(!levels.is_empty());
@@ -126,7 +172,7 @@ impl TemperatureField {
         let span = (max - min).max(1e-9);
         let mut out = String::new();
         // Render top row (max y) first.
-        for row in self.data.iter().rev() {
+        for row in self.data.chunks_exact(self.nx).rev() {
             for &t in row {
                 let idx = (((t - min) / span) * (chars.len() as f64 - 1.0)).round() as usize;
                 out.push(chars[idx.min(chars.len() - 1)]);
@@ -134,12 +180,6 @@ impl TemperatureField {
             out.push('\n');
         }
         out
-    }
-
-    /// Raw rows (row-major, bottom row first).
-    #[must_use]
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.data
     }
 }
 
@@ -152,7 +192,8 @@ mod tests {
             Point::new(0.0, 0.0),
             1.0,
             1.0,
-            vec![vec![10.0, 20.0], vec![30.0, 40.0]],
+            2,
+            vec![10.0, 20.0, 30.0, 40.0],
         )
     }
 
@@ -200,13 +241,19 @@ mod tests {
     }
 
     #[test]
+    fn merge_row_pairs_averages_each_column() {
+        let f = field().with_convergence(7, 1e-7);
+        let coarse = f.merge_row_pairs();
+        assert_eq!(coarse.dims(), (2, 1));
+        assert_eq!(coarse.at(0, 0).as_f64(), 20.0);
+        assert_eq!(coarse.at(1, 0).as_f64(), 30.0);
+        assert_eq!(coarse.sample(Point::new(0.5, 1.5)).unwrap().as_f64(), 20.0);
+        assert_eq!(coarse.sweeps(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "rectangular")]
     fn ragged_field_panics() {
-        let _ = TemperatureField::new(
-            Point::new(0.0, 0.0),
-            1.0,
-            1.0,
-            vec![vec![1.0], vec![1.0, 2.0]],
-        );
+        let _ = TemperatureField::new(Point::new(0.0, 0.0), 1.0, 1.0, 2, vec![1.0, 1.0, 2.0]);
     }
 }

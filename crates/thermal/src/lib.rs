@@ -11,8 +11,13 @@
 //! ```
 //!
 //! i.e. lateral conduction through the silicon/lid plus vertical heat
-//! extraction into the cold plate. Gauss–Seidel iteration converges
-//! quickly at the grid sizes used (one cell per mm²).
+//! extraction into the cold plate. The solver runs red-black successive
+//! over-relaxation on a flat grid, with the relaxation factor derived from
+//! the cell size, and stops once a sweep's largest diagonal-scaled residual
+//! drops below `ThermalConfig::tolerance_c`: about 110 sweeps at one cell
+//! per mm² (70×56) and 56 at 35×28. Every solved field carries its sweep
+//! count and final residual, and `ThermalSolver::imbalance` reports the
+//! energy balance as independent evidence of convergence.
 //!
 //! ## Example
 //!
