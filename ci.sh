@@ -111,14 +111,6 @@ step "perf smoke (fabric)" cargo bench --offline --bench fabric -- \
 step "perf smoke (serve)" cargo bench --offline --bench serve -- \
     --baseline crates/bench/baselines/serve.json --threshold 0.50
 
-# Same gate for the event kernel (DESIGN.md §13): calendar queue vs the
-# heap oracle on hold/burst/far-future workloads. The bench also
-# hard-asserts the two kernels' pop streams are identical before any
-# timing. Regenerate with:
-#   cargo bench --bench kernel -- --save-baseline crates/bench/baselines/kernel.json
-step "perf smoke (kernel)" cargo bench --offline --bench kernel -- \
-    --baseline crates/bench/baselines/kernel.json --threshold 0.30
-
 # Same gate for the thermal solver (Figure 12(b)/(c) and the power
 # loop): residual-stopped red-black SOR at 35×28, 70×56 and 140×112.
 # Regenerate with:

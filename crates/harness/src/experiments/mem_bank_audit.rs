@@ -1,6 +1,6 @@
 //! **Bank-level memory audit**: exercises the per-bank channel
-//! decomposition behind the calendar-queue event kernel (DESIGN.md
-//! §13). Two properties, each a metric `ehp check` gates:
+//! decomposition behind bank-sharded replay (DESIGN.md §13). Two
+//! properties, each a metric `ehp check` gates:
 //!
 //! 1. **Bank parallelism** — the same miss stream aimed at a single
 //!    bank vs striped across every bank of the same channel must
@@ -61,9 +61,11 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let accesses = sc.u64("accesses", 20_000);
     let jobs = sc.u64("jobs", 8).max(1) as usize;
 
-    let probe = MemorySubsystem::new(MemConfig::mi300_hbm3());
-    let banks = probe.banks_per_channel();
-    let total_banks = probe.total_banks();
+    // One subsystem serves the geometry, the coverage scan (both depend
+    // only on the interleave config) and the hot-set replay.
+    let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+    let banks = mem.banks_per_channel();
+    let total_banks = mem.total_banks();
 
     // --- 1. Bank parallelism -------------------------------------------
     // Identical distinct-row miss streams against one bare channel: one
@@ -88,7 +90,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut seen = vec![false; total_banks];
     let mut addr = 0u64;
     for _ in 0..200_000 {
-        let (flat, _) = probe.flat_bank_of(addr);
+        let (flat, _) = mem.flat_bank_of(addr);
         seen[flat] = true;
         addr += 256; // channel granule
     }
@@ -126,7 +128,6 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         jobs,
         ..TraceConfig::new(Pattern::Random)
     };
-    let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
     let hot_hit_rate = replay(&mut mem, &trace).icache_hit_rate.unwrap_or(0.0);
 
     rep.section("Hot-set service");

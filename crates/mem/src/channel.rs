@@ -4,14 +4,13 @@
 //! Requests arrive (already steered by the interleaver), are mapped to
 //! the bank owning their DRAM row, look up that bank's slice sub-array,
 //! and are served either at cache speed or by the bank's HBM lane.
-//! Background HBM traffic — dirty victims and prefetch fills — is not
-//! charged inline: each bank schedules it on its calendar-queue event
-//! kernel and drains the queue before the next demand access, so the
-//! bank's state seen by every demand is identical to inline charging
-//! while the charges themselves become deferred, replayable events.
+//! Background HBM traffic — dirty victims and prefetch fills — is
+//! charged to the bank's HBM lane as soon as the demand that caused it
+//! completes, off the demand's critical path: the demand's completion
+//! time never waits for it, but the next access to the bank does.
 //!
 //! Because banks share no state (each owns its row machine, bus lane
-//! share, slice sub-array, latency accumulator, and event queue), a
+//! share, slice sub-array and latency accumulator), a
 //! channel's request stream can be partitioned by bank and replayed
 //! bank-by-bank with results bit-identical to the sequential order —
 //! the channel-sharding rule of `MemorySubsystem::replay_sharded`, one
@@ -19,9 +18,8 @@
 
 use ehp_sim_core::resource::BandwidthPipe;
 use ehp_sim_core::stats::Accumulator;
-use ehp_sim_core::time::{Cycle, SimTime};
+use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
-use ehp_sim_core::wheel::CalendarQueue;
 
 use crate::hbm::{HbmChannelModel, HbmTimings, ROW_BYTES};
 use crate::icache::{CacheOutcome, InfinityCacheSlice, PrefetcherConfig};
@@ -147,40 +145,9 @@ pub fn bank_slot(addr: u64, banks: u64) -> (usize, u64) {
     (bank, local)
 }
 
-/// A deferred background HBM charge, carrying its exact due time.
-#[derive(Debug, Clone, Copy)]
-enum BankOp {
-    /// Dirty-victim writeback issued when a demand fill completed.
-    Writeback {
-        /// Exact time the charge applies (demand fill completion).
-        due: SimTime,
-        /// Bank-local victim line address.
-        addr: u64,
-    },
-    /// Prefetch fill (and its victim writeback, chained off the fill's
-    /// completion) issued when a demand access finished.
-    PrefetchFill {
-        /// Exact time the fill starts (demand completion).
-        due: SimTime,
-        /// Bank-local prefetch line address.
-        addr: u64,
-        /// Bank-local victim displaced by the fill, if dirty.
-        victim: Option<u64>,
-    },
-}
-
-impl BankOp {
-    fn due(&self) -> SimTime {
-        match *self {
-            BankOp::Writeback { due, .. } | BankOp::PrefetchFill { due, .. } => due,
-        }
-    }
-}
-
 /// One HBM bank and its share of the channel: a row state machine with a
-/// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array, its own
-/// latency accumulator, and the event queue deferring its background
-/// traffic. Addresses are bank-local (see [`bank_slot`]).
+/// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array and its own
+/// latency accumulator. Addresses are bank-local (see [`bank_slot`]).
 #[derive(Debug, Clone)]
 pub struct BankUnit {
     slice: Option<InfinityCacheSlice>,
@@ -188,7 +155,6 @@ pub struct BankUnit {
     icache_pipe: BandwidthPipe,
     icache_energy: Energy,
     latency: Accumulator,
-    ops: CalendarQueue<BankOp>,
     line_bytes: Bytes,
     icache_hit_latency: SimTime,
     icache_energy_per_byte: Energy,
@@ -220,57 +186,11 @@ impl BankUnit {
             icache_pipe,
             icache_energy: Energy::ZERO,
             latency: Accumulator::new("mem_latency_ns"),
-            // 8 buckets x 131 ns ≈ a 1 µs horizon in picosecond ticks —
-            // comfortably past one access round-trip, so steady-state
-            // traffic never touches the overflow path. Per-bank op
-            // populations are tiny (one demand's writeback plus a few
-            // prefetch fills), so a small wheel wins: fewer cold bucket
-            // headers per bank beats finer time resolution.
-            ops: CalendarQueue::with_geometry(8, 131_072),
             line_bytes: cfg.line_bytes,
             icache_hit_latency: cfg.icache_hit_latency,
             icache_energy_per_byte: cfg.icache_energy_per_byte,
             prefetch_scratch: Vec::with_capacity(scratch_cap),
         }
-    }
-
-    /// Schedules `op` keyed by its due time. The key is clamped to the
-    /// queue's clock: charges apply in schedule order per bank (all ops
-    /// of one demand share a timestamp), and the op carries its exact
-    /// due time for the HBM model, so the clamp never reorders or
-    /// retimes anything — it only satisfies the queue's causality
-    /// assert when a fast cache hit follows a slow miss.
-    fn schedule(&mut self, op: BankOp) {
-        let due = Cycle(op.due().as_picos());
-        self.ops.schedule_at(due.max(self.ops.now()), op);
-    }
-
-    /// Applies one deferred charge to the HBM model at its recorded due
-    /// time — exactly the calls the pre-wheel code made inline.
-    fn apply(&mut self, op: BankOp) {
-        match op {
-            BankOp::Writeback { due, addr } => {
-                let _ = self.hbm.access(due, addr, self.line_bytes);
-            }
-            BankOp::PrefetchFill { due, addr, victim } => {
-                let fetch_done = self.hbm.access(due, addr, self.line_bytes);
-                if let Some(victim) = victim {
-                    let _ = self.hbm.access(fetch_done, victim, self.line_bytes);
-                }
-            }
-        }
-    }
-
-    /// Drains every deferred charge. Called before each demand access
-    /// (so demands observe the same HBM state inline charging would
-    /// have produced) and by [`MemoryChannel::drain_background`] so
-    /// final statistics include trailing traffic.
-    pub fn drain_background(&mut self) {
-        // lint:hot-path
-        while let Some((_, op)) = self.ops.pop() {
-            self.apply(op);
-        }
-        // lint:hot-path-end
     }
 
     /// Performs one access at a bank-local address; returns completion
@@ -282,8 +202,6 @@ impl BankUnit {
         size: Bytes,
         is_write: bool,
     ) -> (SimTime, ServicePoint) {
-        self.drain_background();
-
         let Some(slice) = self.slice.as_mut() else {
             // No memory-side cache: straight to HBM.
             let done = self.hbm.access(at, addr, size);
@@ -307,19 +225,16 @@ impl BankUnit {
                 // Demand fill from HBM, then delivery through the slice.
                 let fetched = self.hbm.access(at, addr, size.max(self.line_bytes));
                 if let Some(victim) = writeback {
-                    // Background writeback occupies HBM bandwidth but is
-                    // off the critical path: defer it to the kernel.
-                    self.schedule(BankOp::Writeback {
-                        due: fetched,
-                        addr: victim,
-                    });
+                    // The dirty victim's writeback occupies HBM bandwidth
+                    // but is off the critical path.
+                    let _ = self.hbm.access(fetched, victim, self.line_bytes);
                 }
                 (fetched, ServicePoint::Hbm)
             }
         };
 
-        // Prefetch fills land in the cache now (state change, as before)
-        // but their HBM bandwidth charges are deferred to the kernel.
+        // Prefetch fills start when the demand completes; each fill's
+        // dirty victim is written back once that fill lands.
         // lint:hot-path
         for i in 0..self.prefetch_scratch.len() {
             let pa = self.prefetch_scratch[i];
@@ -327,11 +242,10 @@ impl BankUnit {
                 .slice
                 .as_mut()
                 .and_then(|slice| slice.fill_prefetch(pa));
-            self.schedule(BankOp::PrefetchFill {
-                due: done,
-                addr: pa,
-                victim,
-            });
+            let filled = self.hbm.access(done, pa, self.line_bytes);
+            if let Some(victim) = victim {
+                let _ = self.hbm.access(filled, victim, self.line_bytes);
+            }
         }
         // lint:hot-path-end
 
@@ -400,14 +314,6 @@ impl MemoryChannel {
     ) -> (SimTime, ServicePoint) {
         let (bank, local) = bank_slot(addr, self.banks.len() as u64);
         self.banks[bank].access(at, local, size, is_write)
-    }
-
-    /// Drains every bank's deferred background charges so aggregate
-    /// statistics include trailing writebacks and prefetch fills.
-    pub fn drain_background(&mut self) {
-        for b in &mut self.banks {
-            b.drain_background();
-        }
     }
 
     /// The per-bank units, in bank-index order.
@@ -615,7 +521,6 @@ mod tests {
                 t = done;
             }
         }
-        ch.drain_background();
         let slice_bytes = ch.icache_bytes().as_u64();
         let hbm_bytes = ch.hbm_bytes_moved().as_u64();
         assert!(
@@ -642,13 +547,30 @@ mod tests {
     }
 
     #[test]
+    fn dirty_victim_writeback_is_charged_with_the_miss() {
+        // One 128 B line per bank and no prefetcher: a second line in the
+        // same bank evicts the dirty first one, and the miss that evicts
+        // it moves the victim's bytes before it returns.
+        let cfg = ChannelConfig {
+            icache_capacity: Some(Bytes(16 * 128)),
+            icache_ways: 1,
+            prefetcher: PrefetcherConfig::disabled(),
+            ..ChannelConfig::mi300()
+        };
+        let mut ch = MemoryChannel::new(cfg);
+        assert_eq!(bank_slot(0, 16).0, bank_slot(128, 16).0, "same bank");
+        ch.access(SimTime::ZERO, 0, Bytes(128), true);
+        assert_eq!(ch.hbm_bytes_moved(), Bytes(128), "demand fill only");
+        ch.access(SimTime::ZERO, 128, Bytes(128), false);
+        assert_eq!(ch.hbm_bytes_moved(), Bytes(3 * 128), "fill + writeback");
+    }
+
+    #[test]
     fn energy_includes_both_levels() {
         let mut ch = MemoryChannel::new(ChannelConfig::mi300());
         ch.access(SimTime::ZERO, 0, Bytes(128), false); // miss: HBM energy
-        ch.drain_background();
         let e_miss = ch.energy_used().as_joules();
         ch.access(SimTime::ZERO, 0, Bytes(128), false); // hit: slice energy
-        ch.drain_background();
         let e_total = ch.energy_used().as_joules();
         assert!(e_total > e_miss);
         // A slice hit must be cheaper than the HBM fetch.

@@ -127,8 +127,20 @@ pub struct HbmChannelModel {
 
 impl HbmChannelModel {
     /// Creates a channel with the given timings and peak bus rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `refresh_duration < refresh_interval`: the
+    /// closed-form refresh catch-up in [`HbmChannelModel::access`]
+    /// relies on refreshes never overlapping.
     #[must_use]
     pub fn new(timings: HbmTimings, bus_rate: Bandwidth) -> HbmChannelModel {
+        assert!(
+            timings.refresh_duration < timings.refresh_interval,
+            "tRFC ({}) must be shorter than tREFI ({})",
+            timings.refresh_duration,
+            timings.refresh_interval
+        );
         let banks = timings.banks_per_channel as usize;
         HbmChannelModel {
             timings,
@@ -167,11 +179,16 @@ impl HbmChannelModel {
     /// already stripped stack/channel bits conceptually; any consistent
     /// mapping works since only row locality matters).
     pub fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
-        // Retire any due refreshes first: each blocks every bank for tRFC
-        // and closes all rows (refresh precharges the array).
+        // Retire every due refresh in one step: each blocks every bank
+        // for tRFC and closes all rows (refresh precharges the array).
+        // With tRFC < tREFI (asserted in `new`) every refresh but the
+        // last ends before the next one starts, hence before `at`, so
+        // only the last can raise `bank_free` or `at`.
         let mut at = at;
-        while at >= self.next_refresh {
-            let rfc_end = self.next_refresh + self.timings.refresh_duration;
+        if at >= self.next_refresh {
+            let interval = self.timings.refresh_interval;
+            let k = (at - self.next_refresh).as_picos() / interval.as_picos() + 1;
+            let rfc_end = self.next_refresh + interval * (k - 1) + self.timings.refresh_duration;
             for bf in &mut self.bank_free {
                 if *bf < rfc_end {
                     *bf = rfc_end;
@@ -180,8 +197,8 @@ impl HbmChannelModel {
             for r in &mut self.open_rows {
                 *r = None;
             }
-            self.refreshes.inc();
-            self.next_refresh += self.timings.refresh_interval;
+            self.refreshes.add(k);
+            self.next_refresh += interval * k;
             if at < rfc_end {
                 at = rfc_end;
             }

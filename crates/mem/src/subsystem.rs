@@ -217,10 +217,6 @@ impl MemorySubsystem {
     /// `jobs` value; `jobs = 1` takes an inline sequential path with no
     /// queues at all.
     ///
-    /// Every bank's deferred background traffic is drained after its
-    /// bucket (the sequential path does the same via
-    /// [`MemorySubsystem::drain_background`]).
-    ///
     /// Returns the time the last access completes.
     ///
     /// # Panics
@@ -377,7 +373,6 @@ impl MemorySubsystem {
             }
             totals.writes += u64::from(is_write);
         }
-        bank.drain_background();
         // lint:hot-path-end
         totals.entries += reqs.len() as u64;
     }
@@ -427,14 +422,6 @@ impl MemorySubsystem {
         let banks = self.banks_per_channel();
         let (bank, local) = bank_slot(addr, banks as u64);
         (channel * banks + bank, local)
-    }
-
-    /// Drains every bank's deferred background HBM charges so aggregate
-    /// statistics include trailing writebacks and prefetch fills.
-    pub fn drain_background(&mut self) {
-        for c in &mut self.channels {
-            c.drain_background();
-        }
     }
 
     /// Per-channel models (read-only).

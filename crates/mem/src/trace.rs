@@ -229,7 +229,6 @@ pub fn replay_sequential(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> Replay
             last = t;
         }
     });
-    mem.drain_background();
     finish(mem, cfg, last)
 }
 

@@ -1,0 +1,163 @@
+//! The per-interval refresh catch-up loop that the closed form in
+//! `HbmChannelModel::access` replaced, kept as a test-only oracle. On
+//! seeded access sequences with idle gaps of up to ~500 tREFI — some
+//! landing exactly on a refresh boundary or inside a tRFC window — the
+//! production model must match it access for access: completion times,
+//! row hits, row misses and refreshes.
+
+use ehp_mem::hbm::{HbmChannelModel, HbmGeneration, HbmTimings, ROW_BYTES};
+use ehp_sim_core::resource::BandwidthPipe;
+use ehp_sim_core::rng::SplitMix64;
+use ehp_sim_core::time::SimTime;
+use ehp_sim_core::units::{Bandwidth, Bytes};
+
+/// Base seed of the access-sequence stream.
+const SEED: u64 = 0x00DE_F12E_5400;
+/// Accesses per sequence.
+const ACCESSES: usize = 2_000;
+/// Sequences per (generation, bank count) configuration.
+const SEQUENCES: u64 = 8;
+
+/// The pre-closed-form channel model: identical row and bus timing, but
+/// refreshes retired one tREFI interval at a time.
+struct LoopRefresh {
+    timings: HbmTimings,
+    bus: BandwidthPipe,
+    open_rows: Vec<Option<u64>>,
+    bank_free: Vec<SimTime>,
+    next_refresh: SimTime,
+    row_hits: u64,
+    row_misses: u64,
+    refreshes: u64,
+}
+
+impl LoopRefresh {
+    fn new(timings: HbmTimings, bus_rate: Bandwidth) -> LoopRefresh {
+        let banks = timings.banks_per_channel as usize;
+        LoopRefresh {
+            timings,
+            bus: BandwidthPipe::new("oracle_bus", bus_rate),
+            open_rows: vec![None; banks],
+            bank_free: vec![SimTime::ZERO; banks],
+            next_refresh: timings.refresh_interval,
+            row_hits: 0,
+            row_misses: 0,
+            refreshes: 0,
+        }
+    }
+
+    fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
+        let mut at = at;
+        while at >= self.next_refresh {
+            let rfc_end = self.next_refresh + self.timings.refresh_duration;
+            for bf in &mut self.bank_free {
+                if *bf < rfc_end {
+                    *bf = rfc_end;
+                }
+            }
+            for r in &mut self.open_rows {
+                *r = None;
+            }
+            self.refreshes += 1;
+            self.next_refresh += self.timings.refresh_interval;
+            if at < rfc_end {
+                at = rfc_end;
+            }
+        }
+        let row = addr / ROW_BYTES;
+        let banks = u64::from(self.timings.banks_per_channel);
+        let (bank, row) = ((row % banks) as usize, row / banks);
+        let core_latency = if self.open_rows[bank] == Some(row) {
+            self.row_hits += 1;
+            self.timings.row_hit
+        } else {
+            self.row_misses += 1;
+            self.open_rows[bank] = Some(row);
+            self.timings.row_activate
+        };
+        let bank_done = at.max(self.bank_free[bank]) + core_latency;
+        self.bank_free[bank] = bank_done;
+        self.bus.request(bank_done, size)
+    }
+}
+
+/// Picks the next issue time: back to back, batch-style at zero, after
+/// a short or a long (up to ~500 tREFI) idle gap, exactly on one of the
+/// oracle's next three refresh boundaries, or inside that refresh's
+/// tRFC window.
+fn next_issue(rng: &mut SplitMix64, oracle: &LoopRefresh, last_done: SimTime) -> SimTime {
+    let t = oracle.timings;
+    let interval = t.refresh_interval.as_picos();
+    let boundary = oracle.next_refresh + t.refresh_interval * rng.next_below(3);
+    match rng.next_below(6) {
+        0 => last_done,
+        1 => SimTime::ZERO,
+        2 => last_done + SimTime::from_picos(rng.next_below(2 * interval)),
+        3 => last_done + SimTime::from_picos(rng.next_below(500 * interval)),
+        4 => boundary,
+        _ => boundary + SimTime::from_picos(rng.next_below(t.refresh_duration.as_picos())),
+    }
+}
+
+fn check(gen: HbmGeneration, banks: u32) {
+    let mut timings = gen.timings();
+    timings.banks_per_channel = banks;
+    let rate = gen.stack_bandwidth().scale(f64::from(banks) / 256.0);
+    for seq in 0..SEQUENCES {
+        let mut rng = SplitMix64::new(SEED ^ (u64::from(banks) << 32) ^ seq);
+        let mut model = HbmChannelModel::new(timings, rate);
+        let mut oracle = LoopRefresh::new(timings, rate);
+        let mut done = SimTime::ZERO;
+        for i in 0..ACCESSES {
+            let at = next_issue(&mut rng, &oracle, done);
+            // A few hot rows (row hits) mixed with a wide random range.
+            let addr = if rng.chance(0.5) {
+                rng.next_below(4 * u64::from(banks) * ROW_BYTES)
+            } else {
+                rng.next_below(1 << 30)
+            };
+            let size = Bytes(64 << rng.next_below(3));
+            let expect = oracle.access(at, addr, size);
+            done = model.access(at, addr, size);
+            let ctx = || format!("{gen:?} banks={banks} seq={seq} access={i} at={at}");
+            assert_eq!(done, expect, "{}: completion", ctx());
+            assert_eq!(model.refreshes(), oracle.refreshes, "{}: refreshes", ctx());
+        }
+        let ctx = format!("{gen:?} banks={banks} seq={seq}");
+        assert_eq!(model.row_hits(), oracle.row_hits, "{ctx}: row hits");
+        assert_eq!(model.row_misses(), oracle.row_misses, "{ctx}: row misses");
+        assert!(
+            oracle.refreshes > 0 && oracle.row_hits > 0,
+            "{ctx}: coverage"
+        );
+    }
+}
+
+#[test]
+fn closed_form_matches_loop_hbm3_one_bank() {
+    check(HbmGeneration::Hbm3, 1);
+}
+
+#[test]
+fn closed_form_matches_loop_hbm3_sixteen_banks() {
+    check(HbmGeneration::Hbm3, 16);
+}
+
+#[test]
+fn closed_form_matches_loop_hbm2e_one_bank() {
+    check(HbmGeneration::Hbm2e, 1);
+}
+
+#[test]
+fn closed_form_matches_loop_hbm2e_sixteen_banks() {
+    check(HbmGeneration::Hbm2e, 16);
+}
+
+#[test]
+#[should_panic(expected = "must be shorter than tREFI")]
+fn overlapping_refreshes_are_rejected() {
+    let gen = HbmGeneration::Hbm3;
+    let mut timings = gen.timings();
+    timings.refresh_duration = timings.refresh_interval;
+    let _ = HbmChannelModel::new(timings, gen.stack_bandwidth());
+}

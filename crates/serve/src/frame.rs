@@ -73,8 +73,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
             format!("frame length {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // Grow the buffer as bytes arrive instead of trusting the prefix: a
+    // peer that claims 64 MiB and hangs up costs nothing.
+    let mut body = Vec::new();
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("EOF after {} of {len} frame bytes", body.len()),
+        ));
+    }
     let text = String::from_utf8(body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame not UTF-8: {e}")))?;
     Json::parse(&text)
@@ -117,6 +125,22 @@ mod tests {
         buf.extend_from_slice(b"junk");
         let mut r = buf.as_slice();
         let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn claimed_length_without_body_is_eof() {
+        let mut r: &[u8] = &(MAX_FRAME_BYTES as u32).to_le_bytes();
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn depth_bomb_frame_is_an_error() {
+        let body = "[".repeat(100_000);
+        let mut buf = (body.len() as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(body.as_bytes());
+        let err = read_frame(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

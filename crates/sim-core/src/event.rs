@@ -1,4 +1,4 @@
-//! The discrete-event queue at the heart of every timed simulation.
+//! A binary-heap discrete-event queue for timed simulations.
 //!
 //! Events carry an arbitrary payload `E` and fire in non-decreasing time
 //! order; events scheduled for the same cycle fire in FIFO order of

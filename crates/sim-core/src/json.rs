@@ -168,6 +168,12 @@ impl From<usize> for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document of a
+/// few hundred kilobytes of `[` overflows the stack; every document the
+/// project writes nests a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -315,10 +321,16 @@ impl Json {
 
     /// Parses a JSON document; trailing whitespace is allowed, trailing
     /// content is an error.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input, trailing content, or arrays/objects nested more
+    /// than [`MAX_DEPTH`] levels deep.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -401,6 +413,8 @@ fn write_seq(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -419,6 +433,24 @@ impl Parser<'_> {
                 break;
             }
         }
+    }
+
+    /// Opens one array/object level, failing past [`MAX_DEPTH`]. An
+    /// error aborts the whole parse, so only successful closes call
+    /// [`Parser::leave`].
+    fn enter(&mut self) -> Result<(), JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("arrays/objects nested too deeply"));
+        }
+        self.pos += 1; // '[' or '{'
+        Ok(())
+    }
+
+    fn leave(&mut self, v: Json) -> Result<Json, JsonError> {
+        self.depth -= 1;
+        self.pos += 1; // ']' or '}'
+        Ok(v)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -467,12 +499,11 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.pos += 1; // '['
+        self.enter()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+            return self.leave(Json::Arr(items));
         }
         loop {
             self.skip_ws();
@@ -480,22 +511,18 @@ impl Parser<'_> {
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
+                Some(b']') => return self.leave(Json::Arr(items)),
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.pos += 1; // '{'
+        self.enter()?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
+            return self.leave(Json::Obj(map));
         }
         loop {
             self.skip_ws();
@@ -513,10 +540,7 @@ impl Parser<'_> {
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
+                Some(b'}') => return self.leave(Json::Obj(map)),
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
@@ -664,6 +688,28 @@ mod tests {
         for src in ["", "{", "[1,", "tru", "{\"a\"}", "1 2", "{'a':1}"] {
             assert!(Json::parse(src).is_err(), "{src:?} should fail");
         }
+    }
+
+    #[test]
+    fn depth_bomb_is_an_error_not_a_stack_overflow() {
+        let bomb = "[".repeat(100_000);
+        let err = Json::parse(&bomb).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "fails on the first level too deep");
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Depth counts open levels, not total containers: siblings at
+        // the limit are fine.
+        let deep = arrays(MAX_DEPTH - 1);
+        assert!(Json::parse(&format!("[{deep},{deep}]")).is_ok());
     }
 
     #[test]

@@ -1,27 +1,30 @@
 //! # ehp-sim-core
 //!
-//! Discrete-event simulation kernel shared by every substrate crate of the
+//! Simulation primitives shared by every substrate crate of the
 //! `ehp-sim` project — a software reproduction of the systems described in
 //! *"Realizing the AMD Exascale Heterogeneous Processor Vision"* (ISCA 2024,
 //! Industry Track).
 //!
 //! The crate deliberately has **no external dependencies**: it provides the
-//! simulated clock, event queue, physical-unit newtypes, component
-//! identifiers, statistic sinks, a deterministic RNG, and shared-resource
-//! (bandwidth/served-queue) models that higher-level crates compose into
-//! memory, fabric, compute, dispatch, power and thermal simulators.
+//! simulated clock, a binary-heap event queue, physical-unit newtypes,
+//! component identifiers, statistic sinks, a deterministic RNG, a JSON
+//! codec, and shared-resource (bandwidth/served-queue) models that
+//! higher-level crates compose into memory, fabric, compute, dispatch,
+//! power and thermal simulators.
 //!
 //! ## Example
 //!
 //! ```
-//! use ehp_sim_core::event::EventQueue;
-//! use ehp_sim_core::time::Cycle;
+//! use ehp_sim_core::resource::BandwidthPipe;
+//! use ehp_sim_core::time::SimTime;
+//! use ehp_sim_core::units::{Bandwidth, Bytes};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule_at(Cycle(10), "late");
-//! q.schedule_at(Cycle(5), "early");
-//! let (t, e) = q.pop().unwrap();
-//! assert_eq!((t, e), (Cycle(5), "early"));
+//! // Two 1 KB transfers issued together on a 1 TB/s pipe: the second
+//! // queues behind the first, so both finish after 2 ns.
+//! let mut pipe = BandwidthPipe::new("link", Bandwidth::from_gb_s(1000.0));
+//! pipe.request(SimTime::ZERO, Bytes(1000));
+//! let done = pipe.request(SimTime::ZERO, Bytes(1000));
+//! assert_eq!(done, SimTime::from_nanos(2));
 //! ```
 
 #![warn(missing_docs)]
@@ -36,7 +39,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod units;
-pub mod wheel;
 
 pub use event::EventQueue;
 pub use ids::{ChannelId, ChipletId, CuId, IodId, NodeId, SocketId};
@@ -44,4 +46,3 @@ pub use json::{Json, ToJson};
 pub use rng::SplitMix64;
 pub use time::{Cycle, Frequency, SimTime};
 pub use units::{Bandwidth, Bytes, Energy, Power};
-pub use wheel::CalendarQueue;
