@@ -1,4 +1,4 @@
-//! The [`Experiment`] trait and its structured result type.
+//! The [`Experiment`] registry entry and its structured result type.
 
 use std::collections::BTreeMap;
 
@@ -7,35 +7,6 @@ use ehp_sim_core::json::Json;
 
 use crate::report::Report;
 use crate::scenario::Scenario;
-
-/// One paper experiment: a pure function from a [`Scenario`] to an
-/// [`ExperimentResult`].
-///
-/// Implementations must be deterministic given the scenario (including
-/// its seed) — the batch runner relies on this for reproducible
-/// summaries — and panic-free for the default scenario (the runner
-/// isolates panics, but a panicking default is a bug).
-pub trait Experiment: Sync {
-    /// Stable registry id (e.g. `"figure20"`).
-    fn id(&self) -> &'static str;
-    /// One-line human description.
-    fn title(&self) -> &'static str;
-    /// The scenario parameters this experiment reads. `ehp lint` (S1)
-    /// rejects scenario specs naming anything else.
-    fn params(&self) -> &'static [ParamSpec] {
-        &[]
-    }
-    /// Code-version salt folded into result-cache keys (DESIGN.md §12).
-    /// Bump this in the registry whenever a change alters what the
-    /// experiment computes for an unchanged scenario — that is how a
-    /// behavioural change declares "my cached results are stale" while
-    /// every other experiment's entries stay valid.
-    fn cache_salt(&self) -> u64 {
-        0
-    }
-    /// Runs the experiment.
-    fn run(&self, scenario: &Scenario) -> ExperimentResult;
-}
 
 /// What an experiment produces: a human-readable report, named numeric
 /// metrics (what `ehp check` and regression gates consume), and an
@@ -84,40 +55,31 @@ impl ExperimentResult {
     }
 }
 
-/// An [`Experiment`] backed by a plain function — how the registry
-/// stores every experiment without allocation.
+/// One paper experiment: a pure function from a [`Scenario`] to an
+/// [`ExperimentResult`], registered under a stable id.
+///
+/// The runner must be deterministic given the scenario (including its
+/// seed) — the batch runner relies on this for reproducible summaries
+/// and the result cache for replaying them — and panic-free for the
+/// default scenario (the runner isolates panics, but a panicking
+/// default is a bug).
 #[derive(Debug, Clone, Copy)]
-pub struct FnExperiment {
-    /// Stable registry id.
+pub struct Experiment {
+    /// Stable registry id (e.g. `"figure20"`).
     pub id: &'static str,
-    /// One-line description.
+    /// One-line human description.
     pub title: &'static str,
-    /// Declared scenario parameters (the experiment's S1 schema).
+    /// The scenario parameters this experiment reads. `ehp lint` (S1)
+    /// rejects scenario specs naming anything else.
     pub params: &'static [ParamSpec],
-    /// Result-cache code-version salt (see [`Experiment::cache_salt`]).
-    pub salt: u64,
     /// The experiment body.
     pub runner: fn(&Scenario) -> ExperimentResult,
 }
 
-impl Experiment for FnExperiment {
-    fn id(&self) -> &'static str {
-        self.id
-    }
-
-    fn title(&self) -> &'static str {
-        self.title
-    }
-
-    fn params(&self) -> &'static [ParamSpec] {
-        self.params
-    }
-
-    fn cache_salt(&self) -> u64 {
-        self.salt
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
+impl Experiment {
+    /// Runs the experiment.
+    #[must_use]
+    pub fn run(&self, scenario: &Scenario) -> ExperimentResult {
         (self.runner)(scenario)
     }
 }

@@ -5,8 +5,8 @@
 //! and "files on disk":
 //!
 //! * [`registry`] — every experiment (Table 1, Figures 7–21, the audits,
-//!   the Infinity-Cache sweep) behind one [`experiment::Experiment`]
-//!   trait, addressable by stable id.
+//!   the Infinity-Cache sweep) as one [`experiment::Experiment`] entry,
+//!   addressable by stable id.
 //! * [`scenario`] — declarative inputs: product-config overrides and
 //!   parameter sweeps as JSON spec files that expand into concrete
 //!   scenarios.
@@ -16,7 +16,9 @@
 //! * [`serving`] — the scale-out layer (DESIGN.md §12): a content-hash
 //!   result cache under `ehp run`/`ehp all`, the `ehp worker`
 //!   child-process protocol, and the `ehp serve` Unix-socket daemon,
-//!   all built on the experiment-agnostic `ehp-serve` crate.
+//!   all built on the experiment-agnostic `ehp-serve` crate. Cache keys
+//!   fold in a [`code_version`] hashed from the source tree at build
+//!   time, so any source edit invalidates every cached outcome.
 //! * [`check`] — committed expected-shape ranges (`ehp check`): the
 //!   paper's headline numbers as a regression gate.
 //! * [`report`] / [`output`] — the text/JSON result writers; everything
@@ -26,6 +28,7 @@
 
 pub mod check;
 pub mod cli;
+pub mod code_version;
 pub mod executor;
 pub mod experiment;
 mod experiments;

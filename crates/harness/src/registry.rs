@@ -4,7 +4,7 @@
 
 use ehp_lint::{ExperimentSchema, ParamKind, ParamSpec};
 
-use crate::experiment::{Experiment, FnExperiment};
+use crate::experiment::Experiment;
 use crate::experiments;
 
 /// Shorthand for an unbounded positive integer parameter.
@@ -30,144 +30,125 @@ const fn num_pos(name: &'static str) -> ParamSpec {
 }
 
 /// Every registered experiment, in paper order.
-static REGISTRY: &[FnExperiment] = &[
-    FnExperiment {
+static REGISTRY: &[Experiment] = &[
+    Experiment {
         id: "table1",
         title: "Table 1: CDNA 2 vs CDNA 3 peak ops/clock/CU",
         params: &[],
-        salt: 0,
         runner: experiments::table1::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure7",
         title: "Figure 7: MI300A IOD interface bandwidths",
         params: &[ParamSpec {
             name: "product",
             kind: ParamKind::EnumStr(&["mi250x", "mi300a", "mi300x", "ehpv4"]),
         }],
-        salt: 0,
         runner: experiments::figure7::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure12",
         title: "Figure 12: power distributions and thermal maps",
         params: &[num_pos("socket_power_w")],
-        salt: 1,
         runner: experiments::figure12::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure13",
         title: "Figure 13: cooperative multi-XCD dispatch flow",
         params: &[u64_pos("workgroups"), u64_pos("workgroup_size")],
-        salt: 0,
         runner: experiments::figure13::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure14",
         title: "Figure 14: CPU-only vs discrete GPU vs APU data movement",
         params: &[u64_pos("elements")],
-        salt: 0,
         runner: experiments::figure14::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure15",
         title: "Figure 15: fine-grained CPU/GPU overlap via chunk flags",
         params: &[u64_pos("elements"), u64_pos("chunks")],
-        salt: 0,
         runner: experiments::figure15::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure16",
         title: "Figure 16: CCD->XCD modular swap (MI300A -> MI300X)",
         params: &[],
-        salt: 0,
         runner: experiments::figure16::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure17",
         title: "Figure 17: compute/memory partitioning modes",
         params: &[],
-        salt: 0,
         runner: experiments::figure17::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure18",
         title: "Figure 18: exemplary MI300A/MI300X node architectures",
         params: &[],
-        salt: 0,
         runner: experiments::figure18::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure19",
         title: "Figure 19: generational uplift over MI250X",
         params: &[],
-        salt: 0,
         runner: experiments::figure19::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure20",
         title: "Figure 20: HPC speedups of MI300A over MI250X",
         params: &[],
-        salt: 0,
         runner: experiments::figure20::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure21",
         title: "Figure 21: Llama-2 70B inference latency on MI300X",
         params: &[],
-        salt: 0,
         runner: experiments::figure21::run,
     },
-    FnExperiment {
+    Experiment {
         id: "frontier_node",
         title: "Figure 2: the Frontier node as four conjoined EHPs",
         params: &[],
-        salt: 0,
         runner: experiments::frontier_node::run,
     },
-    FnExperiment {
+    Experiment {
         id: "modular_platform",
         title: "Section VII: modular platform design space + exascale RAS",
         params: &[num_pos("checkpoint_write_s")],
-        salt: 0,
         runner: experiments::modular_platform::run,
     },
-    FnExperiment {
+    Experiment {
         id: "power_management",
         title: "Section V.D/V.E: power/thermal/DVFS management loop",
         params: &[num_pos("socket_power_w"), num_pos("shift_w")],
-        salt: 1,
         runner: experiments::power_management::run,
     },
-    FnExperiment {
+    Experiment {
         id: "ehpv3_audit",
         title: "Section III.A: why EHPv3 3D stacking was not productised",
         params: &[],
-        salt: 0,
         runner: experiments::ehpv3_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "ehpv4_audit",
         title: "Figure 4: remaining EHPv4 challenges vs MI300A",
         params: &[],
-        salt: 0,
         runner: experiments::ehpv4_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "microarch_audit",
         title: "Section IV.B: icache sharing, occupancy, L1 data path",
         params: &[],
-        salt: 0,
         runner: experiments::microarch_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "packaging_audit",
         title: "Figures 9/10 + Section V.A: mirroring, TSVs, beachfront",
         params: &[],
-        salt: 0,
         runner: experiments::packaging_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "ic_sweep",
         title: "Section IV.C: Infinity Cache / interleave trace sweep",
         params: &[
@@ -209,14 +190,9 @@ static REGISTRY: &[FnExperiment] = &[
                 kind: ParamKind::U64 { min: 1, max: 64 },
             },
         ],
-        // Salt 2: the decorrelated bank interleave (DESIGN.md §14)
-        // spreads traffic over all 16 banks per channel, moving every
-        // modeled bandwidth/latency figure (salt 1 was the bank-level
-        // channel decomposition of DESIGN.md §13).
-        salt: 2,
         runner: experiments::ic_sweep::run,
     },
-    FnExperiment {
+    Experiment {
         id: "mem_bank_audit",
         title: "Section IV.C: bank-level channel decomposition audit",
         params: &[
@@ -226,10 +202,6 @@ static REGISTRY: &[FnExperiment] = &[
                 kind: ParamKind::U64 { min: 1, max: 64 },
             },
         ],
-        // Salt 2: one hot-set replay instead of three; the shard and
-        // kernel-swap identity metrics left for the test suite (salt 1
-        // was the decorrelated interleave of DESIGN.md §14).
-        salt: 2,
         runner: experiments::mem_bank_audit::run,
     },
 ];
@@ -248,7 +220,7 @@ pub fn schemas() -> Vec<ExperimentSchema> {
 
 /// All experiments, in paper order.
 #[must_use]
-pub fn all() -> &'static [FnExperiment] {
+pub fn all() -> &'static [Experiment] {
     REGISTRY
 }
 
@@ -260,11 +232,8 @@ pub fn ids() -> Vec<&'static str> {
 
 /// Looks up an experiment by id.
 #[must_use]
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY
-        .iter()
-        .find(|e| e.id == id)
-        .map(|e| e as &dyn Experiment)
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.id == id)
 }
 
 #[cfg(test)]

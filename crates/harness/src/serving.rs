@@ -100,11 +100,13 @@ pub struct ServedBatch {
 }
 
 impl ServedBatch {
-    /// The `cache_stats.json` sidecar body.
+    /// The `cache_stats.json` sidecar body, with the [`CODE_VERSION`]
+    /// that keyed this batch's cache traffic.
     #[must_use]
     pub fn traffic_json(&self) -> Json {
         Json::object([
             ("cache", self.cache.to_json()),
+            ("code_version", Json::from(format!("{CODE_VERSION:016x}"))),
             (
                 "pool",
                 Json::object([
@@ -118,13 +120,21 @@ impl ServedBatch {
     }
 }
 
+/// The hash of every workspace source file at build time (see
+/// [`crate::code_version`]): any source edit re-keys every cached
+/// outcome.
+pub const CODE_VERSION: u64 = include!(concat!(env!("OUT_DIR"), "/code_version.rs"));
+
 /// The result-cache key for one **seed-resolved** scenario: experiment
-/// id + that experiment's registry salt + the scenario's canonical
-/// (compact, key-sorted) JSON.
+/// id + [`CODE_VERSION`] + the scenario's canonical (compact,
+/// key-sorted) JSON.
 #[must_use]
 pub fn scenario_key(sc: &Scenario) -> u64 {
-    let salt = registry::find(&sc.experiment).map_or(0, |e| e.cache_salt());
-    result_key(&sc.experiment, salt, &sc.to_json().to_string_compact())
+    result_key(
+        &sc.experiment,
+        CODE_VERSION,
+        &sc.to_json().to_string_compact(),
+    )
 }
 
 /// The worker command for spawning this very binary in `worker` mode.
@@ -496,6 +506,14 @@ mod tests {
         let with_param = resolved[0].clone().with_param("workgroups", 128u64);
         assert_ne!(base, scenario_key(&with_param));
         assert_eq!(base, scenario_key(&resolved[0].clone()));
+    }
+
+    #[test]
+    fn traffic_json_names_the_code_version() {
+        let served = run_batch_served(&paper_scenarios(1), &memoryless_cfg());
+        let version = served.traffic_json();
+        let version = version.get("code_version").and_then(Json::as_str);
+        assert_eq!(version, Some(format!("{CODE_VERSION:016x}").as_str()));
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! One entry per executed scenario, keyed by [`result_key`]: FNV-1a
 //! ([`ehp_sim_core::hash`]) over the cache schema version, the
-//! experiment id, the experiment's **code-version salt**, and the
-//! scenario's canonical (compact, key-sorted, seed-resolved) JSON. Any
-//! input that could change the outcome changes the key:
+//! experiment id, the caller's **code version**, and the scenario's
+//! canonical (compact, key-sorted, seed-resolved) JSON. Any input that
+//! could change the outcome changes the key:
 //!
 //! * a different parameter, name, or seed changes the canonical JSON;
-//! * a behavioural change to an experiment's code is declared by
-//!   bumping that experiment's salt in the harness registry, which
-//!   invalidates exactly the touched experiment's entries;
+//! * any change to the simulator's code changes the code version, which
+//!   the harness hashes from every workspace source file at build time,
+//!   so a source edit invalidates every entry;
 //! * a change to the cached shape itself bumps
 //!   [`RESULT_CACHE_SCHEMA`], which invalidates everything.
 //!
@@ -41,14 +41,15 @@ pub const RESULT_CACHE_SCHEMA: &str = "ehp-result-cache/v1";
 /// `canonical_scenario` must be the scenario's compact JSON with the
 /// seed already resolved — two spellings of the same scenario hash
 /// identically, and two scenarios differing in any executed input
-/// (params, name, seed) hash apart.
+/// (params, name, seed) hash apart. `code_version` identifies the code
+/// that computes the outcome.
 #[must_use]
-pub fn result_key(experiment: &str, salt: u64, canonical_scenario: &str) -> u64 {
+pub fn result_key(experiment: &str, code_version: u64, canonical_scenario: &str) -> u64 {
     let mut h = fnv1a_extend(FNV_OFFSET, RESULT_CACHE_SCHEMA.as_bytes());
     h = fnv1a_extend(h, b"\0");
     h = fnv1a_extend(h, experiment.as_bytes());
     h = fnv1a_extend(h, b"\0");
-    h = fnv1a_extend(h, &salt.to_le_bytes());
+    h = fnv1a_extend(h, &code_version.to_le_bytes());
     fnv1a_extend(h, canonical_scenario.as_bytes())
 }
 
@@ -298,14 +299,13 @@ mod tests {
     }
 
     #[test]
-    fn salt_bump_invalidates_exactly_the_touched_experiment() {
+    fn code_version_change_misses_every_old_entry() {
         let mut c = ResultCache::memory();
-        let ka0 = result_key("exp_a", 0, r#"{"name":"a"}"#);
-        let kb0 = result_key("exp_b", 0, r#"{"name":"b"}"#);
-        c.store(ka0, &outcome("a"));
-        c.store(kb0, &outcome("b"));
-        // Bump exp_a's salt: its key moves (miss), exp_b's does not (hit).
+        c.store(result_key("exp_a", 0, r#"{"name":"a"}"#), &outcome("a"));
+        c.store(result_key("exp_b", 0, r#"{"name":"b"}"#), &outcome("b"));
+        // New code: every old entry misses; the old code still hits.
         assert_eq!(c.lookup(result_key("exp_a", 1, r#"{"name":"a"}"#)), None);
+        assert_eq!(c.lookup(result_key("exp_b", 1, r#"{"name":"b"}"#)), None);
         assert_eq!(
             c.lookup(result_key("exp_b", 0, r#"{"name":"b"}"#)),
             Some(outcome("b"))

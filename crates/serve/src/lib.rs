@@ -8,7 +8,8 @@
 //!
 //! * [`cache`] — a content-hash-keyed experiment **result cache**
 //!   (`target/result-cache/`): key = FNV-1a over the canonical scenario
-//!   JSON, the experiment id, and a per-experiment code-version salt.
+//!   JSON, the experiment id, and a code version (the harness hashes
+//!   every workspace source file at build time).
 //!   Versioned, degrade-to-empty on any load failure, byte-identical
 //!   summaries hot or cold — the same discipline the lint incremental
 //!   cache proved (DESIGN.md §11).

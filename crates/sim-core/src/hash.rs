@@ -3,7 +3,8 @@
 //! Three subsystems key durable state off content hashes — the lint
 //! incremental cache (`target/lint-cache.json`), the batch executor's
 //! name-derived scenario seeds, and the experiment result cache
-//! (`target/result-cache/`). They must all agree on the algorithm and
+//! (`target/result-cache/`, keyed in part by a build-time hash of every
+//! source file). They must all agree on the algorithm and
 //! its constants, so the fold lives here once instead of three inlined
 //! copies drifting apart.
 //!
@@ -22,7 +23,7 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Folds `bytes` into an existing FNV-1a state, returning the new state.
 ///
 /// Chaining calls hashes the concatenation: callers building composite
-/// keys (e.g. experiment id + salt + scenario JSON) thread the state
+/// keys (e.g. experiment id + code version + scenario JSON) thread the state
 /// through without allocating an intermediate buffer.
 #[must_use]
 pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {

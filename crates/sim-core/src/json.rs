@@ -625,9 +625,12 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            // A number past f64's range would come back out as `null`.
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -685,7 +688,9 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for src in ["", "{", "[1,", "tru", "{\"a\"}", "1 2", "{'a':1}"] {
+        for src in [
+            "", "{", "[1,", "tru", "{\"a\"}", "1 2", "{'a':1}", "1e400", "-1e400",
+        ] {
             assert!(Json::parse(src).is_err(), "{src:?} should fail");
         }
     }

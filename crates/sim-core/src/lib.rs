@@ -6,9 +6,9 @@
 //! Industry Track).
 //!
 //! The crate deliberately has **no external dependencies**: it provides the
-//! simulated clock, a binary-heap event queue, physical-unit newtypes,
-//! component identifiers, statistic sinks, a deterministic RNG, a JSON
-//! codec, and shared-resource (bandwidth/served-queue) models that
+//! simulated clock, physical-unit newtypes, component identifiers,
+//! statistic sinks, a deterministic RNG, a JSON codec, a content hash,
+//! and shared-resource (bandwidth/served-queue) models that
 //! higher-level crates compose into memory, fabric, compute, dispatch,
 //! power and thermal simulators.
 //!
@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod event;
 pub mod hash;
 pub mod ids;
 pub mod json;
@@ -40,7 +39,6 @@ pub mod stats;
 pub mod time;
 pub mod units;
 
-pub use event::EventQueue;
 pub use ids::{ChannelId, ChipletId, CuId, IodId, NodeId, SocketId};
 pub use json::{Json, ToJson};
 pub use rng::SplitMix64;

@@ -15,10 +15,8 @@ use ehp_mem::interleave::{InterleaveConfig, Interleaver};
 use ehp_mem::trace::{Pattern, TraceConfig};
 use ehp_package::bond::{BpvTarget, HybridBondInterface};
 use ehp_package::geometry::{Point, Transform};
-use ehp_sim_core::event::EventQueue;
 use ehp_sim_core::ids::AgentId;
 use ehp_sim_core::rng::SplitMix64;
-use ehp_sim_core::time::Cycle;
 use ehp_sim_core::units::Bytes;
 
 fn rng_for(tag: &str) -> SplitMix64 {
@@ -249,30 +247,6 @@ fn transforms_preserve_geometry() {
             // Involution.
             let back = t.apply_point(q, w, h);
             assert!(back.approx_eq(p, 1e-9));
-        }
-    }
-}
-
-/// The event queue always pops in non-decreasing time order with
-/// FIFO tie-breaking.
-#[test]
-fn event_queue_ordering() {
-    let mut rng = rng_for("event_queue_ordering");
-    for _ in 0..32 {
-        let n = 1 + rng.next_below(499) as usize;
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule_at(Cycle(rng.next_below(1_000)), i);
-        }
-        let mut prev: Option<(Cycle, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((pt, pi)) = prev {
-                assert!(t >= pt);
-                if t == pt {
-                    assert!(i > pi, "FIFO violated for equal timestamps");
-                }
-            }
-            prev = Some((t, i));
         }
     }
 }
