@@ -1,7 +1,8 @@
-//! Sharded trace-replay bench — the perf surface behind the `jobs`
-//! knob. Measures `replay` at jobs = 1, 2, 4, 8 over Random and Hot
-//! traces on the MI300 memory subsystem (1M accesses), and asserts —
-//! outside the timed region — that every sharded result is
+//! Trace-replay bench — the perf surface behind the `jobs` knob.
+//! Measures `replay` at jobs = 1, 2, 4, 8 over Random and Hot traces
+//! on the MI300 memory subsystem (1M accesses), plus the dependent
+//! pointer chase, the one access-by-access replay path, and asserts —
+//! outside the timed region — that every bank-bucketed result is
 //! bit-identical to the sequential reference.
 //!
 //! CI gates this bench against `crates/bench/baselines/replay.json`
@@ -85,9 +86,23 @@ fn bench_replay_hot_skew(c: &mut Criterion) {
     );
 }
 
+fn bench_replay_chase(c: &mut Criterion) {
+    // Each access issues when the previous one completes, so `replay`
+    // takes the sequential path at any `jobs`: one case covers it.
+    let cfg = cfg_for(Pattern::PointerChase, 1);
+    let mut g = c.benchmark_group("replay_chase");
+    g.bench_with_input(BenchmarkId::from_parameter("jobs1"), &cfg, |b, cfg| {
+        b.iter(|| {
+            let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+            black_box(replay(&mut mem, cfg))
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(5);
-    targets = bench_replay_random, bench_replay_hot, bench_replay_hot_skew
+    targets = bench_replay_random, bench_replay_hot, bench_replay_hot_skew, bench_replay_chase
 }
 criterion_main!(benches);

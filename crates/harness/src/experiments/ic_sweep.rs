@@ -11,11 +11,11 @@
 //! (`sequential` | `strided` | `random` | `hot` | `chase`; default
 //! `hot`), `footprint_mib` (default 64), `accesses` (default 40000),
 //! `write_fraction` (default 0.3), `jobs` (replay worker threads;
-//! default 1). The trace seed is the scenario seed. Sharded replay
-//! (`jobs` > 1) partitions the trace by memory channel and produces
-//! results bit-identical to the sequential path; `chase` always
-//! replays sequentially because each address depends on the previous
-//! completion.
+//! default 1). The trace seed is the scenario seed. Replay buckets the
+//! trace by DRAM bank and replays bank by bank, on `jobs` workers, with
+//! results bit-identical to an access-by-access loop at any `jobs`;
+//! `chase` always replays access by access because each access issues
+//! when the previous one completes.
 
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, Pattern, TraceConfig};

@@ -13,8 +13,7 @@
 //! share, slice sub-array and latency accumulator), a
 //! channel's request stream can be partitioned by bank and replayed
 //! bank-by-bank with results bit-identical to the sequential order —
-//! the channel-sharding rule of `MemorySubsystem::replay_sharded`, one
-//! level down.
+//! the rule `MemorySubsystem::replay_sharded` relies on.
 
 use ehp_sim_core::resource::BandwidthPipe;
 use ehp_sim_core::stats::Accumulator;
@@ -22,7 +21,7 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
 use crate::hbm::{HbmChannelModel, HbmTimings, ROW_BYTES};
-use crate::icache::{CacheOutcome, InfinityCacheSlice, PrefetcherConfig};
+use crate::icache::{CacheOutcome, InfinityCacheSlice, PrefetcherConfig, MAX_PREFETCH_DEGREE};
 use crate::request::ServicePoint;
 
 /// Static parameters of one channel.
@@ -148,6 +147,7 @@ pub fn bank_slot(addr: u64, banks: u64) -> (usize, u64) {
 /// One HBM bank and its share of the channel: a row state machine with a
 /// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array and its own
 /// latency accumulator. Addresses are bank-local (see [`bank_slot`]).
+/// The slice's tag and set arrays are the only heap memory a bank owns.
 #[derive(Debug, Clone)]
 pub struct BankUnit {
     slice: Option<InfinityCacheSlice>,
@@ -158,9 +158,6 @@ pub struct BankUnit {
     line_bytes: Bytes,
     icache_hit_latency: SimTime,
     icache_energy_per_byte: Energy,
-    /// Reused prefetch-address scratch buffer: steady-state accesses
-    /// perform no heap allocation.
-    prefetch_scratch: Vec<u64>,
 }
 
 impl BankUnit {
@@ -174,12 +171,9 @@ impl BankUnit {
                 cfg.prefetcher,
             )
         });
-        let mut bank_timings = cfg.hbm_timings;
-        bank_timings.banks_per_channel = 1;
-        let hbm = HbmChannelModel::new(bank_timings, cfg.hbm_rate.scale(1.0 / banks as f64));
+        let hbm = HbmChannelModel::new(cfg.hbm_timings, cfg.hbm_rate.scale(1.0 / banks as f64));
         let icache_pipe =
             BandwidthPipe::new("icache_bank", cfg.icache_rate.scale(1.0 / banks as f64));
-        let scratch_cap = cfg.prefetcher.degree as usize;
         BankUnit {
             slice,
             hbm,
@@ -189,7 +183,6 @@ impl BankUnit {
             line_bytes: cfg.line_bytes,
             icache_hit_latency: cfg.icache_hit_latency,
             icache_energy_per_byte: cfg.icache_energy_per_byte,
-            prefetch_scratch: Vec::with_capacity(scratch_cap),
         }
     }
 
@@ -209,8 +202,10 @@ impl BankUnit {
             return (done, ServicePoint::Hbm);
         };
 
+        // lint:hot-path
         let outcome = slice.access(addr, is_write);
-        slice.take_prefetches_into(addr, &mut self.prefetch_scratch);
+        let mut prefetches = [0; MAX_PREFETCH_DEGREE];
+        let n = slice.take_prefetches(addr, &mut prefetches);
 
         let (done, point) = match outcome {
             CacheOutcome::Hit | CacheOutcome::PrefetchedHit => {
@@ -235,13 +230,8 @@ impl BankUnit {
 
         // Prefetch fills start when the demand completes; each fill's
         // dirty victim is written back once that fill lands.
-        // lint:hot-path
-        for i in 0..self.prefetch_scratch.len() {
-            let pa = self.prefetch_scratch[i];
-            let victim = self
-                .slice
-                .as_mut()
-                .and_then(|slice| slice.fill_prefetch(pa));
+        for &pa in &prefetches[..n] {
+            let victim = slice.fill_prefetch(pa);
             let filled = self.hbm.access(done, pa, self.line_bytes);
             if let Some(victim) = victim {
                 let _ = self.hbm.access(filled, victim, self.line_bytes);
@@ -485,6 +475,18 @@ mod tests {
                 seen[bank] = true;
             }
         }
+    }
+
+    #[test]
+    fn different_banks_overlap() {
+        // Adjacent rows land in different banks, whose row machines and
+        // bus lanes run in parallel: the second access does not queue
+        // behind the first.
+        let mut ch = MemoryChannel::new(ChannelConfig::mi250x());
+        assert_ne!(bank_slot(0, 8).0, bank_slot(1024, 8).0, "distinct banks");
+        let d1 = ch.access(SimTime::ZERO, 0, Bytes(128), false).0;
+        let d2 = ch.access(SimTime::ZERO, 1024, Bytes(128), false).0;
+        assert_eq!(d1, d2);
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! HBM stack/channel timing model.
+//! HBM bank timing model.
 //!
-//! Each HBM pseudo-channel is modelled as a set of banks (row-buffer state
-//! machines) in front of a serialised data bus. Timing is deliberately
+//! Each HBM pseudo-channel is modelled as independent banks (see
+//! `crate::channel`), and each bank as a row-buffer state machine in
+//! front of its share of the channel's data bus. Timing is deliberately
 //! coarse — row hit vs. row activate vs. bus occupancy — which is enough
 //! to reproduce the bandwidth and queueing behaviour the paper's
 //! comparisons rest on, while staying fast enough to sweep.
 
 use ehp_sim_core::resource::BandwidthPipe;
-use ehp_sim_core::stats::Counter;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-/// DRAM row size used to derive (bank, row) from a channel-local
-/// address — shared with the channel layer's bank-local address mapping
-/// (`crate::channel::bank_slot`), which must agree with
-/// [`HbmChannelModel`]'s row decoding.
+/// DRAM row size: [`HbmChannelModel`] decodes a bank-local address's
+/// row as `addr / ROW_BYTES`, and the channel layer's bank-local address
+/// mapping (`crate::channel::bank_slot`) renumbers rows in the same
+/// unit.
 pub const ROW_BYTES: u64 = 1024;
 
 /// The HBM generation attached to a product.
@@ -79,7 +79,9 @@ pub struct HbmTimings {
     pub row_hit: SimTime,
     /// Access latency when a different row must be precharged + activated.
     pub row_activate: SimTime,
-    /// Independent banks per pseudo-channel.
+    /// Independent banks per pseudo-channel: how many
+    /// [`HbmChannelModel`]s a channel is split into (see
+    /// `crate::channel::bank_slot`). A single model ignores it.
     pub banks_per_channel: u32,
     /// DRAM access energy per byte moved.
     pub energy_per_byte: Energy,
@@ -91,8 +93,9 @@ pub struct HbmTimings {
     pub refresh_duration: SimTime,
 }
 
-/// One HBM pseudo-channel: bank row-buffer state plus a serialised data
-/// bus.
+/// One HBM bank: a row-buffer state machine plus the bus lane it moves
+/// data over. A channel is `banks_per_channel` of these at an equal
+/// share of the channel's bus rate each (see `crate::channel`).
 ///
 /// # Example
 ///
@@ -112,21 +115,19 @@ pub struct HbmTimings {
 pub struct HbmChannelModel {
     timings: HbmTimings,
     bus: BandwidthPipe,
-    /// Open row per bank (`None` = closed).
-    open_rows: Vec<Option<u64>>,
-    /// Busy-until time per bank.
-    bank_free: Vec<SimTime>,
-    row_hits: Counter,
-    row_misses: Counter,
-    refreshes: Counter,
-    /// Next time a refresh is due on this channel.
+    /// Open row (`None` = closed).
+    open_row: Option<u64>,
+    /// Time the bank finishes its current access.
+    bank_free: SimTime,
+    /// Next time a refresh is due.
     next_refresh: SimTime,
-    /// Row size used to derive (bank, row) from an address.
-    row_bytes: u64,
+    row_hits: u64,
+    row_misses: u64,
+    refreshes: u64,
 }
 
 impl HbmChannelModel {
-    /// Creates a channel with the given timings and peak bus rate.
+    /// Creates a bank with the given timings and bus lane rate.
     ///
     /// # Panics
     ///
@@ -141,109 +142,81 @@ impl HbmChannelModel {
             timings.refresh_duration,
             timings.refresh_interval
         );
-        let banks = timings.banks_per_channel as usize;
         HbmChannelModel {
             timings,
             bus: BandwidthPipe::new("hbm_bus", bus_rate),
-            open_rows: vec![None; banks],
-            bank_free: vec![SimTime::ZERO; banks],
-            row_hits: Counter::new("row_hits"),
-            row_misses: Counter::new("row_misses"),
-            refreshes: Counter::new("refreshes"),
+            open_row: None,
+            bank_free: SimTime::ZERO,
             next_refresh: timings.refresh_interval,
-            row_bytes: ROW_BYTES,
+            row_hits: 0,
+            row_misses: 0,
+            refreshes: 0,
         }
-    }
-
-    fn bank_and_row(&self, addr: u64) -> (usize, u64) {
-        // lint:hot-path
-        let row = if self.row_bytes.is_power_of_two() {
-            addr >> self.row_bytes.trailing_zeros()
-        } else {
-            addr / self.row_bytes
-        };
-        let banks = u64::from(self.timings.banks_per_channel);
-        if banks == 1 {
-            // The bank-sharded replay configuration: every unit models a
-            // single bank, so skip the division pair entirely.
-            return (0, row);
-        }
-        let bank = (row % banks) as usize;
-        (bank, row / banks)
-        // lint:hot-path-end
     }
 
     /// Performs one access; returns its completion time.
     ///
-    /// `addr` here is the channel-local address (the interleaver has
-    /// already stripped stack/channel bits conceptually; any consistent
-    /// mapping works since only row locality matters).
+    /// `addr` is the bank-local address; only its row (`addr /
+    /// ROW_BYTES`) matters.
     pub fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
-        // Retire every due refresh in one step: each blocks every bank
-        // for tRFC and closes all rows (refresh precharges the array).
-        // With tRFC < tREFI (asserted in `new`) every refresh but the
-        // last ends before the next one starts, hence before `at`, so
-        // only the last can raise `bank_free` or `at`.
+        // Retire every due refresh in one step: each blocks the bank for
+        // tRFC and closes its row (refresh precharges the array). With
+        // tRFC < tREFI (asserted in `new`) every refresh but the last
+        // ends before the next one starts, hence before `at`, so only
+        // the last can raise `bank_free` or `at`.
         let mut at = at;
         if at >= self.next_refresh {
             let interval = self.timings.refresh_interval;
             let k = (at - self.next_refresh).as_picos() / interval.as_picos() + 1;
             let rfc_end = self.next_refresh + interval * (k - 1) + self.timings.refresh_duration;
-            for bf in &mut self.bank_free {
-                if *bf < rfc_end {
-                    *bf = rfc_end;
-                }
+            if self.bank_free < rfc_end {
+                self.bank_free = rfc_end;
             }
-            for r in &mut self.open_rows {
-                *r = None;
-            }
-            self.refreshes.add(k);
+            self.open_row = None;
+            self.refreshes += k;
             self.next_refresh += interval * k;
             if at < rfc_end {
                 at = rfc_end;
             }
         }
 
-        let (bank, row) = self.bank_and_row(addr);
-
-        let core_latency = if self.open_rows[bank] == Some(row) {
-            self.row_hits.inc();
+        let row = addr / ROW_BYTES;
+        let core_latency = if self.open_row == Some(row) {
+            self.row_hits += 1;
             self.timings.row_hit
         } else {
-            self.row_misses.inc();
-            self.open_rows[bank] = Some(row);
+            self.row_misses += 1;
+            self.open_row = Some(row);
             self.timings.row_activate
         };
 
-        // Bank occupied for its access latency.
-        let bank_start = if at > self.bank_free[bank] {
+        // The bank is occupied for its access latency, then the data
+        // crosses the bus lane.
+        let bank_start = if at > self.bank_free {
             at
         } else {
-            self.bank_free[bank]
+            self.bank_free
         };
-        let bank_done = bank_start + core_latency;
-        self.bank_free[bank] = bank_done;
-
-        // Then the data crosses the channel bus.
-        self.bus.request(bank_done, size)
+        self.bank_free = bank_start + core_latency;
+        self.bus.request(self.bank_free, size)
     }
 
     /// Row-buffer hit count so far.
     #[must_use]
     pub fn row_hits(&self) -> u64 {
-        self.row_hits.value()
+        self.row_hits
     }
 
     /// Row-buffer miss (activate) count so far.
     #[must_use]
     pub fn row_misses(&self) -> u64 {
-        self.row_misses.value()
+        self.row_misses
     }
 
     /// Refresh commands retired so far.
     #[must_use]
     pub fn refreshes(&self) -> u64 {
-        self.refreshes.value()
+        self.refreshes
     }
 
     /// Bytes moved over the channel bus.
@@ -266,7 +239,7 @@ impl HbmChannelModel {
         self.bus.rate()
     }
 
-    /// Time at which the channel bus next idles.
+    /// Time at which the bus lane next idles.
     #[must_use]
     pub fn bus_free_at(&self) -> SimTime {
         self.bus.free_at()
@@ -326,28 +299,20 @@ mod tests {
     #[test]
     fn different_rows_same_bank_conflict() {
         let mut ch = channel();
-        // Same bank (row stride of banks*row_bytes), different rows.
-        let stride = 16 * 1024u64;
         let d1 = ch.access(SimTime::ZERO, 0, Bytes(128));
-        let d2 = ch.access(SimTime::ZERO, stride, Bytes(128));
+        let d2 = ch.access(SimTime::ZERO, 16 * 1024, Bytes(128));
         assert_eq!(ch.row_misses(), 2);
         assert!(d2 > d1, "second conflicting access queues behind");
     }
 
     #[test]
-    fn different_banks_overlap() {
-        let mut ch = channel();
-        // Adjacent rows land in different banks.
-        let d1 = ch.access(SimTime::ZERO, 0, Bytes(128));
-        let d2 = ch.access(SimTime::ZERO, 1024, Bytes(128));
-        // Bank latencies overlap; only the bus serialises, which is short
-        // for 128 B, so d2 is well under 2x d1.
-        assert!(d2 < d1 * 2);
-    }
-
-    #[test]
     fn sustained_stream_approaches_bus_rate() {
-        let mut ch = channel();
+        // A bank on its share of the channel bus, as a channel builds
+        // it: sequential row hits keep the bus lane saturated.
+        let gen = HbmGeneration::Hbm3;
+        let banks = f64::from(gen.timings().banks_per_channel);
+        let lane = gen.stack_bandwidth().scale(1.0 / 16.0 / banks);
+        let mut ch = HbmChannelModel::new(gen.timings(), lane);
         let line = Bytes(128);
         let mut t = SimTime::ZERO;
         let n = 10_000u64;

@@ -9,7 +9,6 @@
 //! The slice is a classic set-associative write-back cache with true-LRU
 //! replacement and a sequential stream prefetcher.
 
-use ehp_sim_core::stats::Counter;
 use ehp_sim_core::units::Bytes;
 
 /// Outcome of a cache lookup.
@@ -69,11 +68,60 @@ impl PrefetcherConfig {
     }
 }
 
-/// Per-line flag bit: the line holds data newer than HBM.
-const DIRTY: u8 = 1;
-/// Per-line flag bit: the line was filled by the prefetcher and has not
-/// been demand-hit yet.
-const PREFETCHED: u8 = 2;
+/// Largest supported prefetch degree: [`InfinityCacheSlice::new`]
+/// asserts `degree <= MAX_PREFETCH_DEGREE`, so one access's prefetch
+/// targets always fit a fixed array.
+pub const MAX_PREFETCH_DEGREE: usize = 16;
+
+/// Largest supported associativity: a set's recency order is sixteen
+/// 4-bit slot indices packed in one `u64`.
+const MAX_WAYS: usize = 16;
+
+/// Replacement and state bits of one set, kept next to each other so a
+/// lookup touches one small record besides the tags.
+///
+/// `order` is the set's exact true-LRU recency list: nibble `k` holds
+/// the slot index of the `k`-th most recently used live line, so nibble
+/// 0 is the MRU slot and nibble `len - 1` the LRU victim. Nibbles at
+/// positions `>= len` are zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetState {
+    order: u64,
+    /// Bit `i`: slot `i` holds data newer than HBM.
+    dirty: u16,
+    /// Bit `i`: slot `i` was filled by the prefetcher and has not been
+    /// demand-hit yet.
+    prefetched: u16,
+    /// Live lines: slots `0..len` are valid.
+    len: u8,
+}
+
+impl SetState {
+    /// Recency position of live `slot` in `order`: the first nibble equal
+    /// to `slot` (slot indices are unique among the first `len` nibbles,
+    /// and the zero-nibble test flags no position below the first true
+    /// match).
+    fn position(&self, slot: usize) -> u32 {
+        const ONES: u64 = 0x1111_1111_1111_1111;
+        let x = self.order ^ (slot as u64 * ONES);
+        let zero = x.wrapping_sub(ONES) & !x & (ONES << 3);
+        zero.trailing_zeros() / 4
+    }
+
+    /// Moves the slot at recency position `pos` — or, with `pos == len`,
+    /// a slot just appended — to the MRU position.
+    fn promote(&mut self, pos: u32, slot: usize) {
+        let shift = 4 * pos;
+        let below = self.order & ((1u64 << shift) - 1);
+        let above = self.order & u64::MAX.checked_shl(shift + 4).unwrap_or(0);
+        self.order = above | (below << 4) | slot as u64;
+    }
+
+    /// Makes live `slot` the MRU.
+    fn touch(&mut self, slot: usize) {
+        self.promote(self.position(slot), slot);
+    }
+}
 
 /// One Infinity Cache slice (per memory channel).
 ///
@@ -96,44 +144,30 @@ const PREFETCHED: u8 = 2;
 /// ```
 #[derive(Debug, Clone)]
 pub struct InfinityCacheSlice {
-    /// Structure-of-arrays line storage, all sets in one contiguous
+    /// Tag per slot, all sets in one contiguous zero-initialised
     /// allocation with `ways` slots per set: slot `i` of set `s` lives
-    /// at index `s * ways + i`, and only the first `set_len[s]` slots
-    /// of set `s` hold live lines. Flat zero-initialised primitive
-    /// buffers instead of a `Vec` of line structs per set keep slice
-    /// construction a calloc (the OS hands back untouched zero pages —
-    /// a full MI300 socket holds ~131k sets, and replay benches
-    /// construct whole subsystems in their timed region) and make the
-    /// tag scan cache-dense (a 16-way set's tags span two cache
-    /// lines). Within-set order is immaterial to behaviour: tags are
-    /// unique per set and LRU stamps are globally unique, so lookup
-    /// and victim selection are order-independent.
+    /// at index `s * ways + i`, and only the first `sets[s].len` slots
+    /// hold live lines. A 16-way set's tags are 64 bytes, and a zeroed
+    /// primitive buffer keeps construction a calloc.
     ///
-    /// Tags and stamps are deliberately `u32`: half the zeroed bytes at
-    /// construction and twice the scan density. A 32-bit tag covers any
-    /// address below `line_bytes << (32 + set_bits)` (≥ 2^45 B for the
-    /// smallest modelled slice) and a 32-bit clock covers 4 G accesses
-    /// to one slice; both bounds are asserted, not assumed.
+    /// Tags are `u32`: a 32-bit tag covers any address below
+    /// `line_bytes << (32 + set_bits)` (≥ 2^45 B for the smallest
+    /// modelled slice), which `tag_of` asserts.
     tags: Vec<u32>,
-    /// LRU stamp per slot: larger = more recent.
-    lru: Vec<u32>,
-    /// [`DIRTY`] / [`PREFETCHED`] flag bits per slot.
-    flags: Vec<u8>,
-    /// Live line count per set (grows 0..=ways as the set fills).
-    set_len: Vec<u32>,
+    /// One replacement/state record per set.
+    sets: Vec<SetState>,
     ways: usize,
     line_bytes: u64,
     set_mask: u64,
-    lru_clock: u32,
     pf: PrefetcherConfig,
     /// Last line index accessed (stream detector state).
     last_line: Option<u64>,
     stream_len: u32,
-    hits: Counter,
-    prefetch_hits: Counter,
-    misses: Counter,
-    writebacks: Counter,
-    prefetch_issued: Counter,
+    hits: u64,
+    prefetch_hits: u64,
+    misses: u64,
+    writebacks: u64,
+    prefetch_issued: u64,
 }
 
 impl InfinityCacheSlice {
@@ -142,7 +176,8 @@ impl InfinityCacheSlice {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (capacity not divisible into
-    /// `ways × line` sets, or set count not a power of two).
+    /// `ways × line` sets, set count not a power of two, or more than 16
+    /// ways) or the prefetch degree exceeds [`MAX_PREFETCH_DEGREE`].
     #[must_use]
     pub fn new(
         capacity: Bytes,
@@ -151,6 +186,11 @@ impl InfinityCacheSlice {
         pf: PrefetcherConfig,
     ) -> InfinityCacheSlice {
         assert!(ways > 0 && line_bytes.is_power_of_two());
+        assert!(ways <= MAX_WAYS, "at most {MAX_WAYS} ways per set");
+        assert!(
+            pf.degree as usize <= MAX_PREFETCH_DEGREE,
+            "prefetch degree above {MAX_PREFETCH_DEGREE}"
+        );
         let lines = capacity.as_u64() / line_bytes;
         assert!(
             lines.is_multiple_of(ways as u64),
@@ -161,24 +201,20 @@ impl InfinityCacheSlice {
             num_sets.is_power_of_two(),
             "set count must be a power of two"
         );
-        let slots = num_sets as usize * ways;
         InfinityCacheSlice {
-            tags: vec![0; slots],
-            lru: vec![0; slots],
-            flags: vec![0; slots],
-            set_len: vec![0; num_sets as usize],
+            tags: vec![0; num_sets as usize * ways],
+            sets: vec![SetState::default(); num_sets as usize],
             ways,
             line_bytes,
             set_mask: num_sets - 1,
-            lru_clock: 0,
             pf,
             last_line: None,
             stream_len: 0,
-            hits: Counter::new("icache_hits"),
-            prefetch_hits: Counter::new("icache_prefetch_hits"),
-            misses: Counter::new("icache_misses"),
-            writebacks: Counter::new("icache_writebacks"),
-            prefetch_issued: Counter::new("icache_prefetch_issued"),
+            hits: 0,
+            prefetch_hits: 0,
+            misses: 0,
+            writebacks: 0,
+            prefetch_issued: 0,
         }
     }
 
@@ -207,52 +243,43 @@ impl InfinityCacheSlice {
         u32::try_from(tag).expect("address beyond the modelled physical space")
     }
 
-    /// Advances the LRU clock and returns the fresh stamp; panics on
-    /// 32-bit wraparound (4 G accesses to a single slice) rather than
-    /// silently corrupting recency order.
-    fn tick(&mut self) -> u32 {
-        self.lru_clock = self.lru_clock.checked_add(1).expect("LRU clock overflow");
-        self.lru_clock
+    /// The slot of set `set_idx` holding `tag`, if the line is resident.
+    fn find(&self, set_idx: usize, tag: u32) -> Option<usize> {
+        // lint:hot-path
+        let base = set_idx * self.ways;
+        let len = usize::from(self.sets[set_idx].len);
+        self.tags[base..base + len].iter().position(|&t| t == tag)
+        // lint:hot-path-end
     }
 
-    /// Installs a line (demand fill or prefetch); returns the dirty victim
-    /// address if one was evicted.
-    fn install(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<u64> {
-        let set_idx = self.set_of(line);
-        let tag = self.tag_of(line);
-        let stamp = self.tick();
+    /// Installs an absent line (demand fill or prefetch) as the set's
+    /// MRU; returns the dirty victim address if one was evicted.
+    fn install(&mut self, set_idx: usize, tag: u32, dirty: bool, prefetched: bool) -> Option<u64> {
         let ways = self.ways;
-        let base = set_idx * ways;
-        let len = self.set_len[set_idx] as usize;
-
-        if let Some(i) = self.tags[base..base + len].iter().position(|&t| t == tag) {
-            // Already present (e.g. racing prefetch): just update.
-            self.flags[base + i] |= u8::from(dirty) * DIRTY;
-            self.lru[base + i] = stamp;
-            return None;
-        }
-
+        let set = &mut self.sets[set_idx];
+        let len = usize::from(set.len);
         let mut victim_addr = None;
         let slot = if len == ways {
-            // Full set: overwrite the unique-minimum LRU slot in place.
-            let vi = (0..len)
-                .min_by_key(|&i| self.lru[base + i])
-                .expect("full set");
-            if self.flags[base + vi] & DIRTY != 0 {
-                self.writebacks.inc();
-                let victim_line = (u64::from(self.tags[base + vi])
+            // Full set: overwrite the LRU slot in place.
+            let slot = ((set.order >> (4 * (ways - 1))) & 0xF) as usize;
+            set.promote(ways as u32 - 1, slot);
+            if set.dirty & (1 << slot) != 0 {
+                self.writebacks += 1;
+                let victim_line = (u64::from(self.tags[set_idx * ways + slot])
                     << self.set_mask.trailing_ones())
                     | set_idx as u64;
                 victim_addr = Some(victim_line * self.line_bytes);
             }
-            vi
+            slot
         } else {
-            self.set_len[set_idx] = (len + 1) as u32;
+            set.promote(len as u32, len);
+            set.len += 1;
             len
         };
-        self.tags[base + slot] = tag;
-        self.lru[base + slot] = stamp;
-        self.flags[base + slot] = u8::from(dirty) * DIRTY + u8::from(prefetched) * PREFETCHED;
+        let bit = 1u16 << slot;
+        set.dirty = (set.dirty & !bit) | (u16::from(dirty) << slot);
+        set.prefetched = (set.prefetched & !bit) | (u16::from(prefetched) << slot);
+        self.tags[set_idx * ways + slot] = tag;
         victim_addr
     }
 
@@ -273,110 +300,106 @@ impl InfinityCacheSlice {
 
     /// Looks up `addr`, updating replacement and dirty state.
     ///
-    /// Returns the outcome plus the list of prefetch addresses the stream
-    /// prefetcher wants fetched (the caller charges those to HBM
-    /// bandwidth and installs them via [`InfinityCacheSlice::fill_prefetch`]).
+    /// The prefetch addresses the stream prefetcher wants fetched come
+    /// from [`InfinityCacheSlice::take_prefetches`].
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         let line = self.line_of(addr);
         let set_idx = self.set_of(line);
         let tag = self.tag_of(line);
 
-        let base = set_idx * self.ways;
-        let len = self.set_len[set_idx] as usize;
-        if let Some(i) = self.tags[base..base + len].iter().position(|&t| t == tag) {
-            let slot = base + i;
-            let was_prefetched = self.flags[slot] & PREFETCHED != 0;
-            self.flags[slot] = (self.flags[slot] | (u8::from(is_write) * DIRTY)) & !PREFETCHED;
-            self.lru[slot] = self.tick();
-            if was_prefetched {
-                self.prefetch_hits.inc();
-                return CacheOutcome::PrefetchedHit;
-            }
-            self.hits.inc();
-            return CacheOutcome::Hit;
+        let Some(slot) = self.find(set_idx, tag) else {
+            self.misses += 1;
+            let writeback = self.install(set_idx, tag, is_write, false);
+            return CacheOutcome::Miss { writeback };
+        };
+        let set = &mut self.sets[set_idx];
+        set.touch(slot);
+        let bit = 1u16 << slot;
+        set.dirty |= u16::from(is_write) << slot;
+        let was_prefetched = set.prefetched & bit != 0;
+        set.prefetched &= !bit;
+        if was_prefetched {
+            self.prefetch_hits += 1;
+            CacheOutcome::PrefetchedHit
+        } else {
+            self.hits += 1;
+            CacheOutcome::Hit
         }
-
-        self.misses.inc();
-        let writeback = self.install(line, is_write, false);
-        CacheOutcome::Miss { writeback }
     }
 
-    /// Returns prefetch addresses triggered by an access at `addr`.
-    /// Call after [`InfinityCacheSlice::access`]; separated so callers can
-    /// decide whether to act on them.
-    pub fn take_prefetches(&mut self, addr: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.take_prefetches_into(addr, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`InfinityCacheSlice::take_prefetches`]:
-    /// clears `out` and appends the prefetch addresses. Replay hot paths
-    /// pass a reused scratch buffer so steady-state replay performs no
-    /// per-access allocation.
-    pub fn take_prefetches_into(&mut self, addr: u64, out: &mut Vec<u64>) {
+    /// Writes the prefetch addresses triggered by an access at `addr` to
+    /// the front of `out` and returns how many there are (at most the
+    /// prefetch degree). Call after [`InfinityCacheSlice::access`]; the
+    /// caller charges the fetches to HBM bandwidth and installs them via
+    /// [`InfinityCacheSlice::fill_prefetch`].
+    pub fn take_prefetches(&mut self, addr: u64, out: &mut [u64; MAX_PREFETCH_DEGREE]) -> usize {
         // lint:hot-path
-        out.clear();
         let line = self.line_of(addr);
         if !self.stream_trained(line) {
-            return;
+            return 0;
         }
+        let mut n = 0;
         for d in 1..=u64::from(self.pf.degree) {
             let l = line + d;
-            let set_idx = self.set_of(l);
-            let tag = self.tag_of(l);
-            let base = set_idx * self.ways;
-            let len = self.set_len[set_idx] as usize;
-            if !self.tags[base..base + len].contains(&tag) {
-                out.push(l * self.line_bytes);
+            if self.find(self.set_of(l), self.tag_of(l)).is_none() {
+                out[n] = l * self.line_bytes;
+                n += 1;
             }
         }
+        n
         // lint:hot-path-end
     }
 
     /// Installs a prefetched line; returns dirty victim address if any.
+    /// A line that is already resident just becomes the set's MRU.
     pub fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
-        self.prefetch_issued.inc();
+        self.prefetch_issued += 1;
         let line = self.line_of(addr);
-        self.install(line, false, true)
+        let set_idx = self.set_of(line);
+        let tag = self.tag_of(line);
+        if let Some(slot) = self.find(set_idx, tag) {
+            self.sets[set_idx].touch(slot);
+            return None;
+        }
+        self.install(set_idx, tag, false, true)
     }
 
     /// Demand hits.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.value()
+        self.hits
     }
 
     /// Hits on prefetched lines.
     #[must_use]
     pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.value()
+        self.prefetch_hits
     }
 
     /// Misses.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.value()
+        self.misses
     }
 
     /// Dirty evictions written back to HBM.
     #[must_use]
     pub fn writebacks(&self) -> u64 {
-        self.writebacks.value()
+        self.writebacks
     }
 
     /// Prefetch fills issued.
     #[must_use]
     pub fn prefetches_issued(&self) -> u64 {
-        self.prefetch_issued.value()
+        self.prefetch_issued
     }
 
     /// Overall hit rate including prefetched hits; `None` before any
     /// access.
     #[must_use]
     pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits.value() + self.prefetch_hits.value() + self.misses.value();
-        (total > 0).then(|| (self.hits.value() + self.prefetch_hits.value()) as f64 / total as f64)
+        let total = self.hits + self.prefetch_hits + self.misses;
+        (total > 0).then(|| (self.hits + self.prefetch_hits) as f64 / total as f64)
     }
 
     /// Line size in bytes.
@@ -388,13 +411,13 @@ impl InfinityCacheSlice {
     /// Number of resident lines (for tests/diagnostics).
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.set_len.iter().map(|&l| l as usize).sum()
+        self.sets.iter().map(|s| usize::from(s.len)).sum()
     }
 
     /// Number of sets (for tests/diagnostics).
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        self.set_len.len()
+        self.sets.len()
     }
 }
 
@@ -501,7 +524,9 @@ mod tests {
             if out == CacheOutcome::PrefetchedHit {
                 prefetched_hits += 1;
             }
-            for pa in s.take_prefetches(addr) {
+            let mut pf = [0; MAX_PREFETCH_DEGREE];
+            let n = s.take_prefetches(addr, &mut pf);
+            for &pa in &pf[..n] {
                 s.fill_prefetch(pa);
             }
         }
@@ -517,7 +542,7 @@ mod tests {
         let mut s = slice();
         for i in 0..32u64 {
             s.access(i * 128, false);
-            assert!(s.take_prefetches(i * 128).is_empty());
+            assert_eq!(s.take_prefetches(i * 128, &mut [0; MAX_PREFETCH_DEGREE]), 0);
         }
     }
 
@@ -529,7 +554,7 @@ mod tests {
         for _ in 0..256 {
             let addr = rng.next_below(1 << 30) & !127;
             s.access(addr, false);
-            issued += s.take_prefetches(addr).len();
+            issued += s.take_prefetches(addr, &mut [0; MAX_PREFETCH_DEGREE]);
         }
         // Random lines almost never form length-2 sequential runs.
         assert!(issued <= 8, "random stream issued {issued} prefetches");
@@ -557,5 +582,21 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
         let _ = InfinityCacheSlice::new(Bytes(3 * 128 * 4), 4, 128, PrefetcherConfig::disabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_than_sixteen_ways_panics() {
+        let _ = InfinityCacheSlice::new(Bytes(32 * 128), 32, 128, PrefetcherConfig::disabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "prefetch degree above 16")]
+    fn prefetch_degree_above_the_array_panics() {
+        let pf = PrefetcherConfig {
+            degree: 17,
+            ..PrefetcherConfig::mi300()
+        };
+        let _ = InfinityCacheSlice::new(Bytes::from_kib(64), 4, 128, pf);
     }
 }

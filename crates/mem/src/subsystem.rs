@@ -214,8 +214,8 @@ impl MemorySubsystem {
     /// counters, byte total, completion-time maximum) are commutative
     /// integer folds. Results are bit-identical to a sequential
     /// [`MemorySubsystem::access`] loop over the same trace at any
-    /// `jobs` value; `jobs = 1` takes an inline sequential path with no
-    /// queues at all.
+    /// `jobs` value; `jobs = 1` replays the buckets inline, one whole
+    /// bucket after another in flat-bank order, with no queues at all.
     ///
     /// Returns the time the last access completes.
     ///

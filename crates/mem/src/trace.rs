@@ -64,10 +64,10 @@ pub struct TraceConfig {
     pub line: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Replay worker threads. `1` (the default) replays sequentially;
-    /// higher values bucket the trace by flat bank and replay the banks
-    /// on work-stealing workers (see [`replay`]). Purely a performance
-    /// knob: results are bit-identical at any value.
+    /// Replay worker threads. `1` (the default) replays the bank
+    /// buckets one after another on the calling thread; higher values
+    /// replay them on work-stealing workers (see [`replay`]). Purely a
+    /// performance knob: results are bit-identical at any value.
     pub jobs: usize,
 }
 
@@ -91,9 +91,9 @@ impl TraceConfig {
     ///
     /// This is the single source of truth for trace generation: the
     /// whole stream is a pure function of the config (one SplitMix64
-    /// seed). Sequential replay consumes it directly; sharded replay
-    /// makes one pass to bucket every request by flat bank before any
-    /// worker starts, so the trace is generated exactly once either way.
+    /// seed). [`replay`] makes one pass to bucket every request by flat
+    /// bank before any bank replays; [`replay_sequential`] consumes it
+    /// directly. Either way the trace is generated exactly once.
     ///
     /// # Panics
     ///
@@ -182,25 +182,25 @@ pub struct ReplayResult {
 /// pointer chase issues each access after the previous completes
 /// (latency-style).
 ///
-/// With `cfg.jobs > 1`, independent patterns replay **sharded at bank
-/// granularity**: one streaming pass over the trace (the trace is never
-/// materialised or regenerated per worker) buckets every request into a
-/// packed [`BankBuckets`] entry by its flat bank id — the interleaver
-/// picks the channel, the decorrelated row decode picks the bank, and
-/// the address is rewritten to the bank-local space — then worker
-/// threads replay the bank buckets under the work-stealing scheduler of
-/// [`MemorySubsystem::replay_sharded`]. Banks share no state, so merged
-/// results are bit-identical to the sequential path at any job count
-/// (see the `replay_determinism` suite), and a hot set that lands on a
-/// few channels still spreads across their banks and rebalances across
-/// workers.
-/// [`Pattern::PointerChase`] carries a cross-shard dependency — each
-/// address derives from the previous completion — so it always falls
-/// back to the sequential path.
+/// Independent patterns replay **bank by bank** at every `cfg.jobs`:
+/// one streaming pass over the trace (the trace is never materialised
+/// or regenerated) buckets every request into a packed [`BankBuckets`]
+/// entry by its flat bank id — the interleaver picks the channel, the
+/// decorrelated row decode picks the bank, and the address is rewritten
+/// to the bank-local space — then [`MemorySubsystem::replay_sharded`]
+/// replays each bank's whole sub-stream in trace order, inline at
+/// `jobs = 1` and under its work-stealing scheduler above that. One
+/// bank's state then stays in the host cache for its whole sub-stream
+/// instead of being revisited at random. Banks share no state, so the
+/// results are bit-identical to [`replay_sequential`] at any job count
+/// (see the `replay_determinism` suite).
+///
+/// [`Pattern::PointerChase`] carries a cross-bank dependency — each
+/// access issues when the previous one completes — so it always takes
+/// the access-by-access [`replay_sequential`] path.
 #[must_use]
 pub fn replay(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
-    let dependent = cfg.pattern == Pattern::PointerChase;
-    if dependent || cfg.jobs <= 1 {
+    if cfg.pattern == Pattern::PointerChase {
         return replay_sequential(mem, cfg);
     }
 
@@ -214,8 +214,9 @@ pub fn replay(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
 }
 
 /// The sequential reference replay: one [`MemorySubsystem::access`] call
-/// per request, in trace order. [`replay`] with `jobs > 1` must produce
-/// bit-identical results to this path.
+/// per request, in trace order. [`replay`] uses it for
+/// [`Pattern::PointerChase`], and must match it bit for bit on every
+/// other pattern.
 #[must_use]
 pub fn replay_sequential(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
     let dependent = cfg.pattern == Pattern::PointerChase;
@@ -232,11 +233,18 @@ pub fn replay_sequential(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> Replay
     finish(mem, cfg, last)
 }
 
+/// Summarises a replay that finished at `last`. An empty trace takes no
+/// time and reports zero bandwidth and zero mean latency.
 fn finish(mem: &MemorySubsystem, cfg: &TraceConfig, last: SimTime) -> ReplayResult {
     let total = Bytes(cfg.accesses * cfg.line);
+    let bandwidth = if last > SimTime::ZERO {
+        Bandwidth::from_bytes_per_sec(total.as_f64() / last.as_secs())
+    } else {
+        Bandwidth::ZERO
+    };
     ReplayResult {
         elapsed: last,
-        bandwidth: Bandwidth::from_bytes_per_sec(total.as_f64() / last.as_secs()),
+        bandwidth,
         icache_hit_rate: mem.icache_hit_rate(),
         mean_latency_ns: mem.mean_latency_ns().unwrap_or(0.0),
     }
@@ -332,6 +340,22 @@ mod tests {
         assert_eq!(seq_mem.reads(), par_mem.reads());
         assert_eq!(seq_mem.writes(), par_mem.writes());
         assert_eq!(seq_mem.bytes_served(), par_mem.bytes_served());
+    }
+
+    #[test]
+    fn empty_traces_report_zeros() {
+        for pattern in [Pattern::Random, Pattern::PointerChase] {
+            let cfg = TraceConfig {
+                accesses: 0,
+                ..TraceConfig::new(pattern)
+            };
+            let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+            let r = replay(&mut mem, &cfg);
+            assert_eq!(r.elapsed, SimTime::ZERO, "{pattern:?}");
+            assert_eq!(r.bandwidth, Bandwidth::ZERO, "{pattern:?}");
+            assert_eq!(r.mean_latency_ns, 0.0, "{pattern:?}");
+            assert_eq!(mem.reads() + mem.writes(), 0, "{pattern:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! seeded access sequences with idle gaps of up to ~500 tREFI — some
 //! landing exactly on a refresh boundary or inside a tRFC window — the
 //! production model must match it access for access: completion times,
-//! row hits, row misses and refreshes.
+//! row hits, row misses and refreshes. The model is one bank, the only
+//! shape a memory channel builds (`ehp_mem::channel::BankUnit`).
 
 use ehp_mem::hbm::{HbmChannelModel, HbmGeneration, HbmTimings, ROW_BYTES};
 use ehp_sim_core::resource::BandwidthPipe;
@@ -15,16 +16,16 @@ use ehp_sim_core::units::{Bandwidth, Bytes};
 const SEED: u64 = 0x00DE_F12E_5400;
 /// Accesses per sequence.
 const ACCESSES: usize = 2_000;
-/// Sequences per (generation, bank count) configuration.
+/// Sequences per HBM generation.
 const SEQUENCES: u64 = 8;
 
-/// The pre-closed-form channel model: identical row and bus timing, but
+/// The pre-closed-form bank model: identical row and bus timing, but
 /// refreshes retired one tREFI interval at a time.
 struct LoopRefresh {
     timings: HbmTimings,
     bus: BandwidthPipe,
-    open_rows: Vec<Option<u64>>,
-    bank_free: Vec<SimTime>,
+    open_row: Option<u64>,
+    bank_free: SimTime,
     next_refresh: SimTime,
     row_hits: u64,
     row_misses: u64,
@@ -33,12 +34,11 @@ struct LoopRefresh {
 
 impl LoopRefresh {
     fn new(timings: HbmTimings, bus_rate: Bandwidth) -> LoopRefresh {
-        let banks = timings.banks_per_channel as usize;
         LoopRefresh {
             timings,
             bus: BandwidthPipe::new("oracle_bus", bus_rate),
-            open_rows: vec![None; banks],
-            bank_free: vec![SimTime::ZERO; banks],
+            open_row: None,
+            bank_free: SimTime::ZERO,
             next_refresh: timings.refresh_interval,
             row_hits: 0,
             row_misses: 0,
@@ -50,14 +50,8 @@ impl LoopRefresh {
         let mut at = at;
         while at >= self.next_refresh {
             let rfc_end = self.next_refresh + self.timings.refresh_duration;
-            for bf in &mut self.bank_free {
-                if *bf < rfc_end {
-                    *bf = rfc_end;
-                }
-            }
-            for r in &mut self.open_rows {
-                *r = None;
-            }
+            self.bank_free = self.bank_free.max(rfc_end);
+            self.open_row = None;
             self.refreshes += 1;
             self.next_refresh += self.timings.refresh_interval;
             if at < rfc_end {
@@ -65,19 +59,16 @@ impl LoopRefresh {
             }
         }
         let row = addr / ROW_BYTES;
-        let banks = u64::from(self.timings.banks_per_channel);
-        let (bank, row) = ((row % banks) as usize, row / banks);
-        let core_latency = if self.open_rows[bank] == Some(row) {
+        let core_latency = if self.open_row == Some(row) {
             self.row_hits += 1;
             self.timings.row_hit
         } else {
             self.row_misses += 1;
-            self.open_rows[bank] = Some(row);
+            self.open_row = Some(row);
             self.timings.row_activate
         };
-        let bank_done = at.max(self.bank_free[bank]) + core_latency;
-        self.bank_free[bank] = bank_done;
-        self.bus.request(bank_done, size)
+        self.bank_free = at.max(self.bank_free) + core_latency;
+        self.bus.request(self.bank_free, size)
     }
 }
 
@@ -99,12 +90,11 @@ fn next_issue(rng: &mut SplitMix64, oracle: &LoopRefresh, last_done: SimTime) ->
     }
 }
 
-fn check(gen: HbmGeneration, banks: u32) {
-    let mut timings = gen.timings();
-    timings.banks_per_channel = banks;
-    let rate = gen.stack_bandwidth().scale(f64::from(banks) / 256.0);
+fn check(gen: HbmGeneration) {
+    let timings = gen.timings();
+    let rate = gen.stack_bandwidth().scale(1.0 / 256.0);
     for seq in 0..SEQUENCES {
-        let mut rng = SplitMix64::new(SEED ^ (u64::from(banks) << 32) ^ seq);
+        let mut rng = SplitMix64::new(SEED ^ (1 << 32) ^ seq);
         let mut model = HbmChannelModel::new(timings, rate);
         let mut oracle = LoopRefresh::new(timings, rate);
         let mut done = SimTime::ZERO;
@@ -112,18 +102,18 @@ fn check(gen: HbmGeneration, banks: u32) {
             let at = next_issue(&mut rng, &oracle, done);
             // A few hot rows (row hits) mixed with a wide random range.
             let addr = if rng.chance(0.5) {
-                rng.next_below(4 * u64::from(banks) * ROW_BYTES)
+                rng.next_below(4 * ROW_BYTES)
             } else {
                 rng.next_below(1 << 30)
             };
             let size = Bytes(64 << rng.next_below(3));
             let expect = oracle.access(at, addr, size);
             done = model.access(at, addr, size);
-            let ctx = || format!("{gen:?} banks={banks} seq={seq} access={i} at={at}");
+            let ctx = || format!("{gen:?} seq={seq} access={i} at={at}");
             assert_eq!(done, expect, "{}: completion", ctx());
             assert_eq!(model.refreshes(), oracle.refreshes, "{}: refreshes", ctx());
         }
-        let ctx = format!("{gen:?} banks={banks} seq={seq}");
+        let ctx = format!("{gen:?} seq={seq}");
         assert_eq!(model.row_hits(), oracle.row_hits, "{ctx}: row hits");
         assert_eq!(model.row_misses(), oracle.row_misses, "{ctx}: row misses");
         assert!(
@@ -135,22 +125,12 @@ fn check(gen: HbmGeneration, banks: u32) {
 
 #[test]
 fn closed_form_matches_loop_hbm3_one_bank() {
-    check(HbmGeneration::Hbm3, 1);
-}
-
-#[test]
-fn closed_form_matches_loop_hbm3_sixteen_banks() {
-    check(HbmGeneration::Hbm3, 16);
+    check(HbmGeneration::Hbm3);
 }
 
 #[test]
 fn closed_form_matches_loop_hbm2e_one_bank() {
-    check(HbmGeneration::Hbm2e, 1);
-}
-
-#[test]
-fn closed_form_matches_loop_hbm2e_sixteen_banks() {
-    check(HbmGeneration::Hbm2e, 16);
+    check(HbmGeneration::Hbm2e);
 }
 
 #[test]

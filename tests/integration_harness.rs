@@ -236,3 +236,28 @@ fn panicking_scenario_is_isolated_from_the_batch() {
     assert_eq!(result.outcomes[1].status, OutcomeStatus::Ok);
     assert_eq!(result.ok_count(), 1);
 }
+
+#[test]
+fn empty_memory_traces_end_ok() {
+    // A zero-access trace reports zero time, bandwidth and latency
+    // instead of dividing zero bytes by zero seconds.
+    let scenarios = [
+        Scenario::default_for("ic_sweep").with_param("accesses", 0u64),
+        Scenario::default_for("ic_sweep")
+            .with_param("accesses", 0u64)
+            .with_param("pattern", "chase"),
+        Scenario::default_for("mem_bank_audit").with_param("accesses", 0u64),
+    ];
+    let result = run_batch(
+        &scenarios,
+        &BatchConfig {
+            jobs: 1,
+            base_seed: 0,
+            progress: false,
+        },
+    );
+    for o in &result.outcomes {
+        assert_eq!(o.status, OutcomeStatus::Ok, "{}", o.scenario.name);
+    }
+    assert_eq!(result.outcomes[0].metrics.get("achieved_gb_s"), Some(&0.0));
+}
