@@ -8,8 +8,9 @@
 //! smear the per-bit alignment, unknown operations fall back to a
 //! saturating join over the identifiers they mention. Per-function
 //! summaries (param lanes → return lanes) are propagated over the
-//! conservative call graph's symbol table so helpers like `bank_mix`
-//! and `fast_mod` compose across files.
+//! conservative call graph's symbol table, to convergence and
+//! re-evaluating a function only when a callee's summary changed, so
+//! helpers like `bank_mix` and `fast_mod` compose across files.
 //!
 //! Two rules live on top, plus the L3 lock-order graph pass
 //! ([`check_lock_order`]) that shares the symbol table:
@@ -30,16 +31,12 @@
 //! boundedness (`% literal` or a small power-of-two mask). DESIGN.md
 //! §16 spells out the caveats.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::callgraph::{FnKey, Symbols};
 use crate::findings::{Finding, Rule};
 use crate::parse::{int_literal, BindSite, CallSite, FileIndex, FnItem, RET_BIND};
-
-/// Summary-propagation passes over the workspace. Two suffice for the
-/// helper-depth the sim uses (`bank_slot` → `bank_mix` → `fast_mod`);
-/// the cap guarantees termination either way.
-const MAX_PASSES: usize = 4;
 
 /// Masks larger than this are windows, not selectors (`& 0xFFF` grabs
 /// an offset; `& 0xF` picks a slot).
@@ -934,6 +931,9 @@ struct FnLanes {
     vals: Vec<(usize, AbsVal)>,
     /// Join of all return/tail values, when any parsed.
     ret: Option<AbsVal>,
+    /// Every workspace fn a call in the body resolved to, sorted and
+    /// deduplicated: the summaries this evaluation read.
+    callees: Vec<FnKey>,
 }
 
 fn eval_fn(
@@ -962,6 +962,7 @@ fn eval_fn(
             },
         );
     }
+    let callees = RefCell::new(Vec::new());
     let mut vals = Vec::new();
     let mut ret: Option<AbsVal> = None;
     for (bi, bind) in f.binds.iter().enumerate() {
@@ -980,6 +981,7 @@ fn eval_fn(
                 in_fence: false,
             };
             let targets = symbols.resolve(&call, fi, key);
+            callees.borrow_mut().extend_from_slice(&targets);
             let sums: Vec<&FnSummary> = targets.iter().filter_map(|t| summaries.get(t)).collect();
             if sums.is_empty() || sums.len() != targets.len() {
                 // Unknown or partially-known callee: smeared join of
@@ -1014,36 +1016,131 @@ fn eval_fn(
         }
         vals.push((bi, v));
     }
-    FnLanes { vals, ret }
+    let mut callees = callees.into_inner();
+    callees.sort_unstable();
+    callees.dedup();
+    FnLanes { vals, ret, callees }
 }
 
-/// Computes per-function lane summaries to a fixpoint (capped).
-fn compute_summaries(
-    files: &[(String, FileIndex)],
-    symbols: &Symbols<'_>,
-) -> BTreeMap<FnKey, FnSummary> {
-    let mut summaries: BTreeMap<FnKey, FnSummary> = BTreeMap::new();
-    for _ in 0..MAX_PASSES {
-        let mut changed = false;
-        for (fi, (_, index)) in files.iter().enumerate() {
-            for (gi, f) in index.fns.iter().enumerate() {
-                if f.is_test || f.binds.is_empty() {
+/// The workspace summary fixpoint, evaluated dirty-driven: a fn is
+/// re-evaluated only when a callee's summary changed at or after its
+/// last evaluation. Each evaluation also stores the fn's B1/B2
+/// findings, so [`check_lanes`] reuses them instead of evaluating
+/// every fn once more. Per-fn state is flat, indexed `base[fi] + gi`,
+/// and holds no lane values.
+struct Fixpoint {
+    /// Flat index of each file's first fn.
+    base: Vec<usize>,
+    summaries: BTreeMap<FnKey, FnSummary>,
+    /// Stamp of the fn's last evaluation (0 = never evaluated).
+    evaluated: Vec<u64>,
+    /// Stamp of the evaluation that last changed the fn's summary
+    /// (0 = never).
+    changed: Vec<u64>,
+    /// Flat indexes of the callees the last evaluation resolved.
+    callees: Vec<Vec<usize>>,
+    /// B1/B2 findings of the last evaluation.
+    findings: Vec<Vec<Finding>>,
+    /// Evaluations so far; the stamp of the latest.
+    clock: u64,
+}
+
+impl Fixpoint {
+    /// Runs summary passes over every analysable fn, in (file, fn)
+    /// order, until a pass changes no summary. Evaluating only stale
+    /// fns is exact: each pass leaves the same summaries as a pass
+    /// that evaluates every fn. An acyclic call graph of `n` analysable
+    /// fns settles within `n` passes and the next one confirms, so
+    /// the `n + 1` pass guard only ever stops a recursive cycle.
+    fn solve(files: &[(String, FileIndex)], symbols: &Symbols<'_>) -> Fixpoint {
+        let mut base = Vec::with_capacity(files.len());
+        let mut total = 0;
+        for (_, index) in files {
+            base.push(total);
+            total += index.fns.len();
+        }
+        let mut fx = Fixpoint {
+            base,
+            summaries: BTreeMap::new(),
+            evaluated: vec![0; total],
+            changed: vec![0; total],
+            callees: vec![Vec::new(); total],
+            findings: vec![Vec::new(); total],
+            clock: 0,
+        };
+        let keys = analysable(files);
+        for _ in 0..=keys.len() {
+            let mut changed = false;
+            for &key in &keys {
+                if !fx.is_stale(key) {
                     continue;
                 }
-                let lanes = eval_fn(files, symbols, &summaries, (fi, gi));
-                let Some(ret) = lanes.ret else { continue };
-                let sum = summarize(f, &ret);
-                if summaries.get(&(fi, gi)) != Some(&sum) {
-                    summaries.insert((fi, gi), sum);
+                let Some(sum) = fx.evaluate(files, symbols, key) else {
+                    continue;
+                };
+                if fx.summaries.get(&key) != Some(&sum) {
+                    fx.summaries.insert(key, sum);
+                    let k = fx.flat(key);
+                    fx.changed[k] = fx.clock;
                     changed = true;
                 }
             }
+            if !changed {
+                break;
+            }
         }
-        if !changed {
-            break;
-        }
+        fx
     }
-    summaries
+
+    fn flat(&self, (fi, gi): FnKey) -> usize {
+        self.base[fi] + gi
+    }
+
+    /// `true` when the fn was never evaluated or a callee's summary
+    /// changed at or after its last evaluation (a fn that calls itself
+    /// did not see the summary its own evaluation produced).
+    fn is_stale(&self, key: FnKey) -> bool {
+        let k = self.flat(key);
+        let at = self.evaluated[k];
+        at == 0 || self.callees[k].iter().any(|&c| self.changed[c] >= at)
+    }
+
+    /// Evaluates one fn against the current summaries, storing its
+    /// callees and findings; returns the summary it computed, if the
+    /// fn returns a value.
+    fn evaluate(
+        &mut self,
+        files: &[(String, FileIndex)],
+        symbols: &Symbols<'_>,
+        key: FnKey,
+    ) -> Option<FnSummary> {
+        self.clock += 1;
+        let lanes = eval_fn(files, symbols, &self.summaries, key);
+        let k = self.flat(key);
+        let (path, index) = &files[key.0];
+        let f = &index.fns[key.1];
+        self.evaluated[k] = self.clock;
+        self.callees[k] = lanes.callees.iter().map(|&c| self.flat(c)).collect();
+        self.findings[k] = lane_findings(path, f, &lanes);
+        lanes.ret.map(|ret| summarize(f, &ret))
+    }
+}
+
+/// Every fn the lane analysis evaluates, in (file, fn) order: non-test
+/// fns with at least one captured bind.
+fn analysable(files: &[(String, FileIndex)]) -> Vec<FnKey> {
+    files
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, (_, index))| {
+            index
+                .fns
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| !f.is_test && !f.binds.is_empty())
+                .map(move |(gi, _)| (fi, gi))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1072,122 +1169,130 @@ fn fmt_lanes(m: u64) -> String {
     parts.join(",")
 }
 
-/// Runs the bit-provenance rules (B1, B2) over the workspace.
+/// Runs the bit-provenance rules (B1, B2) over the workspace: the
+/// findings each fn's last fixpoint evaluation stored, in (file, fn)
+/// order. Only a fn whose stored result is stale — possible only when
+/// the pass guard stopped a recursive cycle — is evaluated again.
 #[must_use]
 pub fn check_lanes(files: &[(String, FileIndex)]) -> Vec<Finding> {
     let symbols = Symbols::build(files);
-    let summaries = compute_summaries(files, &symbols);
+    let mut fx = Fixpoint::solve(files, &symbols);
     let mut findings = Vec::new();
-    for (fi, (path, index)) in files.iter().enumerate() {
-        for (gi, f) in index.fns.iter().enumerate() {
-            if f.is_test || f.binds.is_empty() {
-                continue;
+    for key in analysable(files) {
+        if fx.is_stale(key) {
+            fx.evaluate(files, &symbols, key);
+        }
+        let k = fx.flat(key);
+        findings.append(&mut fx.findings[k]);
+    }
+    findings
+}
+
+/// B1 and B2 over one evaluated fn.
+fn lane_findings(path: &str, f: &FnItem, lanes: &FnLanes) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    // Selector bindings: bounded, source-dependent, named.
+    let sels: Vec<(&BindSite, &AbsVal)> = lanes
+        .vals
+        .iter()
+        .filter_map(|(bi, v)| {
+            let b = &f.binds[*bi];
+            (b.name != RET_BIND && v.bounded && v.konst.is_none() && !v.deps.is_empty())
+                .then_some((b, v))
+        })
+        .collect();
+    // B1: pairwise lane intersection on a shared source param.
+    for ai in 0..sels.len() {
+        for bi in ai + 1..sels.len() {
+            let (ba, va) = sels[ai];
+            let (bb, vb) = sels[bi];
+            if ba.name == bb.name {
+                continue; // reassignment, not a second selector
             }
-            let lanes = eval_fn(files, &symbols, &summaries, (fi, gi));
-            // Selector bindings: bounded, source-dependent, named.
-            let sels: Vec<(&BindSite, &AbsVal)> = lanes
-                .vals
-                .iter()
-                .filter_map(|(bi, v)| {
-                    let b = &f.binds[*bi];
-                    (b.name != RET_BIND && v.bounded && v.konst.is_none() && !v.deps.is_empty())
-                        .then_some((b, v))
-                })
-                .collect();
-            // B1: pairwise lane intersection on a shared source param.
-            for ai in 0..sels.len() {
-                for bi in ai + 1..sels.len() {
-                    let (ba, va) = sels[ai];
-                    let (bb, vb) = sels[bi];
-                    if ba.name == bb.name {
-                        continue; // reassignment, not a second selector
-                    }
-                    for (p, la) in &va.deps {
-                        let Some(lb) = vb.deps.get(p) else { continue };
-                        let overlap = la.lanes & lb.lanes;
-                        if overlap == 0 {
-                            continue;
-                        }
-                        // Folded lanes outside the overlap mean one
-                        // selector mixed in disjoint entropy — the
-                        // bank_mix decorrelation pattern.
-                        if (la.folded | lb.folded) & !overlap != 0 {
-                            continue;
-                        }
-                        let param = f.params.get(*p).map_or("<param>", String::as_str);
-                        findings.push(
-                            Finding::new(
-                                Rule::CorrelatedSelectors,
-                                path,
-                                bb.line,
-                                format!(
-                                    "selectors `{}` and `{}` both derive from bits {} of \
-                                     `{param}` — correlated placement collapses the cross \
-                                     product (the PR 8 interleave bug class); XOR-fold \
-                                     disjoint higher bits into one of them or waive with \
-                                     a reason",
-                                    ba.name,
-                                    bb.name,
-                                    fmt_lanes(overlap),
-                                ),
-                            )
-                            .with_chain(vec![
-                                format!(
-                                    "{path}:{} `{}` ← bits {} of `{param}`",
-                                    ba.line,
-                                    ba.name,
-                                    fmt_lanes(la.lanes)
-                                ),
-                                format!(
-                                    "{path}:{} `{}` ← bits {} of `{param}`",
-                                    bb.line,
-                                    bb.name,
-                                    fmt_lanes(lb.lanes)
-                                ),
-                            ]),
-                        );
-                        break; // one finding per pair
-                    }
-                }
-            }
-            // B2: power-of-two bound wider than the surviving lanes.
-            for (b, v) in lanes.vals.iter().filter_map(|(bi, v)| {
-                let b = &f.binds[*bi];
-                (b.name != RET_BIND && v.bounded && v.konst.is_none()).then_some((b, v))
-            }) {
-                let Some(bound) = v.bound.filter(|b| b.is_power_of_two()) else {
-                    continue;
-                };
-                let k = bound.trailing_zeros();
-                let total: u32 = v.deps.values().map(|l| l.lanes.count_ones()).sum();
-                if total == 0 || total >= k || v.deps.is_empty() {
+            for (p, la) in &va.deps {
+                let Some(lb) = vb.deps.get(p) else { continue };
+                let overlap = la.lanes & lb.lanes;
+                if overlap == 0 {
                     continue;
                 }
-                let sources: Vec<String> = v
-                    .deps
-                    .iter()
-                    .map(|(p, l)| {
+                // Folded lanes outside the overlap mean one
+                // selector mixed in disjoint entropy — the
+                // bank_mix decorrelation pattern.
+                if (la.folded | lb.folded) & !overlap != 0 {
+                    continue;
+                }
+                let param = f.params.get(*p).map_or("<param>", String::as_str);
+                findings.push(
+                    Finding::new(
+                        Rule::CorrelatedSelectors,
+                        path,
+                        bb.line,
                         format!(
-                            "bits {} of `{}`",
-                            fmt_lanes(l.lanes),
-                            f.params.get(*p).map_or("<param>", String::as_str)
-                        )
-                    })
-                    .collect();
-                findings.push(Finding::new(
-                    Rule::LossyNarrowing,
-                    path,
-                    b.line,
-                    format!(
-                        "selector `{}` spans {bound} slots but only {total} source bit(s) \
-                         survive upstream narrowing ({}) — a cast or mask discarded lanes \
-                         it needs, so most of its range is unreachable",
-                        b.name,
-                        sources.join(", "),
-                    ),
-                ));
+                            "selectors `{}` and `{}` both derive from bits {} of \
+                             `{param}` — correlated placement collapses the cross \
+                             product (the PR 8 interleave bug class); XOR-fold \
+                             disjoint higher bits into one of them or waive with \
+                             a reason",
+                            ba.name,
+                            bb.name,
+                            fmt_lanes(overlap),
+                        ),
+                    )
+                    .with_chain(vec![
+                        format!(
+                            "{path}:{} `{}` ← bits {} of `{param}`",
+                            ba.line,
+                            ba.name,
+                            fmt_lanes(la.lanes)
+                        ),
+                        format!(
+                            "{path}:{} `{}` ← bits {} of `{param}`",
+                            bb.line,
+                            bb.name,
+                            fmt_lanes(lb.lanes)
+                        ),
+                    ]),
+                );
+                break; // one finding per pair
             }
         }
+    }
+    // B2: power-of-two bound wider than the surviving lanes.
+    for (b, v) in lanes.vals.iter().filter_map(|(bi, v)| {
+        let b = &f.binds[*bi];
+        (b.name != RET_BIND && v.bounded && v.konst.is_none()).then_some((b, v))
+    }) {
+        let Some(bound) = v.bound.filter(|b| b.is_power_of_two()) else {
+            continue;
+        };
+        let k = bound.trailing_zeros();
+        let total: u32 = v.deps.values().map(|l| l.lanes.count_ones()).sum();
+        if total == 0 || total >= k || v.deps.is_empty() {
+            continue;
+        }
+        let sources: Vec<String> = v
+            .deps
+            .iter()
+            .map(|(p, l)| {
+                format!(
+                    "bits {} of `{}`",
+                    fmt_lanes(l.lanes),
+                    f.params.get(*p).map_or("<param>", String::as_str)
+                )
+            })
+            .collect();
+        findings.push(Finding::new(
+            Rule::LossyNarrowing,
+            path,
+            b.line,
+            format!(
+                "selector `{}` spans {bound} slots but only {total} source bit(s) \
+                 survive upstream narrowing ({}) — a cast or mask discarded lanes \
+                 it needs, so most of its range is unreachable",
+                b.name,
+                sources.join(", "),
+            ),
+        ));
     }
     findings
 }
@@ -1372,7 +1477,7 @@ mod tests {
              fn user(addr: u64) -> u64 { let v = low(addr >> 4); v }\n",
         )]);
         let symbols = Symbols::build(&fs);
-        let summaries = compute_summaries(&fs, &symbols);
+        let summaries = Fixpoint::solve(&fs, &symbols).summaries;
         let lanes = eval_fn(&fs, &symbols, &summaries, (0, 1));
         let (_, v) = &lanes.vals[0];
         let l = v.deps.get(&0).expect("dep on addr");
@@ -1394,6 +1499,176 @@ mod tests {
         assert_eq!(l.lanes, u64::MAX);
         assert_eq!(l.shift, None);
         assert!(!v.bounded);
+    }
+
+    /// `top` XORs `h1(addr)` with `addr % 16`, where `h1 → … → hN`
+    /// ends in `x & 0xF`: both selectors read bits 0-3 of `addr`. The
+    /// callers come first, so each pass settles one more helper.
+    fn chain(depth: usize) -> String {
+        let mut src = String::from(
+            "fn top(addr: u64) -> u64 { let a = h1(addr); let b = addr % 16; a ^ b }\n",
+        );
+        for i in 1..depth {
+            src += &format!("fn h{i}(x: u64) -> u64 {{ h{}(x) }}\n", i + 1);
+        }
+        src += &format!("fn h{depth}(x: u64) -> u64 {{ x & 0xF }}\n");
+        src
+    }
+
+    #[test]
+    fn deep_caller_first_chains_converge_before_b1() {
+        for depth in [1, 4, 6, 12] {
+            let fs = files(&[("a.rs", &chain(depth))]);
+            let findings = check_lanes(&fs);
+            assert_eq!(findings.len(), 1, "depth {depth}: {findings:?}");
+            assert_eq!(findings[0].rule, Rule::CorrelatedSelectors);
+            assert!(findings[0].message.contains("bits 0-3 of `addr`"));
+        }
+    }
+
+    #[test]
+    fn mutually_recursive_fns_stop_at_the_pass_guard() {
+        // Each pass strips two more low lanes off both summaries, so
+        // the pair would need ~32 passes; the guard stops it at 3.
+        let fs = files(&[(
+            "a.rs",
+            "fn ping(x: u64) -> u64 { pong(x >> 1) }\n\
+             fn pong(x: u64) -> u64 { ping(x >> 1) }\n",
+        )]);
+        let symbols = Symbols::build(&fs);
+        let fx = Fixpoint::solve(&fs, &symbols);
+        assert_eq!(fx.clock, 3 * 2, "every pass re-evaluated both fns");
+        assert!(analysable(&fs).iter().any(|&k| fx.is_stale(k)));
+        assert!(check_lanes(&fs).is_empty());
+    }
+
+    /// The summary passes before evaluation was dirty-driven: every
+    /// analysable fn, every pass, under the same pass guard.
+    fn all_fn_passes(fs: &[(String, FileIndex)]) -> BTreeMap<FnKey, FnSummary> {
+        let symbols = Symbols::build(fs);
+        let keys = analysable(fs);
+        let mut summaries = BTreeMap::new();
+        for _ in 0..=keys.len() {
+            let mut changed = false;
+            for &key in &keys {
+                let lanes = eval_fn(fs, &symbols, &summaries, key);
+                let Some(ret) = lanes.ret else { continue };
+                let sum = summarize(&fs[key.0].1.fns[key.1], &ret);
+                if summaries.get(&key) != Some(&sum) {
+                    summaries.insert(key, sum);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        summaries
+    }
+
+    #[test]
+    fn dirty_passes_match_all_fn_passes() {
+        let gen = callers_first_workspace();
+        let chain6 = chain(6);
+        let cases: Vec<Vec<(&str, &str)>> = vec![
+            vec![("chain.rs", &chain6)],
+            vec![("walk.rs", "fn walk(x: u64) -> u64 { walk(x >> 1) }\n")],
+            vec![(
+                "pair.rs",
+                "fn ping(x: u64) -> u64 { pong(x >> 1) }\n\
+                 fn pong(x: u64) -> u64 { ping(x >> 1) }\n",
+            )],
+            gen.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect(),
+        ];
+        for srcs in cases {
+            let fs = files(&srcs);
+            let fx = Fixpoint::solve(&fs, &Symbols::build(&fs));
+            assert_eq!(fx.summaries, all_fn_passes(&fs), "{srcs:?}");
+        }
+    }
+
+    /// B1/B2 by evaluating every fn from scratch against the final
+    /// summaries: what `check_lanes` computed before it reused the
+    /// fixpoint's evaluations.
+    fn from_scratch(fs: &[(String, FileIndex)]) -> Vec<Finding> {
+        let symbols = Symbols::build(fs);
+        let summaries = Fixpoint::solve(fs, &symbols).summaries;
+        analysable(fs)
+            .into_iter()
+            .flat_map(|key| {
+                let (path, index) = &fs[key.0];
+                let lanes = eval_fn(fs, &symbols, &summaries, key);
+                lane_findings(path, &index.fns[key.1], &lanes)
+            })
+            .collect()
+    }
+
+    /// Ten files whose placement fns call helpers declared after them,
+    /// in the same file and in the next one; every third one is
+    /// correlated.
+    fn callers_first_workspace() -> Vec<(String, String)> {
+        (0..10)
+            .map(|i| {
+                let next = (i + 1) % 10;
+                let bank = if i % 3 == 0 {
+                    "addr >> 8"
+                } else {
+                    "addr >> 12"
+                };
+                let src = format!(
+                    "pub fn place{i}(addr: u64) -> (u64, u64) {{\n\
+                     \x20   let chan = slot{i}(addr);\n\
+                     \x20   let bank = fold{next}({bank}) % 16;\n\
+                     \x20   (chan, bank)\n\
+                     }}\n\
+                     fn slot{i}(a: u64) -> u64 {{ low{i}(a >> 8) }}\n\
+                     fn low{i}(v: u64) -> u64 {{ v & 0xF }}\n\
+                     pub fn fold{i}(b: u64) -> u64 {{ let m = b & 0xFF; m }}\n"
+                );
+                (format!("m{i}.rs"), src)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn check_lanes_reuses_exactly_what_a_fresh_evaluation_finds() {
+        let b1 = include_str!("../tests/fixtures/b1_correlated.rs");
+        let b2 = include_str!("../tests/fixtures/b2_narrowing.rs");
+        let chain6 = chain(6);
+        // The pass guard stops the ping/pong cycle, leaving `top` and
+        // the pair stale: `check_lanes` must evaluate them once more.
+        let cycle = "fn top(addr: u64) -> u64 { let a = ping(addr) & 0xF; let b = (addr >> 60) & 0xF; a ^ b }\n\
+                     fn ping(x: u64) -> u64 { pong(x >> 1) }\n\
+                     fn pong(x: u64) -> u64 { ping(x >> 1) }\n";
+        let gen = callers_first_workspace();
+        let cases: Vec<Vec<(&str, &str)>> = vec![
+            vec![("b1.rs", b1)],
+            vec![("b2.rs", b2)],
+            vec![("b1.rs", b1), ("b2.rs", b2)],
+            vec![("chain.rs", &chain6)],
+            vec![("cycle.rs", cycle)],
+            gen.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect(),
+        ];
+        for srcs in cases {
+            let fs = files(&srcs);
+            let reused = check_lanes(&fs);
+            assert!(!reused.is_empty(), "{srcs:?} plants B1/B2 sites");
+            assert_eq!(reused, from_scratch(&fs), "{srcs:?}");
+        }
+        // The generated workspace really re-evaluates callers in pass 1,
+        // and no more than the callers.
+        let fs = files(
+            &gen.iter()
+                .map(|(p, s)| (p.as_str(), s.as_str()))
+                .collect::<Vec<_>>(),
+        );
+        let fns = analysable(&fs).len() as u64;
+        let fx = Fixpoint::solve(&fs, &Symbols::build(&fs));
+        assert!(
+            fx.clock > fns && fx.clock < 2 * fns,
+            "{} evaluations of {fns} fns",
+            fx.clock
+        );
     }
 
     #[test]

@@ -28,12 +28,15 @@
 //! | `lossy-narrowing` | B2   | selectors keep enough source bits for their range |
 //! | `scenario-schema` | S1   | `scenarios/*.json` match experiment schemas      |
 //!
-//! D1–D4, R1, L1, and L2 are single-file rules and cache per file
-//! (content-hash keyed, `target/lint-cache.json`); H2, N1, L3, and the
+//! Each file is tokenized once into tokens that borrow the source text
+//! ([`tokenizer`]). D1–D4, R1, L1, and L2 are single-file rules and
+//! cache per file (content-hash keyed, `target/lint-cache.json`; with
+//! the cache off nothing is hashed or built); H2, N1, L3, and the
 //! bit-provenance rules B1/B2 walk the workspace call graph (and
-//! the [`absint`] lane summaries) built from the per-file indexes and
-//! are recomputed every run, as are S1 and the waiver file. A cold run
-//! fans the per-file work out across threads ([`LintConfig::jobs`])
+//! the [`absint`] lane summaries, which re-evaluate a function only
+//! when a callee's summary changed) built from the per-file indexes
+//! and are recomputed every run, as are S1 and the waiver file. A cold
+//! run fans the per-file work out across threads ([`LintConfig::jobs`])
 //! and merges by file index, so the report is byte-identical across
 //! serial, parallel, and cached runs.
 //!
@@ -194,20 +197,21 @@ fn append_reachability(findings: &mut Vec<Finding>, indexes: &[(String, FileInde
 ///
 /// With `config.use_cache`, unchanged files (by content hash) replay
 /// their cached findings and index without re-tokenizing; the refreshed
-/// cache is written back to `target/lint-cache.json` best-effort. The
-/// report is byte-identical either way.
+/// cache is written back to `target/lint-cache.json` best-effort.
+/// Without it, no file is hashed and no cache is built. The report is
+/// byte-identical either way.
 ///
 /// # Errors
 /// Propagates I/O errors from walking the tree or reading files.
 pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
     let mut report = LintReport::default();
     let cache_path = config.root.join(CACHE_REL_PATH);
-    let old_cache = if config.use_cache {
-        cache::LintCache::load(&cache_path)
-    } else {
-        cache::LintCache::default()
-    };
-    let mut new_cache = cache::LintCache::default();
+    // Without the cache there is nothing to probe or refresh: no
+    // content hash, no cache entry, no index copy.
+    let old_cache = config
+        .use_cache
+        .then(|| cache::LintCache::load(&cache_path));
+    let mut new_cache = config.use_cache.then(cache::LintCache::default);
 
     // Source files: crates/*/src/**/*.rs, crate and file order sorted so
     // the report (and the call-graph walk) is byte-stable.
@@ -218,13 +222,19 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
             collect_rs(&src, &mut rs_files)?;
         }
     }
-    // Phase 1 (serial): read, hash, and probe the cache for every file.
+    // Phase 1 (serial): read every file; with the cache, hash it and
+    // probe the cache (the hash stays 0, unused, without).
     let mut scanned: Vec<(String, String, u64, Option<cache::CacheEntry>)> = Vec::new();
     for path in &rs_files {
         let rel = rel_path(&config.root, path);
         let text = fs::read_to_string(path)?;
-        let hash = cache::content_hash(&text);
-        let hit = old_cache.lookup(&rel, hash).cloned();
+        let (hash, hit) = match &old_cache {
+            Some(old) => {
+                let hash = cache::content_hash(&text);
+                (hash, old.lookup(&rel, hash).cloned())
+            }
+            None => (0, None),
+        };
         scanned.push((rel, text, hash, hit));
     }
 
@@ -273,23 +283,30 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
         .collect();
     let mut indexes: Vec<(String, FileIndex)> = Vec::new();
     for (i, (rel, _, hash, hit)) in scanned.into_iter().enumerate() {
+        let cache = new_cache.as_mut();
         if let Some(e) = hit {
             report.cache_hits += 1;
             report.findings.extend(e.findings.iter().cloned());
             indexes.push((rel.clone(), e.index.clone()));
-            new_cache.entries.insert(rel, e);
+            if let Some(cache) = cache {
+                cache.entries.insert(rel, e);
+            }
         } else {
             report.cache_misses += 1;
             let a = fresh_by_file.remove(&i).expect("miss index is present");
-            report.findings.extend(a.findings.iter().cloned());
-            new_cache.entries.insert(
-                rel.clone(),
-                cache::CacheEntry {
-                    hash,
-                    findings: a.findings,
-                    index: a.index.clone(),
-                },
-            );
+            if let Some(cache) = cache {
+                report.findings.extend(a.findings.iter().cloned());
+                cache.entries.insert(
+                    rel.clone(),
+                    cache::CacheEntry {
+                        hash,
+                        findings: a.findings,
+                        index: a.index.clone(),
+                    },
+                );
+            } else {
+                report.findings.extend(a.findings);
+            }
             indexes.push((rel, a.index));
         }
         report.files_scanned += 1;
@@ -336,9 +353,9 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
     }
 
     findings::sort_dedup(&mut report.findings);
-    if config.use_cache {
+    if let Some(cache) = new_cache {
         // Best-effort: a read-only target dir must not fail the lint.
-        let _ = new_cache.save(&cache_path);
+        let _ = cache.save(&cache_path);
     }
     Ok(report)
 }

@@ -456,7 +456,7 @@ fn typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
             && toks[k - 1].kind == TokKind::Ident
             && !(k >= 2 && toks[k - 2].is_punct(':'))
         {
-            record(&toks[k - 1].text, &t.text);
+            record(toks[k - 1].text, t.text);
             continue;
         }
         // `name = Type::new(..)` / `= Type::default()` / `= Type::with_capacity(..)`.
@@ -467,13 +467,10 @@ fn typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
             && toks[i + 1].is_punct(':')
             && toks[i + 2].is_punct(':')
             && toks[i + 3].kind == TokKind::Ident
-            && matches!(
-                toks[i + 3].text.as_str(),
-                "new" | "default" | "with_capacity"
-            )
+            && matches!(toks[i + 3].text, "new" | "default" | "with_capacity")
             && toks[i + 4].is_punct('(')
         {
-            record(&toks[k - 1].text, &t.text);
+            record(toks[k - 1].text, t.text);
         }
     }
     out
@@ -538,12 +535,13 @@ fn sync_typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
             && k >= 1
             && toks[k - 1].kind == TokKind::Ident
         {
-            Some(&toks[k - 1].text)
+            Some(toks[k - 1].text)
         } else {
             None
         };
         if let Some(name) = name {
-            out.entry(name.clone()).or_insert_with(|| t.text.clone());
+            out.entry(name.to_string())
+                .or_insert_with(|| t.text.to_string());
         }
     }
     out
@@ -654,8 +652,8 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
         // `impl [<..>] [Trait for] Type {`.
         if t.is_ident("impl") {
             let mut angle = 0i32;
-            let mut last_ident: Option<String> = None;
-            let mut after_for: Option<String> = None;
+            let mut last_ident: Option<&str> = None;
+            let mut after_for: Option<&str> = None;
             let mut saw_for = false;
             let mut j = i + 1;
             while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
@@ -670,15 +668,15 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
                     saw_for = true;
                 } else if angle == 0 && tj.kind == TokKind::Ident {
                     if saw_for {
-                        after_for = Some(tj.text.clone());
+                        after_for = Some(tj.text);
                     } else {
-                        last_ident = Some(tj.text.clone());
+                        last_ident = Some(tj.text);
                     }
                 }
                 j += 1;
             }
             pending = Some(Scope::Impl {
-                ty: if saw_for { after_for } else { last_ident },
+                ty: if saw_for { after_for } else { last_ident }.map(str::to_string),
             });
             pending_test_attr = false;
             i += 1;
@@ -687,7 +685,7 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
 
         // `fn name ( .. )`.
         if t.is_ident("fn") && i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.clone();
+            let name = toks[i + 1].text.to_string();
             let line = t.line;
             // Find the parameter list (skipping generics) and check for
             // `self`; then decide body `{` vs trait signature `;`.
@@ -809,7 +807,7 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             && toks[i + 2].kind == TokKind::Ident
             && toks[i + 3].is_punct(')')
         {
-            let dropped = toks[i + 2].text.clone();
+            let dropped = toks[i + 2].text;
             guards.retain(|(name, ..)| *name != dropped);
         }
         if t.is_punct('.')
@@ -880,7 +878,7 @@ fn scan_alloc(toks: &[Tok], i: usize, out: &mut Vec<AllocSite>) {
     if t.is_punct('.')
         && i + 2 < toks.len()
         && toks[i + 1].kind == TokKind::Ident
-        && ALLOC_METHODS.contains(&toks[i + 1].text.as_str())
+        && ALLOC_METHODS.contains(&toks[i + 1].text)
         && toks[i + 2].is_punct('(')
     {
         out.push(AllocSite {
@@ -890,7 +888,7 @@ fn scan_alloc(toks: &[Tok], i: usize, out: &mut Vec<AllocSite>) {
     }
     // `Vec::new(`, `String::new(`, `Box::new(`.
     if t.kind == TokKind::Ident
-        && ALLOC_TYPES.contains(&t.text.as_str())
+        && ALLOC_TYPES.contains(&t.text)
         && i + 3 < toks.len()
         && toks[i + 1].is_punct(':')
         && toks[i + 2].is_punct(':')
@@ -903,7 +901,7 @@ fn scan_alloc(toks: &[Tok], i: usize, out: &mut Vec<AllocSite>) {
     }
     // `format!(`, `vec![`.
     if t.kind == TokKind::Ident
-        && ALLOC_MACROS.contains(&t.text.as_str())
+        && ALLOC_MACROS.contains(&t.text)
         && i + 1 < toks.len()
         && toks[i + 1].is_punct('!')
     {
@@ -913,7 +911,7 @@ fn scan_alloc(toks: &[Tok], i: usize, out: &mut Vec<AllocSite>) {
         });
     }
     // `with_capacity(` through any path.
-    if t.kind == TokKind::Ident && ALLOC_BARE.contains(&t.text.as_str()) {
+    if t.kind == TokKind::Ident && ALLOC_BARE.contains(&t.text) {
         out.push(AllocSite {
             what: format!("`{}`", t.text),
             line: t.line,
@@ -930,11 +928,12 @@ fn scan_call(toks: &[Tok], i: usize, fences: &[(u32, u32)], out: &mut Vec<CallSi
         && i + 2 < toks.len()
         && toks[i + 1].kind == TokKind::Ident
         && toks[i + 2].is_punct('(')
-        && !ALLOC_METHODS.contains(&toks[i + 1].text.as_str())
+        && !ALLOC_METHODS.contains(&toks[i + 1].text)
     {
-        let recv = (i > 0 && toks[i - 1].kind == TokKind::Ident).then(|| toks[i - 1].text.clone());
+        let recv =
+            (i > 0 && toks[i - 1].kind == TokKind::Ident).then(|| toks[i - 1].text.to_string());
         out.push(CallSite {
-            callee: toks[i + 1].text.clone(),
+            callee: toks[i + 1].text.to_string(),
             qual: None,
             recv,
             method: true,
@@ -955,8 +954,8 @@ fn scan_call(toks: &[Tok], i: usize, fences: &[(u32, u32)], out: &mut Vec<CallSi
         && toks[i + 4].is_punct('(')
     {
         out.push(CallSite {
-            callee: toks[i + 3].text.clone(),
-            qual: Some(t.text.clone()),
+            callee: toks[i + 3].text.to_string(),
+            qual: Some(t.text.to_string()),
             recv: None,
             method: false,
             line: toks[i + 3].line,
@@ -967,13 +966,13 @@ fn scan_call(toks: &[Tok], i: usize, fences: &[(u32, u32)], out: &mut Vec<CallSi
     // Bare call `name(`.
     if i + 1 < toks.len()
         && toks[i + 1].is_punct('(')
-        && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
+        && !NON_CALL_KEYWORDS.contains(&t.text)
         && !(i >= 1 && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct('!')))
         && !(i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':'))
         && !(i >= 1 && toks[i - 1].is_ident("fn"))
     {
         out.push(CallSite {
-            callee: t.text.clone(),
+            callee: t.text.to_string(),
             qual: None,
             recv: None,
             method: false,
@@ -991,7 +990,7 @@ fn scan_nondet(toks: &[Tok], i: usize, out: &mut Vec<NondetSite>) {
     if t.kind != TokKind::Ident {
         return;
     }
-    match t.text.as_str() {
+    match t.text {
         // `available_parallelism(` through any path.
         "available_parallelism" if i + 1 < toks.len() && toks[i + 1].is_punct('(') => {
             out.push(NondetSite {
@@ -1060,10 +1059,7 @@ fn scan_nondet(toks: &[Tok], i: usize, out: &mut Vec<NondetSite>) {
         {
             let int_cast = toks[i + 3..toks.len().min(i + 9)].windows(2).any(|w| {
                 w[0].is_ident("as")
-                    && matches!(
-                        w[1].text.as_str(),
-                        "usize" | "u64" | "u32" | "isize" | "i64"
-                    )
+                    && matches!(w[1].text, "usize" | "u64" | "u32" | "isize" | "i64")
             });
             if int_cast {
                 out.push(NondetSite {
@@ -1085,7 +1081,7 @@ fn is_stdio_receiver(toks: &[Tok], dot: usize) -> bool {
         && toks[dot - 1].is_punct(')')
         && toks[dot - 2].is_punct('(')
         && toks[dot - 3].kind == TokKind::Ident
-        && matches!(toks[dot - 3].text.as_str(), "stdin" | "stdout" | "stderr")
+        && matches!(toks[dot - 3].text, "stdin" | "stdout" | "stderr")
 }
 
 /// If the `let` at `i` binds a lock guard — `let [mut] name [: T] =
@@ -1104,7 +1100,7 @@ fn guard_binding(toks: &[Tok], i: usize) -> Option<(String, usize, Option<String
     if name_tok.kind != TokKind::Ident {
         return None;
     }
-    let name = name_tok.text.clone();
+    let name = name_tok.text.to_string();
     j += 1;
     match toks.get(j)? {
         t if t.is_punct('=') => j += 1,
@@ -1186,7 +1182,7 @@ fn lock_target(toks: &[Tok], dot: usize) -> Option<String> {
         let p = &toks[k - 1];
         if p.kind == TokKind::Ident {
             // `self.lock()` itself names nothing useful.
-            return (!p.is_ident("self")).then(|| p.text.clone());
+            return (!p.is_ident("self")).then(|| p.text.to_string());
         }
         if p.is_punct(']') {
             // Index expression: hop to the matching `[`, keep walking.
@@ -1234,7 +1230,7 @@ fn const_literal(toks: &[Tok], i: usize) -> Option<(String, u64)> {
     if num.kind != TokKind::Num || !toks.get(k + 2)?.is_punct(';') {
         return None;
     }
-    Some((name.text.clone(), int_literal(&num.text)?))
+    Some((name.text.to_string(), int_literal(num.text)?))
 }
 
 /// Parses a Rust integer literal (`0xFF_u64`, `1_024`, `0b1010`,
@@ -1286,7 +1282,7 @@ fn param_names(toks: &[Tok]) -> Vec<String> {
             && !(k >= 2 && toks[k - 2].is_punct(':'))
             && !toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
         {
-            out.push(toks[k - 1].text.clone());
+            out.push(toks[k - 1].text.to_string());
         }
     }
     out
@@ -1367,7 +1363,7 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
         if j >= hi || toks[j].kind != TokKind::Ident {
             return;
         }
-        let (name, line) = (toks[j].text.clone(), toks[j].line);
+        let (name, line) = (toks[j].text.to_string(), toks[j].line);
         // Find the binder `=` at bracket depth 0 (skips `: Vec<u64>`
         // ascriptions; an `fn(..) -> ..` ascription confuses the angle
         // count and simply drops the bind — conservative).
@@ -1447,7 +1443,7 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
             && toks[k].text.len() == 1
             && COMPOUND_OPS.contains(&toks[k].text.chars().next().unwrap_or(' '))
         {
-            ops.push(toks[k].text.as_str());
+            ops.push(toks[k].text);
             k += 1;
         }
         let is_assign = k < hi
@@ -1463,7 +1459,7 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
                 format!("{} {} ( {rhs} )", t.text, ops.join(" "))
             };
             out.push(BindSite {
-                name: t.text.clone(),
+                name: t.text.to_string(),
                 line: t.line,
                 expr,
             });
@@ -1485,7 +1481,7 @@ fn encode_expr(toks: &[Tok], lo: usize, hi: usize) -> String {
         if t.kind == TokKind::Lit {
             out.push('#');
         } else {
-            out.push_str(&t.text);
+            out.push_str(t.text);
         }
     }
     out
@@ -1535,7 +1531,7 @@ fn stores_into(toks: &[Tok], j: usize) -> bool {
             && toks[k + 1].kind == TokKind::Ident
             && toks[k + 2].is_punct('(')
         {
-            if SYNC_STORE_METHODS.contains(&toks[k + 1].text.as_str()) {
+            if SYNC_STORE_METHODS.contains(&toks[k + 1].text) {
                 return true;
             }
             k = matching_close(toks, k + 2) + 1;
@@ -1578,7 +1574,7 @@ fn spawn_drained(toks: &[Tok], close: usize, scopes: &[Scope], site: &SpawnSite)
             if depth <= -opens {
                 break;
             }
-        } else if (t.kind == TokKind::Ident && stored.contains(&t.text.as_str()))
+        } else if (t.kind == TokKind::Ident && stored.contains(&t.text))
             || (t.is_punct('.')
                 && k + 2 < toks.len()
                 && toks[k + 1].is_ident("join")
@@ -1619,7 +1615,7 @@ fn scan_spawn(
     let mut bound: Vec<&str> = args[p1 + 1..p2]
         .iter()
         .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
+        .map(|t| t.text)
         .collect();
     let body = &args[p2 + 1..];
     for (j, t) in body.iter().enumerate() {
@@ -1635,7 +1631,7 @@ fn scan_spawn(
                     break;
                 }
                 if tok.kind == TokKind::Ident && !tok.is_ident("mut") {
-                    bound.push(tok.text.as_str());
+                    bound.push(tok.text);
                 }
             }
         }
@@ -1646,20 +1642,20 @@ fn scan_spawn(
             && j + 2 < body.len()
             && body[j + 1].is_ident("mut")
             && body[j + 2].kind == TokKind::Ident
-            && !bound.contains(&body[j + 2].text.as_str())
+            && !bound.contains(&body[j + 2].text)
         {
             site.captures.push(Capture {
-                ident: body[j + 2].text.clone(),
+                ident: body[j + 2].text.to_string(),
                 line: body[j + 2].line,
                 kind: CaptureKind::MutBorrow,
             });
         }
         // Use of a RefCell/Cell/Rc-typed identifier from outside.
-        if t.kind == TokKind::Ident && !bound.contains(&t.text.as_str()) {
-            if let Some(ty) = typed.get(&t.text) {
+        if t.kind == TokKind::Ident && !bound.contains(&t.text) {
+            if let Some(ty) = typed.get(t.text) {
                 if CELL_TYPES.contains(&ty.as_str()) {
                     site.captures.push(Capture {
-                        ident: t.text.clone(),
+                        ident: t.text.to_string(),
                         line: t.line,
                         kind: CaptureKind::CellLike(ty.clone()),
                     });
@@ -1668,13 +1664,13 @@ fn scan_spawn(
         }
         // Sync-typed captures (L2): one record per ident, `stored` if
         // any use in the body writes through it.
-        if t.kind == TokKind::Ident && !bound.contains(&t.text.as_str()) {
-            if let Some(ty) = sync_typed.get(&t.text) {
+        if t.kind == TokKind::Ident && !bound.contains(&t.text) {
+            if let Some(ty) = sync_typed.get(t.text) {
                 if let Some(cap) = site.sync.iter_mut().find(|c| c.ident == t.text) {
                     cap.stored = cap.stored || stores_into(body, j);
                 } else {
                     site.sync.push(SyncCapture {
-                        ident: t.text.clone(),
+                        ident: t.text.to_string(),
                         line: t.line,
                         ty: ty.clone(),
                         stored: stores_into(body, j),

@@ -135,12 +135,12 @@ fn hash_typed_idents(toks: &[Tok]) -> BTreeSet<String> {
             && toks[k - 1].kind == TokKind::Ident
             && !(k >= 2 && toks[k - 2].is_punct(':'))
         {
-            out.insert(toks[k - 1].text.clone());
+            out.insert(toks[k - 1].text.to_string());
             continue;
         }
         // `name = HashMap::new()` / `= std::collections::HashSet::new()`.
         if toks[k].is_punct('=') && k >= 1 && toks[k - 1].kind == TokKind::Ident {
-            out.insert(toks[k - 1].text.clone());
+            out.insert(toks[k - 1].text.to_string());
         }
     }
     out
@@ -168,7 +168,7 @@ fn statement_end(toks: &[Tok], si: usize) -> usize {
 
 /// Walks backwards from `si` to the start of its statement; returns the
 /// identifier bound by a `let [mut] name` heading it, if any.
-fn statement_binding(toks: &[Tok], si: usize) -> Option<&str> {
+fn statement_binding<'a>(toks: &[Tok<'a>], si: usize) -> Option<&'a str> {
     let mut depth = 0i32;
     let mut j = si;
     while j > 0 {
@@ -188,8 +188,7 @@ fn statement_binding(toks: &[Tok], si: usize) -> Option<&str> {
             if k < toks.len() && toks[k].is_ident("mut") {
                 k += 1;
             }
-            return (k < toks.len() && toks[k].kind == TokKind::Ident)
-                .then(|| toks[k].text.as_str());
+            return (k < toks.len() && toks[k].kind == TokKind::Ident).then(|| toks[k].text);
         }
     }
     None
@@ -205,7 +204,7 @@ fn feeds_a_sort(toks: &[Tok], si: usize) -> bool {
         j + 2 < toks.len()
             && toks[j].is_punct('.')
             && toks[j + 1].kind == TokKind::Ident
-            && SORT_METHODS.contains(&toks[j + 1].text.as_str())
+            && SORT_METHODS.contains(&toks[j + 1].text)
             && toks[j + 2].is_punct('(')
     };
     if (si..end).any(is_sort_at) {
@@ -260,10 +259,10 @@ fn check_hash_iter(
     // Method-call sites: `x.iter()`, `x.keys()`, ...
     for i in 0..toks.len().saturating_sub(3) {
         if toks[i].kind == TokKind::Ident
-            && hashed.contains(&toks[i].text)
+            && hashed.contains(toks[i].text)
             && toks[i + 1].is_punct('.')
             && toks[i + 2].kind == TokKind::Ident
-            && HASH_ITER_METHODS.contains(&toks[i + 2].text.as_str())
+            && HASH_ITER_METHODS.contains(&toks[i + 2].text)
             && toks[i + 3].is_punct('(')
         {
             sites.push((
@@ -321,7 +320,7 @@ fn check_hash_iter(
         }
         if let Some(t) = toks[j + 1..k]
             .iter()
-            .find(|t| t.kind == TokKind::Ident && hashed.contains(&t.text))
+            .find(|t| t.kind == TokKind::Ident && hashed.contains(t.text))
         {
             sites.push((
                 toks[i].line,

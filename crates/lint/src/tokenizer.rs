@@ -14,6 +14,13 @@
 //! (`1.5f32` is one token, `0..n` is three), multi-character operators
 //! are emitted as single-character punctuation, and lifetimes are
 //! dropped entirely. None of the rules need more.
+//!
+//! It scans the source's bytes and allocates nothing per token: every
+//! [`Tok`] and [`LineComment`] borrows its text as a slice of the
+//! source. A `char` is decoded only at a non-ASCII byte, where the
+//! Unicode `is_whitespace` / `is_alphabetic` / `is_alphanumeric`
+//! classes still apply; all delimiters are ASCII, so a scan that skips
+//! bytes inside a literal or comment can never end mid-character.
 
 /// Token classes the rules distinguish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +35,18 @@ pub enum TokKind {
     Punct,
 }
 
-/// One token with its source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+/// One token with its source line; `text` borrows the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tok<'a> {
     /// Token class.
     pub kind: TokKind,
     /// Token text (`""` for literals — content is never rule-relevant).
-    pub text: String,
+    pub text: &'a str,
     /// 1-based source line.
     pub line: u32,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// `true` if this is the identifier `name`.
     #[must_use]
     pub fn is_ident(&self, name: &str) -> bool {
@@ -54,67 +61,93 @@ impl Tok {
 }
 
 /// A `//` line comment (the carrier for lint markers and waivers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineComment {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineComment<'a> {
     /// 1-based source line the comment starts on.
     pub line: u32,
     /// Comment text after the `//` (leading `/` of doc comments kept).
-    pub text: String,
+    pub text: &'a str,
 }
 
-/// A tokenized source file: the token stream plus every line comment.
+/// A tokenized source file: the token stream plus every line comment,
+/// both borrowing the source text.
 #[derive(Debug, Default)]
-pub struct TokenizedFile {
+pub struct TokenizedFile<'a> {
     /// Tokens in source order.
-    pub toks: Vec<Tok>,
+    pub toks: Vec<Tok<'a>>,
     /// Line comments in source order.
-    pub comments: Vec<LineComment>,
+    pub comments: Vec<LineComment<'a>>,
 }
 
 /// Tokenizes Rust source. Never fails: unterminated literals consume
 /// the rest of the file, which is the safe direction for a linter
 /// (nothing after them can fire spuriously).
 #[must_use]
-pub fn tokenize(src: &str) -> TokenizedFile {
-    let b: Vec<char> = src.chars().collect();
+pub fn tokenize(src: &str) -> TokenizedFile<'_> {
+    let b = src.as_bytes();
     let mut out = TokenizedFile::default();
     let mut i = 0usize;
     let mut line = 1u32;
-
-    let ident_start = |c: char| c.is_alphabetic() || c == '_';
-    let ident_cont = |c: char| c.is_alphanumeric() || c == '_';
+    let lit = |line| Tok {
+        kind: TokKind::Lit,
+        text: "",
+        line,
+    };
 
     while i < b.len() {
         let c = b[i];
-        if c == '\n' {
+        if !c.is_ascii() {
+            // The only place a char is decoded: whitespace, identifier
+            // start, or a one-char punctuation token.
+            let ch = char_at(src, i);
+            let end = i + ch.len_utf8();
+            if ch.is_whitespace() {
+                i = end;
+            } else if ch.is_alphabetic() {
+                let start = i;
+                i = ident_end(src, end);
+                out.toks.push(Tok {
+                    kind: TokKind::Ident,
+                    text: &src[start..i],
+                    line,
+                });
+            } else {
+                out.toks.push(Tok {
+                    kind: TokKind::Punct,
+                    text: &src[i..end],
+                    line,
+                });
+                i = end;
+            }
+        } else if c == b'\n' {
             line += 1;
             i += 1;
-        } else if c.is_whitespace() {
+        } else if is_ascii_space(c) {
             i += 1;
-        } else if c == '/' && i + 1 < b.len() && b[i + 1] == '/' {
+        } else if c == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
             // Line comment.
             let start = i + 2;
             let mut j = start;
-            while j < b.len() && b[j] != '\n' {
+            while j < b.len() && b[j] != b'\n' {
                 j += 1;
             }
             out.comments.push(LineComment {
                 line,
-                text: b[start..j].iter().collect(),
+                text: &src[start..j],
             });
             i = j;
-        } else if c == '/' && i + 1 < b.len() && b[i + 1] == '*' {
+        } else if c == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
             // Block comment, nested.
             let mut depth = 1usize;
             let mut j = i + 2;
             while j < b.len() && depth > 0 {
-                if b[j] == '\n' {
+                if b[j] == b'\n' {
                     line += 1;
                     j += 1;
-                } else if b[j] == '/' && j + 1 < b.len() && b[j + 1] == '*' {
+                } else if b[j] == b'/' && j + 1 < b.len() && b[j + 1] == b'*' {
                     depth += 1;
                     j += 2;
-                } else if b[j] == '*' && j + 1 < b.len() && b[j + 1] == '/' {
+                } else if b[j] == b'*' && j + 1 < b.len() && b[j + 1] == b'/' {
                     depth -= 1;
                     j += 2;
                 } else {
@@ -122,101 +155,61 @@ pub fn tokenize(src: &str) -> TokenizedFile {
                 }
             }
             i = j;
-        } else if c == '"' {
-            i = skip_string(&b, i, &mut line);
-            out.toks.push(Tok {
-                kind: TokKind::Lit,
-                text: String::new(),
-                line,
-            });
-        } else if (c == 'r' || c == 'b') && raw_string_hashes(&b, i).is_some() {
-            let hashes = raw_string_hashes(&b, i).expect("checked");
-            i = skip_raw_string(&b, i, hashes, &mut line);
-            out.toks.push(Tok {
-                kind: TokKind::Lit,
-                text: String::new(),
-                line,
-            });
-        } else if c == 'b' && i + 1 < b.len() && (b[i + 1] == '"' || b[i + 1] == '\'') {
-            let quote = b[i + 1];
-            i = if quote == '"' {
-                skip_string(&b, i + 1, &mut line)
-            } else {
-                skip_char(&b, i + 1, &mut line)
-            };
-            out.toks.push(Tok {
-                kind: TokKind::Lit,
-                text: String::new(),
-                line,
-            });
-        } else if c == '\'' {
+        } else if c == b'"' {
+            i = skip_quoted(b, i, b'"', &mut line);
+            out.toks.push(lit(line));
+        } else if let Some(hashes) = raw_string_hashes(b, i) {
+            i = skip_raw_string(b, i, hashes, &mut line);
+            out.toks.push(lit(line));
+        } else if c == b'b' && i + 1 < b.len() && (b[i + 1] == b'"' || b[i + 1] == b'\'') {
+            i = skip_quoted(b, i + 1, b[i + 1], &mut line);
+            out.toks.push(lit(line));
+        } else if c == b'\'' {
             // Char literal or lifetime. `'a'` is a char; `'a` (no closing
             // quote after the identifier) is a lifetime, which we drop.
-            let mut j = i + 1;
-            if j < b.len() && b[j] == '\\' {
-                i = skip_char(&b, i, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Lit,
-                    text: String::new(),
-                    line,
-                });
+            if i + 1 < b.len() && b[i + 1] == b'\\' {
+                i = skip_quoted(b, i, b'\'', &mut line);
+                out.toks.push(lit(line));
             } else {
-                while j < b.len() && ident_cont(b[j]) {
-                    j += 1;
-                }
-                if j < b.len() && b[j] == '\'' && j > i + 1 {
+                let j = ident_end(src, i + 1);
+                if j < b.len() && b[j] == b'\'' && j > i + 1 {
                     // 'x' style char literal (single ident-char run).
                     i = j + 1;
-                    out.toks.push(Tok {
-                        kind: TokKind::Lit,
-                        text: String::new(),
-                        line,
-                    });
+                    out.toks.push(lit(line));
                 } else if j == i + 1 && j < b.len() {
                     // Non-identifier char like '(' — a char literal.
-                    i = skip_char(&b, i, &mut line);
-                    out.toks.push(Tok {
-                        kind: TokKind::Lit,
-                        text: String::new(),
-                        line,
-                    });
+                    i = skip_quoted(b, i, b'\'', &mut line);
+                    out.toks.push(lit(line));
                 } else {
                     // Lifetime: drop it.
                     i = j;
                 }
             }
-        } else if ident_start(c) {
+        } else if c.is_ascii_alphabetic() || c == b'_' {
             let start = i;
-            while i < b.len() && ident_cont(b[i]) {
-                i += 1;
-            }
+            i = ident_end(src, i + 1);
             out.toks.push(Tok {
                 kind: TokKind::Ident,
-                text: b[start..i].iter().collect(),
+                text: &src[start..i],
                 line,
             });
         } else if c.is_ascii_digit() {
             let start = i;
-            while i < b.len() && (ident_cont(b[i])) {
-                i += 1;
-            }
+            i = ident_end(src, i + 1);
             // `1.5` / `1.5f32`: take the fraction only if a digit follows
             // the dot (so `0..n` stays three tokens).
-            if i + 1 < b.len() && b[i] == '.' && b[i + 1].is_ascii_digit() {
-                i += 1;
-                while i < b.len() && ident_cont(b[i]) {
-                    i += 1;
-                }
+            if i + 1 < b.len() && b[i] == b'.' && b[i + 1].is_ascii_digit() {
+                i = ident_end(src, i + 1);
             }
             out.toks.push(Tok {
                 kind: TokKind::Num,
-                text: b[start..i].iter().collect(),
+                text: &src[start..i],
                 line,
             });
         } else {
             out.toks.push(Tok {
                 kind: TokKind::Punct,
-                text: c.to_string(),
+                text: &src[i..=i],
                 line,
             });
             i += 1;
@@ -225,37 +218,72 @@ pub fn tokenize(src: &str) -> TokenizedFile {
     out
 }
 
+/// The char starting at byte `i`, which must be a char boundary.
+fn char_at(src: &str, i: usize) -> char {
+    src[i..].chars().next().expect("i < src.len()")
+}
+
+/// ASCII bytes `char::is_whitespace` accepts, `\n` aside (it counts
+/// lines). Unlike `u8::is_ascii_whitespace`, this includes `\x0B`.
+fn is_ascii_space(c: u8) -> bool {
+    matches!(c, b' ' | b'\t' | b'\r' | 0x0B | 0x0C)
+}
+
+/// End of the identifier-continue run (`_` or alphanumeric) that
+/// starts at byte `j`, a char boundary.
+fn ident_end(src: &str, mut j: usize) -> usize {
+    let b = src.as_bytes();
+    while j < b.len() {
+        let c = b[j];
+        if c.is_ascii_alphanumeric() || c == b'_' {
+            j += 1;
+        } else if c.is_ascii() {
+            break;
+        } else {
+            let ch = char_at(src, j);
+            if !ch.is_alphanumeric() {
+                break;
+            }
+            j += ch.len_utf8();
+        }
+    }
+    j
+}
+
 /// If position `i` starts a raw (byte) string (`r"`, `r#"`, `br##"`,
-/// ...), returns the number of `#`s; otherwise `None`.
-fn raw_string_hashes(b: &[char], i: usize) -> Option<usize> {
+/// ...), returns the number of `#`s; otherwise `None` (always for a
+/// byte other than `r` or `b`).
+fn raw_string_hashes(b: &[u8], i: usize) -> Option<usize> {
     let mut j = i;
-    if b[j] == 'b' {
+    if b[j] == b'b' {
         j += 1;
     }
-    if j >= b.len() || b[j] != 'r' {
+    if j >= b.len() || b[j] != b'r' {
         return None;
     }
     j += 1;
     let mut hashes = 0usize;
-    while j < b.len() && b[j] == '#' {
+    while j < b.len() && b[j] == b'#' {
         hashes += 1;
         j += 1;
     }
-    (j < b.len() && b[j] == '"').then_some(hashes)
+    (j < b.len() && b[j] == b'"').then_some(hashes)
 }
 
-/// Skips a `"..."` string starting at the opening quote; returns the
-/// index after the closing quote.
-fn skip_string(b: &[char], open: usize, line: &mut u32) -> usize {
+/// Skips a `"..."` string or `'...'` char literal starting at the
+/// opening `quote`; returns the index after the closing quote. An
+/// escape skips one byte, which may land inside a multi-byte char: the
+/// scan only compares ASCII bytes, so it resynchronises on its own.
+fn skip_quoted(b: &[u8], open: usize, quote: u8, line: &mut u32) -> usize {
     let mut j = open + 1;
     while j < b.len() {
         match b[j] {
-            '\\' => j += 2,
-            '"' => return j + 1,
-            '\n' => {
+            b'\\' => j += 2,
+            b'\n' => {
                 *line += 1;
                 j += 1;
             }
+            q if q == quote => return j + 1,
             _ => j += 1,
         }
     }
@@ -263,44 +291,27 @@ fn skip_string(b: &[char], open: usize, line: &mut u32) -> usize {
 }
 
 /// Skips a raw string `r##"..."##` (position at the `r`/`b`).
-fn skip_raw_string(b: &[char], start: usize, hashes: usize, line: &mut u32) -> usize {
+fn skip_raw_string(b: &[u8], start: usize, hashes: usize, line: &mut u32) -> usize {
     let mut j = start;
-    while j < b.len() && b[j] != '"' {
+    while j < b.len() && b[j] != b'"' {
         j += 1;
     }
     j += 1; // past opening quote
     while j < b.len() {
-        if b[j] == '\n' {
+        if b[j] == b'\n' {
             *line += 1;
             j += 1;
-        } else if b[j] == '"'
+        } else if b[j] == b'"'
             && b[j + 1..]
                 .iter()
                 .take(hashes)
-                .filter(|&&c| c == '#')
+                .filter(|&&c| c == b'#')
                 .count()
                 == hashes
         {
             return j + 1 + hashes;
         } else {
             j += 1;
-        }
-    }
-    j
-}
-
-/// Skips a `'...'` char literal starting at the opening quote.
-fn skip_char(b: &[char], open: usize, line: &mut u32) -> usize {
-    let mut j = open + 1;
-    while j < b.len() {
-        match b[j] {
-            '\\' => j += 2,
-            '\'' => return j + 1,
-            '\n' => {
-                *line += 1;
-                j += 1;
-            }
-            _ => j += 1,
         }
     }
     j
@@ -315,7 +326,7 @@ mod tests {
             .toks
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text)
+            .map(|t| t.text.to_string())
             .collect()
     }
 
@@ -376,7 +387,7 @@ mod tests {
             .toks
             .iter()
             .filter(|t| t.kind == TokKind::Num)
-            .map(|t| t.text.as_str())
+            .map(|t| t.text)
             .collect();
         assert_eq!(nums, ["1.5f32", "0", "0xFFu64"]);
     }
