@@ -81,6 +81,15 @@ fi
 
 step "benches compile" cargo build --benches --offline
 
+# Every example under examples/ must run to completion, not just
+# compile: a panicking example fails CI. Stdout is discarded; a panic
+# message still reaches the log on stderr.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    step "example $name" sh -c \
+        "cargo run --release --offline -q -p ehp-bench --example $name > /dev/null"
+done
+
 # Perf smoke: the sharded-replay bench must stay within 30% of the
 # checked-in baseline (machine-speed differences are normalised by the
 # calibration loop saved alongside the baseline; see

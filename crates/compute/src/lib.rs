@@ -8,7 +8,9 @@
 //! These models are *throughput-accurate*: they answer "how many
 //! operations per clock can this block retire for datatype X on unit Y"
 //! and expose roofline-style execution-time estimates, which is the level
-//! at which every quantitative claim in the paper is made.
+//! at which every quantitative claim in the paper is made. The Section
+//! IV.B studies add a CU occupancy calculator ([`occupancy`]) and the
+//! shared per-CU-pair instruction-cache comparison ([`icache`]).
 //!
 //! ## Example
 //!
@@ -29,7 +31,6 @@ pub mod ccd;
 pub mod cu;
 pub mod dtype;
 pub mod icache;
-pub mod kernel;
 pub mod occupancy;
 pub mod xcd;
 

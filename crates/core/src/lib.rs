@@ -5,10 +5,8 @@
 //! hypothetical EHPv4), the unified-memory APU programming model, the
 //! compute/memory partitioning modes, and the node-level topologies.
 //!
-//! * [`products`] — product spec sheets and the generational-uplift
-//!   arithmetic of Figure 19.
-//! * [`apu`] — a whole-socket simulator wiring memory, fabric, dispatch,
-//!   coherence and power together.
+//! * [`products`] — product spec sheets, the Figure 7 interface
+//!   bandwidths and the generational-uplift arithmetic of Figure 19.
 //! * [`progmodel`] — the CPU-only / discrete-GPU / APU execution models
 //!   of Figure 14 and the fine-grained overlap of Figure 15.
 //! * [`partition`] — Figure 17's SPX/TPX and 1/2/4/8-partition modes
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod apu;
 pub mod audit;
 pub mod modular;
 pub mod node;
@@ -44,7 +41,6 @@ pub mod progmodel;
 pub mod ras;
 pub mod shim;
 
-pub use apu::ApuSystem;
 pub use modular::{ModularVariant, VariantEval};
 pub use node::{NodeAudit, NodeTopology};
 pub use node_fabric::NodeFabric;

@@ -1,10 +1,12 @@
 //! Product spec sheets: MI250X, MI300A, MI300X, and the hypothetical
-//! EHPv4 — plus the generational-uplift arithmetic behind Figure 19.
+//! EHPv4 — plus the Figure 7 interface-bandwidth table and the
+//! generational-uplift arithmetic behind Figure 19.
 
 use ehp_compute::ccd::CcdSpec;
 use ehp_compute::cu::GpuArch;
 use ehp_compute::dtype::{DataType, ExecUnit, Sparsity};
 use ehp_compute::xcd::XcdSpec;
+use ehp_fabric::link::LinkTech;
 use ehp_mem::hbm::HbmGeneration;
 use ehp_sim_core::time::Frequency;
 use ehp_sim_core::units::{Bandwidth, Bytes, Power};
@@ -217,6 +219,38 @@ impl ProductSpec {
         (self.ccds > 0).then(|| f64::from(self.gpu_chiplets) / f64::from(self.ccds))
     }
 
+    /// The Figure 7 audit: bandwidth of each interface class on the
+    /// socket.
+    #[must_use]
+    pub fn interface_bandwidths(&self) -> Vec<InterfaceBandwidth> {
+        let bidi = |tech: LinkTech| {
+            let s = tech.spec();
+            s.per_direction + s.per_direction
+        };
+        vec![
+            InterfaceBandwidth {
+                name: "XCD/CCD 3D hybrid bond",
+                count: self.gpu_chiplets + self.ccds,
+                per_interface: bidi(LinkTech::HybridBond3D),
+            },
+            InterfaceBandwidth {
+                name: "IOD-IOD USR",
+                count: 4,
+                per_interface: bidi(LinkTech::Usr),
+            },
+            InterfaceBandwidth {
+                name: "HBM PHY",
+                count: self.hbm_stacks,
+                per_interface: self.hbm.stack_bandwidth(),
+            },
+            InterfaceBandwidth {
+                name: "x16 IF/PCIe",
+                count: self.x16_links,
+                per_interface: self.x16_per_direction + self.x16_per_direction,
+            },
+        ]
+    }
+
     /// One row of the Figure 19 comparison against a baseline: ratios of
     /// peak rates, bandwidth, capacity and I/O.
     #[must_use]
@@ -239,6 +273,25 @@ impl ProductSpec {
             io_bandwidth: self.io_bandwidth().as_bytes_per_sec()
                 / base.io_bandwidth().as_bytes_per_sec(),
         }
+    }
+}
+
+/// One row of the Figure 7 interface-bandwidth audit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InterfaceBandwidth {
+    /// Interface name.
+    pub name: &'static str,
+    /// Number of such interfaces per socket.
+    pub count: u32,
+    /// Bidirectional bandwidth per interface.
+    pub per_interface: Bandwidth,
+}
+
+impl InterfaceBandwidth {
+    /// Aggregate bidirectional bandwidth for all interfaces of this kind.
+    #[must_use]
+    pub fn aggregate(&self) -> Bandwidth {
+        self.per_interface.scale(f64::from(self.count))
     }
 }
 
@@ -356,6 +409,30 @@ mod tests {
             x.peak_tflops(ExecUnit::Matrix, DataType::Fp16).unwrap()
                 > a.peak_tflops(ExecUnit::Matrix, DataType::Fp16).unwrap()
         );
+    }
+
+    #[test]
+    fn figure7_interface_hierarchy() {
+        let rows = Product::Mi300a.spec().interface_bandwidths();
+        let get = |name: &str| {
+            rows.iter()
+                .find(|r| r.name.contains(name))
+                .unwrap()
+                .aggregate()
+                .as_tb_s()
+        };
+        let bond = get("hybrid bond");
+        let usr = get("USR");
+        let hbm = get("HBM");
+        let x16 = get("x16");
+        // 3D bond > USR > HBM > x16 in aggregate.
+        assert!(bond > usr, "bond {bond} vs usr {usr}");
+        assert!(usr > hbm, "USR must not bottleneck HBM: {usr} vs {hbm}");
+        assert!(hbm > x16);
+        // "the USR interfaces deliver multiple TB/s of bandwidth".
+        assert!(usr >= 2.0);
+        // HBM aggregate ~5.3 TB/s.
+        assert!((hbm - 5.3).abs() < 0.05);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! per-chiplet schedulers instead of a separate scheduling chiplet
 //! "reduce[s] inter-chiplet wiring requirements and increase[s]
 //! workgroup scheduling throughput as more chiplets are added" — the
-//! scaling claim the `dispatch_scaling` bench measures.
+//! scaling claim `figure13` reports against partition width.
 
 use ehp_sim_core::resource::SlotServer;
 use ehp_sim_core::time::Cycle;

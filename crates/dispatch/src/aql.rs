@@ -1,110 +1,36 @@
-//! Architected Queueing Language (AQL) packets.
+//! Architected Queueing Language (AQL) kernel-dispatch packets.
 //!
 //! AQL is the HSA standard's packet format for user-mode kernel launch:
 //! "in contrast to lower-level packet formats that describe what values
 //! to put into which hardware registers ... AQL packets describe a
 //! higher-level goal such as 'launch kernel X with Y workgroups, each
-//! with Z threads'" (Section VI.A). This module implements the 64-byte
-//! kernel-dispatch packet with a binary wire codec.
+//! with Z threads'" (Section VI.A). This module keeps the part of the
+//! kernel-dispatch packet the cooperative dispatcher reads: the grid and
+//! workgroup dimensions.
 
 use core::fmt;
 
-/// AQL packet size on the wire.
-pub const PACKET_BYTES: usize = 64;
-
-/// AQL packet types (subset used by this project).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PacketType {
-    /// Vendor-specific / uninitialised slot.
-    Invalid,
-    /// Kernel dispatch.
-    KernelDispatch,
-    /// Barrier-AND: waits on signals before proceeding.
-    BarrierAnd,
-}
-
-impl PacketType {
-    fn to_bits(self) -> u16 {
-        match self {
-            PacketType::Invalid => 0,
-            PacketType::KernelDispatch => 2,
-            PacketType::BarrierAnd => 3,
-        }
-    }
-
-    fn from_bits(bits: u16) -> Option<PacketType> {
-        match bits {
-            0 => Some(PacketType::Invalid),
-            2 => Some(PacketType::KernelDispatch),
-            3 => Some(PacketType::BarrierAnd),
-            _ => None,
-        }
-    }
-}
-
-/// Decoded packet header fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AqlHeader {
-    /// Packet type.
-    pub packet_type: PacketType,
-    /// Barrier bit: later packets in the queue wait for this one.
-    pub barrier: bool,
-    /// Acquire fence scope (0=none, 1=agent, 2=system).
-    pub acquire_scope: u8,
-    /// Release fence scope (0=none, 1=agent, 2=system).
-    pub release_scope: u8,
-}
-
-impl AqlHeader {
-    fn encode(self) -> u16 {
-        let mut h = self.packet_type.to_bits() & 0xFF;
-        if self.barrier {
-            h |= 1 << 8;
-        }
-        h |= u16::from(self.acquire_scope & 0b11) << 9;
-        h |= u16::from(self.release_scope & 0b11) << 11;
-        h
-    }
-
-    fn decode(bits: u16) -> Result<AqlHeader, AqlError> {
-        let packet_type =
-            PacketType::from_bits(bits & 0xFF).ok_or(AqlError::UnknownPacketType(bits & 0xFF))?;
-        Ok(AqlHeader {
-            packet_type,
-            barrier: bits & (1 << 8) != 0,
-            acquire_scope: ((bits >> 9) & 0b11) as u8,
-            release_scope: ((bits >> 11) & 0b11) as u8,
-        })
-    }
-}
-
-/// Errors from packet validation or decoding.
+/// Errors from packet validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AqlError {
-    /// The header's packet-type field holds an unknown value.
-    UnknownPacketType(u16),
     /// A workgroup dimension is zero.
     ZeroWorkgroupDim,
     /// A grid dimension is zero.
     ZeroGridDim,
-    /// The wire buffer is not exactly [`PACKET_BYTES`] long.
-    BadLength(usize),
 }
 
 impl fmt::Display for AqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AqlError::UnknownPacketType(t) => write!(f, "unknown AQL packet type {t}"),
             AqlError::ZeroWorkgroupDim => f.write_str("workgroup dimension is zero"),
             AqlError::ZeroGridDim => f.write_str("grid dimension is zero"),
-            AqlError::BadLength(n) => write!(f, "AQL packet must be 64 bytes, got {n}"),
         }
     }
 }
 
 impl std::error::Error for AqlError {}
 
-/// A kernel-dispatch AQL packet (64 bytes on the wire).
+/// The dispatch dimensions of a kernel-dispatch AQL packet.
 ///
 /// # Example
 ///
@@ -113,30 +39,16 @@ impl std::error::Error for AqlError {}
 ///
 /// let pkt = AqlPacket::dispatch_1d(4096, 256);
 /// assert_eq!(pkt.total_workgroups(), 16);
-/// let wire = pkt.encode();
-/// assert_eq!(AqlPacket::decode(&wire)?, pkt);
-/// # Ok::<(), ehp_dispatch::aql::AqlError>(())
+/// assert_eq!(pkt.validate(), Ok(()));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AqlPacket {
-    /// Header fields.
-    pub header: AqlHeader,
     /// Number of dimensions used (1-3).
     pub setup_dims: u16,
     /// Workitems per workgroup in x/y/z.
     pub workgroup_size: [u16; 3],
     /// Total workitems in x/y/z.
     pub grid_size: [u32; 3],
-    /// Private (scratch) segment bytes per workitem.
-    pub private_segment_size: u32,
-    /// Group (LDS) segment bytes per workgroup.
-    pub group_segment_size: u32,
-    /// Device address of the kernel code object.
-    pub kernel_object: u64,
-    /// Device address of the kernel argument buffer.
-    pub kernarg_address: u64,
-    /// Handle of the completion signal (0 = none).
-    pub completion_signal: u64,
 }
 
 impl AqlPacket {
@@ -153,20 +65,9 @@ impl AqlPacket {
             "dispatch dimensions must be non-zero"
         );
         AqlPacket {
-            header: AqlHeader {
-                packet_type: PacketType::KernelDispatch,
-                barrier: false,
-                acquire_scope: 2,
-                release_scope: 2,
-            },
             setup_dims: 1,
             workgroup_size: [workgroup, 1, 1],
             grid_size: [grid, 1, 1],
-            private_segment_size: 0,
-            group_segment_size: 0,
-            kernel_object: 0x1000,
-            kernarg_address: 0x2000,
-            completion_signal: 1,
         }
     }
 
@@ -219,57 +120,6 @@ impl AqlPacket {
         }
         Ok(())
     }
-
-    /// Serialises to the 64-byte HSA wire layout (little-endian).
-    #[must_use]
-    pub fn encode(&self) -> [u8; PACKET_BYTES] {
-        let mut b = [0u8; PACKET_BYTES];
-        b[0..2].copy_from_slice(&self.header.encode().to_le_bytes());
-        b[2..4].copy_from_slice(&self.setup_dims.to_le_bytes());
-        b[4..6].copy_from_slice(&self.workgroup_size[0].to_le_bytes());
-        b[6..8].copy_from_slice(&self.workgroup_size[1].to_le_bytes());
-        b[8..10].copy_from_slice(&self.workgroup_size[2].to_le_bytes());
-        // b[10..12] reserved
-        b[12..16].copy_from_slice(&self.grid_size[0].to_le_bytes());
-        b[16..20].copy_from_slice(&self.grid_size[1].to_le_bytes());
-        b[20..24].copy_from_slice(&self.grid_size[2].to_le_bytes());
-        b[24..28].copy_from_slice(&self.private_segment_size.to_le_bytes());
-        b[28..32].copy_from_slice(&self.group_segment_size.to_le_bytes());
-        b[32..40].copy_from_slice(&self.kernel_object.to_le_bytes());
-        b[40..48].copy_from_slice(&self.kernarg_address.to_le_bytes());
-        // b[48..56] reserved
-        b[56..64].copy_from_slice(&self.completion_signal.to_le_bytes());
-        b
-    }
-
-    /// Deserialises from the wire layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AqlError::BadLength`] for a wrong-sized buffer and
-    /// [`AqlError::UnknownPacketType`] for an unrecognised header.
-    pub fn decode(bytes: &[u8]) -> Result<AqlPacket, AqlError> {
-        if bytes.len() != PACKET_BYTES {
-            return Err(AqlError::BadLength(bytes.len()));
-        }
-        let le16 =
-            |r: std::ops::Range<usize>| u16::from_le_bytes(bytes[r].try_into().expect("2 bytes"));
-        let le32 =
-            |r: std::ops::Range<usize>| u32::from_le_bytes(bytes[r].try_into().expect("4 bytes"));
-        let le64 =
-            |r: std::ops::Range<usize>| u64::from_le_bytes(bytes[r].try_into().expect("8 bytes"));
-        Ok(AqlPacket {
-            header: AqlHeader::decode(le16(0..2))?,
-            setup_dims: le16(2..4),
-            workgroup_size: [le16(4..6), le16(6..8), le16(8..10)],
-            grid_size: [le32(12..16), le32(16..20), le32(20..24)],
-            private_segment_size: le32(24..28),
-            group_segment_size: le32(28..32),
-            kernel_object: le64(32..40),
-            kernarg_address: le64(40..48),
-            completion_signal: le64(56..64),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -296,52 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let mut p = AqlPacket::dispatch_1d(123_456, 256);
-        p.header.barrier = true;
-        p.header.acquire_scope = 1;
-        p.private_segment_size = 4096;
-        p.group_segment_size = 65_536;
-        p.kernel_object = 0xDEAD_BEEF_CAFE;
-        p.kernarg_address = 0x1234_5678_9ABC;
-        p.completion_signal = 42;
-        let wire = p.encode();
-        assert_eq!(AqlPacket::decode(&wire).unwrap(), p);
-    }
-
-    #[test]
-    fn header_bits_round_trip() {
-        for barrier in [false, true] {
-            for acq in 0..=2u8 {
-                for rel in 0..=2u8 {
-                    let h = AqlHeader {
-                        packet_type: PacketType::KernelDispatch,
-                        barrier,
-                        acquire_scope: acq,
-                        release_scope: rel,
-                    };
-                    assert_eq!(AqlHeader::decode(h.encode()).unwrap(), h);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_bad_length() {
-        assert_eq!(AqlPacket::decode(&[0u8; 63]), Err(AqlError::BadLength(63)));
-    }
-
-    #[test]
-    fn decode_rejects_unknown_type() {
-        let mut wire = AqlPacket::dispatch_1d(1, 1).encode();
-        wire[0] = 99;
-        assert!(matches!(
-            AqlPacket::decode(&wire),
-            Err(AqlError::UnknownPacketType(99))
-        ));
-    }
-
-    #[test]
     fn validate_catches_zero_dims() {
         let mut p = AqlPacket::dispatch_1d(64, 8);
         p.workgroup_size[0] = 0;
@@ -357,12 +161,7 @@ mod tests {
 
     #[test]
     fn error_display_nonempty() {
-        for e in [
-            AqlError::UnknownPacketType(7),
-            AqlError::ZeroWorkgroupDim,
-            AqlError::ZeroGridDim,
-            AqlError::BadLength(10),
-        ] {
+        for e in [AqlError::ZeroWorkgroupDim, AqlError::ZeroGridDim] {
             assert!(!e.to_string().is_empty());
         }
     }

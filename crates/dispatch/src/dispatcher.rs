@@ -16,7 +16,6 @@ use ehp_sim_core::time::Cycle;
 
 use crate::ace::{AceEngine, WorkgroupPolicy};
 use crate::aql::AqlPacket;
-use crate::queue::{QueueError, UserQueue};
 use crate::signal::CompletionSignal;
 
 /// Partition/dispatcher parameters.
@@ -141,7 +140,6 @@ impl DispatchRun {
 pub struct MultiXcdDispatcher {
     cfg: DispatcherConfig,
     engines: Vec<AceEngine>,
-    dispatches: u64,
 }
 
 impl MultiXcdDispatcher {
@@ -156,17 +154,7 @@ impl MultiXcdDispatcher {
         let engines = (0..cfg.xcds)
             .map(|_| AceEngine::new(cfg.cus_per_xcd, cfg.aces_per_xcd))
             .collect();
-        MultiXcdDispatcher {
-            cfg,
-            engines,
-            dispatches: 0,
-        }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &DispatcherConfig {
-        &self.cfg
+        MultiXcdDispatcher { cfg, engines }
     }
 
     /// Dispatches one AQL packet at time zero; `duration(wg)` gives each
@@ -191,7 +179,6 @@ impl MultiXcdDispatcher {
         mut duration: impl FnMut(u64) -> u64,
     ) -> DispatchRun {
         pkt.validate().expect("valid AQL packet");
-        self.dispatches += 1;
         let total = pkt.total_workgroups();
         let n = self.cfg.xcds;
         let nominated = 0u32;
@@ -275,36 +262,6 @@ impl MultiXcdDispatcher {
             completion_at,
             events,
         }
-    }
-
-    /// Consumes the next packet from a user queue and dispatches it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates queue decode errors; returns `Ok(None)` if the queue is
-    /// empty.
-    pub fn dispatch_from_queue(
-        &mut self,
-        at: Cycle,
-        queue: &mut UserQueue,
-        duration: impl FnMut(u64) -> u64,
-    ) -> Result<Option<DispatchRun>, QueueError> {
-        match queue.consume()? {
-            None => Ok(None),
-            Some(pkt) => Ok(Some(self.dispatch_at(at, &pkt, duration))),
-        }
-    }
-
-    /// Dispatches processed so far.
-    #[must_use]
-    pub fn dispatches(&self) -> u64 {
-        self.dispatches
-    }
-
-    /// Per-XCD engines (for occupancy statistics).
-    #[must_use]
-    pub fn engines(&self) -> &[AceEngine] {
-        &self.engines
     }
 }
 
@@ -414,23 +371,6 @@ mod tests {
             assert_eq!(run.workgroups_launched, 1024);
             assert_eq!(run.per_xcd.iter().sum::<u64>(), 1024);
         }
-    }
-
-    #[test]
-    fn queue_driven_dispatch() {
-        let mut q = UserQueue::new(8).unwrap();
-        q.submit(&AqlPacket::dispatch_1d(256, 64)).unwrap();
-        let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_tpx_partition());
-        let run = d
-            .dispatch_from_queue(Cycle(0), &mut q, |_| 100)
-            .unwrap()
-            .unwrap();
-        assert_eq!(run.workgroups_launched, 4);
-        assert!(d
-            .dispatch_from_queue(Cycle(0), &mut q, |_| 100)
-            .unwrap()
-            .is_none());
-        assert_eq!(d.dispatches(), 1);
     }
 
     #[test]

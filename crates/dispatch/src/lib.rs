@@ -1,13 +1,13 @@
 //! # ehp-dispatch
 //!
-//! The kernel-launch path of the MI300A (Section VI.A): user-mode HSA
-//! queues holding Architected Queueing Language (AQL) packets, per-XCD
-//! Asynchronous Compute Engines (ACEs) that read and decode those
-//! packets, and the **cooperative multi-XCD dispatch protocol** of
+//! The kernel-launch path of the MI300A (Section VI.A): Architected
+//! Queueing Language (AQL) dispatch packets, per-XCD Asynchronous
+//! Compute Engines (ACEs) that launch their share of a packet's
+//! workgroups, and the **cooperative multi-XCD dispatch protocol** of
 //! Figure 13 — every ACE in a partition reads each dispatch packet,
 //! launches its subset of the workgroups, synchronises with its peers
 //! over the fabric's high-priority channel, and a nominated XCD signals
-//! kernel completion.
+//! kernel completion through a [`CompletionSignal`].
 //!
 //! ## Example
 //!
@@ -26,15 +26,9 @@
 pub mod ace;
 pub mod aql;
 pub mod dispatcher;
-pub mod multiqueue;
-pub mod queue;
 pub mod signal;
-pub mod stream;
 
 pub use ace::{AceEngine, WorkgroupPolicy};
-pub use aql::{AqlError, AqlHeader, AqlPacket, PacketType};
+pub use aql::{AqlError, AqlPacket};
 pub use dispatcher::{DispatchEvent, DispatchRun, DispatcherConfig, MultiXcdDispatcher};
-pub use multiqueue::{ArbitratedDispatch, Arbitration, QueueArbiter};
-pub use queue::UserQueue;
 pub use signal::CompletionSignal;
-pub use stream::{PacketOutcome, QueueProcessor, SignalPool, StreamError};

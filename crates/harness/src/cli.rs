@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::io::IsTerminal;
 
+use ehp_lint::{ExperimentSchema, Finding};
 use ehp_sim_core::json::Json;
 
 use crate::check;
@@ -239,8 +240,12 @@ fn cmd_list() -> i32 {
 }
 
 /// Builds the scenario list for `run`: positional experiment ids plus
-/// expanded spec files, with CLI overrides applied on top.
+/// expanded spec files, with CLI overrides applied on top. Each spec
+/// file, and then every scenario after the overrides, must pass the S1
+/// schema check `ehp serve` applies to its requests; the error lists
+/// every finding.
 fn gather_scenarios(args: &Args) -> Result<Vec<Scenario>, String> {
+    let schemas = registry::schemas();
     let mut scenarios = Vec::new();
     for id in &args.positional {
         if registry::find(id).is_none() {
@@ -251,6 +256,7 @@ fn gather_scenarios(args: &Args) -> Result<Vec<Scenario>, String> {
     for path in &args.specs {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path}: {e}"))?;
+        schema_check(path, &text, &schemas)?;
         for spec in ScenarioSpec::parse_file(&text).map_err(|e| e.to_string())? {
             scenarios.extend(spec.expand());
         }
@@ -268,7 +274,34 @@ fn gather_scenarios(args: &Args) -> Result<Vec<Scenario>, String> {
             }
         }
     }
+    for sc in &scenarios {
+        let text = sc.to_json().to_string_compact();
+        schema_check(&format!("scenario {}", sc.name), &text, &schemas)?;
+    }
     Ok(scenarios)
+}
+
+/// Validates one scenario spec text against the registry schemas (S1);
+/// the error renders every finding, one per line.
+fn schema_check(path: &str, text: &str, schemas: &[ExperimentSchema]) -> Result<(), String> {
+    let findings = ehp_lint::schema::validate_scenario(path, text, schemas);
+    if findings.is_empty() {
+        return Ok(());
+    }
+    let lines: Vec<String> = findings.iter().map(Finding::render).collect();
+    Err(format!("invalid scenario:\n{}", lines.join("\n")))
+}
+
+/// `all` and `check` run every experiment's default scenario, so the
+/// overrides only `run` applies are an error rather than a silent no-op.
+fn reject_scenario_flags(cmd: &str, args: &Args) -> Result<(), String> {
+    if args.params.is_empty() && args.specs.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "`ehp {cmd}` runs the default scenarios; --param and --spec apply only to `ehp run`"
+        ))
+    }
 }
 
 /// Runs a batch through the serving layer (result cache + optional
@@ -338,6 +371,10 @@ fn cmd_run(args: &Args) -> i32 {
 }
 
 fn cmd_all(args: &Args) -> i32 {
+    if let Err(e) = reject_scenario_flags("all", args) {
+        eprintln!("ehp: {e}");
+        return 2;
+    }
     let scenarios: Vec<Scenario> = registry::ids()
         .into_iter()
         .map(Scenario::default_for)
@@ -348,6 +385,10 @@ fn cmd_all(args: &Args) -> i32 {
 }
 
 fn cmd_check(args: &Args) -> i32 {
+    if let Err(e) = reject_scenario_flags("check", args) {
+        eprintln!("ehp: {e}");
+        return 2;
+    }
     // Default scenarios for every experiment the shape table references.
     let mut ids: Vec<&str> = check::expected_shapes()
         .iter()

@@ -2,8 +2,9 @@
 //! the timestamped event trace of the cooperative protocol, plus its
 //! sync overhead versus partition size.
 //!
-//! Scenario parameters: `workgroups` (default 228), `workgroup_size`
-//! (default 64).
+//! Scenario parameters: `workgroups` (default 228, at most 4,194,303),
+//! `workgroup_size` (default 64, at most 1024). The bounds keep the AQL
+//! grid of `workgroups * workgroup_size` workitems inside a `u32`.
 
 use ehp_dispatch::aql::AqlPacket;
 use ehp_dispatch::dispatcher::{DispatchEvent, DispatcherConfig, MultiXcdDispatcher};
@@ -15,10 +16,14 @@ use crate::scenario::Scenario;
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
-    let workgroups = sc.u64("workgroups", 228) as u32;
-    let wg_size = sc.u64("workgroup_size", 64) as u16;
+    let workgroups = sc.u64("workgroups", 228);
+    let wg_size = u16::try_from(sc.u64("workgroup_size", 64)).expect("schema caps workgroup_size");
+    let grid = workgroups
+        .checked_mul(u64::from(wg_size))
+        .and_then(|g| u32::try_from(g).ok())
+        .expect("schema caps the grid below 2^32 workitems");
 
-    let pkt = AqlPacket::dispatch_1d(workgroups * u32::from(wg_size), wg_size);
+    let pkt = AqlPacket::dispatch_1d(grid, wg_size);
     let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_partition());
     let run = d.dispatch(&pkt, |wg| 2_000 + (wg % 7) * 50);
 

@@ -1,10 +1,10 @@
 //! **Figure 7**: MI300A IOD bandwidths across the interface classes
 //! (3D hybrid bond, USR, HBM PHY, x16), plus a timed check that traffic
-//! through the assembled fabric achieves the claimed rates.
+//! through the product's package fabric achieves the claimed rates.
 
-use ehp_core::apu::ApuSystem;
 use ehp_core::products::Product;
-use ehp_fabric::topology::NodeKey;
+use ehp_fabric::fabric::FabricSim;
+use ehp_fabric::topology::{NodeKey, Topology};
 use ehp_sim_core::json::Json;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
@@ -16,13 +16,18 @@ use crate::scenario::Scenario;
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
     let product = super::product_param(sc, Product::Mi300a);
-    let mut apu = ApuSystem::new(product);
+    let spec = product.spec();
+    let mut fabric = FabricSim::new(match product {
+        Product::Ehpv4 => Topology::ehpv4_package(),
+        Product::Mi300a => Topology::mi300_package(2, 3),
+        Product::Mi250x | Product::Mi300x => Topology::mi300_package(2, 0),
+    });
 
     rep.section("Interface bandwidths (bidirectional)");
     let mut rows = Vec::new();
     let mut usr_aggregate_tb_s = 0.0;
     let mut hbm_aggregate_tb_s = 0.0;
-    for i in apu.interface_bandwidths() {
+    for i in spec.interface_bandwidths() {
         rep.row(format!(
             "  {:<28} x{:<3} {:>10.1} GB/s each   {:>8.2} TB/s aggregate",
             i.name,
@@ -70,10 +75,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     ];
     let mut local_bw_gb_s = 0.0;
     for (name, from, to) in cases {
-        let t = apu
-            .fabric_mut()
-            .send(SimTime::ZERO, from, to, mb)
-            .expect("reachable");
+        let t = fabric.send(SimTime::ZERO, from, to, mb).expect("reachable");
         let bw = mb.as_f64() / t.latency().as_secs() / 1e9;
         if name.contains("local HBM stack") && name.starts_with("XCD") {
             local_bw_gb_s = bw;

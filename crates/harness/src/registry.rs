@@ -29,6 +29,11 @@ const fn num_pos(name: &'static str) -> ParamSpec {
     }
 }
 
+/// Largest `figure13` workgroup: the HSA limit of 1024 workitems.
+const FIGURE13_MAX_WORKGROUP_SIZE: u64 = 1024;
+/// Most `figure13` workgroups whose grid still fits an AQL `u32`.
+const FIGURE13_MAX_WORKGROUPS: u64 = u32::MAX as u64 / FIGURE13_MAX_WORKGROUP_SIZE;
+
 /// Every registered experiment, in paper order.
 static REGISTRY: &[Experiment] = &[
     Experiment {
@@ -55,7 +60,22 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "figure13",
         title: "Figure 13: cooperative multi-XCD dispatch flow",
-        params: &[u64_pos("workgroups"), u64_pos("workgroup_size")],
+        params: &[
+            ParamSpec {
+                name: "workgroups",
+                kind: ParamKind::U64 {
+                    min: 1,
+                    max: FIGURE13_MAX_WORKGROUPS,
+                },
+            },
+            ParamSpec {
+                name: "workgroup_size",
+                kind: ParamKind::U64 {
+                    min: 1,
+                    max: FIGURE13_MAX_WORKGROUP_SIZE,
+                },
+            },
+        ],
         runner: experiments::figure13::run,
     },
     Experiment {
@@ -256,5 +276,22 @@ mod tests {
         for required in ["table1", "figure20", "figure21", "ic_sweep"] {
             assert!(find(required).is_some());
         }
+    }
+
+    fn figure13_findings(params: &str) -> usize {
+        let spec = format!(r#"{{"experiment": "figure13", "params": {params}}}"#);
+        ehp_lint::schema::validate_scenario("t.json", &spec, &schemas()).len()
+    }
+
+    #[test]
+    fn figure13_schema_bounds_the_aql_grid() {
+        assert_eq!(figure13_findings(r#"{"workgroup_size": 1024}"#), 0);
+        assert_eq!(figure13_findings(r#"{"workgroup_size": 1025}"#), 1);
+        assert_eq!(figure13_findings(r#"{"workgroups": 4194303}"#), 0);
+        assert_eq!(figure13_findings(r#"{"workgroups": 4194304}"#), 1);
+        assert_eq!(figure13_findings(r#"{"workgroups": 0}"#), 1);
+        // The largest grid the schema admits still fits a u32.
+        let grid = FIGURE13_MAX_WORKGROUPS * FIGURE13_MAX_WORKGROUP_SIZE;
+        assert!(u32::try_from(grid).is_ok());
     }
 }

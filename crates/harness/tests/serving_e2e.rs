@@ -1,8 +1,13 @@
 //! End-to-end tests for the serving layer (DESIGN.md §12): result-cache
 //! byte-identity, corruption degrade, worker-pool panic robustness, and
-//! the `ehp serve` Unix-socket daemon driven through the real binary.
+//! the `ehp serve` Unix-socket daemon driven through the real binary,
+//! including 1,000 fuzzed client sessions (mutated, truncated, oversized
+//! and abandoned frames) that must leave it answering.
 
 use std::fs;
+use std::io::{ErrorKind, Write as _};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -11,9 +16,11 @@ use ehp_harness::executor::{run_batch, BatchConfig, OutcomeStatus};
 use ehp_harness::scenario::Scenario;
 use ehp_harness::serving::{run_batch_served, scenario_key, ServingConfig};
 use ehp_serve::cache::ResultCache;
+use ehp_serve::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use ehp_serve::pool::{PoolConfig, WorkerCommand};
 use ehp_serve::server;
 use ehp_sim_core::json::Json;
+use ehp_sim_core::SplitMix64;
 
 /// The compiled `ehp` binary — the same executable users run.
 const EHP: &str = env!("CARGO_BIN_EXE_ehp");
@@ -321,4 +328,225 @@ fn serve_daemon_answers_sweeps_and_tracks_cache_stats() {
     assert_eq!(cache.get("hits"), Some(&Json::from(3u64)));
     assert_eq!(cache.get("misses"), Some(&Json::from(3u64)));
     assert!(stats.get("latency_ms").and_then(|l| l.get("p50")).is_some());
+}
+
+/// Fuzzed client sessions against one live daemon.
+const FUZZ_SESSIONS: u64 = 1_000;
+
+/// Seed of the session stream.
+const FUZZ_SEED: u64 = 0x5E55_10F2;
+
+/// How long a session may wait on the daemon before it counts as hung.
+const HANG_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Request bodies the sessions mutate: the read-only builtins and `run`
+/// requests over the two parameter-less experiments.
+const REQUESTS: &[&str] = &[
+    r#"{"op":"ping"}"#,
+    r#"{"op":"stats"}"#,
+    r#"{"op":"run","spec":{"experiment":"table1"}}"#,
+    r#"{"op":"run","seed":7,"spec":{"experiment":"figure16","name":"f16"}}"#,
+    r#"{"op":"run","no_cache":true,"spec":[{"experiment":"table1"},{"experiment":"figure16","sweep":{"seed":[1,2]}}]}"#,
+];
+
+/// Single bytes the mutator inserts, weighted towards JSON structure.
+const FUZZ_BYTES: &[u8] = b"{}[]\",:\\-.019enrtu \x00\xc3\xff";
+
+/// A length-prefixed frame around raw `body` bytes.
+fn raw_frame(body: &[u8]) -> Vec<u8> {
+    let mut out = (body.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(body);
+    out
+}
+
+/// Applies one to three byte inserts, deletes, bit flips or truncations.
+fn mutate(rng: &mut SplitMix64, body: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    for _ in 0..=rng.next_below(3) {
+        let at = rng.next_below(out.len() as u64 + 1) as usize;
+        match rng.next_below(8) {
+            0..=2 => out.insert(
+                at,
+                FUZZ_BYTES[rng.next_below(FUZZ_BYTES.len() as u64) as usize],
+            ),
+            3 | 4 if at < out.len() => {
+                out.remove(at);
+            }
+            5 | 6 if at < out.len() => out[at] ^= 1 << rng.next_below(8),
+            _ => out.truncate(at),
+        }
+    }
+    out
+}
+
+/// Whether a mutant stays inside the corpus's scope: it must not ask
+/// for `shutdown` or a worker pool, and must not name an experiment
+/// other than `table1` and `figure16`. Unparsable bytes are in scope
+/// (the daemon must reject them).
+fn in_scope(body: &[u8]) -> bool {
+    fn strings<'a>(v: &'a Json, out: &mut Vec<&'a str>) {
+        match v {
+            Json::Str(s) => out.push(s),
+            Json::Arr(items) => items.iter().for_each(|i| strings(i, out)),
+            Json::Obj(map) => {
+                for (k, v) in map {
+                    out.push(k);
+                    strings(v, out);
+                }
+            }
+            _ => {}
+        }
+    }
+    let Some(json) = std::str::from_utf8(body)
+        .ok()
+        .and_then(|t| Json::parse(t).ok())
+    else {
+        return true;
+    };
+    let mut found = Vec::new();
+    strings(&json, &mut found);
+    let ids = ehp_harness::registry::ids();
+    found.iter().all(|s| {
+        *s != "shutdown"
+            && *s != "workers"
+            && (!ids.contains(s) || *s == "table1" || *s == "figure16")
+    })
+}
+
+/// A random corpus request, mutated half of the time; a mutant that
+/// leaves the corpus's scope is replaced by its unmutated request.
+fn fuzzed_body(rng: &mut SplitMix64) -> Vec<u8> {
+    let base = REQUESTS[rng.next_below(REQUESTS.len() as u64) as usize].as_bytes();
+    if rng.chance(0.5) {
+        return base.to_vec();
+    }
+    let body = mutate(rng, base);
+    if in_scope(&body) {
+        body
+    } else {
+        base.to_vec()
+    }
+}
+
+fn connect(socket: &Path) -> UnixStream {
+    let stream = UnixStream::connect(socket).expect("connect to ehp serve");
+    stream.set_read_timeout(Some(HANG_TIMEOUT)).unwrap();
+    stream.set_write_timeout(Some(HANG_TIMEOUT)).unwrap();
+    stream
+}
+
+/// Reads frames until EOF or a broken stream; a read timeout means the
+/// daemon hung and fails the test.
+fn drain(stream: &mut UnixStream, session: u64) -> Vec<Json> {
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(stream) {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => return frames,
+            Err(e) => {
+                assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "daemon hung in session {session}"
+                );
+                return frames;
+            }
+        }
+    }
+}
+
+/// One fuzzed client session. Write errors are expected: the daemon
+/// drops a client at its first malformed frame.
+fn fuzz_session(socket: &Path, rng: &mut SplitMix64, session: u64) {
+    let mut stream = connect(socket);
+    match rng.next_below(5) {
+        // One to three mutated frames, then a half-close and a read of
+        // every reply.
+        0 | 1 => {
+            for _ in 0..=rng.next_below(3) {
+                let _ = stream.write_all(&raw_frame(&fuzzed_body(rng)));
+            }
+            let _ = stream.shutdown(Shutdown::Write);
+            drain(&mut stream, session);
+        }
+        // A frame cut short after its prefix, then a close.
+        2 => {
+            let body = fuzzed_body(rng);
+            let cut = 4 + rng.next_below(body.len().max(1) as u64) as usize;
+            let _ = stream.write_all(&raw_frame(&body)[..cut]);
+        }
+        // A length prefix at or above MAX_FRAME_BYTES with a few body
+        // bytes, then a half-close: the daemon must let go.
+        3 => {
+            let len = MAX_FRAME_BYTES as u64 + rng.next_below(3);
+            let body = fuzzed_body(rng);
+            let mut bytes = (len as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&body[..body.len().min(rng.next_below(8) as usize)]);
+            let _ = stream.write_all(&bytes);
+            let _ = stream.shutdown(Shutdown::Write);
+            drain(&mut stream, session);
+        }
+        // A close inside the length prefix, or right after a complete
+        // request without reading the reply.
+        _ => {
+            let frame = raw_frame(&fuzzed_body(rng));
+            let cut = if rng.chance(0.5) {
+                1 + rng.next_below(3) as usize
+            } else {
+                frame.len()
+            };
+            let _ = stream.write_all(&frame[..cut]);
+        }
+    }
+}
+
+/// Sends `request` over a fresh connection and reads every reply frame.
+fn exchange(socket: &Path, request: &Json, session: u64) -> Vec<Json> {
+    let mut stream = connect(socket);
+    let mut body = Vec::new();
+    write_frame(&mut body, request).unwrap();
+    stream.write_all(&body).expect("send request");
+    stream.shutdown(Shutdown::Write).unwrap();
+    drain(&mut stream, session)
+}
+
+#[test]
+fn fuzzed_client_sessions_leave_the_daemon_serving() {
+    let dir = tmp_dir("fuzz-sessions");
+    let mut daemon = Daemon::spawn(&dir);
+    let ping = Json::object([("op", Json::from("ping"))]);
+    let fixed = Json::parse(
+        r#"{"op":"run","seed":11,"spec":[{"experiment":"table1"},{"experiment":"figure16"}]}"#,
+    )
+    .unwrap();
+    // The scenario frames and the final verdict, without cache traffic.
+    let summary = |frames: Vec<Json>| -> Vec<Json> {
+        frames
+            .into_iter()
+            .map(|f| match f {
+                Json::Obj(mut map) => {
+                    map.remove("cache");
+                    Json::Obj(map)
+                }
+                other => other,
+            })
+            .collect()
+    };
+    let before = summary(exchange(&daemon.socket, &fixed, 0));
+    assert_eq!(before.len(), 3, "two scenario frames and the done frame");
+
+    let mut rng = SplitMix64::new(FUZZ_SEED);
+    for session in 1..=FUZZ_SESSIONS {
+        fuzz_session(&daemon.socket, &mut rng, session);
+        let pong = exchange(&daemon.socket, &ping, session);
+        assert!(
+            pong.len() == 1 && pong[0].get("ok") == Some(&Json::Bool(true)),
+            "ping failed after session {session}: {pong:?}"
+        );
+    }
+
+    assert_eq!(summary(exchange(&daemon.socket, &fixed, 0)), before);
+    assert!(
+        daemon.child.try_wait().unwrap().is_none(),
+        "the daemon exited"
+    );
 }

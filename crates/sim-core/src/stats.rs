@@ -1,5 +1,4 @@
-//! Statistic sinks: counters, accumulators, log₂ histograms, and
-//! utilisation meters.
+//! Statistic sinks: counters, accumulators and utilisation meters.
 //!
 //! Every simulator component exposes its observable behaviour through
 //! these types; the experiment harness reads them out at the end of a
@@ -240,151 +239,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank.max(1) - 1])
 }
 
-/// A power-of-two bucketed latency histogram.
-///
-/// Bucket `i` holds samples in `[2^i, 2^(i+1))`; bucket 0 holds `{0, 1}`.
-/// Cheap enough to keep per memory channel, precise enough for the tail
-/// shapes the experiments care about.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Log2Histogram {
-    name: &'static str,
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-}
-
-impl Log2Histogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new(name: &'static str) -> Log2Histogram {
-        Log2Histogram {
-            name,
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        if value <= 1 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// Records a latency expressed as cycles.
-    pub fn record_cycles(&mut self, c: Cycle) {
-        self.record(c.0);
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample; `None` if empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// An upper bound on the `q`-quantile sample (bucket resolution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some(if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                });
-            }
-        }
-        Some(u64::MAX)
-    }
-
-    /// Per-bucket counts (index = log₂ of lower bound).
-    #[must_use]
-    pub fn buckets(&self) -> &[u64; 64] {
-        &self.buckets
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Folds another histogram's buckets into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// A structured snapshot: populated buckets keyed by their log₂ lower
-    /// bound, plus count/mean/tail summaries.
-    #[must_use]
-    pub fn snapshot(&self) -> Json {
-        self.to_json()
-    }
-}
-
-impl ToJson for Log2Histogram {
-    fn to_json(&self) -> Json {
-        let buckets = Json::Obj(
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b > 0)
-                .map(|(i, &b)| (format!("{i}"), Json::from(b)))
-                .collect(),
-        );
-        Json::object([
-            ("kind", Json::from("log2_histogram")),
-            ("name", Json::from(self.name)),
-            ("count", Json::from(self.count)),
-            ("sum", Json::from(self.sum)),
-            ("mean", self.mean().to_json()),
-            ("p50_upper", self.quantile_upper_bound(0.5).to_json()),
-            ("p99_upper", self.quantile_upper_bound(0.99).to_json()),
-            ("buckets", buckets),
-        ])
-    }
-}
-
-impl fmt::Display for Log2Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: n={}", self.name, self.count)?;
-        if let Some(m) = self.mean() {
-            write!(f, " mean={m:.1}")?;
-        }
-        Ok(())
-    }
-}
-
 /// Tracks busy time of a resource to compute utilisation.
 ///
 /// # Example
@@ -514,38 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing() {
-        assert_eq!(Log2Histogram::bucket_of(0), 0);
-        assert_eq!(Log2Histogram::bucket_of(1), 0);
-        assert_eq!(Log2Histogram::bucket_of(2), 1);
-        assert_eq!(Log2Histogram::bucket_of(3), 1);
-        assert_eq!(Log2Histogram::bucket_of(4), 2);
-        assert_eq!(Log2Histogram::bucket_of(1023), 9);
-        assert_eq!(Log2Histogram::bucket_of(1024), 10);
-    }
-
-    #[test]
-    fn histogram_mean_and_quantile() {
-        let mut h = Log2Histogram::new("lat");
-        for v in [4u64, 4, 4, 4, 4, 4, 4, 4, 4, 128] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10);
-        assert!((h.mean().unwrap() - 16.4).abs() < 1e-9);
-        // p50 falls in the [4,8) bucket -> upper bound 7.
-        assert_eq!(h.quantile_upper_bound(0.5), Some(7));
-        // p99 falls in the [128,256) bucket -> upper bound 255.
-        assert_eq!(h.quantile_upper_bound(0.99), Some(255));
-    }
-
-    #[test]
-    fn histogram_empty_quantile() {
-        let h = Log2Histogram::new("e");
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        assert_eq!(h.mean(), None);
-    }
-
-    #[test]
     fn utilization_clamps() {
         let mut m = UtilizationMeter::new("u");
         m.add_busy(Cycle(300));
@@ -556,14 +378,6 @@ mod tests {
     #[should_panic(expected = "elapsed window must be positive")]
     fn utilization_zero_window_panics() {
         let _ = UtilizationMeter::new("u").utilization(Cycle::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn quantile_out_of_range_panics() {
-        let mut h = Log2Histogram::new("h");
-        h.record(1);
-        let _ = h.quantile_upper_bound(1.5);
     }
 
     #[test]
@@ -603,26 +417,6 @@ mod tests {
         a.merge(&Accumulator::new("lat"));
         assert_eq!(a.mean(), Some(2.0));
         assert_eq!(a.min(), Some(2.0));
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_stream() {
-        let mut a = Log2Histogram::new("h");
-        let mut b = Log2Histogram::new("h");
-        let mut combined = Log2Histogram::new("h");
-        for v in [1u64, 7, 300, 4096] {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in [2u64, 9, 1_000_000] {
-            b.record(v);
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        let snap = a.snapshot();
-        assert_eq!(snap.get("count").and_then(|v| v.as_u64()), Some(7));
-        assert!(snap.get("buckets").and_then(|b| b.as_obj()).is_some());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`llm`] — the Figure 21 Llama-2 70B inference roofline (prefill =
 //!   compute-bound, decode = weight-streaming bandwidth-bound) across
 //!   platform/software combinations.
-//! * [`micro`] — STREAM- and GEMM-style microkernels used by the
-//!   ablation benches.
+//! * [`scaling`] — Amdahl plus ring all-reduce strong scaling over the
+//!   node fabrics of Figures 2 and 18.
 //!
 //! Calibration stance: workload parameters are physical (flops, bytes,
 //! transfer volumes per step); machine numbers come from `ehp-core`
@@ -23,10 +23,8 @@
 
 pub mod hpc;
 pub mod llm;
-pub mod micro;
 pub mod scaling;
 
 pub use hpc::{figure20, HpcWorkload, MachineModel};
 pub use llm::{figure21, GpuPlatform, InferenceConfig, SoftwareStack};
-pub use micro::{GemmKernel, StreamKernel};
 pub use scaling::ScalingStudy;

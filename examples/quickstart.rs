@@ -1,20 +1,25 @@
-//! Quickstart: assemble an MI300A socket model, dispatch a kernel across
-//! its six XCDs, touch unified memory from CPU and GPU agents, and read
-//! the statistics back.
+//! Quickstart: read the MI300A spec sheet and its Figure 7 interface
+//! bandwidths, time a transfer across the package fabric, dispatch a
+//! kernel across the six XCDs, hand cache lines from CPU to GPU through
+//! the probe filter, and stream them through the memory subsystem.
 //!
 //! Run with: `cargo run -p ehp-bench --example quickstart`
 
-use ehp_core::apu::ApuSystem;
+use ehp_coherence::probe_filter::ProbeFilter;
 use ehp_core::products::Product;
 use ehp_dispatch::aql::AqlPacket;
+use ehp_dispatch::dispatcher::{DispatcherConfig, MultiXcdDispatcher};
+use ehp_fabric::fabric::FabricSim;
+use ehp_fabric::topology::{NodeKey, Topology};
+use ehp_mem::request::MemRequest;
+use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_sim_core::ids::AgentId;
 use ehp_sim_core::time::SimTime;
+use ehp_sim_core::units::Bytes;
 
 fn main() {
-    // 1. Build the socket: 6 XCDs + 3 CCDs on four IODs, 128 HBM3
-    //    channels each fronted by a 2 MB Infinity Cache slice.
-    let mut apu = ApuSystem::new(Product::Mi300a);
-    let spec = *apu.spec();
+    // 1. The spec sheet: 6 XCDs + 3 CCDs on four IODs, 8 HBM3 stacks.
+    let spec = Product::Mi300a.spec();
     println!("== {} ==", spec.name);
     println!("  CUs: {} ({} XCDs)", spec.total_cus(), spec.gpu_chiplets);
     println!("  CPU cores: {} ({} CCDs)", spec.cpu_cores, spec.ccds);
@@ -23,22 +28,34 @@ fn main() {
         spec.memory_capacity(),
         spec.memory_bandwidth()
     );
-
-    // 2. The CPU initialises data in unified memory (no hipMalloc, no
-    //    hipMemcpy) ...
-    let cpu = AgentId(0);
-    let gpu = AgentId(1);
-    let mut t = SimTime::ZERO;
-    for i in 0..64u64 {
-        t = apu.write(t, cpu, 0x10_0000 + i * 128);
+    for i in spec.interface_bandwidths() {
+        println!(
+            "  {:<24} x{:<2} {:>8.2} TB/s aggregate",
+            i.name,
+            i.count,
+            i.aggregate().as_tb_s()
+        );
     }
-    println!("\nCPU initialised 64 lines by {t}");
 
-    // 3. ... and launches a kernel described by an HSA AQL packet. Every
-    //    XCD's ACE reads the packet and launches a subset of the
-    //    workgroups (Figure 13's cooperative protocol).
+    // 2. A timed 64 MiB transfer from XCD 0 to an HBM stack attached
+    //    to the diagonal IOD.
+    let mut fabric = FabricSim::new(Topology::mi300_package(2, 3));
+    let mb = Bytes::from_mib(64);
+    let t = fabric
+        .send(SimTime::ZERO, NodeKey::Chiplet(0), NodeKey::HbmStack(7), mb)
+        .expect("every XCD reaches every stack");
+    println!(
+        "\nXCD0 -> HBM stack 7: {} hops, {:.1} GB/s effective",
+        t.hops,
+        mb.as_f64() / t.latency().as_secs() / 1e9
+    );
+
+    // 3. A kernel described by an HSA AQL packet: every XCD's ACE reads
+    //    the packet and launches a subset of the workgroups (Figure 13's
+    //    cooperative protocol).
     let pkt = AqlPacket::dispatch_1d(228 * 256, 256); // 228 workgroups
-    let run = apu.launch_kernel(&pkt, |_wg| 10_000);
+    let mut dispatcher = MultiXcdDispatcher::new(DispatcherConfig::mi300a_partition());
+    let run = dispatcher.dispatch(&pkt, |_wg| 10_000);
     println!("\nKernel dispatch:");
     println!(
         "  workgroups: {} split {:?}",
@@ -50,22 +67,31 @@ fn main() {
         run.sync_overhead()
     );
 
-    // 4. The GPU touches the CPU-written lines; the probe filter forwards
-    //    the dirty data — that's the hardware coherence the programming
+    // 4. The CPU initialises 64 lines in unified memory (no hipMemcpy)
+    //    and the GPU consumes them: the probe filter forwards the dirty
+    //    data cache to cache — the hardware coherence the programming
     //    model relies on.
-    let mut t2 = SimTime::ZERO;
-    for i in 0..64u64 {
-        t2 = apu.read(t2, gpu, 0x10_0000 + i * 128);
+    let cpu = AgentId(0);
+    let gpu = AgentId(1);
+    let mut coherence = ProbeFilter::new();
+    for line in 0..64u64 {
+        coherence.write(cpu, line);
     }
-    println!("\nGPU consumed the 64 CPU-written lines by {t2}");
-    println!("  coherence probes sent: {}", apu.coherence().probes_sent());
-    println!(
-        "  cache-to-cache transfers: {}",
-        apu.coherence().cache_to_cache()
-    );
+    for line in 0..64u64 {
+        coherence.read(gpu, line);
+    }
+    println!("\nGPU consumed the 64 CPU-written lines");
+    println!("  coherence probes sent: {}", coherence.probes_sent());
+    println!("  cache-to-cache transfers: {}", coherence.cache_to_cache());
 
-    // 5. Memory-subsystem statistics.
-    let mem = apu.memory();
+    // 5. The same lines read twice through the 128-channel memory
+    //    subsystem: the second pass hits the Infinity Cache.
+    let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+    for _pass in 0..2 {
+        for line in 0..64u64 {
+            mem.access(SimTime::ZERO, MemRequest::read(line * 128, 128));
+        }
+    }
     println!("\nMemory subsystem:");
     println!("  reads: {}  writes: {}", mem.reads(), mem.writes());
     if let Some(hr) = mem.icache_hit_rate() {

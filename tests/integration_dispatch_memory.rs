@@ -6,7 +6,6 @@
 use ehp_dispatch::ace::WorkgroupPolicy;
 use ehp_dispatch::aql::AqlPacket;
 use ehp_dispatch::dispatcher::{DispatcherConfig, MultiXcdDispatcher};
-use ehp_dispatch::queue::UserQueue;
 use ehp_fabric::fabric::FabricSim;
 use ehp_fabric::topology::{NodeKey, Topology};
 use ehp_mem::request::MemRequest;
@@ -21,16 +20,10 @@ fn run_kernel_with_memory(
     workgroups: u32,
     lines_per_wg: u64,
 ) -> (Cycle, SimTime, MemorySubsystem) {
-    let mut q = UserQueue::new(16).expect("power-of-two queue");
-    q.submit(&AqlPacket::dispatch_1d(workgroups * 64, 64))
-        .expect("space");
-
     let cfg = DispatcherConfig::mi300a_partition().with_policy(policy);
     let mut d = MultiXcdDispatcher::new(cfg);
-    let run = d
-        .dispatch_from_queue(Cycle(0), &mut q, |_| 2_000)
-        .expect("decodes")
-        .expect("packet present");
+    let run = d.dispatch(&AqlPacket::dispatch_1d(workgroups * 64, 64), |_| 2_000);
+    assert_eq!(run.workgroups_launched, u64::from(workgroups));
 
     // Each workgroup streams `lines_per_wg` cache lines from its slice of
     // a shared array.
@@ -94,25 +87,15 @@ fn dispatch_and_fabric_compose() {
 }
 
 #[test]
-fn queue_backpressure_with_dispatcher() {
-    let mut q = UserQueue::new(2).expect("queue");
-    q.submit(&AqlPacket::dispatch_1d(64, 64)).unwrap();
-    q.submit(&AqlPacket::dispatch_1d(128, 64)).unwrap();
-    assert!(q.submit(&AqlPacket::dispatch_1d(64, 64)).is_err());
-
+fn back_to_back_dispatches_complete_in_order() {
+    // A second kernel launched when the first one's completion signal is
+    // visible starts on the same ACE engines and finishes strictly later.
     let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_tpx_partition());
-    let r1 = d
-        .dispatch_from_queue(Cycle(0), &mut q, |_| 100)
-        .unwrap()
-        .unwrap();
+    let r1 = d.dispatch_at(Cycle(0), &AqlPacket::dispatch_1d(64, 64), |_| 100);
     assert_eq!(r1.workgroups_launched, 1);
-    // Slot freed: submission succeeds now.
-    q.submit(&AqlPacket::dispatch_1d(64, 64)).unwrap();
-    let r2 = d
-        .dispatch_from_queue(r1.completion_at, &mut q, |_| 100)
-        .unwrap()
-        .unwrap();
+    let r2 = d.dispatch_at(r1.completion_at, &AqlPacket::dispatch_1d(128, 64), |_| 100);
     assert_eq!(r2.workgroups_launched, 2);
+    assert!(r2.first_launch >= r1.completion_at);
     assert!(r2.completion_at > r1.completion_at);
 }
 

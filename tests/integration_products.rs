@@ -2,11 +2,11 @@
 //! packaging audits must tell one consistent story across crates.
 
 use ehp_compute::dtype::{DataType, ExecUnit};
-use ehp_core::apu::ApuSystem;
 use ehp_core::audit::Ehpv4Audit;
 use ehp_core::node::NodeTopology;
 use ehp_core::partition::PartitionConfig;
 use ehp_core::products::Product;
+use ehp_mem::subsystem::MemConfig;
 use ehp_package::beachfront::BeachfrontAudit;
 use ehp_package::floorplan::Floorplan;
 use ehp_package::mirror::{mi300_chiplet_pins, IodInstance, IodVariant};
@@ -44,19 +44,17 @@ fn floorplans_match_product_specs() {
 
 #[test]
 fn apu_socket_matches_spec_numbers() {
-    let apu = ApuSystem::new(Product::Mi300a);
-    let spec = apu.spec();
-    // 128 channels in the memory subsystem = interleave geometry.
-    assert_eq!(apu.memory().channels().len(), 128);
+    let spec = Product::Mi300a.spec();
+    // 128 channels in the MI300 memory system = 8 stacks x 16 channels.
+    assert_eq!(MemConfig::mi300_hbm3().total_channels(), 128);
+    assert_eq!(spec.hbm_stacks * 16, 128);
     // Aggregate HBM in the Figure 7 audit equals the spec's bandwidth.
-    let hbm = apu
+    let hbm = spec
         .interface_bandwidths()
         .into_iter()
         .find(|i| i.name.contains("HBM"))
         .expect("HBM row");
     assert!((hbm.aggregate().as_tb_s() - spec.memory_bandwidth().as_tb_s()).abs() < 1e-9);
-    // Power manager runs at the spec TDP.
-    assert_eq!(apu.power().tdp().as_watts(), spec.tdp.as_watts());
 }
 
 #[test]

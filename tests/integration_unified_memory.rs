@@ -1,46 +1,40 @@
 //! Integration: the unified-memory story end to end — coherent CPU↔GPU
-//! handoffs through the probe filter and memory subsystem (`ehp-core` +
-//! `ehp-coherence` + `ehp-mem`), and the programming-model comparison
-//! against a discrete-GPU configuration.
+//! handoffs through the socket's probe filter (`ehp-coherence`), and the
+//! programming-model comparison against a discrete-GPU configuration
+//! (`ehp-core`).
 
 use ehp_coherence::probe_filter::{DataSource, LineState, ProbeFilter};
 use ehp_coherence::scope::{ScopeTracker, SyncScope};
-use ehp_core::apu::ApuSystem;
-use ehp_core::products::Product;
 use ehp_core::progmodel::{ExecutionModel, WorkloadShape};
 use ehp_sim_core::ids::AgentId;
-use ehp_sim_core::time::SimTime;
 
 const CPU: AgentId = AgentId(0);
 const GPU: AgentId = AgentId(1);
 
 #[test]
 fn producer_consumer_round_trip_through_socket() {
-    let mut apu = ApuSystem::new(Product::Mi300a);
-    // CPU produces 1 MiB of initialised data.
+    let mut pf = ProbeFilter::new();
+    // CPU produces 1 MiB of initialised data (8192 128-byte lines).
     let lines = 8192u64;
-    let mut t = SimTime::ZERO;
-    for i in 0..lines {
-        t = apu.write(t, CPU, i * 128);
+    for line in 0..lines {
+        pf.write(CPU, line);
     }
-    // GPU consumes it: every line is forwarded coherently.
-    let produce_done = t;
-    for i in 0..lines {
-        t = apu.read(t, GPU, i * 128);
+    // GPU consumes it: every line is forwarded coherently from the CPU.
+    for line in 0..lines {
+        let r = pf.read(GPU, line);
+        assert_eq!(r.probes, vec![CPU]);
+        assert_eq!(r.data_from, DataSource::Cache(CPU));
     }
-    assert!(t > produce_done);
-    assert_eq!(apu.coherence().probes_sent(), lines);
-    assert_eq!(apu.coherence().cache_to_cache(), lines);
+    assert_eq!(pf.probes_sent(), lines);
+    assert_eq!(pf.cache_to_cache(), lines);
 
     // GPU writes results back; CPU polls one flag line (Figure 15's
     // fine-grained pattern) and must observe the latest version.
-    let flag = lines * 128;
-    apu.write(t, GPU, flag);
-    apu.read(t, CPU, flag);
-    assert_eq!(
-        apu.coherence().observed_version(CPU, flag / 128),
-        apu.coherence().version(flag / 128)
-    );
+    let flag = lines;
+    pf.write(GPU, flag);
+    pf.read(CPU, flag);
+    assert_eq!(pf.observed_version(CPU, flag), pf.version(flag));
+    pf.check_invariants().unwrap();
 }
 
 #[test]
@@ -107,10 +101,11 @@ fn apu_model_wins_figure14_comparison_at_scale() {
 fn unified_memory_flag_in_socket_sim() {
     // The Figure 15 spin-loop: GPU writes a flag; the CPU's next read
     // must be sourced from the GPU's cache, not stale memory.
-    let mut apu = ApuSystem::new(Product::Mi300a);
-    apu.write(SimTime::ZERO, GPU, 0x00F1_A600);
+    let mut pf = ProbeFilter::new();
     let line = 0x00F1_A600 / 128;
-    assert_eq!(apu.coherence().version(line), 1);
-    apu.read(SimTime::ZERO, CPU, 0x00F1_A600);
-    assert_eq!(apu.coherence().observed_version(CPU, line), 1);
+    pf.write(GPU, line);
+    assert_eq!(pf.version(line), 1);
+    let r = pf.read(CPU, line);
+    assert_eq!(r.data_from, DataSource::Cache(GPU));
+    assert_eq!(pf.observed_version(CPU, line), 1);
 }

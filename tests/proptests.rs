@@ -138,27 +138,6 @@ fn socket_sweep_covers_all_flat_banks_uniformly() {
     );
 }
 
-/// AQL packets survive an encode/decode round trip bit-exactly.
-#[test]
-fn aql_round_trip() {
-    let mut rng = rng_for("aql_round_trip");
-    for _ in 0..512 {
-        let grid = 1 + rng.next_below(1_000_000 - 1) as u32;
-        let wg = 1 + rng.next_below(1023) as u16;
-        let mut p = AqlPacket::dispatch_1d(grid, wg);
-        p.header.barrier = rng.chance(0.5);
-        p.header.acquire_scope = rng.next_below(3) as u8;
-        p.header.release_scope = rng.next_below(3) as u8;
-        p.kernel_object = rng.next_u64();
-        p.kernarg_address = rng.next_u64();
-        p.completion_signal = rng.next_u64();
-        p.private_segment_size = rng.next_u64() as u32;
-        p.group_segment_size = rng.next_u64() as u32;
-        let decoded = AqlPacket::decode(&p.encode()).unwrap();
-        assert_eq!(decoded, p);
-    }
-}
-
 /// Every placement policy maps every workgroup to a valid XCD and
 /// covers the whole dispatch.
 #[test]
