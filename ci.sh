@@ -32,15 +32,14 @@ step "tests" cargo test -q --offline
 step "perfsuite tests" cargo test --release --offline --manifest-path perfsuite/Cargo.toml
 
 # Determinism & hot-path static analysis (DESIGN.md §10–§11, §15):
-# fails on any unwaived finding — hash-order iteration, wall-clock
-# reads, f32 truncation, ad-hoc seed literals, allocations inside (or
-# reachable from) `// lint:hot-path` fences (H2), shared-mutable spawn
-# captures, nondeterminism taint reaching summary emission (N1), lock
-# discipline (L1), undrained spawn stores (L2), lock-order cycles (L3),
-# correlated placement selectors / lossy selector narrowing over the
-# bit-provenance lattice (B1/B2, DESIGN.md §16), or scenario specs that
-# don't match their experiment's parameter schema. Units of measure are
-# checked by the compiler through the sim-core newtypes, not the lint.
+# fails on any unwaived finding — hash-order iteration (D1), wall-clock
+# reads (D2), allocations inside (or reachable from) `// lint:hot-path`
+# fences (H2), shared-mutable spawn captures (R1), nondeterminism taint
+# reaching summary emission (N1), lock-order cycles (L3), correlated
+# placement selectors over the bit-provenance lattice (B1, DESIGN.md
+# §16), or scenario specs that don't match their experiment's parameter
+# schema (S1). Units of measure are checked by the compiler through the
+# sim-core newtypes, not the lint.
 #
 # The lint runs twice through its incremental cache: the cold run
 # (parallel, --jobs 0) re-analyzes every file, the warm run must hit
@@ -80,6 +79,11 @@ else
 fi
 
 step "benches compile" cargo build --benches --offline
+
+# Rustdoc must build warning-free: a deleted or renamed item can no
+# longer leave a dangling intra-doc link behind.
+step "rustdoc" env RUSTDOCFLAGS="-D warnings" \
+    cargo doc --workspace --no-deps --offline
 
 # Every example under examples/ must run to completion, not just
 # compile: a panicking example fails CI. Stdout is discarded; a panic

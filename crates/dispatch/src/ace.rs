@@ -5,7 +5,7 @@
 //! space within the XCD's compute units for the workgroups, initialise
 //! wavefront state, and detect completion (Section VI.A). Using
 //! per-chiplet schedulers instead of a separate scheduling chiplet
-//! "reduce[s] inter-chiplet wiring requirements and increase[s]
+//! "reduce\[s\] inter-chiplet wiring requirements and increase\[s\]
 //! workgroup scheduling throughput as more chiplets are added" — the
 //! scaling claim `figure13` reports against partition width.
 

@@ -7,7 +7,7 @@
 //! nanoseconds). Workers claim scenarios in small chunks rather than
 //! one at a time, halving lock traffic on large sweeps while keeping
 //! the tail balanced (chunk size shrinks as the queue drains, capped at
-//! [`MAX_CLAIM`]). Three properties the rest of the system depends on:
+//! `MAX_CLAIM`). Three properties the rest of the system depends on:
 //!
 //! * **Panic isolation** — each scenario runs under `catch_unwind`; a
 //!   panicking experiment becomes a `Panicked` outcome instead of taking

@@ -25,7 +25,7 @@ pub struct LintOptions {
     /// Print the documentation for one rule (by name or code) and exit.
     pub explain: Option<String>,
     /// Wall-time budget gate: path to a checked-in budget file (see
-    /// [`check_budget`]). The run fails (exit 1) when the measured lint
+    /// `check_budget`). The run fails (exit 1) when the measured lint
     /// wall time exceeds the budget scaled to this machine's speed.
     pub budget: Option<String>,
     /// Write a fresh budget file from this run's wall time (×3 headroom)

@@ -154,3 +154,39 @@ fn run_applies_a_valid_override() {
         Some(70_000)
     );
 }
+
+#[test]
+fn lint_explain_of_a_deleted_rule_lists_the_remaining_rules() {
+    let dir = tmp_dir("explain-d3");
+    let out = ehp(&dir, &["lint", "--explain", "D3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let mut lines = stderr.lines();
+    assert_eq!(
+        lines.next(),
+        Some("ehp lint: unknown rule \"D3\"; known rules:")
+    );
+    let listed: Vec<String> = lines
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "D1 hash-iter",
+            "D2 wall-clock",
+            "H2 hot-path-reach",
+            "R1 thread-capture",
+            "N1 nondet-taint",
+            "L3 lock-order",
+            "B1 correlated-selectors",
+            "S1 scenario-schema",
+            "H2 fence",
+            "W0 waiver",
+        ]
+    );
+}

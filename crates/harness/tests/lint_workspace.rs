@@ -35,7 +35,7 @@ fn real_workspace_has_zero_unwaived_findings() {
         "walker must cover scenarios/, saw {}",
         report.scenarios_scanned
     );
-    // Hold the tree clean across all thirteen evaluable rules (plus the
+    // Hold the tree clean across all eight evaluable rules (plus the
     // fence/waiver bookkeeping rules), naming the rule on failure.
     for &rule in Rule::ALL {
         let unwaived: Vec<String> = report

@@ -12,18 +12,13 @@
 //! re-evaluating a function only when a callee's summary changed, so
 //! helpers like `bank_mix` and `fast_mod` compose across files.
 //!
-//! Two rules live on top, plus the L3 lock-order graph pass
-//! ([`check_lock_order`]) that shares the symbol table:
-//!
-//! - **B1 correlated-selectors** ([`check_lanes`]): two bounded
-//!   selector values in one fn whose lane sets intersect on the same
-//!   source parameter — the PR 8 interleave bug class. A selector that
-//!   XOR-folds disjoint higher lanes across the overlap (the
-//!   `bank_mix` pattern) is recognized as decorrelated and stays
-//!   silent.
-//! - **B2 lossy-narrowing** ([`check_lanes`]): a selector with a known
-//!   power-of-two bound `2^k` but fewer than `k` surviving source
-//!   lanes — an upstream cast or mask discarded entropy it needs.
+//! One rule lives on top, next to the L3 lock-order graph pass
+//! ([`check_lock_order`]): **B1 correlated-selectors**
+//! ([`check_lanes`]) — two bounded selector values in one fn whose lane
+//! sets intersect on the same source parameter, the PR 8 interleave bug
+//! class. A selector that XOR-folds disjoint higher lanes across the
+//! overlap (the `bank_mix` pattern) is recognized as decorrelated and
+//! stays silent.
 //!
 //! Like the rest of the linter this is a tripwire, not a proof: branch
 //! *conditions* do not contribute dependence, additive carries are
@@ -61,7 +56,7 @@ pub struct Lanes {
 }
 
 /// Abstract value: per-parameter lane dependencies plus constant and
-/// range refinements.
+/// selector refinements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbsVal {
     /// Parameter index → lane info. Empty = no tracked dependence.
@@ -70,8 +65,6 @@ pub struct AbsVal {
     pub konst: Option<u64>,
     /// The value is range-bounded like a selector (`% m`, small mask).
     pub bounded: bool,
-    /// Exclusive upper bound when statically known.
-    pub bound: Option<u64>,
 }
 
 impl AbsVal {
@@ -133,10 +126,6 @@ fn join(a: &AbsVal, b: &AbsVal) -> AbsVal {
         deps,
         konst: if a.konst == b.konst { a.konst } else { None },
         bounded: a.bounded && b.bounded,
-        bound: match (a.bound, b.bound) {
-            (Some(x), Some(y)) if a.bounded && b.bounded => Some(x.max(y)),
-            _ => None,
-        },
     }
     .normalize()
 }
@@ -179,7 +168,6 @@ fn smear(a: &AbsVal, b: &AbsVal) -> AbsVal {
     }
     out.konst = None;
     out.bounded = false;
-    out.bound = None;
     out
 }
 
@@ -198,15 +186,14 @@ pub struct ParamFlow {
     pub folded: bool,
 }
 
-/// Lane summary for one function: per-param flows plus return bound.
+/// Lane summary for one function: per-param flows plus whether the
+/// return value is a selector.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnSummary {
     /// Indexed by parameter position; `None` = does not flow.
     pub flows: Vec<Option<ParamFlow>>,
     /// The return value is selector-bounded.
     pub bounded: bool,
-    /// Exclusive return bound when statically known.
-    pub bound: Option<u64>,
 }
 
 fn summarize(f: &FnItem, ret: &AbsVal) -> FnSummary {
@@ -222,7 +209,6 @@ fn summarize(f: &FnItem, ret: &AbsVal) -> FnSummary {
     FnSummary {
         flows,
         bounded: ret.bounded,
-        bound: ret.bound,
     }
 }
 
@@ -232,7 +218,6 @@ fn summarize(f: &FnItem, ret: &AbsVal) -> FnSummary {
 fn apply_summary(sum: &FnSummary, args: &[AbsVal]) -> AbsVal {
     let mut out = AbsVal {
         bounded: sum.bounded,
-        bound: sum.bound,
         ..AbsVal::default()
     };
     for (i, arg) in args.iter().enumerate() {
@@ -455,7 +440,6 @@ impl<'a> Eval<'a> {
                 let mut v = self.unary()?;
                 v.konst = v.konst.map(|k| !k);
                 v.bounded = false;
-                v.bound = None;
                 Ok(v)
             }
             Some((EKind::Punct('-'), _)) => {
@@ -544,10 +528,6 @@ impl<'a> Eval<'a> {
             ("min", [a]) => {
                 let mut out = join(base, a);
                 out.bounded = base.bounded || a.bounded;
-                out.bound = match (base.bound, a.bound) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                };
                 out
             }
             ("max", [a]) => {
@@ -783,7 +763,6 @@ fn shift_op(a: &AbsVal, b: &AbsVal, left: bool) -> AbsVal {
     };
     let mut out = a.clone();
     out.bounded = false;
-    out.bound = None;
     out.konst = a.konst.map(|x| if left { x << k } else { x >> k });
     for l in out.deps.values_mut() {
         if let Some(s) = l.shift {
@@ -829,9 +808,6 @@ fn and_op(a: &AbsVal, b: &AbsVal) -> AbsVal {
     let size = m.wrapping_add(1);
     if size.is_power_of_two() && size <= MAX_SELECTOR_BOUND {
         out.bounded = true;
-        out.bound = Some(out.bound.map_or(size, |b| b.min(size)));
-    } else if let Some(b) = out.bound {
-        out.bound = Some(b.min(m.saturating_add(1)));
     }
     out.normalize()
 }
@@ -878,7 +854,6 @@ fn mod_op(a: &AbsVal, b: &AbsVal) -> AbsVal {
             let mut out = and_op(a, &AbsVal::constant(m - 1));
             out.konst = a.konst.map(|x| x % m);
             out.bounded = true;
-            out.bound = Some(m);
             out
         }
         Some(m) if m > 0 => {
@@ -887,12 +862,11 @@ fn mod_op(a: &AbsVal, b: &AbsVal) -> AbsVal {
             let mut out = smear(a, &AbsVal::default());
             out.konst = a.konst.map(|x| x % m);
             out.bounded = true;
-            out.bound = Some(m);
             out
         }
         _ => {
-            // `% unknown`: bounded by construction, bound unknown; the
-            // divisor's own lanes leak in.
+            // `% unknown`: bounded by construction; the divisor's own
+            // lanes leak in.
             let mut out = smear(a, b);
             out.bounded = true;
             out
@@ -914,9 +888,6 @@ fn cast_op(a: &AbsVal, ty: &str) -> AbsVal {
         if let Some(s) = l.shift {
             l.lanes &= shift_mask(mask, s);
         }
-    }
-    if let Some(b) = out.bound {
-        out.bound = Some(b.min(mask.saturating_add(1)));
     }
     out.normalize()
 }
@@ -1024,7 +995,7 @@ fn eval_fn(
 
 /// The workspace summary fixpoint, evaluated dirty-driven: a fn is
 /// re-evaluated only when a callee's summary changed at or after its
-/// last evaluation. Each evaluation also stores the fn's B1/B2
+/// last evaluation. Each evaluation also stores the fn's B1
 /// findings, so [`check_lanes`] reuses them instead of evaluating
 /// every fn once more. Per-fn state is flat, indexed `base[fi] + gi`,
 /// and holds no lane values.
@@ -1039,7 +1010,7 @@ struct Fixpoint {
     changed: Vec<u64>,
     /// Flat indexes of the callees the last evaluation resolved.
     callees: Vec<Vec<usize>>,
-    /// B1/B2 findings of the last evaluation.
+    /// B1 findings of the last evaluation.
     findings: Vec<Vec<Finding>>,
     /// Evaluations so far; the stamp of the latest.
     clock: u64,
@@ -1144,7 +1115,7 @@ fn analysable(files: &[(String, FileIndex)]) -> Vec<FnKey> {
 }
 
 // ---------------------------------------------------------------------
-// B1 correlated-selectors and B2 lossy-narrowing.
+// B1 correlated-selectors.
 // ---------------------------------------------------------------------
 
 /// Formats a lane mask as bit ranges: `8-11`, `{3, 10-13}`.
@@ -1169,7 +1140,7 @@ fn fmt_lanes(m: u64) -> String {
     parts.join(",")
 }
 
-/// Runs the bit-provenance rules (B1, B2) over the workspace: the
+/// Runs the bit-provenance rule (B1) over the workspace: the
 /// findings each fn's last fixpoint evaluation stored, in (file, fn)
 /// order. Only a fn whose stored result is stale — possible only when
 /// the pass guard stopped a recursive cycle — is evaluated again.
@@ -1188,7 +1159,8 @@ pub fn check_lanes(files: &[(String, FileIndex)]) -> Vec<Finding> {
     findings
 }
 
-/// B1 and B2 over one evaluated fn.
+/// B1 over one evaluated fn: pairwise lane intersection of its
+/// selector bindings on a shared source param.
 fn lane_findings(path: &str, f: &FnItem, lanes: &FnLanes) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Selector bindings: bounded, source-dependent, named.
@@ -1201,7 +1173,6 @@ fn lane_findings(path: &str, f: &FnItem, lanes: &FnLanes) -> Vec<Finding> {
                 .then_some((b, v))
         })
         .collect();
-    // B1: pairwise lane intersection on a shared source param.
     for ai in 0..sels.len() {
         for bi in ai + 1..sels.len() {
             let (ba, va) = sels[ai];
@@ -1257,43 +1228,6 @@ fn lane_findings(path: &str, f: &FnItem, lanes: &FnLanes) -> Vec<Finding> {
             }
         }
     }
-    // B2: power-of-two bound wider than the surviving lanes.
-    for (b, v) in lanes.vals.iter().filter_map(|(bi, v)| {
-        let b = &f.binds[*bi];
-        (b.name != RET_BIND && v.bounded && v.konst.is_none()).then_some((b, v))
-    }) {
-        let Some(bound) = v.bound.filter(|b| b.is_power_of_two()) else {
-            continue;
-        };
-        let k = bound.trailing_zeros();
-        let total: u32 = v.deps.values().map(|l| l.lanes.count_ones()).sum();
-        if total == 0 || total >= k || v.deps.is_empty() {
-            continue;
-        }
-        let sources: Vec<String> = v
-            .deps
-            .iter()
-            .map(|(p, l)| {
-                format!(
-                    "bits {} of `{}`",
-                    fmt_lanes(l.lanes),
-                    f.params.get(*p).map_or("<param>", String::as_str)
-                )
-            })
-            .collect();
-        findings.push(Finding::new(
-            Rule::LossyNarrowing,
-            path,
-            b.line,
-            format!(
-                "selector `{}` spans {bound} slots but only {total} source bit(s) \
-                 survive upstream narrowing ({}) — a cast or mask discarded lanes \
-                 it needs, so most of its range is unreachable",
-                b.name,
-                sources.join(", "),
-            ),
-        ));
-    }
     findings
 }
 
@@ -1301,7 +1235,7 @@ fn lane_findings(path: &str, f: &FnItem, lanes: &FnLanes) -> Vec<Finding> {
 // L3 lock-order.
 // ---------------------------------------------------------------------
 
-/// Builds the workspace lock-acquisition-order graph from L1's
+/// Builds the workspace lock-acquisition-order graph from the parser's
 /// guard-liveness data and reports cycles (potential deadlocks). Each
 /// cycle is reported once, anchored at the witness site of the edge
 /// leaving its lexicographically smallest node.
@@ -1451,7 +1385,6 @@ mod tests {
         assert_eq!(l.lanes, 0xF << 8);
         assert_eq!(l.shift, Some(8));
         assert!(v.bounded);
-        assert_eq!(v.bound, Some(16));
     }
 
     #[test]
@@ -1587,7 +1520,7 @@ mod tests {
         }
     }
 
-    /// B1/B2 by evaluating every fn from scratch against the final
+    /// B1 by evaluating every fn from scratch against the final
     /// summaries: what `check_lanes` computed before it reused the
     /// fixpoint's evaluations.
     fn from_scratch(fs: &[(String, FileIndex)]) -> Vec<Finding> {
@@ -1633,7 +1566,6 @@ mod tests {
     #[test]
     fn check_lanes_reuses_exactly_what_a_fresh_evaluation_finds() {
         let b1 = include_str!("../tests/fixtures/b1_correlated.rs");
-        let b2 = include_str!("../tests/fixtures/b2_narrowing.rs");
         let chain6 = chain(6);
         // The pass guard stops the ping/pong cycle, leaving `top` and
         // the pair stale: `check_lanes` must evaluate them once more.
@@ -1643,8 +1575,6 @@ mod tests {
         let gen = callers_first_workspace();
         let cases: Vec<Vec<(&str, &str)>> = vec![
             vec![("b1.rs", b1)],
-            vec![("b2.rs", b2)],
-            vec![("b1.rs", b1), ("b2.rs", b2)],
             vec![("chain.rs", &chain6)],
             vec![("cycle.rs", cycle)],
             gen.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect(),
@@ -1652,7 +1582,7 @@ mod tests {
         for srcs in cases {
             let fs = files(&srcs);
             let reused = check_lanes(&fs);
-            assert!(!reused.is_empty(), "{srcs:?} plants B1/B2 sites");
+            assert!(!reused.is_empty(), "{srcs:?} plants B1 sites");
             assert_eq!(reused, from_scratch(&fs), "{srcs:?}");
         }
         // The generated workspace really re-evaluates callers in pass 1,

@@ -30,7 +30,9 @@ use crate::parse::FileIndex;
 /// consts, and lock targets joined the serialized `FileIndex`.
 /// 5: H1 folded into H2 and U1 removed — cached single-file findings
 /// no longer carry either rule.
-pub const CACHE_VERSION: u64 = 5;
+/// 6: D3/D4/L1/L2/B2 removed — seed sites, sync captures, spawn drains,
+/// and the L1-only lock-site fields left the serialized `FileIndex`.
+pub const CACHE_VERSION: u64 = 6;
 
 /// Cached state for one source file.
 #[derive(Debug, Clone)]
@@ -166,10 +168,8 @@ mod tests {
             "crates/x/src/a.rs".to_string(),
             CacheEntry {
                 hash: content_hash(src),
-                findings: vec![
-                    Finding::new(Rule::F32Truncation, "crates/x/src/a.rs", 3, "demo")
-                        .with_chain(vec!["a:1 `f`".to_string()]),
-                ],
+                findings: vec![Finding::new(Rule::HashIter, "crates/x/src/a.rs", 3, "demo")
+                    .with_chain(vec!["a:1 `f`".to_string()])],
                 index,
             },
         );

@@ -1,12 +1,13 @@
 //! Workspace call graph and the H2 `hot-path-reach` pass.
 //!
 //! The symbol table maps function names (and `(owner, name)` pairs for
-//! methods) to their defining [`FnItem`]s across every indexed file.
-//! An allocation written inside a `lint:hot-path` fence is a zero-hop
-//! finding whose chain is the allocation site alone. For each call site
-//! inside a fence, a breadth-first walk follows resolvable calls until
-//! it reaches a function that allocates; the shortest such chain becomes
-//! the finding's evidence (`via path:line \`name\`` hops in the report).
+//! methods) to their defining [`FnItem`](crate::parse::FnItem)s across
+//! every indexed file. An allocation written inside a `lint:hot-path`
+//! fence is a zero-hop finding whose chain is the allocation site
+//! alone. For each call site inside a fence, a breadth-first walk
+//! follows resolvable calls until it reaches a function that allocates;
+//! the shortest such chain becomes the finding's evidence
+//! (`via path:line \`name\`` hops in the report).
 //!
 //! Resolution is deliberately conservative about *qualified* names:
 //! `Vec::new(..)` only resolves to a workspace `impl Vec` (there is

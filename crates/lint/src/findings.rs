@@ -12,11 +12,6 @@ pub enum Rule {
     HashIter,
     /// D2: no wall-clock reads outside `bench` / `harness::executor`.
     WallClock,
-    /// D3: no `f32` truncation in accumulator paths.
-    F32Truncation,
-    /// D4: seeds outside bench/tests must derive from config state or a
-    /// named constant, never an inline ad-hoc literal.
-    SeedDiscipline,
     /// H2: no allocation inside a `// lint:hot-path` fence, written there
     /// (zero hops) or reachable through the workspace call graph.
     HotPathReach,
@@ -29,23 +24,14 @@ pub enum Rule {
     /// iteration, address-as-value casts) unless laundered through a
     /// verified `// lint:order-invisible` fence.
     NondetTaint,
-    /// L1: no `.lock()` inside a `lint:hot-path` fence, while another
-    /// guard from the same fn is live, or twice in one statement.
-    LockDiscipline,
-    /// L2: Mutex/atomic state a spawn closure stores into must be
-    /// drained/merged after the spawn in deterministic index order.
-    SpawnMerge,
-    /// L3: the workspace lock-acquisition-order graph (built from L1's
-    /// guard-liveness data) must be cycle-free — a cycle is a deadlock
-    /// waiting for the right interleaving.
+    /// L3: the workspace lock-acquisition-order graph (built from the
+    /// parser's guard-liveness data) must be cycle-free — a cycle is a
+    /// deadlock waiting for the right interleaving.
     LockOrder,
     /// B1: two selector values in one fn derived from overlapping bit
     /// lanes of the same source value, both bounded for placement /
     /// indexing — the correlated-interleave bug class (PR 8).
     CorrelatedSelectors,
-    /// B2: a cast/mask provably discards bit lanes a later selector
-    /// still needs, starving it of entropy.
-    LossyNarrowing,
     /// S1: scenario specs must match their experiment's parameter schema.
     ScenarioSchema,
     /// Malformed fence markers (unbalanced / nested `lint:hot-path`).
@@ -61,16 +47,11 @@ impl Rule {
         match self {
             Rule::HashIter => "hash-iter",
             Rule::WallClock => "wall-clock",
-            Rule::F32Truncation => "f32-truncation",
-            Rule::SeedDiscipline => "seed-discipline",
             Rule::HotPathReach => "hot-path-reach",
             Rule::ThreadCapture => "thread-capture",
             Rule::NondetTaint => "nondet-taint",
-            Rule::LockDiscipline => "lock-discipline",
-            Rule::SpawnMerge => "spawn-merge",
             Rule::LockOrder => "lock-order",
             Rule::CorrelatedSelectors => "correlated-selectors",
-            Rule::LossyNarrowing => "lossy-narrowing",
             Rule::ScenarioSchema => "scenario-schema",
             Rule::Fence => "fence",
             Rule::Waiver => "waiver",
@@ -83,16 +64,11 @@ impl Rule {
         match self {
             Rule::HashIter => "D1",
             Rule::WallClock => "D2",
-            Rule::F32Truncation => "D3",
-            Rule::SeedDiscipline => "D4",
             Rule::HotPathReach | Rule::Fence => "H2",
             Rule::ThreadCapture => "R1",
             Rule::NondetTaint => "N1",
-            Rule::LockDiscipline => "L1",
-            Rule::SpawnMerge => "L2",
             Rule::LockOrder => "L3",
             Rule::CorrelatedSelectors => "B1",
-            Rule::LossyNarrowing => "B2",
             Rule::ScenarioSchema => "S1",
             Rule::Waiver => "W0",
         }
@@ -103,16 +79,11 @@ impl Rule {
     pub const ALL: &'static [Rule] = &[
         Rule::HashIter,
         Rule::WallClock,
-        Rule::F32Truncation,
-        Rule::SeedDiscipline,
         Rule::HotPathReach,
         Rule::ThreadCapture,
         Rule::NondetTaint,
-        Rule::LockDiscipline,
-        Rule::SpawnMerge,
         Rule::LockOrder,
         Rule::CorrelatedSelectors,
-        Rule::LossyNarrowing,
         Rule::ScenarioSchema,
         Rule::Fence,
         Rule::Waiver,
@@ -125,16 +96,11 @@ impl Rule {
         match name {
             "hash-iter" => Some(Rule::HashIter),
             "wall-clock" => Some(Rule::WallClock),
-            "f32-truncation" => Some(Rule::F32Truncation),
-            "seed-discipline" => Some(Rule::SeedDiscipline),
             "hot-path-reach" => Some(Rule::HotPathReach),
             "thread-capture" => Some(Rule::ThreadCapture),
             "nondet-taint" => Some(Rule::NondetTaint),
-            "lock-discipline" => Some(Rule::LockDiscipline),
-            "spawn-merge" => Some(Rule::SpawnMerge),
             "lock-order" => Some(Rule::LockOrder),
             "correlated-selectors" => Some(Rule::CorrelatedSelectors),
-            "lossy-narrowing" => Some(Rule::LossyNarrowing),
             "scenario-schema" => Some(Rule::ScenarioSchema),
             _ => None,
         }
@@ -174,19 +140,6 @@ impl Rule {
                  which time requests and worker chunks) are the sanctioned \
                  timing sites."
             }
-            Rule::F32Truncation => {
-                "D3 f32-truncation: accumulators are f64 end-to-end; a single \
-                 f32 truncation silently perturbs every downstream fold and \
-                 the run summary stops being bit-identical across refactors."
-            }
-            Rule::SeedDiscipline => {
-                "D4 seed-discipline: every SplitMix64::new/seed construction \
-                 outside crates/bench and #[cfg(test)] modules must derive \
-                 from a scenario/config field, a function argument, or a \
-                 named constant. Inline ad-hoc literals (SplitMix64::new(42)) \
-                 create untracked randomness the harness cannot replay or \
-                 sweep."
-            }
             Rule::HotPathReach => {
                 "H2 hot-path-reach: no allocation (Vec::new, .clone(), \
                  .to_vec(), .collect(), format!, vec!, with_capacity, ...) \
@@ -224,36 +177,10 @@ impl Rule {
                  `for` loop or `.fold()`) and is otherwise rejected as a \
                  finding of its own."
             }
-            Rule::LockDiscipline => {
-                "L1 lock-discipline: `.lock()` must not appear inside a \
-                 // lint:hot-path fence (a blocking syscall-class stall on \
-                 the replay inner loop), must not be acquired while \
-                 another lock guard bound in the same fn is still live \
-                 (two guards live at once is the classic lock-order \
-                 deadlock shape — drop the first guard or merge the \
-                 critical sections), and must not appear twice in one \
-                 statement. Guard liveness is tracked over tokenizer \
-                 statement and block boundaries: a guard dies at its \
-                 block's `}`, at `drop(guard)`, or at statement end for \
-                 un-bound temporaries. stdin()/stdout()/stderr() locks \
-                 are exempt (they serialize I/O, not sim state)."
-            }
-            Rule::SpawnMerge => {
-                "L2 spawn-merge: when a spawn closure stores into \
-                 Mutex/atomic state captured from the enclosing fn \
-                 (push/insert/store/fetch_add/... or a `*x.lock() = ` \
-                 assignment), the enclosing fn must drain that state \
-                 after the spawn in deterministic index order (iterate \
-                 the slots, into_inner, or an explicit `.join()`): \
-                 results that are only ever observed from inside racing \
-                 closures depend on scheduling order. Accumulators that \
-                 feed logging only can be waived with \
-                 `// lint:allow(spawn-merge) <reason>`."
-            }
             Rule::LockOrder => {
                 "L3 lock-order: taking lock B while holding lock A adds the \
                  edge A -> B to the workspace lock-acquisition-order graph \
-                 (built from the same guard-liveness data L1 uses, with the \
+                 (built from the parser's guard-liveness data, with the \
                  lock's receiver identifier as the graph node). A cycle in \
                  that graph means two code paths acquire the same locks in \
                  opposite orders — a deadlock waiting for the right thread \
@@ -275,15 +202,6 @@ impl Rule {
                  higher source bits across it (like `bank_mix`) — the \
                  analyzer recognizes multi-shift folds and stays silent; \
                  fold-free overlap fires."
-            }
-            Rule::LossyNarrowing => {
-                "B2 lossy-narrowing: a selector with a known power-of-two \
-                 bound 2^k whose surviving source bit lanes number fewer \
-                 than k — an upstream cast or mask provably discarded \
-                 entropy the selector still needs, so part of its range is \
-                 unreachable (e.g. `let x = addr as u8; (x >> 6) & 15` can \
-                 only ever produce 4 of 16 values). Widen the upstream \
-                 value or narrow the selector's bound to match."
             }
             Rule::ScenarioSchema => {
                 "S1 scenario-schema: scenarios/*.json must match the \
@@ -440,29 +358,14 @@ mod tests {
 
     #[test]
     fn rule_names_round_trip() {
-        for rule in [
-            Rule::HashIter,
-            Rule::WallClock,
-            Rule::F32Truncation,
-            Rule::SeedDiscipline,
-            Rule::HotPathReach,
-            Rule::ThreadCapture,
-            Rule::NondetTaint,
-            Rule::LockDiscipline,
-            Rule::SpawnMerge,
-            Rule::LockOrder,
-            Rule::CorrelatedSelectors,
-            Rule::LossyNarrowing,
-            Rule::ScenarioSchema,
-        ] {
-            assert_eq!(Rule::from_name(rule.name()), Some(rule));
-        }
-        assert_eq!(Rule::from_name("fence"), None);
-        assert_eq!(Rule::from_name("nope"), None);
-        for rule in Rule::ALL {
-            assert_eq!(Rule::from_name_any(rule.name()), Some(*rule));
+        for &rule in Rule::ALL {
+            assert_eq!(Rule::from_name_any(rule.name()), Some(rule));
             assert!(!rule.explain().is_empty());
+            // Every rule but the bookkeeping ones can be waived by name.
+            let waivable = !matches!(rule, Rule::Fence | Rule::Waiver);
+            assert_eq!(Rule::from_name(rule.name()).is_some(), waivable);
         }
+        assert_eq!(Rule::from_name("nope"), None);
     }
 
     #[test]

@@ -4,35 +4,30 @@
 //! The simulator's headline guarantee — byte-identical `run_summary.json`
 //! for a given seed, regardless of thread count — is carried by coding
 //! invariants that `rustc` cannot check: no hash-order iteration feeding
-//! results, no wall-clock reads in sim code, no f32 truncation in
-//! accumulator paths, no allocation in (or reachable from) the fenced
-//! hot paths, no shared mutable captures in worker closures, seeds
-//! traceable to a scenario or named constant, and scenario specs that
-//! match their experiment's parameter schema. This crate checks them,
-//! offline, with its own lightweight tokenizer and item parser (the
-//! same zero-dependency philosophy as `ehp_sim_core::json`).
+//! results, no wall-clock reads in sim code, no allocation in (or
+//! reachable from) the fenced hot paths, no shared mutable captures in
+//! worker closures, no nondeterminism reaching summary emission, no
+//! lock-order cycles, no correlated placement selectors, and scenario
+//! specs that match their experiment's parameter schema. This crate
+//! checks them, offline, with its own lightweight tokenizer and item
+//! parser (the same zero-dependency philosophy as `ehp_sim_core::json`).
 //!
 //! | rule              | code | invariant                                        |
 //! |-------------------|------|--------------------------------------------------|
 //! | `hash-iter`       | D1   | no `HashMap`/`HashSet` iteration in sim crates   |
 //! | `wall-clock`      | D2   | no `Instant::now`/`SystemTime` outside bench     |
-//! | `f32-truncation`  | D3   | f64 end-to-end in accumulator paths              |
-//! | `seed-discipline` | D4   | seeds derive from config/constants, not literals |
 //! | `hot-path-reach`  | H2   | no allocation in or reachable from fences        |
 //! | `thread-capture`  | R1   | no shared mutable capture in spawn closures      |
 //! | `nondet-taint`    | N1   | no nondeterminism reaches summary/merge sinks    |
-//! | `lock-discipline` | L1   | no fenced/nested/same-statement lock acquisition |
-//! | `spawn-merge`     | L2   | spawn-stored sync state drains deterministically |
 //! | `lock-order`      | L3   | no cycles in the lock acquisition-order graph    |
 //! | `correlated-selectors` | B1 | placement selectors use disjoint address lanes |
-//! | `lossy-narrowing` | B2   | selectors keep enough source bits for their range |
 //! | `scenario-schema` | S1   | `scenarios/*.json` match experiment schemas      |
 //!
 //! Each file is tokenized once into tokens that borrow the source text
-//! ([`tokenizer`]). D1–D4, R1, L1, and L2 are single-file rules and
-//! cache per file (content-hash keyed, `target/lint-cache.json`; with
-//! the cache off nothing is hashed or built); H2, N1, L3, and the
-//! bit-provenance rules B1/B2 walk the workspace call graph (and
+//! ([`tokenizer`]). D1, D2, and R1 are single-file rules and cache
+//! per file (content-hash keyed, `target/lint-cache.json`; with the
+//! cache off nothing is hashed or built); H2, N1, L3, and the
+//! bit-provenance rule B1 walk the workspace call graph (and
 //! the [`absint`] lane summaries, which re-evaluate a function only
 //! when a callee's summary changed) built from the per-file indexes
 //! and are recomputed every run, as are S1 and the waiver file. A cold
@@ -175,7 +170,7 @@ pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
 }
 
 /// Runs the cross-file passes (H2 allocation reachability, N1 nondet
-/// taint, B1/B2 bit-provenance, L3 lock-order) over the per-file
+/// taint, B1 bit-provenance, L3 lock-order) over the per-file
 /// indexes and appends their findings, applying each root file's
 /// inline waivers.
 fn append_reachability(findings: &mut Vec<Finding>, indexes: &[(String, FileIndex)]) {
@@ -312,7 +307,7 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
         report.files_scanned += 1;
     }
 
-    // Cross-file passes: H2 reachability, N1 taint, B1/B2 lanes, and
+    // Cross-file passes: H2 reachability, N1 taint, B1 lanes, and
     // L3 lock-order over the graph.
     append_reachability(&mut report.findings, &indexes);
 

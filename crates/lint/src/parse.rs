@@ -3,11 +3,11 @@
 //!
 //! [`parse_file`] extracts every function item (name, owning `impl`
 //! type, `#[cfg(test)]`/`#[test]` context), its outgoing call sites and
-//! allocation sites, the `// lint:hot-path` fence regions, seed
-//! construction sites, and `spawn` closure captures — everything the
-//! cross-file rules (H2 hot-path-reach, R1 thread-capture, D4
-//! seed-discipline) and the incremental cache need, without keeping the
-//! token stream around.
+//! allocation sites, the `// lint:hot-path` fence regions, `spawn`
+//! closure captures, and `.lock()` sites with guard liveness —
+//! everything the rules (H2 hot-path-reach, R1 thread-capture, N1
+//! nondet-taint, B1 correlated-selectors, L3 lock-order) and the
+//! incremental cache need, without keeping the token stream around.
 //!
 //! Like the rest of the linter the parser is type-free and heuristic: a
 //! declaration heuristic maps identifiers to type names (`ws: &mut
@@ -44,26 +44,6 @@ const ALLOC_BARE: &[&str] = &["with_capacity"];
 
 /// Cell-like types whose capture by a spawn closure races (R1).
 const CELL_TYPES: &[&str] = &["RefCell", "Cell", "Rc"];
-
-/// Methods that store into shared sync state. A spawn closure calling
-/// one of these on a `Mutex`/`RwLock`/`Atomic*`-typed capture publishes
-/// results the enclosing fn must later drain in index order (L2).
-const SYNC_STORE_METHODS: &[&str] = &[
-    "push",
-    "push_back",
-    "push_front",
-    "insert",
-    "append",
-    "extend",
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "get_or_init",
-    "set",
-];
 
 /// Keywords that look like `ident (` but are not calls.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -111,7 +91,7 @@ const MAX_BINDS: usize = 96;
 const MAX_EXPR_TOKS: usize = 160;
 
 /// One captured value binding inside a function body — the abstract
-/// interpreter's input (B1/B2 bit-provenance, [`crate::absint`]).
+/// interpreter's input (B1 bit-provenance, [`crate::absint`]).
 ///
 /// `expr` holds the right-hand side as space-joined token texts in
 /// source order (string/char literals become `#`, oversized
@@ -150,9 +130,9 @@ pub struct FnItem {
     /// iteration, consulted when verifying `lint:order-invisible`.
     pub loops: Vec<u32>,
     /// Parameter names in declaration order (`self` excluded) — the
-    /// abstract interpreter's lane sources (B1/B2).
+    /// abstract interpreter's lane sources (B1).
     pub params: Vec<String>,
-    /// Captured value bindings, in source order (B1/B2).
+    /// Captured value bindings, in source order (B1).
     pub binds: Vec<BindSite>,
 }
 
@@ -218,20 +198,13 @@ pub struct OrderFence {
     pub reason: String,
 }
 
-/// One `.lock()` call site with guard-liveness context (L1).
+/// One `.lock()` call site with guard-liveness context (L3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSite {
     /// 1-based source line of the `lock` identifier.
     pub line: u32,
-    /// Inside a `lint:hot-path` fence.
-    pub in_fence: bool,
     /// Inside test code.
     pub in_test: bool,
-    /// A lock guard bound earlier in the same fn that is still live
-    /// here: `(binding name, binding line)`.
-    pub live_guard: Option<(String, u32)>,
-    /// A previous `.lock()` already occurred in the same statement.
-    pub second_in_stmt: bool,
     /// Receiver identifier of this `.lock()` when it is ident-rooted
     /// (`slots[i].lock()` → `slots`, `self.a.lock()` → `a`) — the L3
     /// lock-order graph node being acquired.
@@ -239,31 +212,6 @@ pub struct LockSite {
     /// Lock target of the still-live guard, when known — the L3 edge
     /// source (`held_target` → `target` is an acquisition-order edge).
     pub held_target: Option<String>,
-}
-
-/// One sync-typed identifier captured by a spawn closure (L2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncCapture {
-    /// Captured identifier.
-    pub ident: String,
-    /// 1-based line of the first capture.
-    pub line: u32,
-    /// Declared type (`Mutex`, `AtomicU64`, ...).
-    pub ty: String,
-    /// The closure stores into it (deref-assign or a store method).
-    pub stored: bool,
-}
-
-/// One `SplitMix64::new(..)` construction site (D4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSite {
-    /// 1-based source line.
-    pub line: u32,
-    /// The argument is built from literals only — no identifier (config
-    /// field, named constant, function argument) anywhere in it.
-    pub literal_only: bool,
-    /// Inside test code.
-    pub in_test: bool,
 }
 
 /// What a spawn closure captured that it must not (R1).
@@ -296,11 +244,6 @@ pub struct SpawnSite {
     pub in_test: bool,
     /// Illegal captures, in source order.
     pub captures: Vec<Capture>,
-    /// Sync-typed (`Mutex`/`RwLock`/`Atomic*`) captures, one per ident.
-    pub sync: Vec<SyncCapture>,
-    /// The enclosing fn mentions a stored-into sync capture (or joins
-    /// the handle) after the spawn call — i.e. it drains results.
-    pub drained: bool,
 }
 
 /// Everything the cross-file passes need to know about one file. This
@@ -312,8 +255,6 @@ pub struct FileIndex {
     pub fns: Vec<FnItem>,
     /// `lint:hot-path` fence regions as `(begin_line, end_line)`.
     pub fences: Vec<(u32, u32)>,
-    /// Seed construction sites (D4).
-    pub seeds: Vec<SeedSite>,
     /// Spawn closure captures (R1).
     pub spawns: Vec<SpawnSite>,
     /// Inline `lint:allow` waivers (kept so cross-file findings computed
@@ -324,14 +265,11 @@ pub struct FileIndex {
     pub typed: BTreeMap<String, String>,
     /// `lint:order-invisible` fences (N1).
     pub order_fences: Vec<OrderFence>,
-    /// `.lock()` call sites with guard-liveness context (L1).
+    /// `.lock()` call sites with guard-liveness context (L3).
     pub locks: Vec<LockSite>,
-    /// Identifiers declared with a sync type (`Mutex`/`RwLock`/
-    /// `Atomic*`), first declaration wins (L2).
-    pub sync_typed: BTreeMap<String, String>,
     /// File-local integer constants (`const NUM_BANKS: u64 = 16;`), so
     /// the abstract interpreter can resolve selector bounds like
-    /// `row % NUM_BANKS` (B1/B2).
+    /// `row % NUM_BANKS` (B1).
     pub consts: BTreeMap<String, u64>,
 }
 
@@ -476,77 +414,6 @@ fn typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
     out
 }
 
-/// Sync-typed identifier detection for L2: any `Mutex`/`RwLock`/
-/// `Atomic*` mention whose short leftward walk (over path prefixes and
-/// container types like `Vec<..>`/`[..]`) lands on a `name:` ascription
-/// or `name =` binding records `name`. First declaration wins — the
-/// value only labels findings, membership is what matters.
-fn sync_typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
-    let mut out: BTreeMap<String, String> = BTreeMap::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident
-            || !(t.text == "Mutex" || t.text == "RwLock" || t.text.starts_with("Atomic"))
-        {
-            continue;
-        }
-        // Walk left over a `std::sync::`-style path prefix.
-        let mut j = i;
-        while j >= 3
-            && toks[j - 1].is_punct(':')
-            && toks[j - 2].is_punct(':')
-            && toks[j - 3].kind == TokKind::Ident
-        {
-            j -= 3;
-        }
-        if j == 0 {
-            continue;
-        }
-        // Skip container/type tokens (`Vec<`, `[`, `(`, `&`, `mut`)
-        // between the binding and the sync type, bounded so expression
-        // contexts don't walk into unrelated code.
-        let mut k = j;
-        let mut steps = 0;
-        while k > 0 {
-            k -= 1;
-            steps += 1;
-            if steps > 8 {
-                k = 0;
-                break;
-            }
-            let tk = &toks[k];
-            if tk.kind == TokKind::Ident
-                || tk.is_punct('<')
-                || tk.is_punct('>')
-                || tk.is_punct('[')
-                || tk.is_punct('(')
-                || tk.is_punct('&')
-            {
-                continue;
-            }
-            break;
-        }
-        if k == 0 {
-            continue;
-        }
-        // `name: Type` (not `::`) or `name = Type::...`.
-        let is_ascription = toks[k].is_punct(':') && !(k >= 2 && toks[k - 2].is_punct(':'));
-        let name = if (is_ascription || toks[k].is_punct('='))
-            && k >= 1
-            && toks[k - 1].kind == TokKind::Ident
-        {
-            Some(toks[k - 1].text)
-        } else {
-            None
-        };
-        if let Some(name) = name {
-            out.entry(name.to_string())
-                .or_insert_with(|| t.text.to_string());
-        }
-    }
-    out
-}
-
 /// Finds the index of the matching close for the open delimiter at
 /// `open` (which must hold `(`, `[`, or `{`); returns `toks.len()` when
 /// unbalanced.
@@ -584,26 +451,21 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
     findings.append(&mut waiver_errors);
 
     let toks = &file.toks;
-    let typed = typed_idents(toks);
-    let sync_typed = sync_typed_idents(toks);
     let mut index = FileIndex {
         fences,
         order_fences,
         waivers,
-        typed,
-        sync_typed,
+        typed: typed_idents(toks),
         ..FileIndex::default()
     };
 
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending: Option<Scope> = None;
     let mut pending_test_attr = false;
-    // Live lock guards for L1/L3: (binding name, binding line, scope
-    // depth at the binding, token index after which the guard is live,
-    // lock target the guard holds).
-    let mut guards: Vec<(String, u32, usize, usize, Option<String>)> = Vec::new();
-    // A `.lock()` already seen in the current statement (L1).
-    let mut stmt_lock = false;
+    // Live lock guards for L3: (binding name, scope depth at the
+    // binding, token index after which the guard is live, lock target
+    // the guard holds).
+    let mut guards: Vec<(String, usize, usize, Option<String>)> = Vec::new();
 
     let in_test_scope = |scopes: &[Scope]| {
         scopes
@@ -741,15 +603,13 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
 
         if t.is_punct('{') {
             scopes.push(pending.take().unwrap_or(Scope::Block));
-            stmt_lock = false;
             i += 1;
             continue;
         }
         if t.is_punct('}') {
             scopes.pop();
             // Guards bound inside the closed block die with it.
-            guards.retain(|(_, _, depth, ..)| *depth <= scopes.len());
-            stmt_lock = false;
+            guards.retain(|(_, depth, ..)| *depth <= scopes.len());
             i += 1;
             continue;
         }
@@ -757,34 +617,8 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             // Cancels any item header still waiting for a body
             // (`mod x;`, trait method signatures).
             pending = None;
-            stmt_lock = false;
             i += 1;
             continue;
-        }
-
-        // Seed sites: `SplitMix64::new( .. )` (D4) — recorded anywhere,
-        // including outside fns (consts), with literal-arg detection.
-        if t.is_ident("SplitMix64")
-            && i + 4 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("new")
-            && toks[i + 4].is_punct('(')
-        {
-            let close = matching_close(toks, i + 4);
-            let args = &toks[i + 5..close.min(toks.len())];
-            let literal_only = args.iter().any(|t| t.kind == TokKind::Num)
-                && args
-                    .iter()
-                    .all(|t| t.kind == TokKind::Num || t.kind == TokKind::Punct);
-            index.seeds.push(SeedSite {
-                line: t.line,
-                literal_only,
-                in_test: pending_test_attr
-                    || in_test_scope(&scopes)
-                    || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
-            });
-            // Fall through: the site is also recorded as a call below.
         }
 
         // File-local integer constants: `const NAME: T = <literal>;` —
@@ -795,10 +629,10 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             }
         }
 
-        // Lock-guard bindings, explicit drops, and `.lock()` sites (L1).
+        // Lock-guard bindings, explicit drops, and `.lock()` sites (L3).
         if t.is_ident("let") {
             if let Some((name, live_from, target)) = guard_binding(toks, i) {
-                guards.push((name, t.line, scopes.len(), live_from, target));
+                guards.push((name, scopes.len(), live_from, target));
             }
         }
         if t.is_ident("drop")
@@ -814,38 +648,28 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             && i + 2 < toks.len()
             && toks[i + 1].is_ident("lock")
             && toks[i + 2].is_punct('(')
-            && !is_stdio_receiver(toks, i)
         {
-            let live = guards.iter().rev().find(|(_, _, _, from, _)| *from < i);
+            let live = guards.iter().rev().find(|(_, _, from, _)| *from < i);
             index.locks.push(LockSite {
                 line: toks[i + 1].line,
-                in_fence: in_fence(&index.fences, toks[i + 1].line),
                 in_test: pending_test_attr
                     || in_test_scope(&scopes)
                     || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
-                live_guard: live.map(|(name, line, ..)| (name.clone(), *line)),
-                second_in_stmt: stmt_lock,
                 target: lock_target(toks, i),
                 held_target: live.and_then(|(.., target)| target.clone()),
             });
-            stmt_lock = true;
         }
 
-        // Spawn closures: `spawn( [move] |..| body )` (R1, L2).
+        // Spawn closures: `spawn( [move] |..| body )` (R1).
         if t.is_ident("spawn") && i + 1 < toks.len() && toks[i + 1].is_punct('(') {
             let close = matching_close(toks, i + 1);
             let spawn_args = &toks[i + 2..close.min(toks.len())];
-            let mut site = scan_spawn(
-                t.line,
-                spawn_args,
-                &index.typed,
-                &index.sync_typed,
-                pending_test_attr
-                    || in_test_scope(&scopes)
-                    || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
-            );
-            site.drained = spawn_drained(toks, close, &scopes, &site);
-            index.spawns.push(site);
+            let in_test = pending_test_attr
+                || in_test_scope(&scopes)
+                || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test);
+            index
+                .spawns
+                .push(scan_spawn(t.line, spawn_args, &index.typed, in_test));
         }
 
         // Calls and allocation sites attribute to the innermost fn; item
@@ -1071,17 +895,6 @@ fn scan_nondet(toks: &[Tok], i: usize, out: &mut Vec<NondetSite>) {
         }
         _ => {}
     }
-}
-
-/// Whether the `.` at `dot` belongs to a `stdin()`/`stdout()`/
-/// `stderr()` receiver — those `.lock()`s serialize I/O handles, not
-/// sim state, and are exempt from L1.
-fn is_stdio_receiver(toks: &[Tok], dot: usize) -> bool {
-    dot >= 3
-        && toks[dot - 1].is_punct(')')
-        && toks[dot - 2].is_punct('(')
-        && toks[dot - 3].kind == TokKind::Ident
-        && matches!(toks[dot - 3].text, "stdin" | "stdout" | "stderr")
 }
 
 /// If the `let` at `i` binds a lock guard — `let [mut] name [: T] =
@@ -1487,120 +1300,17 @@ fn encode_expr(toks: &[Tok], lo: usize, hi: usize) -> String {
     out
 }
 
-/// Whether the expression rooted at the ident at `j` stores into it: a
-/// `*x.. = v` deref-assignment or a method chain containing one of
-/// [`SYNC_STORE_METHODS`] (L2).
-fn stores_into(toks: &[Tok], j: usize) -> bool {
-    // Deref-assign: `*x[i].lock().unwrap() = v;` — a lone `=` at
-    // bracket depth 0 before the statement ends.
-    if j >= 1 && toks[j - 1].is_punct('*') {
-        let mut depth = 0i32;
-        let mut k = j + 1;
-        while k < toks.len() {
-            let t = &toks[k];
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            } else if depth == 0 && (t.is_punct(';') || t.is_punct('{') || t.is_punct('}')) {
-                break;
-            } else if depth == 0
-                && t.is_punct('=')
-                && !toks.get(k + 1).is_some_and(|n| n.is_punct('='))
-                && !(k >= 1
-                    && (toks[k - 1].is_punct('=')
-                        || toks[k - 1].is_punct('<')
-                        || toks[k - 1].is_punct('>')
-                        || toks[k - 1].is_punct('!')))
-            {
-                return true;
-            }
-            k += 1;
-        }
-    }
-    // Method chain: `x[i].m1(..).m2(..)` with any store method.
-    let mut k = j + 1;
-    while k < toks.len() {
-        if toks[k].is_punct('[') {
-            k = matching_close(toks, k) + 1;
-        } else if toks[k].is_punct('.')
-            && k + 2 < toks.len()
-            && toks[k + 1].kind == TokKind::Ident
-            && toks[k + 2].is_punct('(')
-        {
-            if SYNC_STORE_METHODS.contains(&toks[k + 1].text) {
-                return true;
-            }
-            k = matching_close(toks, k + 2) + 1;
-        } else {
-            break;
-        }
-    }
-    false
-}
-
-/// Whether the enclosing fn still mentions a stored-into sync capture
-/// (draining/merging it) or `.join(`s a handle after the spawn call's
-/// closing paren at `close`. Scans to the end of the innermost `fn`
-/// body by brace depth; a spawn outside any fn counts as drained (L2
-/// has no deterministic merge point to demand there).
-fn spawn_drained(toks: &[Tok], close: usize, scopes: &[Scope], site: &SpawnSite) -> bool {
-    let stored: Vec<&str> = site
-        .sync
-        .iter()
-        .filter(|c| c.stored)
-        .map(|c| c.ident.as_str())
-        .collect();
-    if stored.is_empty() {
-        return true;
-    }
-    let Some(fn_pos) = scopes.iter().rposition(|s| matches!(s, Scope::Fn { .. })) else {
-        return true;
-    };
-    // Braces still open at or above the fn scope: when `depth` drops
-    // below `-(opens - 1)` we have consumed the fn's closing brace.
-    let opens = i32::try_from(scopes.len() - fn_pos).unwrap_or(1);
-    let mut depth = 0i32;
-    let mut k = close + 1;
-    while k < toks.len() {
-        let t = &toks[k];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth <= -opens {
-                break;
-            }
-        } else if (t.kind == TokKind::Ident && stored.contains(&t.text))
-            || (t.is_punct('.')
-                && k + 2 < toks.len()
-                && toks[k + 1].is_ident("join")
-                && toks[k + 2].is_punct('('))
-        {
-            return true;
-        }
-        k += 1;
-    }
-    false
-}
-
 /// Analyzes one `spawn(..)` argument list for illegal captures.
 fn scan_spawn(
     line: u32,
     args: &[Tok],
     typed: &BTreeMap<String, String>,
-    sync_typed: &BTreeMap<String, String>,
     in_test: bool,
 ) -> SpawnSite {
     let mut site = SpawnSite {
         line,
         in_test,
         captures: Vec::new(),
-        sync: Vec::new(),
-        drained: true,
     };
     // Locate the closure: optional `move`, then `|params|`.
     let Some(p1) = args.iter().position(|t| t.is_punct('|')) else {
@@ -1658,22 +1368,6 @@ fn scan_spawn(
                         ident: t.text.to_string(),
                         line: t.line,
                         kind: CaptureKind::CellLike(ty.clone()),
-                    });
-                }
-            }
-        }
-        // Sync-typed captures (L2): one record per ident, `stored` if
-        // any use in the body writes through it.
-        if t.kind == TokKind::Ident && !bound.contains(&t.text) {
-            if let Some(ty) = sync_typed.get(t.text) {
-                if let Some(cap) = site.sync.iter_mut().find(|c| c.ident == t.text) {
-                    cap.stored = cap.stored || stores_into(body, j);
-                } else {
-                    site.sync.push(SyncCapture {
-                        ident: t.text.to_string(),
-                        line: t.line,
-                        ty: ty.clone(),
-                        stored: stores_into(body, j),
                     });
                 }
             }
@@ -1790,16 +1484,6 @@ impl FileIndex {
                 })),
             ),
             (
-                "seeds",
-                Json::array(self.seeds.iter().map(|s| {
-                    Json::object([
-                        ("line", Json::from(u64::from(s.line))),
-                        ("literal_only", Json::from(s.literal_only)),
-                        ("in_test", Json::from(s.in_test)),
-                    ])
-                })),
-            ),
-            (
                 "spawns",
                 Json::array(self.spawns.iter().map(|s| {
                     Json::object([
@@ -1820,18 +1504,6 @@ impl FileIndex {
                                 ])
                             })),
                         ),
-                        (
-                            "sync",
-                            Json::array(s.sync.iter().map(|c| {
-                                Json::object([
-                                    ("ident", Json::from(c.ident.as_str())),
-                                    ("line", Json::from(u64::from(c.line))),
-                                    ("ty", Json::from(c.ty.as_str())),
-                                    ("stored", Json::from(c.stored)),
-                                ])
-                            })),
-                        ),
-                        ("drained", Json::from(s.drained)),
                     ])
                 })),
             ),
@@ -1849,18 +1521,7 @@ impl FileIndex {
                 Json::array(self.locks.iter().map(|l| {
                     Json::object([
                         ("line", Json::from(u64::from(l.line))),
-                        ("in_fence", Json::from(l.in_fence)),
                         ("in_test", Json::from(l.in_test)),
-                        (
-                            "guard",
-                            l.live_guard.as_ref().map_or(Json::Null, |(name, line)| {
-                                Json::array([
-                                    Json::from(name.as_str()),
-                                    Json::from(u64::from(*line)),
-                                ])
-                            }),
-                        ),
-                        ("second_in_stmt", Json::from(l.second_in_stmt)),
                         ("target", l.target.as_deref().map_or(Json::Null, Json::from)),
                         (
                             "held_target",
@@ -1877,15 +1538,6 @@ impl FileIndex {
                     self.consts
                         .iter()
                         .map(|(k, v)| (k.clone(), Json::from(format!("{v:x}"))))
-                        .collect(),
-                ),
-            ),
-            (
-                "sync_typed",
-                Json::Obj(
-                    self.sync_typed
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
                         .collect(),
                 ),
             ),
@@ -1986,20 +1638,11 @@ impl FileIndex {
                 u32::try_from(pair[1].as_u64()?).ok()?,
             ));
         }
-        for s in j.get("seeds")?.as_arr()? {
-            index.seeds.push(SeedSite {
-                line: line_u32(s, "line")?,
-                literal_only: s.get("literal_only")?.as_bool()?,
-                in_test: s.get("in_test")?.as_bool()?,
-            });
-        }
         for s in j.get("spawns")?.as_arr()? {
             let mut site = SpawnSite {
                 line: line_u32(s, "line")?,
                 in_test: s.get("in_test")?.as_bool()?,
                 captures: Vec::new(),
-                sync: Vec::new(),
-                drained: s.get("drained")?.as_bool()?,
             };
             for c in s.get("captures")?.as_arr()? {
                 let kind = match c.get("kind")?.as_str()? {
@@ -2013,14 +1656,6 @@ impl FileIndex {
                     kind,
                 });
             }
-            for c in s.get("sync")?.as_arr()? {
-                site.sync.push(SyncCapture {
-                    ident: c.get("ident")?.as_str()?.to_string(),
-                    line: line_u32(c, "line")?,
-                    ty: c.get("ty")?.as_str()?.to_string(),
-                    stored: c.get("stored")?.as_bool()?,
-                });
-            }
             index.spawns.push(site);
         }
         for of in j.get("order_fences")?.as_arr()? {
@@ -2030,25 +1665,9 @@ impl FileIndex {
             });
         }
         for l in j.get("locks")?.as_arr()? {
-            let live_guard = match l.get("guard")? {
-                Json::Null => None,
-                other => {
-                    let pair = other.as_arr()?;
-                    if pair.len() != 2 {
-                        return None;
-                    }
-                    Some((
-                        pair[0].as_str()?.to_string(),
-                        u32::try_from(pair[1].as_u64()?).ok()?,
-                    ))
-                }
-            };
             index.locks.push(LockSite {
                 line: line_u32(l, "line")?,
-                in_fence: l.get("in_fence")?.as_bool()?,
                 in_test: l.get("in_test")?.as_bool()?,
-                live_guard,
-                second_in_stmt: l.get("second_in_stmt")?.as_bool()?,
                 target: opt_str(l, "target")?,
                 held_target: opt_str(l, "held_target")?,
             });
@@ -2057,9 +1676,6 @@ impl FileIndex {
             index
                 .consts
                 .insert(k.clone(), u64::from_str_radix(v.as_str()?, 16).ok()?);
-        }
-        for (k, v) in j.get("sync_typed")?.as_obj()? {
-            index.sync_typed.insert(k.clone(), v.as_str()?.to_string());
         }
         for w in j.get("waivers")?.as_arr()? {
             index.waivers.push(InlineWaiver {
@@ -2167,30 +1783,6 @@ fn b(xs: &[u64]) -> Vec<u64> { xs.to_vec() }
         assert_eq!(idx.fns[0].allocs[0].what, "`Vec::new()`");
         assert_eq!(idx.fns[1].allocs.len(), 1);
         assert_eq!(idx.fns[1].allocs[0].what, "`.to_vec()`");
-    }
-
-    #[test]
-    fn seed_sites_classify_literal_args() {
-        let src = "\
-const SEED: u64 = 7;
-fn bad() { let r = SplitMix64::new(0x1234); }
-fn good_const() { let r = SplitMix64::new(SEED); }
-fn good_expr(cfg: &Cfg) { let r = SplitMix64::new(cfg.seed ^ 3); }
-#[cfg(test)]
-mod tests {
-    fn t() { let r = SplitMix64::new(42); }
-}
-";
-        let idx = parse(src);
-        let flags: Vec<(bool, bool)> = idx
-            .seeds
-            .iter()
-            .map(|s| (s.literal_only, s.in_test))
-            .collect();
-        assert_eq!(
-            flags,
-            vec![(true, false), (false, false), (false, false), (true, true)]
-        );
     }
 
     #[test]
@@ -2358,43 +1950,53 @@ fn stdio() {
 }
 ";
         let idx = parse(src);
-        let guards: Vec<(u32, Option<&str>)> = idx
+        let held: Vec<(u32, Option<&str>)> = idx
             .locks
             .iter()
-            .map(|l| (l.line, l.live_guard.as_ref().map(|(n, _)| n.as_str())))
+            .map(|l| (l.line, l.held_target.as_deref()))
             .collect();
         assert_eq!(
-            guards,
+            held,
             vec![
                 (2, None),
-                (3, Some("first")),
+                (3, Some("a")),
                 (6, None),
                 (7, None),
                 (10, None),
                 (12, None),
                 (15, None),
                 (16, None),
+                // A call-result receiver names no lock-order node.
+                (19, None),
             ]
         );
-        assert!(idx.locks.iter().all(|l| !l.second_in_stmt));
     }
 
     #[test]
     fn lock_sites_flag_two_locks_in_one_statement() {
+        // Both sites are recorded, but the two temporaries die with the
+        // statement: neither is a held guard, so neither orders the other.
         let src = "\
 fn transfer(a: &Mutex<u64>, b: &Mutex<u64>) {
     swap(&mut *a.lock().unwrap(), &mut *b.lock().unwrap());
 }
 ";
         let idx = parse(src);
-        assert_eq!(idx.locks.len(), 2);
-        assert!(!idx.locks[0].second_in_stmt);
-        assert!(idx.locks[1].second_in_stmt);
+        let held: Vec<(u32, Option<&str>)> = idx
+            .locks
+            .iter()
+            .map(|l| (l.line, l.held_target.as_deref()))
+            .collect();
+        assert_eq!(held, vec![(2, None), (2, None)]);
     }
 
     #[test]
-    fn spawn_sync_captures_distinguish_store_and_drain() {
-        let undrained = "\
+    fn spawn_captures_leave_sync_state_alone() {
+        // Mutex and atomic captures are the sanctioned sharing patterns:
+        // storing into them, deref-assigning a slot, or polling a flag
+        // is no R1 capture.
+        for src in [
+            "\
 fn lost(xs: &[u64]) {
     let collected = Mutex::new(Vec::new());
     std::thread::scope(|s| {
@@ -2403,14 +2005,8 @@ fn lost(xs: &[u64]) {
         }
     });
 }
-";
-        let idx = parse(undrained);
-        assert_eq!(idx.spawns.len(), 1);
-        assert_eq!(idx.spawns[0].sync.len(), 1);
-        assert!(idx.spawns[0].sync[0].stored);
-        assert!(!idx.spawns[0].drained);
-
-        let drained = "\
+",
+            "\
 fn merged(xs: &[u64]) -> Vec<u64> {
     let slots: Vec<Mutex<u64>> = xs.iter().map(|_| Mutex::new(0)).collect();
     std::thread::scope(|s| {
@@ -2420,24 +2016,19 @@ fn merged(xs: &[u64]) -> Vec<u64> {
     });
     slots.iter().map(|m| *m.lock().unwrap()).collect()
 }
-";
-        let idx = parse(drained);
-        assert_eq!(idx.spawns.len(), 1);
-        assert_eq!(idx.spawns[0].sync.len(), 1);
-        assert!(idx.spawns[0].sync[0].stored);
-        assert!(idx.spawns[0].drained);
-
-        let read_only = "\
+",
+            "\
 fn reads(flag: &AtomicBool) {
     std::thread::scope(|s| {
         s.spawn(move || { while !flag.load(Ordering::Acquire) {} });
     });
 }
-";
-        let idx = parse(read_only);
-        assert_eq!(idx.spawns[0].sync.len(), 1);
-        assert!(!idx.spawns[0].sync[0].stored);
-        assert!(idx.spawns[0].drained);
+",
+        ] {
+            let idx = parse(src);
+            assert_eq!(idx.spawns.len(), 1, "{src}");
+            assert!(idx.spawns[0].captures.is_empty(), "{src}");
+        }
     }
 
     #[test]
@@ -2486,7 +2077,7 @@ fn slot(addr: u64) -> u64 {
         let idx = parse(src);
         assert!(!idx.order_fences.is_empty());
         assert!(!idx.locks.is_empty());
-        assert!(idx.spawns.iter().any(|s| !s.sync.is_empty()));
+        assert!(idx.spawns.iter().any(|s| !s.captures.is_empty()));
         assert!(idx.fns.iter().any(|f| !f.nondet.is_empty()));
         assert!(idx.fns.iter().any(|f| !f.binds.is_empty()));
         assert!(idx.fns.iter().any(|f| !f.params.is_empty()));

@@ -1,6 +1,5 @@
-//! The single-file rules: D1 hash-iter, D2 wall-clock, D3 f32, D4
-//! seed-discipline, R1 thread-capture, L1 lock-discipline, L2
-//! spawn-merge, and the N1 order-fence check, evaluated over one
+//! The single-file rules: D1 hash-iter, D2 wall-clock, R1
+//! thread-capture, and the N1 order-fence check, evaluated over one
 //! tokenized + parsed file. (H2 `hot-path-reach` needs the whole
 //! workspace and lives in [`crate::callgraph`].)
 //!
@@ -57,14 +56,14 @@ const SORT_SCAN_STMTS: u32 = 3;
 /// ones already marked.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Parsed items, calls, fences, seeds, spawns, waivers.
+    /// Parsed items, calls, fences, spawns, locks, waivers.
     pub index: FileIndex,
     /// Findings from every single-file rule, sorted and deduped.
     pub findings: Vec<Finding>,
 }
 
 /// Parses and lints one source file. `path_rel` is workspace-relative
-/// with forward slashes (used for findings and the D2/D4 location
+/// with forward slashes (used for findings and the D2 location
 /// exemptions).
 #[must_use]
 pub fn analyze(path_rel: &str, src: &str) -> Analysis {
@@ -85,11 +84,7 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
         }
     }
     check_wall_clock(path_rel, &file, &mut findings);
-    check_f32(path_rel, &file, &mut findings);
-    check_seeds(path_rel, &index, &mut findings);
     check_spawns(path_rel, &index, &mut findings);
-    check_locks(path_rel, &index, &mut findings);
-    check_spawn_sync(path_rel, &index, &mut findings);
     check_order_fences(path_rel, &index, &mut findings);
 
     waiver::apply_inline(&mut findings, &index.waivers);
@@ -98,7 +93,7 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
 }
 
 /// Lints one source file, findings only (see [`analyze`]). Cross-file
-/// rules (H2, N1 taint, B1/B2, L3) are not evaluated — they need the
+/// rules (H2, N1 taint, B1, L3) are not evaluated — they need the
 /// whole workspace; [`crate::lint_sources`] runs them.
 #[must_use]
 pub fn lint_source(path_rel: &str, src: &str) -> Vec<Finding> {
@@ -392,41 +387,6 @@ fn check_wall_clock(path: &str, file: &TokenizedFile, findings: &mut Vec<Finding
     }
 }
 
-/// D3: `f32` anywhere in sim code (all accumulators are f64; a single
-/// truncation silently changes every downstream fold).
-fn check_f32(path: &str, file: &TokenizedFile, findings: &mut Vec<Finding>) {
-    for t in &file.toks {
-        let is_f32 = t.is_ident("f32") || (t.kind == TokKind::Num && t.text.ends_with("f32"));
-        if is_f32 {
-            findings.push(Finding::new(
-                Rule::F32Truncation,
-                path,
-                t.line,
-                "`f32` truncates accumulator precision; keep f64 end-to-end",
-            ));
-        }
-    }
-}
-
-/// D4: ad-hoc literal seeds outside `crates/bench` and tests. A seed
-/// built purely from numeric literals is untracked by any scenario or
-/// config, so a replay cannot name the run it reproduces.
-fn check_seeds(path: &str, index: &FileIndex, findings: &mut Vec<Finding>) {
-    if path.starts_with("crates/bench/") {
-        return;
-    }
-    for s in &index.seeds {
-        if s.literal_only && !s.in_test {
-            findings.push(Finding::new(
-                Rule::SeedDiscipline,
-                path,
-                s.line,
-                "`SplitMix64::new(<literal>)` constructs an ad-hoc seed; derive it from a scenario/config field or a named constant so the run stays traceable",
-            ));
-        }
-    }
-}
-
 /// R1: spawn closures capturing shared mutable state. Mutex/atomic/
 /// channel sharing and `move`-per-worker partitions never match the
 /// capture patterns, so they pass.
@@ -447,69 +407,6 @@ fn check_spawns(path: &str, index: &FileIndex, findings: &mut Vec<Finding>) {
                 ),
             };
             findings.push(Finding::new(Rule::ThreadCapture, path, c.line, msg));
-        }
-    }
-}
-
-/// L1: lock-discipline violations at `.lock()` sites. Three patterns:
-/// a lock inside a `lint:hot-path` fence (contention in the measured
-/// region), a lock while another guard from the same fn is live
-/// (nested acquisition — a deadlock ordering hazard), and two locks in
-/// one statement (unspecified evaluation order). `stdin`/`stdout`/
-/// `stderr` handle locks were already excluded by the parser.
-fn check_locks(path: &str, index: &FileIndex, findings: &mut Vec<Finding>) {
-    for l in &index.locks {
-        if l.in_test {
-            continue;
-        }
-        if l.in_fence {
-            findings.push(Finding::new(
-                Rule::LockDiscipline,
-                path,
-                l.line,
-                "`.lock()` inside a `lint:hot-path` fence; hoist the acquisition out of the fenced region or give each worker its own state",
-            ));
-        }
-        if let Some((name, line)) = &l.live_guard {
-            findings.push(Finding::new(
-                Rule::LockDiscipline,
-                path,
-                l.line,
-                format!(
-                    "`.lock()` while guard `{name}` (bound on line {line}) is still live; nested acquisition orders deadlock under contention — drop the first guard or merge the critical sections"
-                ),
-            ));
-        }
-        if l.second_in_stmt {
-            findings.push(Finding::new(
-                Rule::LockDiscipline,
-                path,
-                l.line,
-                "second `.lock()` in one statement acquires two guards in unspecified evaluation order; bind them in separate statements in a fixed order",
-            ));
-        }
-    }
-}
-
-/// L2: spawn closures that store into captured sync state (`Mutex`/
-/// `RwLock`/`Atomic*`) the enclosing fn never drains after the spawns.
-/// Completion-order writes with no deterministic merge point are how
-/// "bit-identical across thread counts" silently dies.
-fn check_spawn_sync(path: &str, index: &FileIndex, findings: &mut Vec<Finding>) {
-    for sp in &index.spawns {
-        if sp.in_test || sp.drained {
-            continue;
-        }
-        for c in sp.sync.iter().filter(|c| c.stored) {
-            findings.push(Finding::new(
-                Rule::SpawnMerge,
-                path,
-                c.line,
-                format!(
-                    "spawn closure stores into `{}` (`{}`) but the enclosing fn never drains it after the spawns; merge results in deterministic index order (per-slot writes + an indexed fold), or waive with `// lint:allow(spawn-merge) <reason>`",
-                    c.ident, c.ty
-                ),
-            ));
         }
     }
 }
@@ -699,19 +596,6 @@ fn f(m: &HashMap<u32, u32>) -> usize {
     }
 
     #[test]
-    fn f32_fires_on_casts_types_and_suffixes() {
-        assert_eq!(
-            rules_of("fn f(x: f64) -> f64 { (x as f32) as f64 }").len(),
-            1
-        );
-        assert_eq!(rules_of("fn f(x: f32) {}").len(), 1);
-        assert_eq!(rules_of("const X: f64 = 1.5f32 as f64;").len(), 1);
-        assert!(rules_of("fn f(x: f64) -> f64 { x }").is_empty());
-        // `Tf32` and friends are different identifiers.
-        assert!(rules_of("enum D { Tf32 } fn f(_d: D) {}").is_empty());
-    }
-
-    #[test]
     fn fence_bookkeeping_errors_fire() {
         assert_eq!(
             rules_of("// lint:hot-path\nfn f() {}\n"),
@@ -724,26 +608,6 @@ fn f(m: &HashMap<u32, u32>) -> usize {
         assert_eq!(
             rules_of("// lint:hot-path\n// lint:hot-path\nfn f() {}\n// lint:hot-path-end\n"),
             vec![(Rule::Fence, 2, false)]
-        );
-    }
-
-    #[test]
-    fn seed_discipline_fires_on_literals_only() {
-        let src = "\
-const BASE: u64 = 0x9e37;
-fn bad() -> u64 { SplitMix64::new(12345).next_u64() }
-fn named() -> u64 { SplitMix64::new(BASE).next_u64() }
-fn derived(seed: u64) -> u64 { SplitMix64::new(seed ^ 7).next_u64() }
-";
-        assert_eq!(rules_of(src), vec![(Rule::SeedDiscipline, 2, false)]);
-        // Bench and test code are exempt.
-        assert!(lint_source(
-            "crates/bench/src/microbench.rs",
-            "fn b() { SplitMix64::new(7); }"
-        )
-        .is_empty());
-        assert!(
-            rules_of("#[cfg(test)]\nmod tests {\n fn t() { SplitMix64::new(7); }\n}").is_empty()
         );
     }
 
@@ -771,71 +635,6 @@ fn partitioned(data: &mut [u64]) {
 }
 ";
         assert!(rules_of(ok).is_empty());
-    }
-
-    #[test]
-    fn lock_discipline_fires_on_fence_nesting_and_same_stmt() {
-        let fenced = "\
-fn hot(m: &Mutex<u64>) {
-    // lint:hot-path
-    let g = m.lock().unwrap();
-    // lint:hot-path-end
-}
-";
-        assert_eq!(rules_of(fenced), vec![(Rule::LockDiscipline, 3, false)]);
-
-        let nested = "\
-fn transfer(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let first = a.lock().unwrap();
-    let second = b.lock().unwrap();
-}
-";
-        assert_eq!(rules_of(nested), vec![(Rule::LockDiscipline, 3, false)]);
-
-        let same_stmt = "\
-fn swap_both(a: &Mutex<u64>, b: &Mutex<u64>) {
-    std::mem::swap(&mut *a.lock().unwrap(), &mut *b.lock().unwrap());
-}
-";
-        assert_eq!(rules_of(same_stmt), vec![(Rule::LockDiscipline, 2, false)]);
-
-        let disciplined = "\
-fn fine(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let v = *a.lock().unwrap();
-    let w = b.lock().unwrap();
-    drop(w);
-    let x = b.lock().unwrap();
-}
-";
-        assert!(rules_of(disciplined).is_empty());
-    }
-
-    #[test]
-    fn spawn_merge_fires_without_a_drain() {
-        let bad = "\
-fn lost(xs: &[u64]) {
-    let collected = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for x in xs {
-            s.spawn(move || { collected.lock().unwrap().push(*x); });
-        }
-    });
-}
-";
-        assert_eq!(rules_of(bad), vec![(Rule::SpawnMerge, 5, false)]);
-
-        let drained = "\
-fn merged(xs: &[u64]) -> Vec<u64> {
-    let slots: Vec<Mutex<u64>> = xs.iter().map(|_| Mutex::new(0)).collect();
-    std::thread::scope(|s| {
-        for (i, x) in xs.iter().enumerate() {
-            s.spawn(move || { *slots[i].lock().unwrap() = *x; });
-        }
-    });
-    slots.iter().map(|m| *m.lock().unwrap()).collect()
-}
-";
-        assert!(rules_of(drained).is_empty());
     }
 
     #[test]

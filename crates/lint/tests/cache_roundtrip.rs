@@ -33,9 +33,10 @@ pub fn expand(x: u64) -> u64 {
 }
 ";
 
-const TRUNCATING: &str = "\
-pub fn shrink(x: f64) -> f64 {
-    x as f32 as f64
+const HASH_ITERATING: &str = "\
+use std::collections::HashMap;
+pub fn total(m: &HashMap<u64, u64>) -> u64 {
+    m.values().sum()
 }
 ";
 
@@ -81,7 +82,7 @@ fn mini_workspace(name: &str) -> PathBuf {
     write(&root, "Cargo.toml", "[workspace]\n");
     write(&root, "crates/demo/src/hot.rs", FENCED);
     write(&root, "crates/demo/src/helper.rs", HELPER_ALLOCATING);
-    write(&root, "crates/demo/src/shrink.rs", TRUNCATING);
+    write(&root, "crates/demo/src/tally.rs", HASH_ITERATING);
     root
 }
 
@@ -136,8 +137,8 @@ fn editing_one_file_relints_only_it_and_updates_cross_file_h2() {
         "{:?}",
         third.findings
     );
-    // The unrelated D3 finding in the untouched file survives from cache.
-    assert!(third.findings.iter().any(|f| f.rule == Rule::F32Truncation));
+    // The unrelated D1 finding in the untouched file survives from cache.
+    assert!(third.findings.iter().any(|f| f.rule == Rule::HashIter));
 }
 
 #[test]
@@ -187,7 +188,7 @@ fn stale_file_waiver_is_reported_as_a_finding() {
         "lint.waivers",
         "# comment\n\
          \n\
-         f32-truncation crates/demo/src/shrink.rs the oracle needs f32 precision loss\n\
+         hash-iter crates/demo/src/tally.rs the sum is order-independent\n\
          wall-clock crates/demo/src/hot.rs this site was deleted long ago\n",
     );
     let report = lint_workspace(&cfg(&root)).unwrap();
@@ -203,6 +204,31 @@ fn stale_file_waiver_is_reported_as_a_finding() {
     assert_eq!(
         unwaived,
         vec![Rule::HotPathReach, Rule::Waiver],
-        "the live f32 waiver holds; the stale entry fails the run next to hot.rs's H2"
+        "the live hash-iter waiver holds; the stale entry fails the run next to hot.rs's H2"
+    );
+}
+
+#[test]
+fn waiver_file_entry_naming_a_deleted_rule_is_an_unknown_rule_finding() {
+    let root = mini_workspace("deleted-rule-waiver");
+    write(
+        &root,
+        "lint.waivers",
+        "f32-truncation crates/demo/src/tally.rs the oracle needs f32 precision loss\n",
+    );
+    let report = lint_workspace(&cfg(&root)).unwrap();
+    let w0: Vec<(&str, &str, u32, &str)> = report
+        .unwaived()
+        .filter(|f| f.rule == Rule::Waiver)
+        .map(|f| (f.rule.code(), f.path.as_str(), f.line, f.message.as_str()))
+        .collect();
+    assert_eq!(
+        w0,
+        vec![(
+            "W0",
+            "lint.waivers",
+            1,
+            "unknown rule \"f32-truncation\" in waiver file"
+        )]
     );
 }

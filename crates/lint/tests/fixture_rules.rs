@@ -42,18 +42,6 @@ fn d2_wall_clock_fires() {
 }
 
 #[test]
-fn d3_f32_truncation_fires() {
-    assert_eq!(
-        fired("d3_f32.rs"),
-        vec![
-            (Rule::F32Truncation, 6, false),
-            (Rule::F32Truncation, 10, false),
-            (Rule::F32Truncation, 14, false),
-        ]
-    );
-}
-
-#[test]
 fn h1_hot_path_alloc_fires_only_inside_fence() {
     // Allocations written inside the fence are H2 at zero hops, so the
     // cross-file passes must run: `lint_sources`, not `lint_source`.
@@ -81,15 +69,6 @@ fn d1_statement_escape_fixes_the_line_window_false_negative() {
         vec![(Rule::HashIter, 10, false)],
         "the for-loop must fire despite an unrelated sort 3 lines below; \
          the multi-line collect chain feeding ks.sort_unstable() must not"
-    );
-}
-
-#[test]
-fn d4_seed_discipline_fires_on_literal_only() {
-    assert_eq!(
-        fired("d4_seed.rs"),
-        vec![(Rule::SeedDiscipline, 11, false)],
-        "config-derived, constant-derived, and in-test seeds are all legal"
     );
 }
 
@@ -206,30 +185,6 @@ fn n1_order_invisible_fence_honored_vs_rejected() {
 }
 
 #[test]
-fn l1_lock_discipline_fires_on_nesting_fencing_and_same_statement() {
-    assert_eq!(
-        fired("l1_lock.rs"),
-        vec![
-            (Rule::LockDiscipline, 7, false),
-            (Rule::LockDiscipline, 13, false),
-            (Rule::LockDiscipline, 19, false),
-        ],
-        "nested guard, fenced lock, and two-locks-per-statement fire; \
-         the deref-copy sequence in `sequential` does not"
-    );
-}
-
-#[test]
-fn l2_spawn_merge_fires_only_without_a_drain() {
-    assert_eq!(
-        fired("l2_spawn.rs"),
-        vec![(Rule::SpawnMerge, 11, false)],
-        "`undrained` stores into the Mutex and never merges; \
-         `drained` joins and reads it back, so it stays silent"
-    );
-}
-
-#[test]
 fn b1_retro_fixture_catches_the_pr8_interleave_bug_with_both_chains() {
     let src = fixture("b1_correlated.rs");
     let findings = lint_sources(&[("fixtures/b1_correlated.rs", &src)]);
@@ -253,29 +208,6 @@ fn b1_retro_fixture_catches_the_pr8_interleave_bug_with_both_chains() {
 }
 
 #[test]
-fn b2_lossy_narrowing_fires_on_discarded_lanes_only() {
-    let src = fixture("b2_narrowing.rs");
-    let findings = lint_sources(&[("fixtures/b2_narrowing.rs", &src)]);
-    let fired: Vec<(Rule, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(
-        fired,
-        vec![(Rule::LossyNarrowing, 11)],
-        "`lossy` keeps 2 of the 4 bits its 16-slot selector needs; \
-         `fine` keeps all 4 and stays clean: {findings:?}"
-    );
-    assert!(
-        findings[0].message.contains("16 slots"),
-        "{}",
-        findings[0].message
-    );
-    assert!(
-        findings[0].message.contains("bits 6-7 of `addr`"),
-        "{}",
-        findings[0].message
-    );
-}
-
-#[test]
 fn l3_lock_order_cycle_reported_once_with_both_witnesses() {
     let ab = fixture("l3_order_ab.rs");
     let ba = fixture("l3_order_ba.rs");
@@ -289,14 +221,10 @@ fn l3_lock_order_cycle_reported_once_with_both_witnesses() {
         .collect();
     assert_eq!(
         fired,
-        vec![
-            (Rule::LockDiscipline, "fixtures/l3_order_ab.rs", 9),
-            (Rule::LockOrder, "fixtures/l3_order_ab.rs", 9),
-            (Rule::LockDiscipline, "fixtures/l3_order_ba.rs", 8),
-        ],
-        "the nested guards each fire L1; the cycle fires L3 exactly once: {findings:?}"
+        vec![(Rule::LockOrder, "fixtures/l3_order_ab.rs", 9)],
+        "the cycle fires L3 exactly once: {findings:?}"
     );
-    let l3 = &findings[1];
+    let l3 = &findings[0];
     assert_eq!(
         l3.chain,
         vec![
@@ -306,6 +234,36 @@ fn l3_lock_order_cycle_reported_once_with_both_witnesses() {
         "both acquisition sites are the evidence"
     );
     assert!(l3.message.contains("deadlock"), "{}", l3.message);
+}
+
+/// Names of rules the linter used to have: a waiver naming one must
+/// be reported, not silently accepted or ignored.
+const DELETED_RULES: &[&str] = &[
+    "f32-truncation",
+    "seed-discipline",
+    "lock-discipline",
+    "spawn-merge",
+    "lossy-narrowing",
+];
+
+#[test]
+fn inline_waiver_naming_a_deleted_rule_is_an_unknown_rule_finding() {
+    for name in DELETED_RULES {
+        let src = format!("// lint:allow({name}) reason\nfn f() {{}}\n");
+        let findings = lint_sources(&[("crates/x/src/a.rs", &src)]);
+        let fired: Vec<(&str, u32, &str)> = findings
+            .iter()
+            .map(|f| (f.rule.code(), f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(
+            fired,
+            vec![(
+                "W0",
+                1,
+                format!("waiver names unknown rule {name:?}").as_str()
+            )]
+        );
+    }
 }
 
 #[test]
@@ -371,4 +329,44 @@ fn clean_real_shaped_scenario_passes() {
 }"#;
     let findings: Vec<Finding> = validate_scenario("x.json", src, S1_SCHEMAS);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn every_rule_fires_on_some_fixture() {
+    let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".rs"))
+        .collect();
+    names.sort();
+    let sources: Vec<(String, String)> = names
+        .iter()
+        .map(|n| (format!("fixtures/{n}"), fixture(n)))
+        .collect();
+    let refs: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(p, t)| (p.as_str(), t.as_str()))
+        .collect();
+    let mut findings = lint_sources(&refs);
+    findings.extend(validate_scenario(
+        "fixtures/s1_bad_scenario.json",
+        &fixture("s1_bad_scenario.json"),
+        S1_SCHEMAS,
+    ));
+    let silent: Vec<&str> = Rule::ALL
+        .iter()
+        .filter(|r| !matches!(r, Rule::Fence | Rule::Waiver))
+        .filter(|r| !findings.iter().any(|f| f.rule == **r))
+        .map(|r| r.code())
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "rules with no known-bad fixture that fires them: {silent:?}"
+    );
 }

@@ -109,11 +109,22 @@ fn unclosed_bracket_in_a_fn_signature_does_not_panic() {
 
 #[test]
 fn truncated_let_with_a_stray_bracket_does_not_panic() {
-    let src = std::fs::read_to_string(format!("{}/l1_lock.rs", fixture_dir()))
-        .expect("read fixture")
-        .replace("let second", "let s[econd");
-    let cut = src.find("// lint").expect("fence marker") + "// lint".len();
-    lint_twice("fixtures/l1_lock.rs", &src[..cut]);
+    // A nested-guard fn with a bracket inside a `let` name, cut off
+    // mid-way through the next fn's fence marker.
+    let src = "\
+//! Nested lock guards.
+
+use std::sync::Mutex;
+
+pub fn nested(a: &Mutex<u64>, b: &Mutex<u64>) -> u64 {
+    let first = a.lock().unwrap();
+    let s[econd = b.lock().unwrap();
+    *first + *second
+}
+
+pub fn fenced(m: &Mutex<u64>) -> u64 {
+    // lint";
+    lint_twice("fixtures/repro.rs", src);
 }
 
 #[test]

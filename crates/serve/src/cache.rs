@@ -96,7 +96,7 @@ enum Store {
     Disk(PathBuf),
 }
 
-/// The result cache: a [`Store`] plus traffic counters.
+/// The result cache: a memory or disk store plus traffic counters.
 #[derive(Debug)]
 pub struct ResultCache {
     store: Store,

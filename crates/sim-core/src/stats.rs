@@ -153,7 +153,7 @@ impl Accumulator {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Population variance (E[x²] − E[x]², clamped at zero); `None` if
+    /// Population variance (`E[x²] − E[x]²`, clamped at zero); `None` if
     /// empty.
     #[must_use]
     pub fn variance(&self) -> Option<f64> {
