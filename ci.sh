@@ -81,9 +81,10 @@ fi
 step "benches compile" cargo build --benches --offline
 
 # Rustdoc must build warning-free: a deleted or renamed item can no
-# longer leave a dangling intra-doc link behind.
+# longer leave a dangling intra-doc link behind. Private items are
+# documented too, so the links in `pub(crate)` docs stay checked.
 step "rustdoc" env RUSTDOCFLAGS="-D warnings" \
-    cargo doc --workspace --no-deps --offline
+    cargo doc --workspace --no-deps --document-private-items --offline
 
 # Every example under examples/ must run to completion, not just
 # compile: a panicking example fails CI. Stdout is discarded; a panic

@@ -32,7 +32,7 @@ pub enum AgentClass {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeAccess {
     /// Whether the line's home is on another socket.
-    pub cross_socket: bool,
+    pub(crate) cross_socket: bool,
     /// Whether hardware coherence covered this access.
     pub hardware_coherent: bool,
     /// Agents probed (hardware-coherent path only).
@@ -46,13 +46,13 @@ pub struct NodeAccess {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCoherenceConfig {
     /// Sockets in the node.
-    pub sockets: u32,
+    pub(crate) sockets: u32,
     /// Bytes of physical address space per socket (flat map: the home
     /// socket is `addr / socket_span`).
-    pub socket_span: u64,
+    pub(crate) socket_span: u64,
     /// Ablation: make GPUs hardware coherent across sockets too, to
     /// measure the probe-bandwidth cost the real design avoids.
-    pub gpu_hw_coherent_cross_socket: bool,
+    pub(crate) gpu_hw_coherent_cross_socket: bool,
 }
 
 impl NodeCoherenceConfig {
@@ -91,8 +91,6 @@ pub struct MultiSocketCoherence {
     scopes: ScopeTracker,
     /// Agent registry.
     agents: HashMap<AgentId, (u32, AgentClass)>,
-    cross_socket_probes: Counter,
-    local_probes: Counter,
     sw_coherent_accesses: Counter,
 }
 
@@ -110,8 +108,6 @@ impl MultiSocketCoherence {
             directories: (0..cfg.sockets).map(|_| ProbeFilter::new()).collect(),
             scopes: ScopeTracker::new(),
             agents: HashMap::new(),
-            cross_socket_probes: Counter::new("cross_socket_probes"),
-            local_probes: Counter::new("local_probes"),
             sw_coherent_accesses: Counter::new("sw_coherent_accesses"),
         }
     }
@@ -134,17 +130,6 @@ impl MultiSocketCoherence {
         *self.agents.get(&agent).expect("agent registered")
     }
 
-    fn count_probes(&mut self, home: u32, probes: &[AgentId]) {
-        for &p in probes {
-            let (ps, _) = self.lookup(p);
-            if ps == home {
-                self.local_probes.inc();
-            } else {
-                self.cross_socket_probes.inc();
-            }
-        }
-    }
-
     /// A coherent read of `addr` by `agent`.
     ///
     /// # Panics
@@ -160,7 +145,6 @@ impl MultiSocketCoherence {
 
         if hw {
             let action = self.directories[home as usize].read(agent, line);
-            self.count_probes(home, &action.probes);
             NodeAccess {
                 cross_socket: cross,
                 hardware_coherent: true,
@@ -197,7 +181,6 @@ impl MultiSocketCoherence {
 
         if hw {
             let action = self.directories[home as usize].write(agent, line);
-            self.count_probes(home, &action.probes);
             NodeAccess {
                 cross_socket: cross,
                 hardware_coherent: true,
@@ -224,18 +207,6 @@ impl MultiSocketCoherence {
     /// A GPU acquire at `scope`; returns lines invalidated.
     pub fn acquire(&mut self, agent: AgentId, scope: SyncScope) -> u64 {
         self.scopes.acquire(agent, scope)
-    }
-
-    /// Probes that crossed sockets so far.
-    #[must_use]
-    pub fn cross_socket_probes(&self) -> u64 {
-        self.cross_socket_probes.value()
-    }
-
-    /// Probes that stayed on-socket.
-    #[must_use]
-    pub fn local_probes(&self) -> u64 {
-        self.local_probes.value()
     }
 
     /// Accesses handled by the software-coherent path.
@@ -343,12 +314,13 @@ mod tests {
             n.register(GPU0, 0, AgentClass::Gpu);
             n.register(GPU1, 1, AgentClass::Gpu);
             // Both GPUs ping-pong over lines homed on socket 2.
+            let mut probes = 0;
             for i in 0..1_000u64 {
                 let addr = 2 * SPAN + i % 64 * 128;
-                n.write(GPU0, addr);
-                n.write(GPU1, addr);
+                probes += n.write(GPU0, addr).probes.len();
+                probes += n.write(GPU1, addr).probes.len();
             }
-            n.cross_socket_probes()
+            probes
         };
         let probes_hw = run(true);
         let probes_sw = run(false);
@@ -363,9 +335,8 @@ mod tests {
     fn cpu_gpu_same_socket_probe_is_local() {
         let mut n = node();
         n.write(CPU0, 0x100);
-        n.read(GPU0, 0x100);
-        assert_eq!(n.local_probes(), 1);
-        assert_eq!(n.cross_socket_probes(), 0);
+        // The owner sits on the line's home socket.
+        assert_eq!(n.read(GPU0, 0x100).probes, vec![CPU0]);
     }
 
     #[test]
@@ -373,10 +344,10 @@ mod tests {
         let mut n = node();
         let addr = SPAN + 0x500; // homed on socket 1
         n.write(CPU1, addr); // local owner
-        n.read(CPU0, addr); // remote reader probes CPU1 (cross? CPU1 is local to home)
-        assert_eq!(n.local_probes(), 1);
-        n.write(CPU1, addr); // CPU1 re-owns: probes CPU0 (remote to home)
-        assert_eq!(n.cross_socket_probes(), 1);
+                             // Remote reader probes CPU1, which is local to the home socket.
+        assert_eq!(n.read(CPU0, addr).probes, vec![CPU1]);
+        // CPU1 re-owns: probes CPU0, remote to the home socket.
+        assert_eq!(n.write(CPU1, addr).probes, vec![CPU0]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct CoherenceAction {
     /// Where the requester's data comes from.
     pub data_from: DataSource,
     /// Whether a dirty copy was written back to memory as a side effect.
-    pub writeback: bool,
+    pub(crate) writeback: bool,
 }
 
 impl CoherenceAction {
@@ -78,8 +78,6 @@ pub struct ProbeFilter {
     versions: BTreeMap<u64, u64>,
     /// Version each agent last observed/produced per line.
     observed: BTreeMap<(AgentId, u64), u64>,
-    reads: Counter,
-    writes: Counter,
     probes_sent: Counter,
     writebacks: Counter,
     cache_to_cache: Counter,
@@ -99,8 +97,6 @@ impl ProbeFilter {
             lines: BTreeMap::new(),
             versions: BTreeMap::new(),
             observed: BTreeMap::new(),
-            reads: Counter::new("pf_reads"),
-            writes: Counter::new("pf_writes"),
             probes_sent: Counter::new("pf_probes"),
             writebacks: Counter::new("pf_writebacks"),
             cache_to_cache: Counter::new("pf_c2c"),
@@ -125,7 +121,6 @@ impl ProbeFilter {
     /// Handles a read request; returns the actions and records the version
     /// the reader observes.
     pub fn read(&mut self, agent: AgentId, line: u64) -> CoherenceAction {
-        self.reads.inc();
         let version = self.version(line);
         let state = self.state(line);
         let action = match state {
@@ -166,7 +161,6 @@ impl ProbeFilter {
 
     /// Handles a write (read-for-ownership); returns the actions.
     pub fn write(&mut self, agent: AgentId, line: u64) -> CoherenceAction {
-        self.writes.inc();
         let state = self.state(line);
         let action = match state {
             LineState::Uncached => {
@@ -258,18 +252,6 @@ impl ProbeFilter {
         Ok(())
     }
 
-    /// Total reads processed.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads.value()
-    }
-
-    /// Total writes processed.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes.value()
-    }
-
     /// Total probes sent to agents.
     #[must_use]
     pub fn probes_sent(&self) -> u64 {
@@ -278,7 +260,8 @@ impl ProbeFilter {
 
     /// Total writebacks to memory.
     #[must_use]
-    pub fn writebacks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn writebacks(&self) -> u64 {
         self.writebacks.value()
     }
 

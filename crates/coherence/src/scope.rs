@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ehp_sim_core::ids::AgentId;
-use ehp_sim_core::stats::Counter;
 
 /// The synchronisation scope of an acquire/release operation, ordered by
 /// visibility breadth.
@@ -51,10 +50,6 @@ pub struct ScopeTracker {
     valid: BTreeMap<AgentId, BTreeSet<u64>>,
     /// Lines made globally visible, with the releasing agent.
     visible: BTreeMap<u64, AgentId>,
-    flushes: Counter,
-    invalidations: Counter,
-    releases: Counter,
-    acquires: Counter,
 }
 
 impl Default for ScopeTracker {
@@ -71,10 +66,6 @@ impl ScopeTracker {
             dirty: BTreeMap::new(),
             valid: BTreeMap::new(),
             visible: BTreeMap::new(),
-            flushes: Counter::new("scope_flushes"),
-            invalidations: Counter::new("scope_invalidations"),
-            releases: Counter::new("scope_releases"),
-            acquires: Counter::new("scope_acquires"),
         }
     }
 
@@ -94,7 +85,7 @@ impl ScopeTracker {
     /// without an intervening acquire (i.e. it is *not* at risk of
     /// staleness).
     #[must_use]
-    pub fn observes_latest(&self, agent: AgentId, line: u64) -> bool {
+    pub(crate) fn observes_latest(&self, agent: AgentId, line: u64) -> bool {
         match self.visible.get(&line) {
             // Published by someone else while we hold a cached copy: stale
             // unless we wrote it ourselves.
@@ -112,7 +103,6 @@ impl ScopeTracker {
     /// scope flush everything dirty; System additionally publishes the
     /// lines for cross-socket observers.
     pub fn release(&mut self, agent: AgentId, scope: SyncScope) -> u64 {
-        self.releases.inc();
         if scope == SyncScope::Workgroup {
             return 0;
         }
@@ -122,7 +112,6 @@ impl ScopeTracker {
             .map(|d| std::mem::take(d).into_iter().collect())
             .unwrap_or_default();
         let n = drained.len() as u64;
-        self.flushes.add(n);
         if scope == SyncScope::System {
             for line in drained {
                 self.visible.insert(line, agent);
@@ -139,7 +128,6 @@ impl ScopeTracker {
     /// coherence typically drops the whole cache; we model the precise
     /// stale set to keep counts meaningful, plus report it).
     pub fn acquire(&mut self, agent: AgentId, scope: SyncScope) -> u64 {
-        self.acquires.inc();
         if scope == SyncScope::Workgroup {
             return 0;
         }
@@ -154,45 +142,7 @@ impl ScopeTracker {
         for l in &stale {
             valid.remove(l);
         }
-        let n = stale.len() as u64;
-        self.invalidations.add(n);
-        n
-    }
-
-    /// Dirty-line count for an agent.
-    #[must_use]
-    pub fn dirty_lines(&self, agent: AgentId) -> usize {
-        self.dirty.get(&agent).map_or(0, BTreeSet::len)
-    }
-
-    /// Cached (valid) line count for an agent.
-    #[must_use]
-    pub fn valid_lines(&self, agent: AgentId) -> usize {
-        self.valid.get(&agent).map_or(0, BTreeSet::len)
-    }
-
-    /// Total line flushes performed by releases.
-    #[must_use]
-    pub fn flushes(&self) -> u64 {
-        self.flushes.value()
-    }
-
-    /// Total line invalidations performed by acquires.
-    #[must_use]
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.value()
-    }
-
-    /// Release operations seen.
-    #[must_use]
-    pub fn releases(&self) -> u64 {
-        self.releases.value()
-    }
-
-    /// Acquire operations seen.
-    #[must_use]
-    pub fn acquires(&self) -> u64 {
-        self.acquires.value()
+        stale.len() as u64
     }
 }
 
@@ -208,8 +158,8 @@ mod tests {
         let mut t = ScopeTracker::new();
         t.record_write(GPU0, 0);
         assert_eq!(t.release(GPU0, SyncScope::Workgroup), 0);
-        assert_eq!(t.dirty_lines(GPU0), 1, "line still dirty");
         assert_eq!(t.acquire(GPU1, SyncScope::Workgroup), 0);
+        assert_eq!(t.release(GPU0, SyncScope::System), 1, "line still dirty");
     }
 
     #[test]
@@ -219,8 +169,7 @@ mod tests {
             t.record_write(GPU0, l * 64);
         }
         assert_eq!(t.release(GPU0, SyncScope::Device), 10);
-        assert_eq!(t.dirty_lines(GPU0), 0);
-        assert_eq!(t.flushes(), 10);
+        assert_eq!(t.release(GPU0, SyncScope::Device), 0, "nothing left dirty");
     }
 
     #[test]
@@ -267,19 +216,6 @@ mod tests {
         t.record_write(GPU0, 0);
         assert_eq!(t.release(GPU0, SyncScope::System), 1);
         assert_eq!(t.release(GPU0, SyncScope::System), 0);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut t = ScopeTracker::new();
-        t.record_write(GPU0, 0);
-        t.record_read(GPU1, 0);
-        t.release(GPU0, SyncScope::System);
-        t.acquire(GPU1, SyncScope::System);
-        assert_eq!(t.releases(), 1);
-        assert_eq!(t.acquires(), 1);
-        assert_eq!(t.flushes(), 1);
-        assert_eq!(t.invalidations(), 1);
     }
 
     #[test]

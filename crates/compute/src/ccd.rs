@@ -16,16 +16,16 @@ pub struct CcdSpec {
     /// Cores per CCD.
     pub cores: u32,
     /// Boost-class clock.
-    pub clock: Frequency,
+    pub(crate) clock: Frequency,
     /// Shared L3 capacity.
-    pub l3: Bytes,
+    pub(crate) l3: Bytes,
     /// Per-core L2 capacity.
-    pub l2_per_core: Bytes,
+    pub(crate) l2_per_core: Bytes,
     /// Double-precision FLOPs per cycle per core (Zen 4: two 256-bit FMA
     /// pipes => 16 DP FLOPs/cycle; AVX-512 instructions are double-pumped).
-    pub dp_flops_per_cycle: u32,
+    pub(crate) dp_flops_per_cycle: u32,
     /// Whether the core supports the AVX-512 ISA.
-    pub avx512: bool,
+    pub(crate) avx512: bool,
 }
 
 impl CcdSpec {
@@ -39,20 +39,6 @@ impl CcdSpec {
             l2_per_core: Bytes::from_mib(1),
             dp_flops_per_cycle: 16,
             avx512: true,
-        }
-    }
-
-    /// The prior-generation "Zen 3" CCD, for the generational highlights
-    /// in Section IV.C (half the L2, no AVX-512).
-    #[must_use]
-    pub fn zen3() -> CcdSpec {
-        CcdSpec {
-            cores: 8,
-            clock: Frequency::from_ghz(3.4),
-            l3: Bytes::from_mib(32),
-            l2_per_core: Bytes::from_kib(512),
-            dp_flops_per_cycle: 16,
-            avx512: false,
         }
     }
 }
@@ -135,10 +121,23 @@ impl CcdModel {
 mod tests {
     use super::*;
 
+    /// The prior-generation "Zen 3" CCD, the reference for the
+    /// generational highlights in Section IV.C (half the L2, no AVX-512).
+    fn zen3() -> CcdSpec {
+        CcdSpec {
+            cores: 8,
+            clock: Frequency::from_ghz(3.4),
+            l3: Bytes::from_mib(32),
+            l2_per_core: Bytes::from_kib(512),
+            dp_flops_per_cycle: 16,
+            avx512: false,
+        }
+    }
+
     #[test]
     fn zen4_highlights_over_zen3() {
         let z4 = CcdSpec::zen4();
-        let z3 = CcdSpec::zen3();
+        let z3 = zen3();
         // "doubling the per-core L2 cache size to 1MB"
         assert_eq!(z4.l2_per_core.as_u64(), 2 * z3.l2_per_core.as_u64());
         // "clock frequency improvements"

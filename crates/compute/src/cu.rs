@@ -89,15 +89,15 @@ impl GpuArch {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CuSpec {
     /// Architecture generation.
-    pub arch: GpuArch,
+    pub(crate) arch: GpuArch,
     /// Core clock.
-    pub clock: Frequency,
+    pub(crate) clock: Frequency,
     /// L1 data cache capacity (32 KB).
-    pub l1d: Bytes,
+    pub(crate) l1d: Bytes,
     /// Local Data Share capacity (64 KB).
-    pub lds: Bytes,
+    pub(crate) lds: Bytes,
     /// Instruction cache shared between a CU pair (64 KB, 8-way).
-    pub shared_icache: Bytes,
+    pub(crate) shared_icache: Bytes,
 }
 
 impl CuSpec {
@@ -115,7 +115,7 @@ impl CuSpec {
 
     /// CDNA 2 CU as in MI250X (1.7 GHz class clocks).
     #[must_use]
-    pub fn cdna2() -> CuSpec {
+    pub(crate) fn cdna2() -> CuSpec {
         CuSpec {
             arch: GpuArch::Cdna2,
             clock: Frequency::from_ghz(1.7),
@@ -150,12 +150,6 @@ impl CuModel {
         CuModel { spec }
     }
 
-    /// The spec.
-    #[must_use]
-    pub fn spec(&self) -> &CuSpec {
-        &self.spec
-    }
-
     /// Peak dense ops/second for a unit/datatype; `None` if unsupported.
     #[must_use]
     pub fn peak_flops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
@@ -167,7 +161,8 @@ impl CuModel {
 
     /// Peak ops/second with a sparsity mode.
     #[must_use]
-    pub fn peak_flops_sparse(
+    #[cfg(test)]
+    pub(crate) fn peak_flops_sparse(
         &self,
         unit: ExecUnit,
         dtype: DataType,
@@ -186,7 +181,8 @@ impl CuModel {
     ///
     /// Panics if the datatype/unit is unsupported on this architecture.
     #[must_use]
-    pub fn cycles_for_ops(&self, unit: ExecUnit, dtype: DataType, ops: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cycles_for_ops(&self, unit: ExecUnit, dtype: DataType, ops: u64) -> u64 {
         let rate = self
             .spec
             .arch

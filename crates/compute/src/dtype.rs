@@ -36,7 +36,8 @@ impl DataType {
 
     /// Size of one element in bytes (TF32 is stored as FP32).
     #[must_use]
-    pub fn bytes(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes(self) -> u64 {
         match self {
             DataType::Fp64 => 8,
             DataType::Fp32 | DataType::Tf32 => 4,
@@ -48,7 +49,8 @@ impl DataType {
     /// `true` for the reduced-precision ML formats the paper calls out as
     /// "lower-precision arithmetic not traditionally emphasized in HPC".
     #[must_use]
-    pub fn is_ml_format(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_ml_format(self) -> bool {
         matches!(
             self,
             DataType::Tf32 | DataType::Fp16 | DataType::Bf16 | DataType::Fp8 | DataType::Int8

@@ -34,14 +34,14 @@ pub enum IcacheOrg {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcacheStudy {
     /// Total cache capacity per CU pair (64 KB on CDNA 3).
-    pub capacity_per_pair: Bytes,
+    pub(crate) capacity_per_pair: Bytes,
     /// Cache line size.
-    pub line_bytes: Bytes,
+    pub(crate) line_bytes: Bytes,
     /// Kernel instruction footprint.
     pub kernel_footprint: Bytes,
     /// Fraction of fetches that are loop-back (re-fetching resident
     /// lines) once the working set is cached.
-    pub loop_locality: f64,
+    pub(crate) loop_locality: f64,
 }
 
 impl IcacheStudy {

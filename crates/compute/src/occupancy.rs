@@ -13,14 +13,14 @@ use ehp_sim_core::units::Bytes;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CuResources {
     /// Maximum resident wavefronts per CU.
-    pub max_waves: u32,
+    pub(crate) max_waves: u32,
     /// Vector general-purpose registers per SIMD lane pool (per CU,
     /// counted in per-wave allocation units).
-    pub vgprs: u32,
+    pub(crate) vgprs: u32,
     /// LDS capacity.
-    pub lds: Bytes,
+    pub(crate) lds: Bytes,
     /// Maximum workgroups resident per CU.
-    pub max_workgroups: u32,
+    pub(crate) max_workgroups: u32,
 }
 
 impl CuResources {
@@ -141,13 +141,6 @@ impl Occupancy {
             limiter,
         }
     }
-
-    /// Occupancy as a fraction of the CU's wave slots — a proxy for
-    /// latency-hiding ability, usable as a roofline efficiency factor.
-    #[must_use]
-    pub fn wave_fraction(&self, cu: &CuResources) -> f64 {
-        f64::from(self.waves_per_cu) / f64::from(cu.max_waves)
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +153,6 @@ mod tests {
         // 32 slots / 4 waves = 8 workgroups; VGPRs allow 2048/64/4 = 8.
         assert_eq!(o.workgroups_per_cu, 8);
         assert_eq!(o.waves_per_cu, 32);
-        assert!((o.wave_fraction(&CuResources::cdna3()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -174,7 +166,6 @@ mod tests {
         // 2048/256 = 8 waves -> 2 workgroups.
         assert_eq!(o.workgroups_per_cu, 2);
         assert_eq!(o.limiter, OccupancyLimiter::Vgprs);
-        assert!(o.wave_fraction(&CuResources::cdna3()) < 0.3);
     }
 
     #[test]

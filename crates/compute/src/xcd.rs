@@ -9,22 +9,22 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
 use crate::cu::{CuModel, CuSpec};
-use crate::dtype::{DataType, ExecUnit, Sparsity};
+use crate::dtype::{DataType, ExecUnit};
 
 /// Static parameters of an XCD (or a CDNA 2 GCD, which this type also
 /// describes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XcdSpec {
     /// Per-CU parameters.
-    pub cu: CuSpec,
+    pub(crate) cu: CuSpec,
     /// Physically implemented CUs.
-    pub cus_physical: u32,
+    pub(crate) cus_physical: u32,
     /// CUs enabled after yield harvesting.
     pub cus_enabled: u32,
     /// Asynchronous compute engines for kernel dispatch.
-    pub aces: u32,
+    pub(crate) aces: u32,
     /// Die-level L2 capacity.
-    pub l2: Bytes,
+    pub(crate) l2: Bytes,
 }
 
 impl XcdSpec {
@@ -51,13 +51,6 @@ impl XcdSpec {
             aces: 4,
             l2: Bytes::from_mib(8),
         }
-    }
-
-    /// Yield-harvest head-room: CUs that may be defective without
-    /// discarding the die.
-    #[must_use]
-    pub fn spare_cus(&self) -> u32 {
-        self.cus_physical - self.cus_enabled
     }
 }
 
@@ -100,18 +93,6 @@ impl XcdModel {
         }
     }
 
-    /// The spec.
-    #[must_use]
-    pub fn spec(&self) -> &XcdSpec {
-        &self.spec
-    }
-
-    /// The CU model.
-    #[must_use]
-    pub fn cu(&self) -> &CuModel {
-        &self.cu
-    }
-
     /// Peak dense ops/second across all enabled CUs.
     #[must_use]
     pub fn peak_flops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
@@ -122,11 +103,12 @@ impl XcdModel {
 
     /// Peak ops/second with sparsity across all enabled CUs.
     #[must_use]
-    pub fn peak_flops_sparse(
+    #[cfg(test)]
+    pub(crate) fn peak_flops_sparse(
         &self,
         unit: ExecUnit,
         dtype: DataType,
-        sparsity: Sparsity,
+        sparsity: crate::dtype::Sparsity,
     ) -> Option<f64> {
         self.cu
             .peak_flops_sparse(unit, dtype, sparsity)
@@ -172,7 +154,11 @@ mod tests {
         let s = XcdSpec::mi300();
         assert_eq!(s.cus_physical, 40);
         assert_eq!(s.cus_enabled, 38);
-        assert_eq!(s.spare_cus(), 2, "up to two CUs can be defective");
+        assert_eq!(
+            s.cus_physical - s.cus_enabled,
+            2,
+            "up to two CUs can be defective"
+        );
         assert_eq!(s.aces, 4);
         assert_eq!(s.l2, Bytes::from_mib(4));
     }
@@ -190,8 +176,7 @@ mod tests {
     #[test]
     fn xcd_peak_scales_with_cus() {
         let xcd = XcdModel::new(XcdSpec::mi300());
-        let per_cu = xcd
-            .cu()
+        let per_cu = CuModel::new(XcdSpec::mi300().cu)
             .peak_flops(ExecUnit::Matrix, DataType::Fp16)
             .unwrap();
         let total = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp16).unwrap();
@@ -203,7 +188,11 @@ mod tests {
         let xcd = XcdModel::new(XcdSpec::mi300());
         let dense = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp8).unwrap();
         let sparse = xcd
-            .peak_flops_sparse(ExecUnit::Matrix, DataType::Fp8, Sparsity::FourTwo)
+            .peak_flops_sparse(
+                ExecUnit::Matrix,
+                DataType::Fp8,
+                crate::dtype::Sparsity::FourTwo,
+            )
             .unwrap();
         assert!((sparse / dense - 2.0).abs() < 1e-9);
     }

@@ -13,15 +13,6 @@ use ehp_compute::xcd::XcdSpec;
 use ehp_sim_core::time::Frequency;
 use ehp_sim_core::units::{Bandwidth, Power};
 
-/// What one IOD carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IodStack {
-    /// Two XCDs (76 CUs).
-    TwoXcds,
-    /// Three CCDs (24 cores).
-    ThreeCcds,
-}
-
 /// One point in the modular design space: how many of the four IODs
 /// carry CCD stacks.
 ///
@@ -38,12 +29,12 @@ pub enum IodStack {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModularVariant {
     /// IODs carrying three CCDs each (0–4).
-    pub ccd_iods: u32,
+    pub(crate) ccd_iods: u32,
 }
 
 impl ModularVariant {
     /// All five buildable variants.
-    pub const ALL: [ModularVariant; 5] = [
+    pub(crate) const ALL: [ModularVariant; 5] = [
         ModularVariant { ccd_iods: 0 }, // MI300X
         ModularVariant { ccd_iods: 1 }, // MI300A
         ModularVariant { ccd_iods: 2 },
@@ -64,19 +55,19 @@ impl ModularVariant {
 
     /// IODs carrying XCD pairs.
     #[must_use]
-    pub fn xcd_iods(&self) -> u32 {
+    pub(crate) fn xcd_iods(&self) -> u32 {
         4 - self.ccd_iods
     }
 
     /// Total XCDs.
     #[must_use]
-    pub fn xcds(&self) -> u32 {
+    pub(crate) fn xcds(&self) -> u32 {
         2 * self.xcd_iods()
     }
 
     /// Total CCDs.
     #[must_use]
-    pub fn ccds(&self) -> u32 {
+    pub(crate) fn ccds(&self) -> u32 {
         3 * self.ccd_iods
     }
 
@@ -106,7 +97,7 @@ impl ModularVariant {
     /// Peak GPU throughput for a unit/dtype (TFLOP/s); `None` when the
     /// variant has no XCDs or the dtype is unsupported.
     #[must_use]
-    pub fn gpu_peak_tflops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
+    pub(crate) fn gpu_peak_tflops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
         if self.xcds() == 0 {
             return None;
         }
@@ -116,20 +107,20 @@ impl ModularVariant {
 
     /// Peak CPU DP throughput (TFLOP/s).
     #[must_use]
-    pub fn cpu_peak_tflops(&self) -> f64 {
+    pub(crate) fn cpu_peak_tflops(&self) -> f64 {
         f64::from(self.cpu_cores()) * 16.0 * Frequency::from_ghz(3.7).as_hz() / 1e12
     }
 
     /// The shared memory system (identical across variants — the point
     /// of the platform).
     #[must_use]
-    pub fn memory_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn memory_bandwidth(&self) -> Bandwidth {
         Bandwidth::from_tb_s(5.3)
     }
 
     /// A rough TDP scaling: XCD stacks draw more than CCD stacks.
     #[must_use]
-    pub fn tdp(&self) -> Power {
+    pub(crate) fn tdp(&self) -> Power {
         let base = 200.0; // IODs + HBM + fabric
         Power::from_watts(
             base + f64::from(self.xcd_iods()) * 110.0 + f64::from(self.ccd_iods) * 60.0,
@@ -141,7 +132,7 @@ impl ModularVariant {
     /// (runs on an external host if the variant has no CPU, at a 10x
     /// effective penalty for link crossings and synchronisation).
     #[must_use]
-    pub fn hpc_time(&self, gpu_flops: f64, cpu_flops: f64) -> f64 {
+    pub(crate) fn hpc_time(&self, gpu_flops: f64, cpu_flops: f64) -> f64 {
         let gpu = match self.gpu_peak_tflops(ExecUnit::Matrix, DataType::Fp64) {
             Some(peak) => gpu_flops / (peak * 1e12 * 0.7),
             // CPU-only variant runs GPU work on its cores.
@@ -162,7 +153,7 @@ impl ModularVariant {
     /// Figure of merit for LLM decode: tokens/second streaming
     /// `weight_bytes` per token.
     #[must_use]
-    pub fn decode_tokens_per_s(&self, weight_bytes: f64) -> f64 {
+    pub(crate) fn decode_tokens_per_s(&self, weight_bytes: f64) -> f64 {
         if self.xcds() == 0 {
             return 0.0; // no tensor engines worth speaking of
         }

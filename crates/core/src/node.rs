@@ -13,7 +13,7 @@ use crate::products::{Product, ProductSpec};
 
 /// The protocol running on a node link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeLinkKind {
+pub(crate) enum NodeLinkKind {
     /// Cache-coherent Infinity Fabric.
     InfinityFabric,
     /// PCIe Gen5 (host attach).
@@ -28,9 +28,9 @@ pub struct NodeLink {
     /// Second endpoint (socket index).
     pub b: usize,
     /// Number of x16 links in the bundle.
-    pub count: u32,
+    pub(crate) count: u32,
     /// Protocol.
-    pub kind: NodeLinkKind,
+    pub(crate) kind: NodeLinkKind,
 }
 
 /// A socket in the node.
@@ -45,7 +45,7 @@ pub enum NodeSocket {
 impl NodeSocket {
     /// x16 links this socket provides.
     #[must_use]
-    pub fn x16_links(&self) -> u32 {
+    pub(crate) fn x16_links(&self) -> u32 {
         match self {
             NodeSocket::Accelerator(s) => s.x16_links,
             NodeSocket::EpycHost => 8,

@@ -31,7 +31,6 @@ use crate::node::{NodeLinkKind, NodeTopology};
 #[derive(Debug)]
 pub struct NodeFabric {
     fabric: FabricSim,
-    sockets: usize,
 }
 
 impl NodeFabric {
@@ -55,14 +54,7 @@ impl NodeFabric {
         }
         NodeFabric {
             fabric: FabricSim::new(topo),
-            sockets: node.sockets().len(),
         }
-    }
-
-    /// Number of sockets.
-    #[must_use]
-    pub fn sockets(&self) -> usize {
-        self.sockets
     }
 
     /// Sends `size` bytes from socket `from` to socket `to` at `at`.

@@ -38,7 +38,7 @@ impl ComputePartitioning {
 
 /// Errors from partition validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PartitionError {
+pub(crate) enum PartitionError {
     /// The mode is not offered on this product.
     UnsupportedMode(Product),
     /// The partition count does not divide the XCD count.
@@ -85,7 +85,7 @@ impl PartitionConfig {
     ///
     /// Returns a [`PartitionError`] if the product does not offer the
     /// requested compute or memory mode.
-    pub fn new(
+    pub(crate) fn new(
         product: Product,
         mode: ComputePartitioning,
         numa: NumaMode,
@@ -177,7 +177,8 @@ impl PartitionConfig {
     ///
     /// Panics if `p` is out of range.
     #[must_use]
-    pub fn xcds_of(&self, p: u32) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn xcds_of(&self, p: u32) -> Vec<u32> {
         assert!(p < self.mode.count(), "partition {p} out of range");
         let per = self.xcds_per_partition();
         (p * per..(p + 1) * per).collect()
@@ -246,8 +247,6 @@ mod tests {
         let c = PartitionConfig::new(Product::Mi300a, ComputePartitioning::Triple, NumaMode::Nps1)
             .unwrap();
         assert_eq!(c.xcds_per_partition(), 2);
-        assert_eq!(c.xcds_of(0), vec![0, 1]);
-        assert_eq!(c.xcds_of(2), vec![4, 5]);
         assert_eq!(c.sriov_vfs(), 3);
     }
 

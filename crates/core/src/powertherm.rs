@@ -13,7 +13,7 @@ use ehp_package::floorplan::Floorplan;
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_power::dvfs::DvfsCurve;
 use ehp_sim_core::units::Power;
-use ehp_thermal::{TemperatureField, ThermalConfig, ThermalSolver};
+use ehp_thermal::{ThermalConfig, ThermalSolver};
 
 /// Controller parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,8 +44,6 @@ impl Default for ControllerConfig {
 pub struct OperatingPoint {
     /// Final per-domain power distribution.
     pub compute_power: Power,
-    /// Total socket power.
-    pub total_power: Power,
     /// Peak temperature at convergence (°C).
     pub peak_c: f64,
     /// Achieved XCD clock as a fraction of nominal.
@@ -54,8 +52,6 @@ pub struct OperatingPoint {
     pub iterations: u32,
     /// Whether the junction limit was met.
     pub thermally_safe: bool,
-    /// The final thermal field.
-    pub field: TemperatureField,
 }
 
 /// The closed-loop controller for an MI300A socket.
@@ -94,12 +90,6 @@ impl PowerThermalController {
         PowerThermalController::new(ControllerConfig::default(), Power::from_watts(550.0))
     }
 
-    /// The power manager (inspectable).
-    #[must_use]
-    pub fn power_manager(&self) -> &SocketPowerManager {
-        &self.pm
-    }
-
     fn apply_to_floorplan(&self, fp: &mut Floorplan) {
         let d = self.pm.current();
         fp.assign_power("xcd", d.get(PowerDomain::ComputeChiplets).scale(0.88));
@@ -134,12 +124,10 @@ impl PowerThermalController {
                 let per_xcd = compute.scale(0.88 / 6.0);
                 return OperatingPoint {
                     compute_power: compute,
-                    total_power: self.pm.current().total(),
                     peak_c: peak,
                     xcd_perf_factor: self.xcd_curve.perf_factor(per_xcd),
                     iterations,
                     thermally_safe: peak <= self.cfg.tj_limit_c,
-                    field,
                 };
             }
 
@@ -211,10 +199,10 @@ mod tests {
     #[test]
     fn total_power_conserved_by_shifting() {
         let mut c = PowerThermalController::new(fast_cfg(40.0), Power::from_watts(550.0));
-        let op = c.converge(WorkloadProfile::ComputeIntensive);
+        c.converge(WorkloadProfile::ComputeIntensive);
         // Shifting moves power between domains; the envelope stays at
         // TDP even when the loop runs out of compute power to shed.
-        assert!((op.total_power.as_watts() - 550.0).abs() < 1e-6);
+        assert!((c.pm.current().total().as_watts() - 550.0).abs() < 1e-6);
     }
 
     #[test]

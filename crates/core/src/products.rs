@@ -2,10 +2,8 @@
 //! EHPv4 — plus the Figure 7 interface-bandwidth table and the
 //! generational-uplift arithmetic behind Figure 19.
 
-use ehp_compute::ccd::CcdSpec;
 use ehp_compute::cu::GpuArch;
-use ehp_compute::dtype::{DataType, ExecUnit, Sparsity};
-use ehp_compute::xcd::XcdSpec;
+use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_fabric::link::LinkTech;
 use ehp_mem::hbm::HbmGeneration;
 use ehp_sim_core::time::Frequency;
@@ -113,37 +111,37 @@ impl Product {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductSpec {
     /// Which product this is.
-    pub product: Product,
+    pub(crate) product: Product,
     /// Marketing name.
     pub name: &'static str,
     /// GPU architecture generation.
-    pub gpu_arch: GpuArch,
+    pub(crate) gpu_arch: GpuArch,
     /// GPU chiplets (XCDs/GCDs).
     pub gpu_chiplets: u32,
     /// Enabled CUs per GPU chiplet.
     pub cus_per_chiplet: u32,
     /// GPU engine clock.
-    pub gpu_clock: Frequency,
+    pub(crate) gpu_clock: Frequency,
     /// CPU chiplets in package.
     pub ccds: u32,
     /// CPU cores in package.
     pub cpu_cores: u32,
     /// HBM generation.
-    pub hbm: HbmGeneration,
+    pub(crate) hbm: HbmGeneration,
     /// HBM stacks.
     pub hbm_stacks: u32,
     /// Infinity Cache total capacity, if present.
-    pub icache_total: Option<Bytes>,
+    pub(crate) icache_total: Option<Bytes>,
     /// Off-package x16 links.
     pub x16_links: u32,
     /// Per-direction bandwidth of one x16 link.
-    pub x16_per_direction: Bandwidth,
+    pub(crate) x16_per_direction: Bandwidth,
     /// Board/package thermal design power.
     pub tdp: Power,
     /// Whether CPU and GPU share one physical memory (APU).
-    pub unified_memory: bool,
+    pub(crate) unified_memory: bool,
     /// Whether all GPU chiplets present as one logical device.
-    pub single_logical_gpu: bool,
+    pub(crate) single_logical_gpu: bool,
 }
 
 impl ProductSpec {
@@ -163,11 +161,12 @@ impl ProductSpec {
 
     /// Peak throughput with structured sparsity.
     #[must_use]
-    pub fn peak_tflops_sparse(
+    #[cfg(test)]
+    pub(crate) fn peak_tflops_sparse(
         &self,
         unit: ExecUnit,
         dtype: DataType,
-        sparsity: Sparsity,
+        sparsity: ehp_compute::dtype::Sparsity,
     ) -> Option<f64> {
         let ops = self.gpu_arch.ops_per_clock_sparse(unit, dtype, sparsity)?;
         Some(ops as f64 * f64::from(self.total_cus()) * self.gpu_clock.as_hz() / 1e12)
@@ -193,30 +192,9 @@ impl ProductSpec {
 
     /// Peak Infinity Cache bandwidth, if present (17 TB/s on MI300).
     #[must_use]
-    pub fn icache_bandwidth(&self) -> Option<Bandwidth> {
+    #[cfg(test)]
+    pub(crate) fn icache_bandwidth(&self) -> Option<Bandwidth> {
         self.icache_total.map(|_| Bandwidth::from_tb_s(17.0))
-    }
-
-    /// The XCD spec for this product's GPU chiplets.
-    #[must_use]
-    pub fn xcd_spec(&self) -> XcdSpec {
-        match self.gpu_arch {
-            GpuArch::Cdna2 => XcdSpec::mi250x_gcd(),
-            GpuArch::Cdna3 => XcdSpec::mi300(),
-        }
-    }
-
-    /// The CCD spec, if the product has CPU chiplets.
-    #[must_use]
-    pub fn ccd_spec(&self) -> Option<CcdSpec> {
-        (self.ccds > 0).then(CcdSpec::zen4)
-    }
-
-    /// Ratio of GPU chiplets to CCDs, where defined (the paper notes both
-    /// EHPv4 and MI300A chose 2:1).
-    #[must_use]
-    pub fn gpu_to_cpu_chiplet_ratio(&self) -> Option<f64> {
-        (self.ccds > 0).then(|| f64::from(self.gpu_chiplets) / f64::from(self.ccds))
     }
 
     /// The Figure 7 audit: bandwidth of each interface class on the
@@ -355,7 +333,11 @@ mod tests {
     fn sparse_fp8_reaches_8192_per_cu_class() {
         let x = Product::Mi300x.spec();
         let sparse = x
-            .peak_tflops_sparse(ExecUnit::Matrix, DataType::Fp8, Sparsity::FourTwo)
+            .peak_tflops_sparse(
+                ExecUnit::Matrix,
+                DataType::Fp8,
+                ehp_compute::dtype::Sparsity::FourTwo,
+            )
             .unwrap();
         assert!((sparse - 5229.8).abs() < 5.0, "2x dense FP8, got {sparse}");
     }
@@ -394,9 +376,11 @@ mod tests {
     fn chiplet_ratio_is_two_to_one() {
         // "both ended up with the same ratio of two GPU compute chiplets
         // for every CCD (i.e., 4:2 in EHPv4, and 6:3 in MI300A)".
-        assert_eq!(Product::Mi300a.spec().gpu_to_cpu_chiplet_ratio(), Some(2.0));
-        assert_eq!(Product::Ehpv4.spec().gpu_to_cpu_chiplet_ratio(), Some(2.0));
-        assert_eq!(Product::Mi300x.spec().gpu_to_cpu_chiplet_ratio(), None);
+        for p in [Product::Mi300a, Product::Ehpv4] {
+            let s = p.spec();
+            assert_eq!(s.gpu_chiplets, 2 * s.ccds);
+        }
+        assert_eq!(Product::Mi300x.spec().ccds, 0);
     }
 
     #[test]

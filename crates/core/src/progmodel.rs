@@ -18,21 +18,21 @@ use ehp_sim_core::units::{Bandwidth, Bytes};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadShape {
     /// Bytes the CPU initialises and the kernel reads.
-    pub bytes_in: Bytes,
+    pub(crate) bytes_in: Bytes,
     /// Bytes the kernel produces and the CPU post-processes.
-    pub bytes_out: Bytes,
+    pub(crate) bytes_out: Bytes,
     /// Kernel arithmetic work.
     pub kernel_flops: f64,
     /// Kernel datatype.
-    pub dtype: DataType,
+    pub(crate) dtype: DataType,
     /// Kernel execution unit.
-    pub unit: ExecUnit,
+    pub(crate) unit: ExecUnit,
     /// CPU post-processing arithmetic work.
-    pub cpu_post_flops: f64,
+    pub(crate) cpu_post_flops: f64,
     /// Fraction of peak the kernel sustains.
-    pub gpu_efficiency: f64,
+    pub(crate) gpu_efficiency: f64,
     /// Fraction of peak the CPU sustains.
-    pub cpu_efficiency: f64,
+    pub(crate) cpu_efficiency: f64,
 }
 
 impl WorkloadShape {
@@ -101,12 +101,6 @@ impl Timeline {
             .map(|p| p.end)
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// First phase with the given name.
-    #[must_use]
-    pub fn phase(&self, name: &str) -> Option<&Phase> {
-        self.phases.iter().find(|p| p.name == name)
     }
 
     /// Sum of durations of phases with the given name.
@@ -399,10 +393,11 @@ mod tests {
     fn discrete_has_copies_apu_does_not() {
         let disc = ExecutionModel::discrete_mi250x().run(&shape());
         let apu = ExecutionModel::apu_mi300a().run(&shape());
-        assert!(disc.phase("h2d").is_some());
-        assert!(disc.phase("d2h").is_some());
-        assert!(apu.phase("h2d").is_none(), "no hipMemcpy on the APU");
-        assert!(apu.phase("d2h").is_none());
+        let has = |tl: &Timeline, name: &str| tl.phases().iter().any(|p| p.name == name);
+        assert!(has(&disc, "h2d"));
+        assert!(has(&disc, "d2h"));
+        assert!(!has(&apu, "h2d"), "no hipMemcpy on the APU");
+        assert!(!has(&apu, "d2h"));
     }
 
     #[test]
@@ -467,7 +462,6 @@ mod tests {
         }
         assert_eq!(tl.phases().len(), 4); // alloc, init, kernel, post
         assert!(tl.total() > SimTime::ZERO);
-        assert!(tl.phase("missing").is_none());
     }
 
     #[test]

@@ -15,22 +15,22 @@ use ehp_sim_core::time::SimTime;
 pub struct NodeFitRates {
     /// Per HBM stack (dominated by DRAM; ECC leaves the uncorrectable
     /// residue counted here).
-    pub hbm_stack: f64,
+    pub(crate) hbm_stack: f64,
     /// Per GPU chiplet.
-    pub xcd: f64,
+    pub(crate) xcd: f64,
     /// Per CPU chiplet.
-    pub ccd: f64,
+    pub(crate) ccd: f64,
     /// Per IOD (fabric, cache, PHYs).
-    pub iod: f64,
+    pub(crate) iod: f64,
     /// Node residue: board, NIC, power delivery.
-    pub board: f64,
+    pub(crate) board: f64,
 }
 
 impl NodeFitRates {
     /// Representative exascale-class rates (uncorrectable-error residue
     /// after ECC, per component).
     #[must_use]
-    pub fn exascale_class() -> NodeFitRates {
+    pub(crate) fn exascale_class() -> NodeFitRates {
         NodeFitRates {
             hbm_stack: 150.0,
             xcd: 60.0,
@@ -45,19 +45,19 @@ impl NodeFitRates {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeBom {
     /// HBM stacks per node.
-    pub hbm_stacks: u32,
+    pub(crate) hbm_stacks: u32,
     /// GPU chiplets per node.
-    pub xcds: u32,
+    pub(crate) xcds: u32,
     /// CPU chiplets per node.
-    pub ccds: u32,
+    pub(crate) ccds: u32,
     /// IODs per node.
-    pub iods: u32,
+    pub(crate) iods: u32,
 }
 
 impl NodeBom {
     /// A quad-MI300A node (Figure 18a).
     #[must_use]
-    pub fn quad_mi300a() -> NodeBom {
+    pub(crate) fn quad_mi300a() -> NodeBom {
         NodeBom {
             hbm_stacks: 32,
             xcds: 24,
@@ -68,7 +68,7 @@ impl NodeBom {
 
     /// Total node FIT under a rate set.
     #[must_use]
-    pub fn node_fit(&self, r: &NodeFitRates) -> f64 {
+    pub(crate) fn node_fit(&self, r: &NodeFitRates) -> f64 {
         f64::from(self.hbm_stacks) * r.hbm_stack
             + f64::from(self.xcds) * r.xcd
             + f64::from(self.ccds) * r.ccd
@@ -78,7 +78,7 @@ impl NodeBom {
 
     /// Node MTBF in hours.
     #[must_use]
-    pub fn node_mtbf_hours(&self, r: &NodeFitRates) -> f64 {
+    pub(crate) fn node_mtbf_hours(&self, r: &NodeFitRates) -> f64 {
         1e9 / self.node_fit(r)
     }
 
@@ -89,7 +89,7 @@ impl NodeBom {
     ///
     /// Panics if `nodes` is zero.
     #[must_use]
-    pub fn system_mtbf_hours(&self, r: &NodeFitRates, nodes: u32) -> f64 {
+    pub(crate) fn system_mtbf_hours(&self, r: &NodeFitRates, nodes: u32) -> f64 {
         assert!(nodes > 0, "system needs nodes");
         self.node_mtbf_hours(r) / f64::from(nodes)
     }
@@ -121,7 +121,7 @@ pub struct CheckpointPlan {
 impl CheckpointPlan {
     /// Young's optimal checkpoint interval: `sqrt(2·δ·M)`.
     #[must_use]
-    pub fn optimal_interval(&self) -> SimTime {
+    pub(crate) fn optimal_interval(&self) -> SimTime {
         SimTime::from_secs_f64((2.0 * self.checkpoint_cost.as_secs() * self.mtbf.as_secs()).sqrt())
     }
 
@@ -133,7 +133,7 @@ impl CheckpointPlan {
     ///
     /// Panics if `tau` is zero.
     #[must_use]
-    pub fn efficiency(&self, tau: SimTime) -> f64 {
+    pub(crate) fn efficiency(&self, tau: SimTime) -> f64 {
         let t = tau.as_secs();
         assert!(t > 0.0, "interval must be positive");
         let overhead = self.checkpoint_cost.as_secs() / t + t / (2.0 * self.mtbf.as_secs());

@@ -67,7 +67,8 @@ impl WorkgroupPolicy {
 
     /// Number of workgroups this policy sends to XCD `xcd`.
     #[must_use]
-    pub fn count_for(self, xcd: u32, total: u64, n_xcds: u32) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count_for(self, xcd: u32, total: u64, n_xcds: u32) -> u64 {
         (0..total)
             .filter(|&wg| self.assign(wg, total, n_xcds) == xcd)
             .count() as u64
@@ -86,7 +87,6 @@ pub struct AceEngine {
     ace_count: u32,
     /// One slot per CU: a workgroup occupies a CU for its duration.
     cus: SlotServer,
-    launched: u64,
 }
 
 impl AceEngine {
@@ -97,27 +97,21 @@ impl AceEngine {
     ///
     /// Panics if `cus` or `ace_count` is zero.
     #[must_use]
-    pub fn new(cus: u32, ace_count: u32) -> AceEngine {
+    pub(crate) fn new(cus: u32, ace_count: u32) -> AceEngine {
         assert!(ace_count > 0, "need at least one ACE");
         AceEngine {
             decode_latency: Cycle(64),
             cycles_per_launch: Cycle(4),
             ace_count,
             cus: SlotServer::new("cu_slots", cus as usize),
-            launched: 0,
         }
     }
 
     /// The MI300 XCD engine: 38 CUs, 4 ACEs.
     #[must_use]
-    pub fn mi300() -> AceEngine {
+    #[cfg(test)]
+    pub(crate) fn mi300() -> AceEngine {
         AceEngine::new(38, 4)
-    }
-
-    /// Packet decode latency.
-    #[must_use]
-    pub fn decode_latency(&self) -> Cycle {
-        self.decode_latency
     }
 
     /// Launches `n_wgs` workgroups starting after packet decode at `at`;
@@ -126,7 +120,7 @@ impl AceEngine {
     /// Returns `(first_launch, all_complete)` — the time the first
     /// workgroup begins and the time the last one retires. Launches are
     /// throttled by the combined ACE launch throughput.
-    pub fn launch(
+    pub(crate) fn launch(
         &mut self,
         at: Cycle,
         wg_indices: impl IntoIterator<Item = u64>,
@@ -145,21 +139,8 @@ impl AceEngine {
             if done > all_done {
                 all_done = done;
             }
-            self.launched += 1;
         }
         (first_launch.unwrap_or(decoded), all_done)
-    }
-
-    /// Workgroups launched so far.
-    #[must_use]
-    pub fn launched(&self) -> u64 {
-        self.launched
-    }
-
-    /// CU-slot occupancy statistics.
-    #[must_use]
-    pub fn cu_slots(&self) -> &SlotServer {
-        &self.cus
     }
 }
 
@@ -230,11 +211,10 @@ mod tests {
         let mut ace = AceEngine::new(4, 1);
         // 8 equal workgroups on 4 CUs: two waves.
         let (first, done) = ace.launch(Cycle(0), 0..8u64, |_| 100);
-        assert_eq!(ace.launched(), 8);
-        assert!(first >= ace.decode_latency());
+        assert!(first >= ace.decode_latency);
         // Two waves of 100 cycles plus decode/launch overheads.
-        assert!(done.0 >= 200 + ace.decode_latency().0);
-        assert!(done.0 < 200 + ace.decode_latency().0 + 64);
+        assert!(done.0 >= 200 + ace.decode_latency.0);
+        assert!(done.0 < 200 + ace.decode_latency.0 + 64);
     }
 
     #[test]
@@ -258,7 +238,7 @@ mod tests {
         let mut ace = AceEngine::mi300();
         let (first, done) = ace.launch(Cycle(10), std::iter::empty(), |_| 1);
         assert_eq!(first, done);
-        assert_eq!(done, Cycle(10) + ace.decode_latency());
+        assert_eq!(done, Cycle(10) + ace.decode_latency);
     }
 
     #[test]

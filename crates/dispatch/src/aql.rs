@@ -44,11 +44,11 @@ impl std::error::Error for AqlError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AqlPacket {
     /// Number of dimensions used (1-3).
-    pub setup_dims: u16,
+    pub(crate) setup_dims: u16,
     /// Workitems per workgroup in x/y/z.
-    pub workgroup_size: [u16; 3],
+    pub(crate) workgroup_size: [u16; 3],
     /// Total workitems in x/y/z.
-    pub grid_size: [u32; 3],
+    pub(crate) grid_size: [u32; 3],
 }
 
 impl AqlPacket {
@@ -73,7 +73,7 @@ impl AqlPacket {
 
     /// Workgroups along each dimension (ceiling division).
     #[must_use]
-    pub fn workgroups_per_dim(&self) -> [u32; 3] {
+    pub(crate) fn workgroups_per_dim(&self) -> [u32; 3] {
         let mut out = [0u32; 3];
         for (o, (&grid, &wg)) in out
             .iter_mut()
@@ -91,15 +91,6 @@ impl AqlPacket {
         self.workgroups_per_dim()
             .iter()
             .map(|&d| u64::from(d))
-            .product()
-    }
-
-    /// Total workitems ("each with Z threads").
-    #[must_use]
-    pub fn total_workitems(&self) -> u64 {
-        self.grid_size
-            .iter()
-            .map(|&d| u64::from(d.max(1)))
             .product()
     }
 
@@ -131,7 +122,6 @@ mod tests {
         let p = AqlPacket::dispatch_1d(1000, 64);
         assert_eq!(p.workgroups_per_dim(), [16, 1, 1], "ceil(1000/64)");
         assert_eq!(p.total_workgroups(), 16);
-        assert_eq!(p.total_workitems(), 1000);
     }
 
     #[test]
@@ -142,7 +132,6 @@ mod tests {
         p.grid_size = [64, 64, 16];
         assert_eq!(p.workgroups_per_dim(), [8, 8, 4]);
         assert_eq!(p.total_workgroups(), 256);
-        assert_eq!(p.total_workitems(), 65536);
     }
 
     #[test]

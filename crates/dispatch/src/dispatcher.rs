@@ -57,15 +57,6 @@ impl DispatcherConfig {
         }
     }
 
-    /// MI300X single partition: eight XCDs.
-    #[must_use]
-    pub fn mi300x_partition() -> DispatcherConfig {
-        DispatcherConfig {
-            xcds: 8,
-            ..DispatcherConfig::mi300a_partition()
-        }
-    }
-
     /// Sets the placement policy (builder-style).
     #[must_use]
     pub fn with_policy(mut self, policy: WorkgroupPolicy) -> DispatcherConfig {
@@ -237,7 +228,7 @@ impl MultiXcdDispatcher {
                 ));
                 done + self.cfg.sync_latency
             };
-            signal.decrement(arrival);
+            signal.decrement();
             if arrival > nominated_sees_all {
                 nominated_sees_all = arrival;
             }

@@ -6,27 +6,22 @@
 //! MI300A the CPU can spin on such a flag directly thanks to the
 //! cache-coherent unified memory (Figure 15).
 
-use ehp_sim_core::time::Cycle;
-
-/// A completion signal with a timestamped history.
+/// A completion signal.
 ///
 /// # Example
 ///
 /// ```
 /// use ehp_dispatch::signal::CompletionSignal;
-/// use ehp_sim_core::time::Cycle;
 ///
 /// let mut s = CompletionSignal::new(2);
-/// s.decrement(Cycle(100));
+/// s.decrement();
 /// assert!(!s.is_complete());
-/// s.decrement(Cycle(250));
+/// s.decrement();
 /// assert!(s.is_complete());
-/// assert_eq!(s.completed_at(), Some(Cycle(250)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletionSignal {
     value: i64,
-    completed_at: Option<Cycle>,
 }
 
 impl CompletionSignal {
@@ -39,46 +34,24 @@ impl CompletionSignal {
     #[must_use]
     pub fn new(initial: i64) -> CompletionSignal {
         assert!(initial >= 0, "signal initial value must be non-negative");
-        CompletionSignal {
-            value: initial,
-            completed_at: if initial == 0 {
-                Some(Cycle::ZERO)
-            } else {
-                None
-            },
-        }
+        CompletionSignal { value: initial }
     }
 
-    /// Current value.
-    #[must_use]
-    pub fn value(&self) -> i64 {
-        self.value
-    }
-
-    /// Decrements at simulated time `at`.
+    /// Decrements the value by one.
     ///
     /// # Panics
     ///
     /// Panics if the signal is already at zero (double completion is a
     /// protocol bug worth failing loudly on).
-    pub fn decrement(&mut self, at: Cycle) {
+    pub fn decrement(&mut self) {
         assert!(self.value > 0, "signal decremented below zero");
         self.value -= 1;
-        if self.value == 0 {
-            self.completed_at = Some(at);
-        }
     }
 
     /// `true` once the value reaches zero.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.value == 0
-    }
-
-    /// Time the signal hit zero, if it has.
-    #[must_use]
-    pub fn completed_at(&self) -> Option<Cycle> {
-        self.completed_at
     }
 }
 
@@ -90,26 +63,24 @@ mod tests {
     fn zero_initial_is_immediately_complete() {
         let s = CompletionSignal::new(0);
         assert!(s.is_complete());
-        assert_eq!(s.completed_at(), Some(Cycle::ZERO));
     }
 
     #[test]
     fn counts_down_and_records_time() {
         let mut s = CompletionSignal::new(3);
-        s.decrement(Cycle(10));
-        s.decrement(Cycle(20));
+        s.decrement();
+        s.decrement();
         assert!(!s.is_complete());
-        assert_eq!(s.completed_at(), None);
-        s.decrement(Cycle(30));
-        assert_eq!(s.completed_at(), Some(Cycle(30)));
+        s.decrement();
+        assert!(s.is_complete());
     }
 
     #[test]
     #[should_panic(expected = "below zero")]
     fn double_completion_panics() {
         let mut s = CompletionSignal::new(1);
-        s.decrement(Cycle(1));
-        s.decrement(Cycle(2));
+        s.decrement();
+        s.decrement();
     }
 
     #[test]

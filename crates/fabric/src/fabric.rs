@@ -11,11 +11,11 @@ use crate::topology::{NodeKey, Topology};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// When the transfer was submitted.
-    pub submitted: SimTime,
+    pub(crate) submitted: SimTime,
     /// When the last byte arrived.
     pub completed: SimTime,
     /// Payload size.
-    pub size: Bytes,
+    pub(crate) size: Bytes,
     /// Number of links crossed.
     pub hops: usize,
     /// Transport energy consumed across all hops.
@@ -58,8 +58,6 @@ impl Transfer {
 pub struct FabricSim {
     topo: Topology,
     pipes: Vec<BandwidthPipe>,
-    total_bytes: Bytes,
-    total_energy: Energy,
 }
 
 impl FabricSim {
@@ -75,12 +73,7 @@ impl FabricSim {
                 BandwidthPipe::with_energy("edge", e.spec.per_direction, e.spec.energy_per_byte)
             })
             .collect();
-        FabricSim {
-            topo,
-            pipes,
-            total_bytes: Bytes::ZERO,
-            total_energy: Energy::ZERO,
-        }
+        FabricSim { topo, pipes }
     }
 
     /// The underlying topology.
@@ -109,8 +102,6 @@ impl FabricSim {
             t = self.pipes[ei].request(t, size) + spec.latency;
             energy += self.pipes[ei].energy_used() - before;
         }
-        self.total_bytes += size;
-        self.total_energy += energy;
         Some(Transfer {
             submitted: at,
             completed: t,
@@ -156,18 +147,6 @@ impl FabricSim {
                 })
                 .sum(),
         )
-    }
-
-    /// Total payload bytes sent so far.
-    #[must_use]
-    pub fn total_bytes(&self) -> Bytes {
-        self.total_bytes
-    }
-
-    /// Total transport energy consumed so far.
-    #[must_use]
-    pub fn total_energy(&self) -> Energy {
-        self.total_energy
     }
 }
 
@@ -289,15 +268,6 @@ mod tests {
             (bw.as_gb_s() - LinkTech::Serdes2D.spec().per_direction.as_gb_s()).abs() < 1e-9,
             "cross-complex path limited to SerDes rate, got {bw}"
         );
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let mut fab = mi300x();
-        fab.send(SimTime::ZERO, NodeKey::Iod(0), NodeKey::Iod(1), Bytes(1000));
-        fab.send(SimTime::ZERO, NodeKey::Iod(0), NodeKey::Iod(1), Bytes(500));
-        assert_eq!(fab.total_bytes(), Bytes(1500));
-        assert!(fab.total_energy().as_joules() > 0.0);
     }
 
     #[test]

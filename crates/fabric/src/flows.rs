@@ -52,11 +52,11 @@ impl Flow {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRate {
     /// The flow.
-    pub flow: Flow,
+    pub(crate) flow: Flow,
     /// Allocated steady-state throughput.
     pub rate: Bandwidth,
     /// Whether the flow is bottlenecked by a link (vs its own demand).
-    pub link_limited: bool,
+    pub(crate) link_limited: bool,
 }
 
 impl ToJson for FlowRate {
@@ -163,7 +163,7 @@ impl<'a> FlowSolver<'a> {
     ///
     /// Convenience wrapper that allocates a one-shot [`SolverWorkspace`];
     /// sweeps should hold a workspace and call
-    /// [`FlowSolver::solve_with`] / [`FlowSolver::solve_into`].
+    /// `FlowSolver::solve_with` / [`FlowSolver::solve_into`].
     #[must_use]
     pub fn solve(&self, flows: &[Flow]) -> Vec<FlowRate> {
         self.solve_with(flows, &mut SolverWorkspace::new())
@@ -172,7 +172,7 @@ impl<'a> FlowSolver<'a> {
     /// Solves using a caller-held workspace, returning a fresh result
     /// vector.
     #[must_use]
-    pub fn solve_with(&self, flows: &[Flow], ws: &mut SolverWorkspace) -> Vec<FlowRate> {
+    pub(crate) fn solve_with(&self, flows: &[Flow], ws: &mut SolverWorkspace) -> Vec<FlowRate> {
         let mut out = Vec::with_capacity(flows.len());
         self.solve_into(flows, ws, &mut out);
         out

@@ -88,11 +88,11 @@ impl LinkTech {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Technology the link is built from.
-    pub tech: LinkTech,
+    pub(crate) tech: LinkTech,
     /// Peak bandwidth in each direction (links are full-duplex).
     pub per_direction: Bandwidth,
     /// Per-hop propagation + PHY latency.
-    pub latency: SimTime,
+    pub(crate) latency: SimTime,
     /// Transport energy per byte.
     pub energy_per_byte: Energy,
     /// Area bandwidth density in Tbps/mm² (Section V.A comparison).
@@ -100,12 +100,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// Bidirectional peak bandwidth.
-    #[must_use]
-    pub fn bidirectional(&self) -> Bandwidth {
-        self.per_direction + self.per_direction
-    }
-
     /// Scales the per-direction bandwidth (e.g. ganging multiple PHYs).
     #[must_use]
     pub fn scaled(mut self, factor: f64) -> LinkSpec {
@@ -138,7 +132,7 @@ mod tests {
     #[test]
     fn x16_links_are_128_gb_s_bidirectional() {
         let x16 = LinkTech::X16InfinityFabric.spec();
-        assert!((x16.bidirectional().as_gb_s() - 128.0).abs() < 1e-9);
+        assert!((2.0 * x16.per_direction.as_gb_s() - 128.0).abs() < 1e-9);
     }
 
     #[test]

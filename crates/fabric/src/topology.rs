@@ -55,10 +55,10 @@ pub struct Edge {
     /// Destination endpoint.
     pub to: NodeKey,
     /// Link parameters.
-    pub spec: LinkSpec,
+    pub(crate) spec: LinkSpec,
     /// Identifier for contention accounting (both directions of one
     /// physical link share an id but have independent pipes).
-    pub link: LinkId,
+    pub(crate) link: LinkId,
 }
 
 /// The flattened all-pairs route table: for each `(src, dst)` dense-id
@@ -190,31 +190,10 @@ impl Topology {
         &self.edges
     }
 
-    /// Number of full-duplex links.
-    #[must_use]
-    pub fn link_count(&self) -> usize {
-        self.next_link as usize
-    }
-
-    /// Number of distinct nodes in the graph.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.node_table.len()
-    }
-
     /// The dense id of a node, if it appears in the graph.
     #[must_use]
-    pub fn node_id(&self, key: NodeKey) -> Option<usize> {
+    pub(crate) fn node_id(&self, key: NodeKey) -> Option<usize> {
         self.node_ids.get(&key).map(|&id| id as usize)
-    }
-
-    /// The node with dense id `id` (first-appearance order).
-    ///
-    /// # Panics
-    /// If `id >= node_count()`.
-    #[must_use]
-    pub fn node_key(&self, id: usize) -> NodeKey {
-        self.node_table[id]
     }
 
     /// All nodes that appear in the graph, in sorted order. Served from
@@ -227,7 +206,7 @@ impl Topology {
 
     /// Whether the all-pairs route table is built and current.
     #[must_use]
-    pub fn routes_ready(&self) -> bool {
+    pub(crate) fn routes_ready(&self) -> bool {
         self.routes.is_some()
     }
 
@@ -299,7 +278,7 @@ impl Topology {
     /// If the route table has not been built (call
     /// [`Topology::precompute_routes`] after the last mutation).
     #[must_use]
-    pub fn route_slice(&self, from: NodeKey, to: NodeKey) -> Option<&[u32]> {
+    pub(crate) fn route_slice(&self, from: NodeKey, to: NodeKey) -> Option<&[u32]> {
         // lint:hot-path
         if from == to {
             return Some(&[]);
@@ -352,7 +331,7 @@ impl Topology {
     /// warm-up): fills `out` with the path's directed edge indices and
     /// returns whether `to` is reachable (`from == to` is reachable with
     /// an empty path).
-    pub fn route_into(
+    pub(crate) fn route_into(
         &self,
         from: NodeKey,
         to: NodeKey,
@@ -548,10 +527,9 @@ mod tests {
             t.nodes().windows(2).all(|w| w[0] < w[1]),
             "sorted, no dupes"
         );
-        assert_eq!(t.nodes().len(), t.node_count());
-        for (id, &key) in (0..t.node_count()).map(|id| (id, &t.node_table[id])) {
+        assert_eq!(t.nodes().len(), t.node_table.len());
+        for (id, &key) in t.node_table.iter().enumerate() {
             assert_eq!(t.node_id(key), Some(id));
-            assert_eq!(t.node_key(id), key);
         }
     }
 

@@ -20,7 +20,7 @@
 //!   regardless of completion order, and [`BatchResult::summary_json`]
 //!   excludes wall-clock times, so two same-seed runs of the same batch
 //!   produce byte-identical `run_summary.json` files. Timings go to a
-//!   separate sidecar ([`BatchResult::timing_json`]).
+//!   separate sidecar (`BatchResult::timing_json`).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,7 +76,7 @@ pub enum OutcomeStatus {
 impl OutcomeStatus {
     /// Short human-readable form for progress lines.
     #[must_use]
-    pub fn brief(&self) -> &'static str {
+    pub(crate) fn brief(&self) -> &'static str {
         match self {
             OutcomeStatus::Ok => "ok",
             OutcomeStatus::UnknownExperiment => "unknown experiment",
@@ -97,9 +97,9 @@ pub struct Outcome {
     /// Rendered report text (empty on panic).
     pub report_text: String,
     /// Figure payload, if the experiment produced one.
-    pub payload: Option<Json>,
+    pub(crate) payload: Option<Json>,
     /// Wall-clock run time of this scenario.
-    pub wall: Duration,
+    pub(crate) wall: Duration,
 }
 
 /// A completed batch, in input order.
@@ -118,14 +118,14 @@ pub struct BatchResult {
 /// scenario orderings. Masked to 53 bits so the seed survives the
 /// f64-backed JSON summary exactly.
 #[must_use]
-pub fn derive_seed(base_seed: u64, name: &str) -> u64 {
+pub(crate) fn derive_seed(base_seed: u64, name: &str) -> u64 {
     let h = ehp_sim_core::hash::fnv1a_str(name);
     SplitMix64::new(base_seed ^ h).next_u64() & ((1 << 53) - 1)
 }
 
 /// Resolves implicit seeds: every scenario without an explicit seed
 /// gets one derived from `base_seed` and its *name* via
-/// [`derive_seed`]. Exposed so the serving layer can canonicalise
+/// `derive_seed`. Exposed so the serving layer can canonicalise
 /// scenarios **before** cache-key hashing and worker dispatch — the
 /// cache and the pool must see exactly what would run.
 #[must_use]
@@ -235,7 +235,7 @@ pub fn run_one(scenario: &Scenario) -> Outcome {
 /// the deterministic panic into the same `Panicked` outcome a pool-less
 /// run would produce.
 #[must_use]
-pub fn run_one_uncaught(scenario: &Scenario) -> Outcome {
+pub(crate) fn run_one_uncaught(scenario: &Scenario) -> Outcome {
     let start = Instant::now();
     let Some(exp) = registry::find(&scenario.experiment) else {
         return unknown_outcome(scenario, start.elapsed());
@@ -328,7 +328,7 @@ impl Outcome {
     /// any shape mismatch (callers treat that as a poisoned frame or a
     /// corrupt cache entry and recompute).
     #[must_use]
-    pub fn from_json(json: &Json) -> Option<Outcome> {
+    pub(crate) fn from_json(json: &Json) -> Option<Outcome> {
         let scenario = Scenario::from_json(json.get("scenario")?).ok()?;
         let status = match json.get("status")? {
             Json::Str(s) if s == "ok" => OutcomeStatus::Ok,
@@ -366,7 +366,7 @@ impl BatchResult {
     }
 
     /// The deterministic batch summary: scenario, seed, status, metrics.
-    /// Excludes timing (see [`BatchResult::timing_json`]) so the bytes
+    /// Excludes timing (see `BatchResult::timing_json`) so the bytes
     /// are identical across same-seed runs.
     #[must_use]
     pub fn summary_json(&self) -> Json {
@@ -400,7 +400,7 @@ impl BatchResult {
     /// Wall-clock timings, separated from the summary because they are
     /// the one non-reproducible output of a batch.
     #[must_use]
-    pub fn timing_json(&self) -> Json {
+    pub(crate) fn timing_json(&self) -> Json {
         let per: Vec<Json> = self
             .outcomes
             .iter()

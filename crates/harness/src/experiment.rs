@@ -14,17 +14,17 @@ use crate::scenario::Scenario;
 #[derive(Debug)]
 pub struct ExperimentResult {
     /// The rendered text report.
-    pub report: Report,
+    pub(crate) report: Report,
     /// Named scalar metrics, sorted for deterministic output.
-    pub metrics: BTreeMap<String, f64>,
+    pub(crate) metrics: BTreeMap<String, f64>,
     /// Figure data rows, written to `target/figures/<name>.json`.
-    pub payload: Option<Json>,
+    pub(crate) payload: Option<Json>,
 }
 
 impl ExperimentResult {
     /// Starts a result around a report.
     #[must_use]
-    pub fn new(report: Report) -> ExperimentResult {
+    pub(crate) fn new(report: Report) -> ExperimentResult {
         ExperimentResult {
             report,
             metrics: BTreeMap::new(),
@@ -34,24 +34,13 @@ impl ExperimentResult {
 
     /// Records a named metric (non-finite values are stored as-is and
     /// serialised as `null`; `ehp check` treats them as failures).
-    pub fn metric(&mut self, name: &str, value: f64) {
+    pub(crate) fn metric(&mut self, name: &str, value: f64) {
         self.metrics.insert(name.to_string(), value);
     }
 
     /// Attaches the figure payload.
-    pub fn set_payload(&mut self, payload: Json) {
+    pub(crate) fn set_payload(&mut self, payload: Json) {
         self.payload = Some(payload);
-    }
-
-    /// Metrics as a JSON object.
-    #[must_use]
-    pub fn metrics_json(&self) -> Json {
-        Json::Obj(
-            self.metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        )
     }
 }
 
@@ -66,20 +55,20 @@ impl ExperimentResult {
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
     /// Stable registry id (e.g. `"figure20"`).
-    pub id: &'static str,
+    pub(crate) id: &'static str,
     /// One-line human description.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// The scenario parameters this experiment reads. `ehp lint` (S1)
     /// rejects scenario specs naming anything else.
-    pub params: &'static [ParamSpec],
+    pub(crate) params: &'static [ParamSpec],
     /// The experiment body.
-    pub runner: fn(&Scenario) -> ExperimentResult,
+    pub(crate) runner: fn(&Scenario) -> ExperimentResult,
 }
 
 impl Experiment {
     /// Runs the experiment.
     #[must_use]
-    pub fn run(&self, scenario: &Scenario) -> ExperimentResult {
+    pub(crate) fn run(&self, scenario: &Scenario) -> ExperimentResult {
         (self.runner)(scenario)
     }
 }

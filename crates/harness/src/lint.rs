@@ -13,24 +13,24 @@ use crate::registry;
 
 /// How the linter was invoked.
 #[derive(Debug, Default, Clone)]
-pub struct LintOptions {
+pub(crate) struct LintOptions {
     /// Print the machine-readable JSON report instead of text.
-    pub json: bool,
+    pub(crate) json: bool,
     /// Skip the incremental cache (`target/lint-cache.json`): re-tokenize
     /// every file and do not refresh the cache.
-    pub no_cache: bool,
+    pub(crate) no_cache: bool,
     /// Worker threads for cache-miss analysis: `1` = serial (the
     /// default), `0` = one per core, `n` = exactly `n`.
-    pub jobs: Option<usize>,
+    pub(crate) jobs: Option<usize>,
     /// Print the documentation for one rule (by name or code) and exit.
-    pub explain: Option<String>,
+    pub(crate) explain: Option<String>,
     /// Wall-time budget gate: path to a checked-in budget file (see
     /// `check_budget`). The run fails (exit 1) when the measured lint
     /// wall time exceeds the budget scaled to this machine's speed.
-    pub budget: Option<String>,
+    pub(crate) budget: Option<String>,
     /// Write a fresh budget file from this run's wall time (×3 headroom)
     /// and this machine's calibration, then gate against nothing.
-    pub save_budget: Option<String>,
+    pub(crate) save_budget: Option<String>,
 }
 
 /// Runs the linter from `start_dir` (the workspace root is found by
@@ -40,7 +40,7 @@ pub struct LintOptions {
 /// is over its `--budget`, 2 on I/O failure, an unreadable budget file,
 /// or an unknown `--explain` rule.
 #[must_use]
-pub fn run(start_dir: &Path, opts: &LintOptions) -> i32 {
+pub(crate) fn run(start_dir: &Path, opts: &LintOptions) -> i32 {
     if let Some(name) = &opts.explain {
         return explain(name);
     }

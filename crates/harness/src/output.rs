@@ -23,7 +23,7 @@ use ehp_sim_core::json::Json;
 
 /// The directory all harness output lands in.
 #[must_use]
-pub fn figures_dir() -> PathBuf {
+pub(crate) fn figures_dir() -> PathBuf {
     match std::env::var_os("EHP_FIGURES_DIR") {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
         _ => PathBuf::from("target/figures"),
@@ -33,7 +33,7 @@ pub fn figures_dir() -> PathBuf {
 /// Sanitises a scenario name into a filename stem (sweep-expanded names
 /// contain `/` and `=`).
 #[must_use]
-pub fn file_stem(name: &str) -> String {
+pub(crate) fn file_stem(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
@@ -53,28 +53,28 @@ fn write(path: &PathBuf, contents: &str) -> io::Result<()> {
 }
 
 /// Writes a figure payload as `<stem>.json`; returns the path.
-pub fn write_figure_json(name: &str, payload: &Json) -> io::Result<PathBuf> {
+pub(crate) fn write_figure_json(name: &str, payload: &Json) -> io::Result<PathBuf> {
     let path = figures_dir().join(format!("{}.json", file_stem(name)));
     write(&path, &payload.to_string_pretty())?;
     Ok(path)
 }
 
 /// Writes a rendered report as `<stem>.txt`; returns the path.
-pub fn write_report_text(name: &str, text: &str) -> io::Result<PathBuf> {
+pub(crate) fn write_report_text(name: &str, text: &str) -> io::Result<PathBuf> {
     let path = figures_dir().join(format!("{}.txt", file_stem(name)));
     write(&path, text)?;
     Ok(path)
 }
 
 /// Writes the deterministic batch summary; returns the path.
-pub fn write_run_summary(summary: &Json) -> io::Result<PathBuf> {
+pub(crate) fn write_run_summary(summary: &Json) -> io::Result<PathBuf> {
     let path = figures_dir().join("run_summary.json");
     write(&path, &summary.to_string_pretty())?;
     Ok(path)
 }
 
 /// Writes the (non-deterministic) timing sidecar; returns the path.
-pub fn write_run_timing(timing: &Json) -> io::Result<PathBuf> {
+pub(crate) fn write_run_timing(timing: &Json) -> io::Result<PathBuf> {
     let path = figures_dir().join("run_timing.json");
     write(&path, &timing.to_string_pretty())?;
     Ok(path)
@@ -84,7 +84,7 @@ pub fn write_run_timing(timing: &Json) -> io::Result<PathBuf> {
 /// this is kept out of `run_summary.json`: hit counts depend on what
 /// previous runs left in the cache, so they must never leak into the
 /// byte-identical summary.
-pub fn write_cache_stats(stats: &Json) -> io::Result<PathBuf> {
+pub(crate) fn write_cache_stats(stats: &Json) -> io::Result<PathBuf> {
     let path = figures_dir().join("cache_stats.json");
     write(&path, &stats.to_string_pretty())?;
     Ok(path)

@@ -240,7 +240,7 @@ pub fn schemas() -> Vec<ExperimentSchema> {
 
 /// All experiments, in paper order.
 #[must_use]
-pub fn all() -> &'static [Experiment] {
+pub(crate) fn all() -> &'static [Experiment] {
     REGISTRY
 }
 
@@ -252,7 +252,7 @@ pub fn ids() -> Vec<&'static str> {
 
 /// Looks up an experiment by id.
 #[must_use]
-pub fn find(id: &str) -> Option<&'static Experiment> {
+pub(crate) fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id == id)
 }
 

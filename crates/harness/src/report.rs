@@ -1,30 +1,20 @@
-//! Plain-text experiment reports (moved here from `ehp-bench` so the
-//! harness owns the whole reporting path; `ehp_bench::Report` re-exports
-//! this type).
+//! Plain-text experiment reports.
 
 use std::fmt::Write as _;
 
-use ehp_sim_core::json::ToJson;
-
-use crate::output;
-
 /// A simple experiment report: titled sections of aligned rows. JSON
 /// payloads travel separately (see
-/// [`ExperimentResult`](crate::experiment::ExperimentResult)); the
-/// legacy [`Report::dump_json`] entry point routes through the shared
-/// result-writer so everything lands under one `target/figures/` layout.
+/// [`ExperimentResult`](crate::experiment::ExperimentResult)).
 #[derive(Debug, Default, Clone)]
 pub struct Report {
-    name: String,
     text: String,
 }
 
 impl Report {
     /// Starts a report for an experiment id (e.g. `"figure20"`).
     #[must_use]
-    pub fn new(name: &str) -> Report {
+    pub(crate) fn new(name: &str) -> Report {
         let mut r = Report {
-            name: name.to_string(),
             text: String::new(),
         };
         let bar = "=".repeat(64);
@@ -32,45 +22,25 @@ impl Report {
         r
     }
 
-    /// The experiment id this report belongs to.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds a section header.
-    pub fn section(&mut self, title: &str) {
+    pub(crate) fn section(&mut self, title: &str) {
         let _ = writeln!(self.text, "\n-- {title} --");
     }
 
     /// Adds one row of text.
-    pub fn row(&mut self, line: impl AsRef<str>) {
+    pub(crate) fn row(&mut self, line: impl AsRef<str>) {
         let _ = writeln!(self.text, "{}", line.as_ref());
     }
 
     /// Adds a `key: value` row with padding.
-    pub fn kv(&mut self, key: &str, value: impl std::fmt::Display) {
+    pub(crate) fn kv(&mut self, key: &str, value: impl std::fmt::Display) {
         let _ = writeln!(self.text, "  {key:<42} {value}");
     }
 
     /// The accumulated text.
     #[must_use]
-    pub fn text(&self) -> &str {
+    pub(crate) fn text(&self) -> &str {
         &self.text
-    }
-
-    /// Prints the report to stdout.
-    pub fn print(&self) {
-        println!("{}", self.text);
-    }
-
-    /// Writes a JSON payload to `<figures dir>/<name>.json` via the
-    /// shared result-writer; failures are reported to stderr but not
-    /// fatal (the text output is the deliverable).
-    pub fn dump_json<T: ToJson + ?Sized>(&self, payload: &T) {
-        if let Err(e) = output::write_figure_json(&self.name, &payload.to_json()) {
-            eprintln!("warning: cannot write {} payload: {e}", self.name);
-        }
     }
 }
 
@@ -90,6 +60,5 @@ mod tests {
         assert!(t.contains("key"));
         assert!(t.contains("42"));
         assert!(t.contains("plain"));
-        assert_eq!(r.name(), "test");
     }
 }

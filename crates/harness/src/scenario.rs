@@ -38,7 +38,7 @@ pub struct Scenario {
     /// deterministically from the batch base seed and the scenario name.
     pub seed: Option<u64>,
     /// Experiment-specific parameter overrides.
-    pub params: BTreeMap<String, Json>,
+    pub(crate) params: BTreeMap<String, Json>,
 }
 
 impl Scenario {
@@ -95,7 +95,7 @@ impl Scenario {
 
     /// Reads a bool parameter with a default.
     #[must_use]
-    pub fn bool(&self, key: &str, default: bool) -> bool {
+    pub(crate) fn bool(&self, key: &str, default: bool) -> bool {
         self.params
             .get(key)
             .and_then(Json::as_bool)
@@ -177,7 +177,7 @@ impl Scenario {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
     /// What is wrong with the spec.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl SpecError {
@@ -201,10 +201,10 @@ impl std::error::Error for SpecError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The base scenario (sweep keys not yet applied).
-    pub base: Scenario,
+    pub(crate) base: Scenario,
     /// Sweep axes: parameter name → list of values. The key `"seed"`
     /// sweeps the scenario seed instead of a parameter (seed fan-out).
-    pub sweep: BTreeMap<String, Vec<Json>>,
+    pub(crate) sweep: BTreeMap<String, Vec<Json>>,
 }
 
 impl ScenarioSpec {

@@ -13,10 +13,10 @@
 //!   fields, pool results decode into the same `Outcome` the in-process
 //!   path builds, and anything undecodable is recomputed locally from
 //!   the authoritative resolved scenario.
-//! * [`worker_loop`] — the `ehp worker` child: frames in, outcomes out,
+//! * `worker_loop` — the `ehp worker` child: frames in, outcomes out,
 //!   **no panic isolation** (a panicking scenario kills the child so
 //!   the parent's retry/degrade ladder sees it).
-//! * [`serve_loop`] — the `ehp serve` daemon: scenario-spec requests
+//! * `serve_loop` — the `ehp serve` daemon: scenario-spec requests
 //!   validated against the registry's S1 schemas, batches run through
 //!   [`run_batch_served`], per-scenario summaries streamed back, cache
 //!   and pool traffic folded into the server's stats.
@@ -43,7 +43,7 @@ use crate::scenario::{Scenario, ScenarioSpec};
 /// Where the on-disk result cache lives: `EHP_RESULT_CACHE_DIR`, or
 /// `target/result-cache` relative to the working directory.
 #[must_use]
-pub fn default_cache_dir() -> PathBuf {
+pub(crate) fn default_cache_dir() -> PathBuf {
     match std::env::var_os("EHP_RESULT_CACHE_DIR") {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
         _ => PathBuf::from("target/result-cache"),
@@ -103,7 +103,7 @@ impl ServedBatch {
     /// The `cache_stats.json` sidecar body, with the [`CODE_VERSION`]
     /// that keyed this batch's cache traffic.
     #[must_use]
-    pub fn traffic_json(&self) -> Json {
+    pub(crate) fn traffic_json(&self) -> Json {
         Json::object([
             ("cache", self.cache.to_json()),
             ("code_version", Json::from(format!("{CODE_VERSION:016x}"))),
@@ -143,7 +143,7 @@ pub fn scenario_key(sc: &Scenario) -> u64 {
 ///
 /// Fails when the current executable path cannot be resolved (callers
 /// degrade to in-process execution).
-pub fn self_worker_command() -> io::Result<WorkerCommand> {
+pub(crate) fn self_worker_command() -> io::Result<WorkerCommand> {
     let exe = std::env::current_exe()?;
     Ok(WorkerCommand::new(exe, &["worker"]))
 }
@@ -307,7 +307,7 @@ fn run_subset_pooled(
 /// The `ehp worker` child body: serve `{"id", "chunk"}` frames from
 /// `input` until the parent closes the pipe. Scenarios run **without**
 /// panic isolation by design — see [`run_one_uncaught`].
-pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> i32 {
+pub(crate) fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> i32 {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
     loop {
@@ -445,7 +445,7 @@ impl Handler for RunHandler {
 /// The `ehp serve` daemon body: serve on `socket` until a `shutdown`
 /// request; returns the process exit code.
 #[must_use]
-pub fn serve_loop(socket: &Path, base: ServingConfig) -> i32 {
+pub(crate) fn serve_loop(socket: &Path, base: ServingConfig) -> i32 {
     eprintln!("ehp serve: listening on {}", socket.display());
     match server::serve(socket, &mut RunHandler { base }) {
         Ok(stats) => {

@@ -1,7 +1,7 @@
 //! Bit-provenance abstract interpretation (DESIGN.md §16).
 //!
 //! An intraprocedural abstract interpreter over the integer expressions
-//! [`crate::parse`] captures as [`BindSite`]s. For every local it
+//! [`crate::parse`] captures as `BindSite`s. For every local it
 //! tracks, per function parameter, the set of *source bit lanes* the
 //! value can depend on: masks narrow lanes, shifts translate them,
 //! XOR/OR folds union them (and remember that they folded), additions
@@ -43,28 +43,28 @@ const MAX_SELECTOR_BOUND: u64 = 256;
 
 /// Dependency-lane info for one source parameter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Lanes {
+pub(crate) struct Lanes {
     /// Source bits the value may depend on.
-    pub lanes: u64,
+    pub(crate) lanes: u64,
     /// Alignment: with `Some(s)`, value bit `b` depends only on source
     /// bit `b + s`. `None` means smeared — the per-bit correspondence
     /// is lost (additions, unknown ops) but the lane *set* still holds.
-    pub shift: Option<i32>,
+    pub(crate) shift: Option<i32>,
     /// Lanes that arrived via a multi-alignment XOR/OR fold — entropy
     /// mixed across bit positions, the sanctioned decorrelator.
-    pub folded: u64,
+    pub(crate) folded: u64,
 }
 
 /// Abstract value: per-parameter lane dependencies plus constant and
 /// selector refinements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AbsVal {
+pub(crate) struct AbsVal {
     /// Parameter index → lane info. Empty = no tracked dependence.
-    pub deps: BTreeMap<usize, Lanes>,
+    pub(crate) deps: BTreeMap<usize, Lanes>,
     /// Known constant value.
-    pub konst: Option<u64>,
+    pub(crate) konst: Option<u64>,
     /// The value is range-bounded like a selector (`% m`, small mask).
-    pub bounded: bool,
+    pub(crate) bounded: bool,
 }
 
 impl AbsVal {
@@ -177,23 +177,23 @@ fn smear(a: &AbsVal, b: &AbsVal) -> AbsVal {
 
 /// How one parameter flows into a function's return value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParamFlow {
+pub(crate) struct ParamFlow {
     /// Param bits that can reach the return value (param-bit space).
-    pub mask: u64,
+    pub(crate) mask: u64,
     /// Return alignment relative to the param, when preserved.
-    pub shift: Option<i32>,
+    pub(crate) shift: Option<i32>,
     /// The flow passes through a multi-alignment fold.
-    pub folded: bool,
+    pub(crate) folded: bool,
 }
 
 /// Lane summary for one function: per-param flows plus whether the
 /// return value is a selector.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FnSummary {
+pub(crate) struct FnSummary {
     /// Indexed by parameter position; `None` = does not flow.
-    pub flows: Vec<Option<ParamFlow>>,
+    pub(crate) flows: Vec<Option<ParamFlow>>,
     /// The return value is selector-bounded.
-    pub bounded: bool,
+    pub(crate) bounded: bool,
 }
 
 fn summarize(f: &FnItem, ret: &AbsVal) -> FnSummary {

@@ -9,7 +9,7 @@
 //! per-file would be wrong.
 //!
 //! Invalidation rule: a file re-lints iff its content hash changed or
-//! [`CACHE_VERSION`] was bumped. Bump the version whenever rules, the
+//! `CACHE_VERSION` was bumped. Bump the version whenever rules, the
 //! parser, or the serialized shapes change — stale semantic state must
 //! never survive a linter upgrade. The cache is best-effort: any load
 //! or decode failure degrades to an empty cache, never an error.
@@ -32,7 +32,9 @@ use crate::parse::FileIndex;
 /// no longer carry either rule.
 /// 6: D3/D4/L1/L2/B2 removed — seed sites, sync captures, spawn drains,
 /// and the L1-only lock-site fields left the serialized `FileIndex`.
-pub const CACHE_VERSION: u64 = 6;
+/// 7: `.lock()` sites with no known target are no longer recorded, and
+/// `held_target` skips live guards whose target is unknown.
+pub(crate) const CACHE_VERSION: u64 = 7;
 
 /// Cached state for one source file.
 #[derive(Debug, Clone)]
@@ -65,7 +67,7 @@ impl LintCache {
     /// Loads a cache file; any failure (missing file, bad JSON, version
     /// mismatch, shape drift) yields an empty cache.
     #[must_use]
-    pub fn load(path: &Path) -> LintCache {
+    pub(crate) fn load(path: &Path) -> LintCache {
         let Ok(text) = fs::read_to_string(path) else {
             return LintCache::default();
         };
@@ -89,7 +91,7 @@ impl LintCache {
     }
 
     /// Writes the cache, creating parent directories as needed.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
@@ -121,7 +123,7 @@ impl LintCache {
 
     /// Returns the cached entry for `file` iff its hash matches.
     #[must_use]
-    pub fn lookup(&self, file: &str, hash: u64) -> Option<&CacheEntry> {
+    pub(crate) fn lookup(&self, file: &str, hash: u64) -> Option<&CacheEntry> {
         self.entries.get(file).filter(|e| e.hash == hash)
     }
 }

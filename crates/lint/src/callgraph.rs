@@ -1,7 +1,7 @@
 //! Workspace call graph and the H2 `hot-path-reach` pass.
 //!
 //! The symbol table maps function names (and `(owner, name)` pairs for
-//! methods) to their defining [`FnItem`](crate::parse::FnItem)s across
+//! methods) to their defining `FnItem`s across
 //! every indexed file. An allocation written inside a `lint:hot-path`
 //! fence is a zero-hop finding whose chain is the allocation site
 //! alone. For each call site inside a fence, a breadth-first walk
@@ -355,7 +355,7 @@ fn trace_call(
 /// Runs the N1 `nondet-taint` pass over a set of per-file indexes
 /// (`files` sorted by path for deterministic output).
 ///
-/// Taint seeds are the parser's [`NondetSite`]s (plus hash-order sites
+/// Taint seeds are the parser's `NondetSite`s (plus hash-order sites
 /// injected by the hash-iter rule), minus sources covered by a
 /// *verified* `lint:order-invisible` fence. Seeds propagate backward
 /// over the conservative call graph (caller of tainted is tainted);

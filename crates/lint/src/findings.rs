@@ -92,7 +92,7 @@ impl Rule {
     /// Resolves a waiverable rule by name (fence/waiver misuse findings
     /// cannot themselves be waived).
     #[must_use]
-    pub fn from_name(name: &str) -> Option<Rule> {
+    pub(crate) fn from_name(name: &str) -> Option<Rule> {
         match name {
             "hash-iter" => Some(Rule::HashIter),
             "wall-clock" => Some(Rule::WallClock),
@@ -258,14 +258,14 @@ impl Finding {
 
     /// Attaches call-chain evidence (H2).
     #[must_use]
-    pub fn with_chain(mut self, chain: Vec<String>) -> Finding {
+    pub(crate) fn with_chain(mut self, chain: Vec<String>) -> Finding {
         self.chain = chain;
         self
     }
 
     /// Deterministic ordering: path, then line, then rule.
     #[must_use]
-    pub fn sort_key(&self) -> (String, u32, Rule) {
+    pub(crate) fn sort_key(&self) -> (String, u32, Rule) {
         (self.path.clone(), self.line, self.rule)
     }
 
@@ -295,7 +295,7 @@ impl Finding {
 
     /// Rebuilds a finding from its [`ToJson`] form (incremental cache).
     #[must_use]
-    pub fn from_json(j: &Json) -> Option<Finding> {
+    pub(crate) fn from_json(j: &Json) -> Option<Finding> {
         let rule = Rule::from_name_any(j.get("rule")?.as_str()?)?;
         let chain = match j.get("chain") {
             Some(c) => c

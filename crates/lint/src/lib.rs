@@ -63,7 +63,7 @@ pub use schema::{ExperimentSchema, ParamKind, ParamSpec};
 pub const WAIVER_FILE: &str = "lint.waivers";
 
 /// Cache location relative to the workspace root.
-pub const CACHE_REL_PATH: &str = "target/lint-cache.json";
+pub(crate) const CACHE_REL_PATH: &str = "target/lint-cache.json";
 
 /// What to lint and against which schemas.
 #[derive(Debug)]
@@ -72,7 +72,7 @@ pub struct LintConfig<'a> {
     pub root: PathBuf,
     /// Experiment parameter schemas for S1 (from the harness registry).
     pub schemas: &'a [ExperimentSchema],
-    /// Use (and refresh) the incremental cache at [`CACHE_REL_PATH`].
+    /// Use (and refresh) the incremental cache at `CACHE_REL_PATH`.
     pub use_cache: bool,
     /// Worker threads for the cold (cache-miss) per-file analysis:
     /// `1` = serial, `0` = one per core, `n` = exactly `n`. The merge

@@ -1,7 +1,7 @@
 //! The per-file item parser: a lightweight semantic layer on top of the
 //! tokenizer (DESIGN.md §11).
 //!
-//! [`parse_file`] extracts every function item (name, owning `impl`
+//! `parse_file` extracts every function item (name, owning `impl`
 //! type, `#[cfg(test)]`/`#[test]` context), its outgoing call sites and
 //! allocation sites, the `// lint:hot-path` fence regions, `spawn`
 //! closure captures, and `.lock()` sites with guard liveness —
@@ -24,14 +24,14 @@ use crate::tokenizer::{Tok, TokKind, TokenizedFile};
 use crate::waiver::{self, InlineWaiver};
 
 /// Begin marker for H2 fences.
-pub const FENCE_BEGIN: &str = "lint:hot-path";
+pub(crate) const FENCE_BEGIN: &str = "lint:hot-path";
 /// End marker for H2 fences.
-pub const FENCE_END: &str = "lint:hot-path-end";
+pub(crate) const FENCE_END: &str = "lint:hot-path-end";
 /// Marker for sanctioned nondeterminism-laundering sites (N1): declares
 /// that the nondeterministic value produced on the next line cannot
 /// affect merged results. Verified, never trusted — the rule rejects it
 /// unless the enclosing fn folds results in a fixed order.
-pub const ORDER_FENCE: &str = "lint:order-invisible";
+pub(crate) const ORDER_FENCE: &str = "lint:order-invisible";
 
 /// Allocation entry points: methods called as `.name(`...
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
@@ -53,35 +53,35 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// One outgoing call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Called function name (last path segment / method name).
-    pub callee: String,
+    pub(crate) callee: String,
     /// Path qualifier directly before the name (`Vec::new` → `Vec`,
     /// `Self::f` → `Self`), if the call was path-qualified.
-    pub qual: Option<String>,
+    pub(crate) qual: Option<String>,
     /// Receiver identifier for `recv.name(..)` method calls, when the
     /// receiver is a simple identifier (`self` included).
-    pub recv: Option<String>,
+    pub(crate) recv: Option<String>,
     /// `true` for `.name(` method-call syntax.
-    pub method: bool,
+    pub(crate) method: bool,
     /// 1-based source line of the callee name.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Whether the call site sits inside a `lint:hot-path` fence.
-    pub in_fence: bool,
+    pub(crate) in_fence: bool,
 }
 
 /// One allocation site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocSite {
+pub(crate) struct AllocSite {
     /// Human label, e.g. `` `Vec::new()` `` or `` `.clone()` ``.
-    pub what: String,
+    pub(crate) what: String,
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// Name under which a function's `return`/tail expression values are
 /// recorded in [`FnItem::binds`].
-pub const RET_BIND: &str = "=ret";
+pub(crate) const RET_BIND: &str = "=ret";
 
 /// Cap on captured binds per fn; a body past this is analysis-hostile
 /// and the abstract interpreter would saturate on it anyway.
@@ -98,47 +98,47 @@ const MAX_EXPR_TOKS: usize = 160;
 /// expressions become `?`); the interpreter re-classifies each word by
 /// its first character, so no token structure is lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BindSite {
+pub(crate) struct BindSite {
     /// Bound identifier; [`RET_BIND`] for `return`/tail values.
-    pub name: String,
+    pub(crate) name: String,
     /// 1-based source line of the statement.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Encoded right-hand-side token stream.
-    pub expr: String,
+    pub(crate) expr: String,
 }
 
 /// One function item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     /// Function name.
-    pub name: String,
+    pub(crate) name: String,
     /// `impl` target type, for methods and associated functions.
-    pub owner: Option<String>,
+    pub(crate) owner: Option<String>,
     /// 1-based line of the `fn` keyword.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Inside a `#[cfg(test)]` module (or carries a `test` attribute).
-    pub is_test: bool,
+    pub(crate) is_test: bool,
     /// Whether the parameter list mentions `self`.
-    pub has_self: bool,
+    pub(crate) has_self: bool,
     /// Outgoing calls, in source order.
-    pub calls: Vec<CallSite>,
+    pub(crate) calls: Vec<CallSite>,
     /// Allocation sites anywhere in the body, in source order.
-    pub allocs: Vec<AllocSite>,
+    pub(crate) allocs: Vec<AllocSite>,
     /// Nondeterminism sources in the body (N1 taint seeds).
-    pub nondet: Vec<NondetSite>,
+    pub(crate) nondet: Vec<NondetSite>,
     /// Lines of `for` loops in the body — evidence of fixed-order
     /// iteration, consulted when verifying `lint:order-invisible`.
-    pub loops: Vec<u32>,
+    pub(crate) loops: Vec<u32>,
     /// Parameter names in declaration order (`self` excluded) — the
     /// abstract interpreter's lane sources (B1).
-    pub params: Vec<String>,
+    pub(crate) params: Vec<String>,
     /// Captured value bindings, in source order (B1).
-    pub binds: Vec<BindSite>,
+    pub(crate) binds: Vec<BindSite>,
 }
 
 /// The kind of nondeterminism a taint source introduces (N1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NondetKind {
+pub(crate) enum NondetKind {
     /// `std::thread::available_parallelism()` — machine-dependent.
     Parallelism,
     /// `thread::current().id()` — scheduling-dependent.
@@ -154,7 +154,7 @@ pub enum NondetKind {
 impl NondetKind {
     /// Stable serialization name.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             NondetKind::Parallelism => "parallelism",
             NondetKind::ThreadId => "thread-id",
@@ -178,45 +178,45 @@ impl NondetKind {
 
 /// One nondeterminism source site inside a function body (N1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NondetSite {
+pub(crate) struct NondetSite {
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Source kind.
-    pub kind: NondetKind,
+    pub(crate) kind: NondetKind,
     /// Human label, e.g. `` `available_parallelism()` ``.
-    pub what: String,
+    pub(crate) what: String,
 }
 
 /// One `// lint:order-invisible <reason>` fence (N1). Declares the
 /// nondeterministic value on the next line order-invisible; honored
 /// only after verification, never on trust.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderFence {
+pub(crate) struct OrderFence {
     /// 1-based comment line; covers sources on this or the next line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Mandatory justification.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// One `.lock()` call site with guard-liveness context (L3).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
+pub(crate) struct LockSite {
     /// 1-based source line of the `lock` identifier.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Inside test code.
-    pub in_test: bool,
+    pub(crate) in_test: bool,
     /// Receiver identifier of this `.lock()` when it is ident-rooted
     /// (`slots[i].lock()` → `slots`, `self.a.lock()` → `a`) — the L3
     /// lock-order graph node being acquired.
-    pub target: Option<String>,
+    pub(crate) target: Option<String>,
     /// Lock target of the still-live guard, when known — the L3 edge
     /// source (`held_target` → `target` is an acquisition-order edge).
-    pub held_target: Option<String>,
+    pub(crate) held_target: Option<String>,
 }
 
 /// What a spawn closure captured that it must not (R1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CaptureKind {
+pub(crate) enum CaptureKind {
     /// `&mut x` where `x` is declared outside the closure.
     MutBorrow,
     /// Use of an identifier declared as `RefCell`/`Cell`/`Rc` outside
@@ -226,24 +226,24 @@ pub enum CaptureKind {
 
 /// One illegal capture inside a spawn closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Capture {
+pub(crate) struct Capture {
     /// Captured identifier.
-    pub ident: String,
+    pub(crate) ident: String,
     /// 1-based source line of the capture.
-    pub line: u32,
+    pub(crate) line: u32,
     /// How it was captured.
-    pub kind: CaptureKind,
+    pub(crate) kind: CaptureKind,
 }
 
 /// One `spawn(..)` call and its closure's illegal captures.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpawnSite {
+pub(crate) struct SpawnSite {
     /// 1-based source line of the `spawn` identifier.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Inside test code.
-    pub in_test: bool,
+    pub(crate) in_test: bool,
     /// Illegal captures, in source order.
-    pub captures: Vec<Capture>,
+    pub(crate) captures: Vec<Capture>,
 }
 
 /// Everything the cross-file passes need to know about one file. This
@@ -252,31 +252,31 @@ pub struct SpawnSite {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileIndex {
     /// Function items, in source order.
-    pub fns: Vec<FnItem>,
+    pub(crate) fns: Vec<FnItem>,
     /// `lint:hot-path` fence regions as `(begin_line, end_line)`.
-    pub fences: Vec<(u32, u32)>,
+    pub(crate) fences: Vec<(u32, u32)>,
     /// Spawn closure captures (R1).
-    pub spawns: Vec<SpawnSite>,
+    pub(crate) spawns: Vec<SpawnSite>,
     /// Inline `lint:allow` waivers (kept so cross-file findings computed
     /// later can still be waived at their root line).
     pub waivers: Vec<InlineWaiver>,
     /// Declaration-heuristic identifier types (`ws` → `SolverWorkspace`);
     /// ambiguous identifiers map to `"?"`.
-    pub typed: BTreeMap<String, String>,
+    pub(crate) typed: BTreeMap<String, String>,
     /// `lint:order-invisible` fences (N1).
-    pub order_fences: Vec<OrderFence>,
+    pub(crate) order_fences: Vec<OrderFence>,
     /// `.lock()` call sites with guard-liveness context (L3).
-    pub locks: Vec<LockSite>,
+    pub(crate) locks: Vec<LockSite>,
     /// File-local integer constants (`const NUM_BANKS: u64 = 16;`), so
     /// the abstract interpreter can resolve selector bounds like
     /// `row % NUM_BANKS` (B1).
-    pub consts: BTreeMap<String, u64>,
+    pub(crate) consts: BTreeMap<String, u64>,
 }
 
 /// Extracts fence regions from a file's comments; unbalanced or nested
 /// markers become [`Rule::Fence`] findings.
 #[must_use]
-pub fn fence_regions(path: &str, file: &TokenizedFile) -> (Vec<(u32, u32)>, Vec<Finding>) {
+pub(crate) fn fence_regions(path: &str, file: &TokenizedFile) -> (Vec<(u32, u32)>, Vec<Finding>) {
     let mut regions = Vec::new();
     let mut findings = Vec::new();
     let mut open: Option<u32> = None;
@@ -319,7 +319,7 @@ pub fn fence_regions(path: &str, file: &TokenizedFile) -> (Vec<(u32, u32)>, Vec<
 
 /// Whether `line` falls strictly inside any fence region.
 #[must_use]
-pub fn in_fence(regions: &[(u32, u32)], line: u32) -> bool {
+pub(crate) fn in_fence(regions: &[(u32, u32)], line: u32) -> bool {
     regions.iter().any(|&(b, e)| line > b && line < e)
 }
 
@@ -327,7 +327,7 @@ pub fn in_fence(regions: &[(u32, u32)], line: u32) -> bool {
 /// fence without a reason is a [`Rule::Waiver`] finding, like a
 /// reason-less `lint:allow`.
 #[must_use]
-pub fn order_fences(path: &str, file: &TokenizedFile) -> (Vec<OrderFence>, Vec<Finding>) {
+pub(crate) fn order_fences(path: &str, file: &TokenizedFile) -> (Vec<OrderFence>, Vec<Finding>) {
     let mut fences = Vec::new();
     let mut findings = Vec::new();
     for c in &file.comments {
@@ -443,7 +443,7 @@ enum Scope {
 /// Parses one tokenized file into its [`FileIndex`]. Fence bookkeeping
 /// errors and malformed inline waivers are returned as findings.
 #[must_use]
-pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>) {
+pub(crate) fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>) {
     let (fences, mut findings) = fence_regions(path, file);
     let (order_fences, mut order_fence_errors) = order_fences(path, file);
     findings.append(&mut order_fence_errors);
@@ -649,15 +649,23 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             && toks[i + 1].is_ident("lock")
             && toks[i + 2].is_punct('(')
         {
-            let live = guards.iter().rev().find(|(_, _, from, _)| *from < i);
-            index.locks.push(LockSite {
-                line: toks[i + 1].line,
-                in_test: pending_test_attr
-                    || in_test_scope(&scopes)
-                    || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
-                target: lock_target(toks, i),
-                held_target: live.and_then(|(.., target)| target.clone()),
-            });
+            // A receiver that names no lock-order node (`stdout().lock()`)
+            // can never be an L3 edge endpoint: no site is recorded, and
+            // its guard does not hide an older guard's target.
+            if let Some(target) = lock_target(toks, i) {
+                let held = guards
+                    .iter()
+                    .rev()
+                    .find_map(|(_, _, from, held)| held.as_ref().filter(|_| *from < i));
+                index.locks.push(LockSite {
+                    line: toks[i + 1].line,
+                    in_test: pending_test_attr
+                        || in_test_scope(&scopes)
+                        || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
+                    target: Some(target),
+                    held_target: held.cloned(),
+                });
+            }
         }
 
         // Spawn closures: `spawn( [move] |..| body )` (R1).
@@ -1386,7 +1394,7 @@ impl FileIndex {
     /// `line` (the last fn starting at or before it). Used by the
     /// hash-iter rule to register unsorted hash iteration as an N1
     /// taint seed.
-    pub fn attach_nondet(&mut self, line: u32, kind: NondetKind, what: String) {
+    pub(crate) fn attach_nondet(&mut self, line: u32, kind: NondetKind, what: String) {
         if let Some(f) = self.fns.iter_mut().rev().find(|f| f.line <= line) {
             f.nondet.push(NondetSite { line, kind, what });
         }
@@ -1397,7 +1405,7 @@ impl FileIndex {
     /// source line or the line above, and the enclosing fn shows
     /// fixed-order folding (a `for` loop or a `.fold(` call).
     #[must_use]
-    pub fn nondet_suppressed(&self, fn_idx: usize, line: u32) -> bool {
+    pub(crate) fn nondet_suppressed(&self, fn_idx: usize, line: u32) -> bool {
         let f = &self.fns[fn_idx];
         let fenced = self
             .order_fences
@@ -1409,13 +1417,13 @@ impl FileIndex {
     /// Fixed-order-fold evidence for a fn: any `for` loop in the body
     /// or a `.fold(` call site (N1 fence verification).
     #[must_use]
-    pub fn fn_folds_in_order(f: &FnItem) -> bool {
+    pub(crate) fn fn_folds_in_order(f: &FnItem) -> bool {
         !f.loops.is_empty() || f.calls.iter().any(|c| c.method && c.callee == "fold")
     }
 
     /// Machine form for the incremental cache.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let fns = self.fns.iter().map(|f| {
             Json::object([
                 ("name", Json::from(f.name.as_str())),
@@ -1566,7 +1574,7 @@ impl FileIndex {
     /// Rebuilds an index from its [`FileIndex::to_json`] form; `None` on
     /// any shape mismatch (the caller then re-parses the file).
     #[must_use]
-    pub fn from_json(j: &Json) -> Option<FileIndex> {
+    pub(crate) fn from_json(j: &Json) -> Option<FileIndex> {
         let line_u32 =
             |j: &Json, key: &str| -> Option<u32> { u32::try_from(j.get(key)?.as_u64()?).ok() };
         let opt_str = |j: &Json, key: &str| -> Option<Option<String>> {
@@ -1966,10 +1974,16 @@ fn stdio() {
                 (12, None),
                 (15, None),
                 (16, None),
-                // A call-result receiver names no lock-order node.
-                (19, None),
+                // A call-result receiver names no lock-order node, so
+                // line 19 records no site.
             ]
         );
+    }
+
+    #[test]
+    fn stdout_lock_records_no_lock_site() {
+        let idx = parse("fn f() {\n    let out = std::io::stdout().lock();\n}\n");
+        assert_eq!(idx.locks, Vec::new());
     }
 
     #[test]

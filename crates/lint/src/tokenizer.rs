@@ -49,13 +49,13 @@ pub struct Tok<'a> {
 impl Tok<'_> {
     /// `true` if this is the identifier `name`.
     #[must_use]
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
     }
 
     /// `true` if this is the punctuation character `c`.
     #[must_use]
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.starts_with(c)
     }
 }

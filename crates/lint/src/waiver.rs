@@ -21,18 +21,21 @@ use crate::tokenizer::LineComment;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InlineWaiver {
     /// The waived rule.
-    pub rule: Rule,
+    pub(crate) rule: Rule,
     /// Comment line; covers findings on this line and the next.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Mandatory justification.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// Extracts inline waivers from a file's comments. Malformed waivers
 /// (unknown rule, empty reason) are reported as [`Rule::Waiver`]
 /// findings instead.
 #[must_use]
-pub fn inline_waivers(path: &str, comments: &[LineComment]) -> (Vec<InlineWaiver>, Vec<Finding>) {
+pub(crate) fn inline_waivers(
+    path: &str,
+    comments: &[LineComment],
+) -> (Vec<InlineWaiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
     for c in comments {
@@ -94,19 +97,19 @@ pub fn apply_inline(findings: &mut [Finding], waivers: &[InlineWaiver]) {
 
 /// One waiver-file entry: waives `rule` for the whole file at `path`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileWaiver {
+pub(crate) struct FileWaiver {
     /// The waived rule.
-    pub rule: Rule,
+    pub(crate) rule: Rule,
     /// Workspace-relative path, forward slashes.
-    pub path: String,
+    pub(crate) path: String,
     /// Mandatory justification.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// Parses a waiver file. Malformed lines become [`Rule::Waiver`]
 /// findings attributed to the waiver file itself.
 #[must_use]
-pub fn parse_waiver_file(file_rel: &str, text: &str) -> (Vec<FileWaiver>, Vec<Finding>) {
+pub(crate) fn parse_waiver_file(file_rel: &str, text: &str) -> (Vec<FileWaiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -152,7 +155,7 @@ pub fn parse_waiver_file(file_rel: &str, text: &str) -> (Vec<FileWaiver>, Vec<Fi
 /// indices of waiver entries that matched nothing (stale entries — the
 /// caller reports them so the waiver file cannot rot).
 #[must_use]
-pub fn apply_file(findings: &mut [Finding], waivers: &[FileWaiver]) -> Vec<usize> {
+pub(crate) fn apply_file(findings: &mut [Finding], waivers: &[FileWaiver]) -> Vec<usize> {
     let mut used = vec![false; waivers.len()];
     for f in findings.iter_mut() {
         if f.waived.is_some() {

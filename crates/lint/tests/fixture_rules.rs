@@ -208,6 +208,31 @@ fn b1_retro_fixture_catches_the_pr8_interleave_bug_with_both_chains() {
 }
 
 #[test]
+fn l3_edge_survives_an_unnamed_guard_between_the_locks() {
+    // A guard on a call result (`stdout().lock()`) names no lock, so it
+    // must not hide the `a` guard that is still held when `b` is locked.
+    let ab = "\
+fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let x = a.lock().unwrap();
+    let out = std::io::stdout().lock();
+    let y = b.lock().unwrap();
+}
+";
+    let ba = "\
+fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let y = b.lock().unwrap();
+    let x = a.lock().unwrap();
+}
+";
+    let findings = lint_sources(&[("src/ab.rs", ab), ("src/ba.rs", ba)]);
+    let l3: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::LockOrder)
+        .collect();
+    assert_eq!(l3.len(), 1, "the a/b cycle fires L3 once: {findings:?}");
+}
+
+#[test]
 fn l3_lock_order_cycle_reported_once_with_both_witnesses() {
     let ab = fixture("l3_order_ab.rs");
     let ba = fixture("l3_order_ba.rs");

@@ -28,32 +28,32 @@ use crate::request::ServicePoint;
 #[derive(Debug, Clone)]
 pub struct ChannelConfig {
     /// HBM timing set.
-    pub hbm_timings: HbmTimings,
+    pub(crate) hbm_timings: HbmTimings,
     /// Peak HBM bus rate for this channel (split evenly across banks).
-    pub hbm_rate: Bandwidth,
+    pub(crate) hbm_rate: Bandwidth,
     /// Infinity Cache slice capacity; `None` disables the slice
     /// (MI250X-style or ablation). Split evenly across banks.
     pub icache_capacity: Option<Bytes>,
     /// Slice associativity.
     pub icache_ways: usize,
     /// Line size (128 B on MI300).
-    pub line_bytes: Bytes,
+    pub(crate) line_bytes: Bytes,
     /// Peak service rate of the slice (per-slice share of the 17 TB/s,
     /// split evenly across banks).
     pub icache_rate: Bandwidth,
     /// Load-to-use latency of a slice hit.
-    pub icache_hit_latency: SimTime,
+    pub(crate) icache_hit_latency: SimTime,
     /// Slice access energy per byte.
-    pub icache_energy_per_byte: Energy,
+    pub(crate) icache_energy_per_byte: Energy,
     /// Prefetcher settings.
-    pub prefetcher: PrefetcherConfig,
+    pub(crate) prefetcher: PrefetcherConfig,
 }
 
 impl ChannelConfig {
     /// MI300-style channel: HBM3 share plus a 2 MB / 16-way slice at
     /// 17 TB/s ÷ 128 ≈ 133 GB/s.
     #[must_use]
-    pub fn mi300() -> ChannelConfig {
+    pub(crate) fn mi300() -> ChannelConfig {
         let gen = crate::hbm::HbmGeneration::Hbm3;
         ChannelConfig {
             hbm_timings: gen.timings(),
@@ -70,7 +70,7 @@ impl ChannelConfig {
 
     /// MI250X-style channel: HBM2e share, no Infinity Cache.
     #[must_use]
-    pub fn mi250x() -> ChannelConfig {
+    pub(crate) fn mi250x() -> ChannelConfig {
         let gen = crate::hbm::HbmGeneration::Hbm2e;
         ChannelConfig {
             hbm_timings: gen.timings(),
@@ -87,7 +87,7 @@ impl ChannelConfig {
 
     /// Banks per channel implied by the HBM timing set.
     #[must_use]
-    pub fn banks(&self) -> usize {
+    pub(crate) fn banks(&self) -> usize {
         self.hbm_timings.banks_per_channel as usize
     }
 }
@@ -130,7 +130,7 @@ pub fn bank_mix(block: u64, banks: u64) -> u64 {
 /// traffic for each other.
 #[inline]
 #[must_use]
-pub fn bank_slot(addr: u64, banks: u64) -> (usize, u64) {
+pub(crate) fn bank_slot(addr: u64, banks: u64) -> (usize, u64) {
     use crate::interleave::fast_mod;
     let row = addr / ROW_BYTES;
     let block = if banks.is_power_of_two() {
@@ -146,7 +146,7 @@ pub fn bank_slot(addr: u64, banks: u64) -> (usize, u64) {
 
 /// One HBM bank and its share of the channel: a row state machine with a
 /// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array and its own
-/// latency accumulator. Addresses are bank-local (see [`bank_slot`]).
+/// latency accumulator. Addresses are bank-local (see `bank_slot`).
 /// The slice's tag and set arrays are the only heap memory a bank owns.
 #[derive(Debug, Clone)]
 pub struct BankUnit {
@@ -188,7 +188,7 @@ impl BankUnit {
 
     /// Performs one access at a bank-local address; returns completion
     /// time and service point.
-    pub fn access(
+    pub(crate) fn access(
         &mut self,
         at: SimTime,
         addr: u64,
@@ -249,21 +249,15 @@ impl BankUnit {
         self.slice.as_ref()
     }
 
-    /// This bank's HBM lane.
-    #[must_use]
-    pub fn hbm(&self) -> &HbmChannelModel {
-        &self.hbm
-    }
-
     /// Total energy: HBM plus slice accesses.
     #[must_use]
-    pub fn energy_used(&self) -> Energy {
+    pub(crate) fn energy_used(&self) -> Energy {
         self.hbm.energy_used() + self.icache_energy
     }
 
     /// Bytes served from the slice sub-array.
     #[must_use]
-    pub fn icache_bytes(&self) -> Bytes {
+    pub(crate) fn icache_bytes(&self) -> Bytes {
         self.icache_pipe.bytes_moved()
     }
 
@@ -273,7 +267,7 @@ impl BankUnit {
     /// accumulators in flat bank order reproduces the sequential stream
     /// bit for bit.
     #[must_use]
-    pub fn latency(&self) -> &Accumulator {
+    pub(crate) fn latency(&self) -> &Accumulator {
         &self.latency
     }
 }
@@ -314,13 +308,13 @@ impl MemoryChannel {
 
     /// Mutable per-bank units, in bank-index order (sharded replay
     /// partitions these across workers).
-    pub fn banks_mut(&mut self) -> &mut [BankUnit] {
+    pub(crate) fn banks_mut(&mut self) -> &mut [BankUnit] {
         &mut self.banks
     }
 
     /// Total energy: HBM plus slice accesses, folded in bank order.
     #[must_use]
-    pub fn energy_used(&self) -> Energy {
+    pub(crate) fn energy_used(&self) -> Energy {
         self.banks.iter().map(BankUnit::energy_used).sum()
     }
 
@@ -333,7 +327,7 @@ impl MemoryChannel {
     /// Peak HBM bus rate of the whole channel (configured value; the
     /// per-bank lanes are exact equal shares of it).
     #[must_use]
-    pub fn hbm_peak_rate(&self) -> Bandwidth {
+    pub(crate) fn hbm_peak_rate(&self) -> Bandwidth {
         self.cfg.hbm_rate
     }
 
@@ -363,13 +357,13 @@ impl MemoryChannel {
 
     /// `true` if this channel has an Infinity Cache slice.
     #[must_use]
-    pub fn has_icache(&self) -> bool {
+    pub(crate) fn has_icache(&self) -> bool {
         self.cfg.icache_capacity.is_some()
     }
 
     /// Slice hits (demand + prefetched) across banks.
     #[must_use]
-    pub fn icache_hits(&self) -> u64 {
+    pub(crate) fn icache_hits(&self) -> u64 {
         self.banks
             .iter()
             .filter_map(BankUnit::slice)
@@ -379,7 +373,7 @@ impl MemoryChannel {
 
     /// Slice misses across banks.
     #[must_use]
-    pub fn icache_misses(&self) -> u64 {
+    pub(crate) fn icache_misses(&self) -> u64 {
         self.banks
             .iter()
             .filter_map(BankUnit::slice)
@@ -387,22 +381,10 @@ impl MemoryChannel {
             .sum()
     }
 
-    /// Fraction of slice lookups that hit; `None` without a slice or
-    /// traffic.
-    #[must_use]
-    pub fn icache_hit_rate(&self) -> Option<f64> {
-        if !self.has_icache() {
-            return None;
-        }
-        let hits = self.icache_hits();
-        let total = hits + self.icache_misses();
-        (total > 0).then(|| hits as f64 / total as f64)
-    }
-
     /// Channel-wide latency statistics: the per-bank accumulators merged
     /// in bank-index order.
     #[must_use]
-    pub fn latency_stats(&self) -> Accumulator {
+    pub(crate) fn latency_stats(&self) -> Accumulator {
         let mut acc = Accumulator::new("mem_latency_ns");
         for b in &self.banks {
             acc.merge(b.latency());
@@ -412,7 +394,7 @@ impl MemoryChannel {
 
     /// Channel configuration.
     #[must_use]
-    pub fn config(&self) -> &ChannelConfig {
+    pub(crate) fn config(&self) -> &ChannelConfig {
         &self.cfg
     }
 }
@@ -529,7 +511,7 @@ mod tests {
             slice_bytes > 3 * hbm_bytes,
             "slice {slice_bytes} vs hbm {hbm_bytes}"
         );
-        let hit_rate = ch.icache_hit_rate().unwrap();
+        let hit_rate = ch.icache_hits() as f64 / (ch.icache_hits() + ch.icache_misses()) as f64;
         assert!(hit_rate > 0.8, "hit rate {hit_rate}");
     }
 
@@ -544,7 +526,7 @@ mod tests {
             let (done, _) = ch.access(t, addr & !127, Bytes(128), false);
             t = done;
         }
-        let hit_rate = ch.icache_hit_rate().unwrap();
+        let hit_rate = ch.icache_hits() as f64 / (ch.icache_hits() + ch.icache_misses()) as f64;
         assert!(hit_rate < 0.2, "hit rate {hit_rate} should be low");
     }
 

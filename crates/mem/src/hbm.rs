@@ -82,9 +82,9 @@ pub struct HbmTimings {
     /// Independent banks per pseudo-channel: how many
     /// [`HbmChannelModel`]s a channel is split into (see
     /// `crate::channel::bank_slot`). A single model ignores it.
-    pub banks_per_channel: u32,
+    pub(crate) banks_per_channel: u32,
     /// DRAM access energy per byte moved.
-    pub energy_per_byte: Energy,
+    pub(crate) energy_per_byte: Energy,
     /// Average refresh interval (tREFI): one refresh command is due per
     /// bank group every such period.
     pub refresh_interval: SimTime,
@@ -221,28 +221,16 @@ impl HbmChannelModel {
 
     /// Bytes moved over the channel bus.
     #[must_use]
-    pub fn bytes_moved(&self) -> Bytes {
+    pub(crate) fn bytes_moved(&self) -> Bytes {
         self.bus.bytes_moved()
     }
 
     /// DRAM energy consumed so far.
     #[must_use]
-    pub fn energy_used(&self) -> Energy {
+    pub(crate) fn energy_used(&self) -> Energy {
         self.timings
             .energy_per_byte
             .scale(self.bus.bytes_moved().as_f64())
-    }
-
-    /// Peak bus rate.
-    #[must_use]
-    pub fn bus_rate(&self) -> Bandwidth {
-        self.bus.rate()
-    }
-
-    /// Time at which the bus lane next idles.
-    #[must_use]
-    pub fn bus_free_at(&self) -> SimTime {
-        self.bus.free_at()
     }
 }
 
@@ -323,7 +311,7 @@ mod tests {
         let moved = ch.bytes_moved();
         assert_eq!(moved, Bytes(128 * n));
         let achieved = moved.as_f64() / t.as_secs();
-        let peak = ch.bus_rate().as_bytes_per_sec();
+        let peak = lane.as_bytes_per_sec();
         assert!(
             achieved > 0.85 * peak,
             "sequential stream should near peak: {:.1}% of peak",

@@ -220,7 +220,8 @@ impl InfinityCacheSlice {
 
     /// The MI300 per-channel slice: 2 MB, 16-way, 128 B lines.
     #[must_use]
-    pub fn mi300(pf: PrefetcherConfig) -> InfinityCacheSlice {
+    #[cfg(test)]
+    pub(crate) fn mi300(pf: PrefetcherConfig) -> InfinityCacheSlice {
         InfinityCacheSlice::new(Bytes::from_mib(2), 16, 128, pf)
     }
 
@@ -397,27 +398,16 @@ impl InfinityCacheSlice {
     /// Overall hit rate including prefetched hits; `None` before any
     /// access.
     #[must_use]
-    pub fn hit_rate(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn hit_rate(&self) -> Option<f64> {
         let total = self.hits + self.prefetch_hits + self.misses;
         (total > 0).then(|| (self.hits + self.prefetch_hits) as f64 / total as f64)
-    }
-
-    /// Line size in bytes.
-    #[must_use]
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
     }
 
     /// Number of resident lines (for tests/diagnostics).
     #[must_use]
     pub fn resident_lines(&self) -> usize {
         self.sets.iter().map(|s| usize::from(s.len)).sum()
-    }
-
-    /// Number of sets (for tests/diagnostics).
-    #[must_use]
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
     }
 }
 
@@ -433,8 +423,8 @@ mod tests {
     fn mi300_geometry() {
         let s = InfinityCacheSlice::mi300(PrefetcherConfig::mi300());
         // 2 MiB / 128 B / 16 ways = 1024 sets.
-        assert_eq!(s.num_sets(), 1024);
-        assert_eq!(s.line_bytes(), 128);
+        assert_eq!(s.sets.len(), 1024);
+        assert_eq!(s.line_bytes, 128);
     }
 
     #[test]
@@ -456,7 +446,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest() {
         let mut s = slice(); // 4-way, 128 sets
-        let num_sets = s.num_sets() as u64;
+        let num_sets = s.sets.len() as u64;
         let stride = 128 * num_sets; // same set each time
         for i in 0..4 {
             s.access(i * stride, false);
@@ -472,7 +462,7 @@ mod tests {
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut s = slice();
-        let num_sets = s.num_sets() as u64;
+        let num_sets = s.sets.len() as u64;
         let stride = 128 * num_sets;
         s.access(0, true); // dirty line
         for i in 1..4 {
@@ -489,7 +479,7 @@ mod tests {
     #[test]
     fn clean_eviction_has_no_writeback() {
         let mut s = slice();
-        let num_sets = s.num_sets() as u64;
+        let num_sets = s.sets.len() as u64;
         let stride = 128 * num_sets;
         for i in 0..5 {
             match s.access(i * stride, false) {
@@ -502,7 +492,7 @@ mod tests {
     #[test]
     fn write_hit_marks_dirty() {
         let mut s = slice();
-        let num_sets = s.num_sets() as u64;
+        let num_sets = s.sets.len() as u64;
         let stride = 128 * num_sets;
         s.access(0, false); // clean fill
         s.access(0, true); // dirty it via write hit

@@ -41,7 +41,7 @@ pub struct InterleaveConfig {
     /// paper's "physical address hashing scheme") or uses plain modulo.
     pub hashed: bool,
     /// NUMA mode.
-    pub numa: NumaMode,
+    pub(crate) numa: NumaMode,
 }
 
 impl InterleaveConfig {
@@ -61,7 +61,7 @@ impl InterleaveConfig {
 
     /// Same geometry in NPS4 mode (valid for MI300X).
     #[must_use]
-    pub fn mi300_nps4() -> InterleaveConfig {
+    pub(crate) fn mi300_nps4() -> InterleaveConfig {
         InterleaveConfig {
             numa: NumaMode::Nps4,
             ..InterleaveConfig::mi300()
@@ -70,7 +70,7 @@ impl InterleaveConfig {
 
     /// Total channels on the socket.
     #[must_use]
-    pub fn total_channels(&self) -> u32 {
+    pub(crate) fn total_channels(&self) -> u32 {
         self.stacks * self.channels_per_stack
     }
 
@@ -82,7 +82,7 @@ impl InterleaveConfig {
     /// be non-zero, granules must be powers of two, the stack granule must
     /// be a multiple of the channel granule, and NPS4 requires the stack
     /// count to be divisible by four.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.stacks == 0 || self.channels_per_stack == 0 {
             return Err("stack/channel counts must be non-zero".into());
         }
@@ -109,7 +109,7 @@ pub struct Placement {
     /// Flat channel id across the socket.
     pub channel: ChannelId,
     /// NUMA domain the address belongs to (always 0 in NPS1).
-    pub numa_domain: u32,
+    pub(crate) numa_domain: u32,
 }
 
 /// Reduces `x` modulo `n`, using a mask when `n` is a power of two. The
@@ -118,7 +118,7 @@ pub struct Placement {
 /// division costs an order of magnitude more than the predicted branch.
 #[inline]
 #[must_use]
-pub fn fast_mod(x: u64, n: u64) -> u64 {
+pub(crate) fn fast_mod(x: u64, n: u64) -> u64 {
     if n.is_power_of_two() {
         x & (n - 1)
     } else {
@@ -159,7 +159,7 @@ impl Interleaver {
     ///
     /// # Errors
     ///
-    /// Propagates [`InterleaveConfig::validate`] failures.
+    /// Propagates `InterleaveConfig::validate` failures.
     pub fn new(cfg: InterleaveConfig) -> Result<Interleaver, String> {
         cfg.validate()?;
         Ok(Interleaver {
@@ -168,12 +168,6 @@ impl Interleaver {
             granule_mask: cfg.stack_granule - 1,
             chan_shift: cfg.channel_granule.trailing_zeros(),
         })
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &InterleaveConfig {
-        &self.cfg
     }
 
     /// XOR-fold the granule index to pick a stack. This mimics the
@@ -238,7 +232,7 @@ impl Interleaver {
 
     /// Returns the flat channel for an address (the common fast path).
     #[must_use]
-    pub fn channel_of(&self, addr: u64) -> ChannelId {
+    pub(crate) fn channel_of(&self, addr: u64) -> ChannelId {
         self.place(addr).channel
     }
 }

@@ -6,7 +6,7 @@ use ehp_sim_core::units::Bytes;
 
 /// Direction of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// A load; the requester waits for data.
     Read,
     /// A store; completion means globally visible.
@@ -31,9 +31,9 @@ pub struct MemRequest {
     /// Access size in bytes (usually one 128 B cache line).
     pub size: Bytes,
     /// Load or store.
-    pub kind: AccessKind,
+    pub(crate) kind: AccessKind,
     /// Issuing agent, used for per-agent statistics.
-    pub agent: AgentId,
+    pub(crate) agent: AgentId,
 }
 
 impl MemRequest {
@@ -48,24 +48,6 @@ impl MemRequest {
         }
     }
 
-    /// Constructs a write request from an anonymous agent.
-    #[must_use]
-    pub fn write(addr: u64, size: u64) -> MemRequest {
-        MemRequest {
-            addr,
-            size: Bytes(size),
-            kind: AccessKind::Write,
-            agent: AgentId(0),
-        }
-    }
-
-    /// Sets the issuing agent (builder-style).
-    #[must_use]
-    pub fn from_agent(mut self, agent: AgentId) -> MemRequest {
-        self.agent = agent;
-        self
-    }
-
     /// `true` for loads.
     #[must_use]
     pub fn is_read(&self) -> bool {
@@ -74,7 +56,7 @@ impl MemRequest {
 
     /// `true` for stores.
     #[must_use]
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         self.kind == AccessKind::Write
     }
 }
@@ -96,9 +78,10 @@ pub struct MemResponse {
     /// Channel that served the request.
     pub channel: ChannelId,
     /// Cache hit or HBM service.
-    pub served_by: ServicePoint,
+    pub(crate) served_by: ServicePoint,
 }
 
+#[cfg(test)]
 impl MemResponse {
     /// Latency relative to an issue time.
     ///
@@ -106,7 +89,7 @@ impl MemResponse {
     ///
     /// Panics if `issued_at` is later than the completion time.
     #[must_use]
-    pub fn latency(&self, issued_at: SimTime) -> SimTime {
+    fn latency(&self, issued_at: SimTime) -> SimTime {
         assert!(issued_at <= self.completes_at, "response precedes issue");
         self.completes_at - issued_at
     }
@@ -119,14 +102,12 @@ mod tests {
     #[test]
     fn constructors_set_kind() {
         assert!(MemRequest::read(0, 64).is_read());
-        assert!(MemRequest::write(0, 64).is_write());
-        assert!(!MemRequest::write(0, 64).is_read());
-    }
-
-    #[test]
-    fn from_agent_sets_agent() {
-        let r = MemRequest::read(0, 64).from_agent(AgentId(7));
-        assert_eq!(r.agent, AgentId(7));
+        let write = MemRequest {
+            kind: AccessKind::Write,
+            ..MemRequest::read(0, 64)
+        };
+        assert!(write.is_write());
+        assert!(!write.is_read());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::request::{MemRequest, MemResponse};
 /// a bucketed million-access trace is 8 MB instead of the ~24 MB of
 /// boxed `MemRequest`s, and the bucketing pass is memory-bound.
 #[derive(Debug, Clone)]
-pub struct BankBuckets {
+pub(crate) struct BankBuckets {
     buckets: Vec<Vec<u64>>,
     size: Bytes,
     entries: u64,
@@ -36,7 +36,7 @@ impl BankBuckets {
     /// bucketing pass avoids per-bucket growth reallocations; skewed
     /// buckets still grow past the hint correctly.
     #[must_use]
-    pub fn new(banks: usize, size: Bytes, expected_entries: u64) -> BankBuckets {
+    pub(crate) fn new(banks: usize, size: Bytes, expected_entries: u64) -> BankBuckets {
         let per_bucket = (expected_entries as usize / banks.max(1)).next_multiple_of(8);
         BankBuckets {
             buckets: vec![Vec::with_capacity(per_bucket); banks],
@@ -53,21 +53,15 @@ impl BankBuckets {
     /// Panics if `flat` is out of range or `local` collides with the
     /// write tag bit.
     #[inline]
-    pub fn push(&mut self, flat: usize, local: u64, is_write: bool) {
+    pub(crate) fn push(&mut self, flat: usize, local: u64, is_write: bool) {
         debug_assert_eq!(local & Self::WRITE_BIT, 0, "address overflows packing");
         self.buckets[flat].push(local | (u64::from(is_write) << 63));
         self.entries += 1;
     }
 
-    /// Total requests across all banks.
-    #[must_use]
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
-
     /// Number of flat-bank buckets.
     #[must_use]
-    pub fn banks(&self) -> usize {
+    pub(crate) fn banks(&self) -> usize {
         self.buckets.len()
     }
 }
@@ -156,7 +150,7 @@ impl MemorySubsystem {
     /// # Panics
     ///
     /// Panics if the interleave configuration is invalid (see
-    /// [`InterleaveConfig::validate`]).
+    /// `InterleaveConfig::validate`).
     #[must_use]
     pub fn new(cfg: MemConfig) -> MemorySubsystem {
         let interleaver = Interleaver::new(cfg.interleave).expect("valid interleave config");
@@ -223,7 +217,7 @@ impl MemorySubsystem {
     ///
     /// Panics if `buckets` does not have one bucket per bank or a
     /// worker panics.
-    pub fn replay_sharded(&mut self, jobs: usize, buckets: &BankBuckets) -> SimTime {
+    pub(crate) fn replay_sharded(&mut self, jobs: usize, buckets: &BankBuckets) -> SimTime {
         let mut units: Vec<&mut BankUnit> = self
             .channels
             .iter_mut()
@@ -377,30 +371,6 @@ impl MemorySubsystem {
         totals.entries += reqs.len() as u64;
     }
 
-    /// Issues a batch of independent requests all arriving at `at` and
-    /// returns the time the last one completes — the basic bandwidth
-    /// experiment.
-    pub fn access_batch(
-        &mut self,
-        at: SimTime,
-        reqs: impl IntoIterator<Item = MemRequest>,
-    ) -> SimTime {
-        let mut last = at;
-        for r in reqs {
-            let resp = self.access(at, r);
-            if resp.completes_at > last {
-                last = resp.completes_at;
-            }
-        }
-        last
-    }
-
-    /// The interleaver in use.
-    #[must_use]
-    pub fn interleaver(&self) -> &Interleaver {
-        &self.interleaver
-    }
-
     /// Banks per channel (uniform across the subsystem).
     #[must_use]
     pub fn banks_per_channel(&self) -> usize {
@@ -462,7 +432,7 @@ impl MemorySubsystem {
     /// Socket-wide latency statistics: the per-bank accumulators merged
     /// in flat bank order (channel-major, bank-minor).
     #[must_use]
-    pub fn latency_stats(&self) -> Accumulator {
+    pub(crate) fn latency_stats(&self) -> Accumulator {
         let mut acc = Accumulator::new("mem_latency_ns");
         for c in &self.channels {
             acc.merge(&c.latency_stats());
@@ -498,13 +468,6 @@ impl MemorySubsystem {
         }
         (total > 0).then(|| hits as f64 / total as f64)
     }
-
-    /// Achieved bandwidth for `bytes_served` finishing at `end`.
-    #[must_use]
-    pub fn achieved_bandwidth(&self, end: SimTime) -> Option<Bandwidth> {
-        let secs = end.as_secs();
-        (secs > 0.0).then(|| Bandwidth::from_bytes_per_sec(self.bytes.as_f64() / secs))
-    }
 }
 
 /// Per-shard aggregates a replay worker hands back for merging. All
@@ -521,6 +484,18 @@ struct ShardTotals {
 mod tests {
     use super::*;
 
+    /// Issues a batch of independent requests all arriving at `at` and
+    /// returns the time the last one completes.
+    fn access_batch(
+        mem: &mut MemorySubsystem,
+        at: SimTime,
+        reqs: impl IntoIterator<Item = MemRequest>,
+    ) -> SimTime {
+        reqs.into_iter()
+            .map(|r| mem.access(at, r).completes_at)
+            .fold(at, SimTime::max)
+    }
+
     #[test]
     fn mi300_has_128_channels() {
         let mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
@@ -532,7 +507,11 @@ mod tests {
     fn counts_reads_and_writes() {
         let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
         mem.access(SimTime::ZERO, MemRequest::read(0, 128));
-        mem.access(SimTime::ZERO, MemRequest::write(4096, 128));
+        let write = MemRequest {
+            kind: crate::request::AccessKind::Write,
+            ..MemRequest::read(4096, 128)
+        };
+        mem.access(SimTime::ZERO, write);
         assert_eq!(mem.reads(), 1);
         assert_eq!(mem.writes(), 1);
         assert_eq!(mem.bytes_served(), Bytes(256));
@@ -547,12 +526,12 @@ mod tests {
         let reqs: Vec<_> = (0..128u64)
             .map(|i| MemRequest::read(i * 256, 128))
             .collect();
-        let t_spread = spread.access_batch(SimTime::ZERO, reqs);
+        let t_spread = access_batch(&mut spread, SimTime::ZERO, reqs);
 
         // Conflicting batch: all to the same line's channel.
         let mut packed = MemorySubsystem::new(MemConfig::mi300_hbm3());
         let reqs: Vec<_> = (0..128u64).map(|_| MemRequest::read(0, 128)).collect();
-        let t_packed = packed.access_batch(SimTime::ZERO, reqs);
+        let t_packed = access_batch(&mut packed, SimTime::ZERO, reqs);
 
         assert!(
             t_spread < t_packed,
@@ -591,18 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn achieved_bandwidth_reporting() {
-        let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
-        assert!(mem.achieved_bandwidth(SimTime::ZERO).is_none());
-        let reqs: Vec<_> = (0..1024u64)
-            .map(|i| MemRequest::read(i * 256, 128))
-            .collect();
-        let end = mem.access_batch(SimTime::ZERO, reqs);
-        let bw = mem.achieved_bandwidth(end).unwrap();
-        assert!(bw.as_gb_s() > 0.0);
-    }
-
-    #[test]
     fn nps4_isolates_quadrant_traffic() {
         // Figure 17(b): in NPS4 each quadrant's addresses stay on its own
         // two stacks — a tenant in one domain never touches another
@@ -612,7 +579,7 @@ mod tests {
         let reqs: Vec<_> = (0..2048u64)
             .map(|i| MemRequest::read(domain_base + i * 4096 + (i % 16) * 256, 128))
             .collect();
-        mem.access_batch(SimTime::ZERO, reqs);
+        access_batch(&mut mem, SimTime::ZERO, reqs);
         for (idx, ch) in mem.channels().iter().enumerate() {
             let touched = ch.hbm_bytes_moved().as_u64() > 0 || ch.icache_bytes().as_u64() > 0;
             let in_domain = (64..96).contains(&idx); // stacks 4-5
@@ -629,7 +596,7 @@ mod tests {
         let reqs: Vec<_> = (0..2048u64)
             .map(|i| MemRequest::read((2u64 << 34) + i * 4096 + (i % 16) * 256, 128))
             .collect();
-        mem.access_batch(SimTime::ZERO, reqs);
+        access_batch(&mut mem, SimTime::ZERO, reqs);
         let touched = mem
             .channels()
             .iter()

@@ -99,7 +99,7 @@ impl TraceConfig {
     ///
     /// Panics if the footprint is smaller than one line or fractions are
     /// out of range.
-    pub fn for_each(&self, mut f: impl FnMut(MemRequest)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(MemRequest)) {
         assert!(self.footprint >= self.line, "footprint too small");
         assert!(
             (0.0..=1.0).contains(&self.write_fraction),
@@ -184,10 +184,10 @@ pub struct ReplayResult {
 ///
 /// Independent patterns replay **bank by bank** at every `cfg.jobs`:
 /// one streaming pass over the trace (the trace is never materialised
-/// or regenerated) buckets every request into a packed [`BankBuckets`]
+/// or regenerated) buckets every request into a packed `BankBuckets`
 /// entry by its flat bank id — the interleaver picks the channel, the
 /// decorrelated row decode picks the bank, and the address is rewritten
-/// to the bank-local space — then [`MemorySubsystem::replay_sharded`]
+/// to the bank-local space — then `MemorySubsystem::replay_sharded`
 /// replays each bank's whole sub-stream in trace order, inline at
 /// `jobs = 1` and under its work-stealing scheduler above that. One
 /// bank's state then stays in the host cache for its whole sub-stream

@@ -47,13 +47,13 @@ impl BeachfrontDemand {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeachfrontSupply {
     /// Total perimeter across the dies (mm).
-    pub perimeter_mm: f64,
+    pub(crate) perimeter_mm: f64,
     /// Fraction of the perimeter usable for PHYs (corners, power ingress
     /// and test structures consume the rest).
-    pub usable_fraction: f64,
+    pub(crate) usable_fraction: f64,
     /// Perimeter consumed by inter-die (USR) interfaces, unavailable for
     /// external PHYs (mm).
-    pub interdie_mm: f64,
+    pub(crate) interdie_mm: f64,
 }
 
 impl BeachfrontSupply {
@@ -70,7 +70,7 @@ impl BeachfrontSupply {
     /// Four MI300-style IODs in a 2×2 grid: each die spends its two inner
     /// edges on USR interfaces to its neighbours.
     #[must_use]
-    pub fn four_iods() -> BeachfrontSupply {
+    pub(crate) fn four_iods() -> BeachfrontSupply {
         let iod = Footprint::of(ChipletKind::Iod);
         let per_die = 2.0 * (iod.w + iod.h);
         // Each IOD has one vertical and one horizontal inner edge.

@@ -24,7 +24,7 @@ impl BpvTarget {
     /// the BPVs and the die's power grid. Thin top-level metal is an
     /// order of magnitude more resistive than the thick aluminium RDL.
     #[must_use]
-    pub fn spreading_resistance_mohm_mm2(self) -> f64 {
+    pub(crate) fn spreading_resistance_mohm_mm2(self) -> f64 {
         match self {
             BpvTarget::TopLevelMetal => 30.0,
             BpvTarget::AluminumRdl => 2.5,
@@ -58,18 +58,6 @@ pub struct HybridBondInterface {
 }
 
 impl HybridBondInterface {
-    /// The V-Cache interface: SRAM die, modest current.
-    #[must_use]
-    pub fn v_cache() -> HybridBondInterface {
-        HybridBondInterface {
-            pad_pitch_um: 9.0,
-            power_pad_fraction: 0.25,
-            area_mm2: 41.0,
-            bpv: BpvTarget::TopLevelMetal,
-            supply_v: 0.9,
-        }
-    }
-
     /// The MI300 compute-chiplet interface: same pitch, RDL landing.
     #[must_use]
     pub fn mi300_compute() -> HybridBondInterface {
@@ -82,18 +70,11 @@ impl HybridBondInterface {
         }
     }
 
-    /// Power pads across the interface.
-    #[must_use]
-    pub fn power_pads(&self) -> f64 {
-        let pads_per_mm2 = 1e6 / (self.pad_pitch_um * self.pad_pitch_um);
-        pads_per_mm2 * self.area_mm2 * self.power_pad_fraction
-    }
-
     /// Effective supply resistance of the whole interface (mΩ):
     /// spreading-resistance dominated, so it scales inversely with the
     /// interface area.
     #[must_use]
-    pub fn effective_resistance_mohm(&self) -> f64 {
+    pub(crate) fn effective_resistance_mohm(&self) -> f64 {
         self.bpv.spreading_resistance_mohm_mm2() / self.area_mm2
     }
 
@@ -129,18 +110,36 @@ mod tests {
     const SRAM_CURRENT_A: f64 = 5.0;
     const XCD_CURRENT_A: f64 = 70.0;
 
+    /// The V-Cache interface (SRAM die, modest current): the reference
+    /// the MI300 compute-chiplet interface is compared against.
+    fn v_cache() -> HybridBondInterface {
+        HybridBondInterface {
+            pad_pitch_um: 9.0,
+            power_pad_fraction: 0.25,
+            area_mm2: 41.0,
+            bpv: BpvTarget::TopLevelMetal,
+            supply_v: 0.9,
+        }
+    }
+
+    /// Power pads across the interface.
+    fn power_pads(i: &HybridBondInterface) -> f64 {
+        let pads_per_mm2 = 1e6 / (i.pad_pitch_um * i.pad_pitch_um);
+        pads_per_mm2 * i.area_mm2 * i.power_pad_fraction
+    }
+
     #[test]
     fn pad_counts_scale_with_area() {
-        let v = HybridBondInterface::v_cache();
+        let v = v_cache();
         let m = HybridBondInterface::mi300_compute();
-        assert!(m.power_pads() > 2.0 * v.power_pads());
+        assert!(power_pads(&m) > 2.0 * power_pads(&v));
         // 9 um pitch -> ~12.3k pads/mm²; a quarter are power.
-        assert!((v.power_pads() / v.area_mm2 - 3086.4).abs() < 1.0);
+        assert!((power_pads(&v) / v.area_mm2 - 3086.4).abs() < 1.0);
     }
 
     #[test]
     fn v_cache_interface_fine_for_sram_current() {
-        let v = HybridBondInterface::v_cache();
+        let v = v_cache();
         assert!(
             v.drop_fraction(SRAM_CURRENT_A) < MAX_DROP_FRACTION,
             "drop {:.4}",

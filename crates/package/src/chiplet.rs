@@ -26,7 +26,7 @@ pub enum ChipletKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Footprint {
     /// Die kind.
-    pub kind: ChipletKind,
+    pub(crate) kind: ChipletKind,
     /// Width in mm.
     pub w: f64,
     /// Height in mm.
@@ -47,15 +47,9 @@ impl Footprint {
         Footprint { kind, w, h }
     }
 
-    /// Area in mm².
-    #[must_use]
-    pub fn area(&self) -> f64 {
-        self.w * self.h
-    }
-
     /// The footprint as a rect at an origin.
     #[must_use]
-    pub fn at(&self, x: f64, y: f64) -> Rect {
+    pub(crate) fn at(&self, x: f64, y: f64) -> Rect {
         Rect::new(x, y, self.w, self.h)
     }
 }
@@ -70,13 +64,18 @@ pub fn reticle_limit() -> Rect {
 mod tests {
     use super::*;
 
+    fn area(kind: ChipletKind) -> f64 {
+        let f = Footprint::of(kind);
+        f.w * f.h
+    }
+
     #[test]
     fn footprint_areas_in_published_class() {
-        assert!((Footprint::of(ChipletKind::Xcd).area() - 114.4).abs() < 1.0);
-        assert!((Footprint::of(ChipletKind::Ccd).area() - 71.4).abs() < 1.0);
-        assert!((Footprint::of(ChipletKind::Iod).area() - 369.4).abs() < 1.0);
+        assert!((area(ChipletKind::Xcd) - 114.4).abs() < 1.0);
+        assert!((area(ChipletKind::Ccd) - 71.4).abs() < 1.0);
+        assert!((area(ChipletKind::Iod) - 369.4).abs() < 1.0);
         // "on the order of 100 mm² per stack"
-        assert!((Footprint::of(ChipletKind::HbmStack).area() - 110.0).abs() < 1.0);
+        assert!((area(ChipletKind::HbmStack) - 110.0).abs() < 1.0);
     }
 
     #[test]
@@ -84,8 +83,8 @@ mod tests {
         // Section III.A: each EHPv3 GPU chiplet would be "equal to or
         // larger than the footprint of an HBM stack" — our XCD footprint
         // is in that class.
-        let xcd = Footprint::of(ChipletKind::Xcd).area();
-        let hbm = Footprint::of(ChipletKind::HbmStack).area();
+        let xcd = area(ChipletKind::Xcd);
+        let hbm = area(ChipletKind::HbmStack);
         assert!(xcd >= hbm * 0.95);
     }
 
@@ -106,7 +105,7 @@ mod tests {
         }
         // The four IODs together far exceed one reticle: the partitioning
         // argument of Section V.A.
-        let four_iods = 4.0 * Footprint::of(ChipletKind::Iod).area();
+        let four_iods = 4.0 * area(ChipletKind::Iod);
         assert!(four_iods > reticle.area());
     }
 
@@ -114,6 +113,6 @@ mod tests {
     fn footprint_at_positions_rect() {
         let r = Footprint::of(ChipletKind::Ccd).at(5.0, 6.0);
         assert_eq!(r.origin.x, 5.0);
-        assert!((r.area() - Footprint::of(ChipletKind::Ccd).area()).abs() < 1e-12);
+        assert!((r.area() - area(ChipletKind::Ccd)).abs() < 1e-12);
     }
 }

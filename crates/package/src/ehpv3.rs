@@ -10,23 +10,21 @@
 //! stack description so EHPv3, V-Cache and MI300A can be compared with
 //! the same yardstick.
 
-use crate::chiplet::reticle_limit;
-
 /// One vertical level of a 3D assembly.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StackLevel {
+pub(crate) struct StackLevel {
     /// Level name (bottom-up).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Dies placed side by side at this level.
-    pub dies: u32,
+    pub(crate) dies: u32,
     /// Area of one die at this level (mm²).
-    pub die_area_mm2: f64,
+    pub(crate) die_area_mm2: f64,
     /// Whether dies at this level need TSVs (anything with a die above
     /// it does).
-    pub needs_tsvs: bool,
+    pub(crate) needs_tsvs: bool,
     /// Power dissipated at this level (W) for the thermal feasibility
     /// check.
-    pub power_w: f64,
+    pub(crate) power_w: f64,
 }
 
 /// A 3D-stacked assembly to audit.
@@ -43,14 +41,14 @@ pub struct StackLevel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackedAssembly {
     /// Assembly name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Levels, bottom-up (level 0 sits on the substrate/interposer).
-    pub levels: Vec<StackLevel>,
+    pub(crate) levels: Vec<StackLevel>,
     /// How many such complexes are co-packaged.
-    pub complexes: u32,
+    pub(crate) complexes: u32,
     /// Whether DRAM sits at the top of the stack (tightens the junction
     /// temperature — and hence power-density — limit).
-    pub dram_on_top: bool,
+    pub(crate) dram_on_top: bool,
 }
 
 impl StackedAssembly {
@@ -147,26 +145,26 @@ impl StackedAssembly {
 
     /// Stack height in active-die levels.
     #[must_use]
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.levels.len()
     }
 
     /// Total separate dies that must be individually handled and tested
     /// across the package.
     #[must_use]
-    pub fn dies_handled(&self) -> u32 {
+    pub(crate) fn dies_handled(&self) -> u32 {
         self.levels.iter().map(|l| l.dies).sum::<u32>() * self.complexes
     }
 
     /// Bonding operations: each die above level 0 needs one bonding step.
     #[must_use]
-    pub fn bonding_steps(&self) -> u32 {
+    pub(crate) fn bonding_steps(&self) -> u32 {
         self.levels[1..].iter().map(|l| l.dies).sum::<u32>() * self.complexes
     }
 
     /// Dies requiring thinning + TSV construction.
     #[must_use]
-    pub fn tsv_dies(&self) -> u32 {
+    pub(crate) fn tsv_dies(&self) -> u32 {
         self.levels
             .iter()
             .filter(|l| l.needs_tsvs)
@@ -179,7 +177,7 @@ impl StackedAssembly {
     /// levels deep — "going beyond a two-high stack", which needed
     /// process maturation AMD did not yet have in the Frontier window.
     #[must_use]
-    pub fn beyond_two_high(&self) -> bool {
+    pub(crate) fn beyond_two_high(&self) -> bool {
         self.height() > 2
     }
 
@@ -187,7 +185,7 @@ impl StackedAssembly {
     /// levels' power must exit vertically; structural silicon spreads it
     /// over the stack's largest footprint.
     #[must_use]
-    pub fn vertical_power_density(&self) -> f64 {
+    pub(crate) fn vertical_power_density(&self) -> f64 {
         let max_area = self
             .levels
             .iter()
@@ -201,7 +199,7 @@ impl StackedAssembly {
     /// of hot logic constrains the junction temperature far more than a
     /// logic/SRAM top level does.
     #[must_use]
-    pub fn cooling_limit(&self) -> f64 {
+    pub(crate) fn cooling_limit(&self) -> f64 {
         if self.dram_on_top {
             DRAM_TOP_COOLING_LIMIT_W_MM2
         } else {
@@ -209,17 +207,11 @@ impl StackedAssembly {
         }
     }
 
-    /// Whether the base die exceeds a single lithographic reticle.
-    #[must_use]
-    pub fn base_exceeds_reticle(&self) -> bool {
-        self.levels[0].die_area_mm2 > reticle_limit().area()
-    }
-
     /// A relative assembly-complexity score: bonding steps + TSV dies +
     /// a penalty per level beyond two. Unitless; meaningful only for
     /// comparisons.
     #[must_use]
-    pub fn complexity_score(&self) -> u32 {
+    pub(crate) fn complexity_score(&self) -> u32 {
         let beyond = (self.height().saturating_sub(2)) as u32 * 8 * self.complexes;
         self.bonding_steps() + self.tsv_dies() + beyond
     }
@@ -246,10 +238,10 @@ pub struct Ehpv3Verdict {
 
 /// Frontier-era coolable density when DRAM tops the stack (W/mm²):
 /// the HBM junction limit dominates.
-pub const DRAM_TOP_COOLING_LIMIT_W_MM2: f64 = 0.55;
+pub(crate) const DRAM_TOP_COOLING_LIMIT_W_MM2: f64 = 0.55;
 
 /// Frontier-era coolable density with logic/SRAM on top (W/mm²).
-pub const LOGIC_TOP_COOLING_LIMIT_W_MM2: f64 = 1.8;
+pub(crate) const LOGIC_TOP_COOLING_LIMIT_W_MM2: f64 = 1.8;
 
 /// Audits an assembly.
 #[must_use]
@@ -302,12 +294,9 @@ mod tests {
     #[test]
     fn ehpv3_interposer_exceeds_reticle_class() {
         // "an active interposer die that would have to be over 400 mm²"
-        // — the paper's point is size, not strictly reticle violation;
-        // our model's interposer is within reticle area but the audit
-        // exposes the check for larger designs.
+        // — the paper's point is size, not strictly reticle violation.
         let e = StackedAssembly::ehpv3_complex();
         assert!(e.levels[0].die_area_mm2 > 400.0);
-        assert!(!e.base_exceeds_reticle());
     }
 
     #[test]

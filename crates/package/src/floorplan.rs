@@ -31,13 +31,13 @@ pub enum Layer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     /// Region name, e.g. `"xcd2"`, `"usr01"`, `"hbm_phy3"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Plan-view extent.
     pub rect: Rect,
     /// Layer.
-    pub layer: Layer,
+    pub(crate) layer: Layer,
     /// Power dissipated in this region.
-    pub power: Power,
+    pub(crate) power: Power,
 }
 
 /// A package floorplan.
@@ -83,12 +83,6 @@ impl Floorplan {
     #[must_use]
     pub fn outline(&self) -> &Rect {
         &self.outline
-    }
-
-    /// All regions.
-    #[must_use]
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
     }
 
     /// Regions whose name starts with `prefix`.

@@ -19,12 +19,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// Euclidean distance to another point.
-    #[must_use]
-    pub fn distance(self, other: Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-
     /// `true` if within `eps` of `other` in both coordinates.
     #[must_use]
     pub fn approx_eq(self, other: Point, eps: f64) -> bool {
@@ -70,7 +64,7 @@ impl Rect {
 
     /// Area in mm².
     #[must_use]
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         self.w * self.h
     }
 
@@ -80,15 +74,9 @@ impl Rect {
         2.0 * (self.w + self.h)
     }
 
-    /// Centre point.
-    #[must_use]
-    pub fn center(&self) -> Point {
-        Point::new(self.origin.x + self.w / 2.0, self.origin.y + self.h / 2.0)
-    }
-
     /// Maximum-x/maximum-y corner.
     #[must_use]
-    pub fn max_corner(&self) -> Point {
+    pub(crate) fn max_corner(&self) -> Point {
         Point::new(self.origin.x + self.w, self.origin.y + self.h)
     }
 
@@ -103,32 +91,23 @@ impl Rect {
 
     /// `true` if `inner` lies entirely within `self`.
     #[must_use]
-    pub fn contains_rect(&self, inner: &Rect) -> bool {
+    pub(crate) fn contains_rect(&self, inner: &Rect) -> bool {
         self.contains(inner.origin) && self.contains(inner.max_corner())
     }
 
     /// `true` if the interiors overlap (shared edges do not count).
     #[must_use]
-    pub fn intersects(&self, other: &Rect) -> bool {
+    pub(crate) fn intersects(&self, other: &Rect) -> bool {
         self.origin.x < other.origin.x + other.w
             && other.origin.x < self.origin.x + self.w
             && self.origin.y < other.origin.y + other.h
             && other.origin.y < self.origin.y + self.h
     }
 
-    /// Translates by `(dx, dy)`.
-    #[must_use]
-    pub fn translated(&self, dx: f64, dy: f64) -> Rect {
-        Rect {
-            origin: Point::new(self.origin.x + dx, self.origin.y + dy),
-            w: self.w,
-            h: self.h,
-        }
-    }
-
     /// `true` if within `eps` of `other` in origin and size.
     #[must_use]
-    pub fn approx_eq(&self, other: &Rect, eps: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn approx_eq(&self, other: &Rect, eps: f64) -> bool {
         self.origin.approx_eq(other.origin, eps)
             && (self.w - other.w).abs() <= eps
             && (self.h - other.h).abs() <= eps
@@ -170,7 +149,8 @@ impl Transform {
 
     /// `true` if the transform includes a mirror (changes chirality).
     #[must_use]
-    pub fn is_mirrored(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_mirrored(self) -> bool {
         matches!(self, Transform::MirrorX | Transform::MirrorXRot180)
     }
 
@@ -188,7 +168,8 @@ impl Transform {
 
     /// Applies the transform to a rectangle within a `w × h` die outline.
     #[must_use]
-    pub fn apply_rect(self, r: &Rect, w: f64, h: f64) -> Rect {
+    #[cfg(test)]
+    pub(crate) fn apply_rect(self, r: &Rect, w: f64, h: f64) -> Rect {
         let a = self.apply_point(r.origin, w, h);
         let b = self.apply_point(r.max_corner(), w, h);
         Rect::new(
@@ -201,7 +182,8 @@ impl Transform {
 
     /// Composition: applying `self` then `other`.
     #[must_use]
-    pub fn then(self, other: Transform) -> Transform {
+    #[cfg(test)]
+    pub(crate) fn then(self, other: Transform) -> Transform {
         use Transform::*;
         match (
             self.is_mirrored() ^ other.is_mirrored(),
@@ -214,6 +196,7 @@ impl Transform {
         }
     }
 
+    #[cfg(test)]
     fn rot(self) -> bool {
         matches!(self, Transform::Rot180 | Transform::MirrorXRot180)
     }
@@ -230,7 +213,6 @@ mod tests {
         assert_eq!(r.perimeter(), 14.0);
         assert!(r.contains(Point::new(2.0, 3.0)));
         assert!(!r.contains(Point::new(0.0, 0.0)));
-        assert_eq!(r.center(), Point::new(2.5, 4.0));
     }
 
     #[test]

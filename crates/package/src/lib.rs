@@ -32,4 +32,4 @@ pub use ehpv3::StackedAssembly;
 pub use floorplan::{Floorplan, Region};
 pub use geometry::{Point, Rect, Transform};
 pub use mirror::{IodInstance, IodVariant};
-pub use tsv::{PgTsvGrid, TsvSiteSet};
+pub use tsv::PgTsvGrid;

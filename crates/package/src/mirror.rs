@@ -34,19 +34,13 @@ impl IodVariant {
 
     /// The geometric transform this variant applies to the base design.
     #[must_use]
-    pub fn transform(self) -> Transform {
+    pub(crate) fn transform(self) -> Transform {
         match self {
             IodVariant::Normal => Transform::Identity,
             IodVariant::NormalRot180 => Transform::Rot180,
             IodVariant::Mirrored => Transform::MirrorX,
             IodVariant::MirroredRot180 => Transform::MirrorXRot180,
         }
-    }
-
-    /// `true` for the mirrored tapeouts.
-    #[must_use]
-    pub fn is_mirrored(self) -> bool {
-        self.transform().is_mirrored()
     }
 }
 
@@ -55,9 +49,9 @@ impl IodVariant {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BondInterface {
     /// Region width (mm).
-    pub w: f64,
+    pub(crate) w: f64,
     /// Region height (mm).
-    pub h: f64,
+    pub(crate) h: f64,
     /// Pin sites provided by the IOD (region-local).
     pub iod_pins: Vec<Point>,
 }
@@ -65,7 +59,7 @@ pub struct BondInterface {
 impl BondInterface {
     /// Creates an interface with the given IOD pin sites.
     #[must_use]
-    pub fn new(w: f64, h: f64, iod_pins: Vec<Point>) -> BondInterface {
+    pub(crate) fn new(w: f64, h: f64, iod_pins: Vec<Point>) -> BondInterface {
         BondInterface { w, h, iod_pins }
     }
 
@@ -112,7 +106,8 @@ impl BondInterface {
     /// property MI300's "carefully choreographed" interface planning
     /// guarantees.
     #[must_use]
-    pub fn aligns_on_all_variants(&self, chiplet_pins: &[Point]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn aligns_on_all_variants(&self, chiplet_pins: &[Point]) -> bool {
         IodVariant::ALL
             .iter()
             .all(|&v| self.alignment(chiplet_pins, v).is_some())
@@ -121,7 +116,7 @@ impl BondInterface {
 
 /// Direction of a USR module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UsrPolarity {
+pub(crate) enum UsrPolarity {
     /// Transmitter.
     Tx,
     /// Receiver.
@@ -131,7 +126,7 @@ pub enum UsrPolarity {
 impl UsrPolarity {
     /// The opposite polarity.
     #[must_use]
-    pub fn flipped(self) -> UsrPolarity {
+    pub(crate) fn flipped(self) -> UsrPolarity {
         match self {
             UsrPolarity::Tx => UsrPolarity::Rx,
             UsrPolarity::Rx => UsrPolarity::Tx,
@@ -150,7 +145,7 @@ pub struct UsrEdge {
 impl UsrEdge {
     /// Creates an edge with the given modules.
     #[must_use]
-    pub fn new(modules: Vec<(f64, UsrPolarity)>) -> UsrEdge {
+    pub(crate) fn new(modules: Vec<(f64, UsrPolarity)>) -> UsrEdge {
         UsrEdge { modules }
     }
 
@@ -178,7 +173,8 @@ impl UsrEdge {
     /// Mirroring about the *horizontal* axis (the rotated placements)
     /// reverses positions along a vertical edge of length `len`.
     #[must_use]
-    pub fn reversed(&self, len: f64) -> UsrEdge {
+    #[cfg(test)]
+    pub(crate) fn reversed(&self, len: f64) -> UsrEdge {
         let mut m: Vec<_> = self
             .modules
             .iter()
@@ -227,7 +223,8 @@ impl UsrEdge {
 
     /// The modules.
     #[must_use]
-    pub fn modules(&self) -> &[(f64, UsrPolarity)] {
+    #[cfg(test)]
+    pub(crate) fn modules(&self) -> &[(f64, UsrPolarity)] {
         &self.modules
     }
 }
@@ -236,10 +233,10 @@ impl UsrEdge {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IodInstance {
     /// Which of the four variants this is.
-    pub variant: IodVariant,
+    pub(crate) variant: IodVariant,
     /// The XCD/CCD bond interface (with redundancy already applied in a
     /// production design).
-    pub interface: BondInterface,
+    pub(crate) interface: BondInterface,
 }
 
 impl IodInstance {
@@ -294,9 +291,6 @@ mod tests {
     #[test]
     fn variant_transforms() {
         assert_eq!(IodVariant::Normal.transform(), Transform::Identity);
-        assert!(IodVariant::Mirrored.is_mirrored());
-        assert!(IodVariant::MirroredRot180.is_mirrored());
-        assert!(!IodVariant::NormalRot180.is_mirrored());
     }
 
     #[test]

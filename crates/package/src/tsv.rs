@@ -1,93 +1,16 @@
 //! TSV planning: signal-interface sites, the uniform power/ground grid,
 //! and Infinity-Cache macro pitch matching.
 
-use crate::geometry::{Rect, Transform};
-
-/// The set of signal-TSV interface sites on an IOD (IOD-local
-/// coordinates), e.g. the three CCD landing sites and two XCD landing
-/// sites of Figure 8(b)/(c), plus any redundant copies added for
-/// mirroring support (the red circles of Figure 9).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TsvSiteSet {
-    sites: Vec<Rect>,
-}
-
-impl TsvSiteSet {
-    /// Creates a site set.
-    #[must_use]
-    pub fn new(sites: Vec<Rect>) -> TsvSiteSet {
-        TsvSiteSet { sites }
-    }
-
-    /// The sites in IOD-local coordinates.
-    #[must_use]
-    pub fn sites(&self) -> &[Rect] {
-        &self.sites
-    }
-
-    /// Number of sites.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// `true` if there are no sites.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
-    /// Adds a redundant copy of every site, mirrored within the die
-    /// outline — the Figure 9 trick that lets non-mirrored chiplets land
-    /// on mirrored IODs. Sites that map onto an existing site are not
-    /// duplicated.
-    #[must_use]
-    pub fn with_mirror_redundancy(&self, die_w: f64, die_h: f64) -> TsvSiteSet {
-        let mut out = self.sites.clone();
-        for s in &self.sites {
-            let m = Transform::MirrorX.apply_rect(s, die_w, die_h);
-            if !out.iter().any(|e| e.approx_eq(&m, 1e-9)) {
-                out.push(m);
-            }
-        }
-        TsvSiteSet::new(out)
-    }
-
-    /// The physical site positions when the IOD is placed with transform
-    /// `t` (still IOD-local; callers translate to package coordinates).
-    #[must_use]
-    pub fn under_transform(&self, t: Transform, die_w: f64, die_h: f64) -> Vec<Rect> {
-        self.sites
-            .iter()
-            .map(|s| t.apply_rect(s, die_w, die_h))
-            .collect()
-    }
-
-    /// Checks that every pad rect (in the same coordinate frame) lands
-    /// entirely within some site. Returns the index of the first pad that
-    /// fails, or `Ok(())`.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(pad_index)` for the first unaligned pad.
-    pub fn accepts(&self, pads: &[Rect]) -> Result<(), usize> {
-        for (i, pad) in pads.iter().enumerate() {
-            if !self.sites.iter().any(|s| s.contains_rect(pad)) {
-                return Err(i);
-            }
-        }
-        Ok(())
-    }
-}
+use crate::geometry::Transform;
 
 /// The uniform power/ground TSV grid (Section V.D): pitch-`p` lattice
 /// delivering `current_per_tsv` amps per via pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PgTsvGrid {
     /// Grid pitch in mm.
-    pub pitch_mm: f64,
+    pub(crate) pitch_mm: f64,
     /// Deliverable current per grid cell (amps).
-    pub current_per_cell: f64,
+    pub(crate) current_per_cell: f64,
 }
 
 impl PgTsvGrid {
@@ -109,7 +32,7 @@ impl PgTsvGrid {
 
     /// TSV cell positions (cell centres) over a `w × h` region.
     #[must_use]
-    pub fn positions(&self, w: f64, h: f64) -> Vec<crate::geometry::Point> {
+    pub(crate) fn positions(&self, w: f64, h: f64) -> Vec<crate::geometry::Point> {
         let nx = (w / self.pitch_mm).floor() as usize;
         let ny = (h / self.pitch_mm).floor() as usize;
         let mut out = Vec::with_capacity(nx * ny);
@@ -156,7 +79,8 @@ impl PgTsvGrid {
 
     /// Whether the grid meets a required current density (A/mm²).
     #[must_use]
-    pub fn meets_density(&self, required: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn meets_density(&self, required: f64) -> bool {
         self.current_density() >= required
     }
 }
@@ -166,11 +90,11 @@ impl PgTsvGrid {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheMacroPlan {
     /// Distance between successive P/G TSV stripes (mm).
-    pub stripe_pitch: f64,
+    pub(crate) stripe_pitch: f64,
     /// Width of one TSV stripe (mm).
-    pub stripe_width: f64,
+    pub(crate) stripe_width: f64,
     /// Width of one SRAM array macro (mm).
-    pub macro_width: f64,
+    pub(crate) macro_width: f64,
 }
 
 impl CacheMacroPlan {
@@ -187,7 +111,7 @@ impl CacheMacroPlan {
 
     /// Available channel width between stripes.
     #[must_use]
-    pub fn channel_width(&self) -> f64 {
+    pub(crate) fn channel_width(&self) -> f64 {
         self.stripe_pitch - self.stripe_width
     }
 
@@ -209,7 +133,78 @@ impl CacheMacroPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Point;
+    use crate::geometry::{Point, Rect};
+
+    /// The set of signal-TSV interface sites on an IOD (IOD-local
+    /// coordinates), e.g. the three CCD landing sites and two XCD landing
+    /// sites of Figure 8(b)/(c), plus any redundant copies added for
+    /// mirroring support (the red circles of Figure 9).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    struct TsvSiteSet {
+        sites: Vec<Rect>,
+    }
+
+    impl TsvSiteSet {
+        /// Creates a site set.
+        #[must_use]
+        fn new(sites: Vec<Rect>) -> TsvSiteSet {
+            TsvSiteSet { sites }
+        }
+
+        /// The sites in IOD-local coordinates.
+        #[must_use]
+        fn sites(&self) -> &[Rect] {
+            &self.sites
+        }
+
+        /// Number of sites.
+        #[must_use]
+        fn len(&self) -> usize {
+            self.sites.len()
+        }
+
+        /// Adds a redundant copy of every site, mirrored within the die
+        /// outline — the Figure 9 trick that lets non-mirrored chiplets land
+        /// on mirrored IODs. Sites that map onto an existing site are not
+        /// duplicated.
+        #[must_use]
+        fn with_mirror_redundancy(&self, die_w: f64, die_h: f64) -> TsvSiteSet {
+            let mut out = self.sites.clone();
+            for s in &self.sites {
+                let m = Transform::MirrorX.apply_rect(s, die_w, die_h);
+                if !out.iter().any(|e| e.approx_eq(&m, 1e-9)) {
+                    out.push(m);
+                }
+            }
+            TsvSiteSet::new(out)
+        }
+
+        /// The physical site positions when the IOD is placed with transform
+        /// `t` (still IOD-local; callers translate to package coordinates).
+        #[must_use]
+        fn under_transform(&self, t: Transform, die_w: f64, die_h: f64) -> Vec<Rect> {
+            self.sites
+                .iter()
+                .map(|s| t.apply_rect(s, die_w, die_h))
+                .collect()
+        }
+
+        /// Checks that every pad rect (in the same coordinate frame) lands
+        /// entirely within some site. Returns the index of the first pad that
+        /// fails, or `Ok(())`.
+        ///
+        /// # Errors
+        ///
+        /// Returns `Err(pad_index)` for the first unaligned pad.
+        fn accepts(&self, pads: &[Rect]) -> Result<(), usize> {
+            for (i, pad) in pads.iter().enumerate() {
+                if !self.sites.iter().any(|s| s.contains_rect(pad)) {
+                    return Err(i);
+                }
+            }
+            Ok(())
+        }
+    }
 
     #[test]
     fn mi300_grid_meets_paper_density() {

@@ -25,7 +25,7 @@ pub enum PowerDomain {
 
 impl PowerDomain {
     /// All domains, in display order.
-    pub const ALL: [PowerDomain; 7] = [
+    pub(crate) const ALL: [PowerDomain; 7] = [
         PowerDomain::ComputeChiplets,
         PowerDomain::InfinityCache,
         PowerDomain::DataFabric,
@@ -52,7 +52,8 @@ impl PowerDomain {
     /// `true` if this domain is powered through the stacked-chiplet TSV
     /// grid (as opposed to the IOD's own microbump supply).
     #[must_use]
-    pub fn through_tsv_grid(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn through_tsv_grid(self) -> bool {
         matches!(self, PowerDomain::ComputeChiplets)
     }
 }
@@ -66,7 +67,9 @@ pub struct PowerDistribution {
 impl PowerDistribution {
     /// Creates a distribution from explicit per-domain powers.
     #[must_use]
-    pub fn new(entries: impl IntoIterator<Item = (PowerDomain, Power)>) -> PowerDistribution {
+    pub(crate) fn new(
+        entries: impl IntoIterator<Item = (PowerDomain, Power)>,
+    ) -> PowerDistribution {
         PowerDistribution {
             watts: entries.into_iter().collect(),
         }
@@ -98,11 +101,6 @@ impl PowerDistribution {
             .map(|&d| (d, self.get(d).as_watts() / total))
             .collect()
     }
-
-    /// Iterates over `(domain, power)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (PowerDomain, Power)> + '_ {
-        self.watts.iter().map(|(&d, &p)| (d, p))
-    }
 }
 
 /// Named workload scenarios with representative power shapes.
@@ -121,7 +119,7 @@ pub enum WorkloadProfile {
 impl WorkloadProfile {
     /// The profile's fractional split across domains (sums to 1).
     #[must_use]
-    pub fn fractions(self) -> [(PowerDomain, f64); 7] {
+    pub(crate) fn fractions(self) -> [(PowerDomain, f64); 7] {
         use PowerDomain::*;
         match self {
             WorkloadProfile::ComputeIntensive => [
@@ -193,12 +191,6 @@ impl SocketPowerManager {
         };
         pm.apply_profile(WorkloadProfile::Idle);
         pm
-    }
-
-    /// The socket TDP.
-    #[must_use]
-    pub fn tdp(&self) -> Power {
-        self.tdp
     }
 
     /// The current distribution.
@@ -319,7 +311,7 @@ mod tests {
     fn idle_uses_reduced_envelope() {
         let mut pm = mi300a();
         let d = pm.apply_profile(WorkloadProfile::Idle);
-        assert!(d.total().as_watts() < 0.5 * pm.tdp().as_watts());
+        assert!(d.total().as_watts() < 0.5 * pm.tdp.as_watts());
     }
 
     #[test]

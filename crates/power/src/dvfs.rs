@@ -45,7 +45,7 @@ impl DvfsCurve {
     ///
     /// Panics unless `fmin <= nominal <= fmax` and powers are positive.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         static_power: Power,
         dynamic_at_nominal: Power,
         nominal: Frequency,
@@ -84,7 +84,8 @@ impl DvfsCurve {
 
     /// One "Zen 4" CCD: ~28 W nominal dynamic at 3.7 GHz.
     #[must_use]
-    pub fn mi300_ccd() -> DvfsCurve {
+    #[cfg(test)]
+    pub(crate) fn mi300_ccd() -> DvfsCurve {
         DvfsCurve::new(
             Power::from_watts(4.0),
             Power::from_watts(28.0),
@@ -96,13 +97,15 @@ impl DvfsCurve {
 
     /// Maximum boost clock.
     #[must_use]
-    pub fn fmax(&self) -> Frequency {
+    #[cfg(test)]
+    pub(crate) fn fmax(&self) -> Frequency {
         self.fmax
     }
 
     /// Minimum operating clock.
     #[must_use]
-    pub fn fmin(&self) -> Frequency {
+    #[cfg(test)]
+    pub(crate) fn fmin(&self) -> Frequency {
         self.fmin
     }
 

@@ -11,7 +11,7 @@
 //!   the harness hashes from every workspace source file at build time,
 //!   so a source edit invalidates every entry;
 //! * a change to the cached shape itself bumps
-//!   [`RESULT_CACHE_SCHEMA`], which invalidates everything.
+//!   `RESULT_CACHE_SCHEMA`, which invalidates everything.
 //!
 //! The discipline is the one the lint incremental cache proved
 //! (DESIGN.md §11): **versioned, degrade-to-empty, byte-identical hot
@@ -21,11 +21,11 @@
 //! same-directory temp file plus rename so concurrent batches never
 //! observe a torn entry.
 //!
-//! Two stores share the code path: [`ResultCache::disk`] (one file per
-//! key under `target/result-cache/`) for the CLI and the serve daemon,
-//! and [`ResultCache::memory`] for filesystem-free tests.
+//! Entries live one file per key under a directory
+//! ([`ResultCache::disk`], `target/result-cache/` for the CLI and the
+//! serve daemon). The cache keeps no traffic counters: the batch runner
+//! counts hits, misses and stores itself.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
@@ -34,7 +34,7 @@ use ehp_sim_core::json::Json;
 
 /// Schema tag stored in every entry; bump on any change to the cached
 /// shape or the key derivation.
-pub const RESULT_CACHE_SCHEMA: &str = "ehp-result-cache/v1";
+pub(crate) const RESULT_CACHE_SCHEMA: &str = "ehp-result-cache/v1";
 
 /// Derives the cache key for one scenario execution.
 ///
@@ -66,16 +66,6 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Traffic since `earlier` (which must be a prior snapshot).
-    #[must_use]
-    pub fn since(&self, earlier: &CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            stores: self.stores - earlier.stores,
-        }
-    }
-
     /// Counters as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -87,20 +77,10 @@ impl CacheCounters {
     }
 }
 
-/// Where entries live.
-#[derive(Debug)]
-enum Store {
-    /// In-memory map, for filesystem-free tests.
-    Memory(BTreeMap<u64, Json>),
-    /// One file per key under this directory.
-    Disk(PathBuf),
-}
-
-/// The result cache: a memory or disk store plus traffic counters.
+/// The result cache: one file per key under a directory.
 #[derive(Debug)]
 pub struct ResultCache {
-    store: Store,
-    counters: CacheCounters,
+    dir: PathBuf,
 }
 
 impl ResultCache {
@@ -108,25 +88,7 @@ impl ResultCache {
     /// store; a missing directory just means every lookup misses).
     #[must_use]
     pub fn disk(dir: impl Into<PathBuf>) -> ResultCache {
-        ResultCache {
-            store: Store::Disk(dir.into()),
-            counters: CacheCounters::default(),
-        }
-    }
-
-    /// An in-memory cache.
-    #[must_use]
-    pub fn memory() -> ResultCache {
-        ResultCache {
-            store: Store::Memory(BTreeMap::new()),
-            counters: CacheCounters::default(),
-        }
-    }
-
-    /// Traffic counters so far.
-    #[must_use]
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
+        ResultCache { dir: dir.into() }
     }
 
     fn entry_path(dir: &std::path::Path, key: u64) -> PathBuf {
@@ -135,23 +97,10 @@ impl ResultCache {
 
     /// Looks up a cached outcome; every failure mode is a miss.
     pub fn lookup(&mut self, key: u64) -> Option<Json> {
-        let found = match &self.store {
-            Store::Memory(map) => map.get(&key).cloned(),
-            Store::Disk(dir) => fs::read_to_string(Self::entry_path(dir, key))
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .and_then(|entry| decode_entry(&entry, key)),
-        };
-        match found {
-            Some(outcome) => {
-                self.counters.hits += 1;
-                Some(outcome)
-            }
-            None => {
-                self.counters.misses += 1;
-                None
-            }
-        }
+        fs::read_to_string(Self::entry_path(&self.dir, key))
+            .ok()
+            .and_then(|text| Json::parse(&text).ok())
+            .and_then(|entry| decode_entry(&entry, key))
     }
 
     /// Stores (or overwrites) an outcome; returns whether the write
@@ -163,17 +112,7 @@ impl ResultCache {
             ("key", Json::from(format!("{key:016x}"))),
             ("outcome", outcome.clone()),
         ]);
-        let ok = match &mut self.store {
-            Store::Memory(map) => {
-                map.insert(key, outcome.clone());
-                true
-            }
-            Store::Disk(dir) => write_atomically(dir, key, &entry.to_string_compact()),
-        };
-        if ok {
-            self.counters.stores += 1;
-        }
-        ok
+        write_atomically(&self.dir, key, &entry.to_string_compact())
     }
 }
 
@@ -233,23 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_round_trip_and_counters() {
-        let mut c = ResultCache::memory();
-        let k = result_key("x", 0, "{}");
-        assert_eq!(c.lookup(k), None);
-        assert!(c.store(k, &outcome("a")));
-        assert_eq!(c.lookup(k), Some(outcome("a")));
-        assert_eq!(
-            c.counters(),
-            CacheCounters {
-                hits: 1,
-                misses: 1,
-                stores: 1
-            }
-        );
-    }
-
-    #[test]
     fn disk_round_trip_survives_a_new_handle() {
         let dir = tmp_dir("round-trip");
         let k = result_key("x", 0, "{}");
@@ -300,7 +222,7 @@ mod tests {
 
     #[test]
     fn code_version_change_misses_every_old_entry() {
-        let mut c = ResultCache::memory();
+        let mut c = ResultCache::disk(tmp_dir("code-version"));
         c.store(result_key("exp_a", 0, r#"{"name":"a"}"#), &outcome("a"));
         c.store(result_key("exp_b", 0, r#"{"name":"b"}"#), &outcome("b"));
         // New code: every old entry misses; the old code still hits.
@@ -316,6 +238,5 @@ mod tests {
     fn missing_directory_is_just_a_miss() {
         let mut c = ResultCache::disk("/nonexistent/definitely/not/here");
         assert_eq!(c.lookup(1), None);
-        assert_eq!(c.counters().misses, 1);
     }
 }

@@ -73,11 +73,11 @@ impl Default for PoolConfig {
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
     /// Executable path (the harness passes its own binary).
-    pub program: PathBuf,
+    pub(crate) program: PathBuf,
     /// Arguments (e.g. `["worker"]`).
-    pub args: Vec<String>,
+    pub(crate) args: Vec<String>,
     /// Extra environment variables for the child.
-    pub envs: Vec<(String, String)>,
+    pub(crate) envs: Vec<(String, String)>,
 }
 
 impl WorkerCommand {
@@ -107,7 +107,7 @@ pub struct PoolStats {
 
 /// Per-chunk completion observer passed to [`run_jobs`]: called with
 /// `(first job index, chunk results)` in completion order.
-pub type ChunkObserver<'a> = &'a (dyn Fn(usize, &[Json]) + Sync);
+pub(crate) type ChunkObserver<'a> = &'a (dyn Fn(usize, &[Json]) + Sync);
 
 /// One live worker: the child, its stdin, and a reader thread draining
 /// its stdout into a channel (the only portable way to bound a read

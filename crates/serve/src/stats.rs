@@ -30,9 +30,9 @@ pub struct ServeStats {
     /// Scenarios executed or served from cache across all requests.
     pub scenarios: u64,
     /// Cache traffic accumulated across requests.
-    pub cache: CacheCounters,
+    pub(crate) cache: CacheCounters,
     /// Pool traffic accumulated across requests.
-    pub pool: PoolStats,
+    pub(crate) pool: PoolStats,
     latency_ms: Vec<f64>,
     next_slot: usize,
 }
@@ -40,12 +40,12 @@ pub struct ServeStats {
 impl ServeStats {
     /// A zeroed stats block.
     #[must_use]
-    pub fn new() -> ServeStats {
+    pub(crate) fn new() -> ServeStats {
         ServeStats::default()
     }
 
     /// Records one request's end-to-end latency.
-    pub fn record_latency_ms(&mut self, ms: f64) {
+    pub(crate) fn record_latency_ms(&mut self, ms: f64) {
         if self.latency_ms.len() < MAX_SAMPLES {
             self.latency_ms.push(ms);
         } else {
@@ -71,7 +71,7 @@ impl ServeStats {
 
     /// The full stats snapshot served for a `stats` request.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut sorted = self.latency_ms.clone();
         sorted.sort_by(f64::total_cmp);
         let pct = |q: f64| percentile(&sorted, q).map_or(Json::Null, Json::from);

@@ -18,7 +18,7 @@
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into an existing FNV-1a state, returning the new state.
 ///
@@ -40,7 +40,7 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// FNV-1a over `bytes` from the standard offset basis.
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV_OFFSET, bytes)
 }
 

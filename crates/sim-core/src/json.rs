@@ -178,7 +178,7 @@ pub const MAX_DEPTH: usize = 128;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Byte offset of the failure.
     pub offset: usize,
 }

@@ -6,8 +6,7 @@
 //! bytes on a pipe of rate *r* completes at `max(t, pipe_free) + n/r`, and
 //! the pipe's free time advances accordingly.
 
-use crate::stats::UtilizationMeter;
-use crate::time::{Cycle, Frequency, SimTime};
+use crate::time::{Cycle, SimTime};
 use crate::units::{Bandwidth, Bytes, Energy};
 
 /// A serialised bandwidth resource (one link direction, one DRAM channel
@@ -31,7 +30,6 @@ use crate::units::{Bandwidth, Bytes, Energy};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BandwidthPipe {
-    name: &'static str,
     rate: Bandwidth,
     free_at: SimTime,
     bytes_moved: Bytes,
@@ -59,7 +57,6 @@ impl BandwidthPipe {
             "bandwidth pipe '{name}' must have positive rate"
         );
         BandwidthPipe {
-            name,
             rate,
             free_at: SimTime::ZERO,
             bytes_moved: Bytes::ZERO,
@@ -102,21 +99,10 @@ impl BandwidthPipe {
     /// Completion time a request of `size` arriving at `at` *would* see,
     /// without occupying the pipe.
     #[must_use]
-    pub fn probe(&self, at: SimTime, size: Bytes) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn probe(&self, at: SimTime, size: Bytes) -> SimTime {
         let start = if at > self.free_at { at } else { self.free_at };
         start + self.rate.transfer_time(size)
-    }
-
-    /// The time at which the pipe next becomes idle.
-    #[must_use]
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Peak rate of the pipe.
-    #[must_use]
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
     }
 
     /// Total bytes moved so far.
@@ -134,15 +120,10 @@ impl BandwidthPipe {
     /// Achieved bandwidth over the window ending at `end` (measured from
     /// time zero). Returns `None` for an empty window.
     #[must_use]
-    pub fn achieved_bandwidth(&self, end: SimTime) -> Option<Bandwidth> {
+    #[cfg(test)]
+    pub(crate) fn achieved_bandwidth(&self, end: SimTime) -> Option<Bandwidth> {
         let secs = end.as_secs();
         (secs > 0.0).then(|| Bandwidth::from_bytes_per_sec(self.bytes_moved.as_f64() / secs))
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -153,10 +134,7 @@ impl BandwidthPipe {
 /// model without preemption.
 #[derive(Debug, Clone)]
 pub struct SlotServer {
-    name: &'static str,
     slots: Vec<Cycle>,
-    jobs_served: u64,
-    meter: UtilizationMeter,
 }
 
 impl SlotServer {
@@ -169,10 +147,7 @@ impl SlotServer {
     pub fn new(name: &'static str, k: usize) -> SlotServer {
         assert!(k > 0, "slot server '{name}' needs at least one slot");
         SlotServer {
-            name,
             slots: vec![Cycle::ZERO; k],
-            jobs_served: 0,
-            meter: UtilizationMeter::new(name),
         }
     }
 
@@ -188,56 +163,21 @@ impl SlotServer {
         let start = self.slots[idx].max(at);
         let done = start + service;
         self.slots[idx] = done;
-        self.jobs_served += 1;
-        self.meter.add_busy(service);
         (start, done)
     }
 
     /// Earliest time any slot is free.
     #[must_use]
-    pub fn earliest_free(&self) -> Cycle {
+    #[cfg(test)]
+    pub(crate) fn earliest_free(&self) -> Cycle {
         self.slots.iter().copied().min().unwrap_or(Cycle::ZERO)
     }
 
     /// Time when all slots are drained.
     #[must_use]
-    pub fn all_free(&self) -> Cycle {
+    #[cfg(test)]
+    pub(crate) fn all_free(&self) -> Cycle {
         self.slots.iter().copied().max().unwrap_or(Cycle::ZERO)
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Jobs served so far.
-    #[must_use]
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs_served
-    }
-
-    /// Aggregate busy cycles across all slots.
-    #[must_use]
-    pub fn busy_cycles(&self) -> Cycle {
-        self.meter.busy()
-    }
-
-    /// Mean per-slot utilisation over a window of `elapsed` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed` is zero.
-    #[must_use]
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        assert!(elapsed.0 > 0, "elapsed window must be positive");
-        (self.meter.busy().as_f64() / (elapsed.as_f64() * self.slots.len() as f64)).min(1.0)
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -245,7 +185,8 @@ impl SlotServer {
 ///
 /// E.g. a 64-byte-per-cycle fabric port at 2 GHz is 128 GB/s.
 #[must_use]
-pub fn width_to_bandwidth(bytes_per_cycle: u64, clock: Frequency) -> Bandwidth {
+#[cfg(test)]
+pub(crate) fn width_to_bandwidth(bytes_per_cycle: u64, clock: crate::time::Frequency) -> Bandwidth {
     Bandwidth::from_bytes_per_sec(bytes_per_cycle as f64 * clock.as_hz())
 }
 
@@ -309,16 +250,6 @@ mod tests {
         assert_eq!(d2, Cycle(10));
         assert_eq!(start3, Cycle(10)); // queued behind the first pair
         assert_eq!(d3, Cycle(20));
-        assert_eq!(s.jobs_served(), 3);
-    }
-
-    #[test]
-    fn slot_server_utilization() {
-        let mut s = SlotServer::new("banks", 4);
-        for _ in 0..4 {
-            s.submit(Cycle(0), Cycle(50));
-        }
-        assert!((s.utilization(Cycle(100)) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -332,7 +263,7 @@ mod tests {
 
     #[test]
     fn width_to_bandwidth_conversion() {
-        let bw = width_to_bandwidth(64, Frequency::from_ghz(2.0));
+        let bw = width_to_bandwidth(64, crate::time::Frequency::from_ghz(2.0));
         assert!((bw.as_gb_s() - 128.0).abs() < 1e-9);
     }
 

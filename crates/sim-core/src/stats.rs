@@ -1,19 +1,19 @@
-//! Statistic sinks: counters, accumulators and utilisation meters.
+//! Statistic sinks: counters and accumulators.
 //!
 //! Every simulator component exposes its observable behaviour through
 //! these types; the experiment harness reads them out at the end of a
-//! run. Each sink supports three export paths:
+//! run. Sinks export through:
 //!
 //! * [`Display`](fmt::Display) — human-readable one-liners,
-//! * [`ToJson`] / [`snapshot`](Counter::snapshot) — structured values the
-//!   harness folds into an `ExperimentResult`,
-//! * [`merge`](Counter::merge) — combining sinks from parallel shards
-//!   (e.g. per-channel meters) into one aggregate before export.
+//! * [`ToJson`] — structured values the harness folds into an
+//!   `ExperimentResult`,
+//! * [`merge`](Accumulator::merge) — combining sinks from parallel
+//!   shards (e.g. per-channel accumulators) into one aggregate before
+//!   export.
 
 use core::fmt;
 
 use crate::json::{Json, ToJson};
-use crate::time::Cycle;
 
 /// A monotonically increasing event counter.
 ///
@@ -55,21 +55,10 @@ impl Counter {
         self.value
     }
 
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Folds another counter's count into this one.
-    pub fn merge(&mut self, other: &Counter) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &Counter) {
         self.value += other.value;
-    }
-
-    /// A structured snapshot of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> Json {
-        self.to_json()
     }
 }
 
@@ -129,12 +118,6 @@ impl Accumulator {
         self.count
     }
 
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Mean of samples; `None` if empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
@@ -156,7 +139,7 @@ impl Accumulator {
     /// Population variance (`E[x²] − E[x]²`, clamped at zero); `None` if
     /// empty.
     #[must_use]
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         self.mean()
             .map(|m| (self.sumsq / self.count as f64 - m * m).max(0.0))
     }
@@ -167,12 +150,6 @@ impl Accumulator {
         self.variance().map(f64::sqrt)
     }
 
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Folds another accumulator's samples into this one.
     pub fn merge(&mut self, other: &Accumulator) {
         self.count += other.count;
@@ -180,12 +157,6 @@ impl Accumulator {
         self.sumsq += other.sumsq;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// A structured snapshot of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> Json {
-        self.to_json()
     }
 }
 
@@ -239,90 +210,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank.max(1) - 1])
 }
 
-/// Tracks busy time of a resource to compute utilisation.
-///
-/// # Example
-///
-/// ```
-/// use ehp_sim_core::stats::UtilizationMeter;
-/// use ehp_sim_core::time::Cycle;
-/// let mut m = UtilizationMeter::new("hbm_ch0");
-/// m.add_busy(Cycle(30));
-/// m.add_busy(Cycle(20));
-/// assert!((m.utilization(Cycle(100)) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UtilizationMeter {
-    name: &'static str,
-    busy: Cycle,
-}
-
-impl UtilizationMeter {
-    /// Creates a meter with zero accumulated busy time.
-    #[must_use]
-    pub fn new(name: &'static str) -> UtilizationMeter {
-        UtilizationMeter {
-            name,
-            busy: Cycle::ZERO,
-        }
-    }
-
-    /// Accumulates busy cycles.
-    pub fn add_busy(&mut self, c: Cycle) {
-        self.busy += c;
-    }
-
-    /// Accumulated busy cycles.
-    #[must_use]
-    pub fn busy(&self) -> Cycle {
-        self.busy
-    }
-
-    /// Utilisation over a window of `elapsed` cycles, clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed` is zero.
-    #[must_use]
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        assert!(elapsed.0 > 0, "elapsed window must be positive");
-        (self.busy.as_f64() / elapsed.as_f64()).min(1.0)
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Folds another meter's busy time into this one.
-    pub fn merge(&mut self, other: &UtilizationMeter) {
-        self.busy += other.busy;
-    }
-
-    /// A structured snapshot of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> Json {
-        self.to_json()
-    }
-}
-
-impl ToJson for UtilizationMeter {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("kind", Json::from("utilization_meter")),
-            ("name", Json::from(self.name)),
-            ("busy_cycles", Json::from(self.busy.0)),
-        ])
-    }
-}
-
-impl fmt::Display for UtilizationMeter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: busy {}", self.name, self.busy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +235,7 @@ mod tests {
         assert_eq!(a.mean(), Some(4.0));
         assert_eq!(a.min(), Some(1.0));
         assert_eq!(a.max(), Some(10.0));
-        assert!((a.sum() - 16.0).abs() < 1e-12);
+        assert_eq!(a.to_json().get("sum").and_then(Json::as_f64), Some(16.0));
     }
 
     #[test]
@@ -368,19 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_clamps() {
-        let mut m = UtilizationMeter::new("u");
-        m.add_busy(Cycle(300));
-        assert!((m.utilization(Cycle(100)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "elapsed window must be positive")]
-    fn utilization_zero_window_panics() {
-        let _ = UtilizationMeter::new("u").utilization(Cycle::ZERO);
-    }
-
-    #[test]
     fn counter_merge_and_snapshot() {
         let mut a = Counter::new("hits");
         a.add(3);
@@ -388,7 +262,7 @@ mod tests {
         b.add(4);
         a.merge(&b);
         assert_eq!(a.value(), 7);
-        let snap = a.snapshot();
+        let snap = a.to_json();
         assert_eq!(snap.get("value").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(snap.get("name").and_then(|v| v.as_str()), Some("hits"));
     }
@@ -432,17 +306,5 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), Some(100.0));
         // Out-of-range q clamps instead of panicking.
         assert_eq!(percentile(&v, 150.0), Some(100.0));
-    }
-
-    #[test]
-    fn meter_merge_and_snapshot() {
-        let mut a = UtilizationMeter::new("ch");
-        a.add_busy(Cycle(10));
-        let mut b = UtilizationMeter::new("ch");
-        b.add_busy(Cycle(30));
-        a.merge(&b);
-        assert!((a.utilization(Cycle(80)) - 0.5).abs() < 1e-12);
-        let snap = a.snapshot();
-        assert_eq!(snap.get("busy_cycles").and_then(|v| v.as_u64()), Some(40));
     }
 }

@@ -32,13 +32,14 @@ impl Cycle {
 
     /// Returns the maximum of two cycle counts.
     #[must_use]
-    pub fn max(self, other: Cycle) -> Cycle {
+    pub(crate) fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
 
     /// Returns the minimum of two cycle counts.
     #[must_use]
-    pub fn min(self, other: Cycle) -> Cycle {
+    #[cfg(test)]
+    pub(crate) fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
     }
 
@@ -46,18 +47,6 @@ impl Cycle {
     #[must_use]
     pub fn saturating_sub(self, other: Cycle) -> Cycle {
         Cycle(self.0.saturating_sub(other.0))
-    }
-
-    /// Converts this cycle count at frequency `f` into wall-clock time.
-    #[must_use]
-    pub fn at(self, f: Frequency) -> SimTime {
-        f.cycles_to_time(self)
-    }
-
-    /// Raw cycle count as `f64` (for rates and averages).
-    #[must_use]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
     }
 }
 
@@ -268,10 +257,9 @@ impl fmt::Display for SimTime {
 /// # Example
 ///
 /// ```
-/// use ehp_sim_core::time::{Cycle, Frequency};
+/// use ehp_sim_core::time::Frequency;
 /// let f = Frequency::from_ghz(2.0);
-/// let t = f.cycles_to_time(Cycle(4));
-/// assert_eq!(t.as_picos(), 2_000); // 4 cycles at 2 GHz = 2 ns
+/// assert_eq!(f.as_hz(), 2e9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency {
@@ -292,7 +280,8 @@ impl Frequency {
 
     /// Constructs a frequency from megahertz.
     #[must_use]
-    pub fn from_mhz(mhz: f64) -> Frequency {
+    #[cfg(test)]
+    pub(crate) fn from_mhz(mhz: f64) -> Frequency {
         Frequency::from_hz(mhz * 1e6)
     }
 
@@ -316,20 +305,23 @@ impl Frequency {
 
     /// The period of one cycle.
     #[must_use]
-    pub fn period(self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn period(self) -> SimTime {
         SimTime::from_secs_f64(1.0 / self.hz)
     }
 
     /// Converts a cycle count at this frequency to wall-clock time.
     #[must_use]
-    pub fn cycles_to_time(self, cycles: Cycle) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn cycles_to_time(self, cycles: Cycle) -> SimTime {
         SimTime::from_secs_f64(cycles.0 as f64 / self.hz)
     }
 
     /// Converts wall-clock time to a (rounded-up) cycle count at this
     /// frequency.
     #[must_use]
-    pub fn time_to_cycles(self, t: SimTime) -> Cycle {
+    #[cfg(test)]
+    pub(crate) fn time_to_cycles(self, t: SimTime) -> Cycle {
         Cycle((t.as_secs() * self.hz).ceil() as u64)
     }
 }

@@ -1,10 +1,10 @@
-//! Physical-quantity newtypes: bytes, bandwidth, energy, power, area,
-//! current, and temperature.
+//! Physical-quantity newtypes: bytes, bandwidth, energy, power, and
+//! temperature.
 //!
 //! These exist to make unit errors a compile-time problem ([C-NEWTYPE]):
 //! a `Bandwidth` cannot be accidentally added to an `Energy`, and the
-//! dimensional products that *are* meaningful (`Power × time = Energy`,
-//! `Bytes ÷ time = Bandwidth`) are provided as explicit methods.
+//! dimensional products that *are* meaningful (`Bytes ÷ Bandwidth =
+//! time`) are provided as explicit methods.
 
 use core::fmt;
 use core::iter::Sum;
@@ -65,35 +65,11 @@ impl Bytes {
         self.0 as f64 / (1u64 << 30) as f64
     }
 
-    /// Size in (fractional) gigabytes (10^9 B), the unit used by the
-    /// paper's capacity figures.
-    #[must_use]
-    pub fn as_gb_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
-    /// Time to move this many bytes at `bw`.
-    #[must_use]
-    pub fn over(self, bw: Bandwidth) -> SimTime {
-        bw.transfer_time(self)
-    }
-
     /// Saturating subtraction.
     #[must_use]
-    pub fn saturating_sub(self, other: Bytes) -> Bytes {
+    #[cfg(test)]
+    pub(crate) fn saturating_sub(self, other: Bytes) -> Bytes {
         Bytes(self.0.saturating_sub(other.0))
-    }
-
-    /// Returns the maximum of two sizes.
-    #[must_use]
-    pub fn max(self, other: Bytes) -> Bytes {
-        Bytes(self.0.max(other.0))
-    }
-
-    /// Returns the minimum of two sizes.
-    #[must_use]
-    pub fn min(self, other: Bytes) -> Bytes {
-        Bytes(self.0.min(other.0))
     }
 }
 
@@ -237,7 +213,8 @@ impl Bandwidth {
 
     /// Bytes deliverable in `t` at this rate.
     #[must_use]
-    pub fn bytes_in(self, t: SimTime) -> Bytes {
+    #[cfg(test)]
+    pub(crate) fn bytes_in(self, t: SimTime) -> Bytes {
         Bytes((self.bytes_per_sec * t.as_secs()).floor() as u64)
     }
 
@@ -306,7 +283,7 @@ impl Energy {
     ///
     /// Panics if `joules` is negative or not finite.
     #[must_use]
-    pub fn from_joules(joules: f64) -> Energy {
+    pub(crate) fn from_joules(joules: f64) -> Energy {
         assert!(
             joules.is_finite() && joules >= 0.0,
             "invalid energy: {joules}"
@@ -388,10 +365,8 @@ impl fmt::Display for Energy {
 ///
 /// ```
 /// use ehp_sim_core::units::Power;
-/// use ehp_sim_core::time::SimTime;
 /// let p = Power::from_watts(550.0); // MI300A TDP
-/// let e = p.over(SimTime::from_secs_f64(1.0));
-/// assert!((e.as_joules() - 550.0).abs() < 1e-9);
+/// assert_eq!(p.scale(0.5).as_watts(), 275.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power {
@@ -413,12 +388,6 @@ impl Power {
         Power { watts }
     }
 
-    /// Constructs from milliwatts.
-    #[must_use]
-    pub fn from_milliwatts(mw: f64) -> Power {
-        Power::from_watts(mw * 1e-3)
-    }
-
     /// Power in watts.
     #[must_use]
     pub fn as_watts(self) -> f64 {
@@ -427,7 +396,8 @@ impl Power {
 
     /// Energy consumed over a duration at this power.
     #[must_use]
-    pub fn over(self, t: SimTime) -> Energy {
+    #[cfg(test)]
+    pub(crate) fn over(self, t: SimTime) -> Energy {
         Energy::from_joules(self.watts * t.as_secs())
     }
 
@@ -492,71 +462,6 @@ impl Sum for Power {
 impl fmt::Display for Power {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} W", self.watts)
-    }
-}
-
-/// A silicon area in square millimetres.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct AreaMm2(pub f64);
-
-impl AreaMm2 {
-    /// Zero area.
-    pub const ZERO: AreaMm2 = AreaMm2(0.0);
-
-    /// Area value in mm².
-    #[must_use]
-    pub fn as_f64(self) -> f64 {
-        self.0
-    }
-}
-
-impl Add for AreaMm2 {
-    type Output = AreaMm2;
-    fn add(self, rhs: AreaMm2) -> AreaMm2 {
-        AreaMm2(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for AreaMm2 {
-    fn add_assign(&mut self, rhs: AreaMm2) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sum for AreaMm2 {
-    fn sum<I: Iterator<Item = AreaMm2>>(iter: I) -> AreaMm2 {
-        iter.fold(AreaMm2::ZERO, |a, b| a + b)
-    }
-}
-
-impl fmt::Display for AreaMm2 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} mm^2", self.0)
-    }
-}
-
-/// An electric current in amperes (TSV power-delivery checks).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Current(pub f64);
-
-impl Current {
-    /// Current in amperes.
-    #[must_use]
-    pub fn as_amps(self) -> f64 {
-        self.0
-    }
-}
-
-impl Add for Current {
-    type Output = Current;
-    fn add(self, rhs: Current) -> Current {
-        Current(self.0 + rhs.0)
-    }
-}
-
-impl fmt::Display for Current {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} A", self.0)
     }
 }
 
@@ -678,8 +583,6 @@ mod tests {
         assert!(!format!("{}", Bandwidth::ZERO).is_empty());
         assert!(!format!("{}", Energy::ZERO).is_empty());
         assert!(!format!("{}", Power::ZERO).is_empty());
-        assert!(!format!("{}", AreaMm2::ZERO).is_empty());
-        assert!(!format!("{}", Current(1.5)).is_empty());
         assert!(!format!("{}", Celsius(85.0)).is_empty());
     }
 }

@@ -25,7 +25,7 @@ impl TemperatureField {
     /// Panics if `data` is empty or not a whole number of rows, or cell
     /// sizes are not positive.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         origin: Point,
         cell_w: f64,
         cell_h: f64,
@@ -89,7 +89,8 @@ impl TemperatureField {
     /// Temperature at a package-coordinate point (nearest cell); `None`
     /// outside the grid.
     #[must_use]
-    pub fn sample(&self, p: Point) -> Option<Celsius> {
+    #[cfg(test)]
+    pub(crate) fn sample(&self, p: Point) -> Option<Celsius> {
         let i = ((p.x - self.origin.x) / self.cell_w).floor();
         let j = ((p.y - self.origin.y) / self.cell_h).floor();
         if i < 0.0 || j < 0.0 {
@@ -114,7 +115,7 @@ impl TemperatureField {
 
     /// Minimum temperature.
     #[must_use]
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.data.iter().copied().fold(f64::INFINITY, f64::min)
     }
 

@@ -74,12 +74,6 @@ impl ThermalSolver {
         ThermalSolver { cfg }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ThermalConfig {
-        &self.cfg
-    }
-
     /// Solves the steady-state field for a floorplan's assigned powers.
     ///
     /// Red-black SOR from a cold start at coolant temperature; stops

@@ -18,16 +18,16 @@ use ehp_sim_core::units::{Bandwidth, Bytes};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
     /// Product identity.
-    pub product: Product,
+    pub(crate) product: Product,
     /// Sustained fraction of peak GPU compute.
-    pub gpu_efficiency: f64,
+    pub(crate) gpu_efficiency: f64,
     /// Sustained fraction of peak HBM bandwidth.
-    pub mem_efficiency: f64,
+    pub(crate) mem_efficiency: f64,
     /// Host↔device transfer bandwidth; `None` means unified memory
     /// (zero-copy).
     pub host_link: Option<Bandwidth>,
     /// Sustained CPU throughput for the serial fraction (FLOP/s).
-    pub cpu_flops: f64,
+    pub(crate) cpu_flops: f64,
 }
 
 impl MachineModel {
@@ -92,17 +92,17 @@ pub struct HpcWorkload {
     /// Workload name.
     pub name: &'static str,
     /// GPU arithmetic per step.
-    pub gpu_flops: f64,
+    pub(crate) gpu_flops: f64,
     /// GPU kernel datatype.
-    pub dtype: DataType,
+    pub(crate) dtype: DataType,
     /// GPU execution unit.
-    pub unit: ExecUnit,
+    pub(crate) unit: ExecUnit,
     /// GPU memory traffic per step.
-    pub gpu_bytes: Bytes,
+    pub(crate) gpu_bytes: Bytes,
     /// Host↔device bytes per step (fields/halos/reductions).
-    pub host_transfer: Bytes,
+    pub(crate) host_transfer: Bytes,
     /// Serial CPU work per step.
-    pub cpu_flops: f64,
+    pub(crate) cpu_flops: f64,
     /// Steps per run.
     pub iterations: u32,
 }
@@ -112,7 +112,7 @@ impl HpcWorkload {
     /// compute-bound on both machines, so the speedup tracks the FP32
     /// vector-throughput ratio.
     #[must_use]
-    pub fn gromacs() -> HpcWorkload {
+    pub(crate) fn gromacs() -> HpcWorkload {
         HpcWorkload {
             name: "GROMACS",
             gpu_flops: 7.2e12,
@@ -127,7 +127,7 @@ impl HpcWorkload {
 
     /// The mini N-body kernel: pure FP64 all-pairs compute.
     #[must_use]
-    pub fn nbody() -> HpcWorkload {
+    pub(crate) fn nbody() -> HpcWorkload {
         HpcWorkload {
             name: "N-body",
             gpu_flops: 4.0e12,
@@ -143,7 +143,7 @@ impl HpcWorkload {
     /// HPCG: sparse matrix-vector products — almost pure memory
     /// bandwidth.
     #[must_use]
-    pub fn hpcg() -> HpcWorkload {
+    pub(crate) fn hpcg() -> HpcWorkload {
         HpcWorkload {
             name: "HPCG",
             gpu_flops: 2.0e9,

@@ -15,19 +15,19 @@ use ehp_sim_core::units::{Bandwidth, Bytes};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuPlatform {
     /// Platform name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Per-GPU HBM bandwidth.
     pub mem_bw: Bandwidth,
     /// Per-GPU dense FP16 matrix throughput (FLOP/s).
     pub fp16_flops: f64,
     /// Per-GPU dense FP8 throughput, if supported.
-    pub fp8_flops: Option<f64>,
+    pub(crate) fp8_flops: Option<f64>,
     /// Per-GPU memory capacity.
     pub capacity: Bytes,
     /// GPUs in the inference server (tensor parallel degree).
     pub gpus: u32,
     /// Per-layer all-reduce latency across the tensor-parallel group.
-    pub allreduce: SimTime,
+    pub(crate) allreduce: SimTime,
 }
 
 impl GpuPlatform {
@@ -65,13 +65,13 @@ impl GpuPlatform {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftwareStack {
     /// Stack name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Fraction of peak compute achieved in prefill.
-    pub prefill_eff: f64,
+    pub(crate) prefill_eff: f64,
     /// Fraction of peak bandwidth achieved in decode.
-    pub decode_eff: f64,
+    pub(crate) decode_eff: f64,
     /// Whether the stack supports FP8 weights.
-    pub supports_fp8: bool,
+    pub(crate) supports_fp8: bool,
 }
 
 impl SoftwareStack {
@@ -90,7 +90,7 @@ impl SoftwareStack {
     /// vLLM on the baseline platform at the time of measurement: the
     /// generic stack left much of the hardware on the table.
     #[must_use]
-    pub fn vllm_baseline() -> SoftwareStack {
+    pub(crate) fn vllm_baseline() -> SoftwareStack {
         SoftwareStack {
             name: "vLLM (baseline)",
             prefill_eff: 0.40,
@@ -114,7 +114,7 @@ impl SoftwareStack {
     /// weight traffic, at reduced achieved efficiency (quantisation
     /// scaffolding, immature FP8 kernels at the time).
     #[must_use]
-    pub fn tensorrt_llm_fp8() -> SoftwareStack {
+    pub(crate) fn tensorrt_llm_fp8() -> SoftwareStack {
         SoftwareStack {
             name: "TensorRT-LLM FP8",
             prefill_eff: 0.50,
@@ -136,7 +136,7 @@ pub enum WeightPrecision {
 impl WeightPrecision {
     /// Bytes per parameter.
     #[must_use]
-    pub fn bytes_per_param(self) -> f64 {
+    pub(crate) fn bytes_per_param(self) -> f64 {
         match self {
             WeightPrecision::Fp16 => 2.0,
             WeightPrecision::Fp8 => 1.0,
@@ -152,13 +152,13 @@ pub struct InferenceConfig {
     /// Transformer layers (for all-reduce counting).
     pub layers: u32,
     /// Batch size.
-    pub batch: u32,
+    pub(crate) batch: u32,
     /// Input (prompt) tokens.
-    pub tokens_in: u32,
+    pub(crate) tokens_in: u32,
     /// Output (generated) tokens.
-    pub tokens_out: u32,
+    pub(crate) tokens_out: u32,
     /// Weight precision.
-    pub precision: WeightPrecision,
+    pub(crate) precision: WeightPrecision,
 }
 
 impl InferenceConfig {
@@ -178,7 +178,7 @@ impl InferenceConfig {
 
     /// Weight bytes at the configured precision.
     #[must_use]
-    pub fn weight_bytes(&self) -> f64 {
+    pub(crate) fn weight_bytes(&self) -> f64 {
         self.params * self.precision.bytes_per_param()
     }
 }

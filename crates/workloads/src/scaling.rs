@@ -28,11 +28,11 @@ use crate::hpc::{HpcWorkload, MachineModel};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingStudy {
     /// The workload (per-step character at one socket).
-    pub workload: HpcWorkload,
+    pub(crate) workload: HpcWorkload,
     /// The machine each socket runs.
     pub machine: MachineModel,
     /// Fraction of each step that does not parallelise across sockets.
-    pub serial_fraction: f64,
+    pub(crate) serial_fraction: f64,
     /// Bytes exchanged per socket per step (halo/all-reduce payload).
     pub comm_bytes: Bytes,
 }
@@ -58,7 +58,7 @@ impl ScalingStudy {
     ///
     /// Panics if `sockets` is zero or exceeds the node's socket count.
     #[must_use]
-    pub fn step_time(&self, node: &NodeTopology, sockets: usize) -> SimTime {
+    pub(crate) fn step_time(&self, node: &NodeTopology, sockets: usize) -> SimTime {
         assert!(
             sockets >= 1 && sockets <= node.sockets().len(),
             "socket count {sockets} out of range"
