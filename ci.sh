@@ -155,6 +155,15 @@ step "warm summary byte-identical" \
     cmp target/run_summary.cold.json target/figures/run_summary.json
 step "warm run re-executed nothing" \
     grep -q '"misses": 0' target/figures/cache_stats.json
+
+# Determinism across parallelism: one thread and a two-process worker
+# pool, both uncached, must reproduce the --jobs 8 summary byte for byte.
+step "ehp all --jobs 1 byte-identical" sh -c '
+    ./target/release/ehp all --jobs 1 --no-result-cache --quiet &&
+    cmp target/run_summary.cold.json target/figures/run_summary.json'
+step "ehp all --workers 2 byte-identical" sh -c '
+    ./target/release/ehp all --workers 2 --no-result-cache --quiet &&
+    cmp target/run_summary.cold.json target/figures/run_summary.json'
 step "ehp check" ./target/release/ehp check
 
 echo

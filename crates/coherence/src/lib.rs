@@ -23,7 +23,3 @@
 pub mod multisocket;
 pub mod probe_filter;
 pub mod scope;
-
-pub use multisocket::{AgentClass, MultiSocketCoherence, NodeAccess, NodeCoherenceConfig};
-pub use probe_filter::{CoherenceAction, DataSource, LineState, ProbeFilter};
-pub use scope::{ScopeTracker, SyncScope};

@@ -158,38 +158,6 @@ impl CuModel {
             .ops_per_clock(unit, dtype)
             .map(|ops| ops as f64 * self.spec.clock.as_hz())
     }
-
-    /// Peak ops/second with a sparsity mode.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn peak_flops_sparse(
-        &self,
-        unit: ExecUnit,
-        dtype: DataType,
-        sparsity: Sparsity,
-    ) -> Option<f64> {
-        self.spec
-            .arch
-            .ops_per_clock_sparse(unit, dtype, sparsity)
-            .map(|ops| ops as f64 * self.spec.clock.as_hz())
-    }
-
-    /// Cycles to retire `ops` operations of the given kind, assuming full
-    /// pipeline utilisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the datatype/unit is unsupported on this architecture.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn cycles_for_ops(&self, unit: ExecUnit, dtype: DataType, ops: u64) -> u64 {
-        let rate = self
-            .spec
-            .arch
-            .ops_per_clock(unit, dtype)
-            .unwrap_or_else(|| panic!("{dtype} on {unit} unsupported by {:?}", self.spec.arch));
-        ops.div_ceil(rate)
-    }
 }
 
 #[cfg(test)]
@@ -273,21 +241,6 @@ mod tests {
         assert_eq!(GpuArch::Cdna2.l1_line_bytes(), 64);
         assert_eq!(GpuArch::Cdna3.l1_line_bytes(), 128);
         assert_eq!(GpuArch::Cdna3.l1_bandwidth_factor(), 2.0);
-    }
-
-    #[test]
-    fn cycles_for_ops_rounds_up() {
-        let cu = CuModel::new(CuSpec::cdna3());
-        assert_eq!(cu.cycles_for_ops(ExecUnit::Matrix, DataType::Fp64, 1), 1);
-        assert_eq!(cu.cycles_for_ops(ExecUnit::Matrix, DataType::Fp64, 256), 1);
-        assert_eq!(cu.cycles_for_ops(ExecUnit::Matrix, DataType::Fp64, 257), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported")]
-    fn cycles_for_unsupported_dtype_panics() {
-        let cu = CuModel::new(CuSpec::cdna2());
-        let _ = cu.cycles_for_ops(ExecUnit::Matrix, DataType::Fp8, 100);
     }
 
     #[test]

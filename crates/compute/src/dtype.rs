@@ -33,29 +33,6 @@ impl DataType {
         DataType::Fp8,
         DataType::Int8,
     ];
-
-    /// Size of one element in bytes (TF32 is stored as FP32).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn bytes(self) -> u64 {
-        match self {
-            DataType::Fp64 => 8,
-            DataType::Fp32 | DataType::Tf32 => 4,
-            DataType::Fp16 | DataType::Bf16 => 2,
-            DataType::Fp8 | DataType::Int8 => 1,
-        }
-    }
-
-    /// `true` for the reduced-precision ML formats the paper calls out as
-    /// "lower-precision arithmetic not traditionally emphasized in HPC".
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn is_ml_format(self) -> bool {
-        matches!(
-            self,
-            DataType::Tf32 | DataType::Fp16 | DataType::Bf16 | DataType::Fp8 | DataType::Int8
-        )
-    }
 }
 
 impl fmt::Display for DataType {
@@ -105,25 +82,6 @@ pub enum Sparsity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn element_sizes() {
-        assert_eq!(DataType::Fp64.bytes(), 8);
-        assert_eq!(DataType::Fp32.bytes(), 4);
-        assert_eq!(DataType::Tf32.bytes(), 4);
-        assert_eq!(DataType::Fp16.bytes(), 2);
-        assert_eq!(DataType::Bf16.bytes(), 2);
-        assert_eq!(DataType::Fp8.bytes(), 1);
-        assert_eq!(DataType::Int8.bytes(), 1);
-    }
-
-    #[test]
-    fn ml_format_classification() {
-        assert!(!DataType::Fp64.is_ml_format());
-        assert!(!DataType::Fp32.is_ml_format());
-        assert!(DataType::Fp8.is_ml_format());
-        assert!(DataType::Bf16.is_ml_format());
-    }
 
     #[test]
     fn all_covers_every_variant() {

@@ -15,7 +15,8 @@
 //! ## Example
 //!
 //! ```
-//! use ehp_compute::{GpuArch, DataType, ExecUnit};
+//! use ehp_compute::cu::GpuArch;
+//! use ehp_compute::dtype::{DataType, ExecUnit};
 //!
 //! // Table 1: CDNA 3 doubles FP16 matrix throughput over CDNA 2 and adds FP8.
 //! let c2 = GpuArch::Cdna2.ops_per_clock(ExecUnit::Matrix, DataType::Fp16).unwrap();
@@ -33,10 +34,3 @@ pub mod dtype;
 pub mod icache;
 pub mod occupancy;
 pub mod xcd;
-
-pub use ccd::{CcdModel, CcdSpec};
-pub use cu::{CuModel, GpuArch};
-pub use dtype::{DataType, ExecUnit, Sparsity};
-pub use icache::{IcacheOrg, IcacheStudy};
-pub use occupancy::{CuResources, KernelResources, Occupancy, OccupancyLimiter};
-pub use xcd::{XcdModel, XcdSpec};

@@ -101,20 +101,6 @@ impl XcdModel {
             .map(|f| f * f64::from(self.spec.cus_enabled))
     }
 
-    /// Peak ops/second with sparsity across all enabled CUs.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn peak_flops_sparse(
-        &self,
-        unit: ExecUnit,
-        dtype: DataType,
-        sparsity: crate::dtype::Sparsity,
-    ) -> Option<f64> {
-        self.cu
-            .peak_flops_sparse(unit, dtype, sparsity)
-            .map(|f| f * f64::from(self.spec.cus_enabled))
-    }
-
     /// Roofline execution time for a kernel phase: the longer of compute
     /// time at `efficiency × peak` and memory time at `mem_bw`.
     ///
@@ -181,20 +167,6 @@ mod tests {
             .unwrap();
         let total = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp16).unwrap();
         assert!((total / per_cu - 38.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sparse_peak_doubles() {
-        let xcd = XcdModel::new(XcdSpec::mi300());
-        let dense = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp8).unwrap();
-        let sparse = xcd
-            .peak_flops_sparse(
-                ExecUnit::Matrix,
-                DataType::Fp8,
-                crate::dtype::Sparsity::FourTwo,
-            )
-            .unwrap();
-        assert!((sparse / dense - 2.0).abs() < 1e-9);
     }
 
     #[test]

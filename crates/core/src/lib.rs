@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use ehp_core::products::Product;
-//! use ehp_compute::{DataType, ExecUnit};
+//! use ehp_compute::dtype::{DataType, ExecUnit};
 //!
 //! let mi300a = Product::Mi300a.spec();
 //! let fp64 = mi300a.peak_tflops(ExecUnit::Matrix, DataType::Fp64).unwrap();
@@ -40,13 +40,3 @@ pub mod products;
 pub mod progmodel;
 pub mod ras;
 pub mod shim;
-
-pub use modular::{ModularVariant, VariantEval};
-pub use node::{NodeAudit, NodeTopology};
-pub use node_fabric::NodeFabric;
-pub use partition::{ComputePartitioning, PartitionConfig};
-pub use powertherm::{ControllerConfig, OperatingPoint, PowerThermalController};
-pub use products::{Product, ProductSpec};
-pub use progmodel::{ExecutionModel, Phase, Timeline, WorkloadShape};
-pub use ras::{CheckpointPlan, NodeBom, NodeFitRates, RasSummary};
-pub use shim::{LibraryCall, Shim, Target};

@@ -171,19 +171,6 @@ impl PartitionConfig {
         self.spec.gpu_chiplets / self.mode.count()
     }
 
-    /// Global XCD indices belonging to partition `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn xcds_of(&self, p: u32) -> Vec<u32> {
-        assert!(p < self.mode.count(), "partition {p} out of range");
-        let per = self.xcds_per_partition();
-        (p * per..(p + 1) * per).collect()
-    }
-
     /// The dispatcher configuration for one partition.
     #[must_use]
     pub fn dispatcher_config(&self) -> DispatcherConfig {
@@ -253,13 +240,11 @@ mod tests {
     #[test]
     fn xcd_assignment_covers_all_disjointly() {
         for cfg in PartitionConfig::enumerate(Product::Mi300x) {
-            let mut seen = std::collections::HashSet::new();
-            for p in 0..cfg.mode().count() {
-                for x in cfg.xcds_of(p) {
-                    assert!(seen.insert(x), "XCD {x} assigned twice");
-                }
-            }
-            assert_eq!(seen.len(), 8, "all XCDs covered");
+            assert_eq!(
+                cfg.mode().count() * cfg.xcds_per_partition(),
+                8,
+                "all XCDs covered"
+            );
         }
     }
 
@@ -296,13 +281,5 @@ mod tests {
         let e = PartitionConfig::new(Product::Mi300x, ComputePartitioning::Triple, NumaMode::Nps1)
             .unwrap_err();
         assert!(!e.to_string().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn xcds_of_out_of_range_panics() {
-        let c = PartitionConfig::new(Product::Mi300a, ComputePartitioning::Single, NumaMode::Nps1)
-            .unwrap();
-        let _ = c.xcds_of(1);
     }
 }

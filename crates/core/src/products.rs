@@ -159,19 +159,6 @@ impl ProductSpec {
         Some(ops as f64 * f64::from(self.total_cus()) * self.gpu_clock.as_hz() / 1e12)
     }
 
-    /// Peak throughput with structured sparsity.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn peak_tflops_sparse(
-        &self,
-        unit: ExecUnit,
-        dtype: DataType,
-        sparsity: ehp_compute::dtype::Sparsity,
-    ) -> Option<f64> {
-        let ops = self.gpu_arch.ops_per_clock_sparse(unit, dtype, sparsity)?;
-        Some(ops as f64 * f64::from(self.total_cus()) * self.gpu_clock.as_hz() / 1e12)
-    }
-
     /// Peak HBM bandwidth.
     #[must_use]
     pub fn memory_bandwidth(&self) -> Bandwidth {
@@ -188,13 +175,6 @@ impl ProductSpec {
     #[must_use]
     pub fn io_bandwidth(&self) -> Bandwidth {
         (self.x16_per_direction + self.x16_per_direction).scale(f64::from(self.x16_links))
-    }
-
-    /// Peak Infinity Cache bandwidth, if present (17 TB/s on MI300).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn icache_bandwidth(&self) -> Option<Bandwidth> {
-        self.icache_total.map(|_| Bandwidth::from_tb_s(17.0))
     }
 
     /// The Figure 7 audit: bandwidth of each interface class on the
@@ -330,19 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fp8_reaches_8192_per_cu_class() {
-        let x = Product::Mi300x.spec();
-        let sparse = x
-            .peak_tflops_sparse(
-                ExecUnit::Matrix,
-                DataType::Fp8,
-                ehp_compute::dtype::Sparsity::FourTwo,
-            )
-            .unwrap();
-        assert!((sparse - 5229.8).abs() < 5.0, "2x dense FP8, got {sparse}");
-    }
-
-    #[test]
     fn memory_figures_match_paper() {
         let a = Product::Mi300a.spec();
         let x = Product::Mi300x.spec();
@@ -430,8 +397,10 @@ mod tests {
 
     #[test]
     fn icache_only_on_mi300() {
-        assert!(Product::Mi250x.spec().icache_bandwidth().is_none());
-        let bw = Product::Mi300a.spec().icache_bandwidth().unwrap();
-        assert!((bw.as_tb_s() - 17.0).abs() < 1e-9);
+        assert!(Product::Mi250x.spec().icache_total.is_none());
+        assert_eq!(
+            Product::Mi300a.spec().icache_total,
+            Some(Bytes::from_mib(256))
+        );
     }
 }

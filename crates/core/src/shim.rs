@@ -54,18 +54,6 @@ impl LibraryCall {
             unit: ExecUnit::Matrix,
         }
     }
-
-    /// A DAXPY of length `n` (y += a·x).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn daxpy(n: u64) -> LibraryCall {
-        LibraryCall {
-            flops: 2.0 * n as f64,
-            bytes: Bytes(3 * n * 8),
-            dtype: DataType::Fp64,
-            unit: ExecUnit::Vector,
-        }
-    }
 }
 
 /// The shim's cost model for one machine.
@@ -179,6 +167,16 @@ impl Shim {
 mod tests {
     use super::*;
 
+    /// A DAXPY of length `n` (y += a·x).
+    fn daxpy(n: u64) -> LibraryCall {
+        LibraryCall {
+            flops: 2.0 * n as f64,
+            bytes: Bytes(3 * n * 8),
+            dtype: DataType::Fp64,
+            unit: ExecUnit::Vector,
+        }
+    }
+
     #[test]
     fn tiny_calls_stay_on_cpu() {
         let shim = Shim::mi300a();
@@ -236,8 +234,8 @@ mod tests {
         // Bandwidth-bound DAXPY gains less from the GPU than GEMM;
         // with transfers (discrete) it essentially never pays.
         let discrete = Shim::discrete_mi250x();
-        assert_eq!(discrete.dispatch(&LibraryCall::daxpy(1 << 28)), Target::Cpu);
+        assert_eq!(discrete.dispatch(&daxpy(1 << 28)), Target::Cpu);
         let apu = Shim::mi300a();
-        assert_eq!(apu.dispatch(&LibraryCall::daxpy(1 << 28)), Target::Gpu);
+        assert_eq!(apu.dispatch(&daxpy(1 << 28)), Target::Gpu);
     }
 }

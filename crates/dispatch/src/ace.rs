@@ -64,15 +64,6 @@ impl WorkgroupPolicy {
         };
         u32::try_from(idx.min(n - 1)).expect("xcd index fits u32")
     }
-
-    /// Number of workgroups this policy sends to XCD `xcd`.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn count_for(self, xcd: u32, total: u64, n_xcds: u32) -> u64 {
-        (0..total)
-            .filter(|&wg| self.assign(wg, total, n_xcds) == xcd)
-            .count() as u64
-    }
 }
 
 /// One XCD's dispatch engine: packet decode, workgroup launch throughput,
@@ -105,13 +96,6 @@ impl AceEngine {
             ace_count,
             cus: SlotServer::new("cu_slots", cus as usize),
         }
-    }
-
-    /// The MI300 XCD engine: 38 CUs, 4 ACEs.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn mi300() -> AceEngine {
-        AceEngine::new(38, 4)
     }
 
     /// Launches `n_wgs` workgroups starting after packet decode at `at`;
@@ -147,6 +131,13 @@ impl AceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of workgroups `policy` sends to XCD `xcd`.
+    fn count_for(policy: WorkgroupPolicy, xcd: u32, total: u64, n_xcds: u32) -> u64 {
+        (0..total)
+            .filter(|&wg| policy.assign(wg, total, n_xcds) == xcd)
+            .count() as u64
+    }
 
     #[test]
     fn round_robin_spreads_adjacent() {
@@ -184,7 +175,7 @@ mod tests {
         ] {
             let total = 6 * 38 * 4;
             let n = 6;
-            let counts: Vec<u64> = (0..n).map(|x| policy.count_for(x, total, n)).collect();
+            let counts: Vec<u64> = (0..n).map(|x| count_for(policy, x, total, n)).collect();
             assert_eq!(counts.iter().sum::<u64>(), total, "{policy:?} covers all");
             let max = counts.iter().max().unwrap();
             let min = counts.iter().min().unwrap();
@@ -200,7 +191,7 @@ mod tests {
         let p = WorkgroupPolicy::BlockContiguous;
         let total = 13;
         let n = 6;
-        let sum: u64 = (0..n).map(|x| p.count_for(x, total, n)).sum();
+        let sum: u64 = (0..n).map(|x| count_for(p, x, total, n)).sum();
         assert_eq!(sum, total);
         // Last workgroup maps inside range.
         assert!(p.assign(12, 13, 6) < 6);
@@ -235,7 +226,8 @@ mod tests {
 
     #[test]
     fn empty_launch_completes_at_decode() {
-        let mut ace = AceEngine::mi300();
+        // The MI300 XCD engine: 38 CUs, 4 ACEs.
+        let mut ace = AceEngine::new(38, 4);
         let (first, done) = ace.launch(Cycle(10), std::iter::empty(), |_| 1);
         assert_eq!(first, done);
         assert_eq!(done, Cycle(10) + ace.decode_latency);

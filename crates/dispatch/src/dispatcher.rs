@@ -47,22 +47,6 @@ impl DispatcherConfig {
             sync_latency: Cycle(200),
         }
     }
-
-    /// One partition of MI300A's triple-partition (TPX) mode: two XCDs.
-    #[must_use]
-    pub fn mi300a_tpx_partition() -> DispatcherConfig {
-        DispatcherConfig {
-            xcds: 2,
-            ..DispatcherConfig::mi300a_partition()
-        }
-    }
-
-    /// Sets the placement policy (builder-style).
-    #[must_use]
-    pub fn with_policy(mut self, policy: WorkgroupPolicy) -> DispatcherConfig {
-        self.policy = policy;
-        self
-    }
 }
 
 /// One entry in the dispatch event trace.
@@ -357,7 +341,10 @@ mod tests {
             WorkgroupPolicy::BlockContiguous,
             WorkgroupPolicy::Chunked { chunk: 16 },
         ] {
-            let cfg = DispatcherConfig::mi300a_partition().with_policy(policy);
+            let cfg = DispatcherConfig {
+                policy,
+                ..DispatcherConfig::mi300a_partition()
+            };
             let run = MultiXcdDispatcher::new(cfg).dispatch(&pkt, |_| 100);
             assert_eq!(run.workgroups_launched, 1024);
             assert_eq!(run.per_xcd.iter().sum::<u64>(), 1024);

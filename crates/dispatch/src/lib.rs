@@ -7,12 +7,13 @@
 //! Figure 13 — every ACE in a partition reads each dispatch packet,
 //! launches its subset of the workgroups, synchronises with its peers
 //! over the fabric's high-priority channel, and a nominated XCD signals
-//! kernel completion through a [`CompletionSignal`].
+//! kernel completion through a [`CompletionSignal`](signal::CompletionSignal).
 //!
 //! ## Example
 //!
 //! ```
-//! use ehp_dispatch::{AqlPacket, MultiXcdDispatcher, DispatcherConfig, WorkgroupPolicy};
+//! use ehp_dispatch::aql::AqlPacket;
+//! use ehp_dispatch::dispatcher::{DispatcherConfig, MultiXcdDispatcher};
 //!
 //! let pkt = AqlPacket::dispatch_1d(1024 * 64, 64); // 1024 workgroups
 //! let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_partition());
@@ -27,8 +28,3 @@ pub mod ace;
 pub mod aql;
 pub mod dispatcher;
 pub mod signal;
-
-pub use ace::{AceEngine, WorkgroupPolicy};
-pub use aql::{AqlError, AqlPacket};
-pub use dispatcher::{DispatchEvent, DispatchRun, DispatcherConfig, MultiXcdDispatcher};
-pub use signal::CompletionSignal;

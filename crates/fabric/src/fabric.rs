@@ -44,7 +44,8 @@ impl Transfer {
 /// # Example
 ///
 /// ```
-/// use ehp_fabric::{FabricSim, topology::{Topology, NodeKey}};
+/// use ehp_fabric::fabric::FabricSim;
+/// use ehp_fabric::topology::{NodeKey, Topology};
 /// use ehp_sim_core::time::SimTime;
 /// use ehp_sim_core::units::Bytes;
 ///

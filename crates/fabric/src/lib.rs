@@ -30,8 +30,3 @@ pub mod fabric;
 pub mod flows;
 pub mod link;
 pub mod topology;
-
-pub use fabric::{FabricSim, Transfer};
-pub use flows::{Flow, FlowRate, FlowSolver, SolverWorkspace};
-pub use link::{LinkSpec, LinkTech};
-pub use topology::{BfsScratch, NodeKey, Topology};

@@ -154,7 +154,7 @@ fn print_usage() {
          \n\
          options:\n\
            --jobs N        worker threads (default 1)\n\
-           --workers N     child worker processes for run/all (default 0 = in-process)\n\
+           --workers N     child worker processes for run/all, 0-64 (default 0 = in-process)\n\
            --seed N        batch base seed (default 0)\n\
            --param k=v     scenario parameter override (repeatable)\n\
            --spec FILE     scenario spec file (repeatable)\n\
@@ -210,7 +210,14 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--workers" | "-w" => {
                 args.workers = value_of("--workers")?
                     .parse::<usize>()
-                    .map_err(|_| "--workers must be a non-negative integer".to_string())?;
+                    .ok()
+                    .filter(|&w| w <= serving::MAX_WORKERS)
+                    .ok_or_else(|| {
+                        format!(
+                            "--workers must be an integer in 0..={}",
+                            serving::MAX_WORKERS
+                        )
+                    })?;
             }
             "--socket" => args.socket = Some(value_of("--socket")?.to_string()),
             "--spec" => args.specs.push(value_of("--spec")?.to_string()),

@@ -1,14 +1,14 @@
 //! The result cache's code version (DESIGN.md §12): one FNV-1a hash
 //! over every workspace source file, worked out at build time.
 //!
-//! `build.rs` includes this file with `#[path]` and bakes
-//! [`source_hash`] of the workspace into
-//! [`serving::CODE_VERSION`](crate::serving::CODE_VERSION), which every
-//! result-cache key folds in. Any edit under a `crates/<name>/src/`
-//! tree therefore re-keys every cached outcome; tests, docs and scenario
-//! files do not. Invalidating everything on any source edit costs one
-//! cold `ehp all`, and unlike a per-experiment dependency walk it
-//! cannot miss an edge and replay stale numbers.
+//! `build.rs` and `tests/code_version.rs` include this file with
+//! `#[path]`; the build script bakes [`source_hash`] of the workspace
+//! into `serving::CODE_VERSION`, which every result-cache key folds in.
+//! Any edit under a `crates/<name>/src/` tree therefore re-keys every
+//! cached outcome; tests, docs and scenario files do not. Invalidating
+//! everything on any source edit costs one cold `ehp all`, and unlike a
+//! per-experiment dependency walk it cannot miss an edge and replay
+//! stale numbers.
 
 use std::fs;
 use std::io;

@@ -17,8 +17,9 @@
 //!   result cache under `ehp run`/`ehp all`, the `ehp worker`
 //!   child-process protocol, and the `ehp serve` Unix-socket daemon,
 //!   all built on the experiment-agnostic `ehp-serve` crate. Cache keys
-//!   fold in a [`code_version`] hashed from the source tree at build
-//!   time, so any source edit invalidates every cached outcome.
+//!   fold in [`serving::CODE_VERSION`], which `build.rs` hashes from the
+//!   source tree (`src/code_version.rs`), so any source edit invalidates
+//!   every cached outcome.
 //! * [`check`] — committed expected-shape ranges (`ehp check`): the
 //!   paper's headline numbers as a regression gate.
 //! * [`report`] / [`output`] — the text/JSON result writers; everything
@@ -28,7 +29,6 @@
 
 pub mod check;
 pub mod cli;
-pub mod code_version;
 pub mod executor;
 pub mod experiment;
 mod experiments;
@@ -39,6 +39,4 @@ pub mod report;
 pub mod scenario;
 pub mod serving;
 
-pub use experiment::{Experiment, ExperimentResult};
-pub use report::Report;
-pub use scenario::{Scenario, ScenarioSpec};
+pub use scenario::Scenario;

@@ -50,6 +50,11 @@ pub(crate) fn default_cache_dir() -> PathBuf {
     }
 }
 
+/// The most child worker processes one batch may ask for, through
+/// `--workers` or a daemon request's `workers` field: the same bound as
+/// the experiments' `jobs` parameter.
+pub(crate) const MAX_WORKERS: usize = 64;
+
 /// Knobs for the served batch path.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
@@ -64,7 +69,8 @@ pub struct ServingConfig {
     pub use_cache: bool,
     /// Result-cache directory.
     pub cache_dir: PathBuf,
-    /// Child worker processes; 0 = run misses in-process.
+    /// Child worker processes, at most `MAX_WORKERS` (64); 0 = run misses
+    /// in-process.
     pub workers: usize,
     /// Pool knobs (chunk size, timeout, retries).
     pub pool: PoolConfig,
@@ -120,9 +126,9 @@ impl ServedBatch {
     }
 }
 
-/// The hash of every workspace source file at build time (see
-/// [`crate::code_version`]): any source edit re-keys every cached
-/// outcome.
+/// The hash of every workspace source file at build time (`build.rs`
+/// computes it with `src/code_version.rs`): any source edit re-keys
+/// every cached outcome.
 pub const CODE_VERSION: u64 = include!(concat!(env!("OUT_DIR"), "/code_version.rs"));
 
 /// The result-cache key for one **seed-resolved** scenario: experiment
@@ -287,7 +293,14 @@ fn run_subset_pooled(
             })
             .collect()
     };
-    let (raw, stats) = pool::run_jobs(&jobs, cmd, &cfg.pool, &mut fallback, Some(&on_chunk));
+    let (raw, stats) = pool::run_jobs(
+        &jobs,
+        cmd,
+        cfg.workers,
+        &cfg.pool,
+        &mut fallback,
+        Some(&on_chunk),
+    );
     let outcomes = subset
         .iter()
         .zip(raw)
@@ -406,8 +419,17 @@ impl Handler for RunHandler {
         if let Some(seed) = request.get("seed").and_then(Json::as_u64) {
             cfg.base_seed = seed;
         }
-        if let Some(workers) = request.get("workers").and_then(Json::as_u64) {
-            cfg.workers = workers as usize;
+        if let Some(workers) = request.get("workers") {
+            match workers.as_u64().and_then(|w| usize::try_from(w).ok()) {
+                Some(w) if w <= MAX_WORKERS => cfg.workers = w,
+                _ => {
+                    stats.rejected += 1;
+                    return RunHandler::error(
+                        format!("`workers` must be an integer in 0..={MAX_WORKERS}"),
+                        Vec::new(),
+                    );
+                }
+            }
         }
         if request.get("no_cache").and_then(Json::as_bool) == Some(true) {
             cfg.use_cache = false;

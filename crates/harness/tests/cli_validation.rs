@@ -124,6 +124,21 @@ fn all_and_check_reject_scenario_overrides() {
 }
 
 #[test]
+fn workers_outside_zero_to_64_is_a_usage_error() {
+    for (name, workers) in [
+        ("workers65", "65"),
+        ("workers-neg", "-1"),
+        ("workers-frac", "2.5"),
+    ] {
+        assert_rejected(
+            name,
+            &["all", "--workers", workers, "--no-result-cache", "--quiet"],
+            "--workers must be an integer in 0..=64",
+        );
+    }
+}
+
+#[test]
 fn run_applies_a_valid_override() {
     let dir = tmp_dir("valid");
     let out = ehp(

@@ -6,8 +6,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ehp_harness::code_version::source_hash;
 use ehp_harness::serving::CODE_VERSION;
+
+#[path = "../src/code_version.rs"]
+mod code_version;
+
+use code_version::source_hash;
 
 fn tmp_tree(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR"))

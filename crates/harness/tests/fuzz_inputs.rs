@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ehp_harness::scenario::{Scenario, ScenarioSpec};
 use ehp_serve::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use ehp_sim_core::json::{Json, MAX_DEPTH};
-use ehp_sim_core::SplitMix64;
+use ehp_sim_core::rng::SplitMix64;
 
 /// Mutants per loop.
 const MUTANTS: usize = 20_000;

@@ -1,9 +1,10 @@
 //! The linter run against the real workspace: the tree must be clean
 //! (zero unwaived findings), every checked-in scenario spec must satisfy
 //! its experiment's schema, and the scenario loader must reject typo'd
-//! keys at load time.
+//! keys at load time. The library sources must also gate test code by
+//! module only.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use ehp_harness::registry;
 use ehp_harness::scenario::ScenarioSpec;
@@ -208,5 +209,75 @@ fn parallel_cold_lint_reports_byte_identically_to_serial() {
         serial.to_json().to_string_pretty(),
         parallel.to_json().to_string_pretty(),
         "worker count must be invisible in the report bytes"
+    );
+}
+
+/// Appends every `.rs` file under `dir`.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("entry").path();
+        if path.is_dir() {
+            collect_rs(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A `#[cfg(...)]` attribute line whose predicate enables the item only
+/// under `test`.
+fn is_cfg_test(line: &str) -> bool {
+    let Some(pred) = line.trim_start().strip_prefix("#[cfg(") else {
+        return false;
+    };
+    let words: Vec<&str> = pred
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .collect();
+    words.contains(&"test") && !words.contains(&"not")
+}
+
+#[test]
+fn cfg_test_gates_only_modules_in_library_sources() {
+    // A product file holds what a product path runs; a helper only
+    // tests call belongs in the test module that uses it.
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = entry.expect("entry").path().join("src");
+        if src.is_dir() {
+            collect_rs(&src, &mut files);
+        }
+    }
+    files.sort();
+    assert!(files.len() > 100, "saw only {} source files", files.len());
+    let mut offenders = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("read source");
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if !is_cfg_test(line) {
+                continue;
+            }
+            // The gated item: the next line that is not another
+            // attribute, a comment or blank.
+            let item = lines[i + 1..]
+                .iter()
+                .map(|l| l.trim_start())
+                .find(|l| !(l.is_empty() || l.starts_with("#[") || l.starts_with("//")))
+                .unwrap_or("");
+            let item = item
+                .strip_prefix("pub(crate) ")
+                .or_else(|| item.strip_prefix("pub "))
+                .unwrap_or(item);
+            if !item.starts_with("mod ") {
+                let rel = path.strip_prefix(&root).unwrap_or(path);
+                offenders.push(format!("{}:{}: {}", rel.display(), i + 1, item));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "#[cfg(test)] on items other than a test module:\n{}",
+        offenders.join("\n")
     );
 }

@@ -20,7 +20,7 @@ use ehp_serve::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use ehp_serve::pool::{PoolConfig, WorkerCommand};
 use ehp_serve::server;
 use ehp_sim_core::json::Json;
-use ehp_sim_core::SplitMix64;
+use ehp_sim_core::rng::SplitMix64;
 
 /// The compiled `ehp` binary — the same executable users run.
 const EHP: &str = env!("CARGO_BIN_EXE_ehp");
@@ -156,7 +156,6 @@ fn tampered_entry_fails_scenario_check_and_recomputes() {
 /// poisons little, tight timeout so the suite stays fast.
 fn fast_pool() -> PoolConfig {
     PoolConfig {
-        workers: 2,
         chunk: 2,
         timeout: Duration::from_secs(30),
         max_retries: 1,
@@ -208,6 +207,32 @@ fn panicking_scenario_in_worker_degrades_to_identical_summary() {
         "the poisoned chunk must have degraded in-process: {:?}",
         served.pool
     );
+}
+
+#[test]
+fn pool_spawns_the_requested_worker_count() {
+    // Three workers over six one-scenario chunks: the pool starts
+    // exactly the three children asked for.
+    let scenarios = paper_batch(6);
+    let plain = run_batch(&scenarios, &BatchConfig::default());
+    let cfg = ServingConfig {
+        use_cache: false,
+        workers: 3,
+        pool: PoolConfig {
+            chunk: 1,
+            ..fast_pool()
+        },
+        worker_cmd: Some(WorkerCommand::new(EHP, &["worker"])),
+        ..ServingConfig::default()
+    };
+    let served = run_batch_served(&scenarios, &cfg);
+    assert_eq!(
+        plain.summary_json().to_string_pretty(),
+        served.result.summary_json().to_string_pretty()
+    );
+    assert_eq!(served.pool.chunks, 6);
+    assert_eq!(served.pool.worker_spawns, 3, "{:?}", served.pool);
+    assert_eq!(served.pool.fallback_chunks, 0, "{:?}", served.pool);
 }
 
 /// Serve-daemon harness: spawns `ehp serve` on a socket under `dir`,
@@ -328,6 +353,37 @@ fn serve_daemon_answers_sweeps_and_tracks_cache_stats() {
     assert_eq!(cache.get("hits"), Some(&Json::from(3u64)));
     assert_eq!(cache.get("misses"), Some(&Json::from(3u64)));
     assert!(stats.get("latency_ms").and_then(|l| l.get("p50")).is_some());
+}
+
+#[test]
+fn serve_daemon_rejects_out_of_range_workers() {
+    let dir = tmp_dir("daemon-workers");
+    let daemon = Daemon::spawn(&dir);
+    let spec = Json::object([("experiment", Json::from("table1"))]);
+    for workers in [
+        Json::Num(65.0),
+        Json::Num(-1.0),
+        Json::Num(2.5),
+        Json::from("3"),
+    ] {
+        let run = Json::object([
+            ("op", Json::from("run")),
+            ("spec", spec.clone()),
+            ("workers", workers.clone()),
+        ]);
+        let frames = daemon.call(&run);
+        assert_eq!(frames.len(), 1, "workers {workers:?}: {frames:?}");
+        assert_eq!(frames[0].get("ok"), Some(&Json::Bool(false)));
+    }
+
+    // Nothing ran and no worker process was started.
+    let frames = daemon.call(&Json::object([("op", Json::from("stats"))]));
+    let stats = &frames[0];
+    assert_eq!(stats.get("rejected"), Some(&Json::from(4u64)));
+    assert_eq!(stats.get("scenarios"), Some(&Json::from(0u64)));
+    let pool = stats.get("pool").unwrap();
+    assert_eq!(pool.get("worker_spawns"), Some(&Json::from(0u64)));
+    assert_eq!(pool.get("chunks"), Some(&Json::from(0u64)));
 }
 
 /// Fuzzed client sessions against one live daemon.

@@ -10,7 +10,7 @@
 //! statement splitter and are pinned below as fixed cases.
 
 use ehp_lint::{lint_sources, Finding};
-use ehp_sim_core::SplitMix64;
+use ehp_sim_core::rng::SplitMix64;
 
 /// Mutants per run; each is linted twice.
 const MUTANTS: usize = 20_000;

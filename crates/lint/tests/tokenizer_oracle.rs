@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 
 use ehp_lint::tokenizer::{self, TokKind};
-use ehp_sim_core::SplitMix64;
+use ehp_sim_core::rng::SplitMix64;
 
 /// Mutants per run.
 const MUTANTS: usize = 20_000;

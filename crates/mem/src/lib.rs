@@ -9,13 +9,16 @@
 //! total, up to 17 TB/s of bandwidth amplification, with a hardware
 //! prefetcher).
 //!
-//! The top-level entry point is [`MemorySubsystem`], which routes requests
-//! through the interleaver to per-channel [`MemoryChannel`]s.
+//! The top-level entry point is
+//! [`MemorySubsystem`](subsystem::MemorySubsystem), which routes requests
+//! through the interleaver to per-channel
+//! [`MemoryChannel`](channel::MemoryChannel)s.
 //!
 //! ## Example
 //!
 //! ```
-//! use ehp_mem::{MemorySubsystem, MemConfig, MemRequest};
+//! use ehp_mem::request::MemRequest;
+//! use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 //! use ehp_sim_core::time::SimTime;
 //!
 //! let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
@@ -33,10 +36,3 @@ pub mod interleave;
 pub mod request;
 pub mod subsystem;
 pub mod trace;
-
-pub use channel::MemoryChannel;
-pub use hbm::{HbmChannelModel, HbmGeneration, HbmTimings};
-pub use icache::{InfinityCacheSlice, PrefetcherConfig};
-pub use interleave::{InterleaveConfig, Interleaver, NumaMode};
-pub use request::{MemRequest, MemResponse};
-pub use subsystem::{MemConfig, MemorySubsystem};

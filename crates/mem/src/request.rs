@@ -1,6 +1,6 @@
 //! Memory request/response types shared across the memory subsystem.
 
-use ehp_sim_core::ids::{AgentId, ChannelId};
+use ehp_sim_core::ids::ChannelId;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
 
@@ -19,7 +19,7 @@ pub(crate) enum AccessKind {
 /// # Example
 ///
 /// ```
-/// use ehp_mem::MemRequest;
+/// use ehp_mem::request::MemRequest;
 /// let r = MemRequest::read(0x1000, 128);
 /// assert!(r.is_read());
 /// assert_eq!(r.size.as_u64(), 128);
@@ -32,19 +32,16 @@ pub struct MemRequest {
     pub size: Bytes,
     /// Load or store.
     pub(crate) kind: AccessKind,
-    /// Issuing agent, used for per-agent statistics.
-    pub(crate) agent: AgentId,
 }
 
 impl MemRequest {
-    /// Constructs a read request from an anonymous agent.
+    /// Constructs a read request.
     #[must_use]
     pub fn read(addr: u64, size: u64) -> MemRequest {
         MemRequest {
             addr,
             size: Bytes(size),
             kind: AccessKind::Read,
-            agent: AgentId(0),
         }
     }
 
@@ -82,20 +79,6 @@ pub struct MemResponse {
 }
 
 #[cfg(test)]
-impl MemResponse {
-    /// Latency relative to an issue time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `issued_at` is later than the completion time.
-    #[must_use]
-    fn latency(&self, issued_at: SimTime) -> SimTime {
-        assert!(issued_at <= self.completes_at, "response precedes issue");
-        self.completes_at - issued_at
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -108,26 +91,5 @@ mod tests {
         };
         assert!(write.is_write());
         assert!(!write.is_read());
-    }
-
-    #[test]
-    fn latency_computation() {
-        let resp = MemResponse {
-            completes_at: SimTime::from_nanos(150),
-            channel: ChannelId(3),
-            served_by: ServicePoint::Hbm,
-        };
-        assert_eq!(resp.latency(SimTime::from_nanos(50)).as_nanos_f64(), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "response precedes issue")]
-    fn latency_rejects_time_travel() {
-        let resp = MemResponse {
-            completes_at: SimTime::from_nanos(10),
-            channel: ChannelId(0),
-            served_by: ServicePoint::InfinityCache,
-        };
-        let _ = resp.latency(SimTime::from_nanos(20));
     }
 }

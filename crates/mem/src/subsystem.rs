@@ -126,7 +126,8 @@ impl MemConfig {
 /// # Example
 ///
 /// ```
-/// use ehp_mem::{MemConfig, MemorySubsystem, MemRequest};
+/// use ehp_mem::request::MemRequest;
+/// use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 /// use ehp_sim_core::time::SimTime;
 ///
 /// let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());

@@ -144,7 +144,6 @@ impl TraceConfig {
                 addr,
                 size: Bytes(self.line),
                 kind,
-                agent: ehp_sim_core::ids::AgentId(0),
             });
         }
     }

@@ -103,15 +103,6 @@ impl Rect {
             && self.origin.y < other.origin.y + other.h
             && other.origin.y < self.origin.y + self.h
     }
-
-    /// `true` if within `eps` of `other` in origin and size.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn approx_eq(&self, other: &Rect, eps: f64) -> bool {
-        self.origin.approx_eq(other.origin, eps)
-            && (self.w - other.w).abs() <= eps
-            && (self.h - other.h).abs() <= eps
-    }
 }
 
 impl fmt::Display for Rect {
@@ -147,13 +138,6 @@ impl Transform {
         Transform::MirrorXRot180,
     ];
 
-    /// `true` if the transform includes a mirror (changes chirality).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn is_mirrored(self) -> bool {
-        matches!(self, Transform::MirrorX | Transform::MirrorXRot180)
-    }
-
     /// Applies the transform to a point within a `w × h` die outline
     /// whose local origin is the lower-left corner.
     #[must_use]
@@ -164,41 +148,6 @@ impl Transform {
             Transform::MirrorX => Point::new(w - p.x, p.y),
             Transform::MirrorXRot180 => Point::new(p.x, h - p.y),
         }
-    }
-
-    /// Applies the transform to a rectangle within a `w × h` die outline.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn apply_rect(self, r: &Rect, w: f64, h: f64) -> Rect {
-        let a = self.apply_point(r.origin, w, h);
-        let b = self.apply_point(r.max_corner(), w, h);
-        Rect::new(
-            a.x.min(b.x),
-            a.y.min(b.y),
-            (a.x - b.x).abs(),
-            (a.y - b.y).abs(),
-        )
-    }
-
-    /// Composition: applying `self` then `other`.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn then(self, other: Transform) -> Transform {
-        use Transform::*;
-        match (
-            self.is_mirrored() ^ other.is_mirrored(),
-            self.rot() ^ other.rot(),
-        ) {
-            (false, false) => Identity,
-            (false, true) => Rot180,
-            (true, false) => MirrorX,
-            (true, true) => MirrorXRot180,
-        }
-    }
-
-    #[cfg(test)]
-    fn rot(self) -> bool {
-        matches!(self, Transform::Rot180 | Transform::MirrorXRot180)
     }
 }
 
@@ -250,41 +199,6 @@ mod tests {
     fn mirror_flips_x_only() {
         let p = Transform::MirrorX.apply_point(Point::new(2.0, 5.0), 10.0, 20.0);
         assert!(p.approx_eq(Point::new(8.0, 5.0), 1e-12));
-    }
-
-    #[test]
-    fn rect_transform_preserves_area() {
-        let r = Rect::new(1.0, 2.0, 3.0, 4.0);
-        for t in Transform::ALL {
-            let tr = t.apply_rect(&r, 20.0, 30.0);
-            assert!((tr.area() - r.area()).abs() < 1e-12, "{t:?}");
-        }
-    }
-
-    #[test]
-    fn composition_table() {
-        use Transform::*;
-        assert_eq!(Rot180.then(Rot180), Identity);
-        assert_eq!(MirrorX.then(Rot180), MirrorXRot180);
-        assert_eq!(MirrorX.then(MirrorX), Identity);
-        assert_eq!(MirrorXRot180.then(MirrorX), Rot180);
-        // Composition matches applying sequentially.
-        let p = Point::new(1.0, 2.0);
-        for a in Transform::ALL {
-            for b in Transform::ALL {
-                let seq = b.apply_point(a.apply_point(p, 10.0, 10.0), 10.0, 10.0);
-                let composed = a.then(b).apply_point(p, 10.0, 10.0);
-                assert!(seq.approx_eq(composed, 1e-12), "{a:?} then {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn chirality_flag() {
-        assert!(!Transform::Identity.is_mirrored());
-        assert!(!Transform::Rot180.is_mirrored());
-        assert!(Transform::MirrorX.is_mirrored());
-        assert!(Transform::MirrorXRot180.is_mirrored());
     }
 
     #[test]

@@ -25,11 +25,3 @@ pub mod floorplan;
 pub mod geometry;
 pub mod mirror;
 pub mod tsv;
-
-pub use bond::{BpvTarget, HybridBondInterface};
-pub use chiplet::{ChipletKind, Footprint};
-pub use ehpv3::StackedAssembly;
-pub use floorplan::{Floorplan, Region};
-pub use geometry::{Point, Rect, Transform};
-pub use mirror::{IodInstance, IodVariant};
-pub use tsv::PgTsvGrid;

@@ -101,17 +101,6 @@ impl BondInterface {
         }
         None
     }
-
-    /// `true` if the chiplet aligns on **every** IOD variant — the
-    /// property MI300's "carefully choreographed" interface planning
-    /// guarantees.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn aligns_on_all_variants(&self, chiplet_pins: &[Point]) -> bool {
-        IodVariant::ALL
-            .iter()
-            .all(|&v| self.alignment(chiplet_pins, v).is_some())
-    }
 }
 
 /// Direction of a USR module.
@@ -170,20 +159,6 @@ impl UsrEdge {
         self.clone()
     }
 
-    /// Mirroring about the *horizontal* axis (the rotated placements)
-    /// reverses positions along a vertical edge of length `len`.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn reversed(&self, len: f64) -> UsrEdge {
-        let mut m: Vec<_> = self
-            .modules
-            .iter()
-            .map(|&(pos, pol)| (len - pos, pol))
-            .collect();
-        m.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        UsrEdge::new(m)
-    }
-
     /// The design fix applied to the mirrored IOD: "the USR transmit (TX)
     /// and receive (RX) modules needed to be swapped".
     #[must_use]
@@ -219,13 +194,6 @@ impl UsrEdge {
             }
         }
         Ok(())
-    }
-
-    /// The modules.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn modules(&self) -> &[(f64, UsrPolarity)] {
-        &self.modules
     }
 }
 
@@ -324,9 +292,11 @@ mod tests {
 
     #[test]
     fn redundant_tsvs_fix_all_variants() {
+        // The chiplet aligns on every IOD variant: the property MI300's
+        // "carefully choreographed" interface planning guarantees.
         let iface = mi300_base_interface().with_mirror_redundancy();
-        assert!(iface.aligns_on_all_variants(&mi300_chiplet_pins()));
         for v in IodVariant::ALL {
+            assert!(iface.alignment(&mi300_chiplet_pins(), v).is_some(), "{v:?}");
             assert!(IodInstance::production(v).accepts_chiplet(&mi300_chiplet_pins()));
         }
     }
@@ -367,14 +337,6 @@ mod tests {
             .as_mirrored_facing()
             .with_swapped_polarity();
         a_right.pairs_with(&b_left_fixed).unwrap();
-    }
-
-    #[test]
-    fn reversed_edge_flips_positions() {
-        let e = UsrEdge::new(vec![(2.0, UsrPolarity::Tx), (6.0, UsrPolarity::Rx)]);
-        let r = e.reversed(16.0);
-        assert_eq!(r.modules()[0].0, 10.0);
-        assert_eq!(r.modules()[1].0, 14.0);
     }
 
     #[test]

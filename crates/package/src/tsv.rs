@@ -76,13 +76,6 @@ impl PgTsvGrid {
         }
         Ok(())
     }
-
-    /// Whether the grid meets a required current density (A/mm²).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn meets_density(&self, required: f64) -> bool {
-        self.current_density() >= required
-    }
 }
 
 /// Pitch-matching of Infinity Cache SRAM macros to the P/G TSV stripes
@@ -133,84 +126,13 @@ impl CacheMacroPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{Point, Rect};
-
-    /// The set of signal-TSV interface sites on an IOD (IOD-local
-    /// coordinates), e.g. the three CCD landing sites and two XCD landing
-    /// sites of Figure 8(b)/(c), plus any redundant copies added for
-    /// mirroring support (the red circles of Figure 9).
-    #[derive(Debug, Clone, PartialEq, Default)]
-    struct TsvSiteSet {
-        sites: Vec<Rect>,
-    }
-
-    impl TsvSiteSet {
-        /// Creates a site set.
-        #[must_use]
-        fn new(sites: Vec<Rect>) -> TsvSiteSet {
-            TsvSiteSet { sites }
-        }
-
-        /// The sites in IOD-local coordinates.
-        #[must_use]
-        fn sites(&self) -> &[Rect] {
-            &self.sites
-        }
-
-        /// Number of sites.
-        #[must_use]
-        fn len(&self) -> usize {
-            self.sites.len()
-        }
-
-        /// Adds a redundant copy of every site, mirrored within the die
-        /// outline — the Figure 9 trick that lets non-mirrored chiplets land
-        /// on mirrored IODs. Sites that map onto an existing site are not
-        /// duplicated.
-        #[must_use]
-        fn with_mirror_redundancy(&self, die_w: f64, die_h: f64) -> TsvSiteSet {
-            let mut out = self.sites.clone();
-            for s in &self.sites {
-                let m = Transform::MirrorX.apply_rect(s, die_w, die_h);
-                if !out.iter().any(|e| e.approx_eq(&m, 1e-9)) {
-                    out.push(m);
-                }
-            }
-            TsvSiteSet::new(out)
-        }
-
-        /// The physical site positions when the IOD is placed with transform
-        /// `t` (still IOD-local; callers translate to package coordinates).
-        #[must_use]
-        fn under_transform(&self, t: Transform, die_w: f64, die_h: f64) -> Vec<Rect> {
-            self.sites
-                .iter()
-                .map(|s| t.apply_rect(s, die_w, die_h))
-                .collect()
-        }
-
-        /// Checks that every pad rect (in the same coordinate frame) lands
-        /// entirely within some site. Returns the index of the first pad that
-        /// fails, or `Ok(())`.
-        ///
-        /// # Errors
-        ///
-        /// Returns `Err(pad_index)` for the first unaligned pad.
-        fn accepts(&self, pads: &[Rect]) -> Result<(), usize> {
-            for (i, pad) in pads.iter().enumerate() {
-                if !self.sites.iter().any(|s| s.contains_rect(pad)) {
-                    return Err(i);
-                }
-            }
-            Ok(())
-        }
-    }
+    use crate::geometry::Point;
 
     #[test]
     fn mi300_grid_meets_paper_density() {
         let g = PgTsvGrid::mi300();
         assert!(
-            g.meets_density(1.5),
+            g.current_density() >= 1.5,
             "paper: >1.5 A/mm², model gives {:.2}",
             g.current_density()
         );
@@ -237,37 +159,6 @@ mod tests {
         };
         assert_eq!(g.positions(4.0, 3.0).len(), 12);
         assert!((g.current_density() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn site_set_accepts_contained_pads() {
-        let sites = TsvSiteSet::new(vec![Rect::new(0.0, 0.0, 2.0, 2.0)]);
-        assert_eq!(sites.accepts(&[Rect::new(0.5, 0.5, 1.0, 1.0)]), Ok(()));
-        assert_eq!(sites.accepts(&[Rect::new(1.5, 1.5, 1.0, 1.0)]), Err(0));
-    }
-
-    #[test]
-    fn mirror_redundancy_adds_sites() {
-        let sites = TsvSiteSet::new(vec![Rect::new(1.0, 1.0, 2.0, 2.0)]);
-        let red = sites.with_mirror_redundancy(10.0, 10.0);
-        assert_eq!(red.len(), 2);
-        // The mirrored copy sits at x = 10-3 = 7.
-        assert!(red.sites()[1].approx_eq(&Rect::new(7.0, 1.0, 2.0, 2.0), 1e-9));
-    }
-
-    #[test]
-    fn centered_site_needs_no_redundancy() {
-        // A site symmetric about the mirror axis maps onto itself.
-        let sites = TsvSiteSet::new(vec![Rect::new(4.0, 1.0, 2.0, 2.0)]);
-        let red = sites.with_mirror_redundancy(10.0, 10.0);
-        assert_eq!(red.len(), 1, "self-symmetric site not duplicated");
-    }
-
-    #[test]
-    fn under_transform_moves_sites() {
-        let sites = TsvSiteSet::new(vec![Rect::new(0.0, 0.0, 1.0, 1.0)]);
-        let moved = sites.under_transform(Transform::Rot180, 10.0, 10.0);
-        assert!(moved[0].approx_eq(&Rect::new(9.0, 9.0, 1.0, 1.0), 1e-9));
     }
 
     #[test]

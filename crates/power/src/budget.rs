@@ -48,14 +48,6 @@ impl PowerDomain {
             PowerDomain::Io => "I/O",
         }
     }
-
-    /// `true` if this domain is powered through the stacked-chiplet TSV
-    /// grid (as opposed to the IOD's own microbump supply).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn through_tsv_grid(self) -> bool {
-        matches!(self, PowerDomain::ComputeChiplets)
-    }
 }
 
 /// A power assignment across domains.
@@ -158,7 +150,7 @@ impl WorkloadProfile {
 /// # Example
 ///
 /// ```
-/// use ehp_power::{SocketPowerManager, WorkloadProfile, PowerDomain};
+/// use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 /// use ehp_sim_core::units::Power;
 ///
 /// let mut pm = SocketPowerManager::new(Power::from_watts(550.0)); // MI300A TDP
@@ -350,12 +342,6 @@ mod tests {
         let d = pm.apply_profile(WorkloadProfile::MemoryIntensive);
         let sum: f64 = d.normalized().iter().map(|(_, f)| f).sum();
         assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tsv_grid_classification() {
-        assert!(PowerDomain::ComputeChiplets.through_tsv_grid());
-        assert!(!PowerDomain::HbmDram.through_tsv_grid());
     }
 
     #[test]

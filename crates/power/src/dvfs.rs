@@ -82,33 +82,6 @@ impl DvfsCurve {
         )
     }
 
-    /// One "Zen 4" CCD: ~28 W nominal dynamic at 3.7 GHz.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn mi300_ccd() -> DvfsCurve {
-        DvfsCurve::new(
-            Power::from_watts(4.0),
-            Power::from_watts(28.0),
-            Frequency::from_ghz(3.7),
-            Frequency::from_ghz(1.5),
-            Frequency::from_ghz(4.1),
-        )
-    }
-
-    /// Maximum boost clock.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn fmax(&self) -> Frequency {
-        self.fmax
-    }
-
-    /// Minimum operating clock.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn fmin(&self) -> Frequency {
-        self.fmin
-    }
-
     /// Power drawn at clock `f` (cubic dynamic + static).
     #[must_use]
     pub fn power_at(&self, f: Frequency) -> Power {
@@ -161,14 +134,14 @@ mod tests {
     fn clock_clamped_at_fmax() {
         let c = DvfsCurve::mi300_xcd();
         let f = c.clock_for(Power::from_watts(10_000.0));
-        assert_eq!(f.as_ghz(), c.fmax().as_ghz());
+        assert_eq!(f.as_ghz(), c.fmax.as_ghz());
     }
 
     #[test]
     fn clock_clamped_at_fmin() {
         let c = DvfsCurve::mi300_xcd();
         let f = c.clock_for(Power::from_watts(1.0));
-        assert_eq!(f.as_ghz(), c.fmin().as_ghz());
+        assert_eq!(f.as_ghz(), c.fmin.as_ghz());
     }
 
     #[test]
@@ -183,7 +156,14 @@ mod tests {
 
     #[test]
     fn perf_factor_at_nominal_is_one() {
-        let c = DvfsCurve::mi300_ccd();
+        // One "Zen 4" CCD: ~28 W nominal dynamic at 3.7 GHz.
+        let c = DvfsCurve::new(
+            Power::from_watts(4.0),
+            Power::from_watts(28.0),
+            Frequency::from_ghz(3.7),
+            Frequency::from_ghz(1.5),
+            Frequency::from_ghz(4.1),
+        );
         let p = c.power_at(Frequency::from_ghz(3.7));
         assert!((c.perf_factor(p) - 1.0).abs() < 1e-6);
     }

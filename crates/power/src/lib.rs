@@ -10,15 +10,14 @@
 //! *vertically* between the IOD and the chiplets stacked on it, within
 //! the envelope the TSV grid and package can deliver.
 //!
-//! This crate provides the budget manager ([`SocketPowerManager`]), the
-//! per-domain distribution type ([`PowerDistribution`]), and a DVFS model
-//! ([`dvfs`]) mapping power allocations to achievable clocks.
+//! This crate provides the budget manager
+//! ([`SocketPowerManager`](budget::SocketPowerManager)), the per-domain
+//! distribution type ([`PowerDistribution`](budget::PowerDistribution)),
+//! and a DVFS model ([`dvfs`]) mapping power allocations to achievable
+//! clocks.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod budget;
 pub mod dvfs;
-
-pub use budget::{PowerDistribution, PowerDomain, SocketPowerManager, WorkloadProfile};
-pub use dvfs::DvfsCurve;

@@ -42,7 +42,3 @@ pub mod pool;
 #[cfg(unix)]
 pub mod server;
 pub mod stats;
-
-pub use cache::{CacheCounters, ResultCache};
-pub use pool::{PoolConfig, PoolStats, WorkerCommand};
-pub use stats::ServeStats;

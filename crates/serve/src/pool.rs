@@ -42,8 +42,6 @@ use crate::frame;
 /// Pool-level knobs.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Child processes (clamped to at least 1).
-    pub workers: usize,
     /// Jobs per chunk (clamped to at least 1). Small chunks bound the
     /// blast radius of a poisoned scenario; large chunks amortise the
     /// frame round trip.
@@ -60,7 +58,6 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> PoolConfig {
         PoolConfig {
-            workers: 2,
             chunk: 4,
             timeout: Duration::from_secs(120),
             max_retries: 2,
@@ -199,8 +196,9 @@ impl Drop for Worker {
     }
 }
 
-/// Runs every job through the pool, returning results **in input
-/// order** plus traffic stats.
+/// Runs every job through a pool of `workers` child processes
+/// (clamped to `1..=chunks`), returning results **in input order** plus
+/// traffic stats.
 ///
 /// `fallback` executes a chunk in-process after the retry ladder is
 /// exhausted (it must return exactly one result per job — the harness
@@ -210,6 +208,7 @@ impl Drop for Worker {
 pub fn run_jobs(
     jobs: &[Json],
     cmd: &WorkerCommand,
+    workers: usize,
     cfg: &PoolConfig,
     fallback: &mut dyn FnMut(&[Json]) -> Vec<Json>,
     on_chunk: Option<ChunkObserver<'_>>,
@@ -230,7 +229,7 @@ pub fn run_jobs(
     let spawns = AtomicU64::new(0);
     let restarts = AtomicU64::new(0);
 
-    let workers = cfg.workers.max(1).min(ranges.len());
+    let workers = workers.max(1).min(ranges.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -327,9 +326,8 @@ mod tests {
             .collect()
     }
 
-    fn fast_cfg(workers: usize) -> PoolConfig {
+    fn fast_cfg() -> PoolConfig {
         PoolConfig {
-            workers,
             chunk: 3,
             timeout: Duration::from_millis(400),
             max_retries: 1,
@@ -343,7 +341,7 @@ mod tests {
         // retries once, then degrades to the fallback.
         let cmd = WorkerCommand::new("/bin/false", &[]);
         let input = jobs(8);
-        let (results, stats) = run_jobs(&input, &cmd, &fast_cfg(2), &mut echo_fallback, None);
+        let (results, stats) = run_jobs(&input, &cmd, 2, &fast_cfg(), &mut echo_fallback, None);
         assert_eq!(results.len(), 8);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.get("echo"), Some(&Json::from(i as u64)), "slot {i}");
@@ -360,7 +358,7 @@ mod tests {
         // must treat it as poison and degrade.
         let cmd = WorkerCommand::new("/bin/cat", &[]);
         let input = jobs(4);
-        let (results, stats) = run_jobs(&input, &cmd, &fast_cfg(1), &mut echo_fallback, None);
+        let (results, stats) = run_jobs(&input, &cmd, 1, &fast_cfg(), &mut echo_fallback, None);
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(|r| r.get("echo").is_some()));
         assert_eq!(stats.fallback_chunks, 2);
@@ -370,7 +368,7 @@ mod tests {
     fn hung_worker_times_out_and_degrades() {
         let cmd = WorkerCommand::new("/bin/sleep", &["30"]);
         let input = jobs(2);
-        let (results, stats) = run_jobs(&input, &cmd, &fast_cfg(1), &mut echo_fallback, None);
+        let (results, stats) = run_jobs(&input, &cmd, 1, &fast_cfg(), &mut echo_fallback, None);
         assert_eq!(results.len(), 2);
         assert_eq!(stats.fallback_chunks, 1);
         assert!(stats.worker_restarts >= 1);
@@ -380,7 +378,7 @@ mod tests {
     fn unspawnable_program_degrades_without_retring_forever() {
         let cmd = WorkerCommand::new("/nonexistent/worker", &[]);
         let input = jobs(5);
-        let (results, stats) = run_jobs(&input, &cmd, &fast_cfg(3), &mut echo_fallback, None);
+        let (results, stats) = run_jobs(&input, &cmd, 3, &fast_cfg(), &mut echo_fallback, None);
         assert_eq!(results.len(), 5);
         assert_eq!(stats.fallback_chunks, 2);
         assert_eq!(stats.worker_spawns, 0);
@@ -395,7 +393,7 @@ mod tests {
             assert!(!results.is_empty());
             seen.lock().unwrap().push(start);
         };
-        let (_, stats) = run_jobs(&input, &cmd, &fast_cfg(2), &mut echo_fallback, Some(&cb));
+        let (_, stats) = run_jobs(&input, &cmd, 2, &fast_cfg(), &mut echo_fallback, Some(&cb));
         let mut starts = seen.into_inner().unwrap();
         starts.sort_unstable();
         assert_eq!(starts, vec![0, 3, 6]);
@@ -405,8 +403,14 @@ mod tests {
     #[test]
     fn empty_jobs_short_circuit() {
         let cmd = WorkerCommand::new("/bin/false", &[]);
-        let (results, stats) =
-            run_jobs(&[], &cmd, &PoolConfig::default(), &mut echo_fallback, None);
+        let (results, stats) = run_jobs(
+            &[],
+            &cmd,
+            2,
+            &PoolConfig::default(),
+            &mut echo_fallback,
+            None,
+        );
         assert!(results.is_empty());
         assert_eq!(stats, PoolStats::default());
     }

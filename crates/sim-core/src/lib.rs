@@ -38,9 +38,3 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod units;
-
-pub use ids::{ChannelId, ChipletId, CuId, IodId, NodeId, SocketId};
-pub use json::{Json, ToJson};
-pub use rng::SplitMix64;
-pub use time::{Cycle, Frequency, SimTime};
-pub use units::{Bandwidth, Bytes, Energy, Power};

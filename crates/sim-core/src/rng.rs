@@ -74,15 +74,6 @@ impl SplitMix64 {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.next_f64() < p
     }
-
-    /// Derives an independent child generator, advancing this one.
-    ///
-    /// Used to give each simulated component its own stream so that adding
-    /// a component never perturbs the randomness seen by others.
-    #[cfg(test)]
-    pub(crate) fn split(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -148,21 +139,6 @@ mod tests {
         let mut r = SplitMix64::new(17);
         let hits = (0..100_000).filter(|_| r.chance(0.25)).count();
         assert!((24_000..26_000).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn split_streams_are_independent_of_sibling_count() {
-        // Adding a later split must not change an earlier child's stream.
-        let mut parent1 = SplitMix64::new(42);
-        let mut child_a1 = parent1.split();
-        let _unused = parent1.split();
-
-        let mut parent2 = SplitMix64::new(42);
-        let mut child_a2 = parent2.split();
-
-        for _ in 0..16 {
-            assert_eq!(child_a1.next_u64(), child_a2.next_u64());
-        }
     }
 
     #[test]

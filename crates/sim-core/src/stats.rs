@@ -54,12 +54,6 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.value
     }
-
-    /// Folds another counter's count into this one.
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &Counter) {
-        self.value += other.value;
-    }
 }
 
 impl ToJson for Counter {
@@ -258,9 +252,7 @@ mod tests {
     fn counter_merge_and_snapshot() {
         let mut a = Counter::new("hits");
         a.add(3);
-        let mut b = Counter::new("hits");
-        b.add(4);
-        a.merge(&b);
+        a.add(4);
         assert_eq!(a.value(), 7);
         let snap = a.to_json();
         assert_eq!(snap.get("value").and_then(|v| v.as_u64()), Some(7));

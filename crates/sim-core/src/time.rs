@@ -1,9 +1,9 @@
 //! Simulated time: cycles, wall-clock time, and clock frequencies.
 //!
 //! The simulator's native unit is the [`Cycle`] of a reference clock.
-//! Components running at different frequencies convert through
-//! [`Frequency`], and figures that report seconds convert through
-//! [`SimTime`] (picosecond resolution, stored as `u64`).
+//! Clock rates are [`Frequency`] values, and figures that report
+//! seconds convert through [`SimTime`] (picosecond resolution, stored
+//! as `u64`).
 
 use core::fmt;
 use core::iter::Sum;
@@ -34,13 +34,6 @@ impl Cycle {
     #[must_use]
     pub(crate) fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
-    }
-
-    /// Returns the minimum of two cycle counts.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn min(self, other: Cycle) -> Cycle {
-        Cycle(self.0.min(other.0))
     }
 
     /// Saturating subtraction: returns `Cycle(0)` instead of underflowing.
@@ -278,13 +271,6 @@ impl Frequency {
         Frequency { hz }
     }
 
-    /// Constructs a frequency from megahertz.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn from_mhz(mhz: f64) -> Frequency {
-        Frequency::from_hz(mhz * 1e6)
-    }
-
     /// Constructs a frequency from gigahertz.
     #[must_use]
     pub fn from_ghz(ghz: f64) -> Frequency {
@@ -301,28 +287,6 @@ impl Frequency {
     #[must_use]
     pub fn as_ghz(self) -> f64 {
         self.hz / 1e9
-    }
-
-    /// The period of one cycle.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn period(self) -> SimTime {
-        SimTime::from_secs_f64(1.0 / self.hz)
-    }
-
-    /// Converts a cycle count at this frequency to wall-clock time.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn cycles_to_time(self, cycles: Cycle) -> SimTime {
-        SimTime::from_secs_f64(cycles.0 as f64 / self.hz)
-    }
-
-    /// Converts wall-clock time to a (rounded-up) cycle count at this
-    /// frequency.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn time_to_cycles(self, t: SimTime) -> Cycle {
-        Cycle((t.as_secs() * self.hz).ceil() as u64)
     }
 }
 
@@ -345,7 +309,6 @@ mod tests {
         assert_eq!(a * 3, Cycle(30));
         assert_eq!(b.saturating_sub(a), Cycle::ZERO);
         assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
     }
 
     #[test]
@@ -380,23 +343,6 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_nanos(1_500)), "1.500 us");
         assert_eq!(format!("{}", SimTime::from_micros(2_500)), "2.500 ms");
         assert_eq!(format!("{}", SimTime::from_secs_f64(1.25)), "1.250 s");
-    }
-
-    #[test]
-    fn frequency_round_trip() {
-        let f = Frequency::from_ghz(1.7);
-        let c = Cycle(1_700_000);
-        let t = f.cycles_to_time(c);
-        assert!((t.as_millis_f64() - 1.0).abs() < 1e-6);
-        let c2 = f.time_to_cycles(t);
-        // Round trip within rounding error of one cycle.
-        assert!(c2.0.abs_diff(c.0) <= 1);
-    }
-
-    #[test]
-    fn frequency_period() {
-        let f = Frequency::from_mhz(500.0);
-        assert_eq!(f.period().as_picos(), 2_000);
     }
 
     #[test]

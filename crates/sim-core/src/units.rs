@@ -64,13 +64,6 @@ impl Bytes {
     pub fn as_gib_f64(self) -> f64 {
         self.0 as f64 / (1u64 << 30) as f64
     }
-
-    /// Saturating subtraction.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn saturating_sub(self, other: Bytes) -> Bytes {
-        Bytes(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add for Bytes {
@@ -209,13 +202,6 @@ impl Bandwidth {
             "transfer of {size} over zero-bandwidth link"
         );
         SimTime::from_secs_f64(size.as_f64() / self.bytes_per_sec)
-    }
-
-    /// Bytes deliverable in `t` at this rate.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn bytes_in(self, t: SimTime) -> Bytes {
-        Bytes((self.bytes_per_sec * t.as_secs()).floor() as u64)
     }
 
     /// Scales the bandwidth by a dimensionless factor.
@@ -394,13 +380,6 @@ impl Power {
         self.watts
     }
 
-    /// Energy consumed over a duration at this power.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn over(self, t: SimTime) -> Energy {
-        Energy::from_joules(self.watts * t.as_secs())
-    }
-
     /// Scales the power by a dimensionless factor.
     #[must_use]
     pub fn scale(self, factor: f64) -> Power {
@@ -515,7 +494,6 @@ mod tests {
         assert_eq!(a - Bytes(20), Bytes(80));
         assert_eq!(a * 2, Bytes(200));
         assert_eq!(a / 4, Bytes(25));
-        assert_eq!(Bytes(5).saturating_sub(a), Bytes::ZERO);
     }
 
     #[test]
@@ -535,13 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_bytes_in() {
-        let bw = Bandwidth::from_gb_s(64.0);
-        let b = bw.bytes_in(SimTime::from_micros(1));
-        assert_eq!(b.as_u64(), 64_000);
-    }
-
-    #[test]
     #[should_panic(expected = "zero-bandwidth link")]
     fn zero_bandwidth_transfer_panics() {
         let _ = Bandwidth::ZERO.transfer_time(Bytes(1));
@@ -553,13 +524,6 @@ mod tests {
         // 8 HBM stacks at ~665 GB/s each ~= 5.3 TB/s (paper's figure).
         assert!((total.as_tb_s() - 5.32).abs() < 0.01);
         assert!((total.scale(0.5).as_tb_s() - 2.66).abs() < 0.01);
-    }
-
-    #[test]
-    fn power_energy_relationship() {
-        let p = Power::from_watts(100.0);
-        let e = p.over(SimTime::from_micros(10));
-        assert!((e.as_joules() - 1e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -86,21 +86,6 @@ impl TemperatureField {
         Celsius(self.data[j * self.nx + i])
     }
 
-    /// Temperature at a package-coordinate point (nearest cell); `None`
-    /// outside the grid.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn sample(&self, p: Point) -> Option<Celsius> {
-        let i = ((p.x - self.origin.x) / self.cell_w).floor();
-        let j = ((p.y - self.origin.y) / self.cell_h).floor();
-        if i < 0.0 || j < 0.0 {
-            return None;
-        }
-        let (i, j) = (i as usize, j as usize);
-        let (nx, ny) = self.dims();
-        (i < nx && j < ny).then(|| self.at(i, j))
-    }
-
     /// Maximum temperature and its cell.
     #[must_use]
     pub fn max(&self) -> (f64, (usize, usize)) {
@@ -206,15 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_nearest_cell() {
-        let f = field();
-        assert_eq!(f.sample(Point::new(0.5, 0.5)).unwrap().as_f64(), 10.0);
-        assert_eq!(f.sample(Point::new(1.5, 1.5)).unwrap().as_f64(), 40.0);
-        assert_eq!(f.sample(Point::new(-1.0, 0.0)), None);
-        assert_eq!(f.sample(Point::new(5.0, 0.0)), None);
-    }
-
-    #[test]
     fn max_min() {
         let f = field();
         let (t, (i, j)) = f.max();
@@ -248,7 +224,6 @@ mod tests {
         assert_eq!(coarse.dims(), (2, 1));
         assert_eq!(coarse.at(0, 0).as_f64(), 20.0);
         assert_eq!(coarse.at(1, 0).as_f64(), 30.0);
-        assert_eq!(coarse.sample(Point::new(0.5, 1.5)).unwrap().as_f64(), 20.0);
         assert_eq!(coarse.sweeps(), 0);
     }
 

@@ -38,5 +38,4 @@
 pub mod field;
 pub mod solver;
 
-pub use field::TemperatureField;
 pub use solver::{ThermalConfig, ThermalSolver};

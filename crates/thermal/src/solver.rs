@@ -261,15 +261,10 @@ mod tests {
         fp.add("hot", Rect::new(9.0, 9.0, 2.0, 2.0), Layer::Compute);
         fp.assign_power("hot", Power::from_watts(50.0));
         let field = ThermalSolver::new(small_cfg()).solve(&fp);
-        let center = field
-            .sample(ehp_package::geometry::Point::new(10.0, 10.0))
-            .unwrap();
-        let near = field
-            .sample(ehp_package::geometry::Point::new(13.0, 10.0))
-            .unwrap();
-        let far = field
-            .sample(ehp_package::geometry::Point::new(19.0, 10.0))
-            .unwrap();
+        // 1 mm cells: cell (i, j) covers [i, i + 1) x [j, j + 1) mm.
+        let center = field.at(10, 10);
+        let near = field.at(13, 10);
+        let far = field.at(19, 10);
         assert!(center.as_f64() > near.as_f64());
         assert!(near.as_f64() > far.as_f64());
         assert!(far.as_f64() >= 30.0 - 1e-9, "never below coolant");

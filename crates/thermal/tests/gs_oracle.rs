@@ -8,7 +8,8 @@ use ehp_package::geometry::Rect;
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_sim_core::rng::SplitMix64;
 use ehp_sim_core::units::Power;
-use ehp_thermal::{TemperatureField, ThermalConfig, ThermalSolver};
+use ehp_thermal::field::TemperatureField;
+use ehp_thermal::{ThermalConfig, ThermalSolver};
 
 /// The oracle stops when no cell moves by this much in a sweep (°C).
 const ORACLE_TOL_C: f64 = 1e-10;

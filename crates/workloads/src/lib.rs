@@ -24,7 +24,3 @@
 pub mod hpc;
 pub mod llm;
 pub mod scaling;
-
-pub use hpc::{figure20, HpcWorkload, MachineModel};
-pub use llm::{figure21, GpuPlatform, InferenceConfig, SoftwareStack};
-pub use scaling::ScalingStudy;

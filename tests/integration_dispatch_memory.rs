@@ -20,7 +20,10 @@ fn run_kernel_with_memory(
     workgroups: u32,
     lines_per_wg: u64,
 ) -> (Cycle, SimTime, MemorySubsystem) {
-    let cfg = DispatcherConfig::mi300a_partition().with_policy(policy);
+    let cfg = DispatcherConfig {
+        policy,
+        ..DispatcherConfig::mi300a_partition()
+    };
     let mut d = MultiXcdDispatcher::new(cfg);
     let run = d.dispatch(&AqlPacket::dispatch_1d(workgroups * 64, 64), |_| 2_000);
     assert_eq!(run.workgroups_launched, u64::from(workgroups));
@@ -90,7 +93,11 @@ fn dispatch_and_fabric_compose() {
 fn back_to_back_dispatches_complete_in_order() {
     // A second kernel launched when the first one's completion signal is
     // visible starts on the same ACE engines and finishes strictly later.
-    let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_tpx_partition());
+    // One partition of MI300A's triple-partition (TPX) mode: two XCDs.
+    let mut d = MultiXcdDispatcher::new(DispatcherConfig {
+        xcds: 2,
+        ..DispatcherConfig::mi300a_partition()
+    });
     let r1 = d.dispatch_at(Cycle(0), &AqlPacket::dispatch_1d(64, 64), |_| 100);
     assert_eq!(r1.workgroups_launched, 1);
     let r2 = d.dispatch_at(r1.completion_at, &AqlPacket::dispatch_1d(128, 64), |_| 100);
