@@ -13,13 +13,11 @@
 //! * [`probe_filter`] — a MESI-style directory ("probe filter") tracking
 //!   owner/sharers per line, with the single-writer-multiple-reader
 //!   invariant enforced and verified.
-//! * [`scope`] — GPU scoped software coherence: acquire/release
-//!   operations at workgroup/device/system scope, counting the flushes
-//!   and invalidations that the hardware-coherent CPU path avoids.
+//! * [`multisocket`] — the node-scale policy: which agent's access to
+//!   which socket's memory hardware coherence covers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod multisocket;
 pub mod probe_filter;
-pub mod scope;

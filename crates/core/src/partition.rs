@@ -9,9 +9,19 @@
 //! mapped to a separate partition".
 
 use ehp_dispatch::dispatcher::DispatcherConfig;
-use ehp_mem::interleave::NumaMode;
 
 use crate::products::{Product, ProductSpec};
+
+/// NUMA-nodes-per-socket memory mode (Figure 17): a label of the
+/// partitioning table. The memory model itself interleaves NPS1 only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NumaMode {
+    /// One NUMA domain: addresses interleave over all 8 stacks.
+    Nps1,
+    /// Four NUMA domains: the address space is split into quadrants, each
+    /// interleaving over the 2 stacks owned by one IOD.
+    Nps4,
+}
 
 /// A compute-partitioning mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

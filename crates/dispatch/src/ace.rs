@@ -1,4 +1,4 @@
-//! Asynchronous Compute Engines (ACEs) and workgroup placement policies.
+//! Asynchronous Compute Engines (ACEs).
 //!
 //! Each XCD "contains the necessary hardware to handle dispatching
 //! kernels to that XCD" — the ACEs read AQL packets, decode them, find
@@ -11,60 +11,6 @@
 
 use ehp_sim_core::resource::SlotServer;
 use ehp_sim_core::time::Cycle;
-
-/// How a dispatch's workgroups are divided among the partition's XCDs.
-///
-/// "The decision of which workgroups are scheduled into which XCD is
-/// configurable to allow tradeoffs between factors like inter-workgroup
-/// data reuse in the XCD's L2 cache versus initiating work on as many
-/// XCDs as possible to maximize memory bandwidth."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorkgroupPolicy {
-    /// Adjacent workgroups go to different XCDs: maximum spread, fastest
-    /// ramp onto all memory channels.
-    RoundRobin,
-    /// The dispatch is cut into one contiguous block per XCD: maximum
-    /// inter-workgroup L2 reuse.
-    BlockContiguous,
-    /// Chunks of `chunk` consecutive workgroups rotate across XCDs: a
-    /// mid-point between reuse and spread.
-    Chunked {
-        /// Consecutive workgroups kept on one XCD.
-        chunk: u32,
-    },
-}
-
-impl WorkgroupPolicy {
-    /// XCD index (0-based within the partition) for workgroup `wg` out of
-    /// `total` on `n_xcds` chiplets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_xcds` is zero, `total` is zero, `wg >= total`, or a
-    /// chunked policy has a zero chunk.
-    #[must_use]
-    pub fn assign(self, wg: u64, total: u64, n_xcds: u32) -> u32 {
-        assert!(n_xcds > 0, "need at least one XCD");
-        assert!(
-            total > 0 && wg < total,
-            "workgroup {wg} out of range {total}"
-        );
-        let n = u64::from(n_xcds);
-        let idx = match self {
-            WorkgroupPolicy::RoundRobin => wg % n,
-            WorkgroupPolicy::BlockContiguous => {
-                // ceil-sized blocks so the mapping covers all workgroups.
-                let block = total.div_ceil(n);
-                wg / block
-            }
-            WorkgroupPolicy::Chunked { chunk } => {
-                assert!(chunk > 0, "chunk must be non-zero");
-                (wg / u64::from(chunk)) % n
-            }
-        };
-        u32::try_from(idx.min(n - 1)).expect("xcd index fits u32")
-    }
-}
 
 /// One XCD's dispatch engine: packet decode, workgroup launch throughput,
 /// and CU occupancy.
@@ -132,71 +78,6 @@ impl AceEngine {
 mod tests {
     use super::*;
 
-    /// Number of workgroups `policy` sends to XCD `xcd`.
-    fn count_for(policy: WorkgroupPolicy, xcd: u32, total: u64, n_xcds: u32) -> u64 {
-        (0..total)
-            .filter(|&wg| policy.assign(wg, total, n_xcds) == xcd)
-            .count() as u64
-    }
-
-    #[test]
-    fn round_robin_spreads_adjacent() {
-        let p = WorkgroupPolicy::RoundRobin;
-        assert_eq!(p.assign(0, 12, 6), 0);
-        assert_eq!(p.assign(1, 12, 6), 1);
-        assert_eq!(p.assign(6, 12, 6), 0);
-    }
-
-    #[test]
-    fn block_keeps_neighbours_together() {
-        let p = WorkgroupPolicy::BlockContiguous;
-        // 12 wgs on 6 XCDs: blocks of 2.
-        assert_eq!(p.assign(0, 12, 6), 0);
-        assert_eq!(p.assign(1, 12, 6), 0);
-        assert_eq!(p.assign(2, 12, 6), 1);
-        assert_eq!(p.assign(11, 12, 6), 5);
-    }
-
-    #[test]
-    fn chunked_rotates_chunks() {
-        let p = WorkgroupPolicy::Chunked { chunk: 4 };
-        assert_eq!(p.assign(0, 32, 2), 0);
-        assert_eq!(p.assign(3, 32, 2), 0);
-        assert_eq!(p.assign(4, 32, 2), 1);
-        assert_eq!(p.assign(8, 32, 2), 0);
-    }
-
-    #[test]
-    fn every_policy_covers_all_workgroups_evenly() {
-        for policy in [
-            WorkgroupPolicy::RoundRobin,
-            WorkgroupPolicy::BlockContiguous,
-            WorkgroupPolicy::Chunked { chunk: 8 },
-        ] {
-            let total = 6 * 38 * 4;
-            let n = 6;
-            let counts: Vec<u64> = (0..n).map(|x| count_for(policy, x, total, n)).collect();
-            assert_eq!(counts.iter().sum::<u64>(), total, "{policy:?} covers all");
-            let max = counts.iter().max().unwrap();
-            let min = counts.iter().min().unwrap();
-            assert!(
-                max - min <= total / u64::from(n) / 4,
-                "{policy:?} balanced: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn uneven_totals_still_cover() {
-        let p = WorkgroupPolicy::BlockContiguous;
-        let total = 13;
-        let n = 6;
-        let sum: u64 = (0..n).map(|x| count_for(p, x, total, n)).sum();
-        assert_eq!(sum, total);
-        // Last workgroup maps inside range.
-        assert!(p.assign(12, 13, 6) < 6);
-    }
-
     #[test]
     fn ace_launch_occupies_cus() {
         let mut ace = AceEngine::new(4, 1);
@@ -231,17 +112,5 @@ mod tests {
         let (first, done) = ace.launch(Cycle(10), std::iter::empty(), |_| 1);
         assert_eq!(first, done);
         assert_eq!(done, Cycle(10) + ace.decode_latency);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one XCD")]
-    fn zero_xcds_panics() {
-        let _ = WorkgroupPolicy::RoundRobin.assign(0, 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_wg_panics() {
-        let _ = WorkgroupPolicy::RoundRobin.assign(5, 5, 2);
     }
 }

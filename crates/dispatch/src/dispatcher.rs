@@ -14,7 +14,7 @@
 
 use ehp_sim_core::time::Cycle;
 
-use crate::ace::{AceEngine, WorkgroupPolicy};
+use crate::ace::AceEngine;
 use crate::aql::AqlPacket;
 use crate::signal::CompletionSignal;
 
@@ -27,8 +27,6 @@ pub struct DispatcherConfig {
     pub cus_per_xcd: u32,
     /// ACEs per XCD.
     pub aces_per_xcd: u32,
-    /// Workgroup placement policy.
-    pub policy: WorkgroupPolicy,
     /// One-way latency of the inter-ACE high-priority Infinity Fabric
     /// channel.
     pub sync_latency: Cycle,
@@ -43,7 +41,6 @@ impl DispatcherConfig {
             xcds: 6,
             cus_per_xcd: 38,
             aces_per_xcd: 4,
-            policy: WorkgroupPolicy::RoundRobin,
             sync_latency: Cycle(200),
         }
     }
@@ -164,11 +161,11 @@ impl MultiXcdDispatcher {
             events.push((at, DispatchEvent::PacketRead { xcd: x }));
         }
 
-        // Step 2: partition the workgroups and launch per XCD.
+        // Step 2: partition the workgroups round-robin (adjacent
+        // workgroups on different XCDs) and launch per XCD.
         let mut assignments: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
         for wg in 0..total {
-            let x = self.cfg.policy.assign(wg, total, n);
-            assignments[x as usize].push(wg);
+            assignments[(wg % u64::from(n)) as usize].push(wg);
         }
 
         let mut per_xcd = vec![0u64; n as usize];
@@ -334,21 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn policies_change_placement_not_total() {
-        let pkt = AqlPacket::dispatch_1d(1024 * 64, 64);
-        for policy in [
-            WorkgroupPolicy::RoundRobin,
-            WorkgroupPolicy::BlockContiguous,
-            WorkgroupPolicy::Chunked { chunk: 16 },
-        ] {
-            let cfg = DispatcherConfig {
-                policy,
-                ..DispatcherConfig::mi300a_partition()
-            };
-            let run = MultiXcdDispatcher::new(cfg).dispatch(&pkt, |_| 100);
-            assert_eq!(run.workgroups_launched, 1024);
-            assert_eq!(run.per_xcd.iter().sum::<u64>(), 1024);
-        }
+    fn round_robin_spreads_adjacent() {
+        // Workgroup `i` goes to XCD `i % 6`: 13 workgroups leave one
+        // extra on XCD 0, not a short last block.
+        let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_partition());
+        let run = d.dispatch(&AqlPacket::dispatch_1d(13 * 64, 64), |_| 100);
+        assert_eq!(run.per_xcd, vec![3, 2, 2, 2, 2, 2]);
     }
 
     #[test]

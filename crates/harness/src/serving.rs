@@ -415,8 +415,15 @@ impl Handler for RunHandler {
         };
         let scenarios: Vec<Scenario> = specs.iter().flat_map(ScenarioSpec::expand).collect();
 
+        // An optional field that is present must be well-typed: a
+        // malformed one rejects the request rather than running under
+        // the daemon's default.
         let mut cfg = self.base.clone();
-        if let Some(seed) = request.get("seed").and_then(Json::as_u64) {
+        if let Some(seed) = request.get("seed") {
+            let Some(seed) = seed.as_u64() else {
+                stats.rejected += 1;
+                return RunHandler::error("`seed` must be a non-negative integer", Vec::new());
+            };
             cfg.base_seed = seed;
         }
         if let Some(workers) = request.get("workers") {
@@ -431,8 +438,14 @@ impl Handler for RunHandler {
                 }
             }
         }
-        if request.get("no_cache").and_then(Json::as_bool) == Some(true) {
-            cfg.use_cache = false;
+        if let Some(no_cache) = request.get("no_cache") {
+            let Some(no_cache) = no_cache.as_bool() else {
+                stats.rejected += 1;
+                return RunHandler::error("`no_cache` must be a bool", Vec::new());
+            };
+            if no_cache {
+                cfg.use_cache = false;
+            }
         }
 
         let served = run_batch_served(&scenarios, &cfg);

@@ -356,30 +356,40 @@ fn serve_daemon_answers_sweeps_and_tracks_cache_stats() {
 }
 
 #[test]
-fn serve_daemon_rejects_out_of_range_workers() {
-    let dir = tmp_dir("daemon-workers");
+fn serve_daemon_rejects_malformed_run_fields() {
+    let dir = tmp_dir("daemon-fields");
     let daemon = Daemon::spawn(&dir);
     let spec = Json::object([("experiment", Json::from("table1"))]);
-    for workers in [
-        Json::Num(65.0),
-        Json::Num(-1.0),
-        Json::Num(2.5),
-        Json::from("3"),
-    ] {
+    let cases = [
+        ("workers", Json::Num(65.0)),
+        ("workers", Json::Num(-1.0)),
+        ("workers", Json::Num(2.5)),
+        ("workers", Json::from("3")),
+        ("seed", Json::from("7")),
+        ("seed", Json::Num(2.5)),
+        ("seed", Json::Num(-1.0)),
+        ("no_cache", Json::from("true")),
+        ("no_cache", Json::Num(1.0)),
+    ];
+    for (field, value) in &cases {
         let run = Json::object([
             ("op", Json::from("run")),
             ("spec", spec.clone()),
-            ("workers", workers.clone()),
+            (*field, value.clone()),
         ]);
         let frames = daemon.call(&run);
-        assert_eq!(frames.len(), 1, "workers {workers:?}: {frames:?}");
-        assert_eq!(frames[0].get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(frames.len(), 1, "{field} {value:?}: {frames:?}");
+        assert_eq!(
+            frames[0].get("ok"),
+            Some(&Json::Bool(false)),
+            "{field} {value:?}"
+        );
     }
 
     // Nothing ran and no worker process was started.
     let frames = daemon.call(&Json::object([("op", Json::from("stats"))]));
     let stats = &frames[0];
-    assert_eq!(stats.get("rejected"), Some(&Json::from(4u64)));
+    assert_eq!(stats.get("rejected"), Some(&Json::from(cases.len())));
     assert_eq!(stats.get("scenarios"), Some(&Json::from(0u64)));
     let pool = stats.get("pool").unwrap();
     assert_eq!(pool.get("worker_spawns"), Some(&Json::from(0u64)));

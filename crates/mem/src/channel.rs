@@ -31,8 +31,8 @@ pub struct ChannelConfig {
     pub(crate) hbm_timings: HbmTimings,
     /// Peak HBM bus rate for this channel (split evenly across banks).
     pub(crate) hbm_rate: Bandwidth,
-    /// Infinity Cache slice capacity; `None` disables the slice
-    /// (MI250X-style or ablation). Split evenly across banks.
+    /// Infinity Cache slice capacity; `None` disables the slice (the
+    /// `ic_sweep` ablation). Split evenly across banks.
     pub icache_capacity: Option<Bytes>,
     /// Slice associativity.
     pub icache_ways: usize,
@@ -65,23 +65,6 @@ impl ChannelConfig {
             icache_hit_latency: SimTime::from_nanos(25),
             icache_energy_per_byte: Energy::from_picojoules(12.0), // ~1.5 pJ/bit
             prefetcher: PrefetcherConfig::mi300(),
-        }
-    }
-
-    /// MI250X-style channel: HBM2e share, no Infinity Cache.
-    #[must_use]
-    pub(crate) fn mi250x() -> ChannelConfig {
-        let gen = crate::hbm::HbmGeneration::Hbm2e;
-        ChannelConfig {
-            hbm_timings: gen.timings(),
-            hbm_rate: gen.stack_bandwidth().scale(1.0 / 16.0),
-            icache_capacity: None,
-            icache_ways: 16,
-            line_bytes: Bytes(128),
-            icache_rate: Bandwidth::from_gb_s(1.0), // unused
-            icache_hit_latency: SimTime::ZERO,
-            icache_energy_per_byte: Energy::ZERO,
-            prefetcher: PrefetcherConfig::disabled(),
         }
     }
 
@@ -403,6 +386,14 @@ impl MemoryChannel {
 mod tests {
     use super::*;
 
+    /// The MI300 channel with its Infinity Cache slice disabled.
+    fn no_slice() -> ChannelConfig {
+        ChannelConfig {
+            icache_capacity: None,
+            ..ChannelConfig::mi300()
+        }
+    }
+
     #[test]
     fn bank_slot_is_a_per_bank_bijection() {
         // Distinct addresses mapping to the same bank get distinct local
@@ -464,8 +455,8 @@ mod tests {
         // Adjacent rows land in different banks, whose row machines and
         // bus lanes run in parallel: the second access does not queue
         // behind the first.
-        let mut ch = MemoryChannel::new(ChannelConfig::mi250x());
-        assert_ne!(bank_slot(0, 8).0, bank_slot(1024, 8).0, "distinct banks");
+        let mut ch = MemoryChannel::new(no_slice());
+        assert_ne!(bank_slot(0, 16).0, bank_slot(1024, 16).0, "distinct banks");
         let d1 = ch.access(SimTime::ZERO, 0, Bytes(128), false).0;
         let d2 = ch.access(SimTime::ZERO, 1024, Bytes(128), false).0;
         assert_eq!(d1, d2);
@@ -484,7 +475,7 @@ mod tests {
 
     #[test]
     fn no_cache_goes_to_hbm() {
-        let mut ch = MemoryChannel::new(ChannelConfig::mi250x());
+        let mut ch = MemoryChannel::new(no_slice());
         let (_, p) = ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);
         assert_eq!(p, ServicePoint::Hbm);
         let (_, p2) = ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);

@@ -3,26 +3,11 @@
 //! The paper (Section IV.D): *"Every 4 KB of sequential physical addresses
 //! map to the same HBM stack before moving on to another HBM stack chosen
 //! based on a physical address hashing scheme."* Within a stack, finer
-//! interleaving spreads lines across the stack's channels.
-//!
-//! The NUMA modes of Figure 17 are also implemented here: **NPS1**
-//! interleaves uniformly across all stacks of a socket; **NPS4** divides
-//! the address space into four quadrant domains of two stacks each
-//! (MI300X only exposes NPS4; MI300A is NPS1-only in both partition
-//! modes).
+//! interleaving spreads lines across the stack's channels. This is the
+//! NPS1 mode of Figure 17: one NUMA domain interleaving over every
+//! stack of the socket.
 
 use ehp_sim_core::ids::ChannelId;
-
-/// NUMA-nodes-per-socket memory mode (Figure 17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum NumaMode {
-    /// One NUMA domain: addresses interleave over all 8 stacks.
-    #[default]
-    Nps1,
-    /// Four NUMA domains: the address space is split into quadrants, each
-    /// interleaving over the 2 stacks owned by one IOD.
-    Nps4,
-}
 
 /// Static description of the interleaving scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,13 +25,11 @@ pub struct InterleaveConfig {
     /// Whether the stack selector XOR-hashes upper address bits (the
     /// paper's "physical address hashing scheme") or uses plain modulo.
     pub hashed: bool,
-    /// NUMA mode.
-    pub(crate) numa: NumaMode,
 }
 
 impl InterleaveConfig {
     /// MI300-style interleave: 8 stacks × 16 channels, 4 KB stack granule,
-    /// hashed stack selection, NPS1.
+    /// hashed stack selection.
     #[must_use]
     pub fn mi300() -> InterleaveConfig {
         InterleaveConfig {
@@ -55,16 +38,6 @@ impl InterleaveConfig {
             stack_granule: 4096,
             channel_granule: 256,
             hashed: true,
-            numa: NumaMode::Nps1,
-        }
-    }
-
-    /// Same geometry in NPS4 mode (valid for MI300X).
-    #[must_use]
-    pub(crate) fn mi300_nps4() -> InterleaveConfig {
-        InterleaveConfig {
-            numa: NumaMode::Nps4,
-            ..InterleaveConfig::mi300()
         }
     }
 
@@ -80,8 +53,7 @@ impl InterleaveConfig {
     ///
     /// Returns a description of the first violated constraint: counts must
     /// be non-zero, granules must be powers of two, the stack granule must
-    /// be a multiple of the channel granule, and NPS4 requires the stack
-    /// count to be divisible by four.
+    /// be a multiple of the channel granule.
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.stacks == 0 || self.channels_per_stack == 0 {
             return Err("stack/channel counts must be non-zero".into());
@@ -91,9 +63,6 @@ impl InterleaveConfig {
         }
         if !self.stack_granule.is_multiple_of(self.channel_granule) {
             return Err("stack granule must be a multiple of channel granule".into());
-        }
-        if self.numa == NumaMode::Nps4 && !self.stacks.is_multiple_of(4) {
-            return Err("NPS4 requires stacks divisible by 4".into());
         }
         Ok(())
     }
@@ -108,8 +77,6 @@ pub struct Placement {
     pub channel_in_stack: u32,
     /// Flat channel id across the socket.
     pub channel: ChannelId,
-    /// NUMA domain the address belongs to (always 0 in NPS1).
-    pub(crate) numa_domain: u32,
 }
 
 /// Reduces `x` modulo `n`, using a mask when `n` is a power of two. The
@@ -181,14 +148,15 @@ impl Interleaver {
     /// and the bank index draw from decorrelated bits: the global
     /// address space populates all banks of every channel instead of the
     /// 4/16 aliased subset the pre-decorrelation scheme reached.
-    fn hash_stack(&self, granule_idx: u64, stacks_in_domain: u64) -> u64 {
+    fn hash_stack(&self, granule_idx: u64) -> u32 {
+        let stacks = u64::from(self.cfg.stacks);
         if !self.cfg.hashed {
-            return fast_mod(granule_idx, stacks_in_domain);
+            return fast_mod(granule_idx, stacks) as u32;
         }
         // Fold three higher windows of the granule index onto the low bits.
         let g = granule_idx;
         let folded = g ^ (g >> 7) ^ (g >> 13) ^ (g >> 21);
-        fast_mod(folded, stacks_in_domain)
+        fast_mod(folded, stacks) as u32
     }
 
     /// Decodes a physical address into its placement.
@@ -196,25 +164,7 @@ impl Interleaver {
     pub fn place(&self, addr: u64) -> Placement {
         // lint:hot-path
         let cfg = &self.cfg;
-        let granule_idx = addr >> self.granule_shift;
-
-        let (numa_domain, stack) = match cfg.numa {
-            NumaMode::Nps1 => {
-                let stack = self.hash_stack(granule_idx, u64::from(cfg.stacks)) as u32;
-                (0, stack)
-            }
-            NumaMode::Nps4 => {
-                // Quadrant = top address bits: each quadrant owns 1/4 of the
-                // physical space and interleaves over stacks/4 stacks.
-                let stacks_per_domain = cfg.stacks / 4;
-                // Domain selected by the granule index's highest two bits of
-                // the per-socket space; here we use a simple split by
-                // address quadrant within a 64 GiB nominal window per domain.
-                let domain = ((addr >> 34) & 0b11) as u32;
-                let local = self.hash_stack(granule_idx, u64::from(stacks_per_domain)) as u32;
-                (domain, domain * stacks_per_domain + local)
-            }
-        };
+        let stack = self.hash_stack(addr >> self.granule_shift);
 
         // Within the stack granule, rotate channel every channel_granule.
         let within_stack = (addr & self.granule_mask) >> self.chan_shift;
@@ -226,7 +176,6 @@ impl Interleaver {
             stack,
             channel_in_stack,
             channel,
-            numa_domain,
         }
     }
 
@@ -245,7 +194,6 @@ mod tests {
     #[test]
     fn mi300_config_validates() {
         assert!(InterleaveConfig::mi300().validate().is_ok());
-        assert!(InterleaveConfig::mi300_nps4().validate().is_ok());
         assert_eq!(InterleaveConfig::mi300().total_channels(), 128);
     }
 
@@ -258,10 +206,6 @@ mod tests {
         let mut c = InterleaveConfig::mi300();
         c.channel_granule = 512;
         c.stack_granule = 256;
-        assert!(c.validate().is_err());
-
-        let mut c = InterleaveConfig::mi300_nps4();
-        c.stacks = 6;
         assert!(c.validate().is_err());
 
         let mut c = InterleaveConfig::mi300();
@@ -332,24 +276,6 @@ mod tests {
             "hash spreads strided stream, got {} stacks",
             hashed_stacks.len()
         );
-    }
-
-    #[test]
-    fn nps4_quadrants_partition_stacks() {
-        let il = Interleaver::new(InterleaveConfig::mi300_nps4()).unwrap();
-        // Addresses in the first quadrant (bits 34-35 == 0) use stacks 0-1.
-        for g in 0..512u64 {
-            let p = il.place(g * 4096);
-            assert_eq!(p.numa_domain, 0);
-            assert!(p.stack < 2, "domain 0 must use stacks 0-1, got {}", p.stack);
-        }
-        // Third quadrant uses stacks 4-5.
-        let base = 2u64 << 34;
-        for g in 0..512u64 {
-            let p = il.place(base + g * 4096);
-            assert_eq!(p.numa_domain, 2);
-            assert!((4..6).contains(&p.stack));
-        }
     }
 
     #[test]

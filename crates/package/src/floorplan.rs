@@ -248,17 +248,6 @@ impl Floorplan {
     /// strips at the IOD seams and HBM PHYs on the outer IOD edges.
     #[must_use]
     pub fn mi300a() -> Floorplan {
-        Floorplan::mi300_like(true)
-    }
-
-    /// The MI300X floorplan: identical except all four IODs carry XCD
-    /// pairs (eight XCDs, no CCDs).
-    #[must_use]
-    pub fn mi300x() -> Floorplan {
-        Floorplan::mi300_like(false)
-    }
-
-    fn mi300_like(with_ccds: bool) -> Floorplan {
         let mut fp = Floorplan::new(Rect::new(0.0, 0.0, 70.0, 56.0));
         let iod = Footprint::of(ChipletKind::Iod); // 21.6 x 17.1
         let block_x = 13.4;
@@ -274,31 +263,25 @@ impl Floorplan {
         }
 
         // Compute chiplets: XCD drawn rotated (8.8 wide x 13 tall), two
-        // per IOD; the CCD IOD (index 3 on MI300A) carries three CCDs.
+        // on each of IODs 0-2; IOD 3 carries the three CCDs.
         let mut xcd_n = 0;
-        let mut ccd_n = 0;
-        for (i, &(x, y)) in iod_pos.iter().enumerate() {
-            if with_ccds && i == 3 {
-                let ccd = Footprint::of(ChipletKind::Ccd); // 9.4 x 7.6
-                for (k, (dx, dy)) in [(1.0, 1.5), (11.0, 1.5), (1.0, 9.3)].iter().enumerate() {
-                    let _ = k;
-                    fp.add(
-                        format!("ccd{ccd_n}"),
-                        ccd.at(x + dx, y + dy),
-                        Layer::Compute,
-                    );
-                    ccd_n += 1;
-                }
-            } else {
-                for dx in [2.0, 11.0] {
-                    fp.add(
-                        format!("xcd{xcd_n}"),
-                        Rect::new(x + dx, y + 2.0, 8.8, 13.0),
-                        Layer::Compute,
-                    );
-                    xcd_n += 1;
-                }
+        for &(x, y) in &iod_pos[..3] {
+            for dx in [2.0, 11.0] {
+                fp.add(
+                    format!("xcd{xcd_n}"),
+                    Rect::new(x + dx, y + 2.0, 8.8, 13.0),
+                    Layer::Compute,
+                );
+                xcd_n += 1;
             }
+        }
+        let ccd = Footprint::of(ChipletKind::Ccd); // 9.4 x 7.6
+        let (x, y) = iod_pos[3];
+        for (k, (dx, dy)) in [(1.0, 1.5), (11.0, 1.5), (1.0, 9.3)]
+            .into_iter()
+            .enumerate()
+        {
+            fp.add(format!("ccd{k}"), ccd.at(x + dx, y + dy), Layer::Compute);
         }
 
         // HBM stacks: four per side, flanking the IOD block.
@@ -389,14 +372,6 @@ mod tests {
         assert_eq!(fp.regions_matching("ccd").count(), 3);
         assert_eq!(fp.regions_matching("hbm_stack").count(), 8);
         assert_eq!(fp.regions_matching("hbm_phy").count(), 8);
-    }
-
-    #[test]
-    fn mi300x_swaps_ccds_for_xcds() {
-        let fp = Floorplan::mi300x();
-        fp.check().unwrap();
-        assert_eq!(fp.regions_matching("xcd").count(), 8);
-        assert_eq!(fp.regions_matching("ccd").count(), 0);
     }
 
     #[test]

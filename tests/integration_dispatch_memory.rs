@@ -3,7 +3,6 @@
 //! the full launch-to-memory path spanning `ehp-dispatch`, `ehp-mem`
 //! and `ehp-fabric`.
 
-use ehp_dispatch::ace::WorkgroupPolicy;
 use ehp_dispatch::aql::AqlPacket;
 use ehp_dispatch::dispatcher::{DispatcherConfig, MultiXcdDispatcher};
 use ehp_fabric::fabric::FabricSim;
@@ -15,16 +14,8 @@ use ehp_sim_core::units::Bytes;
 
 /// Runs a kernel whose workgroups each stream memory, and returns the
 /// memory-side completion time.
-fn run_kernel_with_memory(
-    policy: WorkgroupPolicy,
-    workgroups: u32,
-    lines_per_wg: u64,
-) -> (Cycle, SimTime, MemorySubsystem) {
-    let cfg = DispatcherConfig {
-        policy,
-        ..DispatcherConfig::mi300a_partition()
-    };
-    let mut d = MultiXcdDispatcher::new(cfg);
+fn run_kernel_with_memory(workgroups: u32, lines_per_wg: u64) -> (Cycle, SimTime, MemorySubsystem) {
+    let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_partition());
     let run = d.dispatch(&AqlPacket::dispatch_1d(workgroups * 64, 64), |_| 2_000);
     assert_eq!(run.workgroups_launched, u64::from(workgroups));
 
@@ -46,7 +37,7 @@ fn run_kernel_with_memory(
 
 #[test]
 fn full_path_dispatch_to_memory() {
-    let (completion, mem_done, mem) = run_kernel_with_memory(WorkgroupPolicy::RoundRobin, 228, 64);
+    let (completion, mem_done, mem) = run_kernel_with_memory(228, 64);
     assert!(completion > Cycle(0));
     assert!(mem_done > SimTime::ZERO);
     assert_eq!(mem.reads(), 228 * 64);
@@ -57,18 +48,6 @@ fn full_path_dispatch_to_memory() {
         .filter(|c| c.hbm_bytes_moved() > Bytes::ZERO || c.icache_bytes() > Bytes::ZERO)
         .count();
     assert!(busy_channels > 64, "only {busy_channels} channels touched");
-}
-
-#[test]
-fn every_policy_reaches_all_memory() {
-    for policy in [
-        WorkgroupPolicy::RoundRobin,
-        WorkgroupPolicy::BlockContiguous,
-        WorkgroupPolicy::Chunked { chunk: 8 },
-    ] {
-        let (_, _, mem) = run_kernel_with_memory(policy, 114, 32);
-        assert_eq!(mem.reads(), 114 * 32, "{policy:?}");
-    }
 }
 
 #[test]
@@ -108,9 +87,9 @@ fn back_to_back_dispatches_complete_in_order() {
 
 #[test]
 fn locality_policy_concentrates_reuse() {
-    // Block-contiguous placement lets consecutive workgroups share lines;
-    // with a working set that fits slices, the Infinity Cache hit rate
-    // under re-walks must exceed the round-robin single-pass rate.
+    // Workgroups that re-walk a working set which fits the Infinity
+    // Cache slices are served mostly from the slices after the first
+    // pass.
     let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
     for _pass in 0..4 {
         for l in 0..4096u64 {

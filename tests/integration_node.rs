@@ -1,13 +1,9 @@
 //! Integration: node-scale behaviour — topologies, the timed node
-//! fabric, node-scope coherence, strong scaling and RAS must tell one
-//! consistent story.
+//! fabric, strong scaling and RAS must tell one consistent story.
 
-use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence, NodeCoherenceConfig};
-use ehp_coherence::scope::SyncScope;
 use ehp_core::node::NodeTopology;
 use ehp_core::node_fabric::NodeFabric;
 use ehp_core::ras;
-use ehp_sim_core::ids::AgentId;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
 use ehp_workloads::scaling::ScalingStudy;
@@ -45,42 +41,6 @@ fn scaling_is_consistent_with_fabric_bandwidth() {
     // fabric reports.
     let fab = NodeFabric::new(&node);
     assert!(fab.socket_bandwidth(0, 1).is_some());
-}
-
-#[test]
-fn producer_consumer_across_sockets_full_protocol() {
-    // GPU on socket 0 produces; GPU on socket 1 consumes, over lines
-    // homed on socket 2 — software coherence end to end, then a CPU
-    // audits the data hardware-coherently.
-    let mut coh = MultiSocketCoherence::new(NodeCoherenceConfig::quad_mi300a());
-    let (gpu0, gpu1, cpu) = (AgentId(0), AgentId(1), AgentId(2));
-    coh.register(gpu0, 0, AgentClass::Gpu);
-    coh.register(gpu1, 1, AgentClass::Gpu);
-    coh.register(cpu, 3, AgentClass::Cpu);
-
-    let span = 128u64 << 30;
-    let shared = 2 * span; // homed on socket 2: remote for everyone
-
-    // Consumer caches stale copies first.
-    for i in 0..16u64 {
-        coh.read(gpu1, shared + i * 128);
-    }
-    // Producer writes and releases.
-    for i in 0..16u64 {
-        let w = coh.write(gpu0, shared + i * 128);
-        assert!(!w.hardware_coherent, "remote GPU writes ride the sw path");
-    }
-    assert_eq!(coh.release(gpu0, SyncScope::System), 16);
-
-    // Without acquire the consumer risks staleness; after acquire it
-    // does not.
-    assert!(coh.read(gpu1, shared).stale_risk);
-    assert_eq!(coh.acquire(gpu1, SyncScope::System), 16);
-    assert!(!coh.read(gpu1, shared + 128).stale_risk);
-
-    // The CPU sees it hardware-coherently with zero ceremony.
-    let a = coh.read(cpu, shared);
-    assert!(a.hardware_coherent && !a.stale_risk);
 }
 
 #[test]

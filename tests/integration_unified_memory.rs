@@ -4,7 +4,6 @@
 //! (`ehp-core`).
 
 use ehp_coherence::probe_filter::{DataSource, LineState, ProbeFilter};
-use ehp_coherence::scope::{ScopeTracker, SyncScope};
 use ehp_core::progmodel::{ExecutionModel, WorkloadShape};
 use ehp_sim_core::ids::AgentId;
 
@@ -51,37 +50,6 @@ fn repeated_handoffs_alternate_ownership() {
     }
     assert_eq!(pf.state(line), LineState::Owned(GPU));
     pf.check_invariants().unwrap();
-}
-
-#[test]
-fn hardware_coherence_beats_software_scopes_for_fine_sharing() {
-    // Fine-grained flag communication: hardware coherence pays one probe
-    // per handoff; software coherence pays a full release+acquire of the
-    // whole dirty/valid set. Count the operations for 100 handoffs of one
-    // flag while 1000 unrelated lines are cached.
-    let mut sw = ScopeTracker::new();
-    for l in 0..1000u64 {
-        sw.record_write(GPU, 0x10_0000 + l * 64);
-    }
-    let mut sw_ops = 0u64;
-    for round in 0..100u64 {
-        sw.record_write(GPU, round); // the flag line
-        sw_ops += sw.release(GPU, SyncScope::System);
-        sw.record_read(CPU, round);
-        sw_ops += sw.acquire(CPU, SyncScope::System);
-    }
-
-    let mut hw = ProbeFilter::new();
-    for round in 0..100u64 {
-        hw.write(GPU, round);
-        hw.read(CPU, round);
-    }
-    let hw_ops = hw.probes_sent();
-
-    assert!(
-        sw_ops > 5 * hw_ops,
-        "software coherence {sw_ops} line ops vs hardware {hw_ops} probes"
-    );
 }
 
 #[test]

@@ -119,17 +119,23 @@ fn sharded_replay_is_bit_identical_mi300() {
 }
 
 #[test]
-fn sharded_replay_is_bit_identical_mi300_nps4() {
-    assert_sharded_matches_sequential("mi300_nps4", || {
-        MemorySubsystem::new(MemConfig::mi300_nps4())
+fn sharded_replay_is_bit_identical_ic_off() {
+    // `ic_sweep` with `ic_mib=0`: no Infinity Cache slices, so every
+    // access takes the HBM-only channel path.
+    assert_sharded_matches_sequential("mi300_hbm3 ic off", || {
+        let mut cfg = MemConfig::mi300_hbm3();
+        cfg.channel.icache_capacity = None;
+        MemorySubsystem::new(cfg)
     });
 }
 
 #[test]
-fn sharded_replay_is_bit_identical_mi250x() {
-    // No Infinity Cache slices: exercises the HBM-only channel path.
-    assert_sharded_matches_sequential("mi250x_hbm2e", || {
-        MemorySubsystem::new(MemConfig::mi250x_hbm2e())
+fn sharded_replay_is_bit_identical_unhashed() {
+    // `ic_sweep` with `hashed=false`: plain-modulo stack selection.
+    assert_sharded_matches_sequential("mi300_hbm3 unhashed", || {
+        let mut cfg = MemConfig::mi300_hbm3();
+        cfg.interleave.hashed = false;
+        MemorySubsystem::new(cfg)
     });
 }
 
