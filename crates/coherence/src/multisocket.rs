@@ -7,14 +7,15 @@
 //! sockets); **GPUs are hardware coherent only within their socket** and
 //! *software coherent* to GPUs in other sockets — explicitly to reduce
 //! the hardware-coherence bandwidth that GPU-rate traffic would
-//! otherwise burn on cross-socket probes. This module composes the
-//! per-socket [`ProbeFilter`]s into that policy.
+//! otherwise burn on cross-socket probes. This module is that policy:
+//! it decides which accesses hardware coherence covers. Read-only
+//! traffic probes no one, so no directory is kept; a socket's
+//! [`ProbeFilter`](crate::probe_filter::ProbeFilter) models the
+//! hardware-coherent side.
 
 use std::collections::HashMap;
 
 use ehp_sim_core::ids::AgentId;
-
-use crate::probe_filter::ProbeFilter;
 
 /// Whether an agent is a CPU complex or a GPU device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,12 +29,9 @@ pub enum AgentClass {
 /// Result of one coherent access at node scope.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeAccess {
-    /// Whether the line's home is on another socket.
-    pub(crate) cross_socket: bool,
-    /// Whether hardware coherence covered this access.
+    /// Whether hardware coherence covered this access; if not, the
+    /// access is software coherent.
     pub hardware_coherent: bool,
-    /// Agents probed (hardware-coherent path only).
-    pub probes: Vec<AgentId>,
 }
 
 /// Node-level coherence configuration.
@@ -75,8 +73,6 @@ impl NodeCoherenceConfig {
 #[derive(Debug)]
 pub struct MultiSocketCoherence {
     cfg: NodeCoherenceConfig,
-    /// One directory per socket.
-    directories: Vec<ProbeFilter>,
     /// Agent registry.
     agents: HashMap<AgentId, (u32, AgentClass)>,
 }
@@ -92,7 +88,6 @@ impl MultiSocketCoherence {
         assert!(cfg.sockets > 0, "need at least one socket");
         MultiSocketCoherence {
             cfg,
-            directories: (0..cfg.sockets).map(|_| ProbeFilter::new()).collect(),
             agents: HashMap::new(),
         }
     }
@@ -111,29 +106,17 @@ impl MultiSocketCoherence {
         u32::try_from(addr / self.cfg.socket_span).expect("address in range") % self.cfg.sockets
     }
 
-    /// A coherent read of `addr` by `agent`. CPUs and socket-local GPU
-    /// reads go through the home socket's directory; a GPU read of
-    /// another socket's memory is software coherent and probes nothing.
+    /// A coherent read of `addr` by `agent`: hardware coherent for a CPU
+    /// anywhere and for a GPU on the line's home socket; a GPU read of
+    /// another socket's memory is software coherent.
     ///
     /// # Panics
     ///
     /// Panics if the agent is unregistered.
-    pub fn read(&mut self, agent: AgentId, addr: u64) -> NodeAccess {
+    pub fn read(&self, agent: AgentId, addr: u64) -> NodeAccess {
         let (socket, class) = *self.agents.get(&agent).expect("agent registered");
-        let home = self.home_socket(addr);
-        let cross = home != socket;
-        if class == AgentClass::Gpu && cross {
-            return NodeAccess {
-                cross_socket: cross,
-                hardware_coherent: false,
-                probes: Vec::new(),
-            };
-        }
-        let action = self.directories[home as usize].read(agent, addr / 128);
         NodeAccess {
-            cross_socket: cross,
-            hardware_coherent: true,
-            probes: action.probes,
+            hardware_coherent: class == AgentClass::Cpu || self.home_socket(addr) == socket,
         }
     }
 }
@@ -141,6 +124,7 @@ impl MultiSocketCoherence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe_filter::ProbeFilter;
 
     const CPU0: AgentId = AgentId(0);
     const GPU0: AgentId = AgentId(1);
@@ -159,28 +143,21 @@ mod tests {
 
     #[test]
     fn cpu_remote_access_is_hardware_coherent() {
-        let mut n = node();
+        let n = node();
         // CPU0 reads an address homed on socket 1.
-        let a = n.read(CPU0, SPAN + 0x100);
-        assert!(a.cross_socket);
-        assert!(a.hardware_coherent);
+        assert!(n.read(CPU0, SPAN + 0x100).hardware_coherent);
     }
 
     #[test]
     fn gpu_local_access_is_hardware_coherent() {
-        let mut n = node();
-        let a = n.read(GPU0, 0x1000);
-        assert!(!a.cross_socket);
-        assert!(a.hardware_coherent);
+        let n = node();
+        assert!(n.read(GPU0, 0x1000).hardware_coherent);
     }
 
     #[test]
     fn gpu_remote_access_is_software_coherent() {
-        let mut n = node();
-        let a = n.read(GPU0, SPAN + 0x100);
-        assert!(a.cross_socket);
-        assert!(!a.hardware_coherent);
-        assert!(a.probes.is_empty());
+        let n = node();
+        assert!(!n.read(GPU0, SPAN + 0x100).hardware_coherent);
     }
 
     #[test]
@@ -189,21 +166,19 @@ mod tests {
         // over 64 lines homed on socket 2. Were GPUs hardware coherent
         // across sockets, every write would go through the home socket's
         // probe filter and probe the other GPU's copy; the node sends
-        // those GPUs' cross-socket accesses down the software path.
-        let mut n = node();
+        // every one of those GPUs' cross-socket accesses down the
+        // software path, which keeps no directory and probes no one.
+        let n = node();
         let mut directories: Vec<ProbeFilter> = (0..4).map(|_| ProbeFilter::new()).collect();
-        let (mut probes_hw, mut probes_sw) = (0, 0);
+        let mut probes_hw = 0;
         for i in 0..1_000u64 {
             let addr = 2 * SPAN + i % 64 * 128;
             let home = (addr / SPAN) as usize;
             for gpu in [GPU0, GPU1] {
                 probes_hw += directories[home].write(gpu, addr / 128).probes.len();
-                let a = n.read(gpu, addr);
-                assert!(!a.hardware_coherent);
-                probes_sw += a.probes.len();
+                assert!(!n.read(gpu, addr).hardware_coherent, "software path");
             }
         }
-        assert_eq!(probes_sw, 0, "software path sends no probes");
         assert!(
             probes_hw > 1_000,
             "hardware path would burn {probes_hw} cross-socket probes"
@@ -213,7 +188,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "agent registered")]
     fn unregistered_agent_panics() {
-        let mut n = node();
+        let n = node();
         n.read(AgentId(99), 0);
     }
 

@@ -117,7 +117,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv(
         "GPU remote access",
         format!(
-            "hardware coherent: {} (software scopes instead)",
+            "hardware coherent: {} (software coherent)",
             gpu_remote.hardware_coherent
         ),
     );

@@ -9,19 +9,26 @@
 //! completes, off the demand's critical path: the demand's completion
 //! time never waits for it, but the next access to the bank does.
 //!
-//! Because banks share no state (each owns its row machine, bus lane
-//! share, slice sub-array and latency accumulator), a
+//! Because banks share no mutable state (each owns its row machine, bus
+//! lane share, slice sub-array and latency accumulator), a
 //! channel's request stream can be partitioned by bank and replayed
 //! bank-by-bank with results bit-identical to the sequential order —
 //! the rule `MemorySubsystem::replay_sharded` relies on.
+//!
+//! The layout keeps the replay working set small: a [`BankUnit`] holds
+//! only mutable state, every parameter its channel's banks share sits
+//! once in a `BankParams`, and a `BankArray` keeps every bank's
+//! Infinity Cache set records in one bank-major arena.
 
-use ehp_sim_core::resource::BandwidthPipe;
 use ehp_sim_core::stats::Accumulator;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-use crate::hbm::{HbmChannelModel, HbmTimings, ROW_BYTES};
-use crate::icache::{CacheOutcome, InfinityCacheSlice, PrefetcherConfig, MAX_PREFETCH_DEGREE};
+use crate::hbm::{HbmBank, HbmParams, HbmTimings, Lane, ROW_BYTES};
+use crate::icache::{
+    CacheOutcome, PrefetcherConfig, SetRecord, SliceGeometry, SliceMut, SliceState,
+    MAX_PREFETCH_DEGREE,
+};
 use crate::request::ServicePoint;
 
 /// Static parameters of one channel.
@@ -127,85 +134,138 @@ pub(crate) fn bank_slot(addr: u64, banks: u64) -> (usize, u64) {
     (bank, local)
 }
 
-/// One HBM bank and its share of the channel: a row state machine with a
-/// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array and its own
-/// latency accumulator. Addresses are bank-local (see `bank_slot`).
-/// The slice's tag and set arrays are the only heap memory a bank owns.
+/// The parameters every bank of a channel shares, derived once from its
+/// [`ChannelConfig`]: the HBM timings and bus lane, the slice geometry,
+/// the slice lane, the hit latency and the slice energy per byte.
 #[derive(Debug, Clone)]
-pub struct BankUnit {
-    slice: Option<InfinityCacheSlice>,
-    hbm: HbmChannelModel,
-    icache_pipe: BandwidthPipe,
-    icache_energy: Energy,
-    latency: Accumulator,
+pub(crate) struct BankParams {
+    /// `None` disables the slice.
+    slice: Option<SliceGeometry>,
+    hbm: HbmParams,
+    icache_lane: Lane,
     line_bytes: Bytes,
     icache_hit_latency: SimTime,
     icache_energy_per_byte: Energy,
 }
 
-impl BankUnit {
-    fn new(cfg: &ChannelConfig) -> BankUnit {
+impl BankParams {
+    /// One bank's share of a `cfg` channel: `1/banks` of its slice, its
+    /// HBM bus rate and its slice rate.
+    fn new(cfg: &ChannelConfig) -> BankParams {
         let banks = cfg.banks() as u64;
         let slice = cfg.icache_capacity.map(|cap| {
-            InfinityCacheSlice::new(
+            SliceGeometry::new(
                 Bytes(cap.as_u64() / banks),
                 cfg.icache_ways,
                 cfg.line_bytes.as_u64(),
                 cfg.prefetcher,
             )
         });
-        let hbm = HbmChannelModel::new(cfg.hbm_timings, cfg.hbm_rate.scale(1.0 / banks as f64));
-        let icache_pipe =
-            BandwidthPipe::new("icache_bank", cfg.icache_rate.scale(1.0 / banks as f64));
-        BankUnit {
+        let hbm = HbmParams::new(
+            cfg.hbm_timings,
+            cfg.hbm_rate.scale(1.0 / banks as f64),
+            cfg.line_bytes,
+        );
+        let icache_lane = Lane::new(cfg.icache_rate.scale(1.0 / banks as f64), cfg.line_bytes);
+        BankParams {
             slice,
             hbm,
-            icache_pipe,
-            icache_energy: Energy::ZERO,
-            latency: Accumulator::new("mem_latency_ns"),
+            icache_lane,
             line_bytes: cfg.line_bytes,
             icache_hit_latency: cfg.icache_hit_latency,
             icache_energy_per_byte: cfg.icache_energy_per_byte,
         }
     }
 
-    /// Performs one access at a bank-local address; returns completion
-    /// time and service point.
+    /// Starts loading the set record bank-local `addr` maps to in a bank
+    /// whose records are `sets`, without waiting for it (see
+    /// `SetRecord::preload`); does nothing without a slice.
+    #[inline]
+    pub(crate) fn preload(&self, sets: &[SetRecord], addr: u64) {
+        if let Some(geom) = &self.slice {
+            sets[geom.set_of_addr(addr)].preload();
+        }
+    }
+}
+
+/// One HBM bank and its share of the channel: a row state machine with a
+/// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array and its own
+/// latency accumulator. Addresses are bank-local (see `bank_slot`).
+///
+/// A bank holds only mutable state. Its parameters are its channel's
+/// `BankParams`, and its slice's set records sit in the `BankArray`
+/// arena; both are passed to `BankUnit::access`.
+#[derive(Debug, Clone)]
+pub struct BankUnit {
+    /// `None` when the channel has no slice.
+    slice: Option<SliceState>,
+    hbm: HbmBank,
+    /// Time the slice lane finishes its current transfer.
+    icache_free: SimTime,
+    icache_bytes: Bytes,
+    icache_energy: Energy,
+    latency: Accumulator,
+}
+
+impl BankUnit {
+    fn new(p: &BankParams) -> BankUnit {
+        BankUnit {
+            slice: p.slice.map(|_| SliceState::default()),
+            hbm: HbmBank::new(&p.hbm),
+            icache_free: SimTime::ZERO,
+            icache_bytes: Bytes::ZERO,
+            icache_energy: Energy::ZERO,
+            latency: Accumulator::new("mem_latency_ns"),
+        }
+    }
+
+    /// Performs one access at a bank-local address, with the bank's
+    /// shared parameters `p` and its own set records `sets`; returns
+    /// completion time and service point.
     pub(crate) fn access(
         &mut self,
+        p: &BankParams,
+        sets: &mut [SetRecord],
         at: SimTime,
         addr: u64,
         size: Bytes,
         is_write: bool,
     ) -> (SimTime, ServicePoint) {
-        let Some(slice) = self.slice.as_mut() else {
+        let (Some(geom), Some(state)) = (&p.slice, self.slice.as_mut()) else {
             // No memory-side cache: straight to HBM.
-            let done = self.hbm.access(at, addr, size);
+            let done = self.hbm.access(&p.hbm, at, addr, size);
             self.latency.record((done - at).as_nanos_f64());
             return (done, ServicePoint::Hbm);
         };
 
         // lint:hot-path
+        let mut slice = SliceMut { geom, state, sets };
         let outcome = slice.access(addr, is_write);
         let mut prefetches = [0; MAX_PREFETCH_DEGREE];
         let n = slice.take_prefetches(addr, &mut prefetches);
 
         let (done, point) = match outcome {
             CacheOutcome::Hit | CacheOutcome::PrefetchedHit => {
-                self.icache_energy += self.icache_energy_per_byte.scale(size.as_f64());
-                let served = self.icache_pipe.request(at, size);
+                self.icache_energy += p.icache_energy_per_byte.scale(size.as_f64());
+                let start = if at > self.icache_free {
+                    at
+                } else {
+                    self.icache_free
+                };
+                self.icache_free = start + p.icache_lane.time(size);
+                self.icache_bytes += size;
                 (
-                    served + self.icache_hit_latency,
+                    self.icache_free + p.icache_hit_latency,
                     ServicePoint::InfinityCache,
                 )
             }
             CacheOutcome::Miss { writeback } => {
                 // Demand fill from HBM, then delivery through the slice.
-                let fetched = self.hbm.access(at, addr, size.max(self.line_bytes));
+                let fetched = self.hbm.access(&p.hbm, at, addr, size.max(p.line_bytes));
                 if let Some(victim) = writeback {
                     // The dirty victim's writeback occupies HBM bandwidth
                     // but is off the critical path.
-                    let _ = self.hbm.access(fetched, victim, self.line_bytes);
+                    let _ = self.hbm.access(&p.hbm, fetched, victim, p.line_bytes);
                 }
                 (fetched, ServicePoint::Hbm)
             }
@@ -215,9 +275,9 @@ impl BankUnit {
         // dirty victim is written back once that fill lands.
         for &pa in &prefetches[..n] {
             let victim = slice.fill_prefetch(pa);
-            let filled = self.hbm.access(done, pa, self.line_bytes);
+            let filled = self.hbm.access(&p.hbm, done, pa, p.line_bytes);
             if let Some(victim) = victim {
-                let _ = self.hbm.access(filled, victim, self.line_bytes);
+                let _ = self.hbm.access(&p.hbm, filled, victim, p.line_bytes);
             }
         }
         // lint:hot-path-end
@@ -226,22 +286,15 @@ impl BankUnit {
         (done, point)
     }
 
-    /// This bank's slice sub-array, if present.
+    /// This bank's slice state and counters, if the channel has a slice.
     #[must_use]
-    pub fn slice(&self) -> Option<&InfinityCacheSlice> {
+    pub fn slice(&self) -> Option<&SliceState> {
         self.slice.as_ref()
     }
 
     /// Total energy: HBM plus slice accesses.
-    #[must_use]
-    pub(crate) fn energy_used(&self) -> Energy {
-        self.hbm.energy_used() + self.icache_energy
-    }
-
-    /// Bytes served from the slice sub-array.
-    #[must_use]
-    pub(crate) fn icache_bytes(&self) -> Bytes {
-        self.icache_pipe.bytes_moved()
+    fn energy_used(&self, p: &BankParams) -> Energy {
+        p.hbm.energy(&self.hbm) + self.icache_energy
     }
 
     /// Per-bank access-latency statistics (nanoseconds). Kept on the
@@ -249,26 +302,108 @@ impl BankUnit {
     /// record latency without any shared state, and merging per-bank
     /// accumulators in flat bank order reproduces the sequential stream
     /// bit for bit.
-    #[must_use]
-    pub(crate) fn latency(&self) -> &Accumulator {
+    fn latency(&self) -> &Accumulator {
         &self.latency
     }
 }
 
+/// A run of banks that share one `BankParams`: their states in flat
+/// order and every bank's slice set records in one bank-major arena, so
+/// bank `b`'s sets are the contiguous records
+/// `b * sets_per_bank .. (b + 1) * sets_per_bank`. A [`MemoryChannel`]
+/// is one channel's banks; a memory subsystem keeps every bank of every
+/// channel in one array.
+#[derive(Debug, Clone)]
+pub(crate) struct BankArray {
+    params: BankParams,
+    units: Vec<BankUnit>,
+    sets: Vec<SetRecord>,
+    sets_per_bank: usize,
+}
+
+impl BankArray {
+    /// `banks` idle banks of a `cfg` channel.
+    pub(crate) fn new(cfg: &ChannelConfig, banks: usize) -> BankArray {
+        let params = BankParams::new(cfg);
+        let sets_per_bank = params.slice.map_or(0, |g| g.sets());
+        BankArray {
+            units: (0..banks).map(|_| BankUnit::new(&params)).collect(),
+            sets: vec![SetRecord::default(); banks * sets_per_bank],
+            sets_per_bank,
+            params,
+        }
+    }
+
+    /// Performs one access at bank-local `addr` of bank `flat`.
+    #[inline]
+    pub(crate) fn access(
+        &mut self,
+        flat: usize,
+        at: SimTime,
+        addr: u64,
+        size: Bytes,
+        is_write: bool,
+    ) -> (SimTime, ServicePoint) {
+        let n = self.sets_per_bank;
+        let sets = &mut self.sets[flat * n..(flat + 1) * n];
+        self.units[flat].access(&self.params, sets, at, addr, size, is_write)
+    }
+
+    /// Starts loading the set record bank-local `addr` of bank `flat`
+    /// maps to, without waiting for it (see `SetRecord::preload`).
+    #[inline]
+    pub(crate) fn preload(&self, flat: usize, addr: u64) {
+        let n = self.sets_per_bank;
+        self.params
+            .preload(&self.sets[flat * n..(flat + 1) * n], addr);
+    }
+
+    /// The shared parameters, and every bank with its own set records in
+    /// flat order: disjoint views that replay workers may own.
+    pub(crate) fn split_mut(
+        &mut self,
+    ) -> (
+        &BankParams,
+        impl Iterator<Item = (&mut BankUnit, &mut [SetRecord])> + '_,
+    ) {
+        let n = self.sets_per_bank;
+        let mut rest = self.sets.as_mut_slice();
+        let banks = self.units.iter_mut().map(move |unit| {
+            let (own, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            (unit, own)
+        });
+        (&self.params, banks)
+    }
+
+    /// Read-only views of consecutive runs of `per_channel` banks.
+    pub(crate) fn channels(&self, per_channel: usize) -> impl Iterator<Item = ChannelView<'_>> {
+        self.units.chunks(per_channel).map(|banks| ChannelView {
+            params: &self.params,
+            banks,
+        })
+    }
+
+    /// Number of banks.
+    pub(crate) fn len(&self) -> usize {
+        self.units.len()
+    }
+}
+
 /// A memory channel: independent per-bank units behind a shared address
-/// mapping. Aggregate statistics fold the banks in bank-index order.
+/// mapping.
 #[derive(Debug, Clone)]
 pub struct MemoryChannel {
-    cfg: ChannelConfig,
-    banks: Vec<BankUnit>,
+    banks: BankArray,
 }
 
 impl MemoryChannel {
     /// Builds a channel from its configuration.
     #[must_use]
     pub fn new(cfg: ChannelConfig) -> MemoryChannel {
-        let banks = (0..cfg.banks()).map(|_| BankUnit::new(&cfg)).collect();
-        MemoryChannel { cfg, banks }
+        MemoryChannel {
+            banks: BankArray::new(&cfg, cfg.banks()),
+        }
     }
 
     /// Performs one access; returns completion time and service point.
@@ -280,38 +415,36 @@ impl MemoryChannel {
         is_write: bool,
     ) -> (SimTime, ServicePoint) {
         let (bank, local) = bank_slot(addr, self.banks.len() as u64);
-        self.banks[bank].access(at, local, size, is_write)
+        self.banks.access(bank, at, local, size, is_write)
     }
+}
 
+/// One channel of a memory subsystem, read only: its banks in
+/// bank-index order and the parameters they share. Aggregate statistics
+/// fold the banks in bank-index order.
+#[derive(Debug, Clone, Copy)]
+pub struct ChannelView<'a> {
+    params: &'a BankParams,
+    banks: &'a [BankUnit],
+}
+
+impl<'a> ChannelView<'a> {
     /// The per-bank units, in bank-index order.
     #[must_use]
-    pub fn banks(&self) -> &[BankUnit] {
-        &self.banks
-    }
-
-    /// Mutable per-bank units, in bank-index order (sharded replay
-    /// partitions these across workers).
-    pub(crate) fn banks_mut(&mut self) -> &mut [BankUnit] {
-        &mut self.banks
+    pub fn banks(&self) -> &'a [BankUnit] {
+        self.banks
     }
 
     /// Total energy: HBM plus slice accesses, folded in bank order.
     #[must_use]
     pub(crate) fn energy_used(&self) -> Energy {
-        self.banks.iter().map(BankUnit::energy_used).sum()
+        self.banks.iter().map(|b| b.energy_used(self.params)).sum()
     }
 
     /// Bytes moved over the channel's HBM lanes.
     #[must_use]
     pub fn hbm_bytes_moved(&self) -> Bytes {
         self.banks.iter().map(|b| b.hbm.bytes_moved()).sum()
-    }
-
-    /// Peak HBM bus rate of the whole channel (configured value; the
-    /// per-bank lanes are exact equal shares of it).
-    #[must_use]
-    pub(crate) fn hbm_peak_rate(&self) -> Bandwidth {
-        self.cfg.hbm_rate
     }
 
     /// DRAM row-buffer hits across banks.
@@ -335,13 +468,13 @@ impl MemoryChannel {
     /// Bytes served from the Infinity Cache slice.
     #[must_use]
     pub fn icache_bytes(&self) -> Bytes {
-        self.banks.iter().map(BankUnit::icache_bytes).sum()
+        self.banks.iter().map(|b| b.icache_bytes).sum()
     }
 
     /// `true` if this channel has an Infinity Cache slice.
     #[must_use]
     pub(crate) fn has_icache(&self) -> bool {
-        self.cfg.icache_capacity.is_some()
+        self.params.slice.is_some()
     }
 
     /// Slice hits (demand + prefetched) across banks.
@@ -360,7 +493,7 @@ impl MemoryChannel {
         self.banks
             .iter()
             .filter_map(BankUnit::slice)
-            .map(|s| s.misses())
+            .map(SliceState::misses)
             .sum()
     }
 
@@ -369,16 +502,10 @@ impl MemoryChannel {
     #[must_use]
     pub(crate) fn latency_stats(&self) -> Accumulator {
         let mut acc = Accumulator::new("mem_latency_ns");
-        for b in &self.banks {
+        for b in self.banks {
             acc.merge(b.latency());
         }
         acc
-    }
-
-    /// Channel configuration.
-    #[must_use]
-    pub(crate) fn config(&self) -> &ChannelConfig {
-        &self.cfg
     }
 }
 
@@ -386,12 +513,28 @@ impl MemoryChannel {
 mod tests {
     use super::*;
 
+    /// The statistics of a standalone channel.
+    fn view(ch: &MemoryChannel) -> ChannelView<'_> {
+        ch.banks
+            .channels(ch.banks.len())
+            .next()
+            .expect("one channel")
+    }
+
     /// The MI300 channel with its Infinity Cache slice disabled.
     fn no_slice() -> ChannelConfig {
         ChannelConfig {
             icache_capacity: None,
             ..ChannelConfig::mi300()
         }
+    }
+
+    #[test]
+    fn bank_state_stays_compact() {
+        // A bank record holds mutable state only; the parameters its
+        // channel's banks share live once, in `BankParams`.
+        let size = std::mem::size_of::<BankUnit>();
+        assert!(size <= 256, "BankUnit grew to {size} bytes");
     }
 
     #[test]
@@ -496,13 +639,14 @@ mod tests {
                 t = done;
             }
         }
-        let slice_bytes = ch.icache_bytes().as_u64();
-        let hbm_bytes = ch.hbm_bytes_moved().as_u64();
+        let v = view(&ch);
+        let slice_bytes = v.icache_bytes().as_u64();
+        let hbm_bytes = v.hbm_bytes_moved().as_u64();
         assert!(
             slice_bytes > 3 * hbm_bytes,
             "slice {slice_bytes} vs hbm {hbm_bytes}"
         );
-        let hit_rate = ch.icache_hits() as f64 / (ch.icache_hits() + ch.icache_misses()) as f64;
+        let hit_rate = v.icache_hits() as f64 / (v.icache_hits() + v.icache_misses()) as f64;
         assert!(hit_rate > 0.8, "hit rate {hit_rate}");
     }
 
@@ -517,7 +661,8 @@ mod tests {
             let (done, _) = ch.access(t, addr & !127, Bytes(128), false);
             t = done;
         }
-        let hit_rate = ch.icache_hits() as f64 / (ch.icache_hits() + ch.icache_misses()) as f64;
+        let v = view(&ch);
+        let hit_rate = v.icache_hits() as f64 / (v.icache_hits() + v.icache_misses()) as f64;
         assert!(hit_rate < 0.2, "hit rate {hit_rate} should be low");
     }
 
@@ -535,18 +680,22 @@ mod tests {
         let mut ch = MemoryChannel::new(cfg);
         assert_eq!(bank_slot(0, 16).0, bank_slot(128, 16).0, "same bank");
         ch.access(SimTime::ZERO, 0, Bytes(128), true);
-        assert_eq!(ch.hbm_bytes_moved(), Bytes(128), "demand fill only");
+        assert_eq!(view(&ch).hbm_bytes_moved(), Bytes(128), "demand fill only");
         ch.access(SimTime::ZERO, 128, Bytes(128), false);
-        assert_eq!(ch.hbm_bytes_moved(), Bytes(3 * 128), "fill + writeback");
+        assert_eq!(
+            view(&ch).hbm_bytes_moved(),
+            Bytes(3 * 128),
+            "fill + writeback"
+        );
     }
 
     #[test]
     fn energy_includes_both_levels() {
         let mut ch = MemoryChannel::new(ChannelConfig::mi300());
         ch.access(SimTime::ZERO, 0, Bytes(128), false); // miss: HBM energy
-        let e_miss = ch.energy_used().as_joules();
+        let e_miss = view(&ch).energy_used().as_joules();
         ch.access(SimTime::ZERO, 0, Bytes(128), false); // hit: slice energy
-        let e_total = ch.energy_used().as_joules();
+        let e_total = view(&ch).energy_used().as_joules();
         assert!(e_total > e_miss);
         // A slice hit must be cheaper than the HBM fetch.
         assert!(e_total - e_miss < e_miss);

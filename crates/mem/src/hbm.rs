@@ -7,7 +7,6 @@
 //! to reproduce the bandwidth and queueing behaviour the paper's
 //! comparisons rest on, while staying fast enough to sweep.
 
-use ehp_sim_core::resource::BandwidthPipe;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
@@ -93,9 +92,202 @@ pub struct HbmTimings {
     pub refresh_duration: SimTime,
 }
 
-/// One HBM bank: a row-buffer state machine plus the bus lane it moves
-/// data over. A channel is `banks_per_channel` of these at an equal
-/// share of the channel's bus rate each (see `crate::channel`).
+/// A serialised bus lane at a fixed rate, with the transfer time of
+/// one line computed once: every replayed transfer is one line, so the
+/// per-transfer `f64` division happens only for other sizes. The lane's
+/// mutable state (its free time and byte count) lives with the bank
+/// that owns it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    rate: Bandwidth,
+    line: Bytes,
+    line_time: SimTime,
+}
+
+impl Lane {
+    /// A lane at `rate` with the transfer time of `line` precomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is zero: a zero-rate lane can never serve a
+    /// transfer.
+    pub(crate) fn new(rate: Bandwidth, line: Bytes) -> Lane {
+        assert!(
+            rate.as_bytes_per_sec() > 0.0,
+            "lane must have positive rate"
+        );
+        Lane {
+            rate,
+            line,
+            line_time: rate.transfer_time(line),
+        }
+    }
+
+    /// Time to move `size` bytes: the same pure function of `size` as
+    /// `Bandwidth::transfer_time`.
+    #[inline]
+    pub(crate) fn time(&self, size: Bytes) -> SimTime {
+        if size == self.line {
+            self.line_time
+        } else {
+            self.rate.transfer_time(size)
+        }
+    }
+}
+
+/// The parameters every bank of a channel shares: timings and its bus
+/// lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HbmParams {
+    timings: HbmTimings,
+    bus: Lane,
+}
+
+impl HbmParams {
+    /// Parameters for banks with the given timings and bus lane rate,
+    /// with the transfer time of one `line` precomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `refresh_duration < refresh_interval`: the
+    /// closed-form refresh catch-up in [`HbmBank::access`] relies on
+    /// refreshes never overlapping. Panics if `bus_rate` is zero.
+    pub(crate) fn new(timings: HbmTimings, bus_rate: Bandwidth, line: Bytes) -> HbmParams {
+        assert!(
+            timings.refresh_duration < timings.refresh_interval,
+            "tRFC ({}) must be shorter than tREFI ({})",
+            timings.refresh_duration,
+            timings.refresh_interval
+        );
+        HbmParams {
+            timings,
+            bus: Lane::new(bus_rate, line),
+        }
+    }
+
+    /// DRAM energy of the bytes `bank` has moved.
+    pub(crate) fn energy(&self, bank: &HbmBank) -> Energy {
+        self.timings
+            .energy_per_byte
+            .scale(bank.bytes_moved.as_f64())
+    }
+}
+
+/// The mutable state of one HBM bank: its row buffer, busy-until and
+/// refresh times, its bus lane's free time, and counters. The timing
+/// parameters are an [`HbmParams`] shared by every bank of a channel.
+#[derive(Debug, Clone)]
+pub(crate) struct HbmBank {
+    /// Open row (`None` = closed).
+    open_row: Option<u64>,
+    /// Time the bank finishes its current access.
+    bank_free: SimTime,
+    /// Next time a refresh is due.
+    next_refresh: SimTime,
+    /// Time the bus lane finishes its current transfer.
+    bus_free: SimTime,
+    bytes_moved: Bytes,
+    row_hits: u64,
+    row_misses: u64,
+    refreshes: u64,
+}
+
+impl HbmBank {
+    /// An idle bank with its first refresh due one tREFI in.
+    pub(crate) fn new(p: &HbmParams) -> HbmBank {
+        HbmBank {
+            open_row: None,
+            bank_free: SimTime::ZERO,
+            next_refresh: p.timings.refresh_interval,
+            bus_free: SimTime::ZERO,
+            bytes_moved: Bytes::ZERO,
+            row_hits: 0,
+            row_misses: 0,
+            refreshes: 0,
+        }
+    }
+
+    /// Performs one access issued at `at`; returns its completion time.
+    ///
+    /// `addr` is the bank-local address; only its row (`addr /
+    /// ROW_BYTES`) matters.
+    #[inline]
+    pub(crate) fn access(&mut self, p: &HbmParams, at: SimTime, addr: u64, size: Bytes) -> SimTime {
+        // Retire every due refresh in one step: each blocks the bank for
+        // tRFC and closes its row (refresh precharges the array). With
+        // tRFC < tREFI (asserted in `HbmParams::new`) every refresh but
+        // the last ends before the next one starts, hence before `at`,
+        // so only the last can raise `bank_free` or `at`.
+        let mut at = at;
+        if at >= self.next_refresh {
+            let interval = p.timings.refresh_interval;
+            let k = (at - self.next_refresh).as_picos() / interval.as_picos() + 1;
+            let rfc_end = self.next_refresh + interval * (k - 1) + p.timings.refresh_duration;
+            if self.bank_free < rfc_end {
+                self.bank_free = rfc_end;
+            }
+            self.open_row = None;
+            self.refreshes += k;
+            self.next_refresh += interval * k;
+            if at < rfc_end {
+                at = rfc_end;
+            }
+        }
+
+        let row = addr / ROW_BYTES;
+        let core_latency = if self.open_row == Some(row) {
+            self.row_hits += 1;
+            p.timings.row_hit
+        } else {
+            self.row_misses += 1;
+            self.open_row = Some(row);
+            p.timings.row_activate
+        };
+
+        // The bank is occupied for its access latency, then the data
+        // crosses the bus lane, first come first served.
+        let bank_start = if at > self.bank_free {
+            at
+        } else {
+            self.bank_free
+        };
+        self.bank_free = bank_start + core_latency;
+        let bus_start = if self.bank_free > self.bus_free {
+            self.bank_free
+        } else {
+            self.bus_free
+        };
+        self.bus_free = bus_start + p.bus.time(size);
+        self.bytes_moved += size;
+        self.bus_free
+    }
+
+    /// Row-buffer hit count so far.
+    pub(crate) fn row_hits(&self) -> u64 {
+        self.row_hits
+    }
+
+    /// Row-buffer miss (activate) count so far.
+    pub(crate) fn row_misses(&self) -> u64 {
+        self.row_misses
+    }
+
+    /// Refresh commands retired so far.
+    pub(crate) fn refreshes(&self) -> u64 {
+        self.refreshes
+    }
+
+    /// Bytes moved over the bank's bus lane.
+    pub(crate) fn bytes_moved(&self) -> Bytes {
+        self.bytes_moved
+    }
+}
+
+/// One HBM bank on its own: the `HbmParams` and `HbmBank` state a
+/// channel keeps apart, owned together, over the same
+/// `HbmBank::access` code. A channel is `banks_per_channel` banks at
+/// an equal share of the channel's bus rate each (see
+/// `crate::channel`).
 ///
 /// # Example
 ///
@@ -113,17 +305,8 @@ pub struct HbmTimings {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HbmChannelModel {
-    timings: HbmTimings,
-    bus: BandwidthPipe,
-    /// Open row (`None` = closed).
-    open_row: Option<u64>,
-    /// Time the bank finishes its current access.
-    bank_free: SimTime,
-    /// Next time a refresh is due.
-    next_refresh: SimTime,
-    row_hits: u64,
-    row_misses: u64,
-    refreshes: u64,
+    params: HbmParams,
+    bank: HbmBank,
 }
 
 impl HbmChannelModel {
@@ -136,21 +319,10 @@ impl HbmChannelModel {
     /// relies on refreshes never overlapping.
     #[must_use]
     pub fn new(timings: HbmTimings, bus_rate: Bandwidth) -> HbmChannelModel {
-        assert!(
-            timings.refresh_duration < timings.refresh_interval,
-            "tRFC ({}) must be shorter than tREFI ({})",
-            timings.refresh_duration,
-            timings.refresh_interval
-        );
+        let params = HbmParams::new(timings, bus_rate, MODEL_LINE);
         HbmChannelModel {
-            timings,
-            bus: BandwidthPipe::new("hbm_bus", bus_rate),
-            open_row: None,
-            bank_free: SimTime::ZERO,
-            next_refresh: timings.refresh_interval,
-            row_hits: 0,
-            row_misses: 0,
-            refreshes: 0,
+            bank: HbmBank::new(&params),
+            params,
         }
     }
 
@@ -159,80 +331,32 @@ impl HbmChannelModel {
     /// `addr` is the bank-local address; only its row (`addr /
     /// ROW_BYTES`) matters.
     pub fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
-        // Retire every due refresh in one step: each blocks the bank for
-        // tRFC and closes its row (refresh precharges the array). With
-        // tRFC < tREFI (asserted in `new`) every refresh but the last
-        // ends before the next one starts, hence before `at`, so only
-        // the last can raise `bank_free` or `at`.
-        let mut at = at;
-        if at >= self.next_refresh {
-            let interval = self.timings.refresh_interval;
-            let k = (at - self.next_refresh).as_picos() / interval.as_picos() + 1;
-            let rfc_end = self.next_refresh + interval * (k - 1) + self.timings.refresh_duration;
-            if self.bank_free < rfc_end {
-                self.bank_free = rfc_end;
-            }
-            self.open_row = None;
-            self.refreshes += k;
-            self.next_refresh += interval * k;
-            if at < rfc_end {
-                at = rfc_end;
-            }
-        }
-
-        let row = addr / ROW_BYTES;
-        let core_latency = if self.open_row == Some(row) {
-            self.row_hits += 1;
-            self.timings.row_hit
-        } else {
-            self.row_misses += 1;
-            self.open_row = Some(row);
-            self.timings.row_activate
-        };
-
-        // The bank is occupied for its access latency, then the data
-        // crosses the bus lane.
-        let bank_start = if at > self.bank_free {
-            at
-        } else {
-            self.bank_free
-        };
-        self.bank_free = bank_start + core_latency;
-        self.bus.request(self.bank_free, size)
+        self.bank.access(&self.params, at, addr, size)
     }
 
     /// Row-buffer hit count so far.
     #[must_use]
     pub fn row_hits(&self) -> u64 {
-        self.row_hits
+        self.bank.row_hits
     }
 
     /// Row-buffer miss (activate) count so far.
     #[must_use]
     pub fn row_misses(&self) -> u64 {
-        self.row_misses
+        self.bank.row_misses
     }
 
     /// Refresh commands retired so far.
     #[must_use]
     pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// Bytes moved over the channel bus.
-    #[must_use]
-    pub(crate) fn bytes_moved(&self) -> Bytes {
-        self.bus.bytes_moved()
-    }
-
-    /// DRAM energy consumed so far.
-    #[must_use]
-    pub(crate) fn energy_used(&self) -> Energy {
-        self.timings
-            .energy_per_byte
-            .scale(self.bus.bytes_moved().as_f64())
+        self.bank.refreshes
     }
 }
+
+/// The transfer size whose bus time a standalone [`HbmChannelModel`]
+/// precomputes: the 128 B line every modelled channel uses. Other sizes
+/// take the same time, computed per access.
+const MODEL_LINE: Bytes = Bytes(128);
 
 #[cfg(test)]
 mod tests {
@@ -308,7 +432,7 @@ mod tests {
             // Sequential addresses: high row-buffer locality.
             t = ch.access(SimTime::ZERO, i * 128, line);
         }
-        let moved = ch.bytes_moved();
+        let moved = ch.bank.bytes_moved();
         assert_eq!(moved, Bytes(128 * n));
         let achieved = moved.as_f64() / t.as_secs();
         let peak = lane.as_bytes_per_sec();
@@ -363,9 +487,9 @@ mod tests {
     fn energy_scales_with_traffic() {
         let mut ch = channel();
         ch.access(SimTime::ZERO, 0, Bytes(1_000_000));
-        let e1 = ch.energy_used().as_joules();
+        let e1 = ch.params.energy(&ch.bank).as_joules();
         ch.access(SimTime::ZERO, 0, Bytes(1_000_000));
-        let e2 = ch.energy_used().as_joules();
+        let e2 = ch.params.energy(&ch.bank).as_joules();
         assert!((e2 / e1 - 2.0).abs() < 1e-9);
     }
 }

@@ -7,7 +7,11 @@
 //! plus a hardware prefetcher to shave latency.
 //!
 //! The slice is a classic set-associative write-back cache with true-LRU
-//! replacement and a sequential stream prefetcher.
+//! replacement and a sequential stream prefetcher. Its state is split
+//! three ways so a memory subsystem can lay it out densely: one
+//! `SliceGeometry` per channel, one [`SliceState`] per bank, and the
+//! `SetRecord`s of every bank in one arena. `SliceMut` runs the slice
+//! over borrowed parts; [`InfinityCacheSlice`] owns all three.
 
 use ehp_sim_core::units::Bytes;
 
@@ -74,18 +78,26 @@ impl PrefetcherConfig {
 pub const MAX_PREFETCH_DEGREE: usize = 16;
 
 /// Largest supported associativity: a set's recency order is sixteen
-/// 4-bit slot indices packed in one `u64`.
+/// 4-bit slot indices packed in one `u64`, and its tags are a
+/// fixed `MAX_WAYS`-slot array.
 const MAX_WAYS: usize = 16;
 
-/// Replacement and state bits of one set, kept next to each other so a
-/// lookup touches one small record besides the tags.
+/// One set: its tags and its replacement and state bits in one record,
+/// so a lookup touches one record and nothing else. The state comes
+/// first, then the tags; at 16-byte alignment an 80-byte record spans
+/// at most two cache lines.
 ///
 /// `order` is the set's exact true-LRU recency list: nibble `k` holds
 /// the slot index of the `k`-th most recently used live line, so nibble
 /// 0 is the MRU slot and nibble `len - 1` the LRU victim. Nibbles at
 /// positions `>= len` are zero.
+///
+/// Tags are `u32`: a 32-bit tag covers any address below
+/// `line_bytes << (32 + set_bits)` (≥ 2^45 B for the smallest
+/// modelled slice), which `tag_of` asserts.
 #[derive(Debug, Clone, Copy, Default)]
-struct SetState {
+#[repr(C, align(16))]
+pub(crate) struct SetRecord {
     order: u64,
     /// Bit `i`: slot `i` holds data newer than HBM.
     dirty: u16,
@@ -94,9 +106,11 @@ struct SetState {
     prefetched: u16,
     /// Live lines: slots `0..len` are valid.
     len: u8,
+    /// Tag per slot; only the first `len` are live.
+    tags: [u32; MAX_WAYS],
 }
 
-impl SetState {
+impl SetRecord {
     /// Recency position of live `slot` in `order`: the first nibble equal
     /// to `slot` (slot indices are unique among the first `len` nibbles,
     /// and the zero-nibble test flags no position below the first true
@@ -121,15 +135,277 @@ impl SetState {
     fn touch(&mut self, slot: usize) {
         self.promote(self.position(slot), slot);
     }
+
+    /// The slot holding `tag`, if the line is resident.
+    fn find(&self, tag: u32) -> Option<usize> {
+        // lint:hot-path
+        self.tags[..usize::from(self.len)]
+            .iter()
+            .position(|&t| t == tag)
+        // lint:hot-path-end
+    }
+
+    /// Reads the two ends of the record without using them, so that
+    /// both of its cache lines start loading before a dependent lookup
+    /// needs them.
+    #[inline]
+    pub(crate) fn preload(&self) {
+        std::hint::black_box((self.len, self.tags[MAX_WAYS - 1]));
+    }
 }
 
-/// One Infinity Cache slice (per memory channel).
+/// The geometry and prefetcher settings of a slice, shared by every
+/// bank of a channel (each bank's slice is the same shape).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SliceGeometry {
+    ways: usize,
+    line_bytes: u64,
+    set_mask: u64,
+    pf: PrefetcherConfig,
+}
+
+impl SliceGeometry {
+    /// The geometry of a slice of the given capacity, associativity and
+    /// line size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent (capacity not divisible into
+    /// `ways × line` sets, set count not a power of two, or more than 16
+    /// ways) or the prefetch degree exceeds [`MAX_PREFETCH_DEGREE`].
+    pub(crate) fn new(
+        capacity: Bytes,
+        ways: usize,
+        line_bytes: u64,
+        pf: PrefetcherConfig,
+    ) -> SliceGeometry {
+        assert!(ways > 0 && line_bytes.is_power_of_two());
+        assert!(ways <= MAX_WAYS, "at most {MAX_WAYS} ways per set");
+        assert!(
+            pf.degree as usize <= MAX_PREFETCH_DEGREE,
+            "prefetch degree above {MAX_PREFETCH_DEGREE}"
+        );
+        let lines = capacity.as_u64() / line_bytes;
+        assert!(
+            lines.is_multiple_of(ways as u64),
+            "capacity must divide into whole sets"
+        );
+        let num_sets = lines / ways as u64;
+        assert!(
+            num_sets.is_power_of_two(),
+            "set count must be a power of two"
+        );
+        SliceGeometry {
+            ways,
+            line_bytes,
+            set_mask: num_sets - 1,
+            pf,
+        }
+    }
+
+    /// Number of sets.
+    pub(crate) fn sets(&self) -> usize {
+        self.set_mask as usize + 1
+    }
+
+    fn line_of(&self, addr: u64) -> u64 {
+        addr / self.line_bytes
+    }
+
+    fn set_of(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
+    }
+
+    /// The set `addr` maps to.
+    #[inline]
+    pub(crate) fn set_of_addr(&self, addr: u64) -> usize {
+        self.set_of(self.line_of(addr))
+    }
+
+    /// The stored (32-bit) tag for a line index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag exceeds 32 bits — an address beyond the
+    /// modelled physical space (≥ `line_bytes << (32 + set_bits)`).
+    fn tag_of(&self, line: u64) -> u32 {
+        let tag = line >> self.set_mask.trailing_ones();
+        u32::try_from(tag).expect("address beyond the modelled physical space")
+    }
+}
+
+/// The scalar state of one slice: its stream detector and counters.
+/// The set records live apart (one arena per memory subsystem) and the
+/// geometry is shared, so a bank carries only this.
+#[derive(Debug, Clone, Default)]
+pub struct SliceState {
+    /// Last line index accessed (stream detector state).
+    last_line: Option<u64>,
+    stream_len: u32,
+    hits: u64,
+    prefetch_hits: u64,
+    misses: u64,
+    writebacks: u64,
+    prefetch_issued: u64,
+}
+
+impl SliceState {
+    /// Demand hits.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Hits on prefetched lines.
+    pub(crate) fn prefetch_hits(&self) -> u64 {
+        self.prefetch_hits
+    }
+
+    /// Misses.
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Dirty evictions written back to HBM.
+    #[must_use]
+    pub fn writebacks(&self) -> u64 {
+        self.writebacks
+    }
+}
+
+/// A slice at work: its scalar state plus its borrowed geometry and set
+/// records. Every slice operation runs here, whether the sets belong to
+/// a bank of a memory subsystem or to a standalone
+/// [`InfinityCacheSlice`].
 ///
 /// Addresses given to the slice are full physical addresses; the slice
 /// indexes with line-granular bits above the line offset. Because the
 /// interleaver already steered the address here, no channel bits need to
 /// be stripped (they are constant within a slice and harmlessly join the
 /// tag).
+pub(crate) struct SliceMut<'a> {
+    pub(crate) geom: &'a SliceGeometry,
+    pub(crate) state: &'a mut SliceState,
+    pub(crate) sets: &'a mut [SetRecord],
+}
+
+impl SliceMut<'_> {
+    /// Installs an absent line (demand fill or prefetch) as the set's
+    /// MRU; returns the dirty victim address if one was evicted.
+    fn install(&mut self, set_idx: usize, tag: u32, dirty: bool, prefetched: bool) -> Option<u64> {
+        let ways = self.geom.ways;
+        let set = &mut self.sets[set_idx];
+        let len = usize::from(set.len);
+        let mut victim_addr = None;
+        let slot = if len == ways {
+            // Full set: overwrite the LRU slot in place.
+            let slot = ((set.order >> (4 * (ways - 1))) & 0xF) as usize;
+            set.promote(ways as u32 - 1, slot);
+            if set.dirty & (1 << slot) != 0 {
+                self.state.writebacks += 1;
+                let victim_line = (u64::from(set.tags[slot]) << self.geom.set_mask.trailing_ones())
+                    | set_idx as u64;
+                victim_addr = Some(victim_line * self.geom.line_bytes);
+            }
+            slot
+        } else {
+            set.promote(len as u32, len);
+            set.len += 1;
+            len
+        };
+        let bit = 1u16 << slot;
+        set.dirty = (set.dirty & !bit) | (u16::from(dirty) << slot);
+        set.prefetched = (set.prefetched & !bit) | (u16::from(prefetched) << slot);
+        set.tags[slot] = tag;
+        victim_addr
+    }
+
+    /// Runs the stream detector; returns whether the stream is trained
+    /// (the caller then prefetches `degree` lines ahead of `line`).
+    fn stream_trained(&mut self, line: u64) -> bool {
+        let pf = &self.geom.pf;
+        if !pf.enabled {
+            return false;
+        }
+        let state = &mut *self.state;
+        match state.last_line {
+            Some(prev) if line == prev + 1 => state.stream_len += 1,
+            Some(prev) if line == prev => {}
+            _ => state.stream_len = 0,
+        }
+        state.last_line = Some(line);
+        state.stream_len >= pf.train_threshold
+    }
+
+    /// Looks up `addr`, updating replacement and dirty state.
+    pub(crate) fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
+        let line = self.geom.line_of(addr);
+        let set_idx = self.geom.set_of(line);
+        let tag = self.geom.tag_of(line);
+
+        let Some(slot) = self.sets[set_idx].find(tag) else {
+            self.state.misses += 1;
+            let writeback = self.install(set_idx, tag, is_write, false);
+            return CacheOutcome::Miss { writeback };
+        };
+        let set = &mut self.sets[set_idx];
+        set.touch(slot);
+        let bit = 1u16 << slot;
+        set.dirty |= u16::from(is_write) << slot;
+        let was_prefetched = set.prefetched & bit != 0;
+        set.prefetched &= !bit;
+        if was_prefetched {
+            self.state.prefetch_hits += 1;
+            CacheOutcome::PrefetchedHit
+        } else {
+            self.state.hits += 1;
+            CacheOutcome::Hit
+        }
+    }
+
+    /// Writes the prefetch addresses triggered by an access at `addr` to
+    /// the front of `out` and returns how many there are (at most the
+    /// prefetch degree).
+    pub(crate) fn take_prefetches(
+        &mut self,
+        addr: u64,
+        out: &mut [u64; MAX_PREFETCH_DEGREE],
+    ) -> usize {
+        // lint:hot-path
+        let line = self.geom.line_of(addr);
+        if !self.stream_trained(line) {
+            return 0;
+        }
+        let geom = self.geom;
+        let mut n = 0;
+        for d in 1..=u64::from(geom.pf.degree) {
+            let l = line + d;
+            if self.sets[geom.set_of(l)].find(geom.tag_of(l)).is_none() {
+                out[n] = l * geom.line_bytes;
+                n += 1;
+            }
+        }
+        n
+        // lint:hot-path-end
+    }
+
+    /// Installs a prefetched line; returns dirty victim address if any.
+    /// A line that is already resident just becomes the set's MRU.
+    pub(crate) fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
+        self.state.prefetch_issued += 1;
+        let line = self.geom.line_of(addr);
+        let set_idx = self.geom.set_of(line);
+        let tag = self.geom.tag_of(line);
+        if let Some(slot) = self.sets[set_idx].find(tag) {
+            self.sets[set_idx].touch(slot);
+            return None;
+        }
+        self.install(set_idx, tag, false, true)
+    }
+}
+
+/// One Infinity Cache slice on its own: the geometry, scalar state and
+/// set records a memory subsystem keeps apart, owned together, over the
+/// same `SliceMut` code the banks run.
 ///
 /// # Example
 ///
@@ -144,30 +420,9 @@ impl SetState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InfinityCacheSlice {
-    /// Tag per slot, all sets in one contiguous zero-initialised
-    /// allocation with `ways` slots per set: slot `i` of set `s` lives
-    /// at index `s * ways + i`, and only the first `sets[s].len` slots
-    /// hold live lines. A 16-way set's tags are 64 bytes, and a zeroed
-    /// primitive buffer keeps construction a calloc.
-    ///
-    /// Tags are `u32`: a 32-bit tag covers any address below
-    /// `line_bytes << (32 + set_bits)` (≥ 2^45 B for the smallest
-    /// modelled slice), which `tag_of` asserts.
-    tags: Vec<u32>,
-    /// One replacement/state record per set.
-    sets: Vec<SetState>,
-    ways: usize,
-    line_bytes: u64,
-    set_mask: u64,
-    pf: PrefetcherConfig,
-    /// Last line index accessed (stream detector state).
-    last_line: Option<u64>,
-    stream_len: u32,
-    hits: u64,
-    prefetch_hits: u64,
-    misses: u64,
-    writebacks: u64,
-    prefetch_issued: u64,
+    geom: SliceGeometry,
+    state: SliceState,
+    sets: Vec<SetRecord>,
 }
 
 impl InfinityCacheSlice {
@@ -185,111 +440,20 @@ impl InfinityCacheSlice {
         line_bytes: u64,
         pf: PrefetcherConfig,
     ) -> InfinityCacheSlice {
-        assert!(ways > 0 && line_bytes.is_power_of_two());
-        assert!(ways <= MAX_WAYS, "at most {MAX_WAYS} ways per set");
-        assert!(
-            pf.degree as usize <= MAX_PREFETCH_DEGREE,
-            "prefetch degree above {MAX_PREFETCH_DEGREE}"
-        );
-        let lines = capacity.as_u64() / line_bytes;
-        assert!(
-            lines.is_multiple_of(ways as u64),
-            "capacity must divide into whole sets"
-        );
-        let num_sets = lines / ways as u64;
-        assert!(
-            num_sets.is_power_of_two(),
-            "set count must be a power of two"
-        );
+        let geom = SliceGeometry::new(capacity, ways, line_bytes, pf);
         InfinityCacheSlice {
-            tags: vec![0; num_sets as usize * ways],
-            sets: vec![SetState::default(); num_sets as usize],
-            ways,
-            line_bytes,
-            set_mask: num_sets - 1,
-            pf,
-            last_line: None,
-            stream_len: 0,
-            hits: 0,
-            prefetch_hits: 0,
-            misses: 0,
-            writebacks: 0,
-            prefetch_issued: 0,
+            sets: vec![SetRecord::default(); geom.sets()],
+            geom,
+            state: SliceState::default(),
         }
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
-    }
-
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
-    }
-
-    /// The stored (32-bit) tag for a line index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tag exceeds 32 bits — an address beyond the
-    /// modelled physical space (≥ `line_bytes << (32 + set_bits)`).
-    fn tag_of(&self, line: u64) -> u32 {
-        let tag = line >> self.set_mask.trailing_ones();
-        u32::try_from(tag).expect("address beyond the modelled physical space")
-    }
-
-    /// The slot of set `set_idx` holding `tag`, if the line is resident.
-    fn find(&self, set_idx: usize, tag: u32) -> Option<usize> {
-        // lint:hot-path
-        let base = set_idx * self.ways;
-        let len = usize::from(self.sets[set_idx].len);
-        self.tags[base..base + len].iter().position(|&t| t == tag)
-        // lint:hot-path-end
-    }
-
-    /// Installs an absent line (demand fill or prefetch) as the set's
-    /// MRU; returns the dirty victim address if one was evicted.
-    fn install(&mut self, set_idx: usize, tag: u32, dirty: bool, prefetched: bool) -> Option<u64> {
-        let ways = self.ways;
-        let set = &mut self.sets[set_idx];
-        let len = usize::from(set.len);
-        let mut victim_addr = None;
-        let slot = if len == ways {
-            // Full set: overwrite the LRU slot in place.
-            let slot = ((set.order >> (4 * (ways - 1))) & 0xF) as usize;
-            set.promote(ways as u32 - 1, slot);
-            if set.dirty & (1 << slot) != 0 {
-                self.writebacks += 1;
-                let victim_line = (u64::from(self.tags[set_idx * ways + slot])
-                    << self.set_mask.trailing_ones())
-                    | set_idx as u64;
-                victim_addr = Some(victim_line * self.line_bytes);
-            }
-            slot
-        } else {
-            set.promote(len as u32, len);
-            set.len += 1;
-            len
-        };
-        let bit = 1u16 << slot;
-        set.dirty = (set.dirty & !bit) | (u16::from(dirty) << slot);
-        set.prefetched = (set.prefetched & !bit) | (u16::from(prefetched) << slot);
-        self.tags[set_idx * ways + slot] = tag;
-        victim_addr
-    }
-
-    /// Runs the stream detector; returns whether the stream is trained
-    /// (the caller then prefetches `degree` lines ahead of `line`).
-    fn stream_trained(&mut self, line: u64) -> bool {
-        if !self.pf.enabled {
-            return false;
+    fn view(&mut self) -> SliceMut<'_> {
+        SliceMut {
+            geom: &self.geom,
+            state: &mut self.state,
+            sets: &mut self.sets,
         }
-        match self.last_line {
-            Some(prev) if line == prev + 1 => self.stream_len += 1,
-            Some(prev) if line == prev => {}
-            _ => self.stream_len = 0,
-        }
-        self.last_line = Some(line);
-        self.stream_len >= self.pf.train_threshold
     }
 
     /// Looks up `addr`, updating replacement and dirty state.
@@ -297,28 +461,7 @@ impl InfinityCacheSlice {
     /// The prefetch addresses the stream prefetcher wants fetched come
     /// from [`InfinityCacheSlice::take_prefetches`].
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let tag = self.tag_of(line);
-
-        let Some(slot) = self.find(set_idx, tag) else {
-            self.misses += 1;
-            let writeback = self.install(set_idx, tag, is_write, false);
-            return CacheOutcome::Miss { writeback };
-        };
-        let set = &mut self.sets[set_idx];
-        set.touch(slot);
-        let bit = 1u16 << slot;
-        set.dirty |= u16::from(is_write) << slot;
-        let was_prefetched = set.prefetched & bit != 0;
-        set.prefetched &= !bit;
-        if was_prefetched {
-            self.prefetch_hits += 1;
-            CacheOutcome::PrefetchedHit
-        } else {
-            self.hits += 1;
-            CacheOutcome::Hit
-        }
+        self.view().access(addr, is_write)
     }
 
     /// Writes the prefetch addresses triggered by an access at `addr` to
@@ -327,65 +470,43 @@ impl InfinityCacheSlice {
     /// caller charges the fetches to HBM bandwidth and installs them via
     /// [`InfinityCacheSlice::fill_prefetch`].
     pub fn take_prefetches(&mut self, addr: u64, out: &mut [u64; MAX_PREFETCH_DEGREE]) -> usize {
-        // lint:hot-path
-        let line = self.line_of(addr);
-        if !self.stream_trained(line) {
-            return 0;
-        }
-        let mut n = 0;
-        for d in 1..=u64::from(self.pf.degree) {
-            let l = line + d;
-            if self.find(self.set_of(l), self.tag_of(l)).is_none() {
-                out[n] = l * self.line_bytes;
-                n += 1;
-            }
-        }
-        n
-        // lint:hot-path-end
+        self.view().take_prefetches(addr, out)
     }
 
     /// Installs a prefetched line; returns dirty victim address if any.
     /// A line that is already resident just becomes the set's MRU.
     pub fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
-        self.prefetch_issued += 1;
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let tag = self.tag_of(line);
-        if let Some(slot) = self.find(set_idx, tag) {
-            self.sets[set_idx].touch(slot);
-            return None;
-        }
-        self.install(set_idx, tag, false, true)
+        self.view().fill_prefetch(addr)
     }
 
     /// Demand hits.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.state.hits
     }
 
     /// Hits on prefetched lines.
     #[must_use]
     pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits
+        self.state.prefetch_hits
     }
 
     /// Misses.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.state.misses
     }
 
     /// Dirty evictions written back to HBM.
     #[must_use]
     pub fn writebacks(&self) -> u64 {
-        self.writebacks
+        self.state.writebacks
     }
 
     /// Prefetch fills issued.
     #[must_use]
     pub fn prefetches_issued(&self) -> u64 {
-        self.prefetch_issued
+        self.state.prefetch_issued
     }
 
     /// Number of resident lines (for tests/diagnostics).
@@ -409,7 +530,7 @@ mod tests {
         let s = InfinityCacheSlice::new(Bytes::from_mib(2), 16, 128, PrefetcherConfig::mi300());
         // 2 MiB / 128 B / 16 ways = 1024 sets.
         assert_eq!(s.sets.len(), 1024);
-        assert_eq!(s.line_bytes, 128);
+        assert_eq!(s.geom.line_bytes, 128);
     }
 
     #[test]

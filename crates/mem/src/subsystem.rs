@@ -7,9 +7,10 @@ use ehp_sim_core::stats::{Accumulator, Counter};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-use crate::channel::{bank_slot, BankUnit, ChannelConfig, MemoryChannel};
+use crate::channel::{bank_slot, BankArray, BankParams, BankUnit, ChannelConfig, ChannelView};
+use crate::icache::SetRecord;
 use crate::interleave::{InterleaveConfig, Interleaver};
-use crate::request::{MemRequest, MemResponse};
+use crate::request::{MemRequest, MemResponse, ServicePoint};
 
 /// Replay requests bucketed by flat bank id, packed for the replay hot
 /// path: each entry is a **bank-local** address (see
@@ -39,7 +40,7 @@ impl BankBuckets {
     pub(crate) fn new(banks: usize, size: Bytes, expected_entries: u64) -> BankBuckets {
         let per_bucket = (expected_entries as usize / banks.max(1)).next_multiple_of(8);
         BankBuckets {
-            buckets: vec![Vec::with_capacity(per_bucket); banks],
+            buckets: (0..banks).map(|_| Vec::with_capacity(per_bucket)).collect(),
             size,
             entries: 0,
         }
@@ -66,10 +67,11 @@ impl BankBuckets {
     }
 }
 
-/// One unit of work for the stealing scheduler: a bank and its packed
-/// request sub-stream.
+/// One unit of work for the stealing scheduler: a bank, its set
+/// records and its packed request sub-stream.
 struct ShardItem<'a> {
     unit: &'a mut BankUnit,
+    sets: &'a mut [SetRecord],
     reqs: &'a [u64],
 }
 
@@ -120,7 +122,12 @@ impl MemConfig {
 #[derive(Debug)]
 pub struct MemorySubsystem {
     interleaver: Interleaver,
-    channels: Vec<MemoryChannel>,
+    /// Peak HBM bus rate of one channel.
+    channel_rate: Bandwidth,
+    banks_per_channel: usize,
+    /// Every bank of every channel in flat order (channel-major,
+    /// bank-minor), with all their Infinity Cache sets in one arena.
+    banks: BankArray,
     reads: Counter,
     writes: Counter,
     bytes: Bytes,
@@ -136,13 +143,13 @@ impl MemorySubsystem {
     #[must_use]
     pub fn new(cfg: MemConfig) -> MemorySubsystem {
         let interleaver = Interleaver::new(cfg.interleave).expect("valid interleave config");
-        let n = cfg.interleave.total_channels() as usize;
-        let channels = (0..n)
-            .map(|_| MemoryChannel::new(cfg.channel.clone()))
-            .collect();
+        let channels = cfg.interleave.total_channels() as usize;
+        let banks_per_channel = cfg.channel.banks();
         MemorySubsystem {
             interleaver,
-            channels,
+            banks: BankArray::new(&cfg.channel, channels * banks_per_channel),
+            channel_rate: cfg.channel.hbm_rate,
+            banks_per_channel,
             reads: Counter::new("mem_reads"),
             writes: Counter::new("mem_writes"),
             bytes: Bytes::ZERO,
@@ -151,20 +158,42 @@ impl MemorySubsystem {
 
     /// Routes and performs one access.
     pub fn access(&mut self, at: SimTime, req: MemRequest) -> MemResponse {
-        let placement = self.interleaver.place(req.addr);
-        let ch = &mut self.channels[placement.channel.index()];
-        let (completes_at, served_by) = ch.access(at, req.addr, req.size, req.is_write());
+        let channel = self.interleaver.channel_of(req.addr);
+        let (flat, local) = self.bank_of_channel(channel.index(), req.addr);
+        let (completes_at, served_by) = self.access_bank(at, flat, local, req);
+        MemResponse {
+            completes_at,
+            channel,
+            served_by,
+        }
+    }
+
+    /// Performs `req` at bank-local address `local` of flat bank `flat`
+    /// (see [`MemorySubsystem::flat_bank_of`]).
+    #[inline]
+    pub(crate) fn access_bank(
+        &mut self,
+        at: SimTime,
+        flat: usize,
+        local: u64,
+        req: MemRequest,
+    ) -> (SimTime, ServicePoint) {
+        let served = self.banks.access(flat, at, local, req.size, req.is_write());
         if req.is_read() {
             self.reads.inc();
         } else {
             self.writes.inc();
         }
         self.bytes += req.size;
-        MemResponse {
-            completes_at,
-            channel: placement.channel,
-            served_by,
-        }
+        served
+    }
+
+    /// Starts loading the Infinity Cache set record that bank-local
+    /// address `local` of flat bank `flat` maps to, so a later dependent
+    /// access finds it near; no state changes.
+    #[inline]
+    pub(crate) fn preload(&self, flat: usize, local: u64) {
+        self.banks.preload(flat, local);
     }
 
     /// Replays independent (issue-at-zero) request streams across the
@@ -200,33 +229,29 @@ impl MemorySubsystem {
     /// Panics if `buckets` does not have one bucket per bank or a
     /// worker panics.
     pub(crate) fn replay_sharded(&mut self, jobs: usize, buckets: &BankBuckets) -> SimTime {
-        let mut units: Vec<&mut BankUnit> = self
-            .channels
-            .iter_mut()
-            .flat_map(|c| c.banks_mut().iter_mut())
-            .collect();
-        let n = units.len();
+        let n = self.banks.len();
         assert_eq!(buckets.banks(), n, "one bucket per flat bank required");
         let jobs = jobs.clamp(1, n.max(1));
         let size = buckets.size;
+        let (params, banks) = self.banks.split_mut();
 
         let totals: Vec<ShardTotals> = if jobs == 1 {
             let mut t = ShardTotals::default();
-            for (unit, reqs) in units.iter_mut().zip(&buckets.buckets) {
-                Self::replay_bank(unit, reqs, size, &mut t);
+            for ((unit, sets), reqs) in banks.zip(&buckets.buckets) {
+                Self::replay_bank(params, unit, sets, reqs, size, &mut t);
             }
             vec![t]
         } else {
-            let items: Vec<ShardItem> = units
-                .iter_mut()
+            let items: Vec<ShardItem> = banks
                 .zip(&buckets.buckets)
                 .filter(|(_, reqs)| !reqs.is_empty())
-                .map(|(unit, reqs)| ShardItem {
+                .map(|((unit, sets), reqs)| ShardItem {
                     unit,
+                    sets,
                     reqs: reqs.as_slice(),
                 })
                 .collect();
-            Self::run_stealing(jobs, items, size)
+            Self::run_stealing(params, jobs, items, size)
         };
 
         let mut last = SimTime::ZERO;
@@ -267,7 +292,12 @@ impl MemorySubsystem {
     /// drain through the steal path, which also keeps results
     /// bit-identical at any worker count: per-bank state is
     /// self-contained and the merged totals are commutative.
-    fn run_stealing(jobs: usize, items: Vec<ShardItem>, size: Bytes) -> Vec<ShardTotals> {
+    fn run_stealing(
+        params: &BankParams,
+        jobs: usize,
+        items: Vec<ShardItem>,
+        size: Bytes,
+    ) -> Vec<ShardTotals> {
         let chunk = items.len().div_ceil(jobs).max(1);
         let mut queues: Vec<Mutex<VecDeque<ShardItem>>> = Vec::with_capacity(jobs);
         let mut feed = items.into_iter();
@@ -284,7 +314,14 @@ impl MemorySubsystem {
                     scope.spawn(move || {
                         let mut totals = ShardTotals::default();
                         while let Some(item) = Self::claim_work(queues, w) {
-                            Self::replay_bank(item.unit, item.reqs, size, &mut totals);
+                            Self::replay_bank(
+                                params,
+                                item.unit,
+                                item.sets,
+                                item.reqs,
+                                size,
+                                &mut totals,
+                            );
                         }
                         totals
                     })
@@ -338,12 +375,27 @@ impl MemorySubsystem {
     /// (jobs = 1) and stealing paths so both evolve state identically.
     /// Entries carry bank-local addresses with the write flag in the
     /// top bit.
-    fn replay_bank(bank: &mut BankUnit, reqs: &[u64], size: Bytes, totals: &mut ShardTotals) {
+    ///
+    /// A first pass loads the set record of every request. The loads are
+    /// independent, so they overlap; the replay pass that follows, where
+    /// each access waits on the state the last one left, then finds its
+    /// records near.
+    fn replay_bank(
+        params: &BankParams,
+        bank: &mut BankUnit,
+        sets: &mut [SetRecord],
+        reqs: &[u64],
+        size: Bytes,
+        totals: &mut ShardTotals,
+    ) {
         // lint:hot-path
+        for &packed in reqs {
+            params.preload(sets, packed & !BankBuckets::WRITE_BIT);
+        }
         for &packed in reqs {
             let addr = packed & !BankBuckets::WRITE_BIT;
             let is_write = packed & BankBuckets::WRITE_BIT != 0;
-            let (done, _) = bank.access(SimTime::ZERO, addr, size, is_write);
+            let (done, _) = bank.access(params, sets, SimTime::ZERO, addr, size, is_write);
             if done > totals.last {
                 totals.last = done;
             }
@@ -356,30 +408,37 @@ impl MemorySubsystem {
     /// Banks per channel (uniform across the subsystem).
     #[must_use]
     pub fn banks_per_channel(&self) -> usize {
-        self.channels.first().map_or(0, |c| c.config().banks())
+        self.banks_per_channel
     }
 
     /// Total DRAM banks across all channels.
     #[must_use]
     pub fn total_banks(&self) -> usize {
-        self.channels.len() * self.banks_per_channel()
+        self.banks.len()
     }
 
     /// Maps an address to its flat bank id (`channel x banks_per_channel
     /// + bank`) and bank-local address — the sharding key of
     /// [`MemorySubsystem::replay_sharded`].
+    #[inline]
     #[must_use]
     pub fn flat_bank_of(&self, addr: u64) -> (usize, u64) {
         let channel = self.interleaver.channel_of(addr).index();
-        let banks = self.banks_per_channel();
+        self.bank_of_channel(channel, addr)
+    }
+
+    /// The flat bank and bank-local address of `addr` on `channel`.
+    #[inline]
+    fn bank_of_channel(&self, channel: usize, addr: u64) -> (usize, u64) {
+        let banks = self.banks_per_channel;
         let (bank, local) = bank_slot(addr, banks as u64);
         (channel * banks + bank, local)
     }
 
-    /// Per-channel models (read-only).
+    /// Read-only per-channel views, in channel order.
     #[must_use]
-    pub fn channels(&self) -> &[MemoryChannel] {
-        &self.channels
+    pub fn channels(&self) -> Vec<ChannelView<'_>> {
+        self.banks.channels(self.banks_per_channel).collect()
     }
 
     /// Total reads served.
@@ -416,7 +475,7 @@ impl MemorySubsystem {
     #[must_use]
     pub(crate) fn latency_stats(&self) -> Accumulator {
         let mut acc = Accumulator::new("mem_latency_ns");
-        for c in &self.channels {
+        for c in self.banks.channels(self.banks_per_channel) {
             acc.merge(&c.latency_stats());
         }
         acc
@@ -425,13 +484,18 @@ impl MemorySubsystem {
     /// Aggregate peak HBM bandwidth across channels.
     #[must_use]
     pub fn peak_hbm_bandwidth(&self) -> Bandwidth {
-        self.channels.iter().map(MemoryChannel::hbm_peak_rate).sum()
+        (0..self.banks.len() / self.banks_per_channel)
+            .map(|_| self.channel_rate)
+            .sum()
     }
 
     /// Aggregate energy consumed.
     #[must_use]
     pub fn energy_used(&self) -> Energy {
-        self.channels.iter().map(MemoryChannel::energy_used).sum()
+        self.banks
+            .channels(self.banks_per_channel)
+            .map(|c| c.energy_used())
+            .sum()
     }
 
     /// Fraction of accesses served by the Infinity Cache; `None` if the
@@ -440,7 +504,7 @@ impl MemorySubsystem {
     pub fn icache_hit_rate(&self) -> Option<f64> {
         let mut hits = 0u64;
         let mut total = 0u64;
-        for c in &self.channels {
+        for c in self.banks.channels(self.banks_per_channel) {
             if !c.has_icache() {
                 return None;
             }

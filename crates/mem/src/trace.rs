@@ -105,22 +105,28 @@ impl TraceConfig {
             (0.0..=1.0).contains(&self.write_fraction),
             "write fraction out of range"
         );
-        let mut rng = SplitMix64::new(self.seed);
         let lines = self.footprint / self.line;
+        // Lines of the hot region, clamped to the footprint.
+        let hot_lines = match self.pattern {
+            Pattern::Hot {
+                hot_fraction,
+                hot_bytes,
+            } => {
+                assert!((0.0..=1.0).contains(&hot_fraction));
+                (hot_bytes / self.line).max(1).min(lines)
+            }
+            _ => 0,
+        };
+        let mut rng = SplitMix64::new(self.seed);
         let mut chase_state = 0x9E37_79B9u64 % lines;
         for i in 0..self.accesses {
             let line_idx = match self.pattern {
                 Pattern::Sequential => i % lines,
                 Pattern::Strided { stride } => (i * stride.max(self.line) / self.line) % lines,
                 Pattern::Random => rng.next_below(lines),
-                Pattern::Hot {
-                    hot_fraction,
-                    hot_bytes,
-                } => {
-                    assert!((0.0..=1.0).contains(&hot_fraction));
-                    let hot_lines = (hot_bytes / self.line).max(1);
+                Pattern::Hot { hot_fraction, .. } => {
                     if rng.chance(hot_fraction) {
-                        rng.next_below(hot_lines.min(lines))
+                        rng.next_below(hot_lines)
                     } else {
                         rng.next_below(lines)
                     }
@@ -195,12 +201,15 @@ pub struct ReplayResult {
 /// (see the `replay_determinism` suite).
 ///
 /// [`Pattern::PointerChase`] carries a cross-bank dependency — each
-/// access issues when the previous one completes — so it always takes
-/// the access-by-access [`replay_sequential`] path.
+/// access issues when the previous one completes — so it replays access
+/// by access, in trace order, exactly as [`replay_sequential`] does. Its
+/// addresses do not depend on timing, though, so it replays in windows
+/// of `LOOKAHEAD` requests: each window first loads the set record
+/// of every request in it, then replays them one after another.
 #[must_use]
 pub fn replay(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
     if cfg.pattern == Pattern::PointerChase {
-        return replay_sequential(mem, cfg);
+        return replay_chase(mem, cfg);
     }
 
     let mut buckets = BankBuckets::new(mem.total_banks(), Bytes(cfg.line), cfg.accesses);
@@ -210,6 +219,51 @@ pub fn replay(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
     });
     let last = mem.replay_sharded(cfg.jobs, &buckets);
     finish(mem, cfg, last)
+}
+
+/// Requests per look-ahead window of the dependent chase: enough
+/// independent set loads to overlap, few enough that the window's
+/// records are still near when its replay reaches them.
+const LOOKAHEAD: usize = 32;
+
+/// One chase request located in its bank: flat bank, bank-local
+/// address and the request.
+type Located = (usize, u64, MemRequest);
+
+/// The dependent replay behind [`replay`] for [`Pattern::PointerChase`]:
+/// the same accesses, issue times and order as [`replay_sequential`],
+/// in windows of `LOOKAHEAD` requests.
+fn replay_chase(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
+    let mut window: [Located; LOOKAHEAD] = [(0, 0, MemRequest::read(0, 0)); LOOKAHEAD];
+    let mut n = 0;
+    let mut t = SimTime::ZERO;
+    cfg.for_each(|req| {
+        let (flat, local) = mem.flat_bank_of(req.addr);
+        window[n] = (flat, local, req);
+        n += 1;
+        if n == LOOKAHEAD {
+            t = replay_window(mem, &window, t);
+            n = 0;
+        }
+    });
+    let last = replay_window(mem, &window[..n], t);
+    finish(mem, cfg, last)
+}
+
+/// Loads the set record of every request in `window`, then replays the
+/// requests in order, each issued when the one before completes,
+/// starting at `t`; returns the last completion time, which is also the
+/// latest, since no access completes before it issues.
+fn replay_window(mem: &mut MemorySubsystem, window: &[Located], mut t: SimTime) -> SimTime {
+    // lint:hot-path
+    for &(flat, local, _) in window {
+        mem.preload(flat, local);
+    }
+    for &(flat, local, req) in window {
+        t = mem.access_bank(t, flat, local, req).0;
+    }
+    // lint:hot-path-end
+    t
 }
 
 /// The sequential reference replay: one [`MemorySubsystem::access`] call
@@ -354,6 +408,62 @@ mod tests {
             assert_eq!(r.bandwidth, Bandwidth::ZERO, "{pattern:?}");
             assert_eq!(r.mean_latency_ns, 0.0, "{pattern:?}");
             assert_eq!(mem.reads() + mem.writes(), 0, "{pattern:?}");
+        }
+    }
+
+    #[test]
+    fn replay_windows_match_access_by_access() {
+        // Window edges of the chase's look-ahead (and empty, single and
+        // odd-sized buckets) replay exactly as a plain access loop does,
+        // with the slices on and off.
+        for ic in [Some(Bytes::from_mib(2)), None] {
+            let make = || {
+                let mut cfg = MemConfig::mi300_hbm3();
+                cfg.channel.icache_capacity = ic;
+                MemorySubsystem::new(cfg)
+            };
+            for pattern in [
+                Pattern::PointerChase,
+                Pattern::Random,
+                Pattern::Hot {
+                    hot_fraction: 0.9,
+                    hot_bytes: 64 << 10,
+                },
+            ] {
+                for accesses in [0, 1, 31, 32, 33, 1_000] {
+                    let cfg = TraceConfig {
+                        accesses,
+                        footprint: 1 << 24,
+                        ..TraceConfig::new(pattern)
+                    };
+                    let ctx = format!("{pattern:?} accesses={accesses} ic={ic:?}");
+                    let mut want = make();
+                    let (mut t, mut last) = (SimTime::ZERO, SimTime::ZERO);
+                    for req in cfg.generate() {
+                        let issue = if pattern == Pattern::PointerChase {
+                            t
+                        } else {
+                            SimTime::ZERO
+                        };
+                        t = want.access(issue, req).completes_at;
+                        last = last.max(t);
+                    }
+                    let mut got = make();
+                    let r = replay(&mut got, &cfg);
+                    assert_eq!(r, finish(&want, &cfg, last), "{ctx}");
+                    assert_eq!(got.reads(), want.reads(), "{ctx}");
+                    assert_eq!(got.writes(), want.writes(), "{ctx}");
+                    assert_eq!(got.bytes_served(), want.bytes_served(), "{ctx}");
+                    assert_eq!(got.energy_used(), want.energy_used(), "{ctx}");
+                    for (a, b) in got.channels().iter().zip(want.channels()) {
+                        assert_eq!(a.row_hits(), b.row_hits(), "{ctx}");
+                        assert_eq!(a.row_misses(), b.row_misses(), "{ctx}");
+                        assert_eq!(a.refreshes(), b.refreshes(), "{ctx}");
+                        assert_eq!(a.hbm_bytes_moved(), b.hbm_bytes_moved(), "{ctx}");
+                        assert_eq!(a.icache_bytes(), b.icache_bytes(), "{ctx}");
+                    }
+                }
+            }
         }
     }
 

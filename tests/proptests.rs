@@ -239,8 +239,8 @@ fn aql_workgroup_math() {
 }
 
 /// Multi-socket coherence policy: CPUs are always hardware coherent,
-/// a GPU is exactly when the line is homed on its own socket, and the
-/// software path never probes, under arbitrary traces.
+/// and a GPU is exactly when the line is homed on its own socket, under
+/// arbitrary traces.
 #[test]
 fn multisocket_policy_invariants() {
     let mut rng = rng_for("multisocket_policy_invariants");
@@ -268,9 +268,6 @@ fn multisocket_policy_invariants() {
                 assert!(acc.hardware_coherent, "CPU access is hardware coherent");
             } else {
                 assert_eq!(acc.hardware_coherent, home == u64::from(agent));
-            }
-            if !acc.hardware_coherent {
-                assert!(acc.probes.is_empty(), "software path never probes");
             }
         }
     }
