@@ -1,7 +1,8 @@
 //! Fabric benches: transfer simulation over the MI300 package versus the
 //! EHPv4 organisation (the Figure 4 comparison as a running system), and
 //! the dense-index max-min flow solver against the pre-refactor
-//! reference solver (DESIGN.md §9).
+//! reference solver (DESIGN.md §9), which lives with the fabric tests'
+//! oracles in `crates/fabric/tests/oracle/mod.rs`.
 //!
 //! CI gates this bench against the checked-in, calibration-normalised
 //! baseline `crates/bench/baselines/fabric.json` (see ci.sh). The solver
@@ -9,13 +10,18 @@
 //! reference outputs are byte-identical, and the dense path is at least
 //! 2x faster on repeated solves over the MI300X-scale topology.
 
+#[path = "../../fabric/tests/oracle/mod.rs"]
+mod oracle;
+// The oracle names the fabric's modules as `crate::flows` and
+// `crate::topology`.
+use ehp_fabric::{flows, topology};
+
 use std::time::Instant;
 
 use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ehp_fabric::fabric::FabricSim;
-use ehp_fabric::flows::{reference, Flow, FlowSolver, SolverWorkspace};
+use ehp_fabric::flows::{Flow, FlowSolver, SolverWorkspace};
 use ehp_fabric::topology::{NodeKey, Topology};
-use ehp_sim_core::json::ToJson;
 use ehp_sim_core::rng::SplitMix64;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
@@ -84,11 +90,9 @@ fn bench_flow_solver(c: &mut Criterion) {
     let solver = FlowSolver::new(&topo);
 
     // Invariant 1: the dense path reproduces the reference byte-for-byte.
-    let dense = solver.solve(&flows);
-    let refr = reference::solve(&topo, &flows);
     assert_eq!(
-        dense.to_json().to_string_compact(),
-        refr.to_json().to_string_compact(),
+        oracle::outcomes(&solver.solve(&flows)),
+        oracle::solve(&topo, &flows),
         "dense solver output diverged from the reference"
     );
 
@@ -102,7 +106,7 @@ fn bench_flow_solver(c: &mut Criterion) {
         });
     });
     g.bench_with_input(BenchmarkId::from_parameter("reference"), &(), |b, ()| {
-        b.iter(|| black_box(reference::solve(&topo, black_box(&flows)).len()));
+        b.iter(|| black_box(oracle::solve(&topo, black_box(&flows)).len()));
     });
     g.finish();
 
@@ -128,7 +132,7 @@ fn bench_flow_solver(c: &mut Criterion) {
     });
     let ref_t = min_time(&mut || {
         for _ in 0..10 {
-            black_box(reference::solve(&topo, black_box(&flows)));
+            black_box(oracle::solve(&topo, black_box(&flows)));
         }
     });
     let speedup = ref_t.as_secs_f64() / dense_t.as_secs_f64();

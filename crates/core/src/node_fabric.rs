@@ -16,6 +16,25 @@ use ehp_sim_core::units::{Bandwidth, Bytes};
 
 use crate::node::{NodeLinkKind, NodeTopology};
 
+/// The fabric topology of a node: socket `i` appears as
+/// [`NodeKey::External`]`(i)`, and each link bundle becomes one link
+/// with `count ×` the per-link bandwidth.
+#[must_use]
+pub fn fabric_topology(node: &NodeTopology) -> Topology {
+    Topology::from_links(node.links().iter().map(|l| {
+        let tech = match l.kind {
+            NodeLinkKind::InfinityFabric => LinkTech::X16InfinityFabric,
+            NodeLinkKind::Pcie => LinkTech::X16Pcie,
+        };
+        let spec = tech.spec().scaled(f64::from(l.count));
+        (
+            NodeKey::External(l.a as u32),
+            NodeKey::External(l.b as u32),
+            spec,
+        )
+    }))
+}
+
 /// A timed node-level fabric built from a [`NodeTopology`].
 ///
 /// # Examples
@@ -34,26 +53,11 @@ pub struct NodeFabric {
 }
 
 impl NodeFabric {
-    /// Builds the timed fabric. Socket `i` appears as
-    /// [`NodeKey::External`]`(i)`; each link bundle becomes one link with
-    /// `count ×` the per-link bandwidth.
+    /// Builds the timed fabric over [`fabric_topology`]`(node)`.
     #[must_use]
     pub fn new(node: &NodeTopology) -> NodeFabric {
-        let mut topo = Topology::new();
-        for l in node.links() {
-            let tech = match l.kind {
-                NodeLinkKind::InfinityFabric => LinkTech::X16InfinityFabric,
-                NodeLinkKind::Pcie => LinkTech::X16Pcie,
-            };
-            let spec = tech.spec().scaled(f64::from(l.count));
-            topo.add_link(
-                NodeKey::External(l.a as u32),
-                NodeKey::External(l.b as u32),
-                spec,
-            );
-        }
         NodeFabric {
-            fabric: FabricSim::new(topo),
+            fabric: FabricSim::new(fabric_topology(node)),
         }
     }
 

@@ -10,10 +10,34 @@
 //! until the package is thermally safe.
 
 use ehp_package::floorplan::Floorplan;
-use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
+use ehp_power::budget::{PowerDistribution, PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_power::dvfs::DvfsCurve;
 use ehp_sim_core::units::Power;
 use ehp_thermal::{ThermalConfig, ThermalSolver};
+
+/// The compute domain's share that heats the XCDs; the CCDs take the
+/// rest.
+pub const XCD_SHARE: f64 = 0.88;
+
+/// Heats `fp`'s regions from a power distribution: the compute domain
+/// splits [`XCD_SHARE`] to the XCDs and the rest to the CCDs, the IODs
+/// carry the Infinity Cache and the data fabric, the USR and HBM PHYs
+/// their own domains, and the HBM stacks the DRAM and I/O power.
+pub fn assign_power_map(fp: &mut Floorplan, d: &PowerDistribution) {
+    let compute = d.get(PowerDomain::ComputeChiplets);
+    fp.assign_power("xcd", compute.scale(XCD_SHARE));
+    fp.assign_power("ccd", compute.scale(1.0 - XCD_SHARE));
+    fp.assign_power(
+        "iod",
+        d.get(PowerDomain::InfinityCache) + d.get(PowerDomain::DataFabric),
+    );
+    fp.assign_power("usr", d.get(PowerDomain::UsrPhys));
+    fp.assign_power("hbm_phy", d.get(PowerDomain::HbmPhys));
+    fp.assign_power(
+        "hbm_stack",
+        d.get(PowerDomain::HbmDram) + d.get(PowerDomain::Io),
+    );
+}
 
 /// Controller parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,22 +114,6 @@ impl PowerThermalController {
         PowerThermalController::new(ControllerConfig::default(), Power::from_watts(550.0))
     }
 
-    fn apply_to_floorplan(&self, fp: &mut Floorplan) {
-        let d = self.pm.current();
-        fp.assign_power("xcd", d.get(PowerDomain::ComputeChiplets).scale(0.88));
-        fp.assign_power("ccd", d.get(PowerDomain::ComputeChiplets).scale(0.12));
-        fp.assign_power(
-            "iod",
-            d.get(PowerDomain::InfinityCache) + d.get(PowerDomain::DataFabric),
-        );
-        fp.assign_power("usr", d.get(PowerDomain::UsrPhys));
-        fp.assign_power("hbm_phy", d.get(PowerDomain::HbmPhys));
-        fp.assign_power(
-            "hbm_stack",
-            d.get(PowerDomain::HbmDram) + d.get(PowerDomain::Io),
-        );
-    }
-
     /// Runs the loop for a workload profile and returns the converged
     /// operating point.
     pub fn converge(&mut self, profile: WorkloadProfile) -> OperatingPoint {
@@ -115,13 +123,13 @@ impl PowerThermalController {
         let mut iterations = 0;
         loop {
             let mut fp = Floorplan::mi300a();
-            self.apply_to_floorplan(&mut fp);
+            assign_power_map(&mut fp, self.pm.current());
             let field = solver.solve(&fp);
             let (peak, _) = field.max();
 
             let compute = self.pm.current().get(PowerDomain::ComputeChiplets);
             if peak <= self.cfg.tj_limit_c || iterations >= self.cfg.max_iters {
-                let per_xcd = compute.scale(0.88 / 6.0);
+                let per_xcd = compute.scale(XCD_SHARE / 6.0);
                 return OperatingPoint {
                     compute_power: compute,
                     peak_c: peak,

@@ -37,9 +37,9 @@ impl Transfer {
 /// at message granularity — adequate for the message sizes and contention
 /// questions in this project) and pays each hop's propagation latency.
 ///
-/// Construction precomputes the topology's all-pairs route table, so
-/// every routing query below is a borrowed-slice lookup — no BFS, no
-/// per-pair cache, no allocation on the send hot path (DESIGN.md §9).
+/// Every routing query below is a borrowed-slice lookup in the
+/// topology's route table — no BFS, no per-pair cache, no allocation on
+/// the send hot path (DESIGN.md §9).
 ///
 /// # Example
 ///
@@ -62,11 +62,10 @@ pub struct FabricSim {
 }
 
 impl FabricSim {
-    /// Wraps a topology in a timed simulator; precomputes the route
-    /// table if the topology was mutated since its last build.
+    /// Wraps a topology in a timed simulator: one bandwidth pipe per
+    /// directed edge.
     #[must_use]
-    pub fn new(mut topo: Topology) -> FabricSim {
-        topo.precompute_routes();
+    pub fn new(topo: Topology) -> FabricSim {
         let pipes = topo
             .edges()
             .iter()
@@ -93,7 +92,7 @@ impl FabricSim {
         to: NodeKey,
         size: Bytes,
     ) -> Option<Transfer> {
-        let path = self.topo.route_slice(from, to)?;
+        let path = self.topo.route(from, to)?;
         let mut t = at;
         let mut energy = Energy::ZERO;
         for &ei in path {
@@ -116,7 +115,7 @@ impl FabricSim {
     /// only, ignoring queueing).
     #[must_use]
     pub fn path_latency(&self, from: NodeKey, to: NodeKey) -> Option<SimTime> {
-        let path = self.topo.route_slice(from, to)?;
+        let path = self.topo.route(from, to)?;
         Some(
             path.iter()
                 .map(|&ei| self.topo.edges()[ei as usize].spec.latency)
@@ -127,7 +126,7 @@ impl FabricSim {
     /// The bottleneck (minimum per-direction) bandwidth along a path.
     #[must_use]
     pub fn path_bandwidth(&self, from: NodeKey, to: NodeKey) -> Option<Bandwidth> {
-        let path = self.topo.route_slice(from, to)?;
+        let path = self.topo.route(from, to)?;
         path.iter()
             .map(|&ei| self.topo.edges()[ei as usize].spec.per_direction)
             .min_by(|a, b| a.partial_cmp(b).expect("finite bandwidths"))
@@ -137,7 +136,7 @@ impl FabricSim {
     /// along the route (no queueing).
     #[must_use]
     pub fn path_energy(&self, from: NodeKey, to: NodeKey, size: Bytes) -> Option<Energy> {
-        let path = self.topo.route_slice(from, to)?;
+        let path = self.topo.route(from, to)?;
         Some(
             path.iter()
                 .map(|&ei| {

@@ -12,18 +12,17 @@
 //!
 //! Sweep studies solve many flow sets over one fixed topology, so the
 //! solver works entirely in dense per-edge/per-flow arrays held in a
-//! reusable [`SolverWorkspace`]: routes come from the topology's
-//! precomputed table (BFS only as a fallback on mutated topologies), and
-//! a warmed-up workspace allocates nothing per [`FlowSolver::solve_into`]
-//! call. Links are visited in edge-index order, so every floating-point
-//! reduction sees the same values as the pre-refactor solver — outputs
-//! are bit-identical (pinned by differential tests against
-//! [`reference::solve`]).
+//! reusable [`SolverWorkspace`]: routes are borrowed from the topology's
+//! route table, and a warmed-up workspace allocates nothing per
+//! [`FlowSolver::solve_into`] call. Links are visited in edge-index
+//! order, so every floating-point reduction sees the same values as the
+//! pre-refactor map-based solver, which the tests under `tests/` keep as
+//! an oracle: outputs are bit-identical.
 
 use ehp_sim_core::json::{Json, ToJson};
 use ehp_sim_core::units::Bandwidth;
 
-use crate::topology::{BfsScratch, NodeKey, Topology};
+use crate::topology::{NodeKey, Topology};
 
 /// One continuous flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +55,7 @@ pub struct FlowRate {
     /// Allocated steady-state throughput.
     pub rate: Bandwidth,
     /// Whether the flow is bottlenecked by a link (vs its own demand).
-    pub(crate) link_limited: bool,
+    pub link_limited: bool,
 }
 
 impl ToJson for FlowRate {
@@ -96,8 +95,6 @@ pub struct SolverWorkspace {
     saturated: Vec<bool>,
     // Scratch.
     active: Vec<u32>,
-    bfs: BfsScratch,
-    bfs_out: Vec<u32>,
 }
 
 impl SolverWorkspace {
@@ -162,19 +159,11 @@ impl<'a> FlowSolver<'a> {
     /// exist are returned with zero rate and `link_limited = false`.
     ///
     /// Convenience wrapper that allocates a one-shot [`SolverWorkspace`];
-    /// sweeps should hold a workspace and call
-    /// `FlowSolver::solve_with` / [`FlowSolver::solve_into`].
+    /// sweeps should hold a workspace and call [`FlowSolver::solve_into`].
     #[must_use]
     pub fn solve(&self, flows: &[Flow]) -> Vec<FlowRate> {
-        self.solve_with(flows, &mut SolverWorkspace::new())
-    }
-
-    /// Solves using a caller-held workspace, returning a fresh result
-    /// vector.
-    #[must_use]
-    pub(crate) fn solve_with(&self, flows: &[Flow], ws: &mut SolverWorkspace) -> Vec<FlowRate> {
         let mut out = Vec::with_capacity(flows.len());
-        self.solve_into(flows, ws, &mut out);
+        self.solve_into(flows, &mut SolverWorkspace::new(), &mut out);
         out
     }
 
@@ -187,27 +176,17 @@ impl<'a> FlowSolver<'a> {
     /// repeat. Links are scanned in directed-edge-index order; because
     /// the per-round increment is a pure `min` reduction and per-edge
     /// updates are independent, the result is bit-identical to the
-    /// map-based [`reference::solve`].
+    /// pre-refactor map-based solver.
     pub fn solve_into(&self, flows: &[Flow], ws: &mut SolverWorkspace, out: &mut Vec<FlowRate>) {
         // lint:hot-path
         let n_edges = self.topo.edges().len();
         ws.reset(flows.len(), n_edges);
 
-        // Route each flow once: borrowed from the precomputed table when
-        // the topology is frozen, BFS into workspace scratch otherwise.
-        let table = self.topo.routes_ready();
+        // Route each flow once, borrowed from the topology's route table.
         for (i, f) in flows.iter().enumerate() {
-            if table {
-                if let Some(path) = self.topo.route_slice(f.from, f.to) {
-                    ws.routed[i] = true;
-                    ws.route_edges.extend_from_slice(path);
-                }
-            } else if self
-                .topo
-                .route_into(f.from, f.to, &mut ws.bfs, &mut ws.bfs_out)
-            {
+            if let Some(path) = self.topo.route(f.from, f.to) {
                 ws.routed[i] = true;
-                ws.route_edges.extend_from_slice(&ws.bfs_out);
+                ws.route_edges.extend_from_slice(path);
             }
             ws.route_off.push(ws.route_edges.len() as u32);
             // Unroutable flows and self-flows (empty route) start frozen.
@@ -317,124 +296,14 @@ impl<'a> FlowSolver<'a> {
     }
 }
 
-/// The pre-refactor map-based solver, kept verbatim as the differential
-/// oracle for the dense fast path: property tests assert byte-identical
-/// output (via [`ToJson`]) and `benches/fabric.rs` measures the speedup
-/// against it. Not part of the supported API.
-pub mod reference {
-    use std::collections::HashMap;
-
-    use ehp_sim_core::units::Bandwidth;
-
-    use super::{Flow, FlowRate};
-    use crate::topology::Topology;
-
-    /// Progressive-filling max-min allocation with `HashMap`-keyed link
-    /// capacities and a fresh BFS per flow — the original algorithm.
-    #[must_use]
-    pub fn solve(topo: &Topology, flows: &[Flow]) -> Vec<FlowRate> {
-        // Route each flow once (directed edge indices).
-        let routes: Vec<Option<Vec<usize>>> =
-            flows.iter().map(|f| topo.route_bfs(f.from, f.to)).collect();
-
-        let mut rate = vec![0.0f64; flows.len()];
-        let mut frozen = vec![false; flows.len()];
-        for (i, r) in routes.iter().enumerate() {
-            if r.is_none() || r.as_ref().is_some_and(Vec::is_empty) {
-                frozen[i] = true;
-            }
-        }
-
-        // Remaining capacity per directed edge.
-        let mut cap: HashMap<usize, f64> = HashMap::new();
-        for (i, r) in routes.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            for &e in r.as_ref().expect("active flow has route") {
-                cap.entry(e)
-                    .or_insert_with(|| topo.edges()[e].spec.per_direction.as_bytes_per_sec());
-            }
-        }
-
-        loop {
-            let active: Vec<usize> = (0..flows.len()).filter(|&i| !frozen[i]).collect();
-            if active.is_empty() {
-                break;
-            }
-
-            let mut delta = f64::INFINITY;
-            for (&e, &remaining) in &cap {
-                let crossing = active
-                    .iter()
-                    .filter(|&&i| routes[i].as_ref().expect("route").contains(&e))
-                    .count();
-                if crossing > 0 {
-                    delta = delta.min(remaining / crossing as f64);
-                }
-            }
-            for &i in &active {
-                if let Some(d) = flows[i].demand {
-                    delta = delta.min(d.as_bytes_per_sec() - rate[i]);
-                }
-            }
-            if !delta.is_finite() || delta <= 1e-6 {
-                break;
-            }
-
-            for &i in &active {
-                rate[i] += delta;
-            }
-            let edges: Vec<usize> = cap.keys().copied().collect();
-            for e in edges {
-                let crossing = active
-                    .iter()
-                    .filter(|&&i| routes[i].as_ref().expect("route").contains(&e))
-                    .count();
-                if crossing > 0 {
-                    *cap.get_mut(&e).expect("known edge") -= delta * crossing as f64;
-                }
-            }
-
-            let saturated: Vec<usize> = cap
-                .iter()
-                .filter(|(_, &rem)| rem <= 1e-3)
-                .map(|(&e, _)| e)
-                .collect();
-            for &i in &active {
-                let on_saturated = routes[i]
-                    .as_ref()
-                    .expect("route")
-                    .iter()
-                    .any(|e| saturated.contains(e));
-                let at_demand = flows[i]
-                    .demand
-                    .is_some_and(|d| rate[i] >= d.as_bytes_per_sec() - 1e-3);
-                if on_saturated || at_demand {
-                    frozen[i] = true;
-                }
-            }
-        }
-
-        flows
-            .iter()
-            .enumerate()
-            .map(|(i, &flow)| FlowRate {
-                flow,
-                rate: Bandwidth::from_bytes_per_sec(rate[i].max(0.0)),
-                link_limited: routes[i].is_some()
-                    && flow
-                        .demand
-                        .is_none_or(|d| rate[i] < d.as_bytes_per_sec() - 1e-3),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkTech;
+
+    fn one_usr_link() -> Topology {
+        Topology::from_links([(NodeKey::Iod(0), NodeKey::Iod(1), LinkTech::Usr.spec())])
+    }
 
     #[test]
     fn single_flow_gets_bottleneck_bandwidth() {
@@ -448,8 +317,7 @@ mod tests {
 
     #[test]
     fn two_flows_share_a_link_fairly() {
-        let mut topo = Topology::new();
-        topo.add_link(NodeKey::Iod(0), NodeKey::Iod(1), LinkTech::Usr.spec());
+        let topo = one_usr_link();
         let solver = FlowSolver::new(&topo);
         let f = Flow::greedy(NodeKey::Iod(0), NodeKey::Iod(1));
         let rates = solver.solve(&[f, f]);
@@ -460,8 +328,7 @@ mod tests {
 
     #[test]
     fn demand_capped_flow_leaves_room() {
-        let mut topo = Topology::new();
-        topo.add_link(NodeKey::Iod(0), NodeKey::Iod(1), LinkTech::Usr.spec());
+        let topo = one_usr_link();
         let solver = FlowSolver::new(&topo);
         let small = Flow {
             from: NodeKey::Iod(0),
@@ -532,6 +399,29 @@ mod tests {
     }
 
     #[test]
+    fn dense_solver_matches_reference_exactly() {
+        // Bit-identical, not approximately equal: the dense solver must
+        // not perturb any experiment output.
+        let topo = Topology::mi300_package(2, 3);
+        let mut flows = Vec::new();
+        for c in 0..9u32 {
+            for s in 0..8u32 {
+                let demand = (c % 3 == 0).then(|| Bandwidth::from_gb_s(f64::from(40 + s * 17)));
+                flows.push(Flow {
+                    from: NodeKey::Chiplet(c),
+                    to: NodeKey::HbmStack(s),
+                    demand,
+                });
+            }
+        }
+        let dense = FlowSolver::new(&topo).solve(&flows);
+        assert_eq!(
+            crate::oracle::outcomes(&dense),
+            crate::oracle::solve(&topo, &flows)
+        );
+    }
+
+    #[test]
     fn fairness_no_flow_starves() {
         let topo = Topology::mi300_package(2, 3);
         let solver = FlowSolver::new(&topo);
@@ -569,51 +459,5 @@ mod tests {
             solver.solve_into(&flows, &mut ws, &mut out);
             assert_eq!(out, solver.solve(&flows), "round {round}");
         }
-    }
-
-    #[test]
-    fn dense_solver_matches_reference_exactly() {
-        // Bit-identical, not approximately equal: the dense rewrite must
-        // not perturb any experiment output.
-        let topo = Topology::mi300_package(2, 3);
-        let mut flows = Vec::new();
-        for c in 0..9u32 {
-            for s in 0..8u32 {
-                let demand = (c % 3 == 0).then(|| Bandwidth::from_gb_s(f64::from(40 + s * 17)));
-                flows.push(Flow {
-                    from: NodeKey::Chiplet(c),
-                    to: NodeKey::HbmStack(s),
-                    demand,
-                });
-            }
-        }
-        let dense = FlowSolver::new(&topo).solve(&flows);
-        let refr = reference::solve(&topo, &flows);
-        assert_eq!(
-            dense.to_json().to_string_compact(),
-            refr.to_json().to_string_compact()
-        );
-    }
-
-    #[test]
-    fn solver_works_without_precomputed_table() {
-        // A hand-built (table-less) topology takes the BFS fallback and
-        // still matches the reference.
-        let mut topo = Topology::new();
-        topo.add_link(NodeKey::Iod(0), NodeKey::Iod(1), LinkTech::Usr.spec());
-        topo.add_link(NodeKey::Iod(1), NodeKey::Iod(2), LinkTech::Serdes2D.spec());
-        assert!(!topo.routes_ready());
-        let flows = [
-            Flow::greedy(NodeKey::Iod(0), NodeKey::Iod(2)),
-            Flow::greedy(NodeKey::Iod(0), NodeKey::Iod(1)),
-            Flow::greedy(NodeKey::Iod(2), NodeKey::Iod(2)),
-            Flow::greedy(NodeKey::Iod(0), NodeKey::External(9)),
-        ];
-        let dense = FlowSolver::new(&topo).solve(&flows);
-        let refr = reference::solve(&topo, &flows);
-        assert_eq!(
-            dense.to_json().to_string_compact(),
-            refr.to_json().to_string_compact()
-        );
     }
 }

@@ -18,10 +18,10 @@
 //! * Section VIII / Figure 18 — each socket exposes eight x16 links
 //!   (128 GB/s each) for scale-out topologies.
 //!
-//! The hot data structures are flattened onto dense integer indices
-//! (CSR adjacency, precomputed all-pairs route table, allocation-free
-//! max-min solver workspace); see DESIGN.md §9 for the representation
-//! and invalidation rules.
+//! A topology is built once from its full link list and is then
+//! immutable; the hot data structures are flattened onto dense integer
+//! indices (CSR adjacency, all-pairs route table, allocation-free
+//! max-min solver workspace). See DESIGN.md §9 for the representation.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,3 +30,9 @@ pub mod fabric;
 pub mod flows;
 pub mod link;
 pub mod topology;
+
+// The unit tests check the route table and the dense solver against the
+// oracles the integration tests use.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

@@ -4,6 +4,7 @@
 //!
 //! Scenario parameters: `socket_power_w` (default 550).
 
+use ehp_core::powertherm::assign_power_map;
 use ehp_package::floorplan::Floorplan;
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_sim_core::json::Json;
@@ -13,22 +14,6 @@ use ehp_thermal::{ThermalConfig, ThermalSolver};
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
 use crate::scenario::Scenario;
-
-fn assign(fp: &mut Floorplan, pm: &SocketPowerManager) {
-    let d = pm.current();
-    fp.assign_power("xcd", d.get(PowerDomain::ComputeChiplets).scale(0.88));
-    fp.assign_power("ccd", d.get(PowerDomain::ComputeChiplets).scale(0.12));
-    fp.assign_power(
-        "iod",
-        d.get(PowerDomain::InfinityCache) + d.get(PowerDomain::DataFabric),
-    );
-    fp.assign_power("usr", d.get(PowerDomain::UsrPhys));
-    fp.assign_power("hbm_phy", d.get(PowerDomain::HbmPhys));
-    fp.assign_power(
-        "hbm_stack",
-        d.get(PowerDomain::HbmDram) + d.get(PowerDomain::Io),
-    );
-}
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
@@ -71,7 +56,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     {
         pm.apply_profile(profile);
         let mut fp = Floorplan::mi300a();
-        assign(&mut fp, &pm);
+        assign_power_map(&mut fp, pm.current());
         let field = solver.solve(&fp);
         let (max_t, _) = field.max();
         max_by_label[k] = max_t;

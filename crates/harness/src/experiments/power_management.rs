@@ -6,7 +6,7 @@
 //! Scenario parameters: `socket_power_w` (default 550), `shift_w`
 //! (default 60).
 
-use ehp_core::powertherm::{ControllerConfig, PowerThermalController};
+use ehp_core::powertherm::{ControllerConfig, PowerThermalController, XCD_SHARE};
 use ehp_package::bond::{BpvTarget, HybridBondInterface, MAX_DROP_FRACTION};
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_power::dvfs::DvfsCurve;
@@ -66,14 +66,14 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     pm.apply_profile(WorkloadProfile::MemoryIntensive);
     let xcd = DvfsCurve::mi300_xcd();
     let before = pm.current().get(PowerDomain::ComputeChiplets);
-    let per_xcd_before = before.scale(0.88 / 6.0);
+    let per_xcd_before = before.scale(XCD_SHARE / 6.0);
     pm.shift(
         PowerDomain::HbmDram,
         PowerDomain::ComputeChiplets,
         Power::from_watts(sc.f64("shift_w", 60.0)),
     );
     let after = pm.current().get(PowerDomain::ComputeChiplets);
-    let per_xcd_after = after.scale(0.88 / 6.0);
+    let per_xcd_after = after.scale(XCD_SHARE / 6.0);
     rep.kv("compute allocation before", before);
     rep.kv("compute allocation after +60 W shift", after);
     let clock_before = xcd.perf_factor(per_xcd_before);

@@ -5,9 +5,9 @@
 //!   or on the line directly above it.
 //! * **Waiver file** (`lint.waivers` at the workspace root): one line per
 //!   grandfathered file, `<rule> <path> <reason...>`, waiving every
-//!   finding of that rule in that file. Used where touching the code is
-//!   worse than the finding (e.g. the `flows::reference` differential
-//!   oracle, kept verbatim).
+//!   finding of that rule in that file. Meant for code where touching
+//!   it is worse than the finding, such as an oracle kept verbatim; the
+//!   file has no entries today.
 //!
 //! Waived findings are still collected and reported (with their reason)
 //! so `ehp lint --json` consumers can audit them; they just don't fail

@@ -292,6 +292,18 @@ impl BankUnit {
         self.slice.as_ref()
     }
 
+    /// Refresh commands this bank's HBM retired.
+    #[must_use]
+    pub fn refreshes(&self) -> u64 {
+        self.hbm.refreshes()
+    }
+
+    /// When this bank's HBM finishes the last access it started.
+    #[must_use]
+    pub fn hbm_busy_until(&self) -> SimTime {
+        self.hbm.bank_free()
+    }
+
     /// Total energy: HBM plus slice accesses.
     fn energy_used(&self, p: &BankParams) -> Energy {
         p.hbm.energy(&self.hbm) + self.icache_energy

@@ -213,24 +213,28 @@ impl HbmBank {
     /// ROW_BYTES`) matters.
     #[inline]
     pub(crate) fn access(&mut self, p: &HbmParams, at: SimTime, addr: u64, size: Bytes) -> SimTime {
-        // Retire every due refresh in one step: each blocks the bank for
-        // tRFC and closes its row (refresh precharges the array). With
-        // tRFC < tREFI (asserted in `HbmParams::new`) every refresh but
-        // the last ends before the next one starts, hence before `at`,
-        // so only the last can raise `bank_free` or `at`.
-        let mut at = at;
-        if at >= self.next_refresh {
+        // The bank starts work once it is free. Every refresh due by
+        // then retires in one step, so a bank kept busy by an
+        // issue-at-zero replay still refreshes once per tREFI. Each
+        // refresh blocks the bank for tRFC and closes its row (refresh
+        // precharges the array). With tRFC < tREFI (asserted in
+        // `HbmParams::new`) every refresh but the last ends before the
+        // next one is due, hence before the start, so only the last can
+        // delay it.
+        let mut start = if at > self.bank_free {
+            at
+        } else {
+            self.bank_free
+        };
+        if start >= self.next_refresh {
             let interval = p.timings.refresh_interval;
-            let k = (at - self.next_refresh).as_picos() / interval.as_picos() + 1;
+            let k = (start - self.next_refresh).as_picos() / interval.as_picos() + 1;
             let rfc_end = self.next_refresh + interval * (k - 1) + p.timings.refresh_duration;
-            if self.bank_free < rfc_end {
-                self.bank_free = rfc_end;
-            }
             self.open_row = None;
             self.refreshes += k;
             self.next_refresh += interval * k;
-            if at < rfc_end {
-                at = rfc_end;
+            if start < rfc_end {
+                start = rfc_end;
             }
         }
 
@@ -246,12 +250,7 @@ impl HbmBank {
 
         // The bank is occupied for its access latency, then the data
         // crosses the bus lane, first come first served.
-        let bank_start = if at > self.bank_free {
-            at
-        } else {
-            self.bank_free
-        };
-        self.bank_free = bank_start + core_latency;
+        self.bank_free = start + core_latency;
         let bus_start = if self.bank_free > self.bus_free {
             self.bank_free
         } else {
@@ -275,6 +274,11 @@ impl HbmBank {
     /// Refresh commands retired so far.
     pub(crate) fn refreshes(&self) -> u64 {
         self.refreshes
+    }
+
+    /// Time the bank finishes its current access.
+    pub(crate) fn bank_free(&self) -> SimTime {
+        self.bank_free
     }
 
     /// Bytes moved over the bank's bus lane.

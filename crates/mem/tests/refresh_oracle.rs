@@ -5,8 +5,15 @@
 //! production model must match it access for access: completion times,
 //! row hits, row misses and refreshes. The model is one bank, the only
 //! shape a memory channel builds (`ehp_mem::channel::BankUnit`).
+//!
+//! The loop keys refreshes on the same start time as the model, so a
+//! second check shares no rule with either: in a bucketed replay every
+//! request issues at zero, and each bank, busy from zero until its last
+//! access ends, must retire one refresh per tREFI of that span.
 
 use ehp_mem::hbm::{HbmChannelModel, HbmGeneration, HbmTimings, ROW_BYTES};
+use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
+use ehp_mem::trace::{replay, Pattern, TraceConfig};
 use ehp_sim_core::resource::BandwidthPipe;
 use ehp_sim_core::rng::SplitMix64;
 use ehp_sim_core::time::SimTime;
@@ -20,7 +27,8 @@ const ACCESSES: usize = 2_000;
 const SEQUENCES: u64 = 8;
 
 /// The pre-closed-form bank model: identical row and bus timing, but
-/// refreshes retired one tREFI interval at a time.
+/// refreshes retired one tREFI interval at a time, up to the time the
+/// bank starts the access.
 struct LoopRefresh {
     timings: HbmTimings,
     bus: BandwidthPipe,
@@ -47,7 +55,8 @@ impl LoopRefresh {
     }
 
     fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
-        let mut at = at;
+        // Refreshes come due against the time the bank starts work.
+        let mut at = at.max(self.bank_free);
         while at >= self.next_refresh {
             let rfc_end = self.next_refresh + self.timings.refresh_duration;
             self.bank_free = self.bank_free.max(rfc_end);
@@ -140,4 +149,55 @@ fn overlapping_refreshes_are_rejected() {
     let mut timings = gen.timings();
     timings.refresh_duration = timings.refresh_interval;
     let _ = HbmChannelModel::new(timings, gen.stack_bandwidth());
+}
+
+/// Replays `pattern` issue-at-zero (bank-bucketed) on a two-channel HBM3
+/// subsystem without Infinity Cache, so every access reaches a bank and
+/// keeps it busy from zero until its last access ends at `T`. Each bank
+/// must have retired `floor(T / tREFI)` refreshes, within one (the last
+/// access may start just before a refresh comes due).
+fn check_busy_banks_refresh(pattern: Pattern) {
+    let mut cfg = MemConfig::mi300_hbm3();
+    cfg.interleave.stacks = 1;
+    cfg.interleave.channels_per_stack = 2;
+    cfg.channel.icache_capacity = None;
+    let mut mem = MemorySubsystem::new(cfg);
+    let trace = TraceConfig {
+        accesses: 40_000,
+        footprint: 64 << 20,
+        ..TraceConfig::new(pattern)
+    };
+    let _ = replay(&mut mem, &trace);
+    let interval = HbmGeneration::Hbm3.timings().refresh_interval.as_picos();
+    let mut banks = 0;
+    for (c, channel) in mem.channels().iter().enumerate() {
+        for (b, bank) in channel.banks().iter().enumerate() {
+            let busy = bank.hbm_busy_until();
+            let due = busy.as_picos() / interval;
+            assert!(
+                bank.refreshes().abs_diff(due) <= 1,
+                "{pattern:?} channel {c} bank {b}: {} refreshes, busy until {busy} ({due} tREFI)",
+                bank.refreshes()
+            );
+            assert!(
+                due >= 10,
+                "{pattern:?} channel {c} bank {b}: busy {due} tREFI"
+            );
+            banks += 1;
+        }
+    }
+    assert_eq!(banks, 32, "two HBM3 channels of 16 banks");
+}
+
+#[test]
+fn busy_banks_refresh_once_per_trefi_random() {
+    check_busy_banks_refresh(Pattern::Random);
+}
+
+#[test]
+fn busy_banks_refresh_once_per_trefi_hot() {
+    check_busy_banks_refresh(Pattern::Hot {
+        hot_fraction: 0.9,
+        hot_bytes: 1 << 20,
+    });
 }

@@ -92,11 +92,6 @@ define_id!(
     "part"
 );
 define_id!(
-    /// An inter-socket or intra-socket fabric link.
-    LinkId,
-    "link"
-);
-define_id!(
     /// An agent that can own cache lines in the coherence protocol
     /// (a CCD core-complex or an XCD).
     AgentId,

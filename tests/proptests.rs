@@ -316,15 +316,16 @@ fn routes_are_valid_walks() {
     use ehp_fabric::topology::{NodeKey, Topology};
     let mut rng = rng_for("routes_are_valid_walks");
     for _ in 0..128 {
-        let mut topo = Topology::new();
         let n_edges = 1 + rng.next_below(23);
+        let mut links = Vec::new();
         for _ in 0..n_edges {
             let a = rng.next_below(8) as u32;
             let b = rng.next_below(8) as u32;
             if a != b {
-                topo.add_link(NodeKey::Iod(a), NodeKey::Iod(b), LinkTech::Usr.spec());
+                links.push((NodeKey::Iod(a), NodeKey::Iod(b), LinkTech::Usr.spec()));
             }
         }
+        let topo = Topology::from_links(links);
         let from = rng.next_below(8) as u32;
         let to = rng.next_below(8) as u32;
         let (src, dst) = (NodeKey::Iod(from), NodeKey::Iod(to));
@@ -333,8 +334,8 @@ fn routes_are_valid_walks() {
             Some(path) => {
                 assert_eq!(topo.hops(src, dst), Some(path.len()));
                 let mut cur = src;
-                for &ei in &path {
-                    let e = topo.edges()[ei];
+                for &ei in path {
+                    let e = topo.edges()[ei as usize];
                     assert_eq!(e.from, cur, "contiguous walk");
                     cur = e.to;
                 }
