@@ -150,6 +150,12 @@ step "ehp all (cold cache)" sh -c '
     rm -rf target/result-cache &&
     ./target/release/ehp all --jobs 8 --quiet &&
     cp target/figures/run_summary.json target/run_summary.cold.json'
+# Output pinned across commits: the cold summary must equal the
+# committed golden file. A change that moves bytes by design re-saves
+# it (cp target/run_summary.cold.json tests/golden/run_summary.json)
+# and names the metrics that moved in CHANGES.md.
+step "ehp all summary matches tests/golden" \
+    cmp target/run_summary.cold.json tests/golden/run_summary.json
 step "ehp all (warm cache)" ./target/release/ehp all --jobs 8 --quiet
 step "warm summary byte-identical" \
     cmp target/run_summary.cold.json target/figures/run_summary.json

@@ -85,7 +85,6 @@ pub struct SolverWorkspace {
     // Per-flow state.
     rate: Vec<f64>,
     frozen: Vec<bool>,
-    routed: Vec<bool>,
     route_off: Vec<u32>,
     route_edges: Vec<u32>,
     // Per-edge state (indexed by directed edge index).
@@ -109,8 +108,6 @@ impl SolverWorkspace {
         self.rate.resize(flows, 0.0);
         self.frozen.clear();
         self.frozen.resize(flows, false);
-        self.routed.clear();
-        self.routed.resize(flows, false);
         self.route_off.clear();
         self.route_off.push(0);
         self.route_edges.clear();
@@ -156,7 +153,8 @@ impl<'a> FlowSolver<'a> {
     }
 
     /// Solves the max-min fair allocation. Flows whose route does not
-    /// exist are returned with zero rate and `link_limited = false`.
+    /// exist, and self-flows (`from == to`, an empty route), are returned
+    /// with zero rate and `link_limited = false`: no link limits them.
     ///
     /// Convenience wrapper that allocates a one-shot [`SolverWorkspace`];
     /// sweeps should hold a workspace and call [`FlowSolver::solve_into`].
@@ -185,12 +183,12 @@ impl<'a> FlowSolver<'a> {
         // Route each flow once, borrowed from the topology's route table.
         for (i, f) in flows.iter().enumerate() {
             if let Some(path) = self.topo.route(f.from, f.to) {
-                ws.routed[i] = true;
                 ws.route_edges.extend_from_slice(path);
             }
             ws.route_off.push(ws.route_edges.len() as u32);
-            // Unroutable flows and self-flows (empty route) start frozen.
-            if !ws.routed[i] || ws.route(i).is_empty() {
+            // Unroutable flows and self-flows cross no link: their route
+            // is empty and they start frozen.
+            if ws.route(i).is_empty() {
                 ws.frozen[i] = true;
             }
         }
@@ -280,7 +278,7 @@ impl<'a> FlowSolver<'a> {
             FlowRate {
                 flow,
                 rate: Bandwidth::from_bytes_per_sec(ws.rate[i].max(0.0)),
-                link_limited: ws.routed[i]
+                link_limited: !ws.route(i).is_empty()
                     && flow
                         .demand
                         .is_none_or(|d| ws.rate[i] < d.as_bytes_per_sec() - 1e-3),
@@ -350,6 +348,23 @@ mod tests {
         let rates = solver.solve(&[Flow::greedy(NodeKey::Iod(0), NodeKey::External(77))]);
         assert_eq!(rates[0].rate.as_gb_s(), 0.0);
         assert!(!rates[0].link_limited);
+    }
+
+    #[test]
+    fn self_flow_is_not_link_limited() {
+        // A self-flow crosses no link, so no link can limit it, with or
+        // without a demand.
+        let topo = one_usr_link();
+        let solver = FlowSolver::new(&topo);
+        let greedy = Flow::greedy(NodeKey::Iod(0), NodeKey::Iod(0));
+        let capped = Flow {
+            demand: Some(Bandwidth::from_gb_s(100.0)),
+            ..greedy
+        };
+        for r in solver.solve(&[greedy, capped]) {
+            assert_eq!(r.rate.as_gb_s(), 0.0);
+            assert!(!r.link_limited, "{:?}", r.flow);
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub fn solve(topo: &Topology, flows: &[Flow]) -> Vec<(u64, bool)> {
         .iter()
         .enumerate()
         .map(|(i, &flow)| {
-            let link_limited = routes[i].is_some()
+            let link_limited = routes[i].as_ref().is_some_and(|r| !r.is_empty())
                 && flow
                     .demand
                     .is_none_or(|d| rate[i] < d.as_bytes_per_sec() - 1e-3);

@@ -18,7 +18,8 @@
 //! The layout keeps the replay working set small: a [`BankUnit`] holds
 //! only mutable state, every parameter its channel's banks share sits
 //! once in a `BankParams`, and a `BankArray` keeps every bank's
-//! Infinity Cache set records in one bank-major arena.
+//! Infinity Cache set records in one first-touch `SetStore`, which holds
+//! only the sets the traffic so far has filled.
 
 use ehp_sim_core::stats::Accumulator;
 use ehp_sim_core::time::SimTime;
@@ -26,8 +27,8 @@ use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
 use crate::hbm::{HbmBank, HbmParams, HbmTimings, Lane, ROW_BYTES};
 use crate::icache::{
-    CacheOutcome, PrefetcherConfig, SetRecord, SliceGeometry, SliceMut, SliceState,
-    MAX_PREFETCH_DEGREE,
+    CacheOutcome, PrefetcherConfig, SetRecord, SetStore, Sets, SetsMut, SliceGeometry, SliceMut,
+    SliceState, MAX_PREFETCH_DEGREE,
 };
 use crate::request::ServicePoint;
 
@@ -178,13 +179,21 @@ impl BankParams {
     }
 
     /// Starts loading the set record bank-local `addr` maps to in a bank
-    /// whose records are `sets`, without waiting for it (see
-    /// `SetRecord::preload`); does nothing without a slice.
+    /// whose sets are `sets`, without waiting for it (see
+    /// `SetRecord::preload`); does nothing without a slice or for a set
+    /// never touched.
     #[inline]
-    pub(crate) fn preload(&self, sets: &[SetRecord], addr: u64) {
+    pub(crate) fn preload(&self, sets: Sets<'_>, addr: u64) {
         if let Some(geom) = &self.slice {
-            sets[geom.set_of_addr(addr)].preload();
+            sets.preload(geom.set_of_addr(addr));
         }
+    }
+
+    /// The most set records replaying `accesses` accesses can add: none
+    /// without a slice.
+    pub(crate) fn set_fills(&self, accesses: u64) -> u64 {
+        self.slice
+            .map_or(0, |g| accesses.saturating_mul(g.fills_per_access()))
     }
 }
 
@@ -193,8 +202,8 @@ impl BankParams {
 /// latency accumulator. Addresses are bank-local (see `bank_slot`).
 ///
 /// A bank holds only mutable state. Its parameters are its channel's
-/// `BankParams`, and its slice's set records sit in the `BankArray`
-/// arena; both are passed to `BankUnit::access`.
+/// `BankParams`, and its slice's set records sit in the `BankArray`'s
+/// `SetStore`; both are passed to `BankUnit::access`.
 #[derive(Debug, Clone)]
 pub struct BankUnit {
     /// `None` when the channel has no slice.
@@ -220,12 +229,12 @@ impl BankUnit {
     }
 
     /// Performs one access at a bank-local address, with the bank's
-    /// shared parameters `p` and its own set records `sets`; returns
-    /// completion time and service point.
+    /// shared parameters `p` and its own sets `sets`; returns completion
+    /// time and service point.
     pub(crate) fn access(
         &mut self,
         p: &BankParams,
-        sets: &mut [SetRecord],
+        sets: SetsMut<'_>,
         at: SimTime,
         addr: u64,
         size: Bytes,
@@ -320,28 +329,24 @@ impl BankUnit {
 }
 
 /// A run of banks that share one `BankParams`: their states in flat
-/// order and every bank's slice set records in one bank-major arena, so
-/// bank `b`'s sets are the contiguous records
-/// `b * sets_per_bank .. (b + 1) * sets_per_bank`. A [`MemoryChannel`]
-/// is one channel's banks; a memory subsystem keeps every bank of every
-/// channel in one array.
+/// order and every bank's slice sets in one `SetStore`, bank `b` being
+/// its slice `b`. A [`MemoryChannel`] is one channel's banks; a memory
+/// subsystem keeps every bank of every channel in one array.
 #[derive(Debug, Clone)]
 pub(crate) struct BankArray {
     params: BankParams,
     units: Vec<BankUnit>,
-    sets: Vec<SetRecord>,
-    sets_per_bank: usize,
+    sets: SetStore,
 }
 
 impl BankArray {
-    /// `banks` idle banks of a `cfg` channel.
+    /// `banks` idle banks of a `cfg` channel, with no set touched.
     pub(crate) fn new(cfg: &ChannelConfig, banks: usize) -> BankArray {
         let params = BankParams::new(cfg);
         let sets_per_bank = params.slice.map_or(0, |g| g.sets());
         BankArray {
             units: (0..banks).map(|_| BankUnit::new(&params)).collect(),
-            sets: vec![SetRecord::default(); banks * sets_per_bank],
-            sets_per_bank,
+            sets: SetStore::new(banks, sets_per_bank),
             params,
         }
     }
@@ -356,35 +361,65 @@ impl BankArray {
         size: Bytes,
         is_write: bool,
     ) -> (SimTime, ServicePoint) {
-        let n = self.sets_per_bank;
-        let sets = &mut self.sets[flat * n..(flat + 1) * n];
-        self.units[flat].access(&self.params, sets, at, addr, size, is_write)
+        let (params, unit, sets) = self.bank_mut(flat);
+        unit.access(params, sets, at, addr, size, is_write)
     }
 
     /// Starts loading the set record bank-local `addr` of bank `flat`
     /// maps to, without waiting for it (see `SetRecord::preload`).
     #[inline]
     pub(crate) fn preload(&self, flat: usize, addr: u64) {
-        let n = self.sets_per_bank;
-        self.params
-            .preload(&self.sets[flat * n..(flat + 1) * n], addr);
+        self.params.preload(self.sets.slice(flat), addr);
     }
 
-    /// The shared parameters, and every bank with its own set records in
-    /// flat order: disjoint views that replay workers may own.
-    pub(crate) fn split_mut(
-        &mut self,
+    /// Makes room for the set records `accesses` more accesses can add,
+    /// so that replaying them never grows the store.
+    pub(crate) fn reserve_sets(&mut self, accesses: u64) {
+        self.sets.reserve(self.params.set_fills(accesses));
+    }
+
+    /// Number of set records: the sets touched so far.
+    pub(crate) fn set_records(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// The shared parameters and bank `flat` with its sets.
+    #[inline]
+    pub(crate) fn bank_mut(&mut self, flat: usize) -> (&BankParams, &mut BankUnit, SetsMut<'_>) {
+        (
+            &self.params,
+            &mut self.units[flat],
+            self.sets.slice_mut(flat),
+        )
+    }
+
+    /// Moves each bank's set records into a `Vec` of its own, with room
+    /// for the records `accesses(flat)` more accesses to bank `flat` can
+    /// add, so banks can be replayed apart through
+    /// [`BankArray::split_mut`]; [`BankArray::join_sets`] puts them back.
+    pub(crate) fn split_sets(&mut self, accesses: impl Fn(usize) -> u64) -> Vec<Vec<SetRecord>> {
+        let params = &self.params;
+        self.sets
+            .split((0..self.units.len()).map(|flat| params.set_fills(accesses(flat))))
+    }
+
+    /// Returns the records of [`BankArray::split_sets`] to the one store,
+    /// in flat-bank order.
+    pub(crate) fn join_sets(&mut self, parts: Vec<Vec<SetRecord>>) {
+        self.sets.join(parts);
+    }
+
+    /// The shared parameters, and every bank with its sets in flat order
+    /// over the per-bank records `parts` of [`BankArray::split_sets`]:
+    /// disjoint views that replay workers may own.
+    pub(crate) fn split_mut<'a>(
+        &'a mut self,
+        parts: &'a mut [Vec<SetRecord>],
     ) -> (
-        &BankParams,
-        impl Iterator<Item = (&mut BankUnit, &mut [SetRecord])> + '_,
+        &'a BankParams,
+        impl Iterator<Item = (&'a mut BankUnit, SetsMut<'a>)>,
     ) {
-        let n = self.sets_per_bank;
-        let mut rest = self.sets.as_mut_slice();
-        let banks = self.units.iter_mut().map(move |unit| {
-            let (own, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            rest = tail;
-            (unit, own)
-        });
+        let banks = self.units.iter_mut().zip(self.sets.apart(parts));
         (&self.params, banks)
     }
 

@@ -10,8 +10,9 @@
 //! replacement and a sequential stream prefetcher. Its state is split
 //! three ways so a memory subsystem can lay it out densely: one
 //! `SliceGeometry` per channel, one [`SliceState`] per bank, and the
-//! `SetRecord`s of every bank in one arena. `SliceMut` runs the slice
-//! over borrowed parts; [`InfinityCacheSlice`] owns all three.
+//! `SetRecord`s of every bank in one first-touch `SetStore`, which holds
+//! a record only for a set some access has filled. `SliceMut` runs the
+//! slice over borrowed parts; [`InfinityCacheSlice`] owns all three.
 
 use ehp_sim_core::units::Bytes;
 
@@ -159,7 +160,8 @@ impl SetRecord {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SliceGeometry {
     ways: usize,
-    line_bytes: u64,
+    /// `log2` of the line size, so decoding an address is a shift.
+    line_shift: u32,
     set_mask: u64,
     pf: PrefetcherConfig,
 }
@@ -197,7 +199,7 @@ impl SliceGeometry {
         );
         SliceGeometry {
             ways,
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             set_mask: num_sets - 1,
             pf,
         }
@@ -208,8 +210,22 @@ impl SliceGeometry {
         self.set_mask as usize + 1
     }
 
+    /// The most sets one access can add to a store: its demand fill
+    /// plus one per prefetch fill.
+    pub(crate) fn fills_per_access(&self) -> u64 {
+        1 + if self.pf.enabled {
+            u64::from(self.pf.degree)
+        } else {
+            0
+        }
+    }
+
     fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
+        addr >> self.line_shift
+    }
+
+    fn addr_of(&self, line: u64) -> u64 {
+        line << self.line_shift
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -235,8 +251,8 @@ impl SliceGeometry {
 }
 
 /// The scalar state of one slice: its stream detector and counters.
-/// The set records live apart (one arena per memory subsystem) and the
-/// geometry is shared, so a bank carries only this.
+/// The set records live apart (one `SetStore` per memory subsystem) and
+/// the geometry is shared, so a bank carries only this.
 #[derive(Debug, Clone, Default)]
 pub struct SliceState {
     /// Last line index accessed (stream detector state).
@@ -272,6 +288,227 @@ impl SliceState {
     }
 }
 
+/// The set records of a run of equally shaped slices, stored on first
+/// touch: a record exists only for a set that some access has filled.
+///
+/// `index` has one entry per (slice, set), slice-major: 0 if the set was
+/// never touched, otherwise the position of its record in `records`.
+/// `records[0]` is an empty record that no access writes, so an
+/// untouched set reads as an empty one with no branch on the way. A new
+/// store is one zeroed `index` allocation and that one record, so
+/// building one costs nothing per set, and a replay pays only for the
+/// sets its trace reaches. Only `SetsMut::get_or_insert`, which
+/// `SliceMut::install` calls, appends a record.
+#[derive(Debug, Clone)]
+pub(crate) struct SetStore {
+    index: Vec<u32>,
+    records: Vec<SetRecord>,
+    sets_per_slice: usize,
+}
+
+impl SetStore {
+    /// An empty store for `slices` slices of `sets_per_slice` sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has more sets than a `u32` index can number.
+    pub(crate) fn new(slices: usize, sets_per_slice: usize) -> SetStore {
+        let sets = slices * sets_per_slice;
+        assert!(u32::try_from(sets).is_ok(), "too many sets for one store");
+        SetStore {
+            index: vec![0; sets],
+            records: vec![SetRecord::default()],
+            sets_per_slice,
+        }
+    }
+
+    /// Slice `slice`'s part of the index, with the record `Vec` it
+    /// appends to.
+    #[inline]
+    pub(crate) fn slice_mut(&mut self, slice: usize) -> SetsMut<'_> {
+        let n = self.sets_per_slice;
+        SetsMut {
+            index: &mut self.index[slice * n..(slice + 1) * n],
+            records: &mut self.records,
+        }
+    }
+
+    /// Slice `slice`'s sets, read only.
+    #[inline]
+    pub(crate) fn slice(&self, slice: usize) -> Sets<'_> {
+        Sets {
+            index: &self.index,
+            first: slice * self.sets_per_slice,
+            records: &self.records,
+        }
+    }
+
+    /// Makes room for `fills` more records, or for every untouched set if
+    /// that is fewer, so appending them never reallocates.
+    pub(crate) fn reserve(&mut self, fills: u64) {
+        let untouched = self.index.len() - self.len();
+        let n = usize::try_from(fills).map_or(untouched, |f| f.min(untouched));
+        self.records.reserve_exact(n);
+    }
+
+    /// Number of records: the sets touched so far.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len() - 1
+    }
+
+    /// Lines resident across every slice.
+    fn resident_lines(&self) -> usize {
+        self.records.iter().map(|r| usize::from(r.len)).sum()
+    }
+
+    /// Moves each slice's records into a `Vec` of its own, led by an
+    /// empty record as the store's is, so slices can be replayed apart,
+    /// and renumbers the index to match; `fills` gives, per slice, how
+    /// many records to make room for (capped at its untouched sets).
+    /// [`SetStore::join`] undoes it.
+    pub(crate) fn split(&mut self, fills: impl Iterator<Item = u64>) -> Vec<Vec<SetRecord>> {
+        let n = self.sets_per_slice;
+        let mut parts = Vec::new();
+        for (slice, fills) in fills.enumerate() {
+            let index = &mut self.index[slice * n..(slice + 1) * n];
+            let touched = index.iter().filter(|&&e| e != 0).count();
+            let room = usize::try_from(fills).map_or(n - touched, |f| f.min(n - touched));
+            let mut part = Vec::with_capacity(1 + touched + room);
+            part.push(SetRecord::default());
+            for entry in index.iter_mut().filter(|e| **e != 0) {
+                part.push(self.records[*entry as usize]);
+                *entry = (part.len() - 1) as u32;
+            }
+            parts.push(part);
+        }
+        self.records.truncate(1);
+        parts
+    }
+
+    /// Every slice's sets in slice order, over the per-slice records
+    /// `parts` of [`SetStore::split`]: disjoint views that replay
+    /// workers may own.
+    pub(crate) fn apart<'a>(
+        &'a mut self,
+        parts: &'a mut [Vec<SetRecord>],
+    ) -> impl Iterator<Item = SetsMut<'a>> {
+        let n = self.sets_per_slice;
+        let mut rest = self.index.as_mut_slice();
+        parts.iter_mut().map(move |records| {
+            let (index, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            SetsMut { index, records }
+        })
+    }
+
+    /// Puts the per-slice records of [`SetStore::split`] back in one
+    /// `Vec`, slice after slice, and renumbers the index to match.
+    pub(crate) fn join(&mut self, parts: Vec<Vec<SetRecord>>) {
+        let n = self.sets_per_slice;
+        self.records.truncate(1);
+        self.records
+            .reserve_exact(parts.iter().map(|p| p.len() - 1).sum::<usize>());
+        for (slice, part) in parts.into_iter().enumerate() {
+            let base = self.len() as u32;
+            for entry in self.index[slice * n..(slice + 1) * n]
+                .iter_mut()
+                .filter(|e| **e != 0)
+            {
+                *entry += base;
+            }
+            self.records.extend_from_slice(&part[1..]);
+        }
+    }
+}
+
+/// One slice's sets: its part of a `SetStore` index and the record `Vec`
+/// that new sets are appended to (the whole store's, or the slice's own
+/// while `SetStore::split` has it apart).
+pub(crate) struct SetsMut<'a> {
+    index: &'a mut [u32],
+    records: &'a mut Vec<SetRecord>,
+}
+
+impl SetsMut<'_> {
+    /// The same sets, borrowed again for a shorter while.
+    #[inline]
+    pub(crate) fn reborrow(&mut self) -> SetsMut<'_> {
+        SetsMut {
+            index: self.index,
+            records: self.records,
+        }
+    }
+
+    /// The same sets, read only.
+    #[inline]
+    pub(crate) fn view(&self) -> Sets<'_> {
+        Sets {
+            index: self.index,
+            first: 0,
+            records: self.records,
+        }
+    }
+
+    /// The record of set `set` (see [`Sets::get`]).
+    #[inline]
+    fn get(&self, set: usize) -> &SetRecord {
+        self.view().get(set)
+    }
+
+    /// The record of set `set`, which holds the line that was just found
+    /// in it, so the set has been touched and the record is its own.
+    #[inline]
+    fn get_found(&mut self, set: usize) -> &mut SetRecord {
+        // lint:hot-path
+        let entry = self.index[set] as usize;
+        debug_assert_ne!(entry, 0, "a line was found in an untouched set");
+        &mut self.records[entry]
+        // lint:hot-path-end
+    }
+
+    /// The record of set `set`, appended empty on its first touch.
+    #[inline]
+    fn get_or_insert(&mut self, set: usize) -> &mut SetRecord {
+        // lint:hot-path
+        let mut entry = self.index[set] as usize;
+        if entry == 0 {
+            entry = self.records.len();
+            self.records.push(SetRecord::default());
+            self.index[set] = entry as u32;
+        }
+        &mut self.records[entry]
+        // lint:hot-path-end
+    }
+}
+
+/// One slice's sets, read only: the entries of a `SetStore` index from
+/// `first` on and the records they name. The slice's set `s` is entry
+/// `first + s`, so a view over the whole index costs one bounds check
+/// per lookup, as one over the slice's own part does.
+#[derive(Clone, Copy)]
+pub(crate) struct Sets<'a> {
+    index: &'a [u32],
+    first: usize,
+    records: &'a [SetRecord],
+}
+
+impl<'a> Sets<'a> {
+    /// The record of set `set`: the store's empty record if the set was
+    /// never touched.
+    #[inline]
+    fn get(self, set: usize) -> &'a SetRecord {
+        // lint:hot-path
+        &self.records[self.index[self.first + set] as usize]
+        // lint:hot-path-end
+    }
+
+    /// Starts loading the record of set `set` (see `SetRecord::preload`).
+    #[inline]
+    pub(crate) fn preload(self, set: usize) {
+        self.get(set).preload();
+    }
+}
+
 /// A slice at work: its scalar state plus its borrowed geometry and set
 /// records. Every slice operation runs here, whether the sets belong to
 /// a bank of a memory subsystem or to a standalone
@@ -285,15 +522,16 @@ impl SliceState {
 pub(crate) struct SliceMut<'a> {
     pub(crate) geom: &'a SliceGeometry,
     pub(crate) state: &'a mut SliceState,
-    pub(crate) sets: &'a mut [SetRecord],
+    pub(crate) sets: SetsMut<'a>,
 }
 
 impl SliceMut<'_> {
     /// Installs an absent line (demand fill or prefetch) as the set's
-    /// MRU; returns the dirty victim address if one was evicted.
+    /// MRU; returns the dirty victim address if one was evicted. The
+    /// only operation that adds a record to the store.
     fn install(&mut self, set_idx: usize, tag: u32, dirty: bool, prefetched: bool) -> Option<u64> {
         let ways = self.geom.ways;
-        let set = &mut self.sets[set_idx];
+        let set = self.sets.get_or_insert(set_idx);
         let len = usize::from(set.len);
         let mut victim_addr = None;
         let slot = if len == ways {
@@ -304,7 +542,7 @@ impl SliceMut<'_> {
                 self.state.writebacks += 1;
                 let victim_line = (u64::from(set.tags[slot]) << self.geom.set_mask.trailing_ones())
                     | set_idx as u64;
-                victim_addr = Some(victim_line * self.geom.line_bytes);
+                victim_addr = Some(self.geom.addr_of(victim_line));
             }
             slot
         } else {
@@ -342,12 +580,12 @@ impl SliceMut<'_> {
         let set_idx = self.geom.set_of(line);
         let tag = self.geom.tag_of(line);
 
-        let Some(slot) = self.sets[set_idx].find(tag) else {
+        let Some(slot) = self.sets.get(set_idx).find(tag) else {
             self.state.misses += 1;
             let writeback = self.install(set_idx, tag, is_write, false);
             return CacheOutcome::Miss { writeback };
         };
-        let set = &mut self.sets[set_idx];
+        let set = self.sets.get_found(set_idx);
         set.touch(slot);
         let bit = 1u16 << slot;
         set.dirty |= u16::from(is_write) << slot;
@@ -379,8 +617,8 @@ impl SliceMut<'_> {
         let mut n = 0;
         for d in 1..=u64::from(geom.pf.degree) {
             let l = line + d;
-            if self.sets[geom.set_of(l)].find(geom.tag_of(l)).is_none() {
-                out[n] = l * geom.line_bytes;
+            if self.sets.get(geom.set_of(l)).find(geom.tag_of(l)).is_none() {
+                out[n] = geom.addr_of(l);
                 n += 1;
             }
         }
@@ -395,8 +633,8 @@ impl SliceMut<'_> {
         let line = self.geom.line_of(addr);
         let set_idx = self.geom.set_of(line);
         let tag = self.geom.tag_of(line);
-        if let Some(slot) = self.sets[set_idx].find(tag) {
-            self.sets[set_idx].touch(slot);
+        if let Some(slot) = self.sets.get(set_idx).find(tag) {
+            self.sets.get_found(set_idx).touch(slot);
             return None;
         }
         self.install(set_idx, tag, false, true)
@@ -422,7 +660,7 @@ impl SliceMut<'_> {
 pub struct InfinityCacheSlice {
     geom: SliceGeometry,
     state: SliceState,
-    sets: Vec<SetRecord>,
+    sets: SetStore,
 }
 
 impl InfinityCacheSlice {
@@ -442,7 +680,7 @@ impl InfinityCacheSlice {
     ) -> InfinityCacheSlice {
         let geom = SliceGeometry::new(capacity, ways, line_bytes, pf);
         InfinityCacheSlice {
-            sets: vec![SetRecord::default(); geom.sets()],
+            sets: SetStore::new(1, geom.sets()),
             geom,
             state: SliceState::default(),
         }
@@ -452,7 +690,7 @@ impl InfinityCacheSlice {
         SliceMut {
             geom: &self.geom,
             state: &mut self.state,
-            sets: &mut self.sets,
+            sets: self.sets.slice_mut(0),
         }
     }
 
@@ -512,7 +750,7 @@ impl InfinityCacheSlice {
     /// Number of resident lines (for tests/diagnostics).
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| usize::from(s.len)).sum()
+        self.sets.resident_lines()
     }
 }
 
@@ -529,8 +767,8 @@ mod tests {
         // The MI300 per-channel slice: 2 MB, 16-way, 128 B lines.
         let s = InfinityCacheSlice::new(Bytes::from_mib(2), 16, 128, PrefetcherConfig::mi300());
         // 2 MiB / 128 B / 16 ways = 1024 sets.
-        assert_eq!(s.sets.len(), 1024);
-        assert_eq!(s.geom.line_bytes, 128);
+        assert_eq!(s.geom.sets(), 1024);
+        assert_eq!(s.geom.addr_of(1), 128, "128 B lines");
     }
 
     #[test]
@@ -552,7 +790,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest() {
         let mut s = slice(); // 4-way, 128 sets
-        let num_sets = s.sets.len() as u64;
+        let num_sets = s.geom.sets() as u64;
         let stride = 128 * num_sets; // same set each time
         for i in 0..4 {
             s.access(i * stride, false);
@@ -568,7 +806,7 @@ mod tests {
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut s = slice();
-        let num_sets = s.sets.len() as u64;
+        let num_sets = s.geom.sets() as u64;
         let stride = 128 * num_sets;
         s.access(0, true); // dirty line
         for i in 1..4 {
@@ -585,7 +823,7 @@ mod tests {
     #[test]
     fn clean_eviction_has_no_writeback() {
         let mut s = slice();
-        let num_sets = s.sets.len() as u64;
+        let num_sets = s.geom.sets() as u64;
         let stride = 128 * num_sets;
         for i in 0..5 {
             match s.access(i * stride, false) {
@@ -598,7 +836,7 @@ mod tests {
     #[test]
     fn write_hit_marks_dirty() {
         let mut s = slice();
-        let num_sets = s.sets.len() as u64;
+        let num_sets = s.geom.sets() as u64;
         let stride = 128 * num_sets;
         s.access(0, false); // clean fill
         s.access(0, true); // dirty it via write hit

@@ -8,7 +8,7 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
 use crate::channel::{bank_slot, BankArray, BankParams, BankUnit, ChannelConfig, ChannelView};
-use crate::icache::SetRecord;
+use crate::icache::SetsMut;
 use crate::interleave::{InterleaveConfig, Interleaver};
 use crate::request::{MemRequest, MemResponse, ServicePoint};
 
@@ -67,11 +67,11 @@ impl BankBuckets {
     }
 }
 
-/// One unit of work for the stealing scheduler: a bank, its set
-/// records and its packed request sub-stream.
+/// One unit of work for the stealing scheduler: a bank, its sets and
+/// its packed request sub-stream.
 struct ShardItem<'a> {
     unit: &'a mut BankUnit,
-    sets: &'a mut [SetRecord],
+    sets: SetsMut<'a>,
     reqs: &'a [u64],
 }
 
@@ -126,7 +126,8 @@ pub struct MemorySubsystem {
     channel_rate: Bandwidth,
     banks_per_channel: usize,
     /// Every bank of every channel in flat order (channel-major,
-    /// bank-minor), with all their Infinity Cache sets in one arena.
+    /// bank-minor), with all their Infinity Cache sets in one
+    /// first-touch store.
     banks: BankArray,
     reads: Counter,
     writes: Counter,
@@ -196,6 +197,19 @@ impl MemorySubsystem {
         self.banks.preload(flat, local);
     }
 
+    /// Makes room for every Infinity Cache set record `accesses` more
+    /// accesses can add, so that replaying them never grows the store.
+    pub(crate) fn reserve_sets(&mut self, accesses: u64) {
+        self.banks.reserve_sets(accesses);
+    }
+
+    /// Infinity Cache set records held: one per set some access has
+    /// filled so far, over every bank; 0 without slices.
+    #[must_use]
+    pub fn set_records(&self) -> usize {
+        self.banks.set_records()
+    }
+
     /// Replays independent (issue-at-zero) request streams across the
     /// DRAM banks on `jobs` worker threads under a **work-stealing
     /// scheduler**: each worker seeds a deque with a contiguous block
@@ -222,6 +236,11 @@ impl MemorySubsystem {
     /// `jobs` value; `jobs = 1` replays the buckets inline, one whole
     /// bucket after another in flat-bank order, with no queues at all.
     ///
+    /// The set store is reserved once for the whole replay, so no access
+    /// grows it. Above one job, each bank's set records move into a `Vec`
+    /// of its own (reserved for its bucket) for the replay and return to
+    /// the one store, in flat-bank order, after it.
+    ///
     /// Returns the time the last access completes.
     ///
     /// # Panics
@@ -233,15 +252,20 @@ impl MemorySubsystem {
         assert_eq!(buckets.banks(), n, "one bucket per flat bank required");
         let jobs = jobs.clamp(1, n.max(1));
         let size = buckets.size;
-        let (params, banks) = self.banks.split_mut();
 
         let totals: Vec<ShardTotals> = if jobs == 1 {
+            self.banks.reserve_sets(buckets.entries);
             let mut t = ShardTotals::default();
-            for ((unit, sets), reqs) in banks.zip(&buckets.buckets) {
+            for (flat, reqs) in buckets.buckets.iter().enumerate() {
+                let (params, unit, sets) = self.banks.bank_mut(flat);
                 Self::replay_bank(params, unit, sets, reqs, size, &mut t);
             }
             vec![t]
         } else {
+            let mut parts = self
+                .banks
+                .split_sets(|flat| buckets.buckets[flat].len() as u64);
+            let (params, banks) = self.banks.split_mut(&mut parts);
             let items: Vec<ShardItem> = banks
                 .zip(&buckets.buckets)
                 .filter(|(_, reqs)| !reqs.is_empty())
@@ -251,7 +275,9 @@ impl MemorySubsystem {
                     reqs: reqs.as_slice(),
                 })
                 .collect();
-            Self::run_stealing(params, jobs, items, size)
+            let totals = Self::run_stealing(params, jobs, items, size);
+            self.banks.join_sets(parts);
+            totals
         };
 
         let mut last = SimTime::ZERO;
@@ -383,19 +409,21 @@ impl MemorySubsystem {
     fn replay_bank(
         params: &BankParams,
         bank: &mut BankUnit,
-        sets: &mut [SetRecord],
+        mut sets: SetsMut<'_>,
         reqs: &[u64],
         size: Bytes,
         totals: &mut ShardTotals,
     ) {
         // lint:hot-path
+        let view = sets.view();
         for &packed in reqs {
-            params.preload(sets, packed & !BankBuckets::WRITE_BIT);
+            params.preload(view, packed & !BankBuckets::WRITE_BIT);
         }
         for &packed in reqs {
             let addr = packed & !BankBuckets::WRITE_BIT;
             let is_write = packed & BankBuckets::WRITE_BIT != 0;
-            let (done, _) = bank.access(params, sets, SimTime::ZERO, addr, size, is_write);
+            let (done, _) =
+                bank.access(params, sets.reborrow(), SimTime::ZERO, addr, size, is_write);
             if done > totals.last {
                 totals.last = done;
             }
@@ -528,7 +556,11 @@ struct ShardTotals {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::icache::PrefetcherConfig;
+    use crate::trace::{replay, Pattern, TraceConfig};
 
     /// Issues a batch of independent requests all arriving at `at` and
     /// returns the time the last one completes.
@@ -618,5 +650,112 @@ mod tests {
             mem.access(SimTime::ZERO, MemRequest::read(i * 4096, 128));
         }
         assert!(mem.energy_used().as_joules() > e1);
+    }
+
+    // The Infinity Cache set store holds a record only for a set that an
+    // access has filled. A new subsystem holds none. After a replay with
+    // the prefetcher off, it holds exactly one record per distinct
+    // (flat bank, set) pair the trace's addresses map to, counted by an
+    // oracle that decodes each address with `flat_bank_of` and the slice
+    // geometry, and replaying the same trace again adds none. With the
+    // prefetcher on, each access can also fill up to `degree` sets ahead
+    // of its own, so the count lies between that number and `1 + degree`
+    // times it.
+
+    const STORE_PATTERNS: [(&str, Pattern); 3] = [
+        (
+            "hot",
+            Pattern::Hot {
+                hot_fraction: 0.9,
+                hot_bytes: 1 << 20,
+            },
+        ),
+        ("random", Pattern::Random),
+        ("chase", Pattern::PointerChase),
+    ];
+
+    /// The distinct (flat bank, set) pairs the trace's addresses map to.
+    fn touched_sets(cfg: &MemConfig, mem: &MemorySubsystem, trace: &TraceConfig) -> usize {
+        let line = cfg.channel.line_bytes.as_u64();
+        let capacity = cfg.channel.icache_capacity.expect("slices").as_u64();
+        let sets_per_bank =
+            capacity / mem.banks_per_channel() as u64 / line / cfg.channel.icache_ways as u64;
+        let mut pairs = BTreeSet::new();
+        for req in trace.generate() {
+            let (flat, local) = mem.flat_bank_of(req.addr);
+            pairs.insert((flat, (local / line) % sets_per_bank));
+        }
+        pairs.len()
+    }
+
+    #[test]
+    fn a_new_subsystem_holds_no_set_records() {
+        assert_eq!(
+            MemorySubsystem::new(MemConfig::mi300_hbm3()).set_records(),
+            0
+        );
+        let mut off = MemConfig::mi300_hbm3();
+        off.channel.icache_capacity = None;
+        let mut mem = MemorySubsystem::new(off);
+        let trace = TraceConfig {
+            accesses: 1_000,
+            ..TraceConfig::new(Pattern::Random)
+        };
+        let _ = replay(&mut mem, &trace);
+        assert_eq!(mem.set_records(), 0, "no slices, no sets");
+    }
+
+    #[test]
+    fn replays_hold_one_record_per_touched_set() {
+        let mut cfg = MemConfig::mi300_hbm3();
+        cfg.channel.prefetcher = PrefetcherConfig::disabled();
+        for (name, pattern) in STORE_PATTERNS {
+            for jobs in [1, 2] {
+                let trace = TraceConfig {
+                    accesses: 20_000,
+                    jobs,
+                    ..TraceConfig::new(pattern)
+                };
+                let mut mem = MemorySubsystem::new(cfg.clone());
+                let _ = replay(&mut mem, &trace);
+                let want = touched_sets(&cfg, &mem, &trace);
+                assert!(want > 1_000, "{name}: the trace reaches many sets");
+                assert_eq!(mem.set_records(), want, "{name} jobs={jobs}");
+                let _ = replay(&mut mem, &trace);
+                assert_eq!(
+                    mem.set_records(),
+                    want,
+                    "{name} jobs={jobs}: replayed again"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_fills_add_at_most_degree_records_per_touched_set() {
+        let mut cfg = MemConfig::mi300_hbm3();
+        let pf = PrefetcherConfig::mi300();
+        cfg.channel.prefetcher = pf;
+        let patterns = STORE_PATTERNS
+            .into_iter()
+            .chain([("sequential", Pattern::Sequential)]);
+        for (name, pattern) in patterns {
+            for jobs in [1, 2] {
+                let trace = TraceConfig {
+                    accesses: 20_000,
+                    jobs,
+                    ..TraceConfig::new(pattern)
+                };
+                let mut mem = MemorySubsystem::new(cfg.clone());
+                let _ = replay(&mut mem, &trace);
+                let demand = touched_sets(&cfg, &mem, &trace);
+                let held = mem.set_records();
+                let most = (1 + pf.degree as usize) * demand;
+                assert!(
+                    (demand..=most).contains(&held),
+                    "{name} jobs={jobs}: {held} records for {demand} demand sets"
+                );
+            }
+        }
     }
 }

@@ -234,6 +234,7 @@ type Located = (usize, u64, MemRequest);
 /// the same accesses, issue times and order as [`replay_sequential`],
 /// in windows of `LOOKAHEAD` requests.
 fn replay_chase(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
+    mem.reserve_sets(cfg.accesses);
     let mut window: [Located; LOOKAHEAD] = [(0, 0, MemRequest::read(0, 0)); LOOKAHEAD];
     let mut n = 0;
     let mut t = SimTime::ZERO;

@@ -208,3 +208,37 @@ fn write_heavy_traces_shard_identically() {
         assert_same_state(&format!("write heavy jobs={jobs}"), &mem, &seq);
     }
 }
+
+#[test]
+fn second_replay_on_a_used_subsystem_stays_identical() {
+    // The second replay starts from the set records the first one left.
+    // Above one job, every bank's records leave the shared store for the
+    // replay and come back after it; the state they carry must survive
+    // that round trip at every worker count.
+    let first = TraceConfig {
+        accesses: 20_000,
+        footprint: 1 << 26,
+        write_fraction: 0.5,
+        seed: 0xF125,
+        ..TraceConfig::new(Pattern::Hot {
+            hot_fraction: 0.9,
+            hot_bytes: 4 << 20,
+        })
+    };
+    let second = TraceConfig {
+        pattern: Pattern::Random,
+        write_fraction: 0.3,
+        seed: 0x5EC0,
+        ..first
+    };
+    let mut seq = MemorySubsystem::new(MemConfig::mi300_hbm3());
+    let _ = replay_sequential(&mut seq, &first);
+    let want = replay_sequential(&mut seq, &second);
+    for jobs in [1usize, 2, 8] {
+        let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+        let _ = replay(&mut mem, &TraceConfig { jobs, ..first });
+        let got = replay(&mut mem, &TraceConfig { jobs, ..second });
+        assert_eq!(got, want, "jobs={jobs}: ReplayResult diverged");
+        assert_same_state(&format!("second replay jobs={jobs}"), &mem, &seq);
+    }
+}
