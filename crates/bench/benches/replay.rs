@@ -3,15 +3,23 @@
 //! on the MI300 memory subsystem (1M accesses), plus the dependent
 //! pointer chase, the one access-by-access replay path, and asserts —
 //! outside the timed region — that every bank-bucketed result is
-//! bit-identical to the sequential reference.
+//! bit-identical to the sequential reference, which lives with the
+//! memory tests' oracles in `crates/mem/tests/oracle/replay.rs`.
 //!
 //! CI gates this bench against `crates/bench/baselines/replay.json`
 //! (see `ci.sh`); regenerate with
 //! `cargo bench --bench replay -- --save-baseline crates/bench/baselines/replay.json`.
 
+#[path = "../../mem/tests/oracle/replay.rs"]
+mod oracle;
+// The oracle names the memory modules as `crate::subsystem` and
+// `crate::trace`.
+use ehp_mem::{subsystem, trace};
+
 use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
-use ehp_mem::trace::{replay, replay_sequential, Pattern, TraceConfig};
+use ehp_mem::trace::{replay, Pattern, TraceConfig};
+use oracle::replay_sequential;
 
 const ACCESSES: u64 = 1_000_000;
 

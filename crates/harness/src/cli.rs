@@ -6,7 +6,6 @@
 //! ehp all [--jobs N]              run the whole registry in parallel
 //! ehp check [--jobs N]            run + compare against expected shapes
 //! ehp lint [--json] [--no-cache] [--jobs N] [--explain <rule>]
-//!          [--budget FILE] [--save-budget FILE]
 //!                                  static determinism/hot-path analysis
 //! ```
 //!
@@ -16,8 +15,7 @@
 //! `--spec FILE` scenario spec file (repeatable), `--quiet` suppress
 //! report text, `--json` machine-readable lint findings, `--no-cache`
 //! skip the incremental lint cache, `--explain <rule>` print one lint
-//! rule's documentation, `--budget FILE` / `--save-budget FILE` gate or
-//! re-save the lint wall-time budget.
+//! rule's documentation.
 //!
 //! Argument parsing is hand-rolled: the environment is offline and the
 //! surface is five subcommands.
@@ -52,8 +50,6 @@ struct Args {
     workers: usize,
     socket: Option<String>,
     explain: Option<String>,
-    budget: Option<String>,
-    save_budget: Option<String>,
     params: BTreeMap<String, Json>,
     seed_override: Option<u64>,
     specs: Vec<String>,
@@ -121,8 +117,6 @@ pub fn run(argv: &[String]) -> i32 {
                 no_cache: args.no_cache,
                 jobs: args.jobs_given,
                 explain: args.explain.clone(),
-                budget: args.budget.clone(),
-                save_budget: args.save_budget.clone(),
             };
             crate::lint::run(&cwd, &opts)
         }
@@ -147,7 +141,6 @@ fn print_usage() {
          ehp all [options]                run the whole registry\n\
          ehp check [options]              run + verify expected shapes\n\
          ehp lint [--json] [--no-cache] [--jobs N] [--explain <rule>]\n\
-                  [--budget FILE] [--save-budget FILE]\n\
                                           lint the workspace (DESIGN.md §10–§11, §15)\n\
          ehp serve [--socket PATH]        long-running scenario daemon (DESIGN.md §12)\n\
          ehp worker                       pool child (internal; frames on stdin/stdout)\n\
@@ -165,9 +158,6 @@ fn print_usage() {
            --json          machine-readable lint findings\n\
            --no-cache      skip the incremental lint cache\n\
            --explain RULE  print one lint rule's documentation (name or code)\n\
-           --budget FILE   fail if lint wall time exceeds the checked-in,\n\
-                           machine-speed-normalised budget (crates/lint/lint_budget.json)\n\
-           --save-budget FILE  write a fresh budget from this run's wall time\n\
            (for lint, --jobs 0 = one worker per core; default 1 = serial)"
     );
 }
@@ -227,8 +217,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--no-cache" => args.no_cache = true,
             "--no-result-cache" => args.no_result_cache = true,
             "--explain" => args.explain = Some(value_of("--explain")?.to_string()),
-            "--budget" => args.budget = Some(value_of("--budget")?.to_string()),
-            "--save-budget" => args.save_budget = Some(value_of("--save-budget")?.to_string()),
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown option {flag:?}"));
             }

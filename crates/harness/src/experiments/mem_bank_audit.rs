@@ -7,12 +7,13 @@
 //!    complete ~`banks_per_channel` times faster striped: banks are
 //!    independent row/bus resources, so per-bank decomposition exposes
 //!    real memory-level parallelism rather than renaming a serial
-//!    queue. Measured on a bare [`MemoryChannel`] with row-addressed
-//!    streams (the pinned stream inverts the [`bank_mix`]
-//!    decorrelation) so the socket interleaver cannot skew the bank
-//!    mix. A companion coverage scan gates that the decorrelated
-//!    socket interleave populates **every** bank of **every** channel
-//!    (`bank_coverage_min`, 16/16 under HBM3).
+//!    queue. Measured on a cache-less [`MemorySubsystem`] over a
+//!    1-stack × 1-channel interleave, which sends every address to its
+//!    one channel, with row-addressed streams (the pinned stream
+//!    inverts the [`bank_mix`] decorrelation) so the socket interleaver
+//!    cannot skew the bank mix. A companion coverage scan gates that
+//!    the decorrelated socket interleave populates **every** bank of
+//!    **every** channel (`bank_coverage_min`, 16/16 under HBM3).
 //! 2. **Hot-set service** — a hot/cold trace through the full
 //!    subsystem keeps its Infinity Cache hit rate: bank-local address
 //!    re-mapping preserves locality (the Section IV.C amplification
@@ -24,11 +25,11 @@
 //! wall time, and the 20000-access default trace gains nothing from
 //! more workers). The trace seed is the scenario seed.
 
-use ehp_mem::channel::{bank_mix, MemoryChannel};
+use ehp_mem::channel::bank_mix;
+use ehp_mem::request::MemRequest;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, Pattern, TraceConfig};
 use ehp_sim_core::time::SimTime;
-use ehp_sim_core::units::Bytes;
 
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
@@ -38,19 +39,21 @@ use crate::scenario::Scenario;
 const ROW_BYTES: u64 = 1024;
 
 /// Last completion time of a row stream read back to back at t = 0 on
-/// one cache-less MI300 channel (pure HBM bank timing). Rows address
-/// the channel directly — no interleaver in the way — so row `r` lands
-/// on the bank `bank_slot` derives from it (lane `r % banks` rotated by
-/// the block's decorrelation mix).
+/// one cache-less MI300 channel (pure HBM bank timing): a subsystem over
+/// a 1-stack × 1-channel interleave, so every row reaches that channel
+/// and row `r` lands on the bank `bank_slot` derives from it (lane
+/// `r % banks` rotated by the block's decorrelation mix).
 fn stream_last_completion(rows: impl Iterator<Item = u64>) -> SimTime {
-    let mut cfg = MemConfig::mi300_hbm3().channel;
-    cfg.icache_capacity = None;
-    let mut ch = MemoryChannel::new(cfg);
+    let mut cfg = MemConfig::mi300_hbm3();
+    cfg.interleave.stacks = 1;
+    cfg.interleave.channels_per_stack = 1;
+    cfg.channel.icache_capacity = None;
+    let mut ch = MemorySubsystem::new(cfg);
     let mut last = SimTime::ZERO;
     for r in rows {
-        let (done, _) = ch.access(SimTime::ZERO, r * ROW_BYTES, Bytes(128), false);
-        if done > last {
-            last = done;
+        let done = ch.access(SimTime::ZERO, MemRequest::read(r * ROW_BYTES, 128));
+        if done.completes_at > last {
+            last = done.completes_at;
         }
     }
     last
@@ -68,7 +71,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let total_banks = mem.total_banks();
 
     // --- 1. Bank parallelism -------------------------------------------
-    // Identical distinct-row miss streams against one bare channel: one
+    // Identical distinct-row miss streams against one channel: one
     // row per `banks`-aligned block with the lane chosen to invert the
     // decorrelation mix (every row lands on bank 0) vs the same count
     // striped densely (rows 0..stream — each aligned block's lanes are

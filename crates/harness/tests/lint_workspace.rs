@@ -52,12 +52,12 @@ fn real_workspace_has_zero_unwaived_findings() {
             unwaived.join("\n")
         );
     }
-    // The two inline clock waivers (lint timing and host calibration)
-    // must be live; `lint.waivers` has no entries.
+    // The one inline clock waiver (timing the lint run) must be live;
+    // `lint.waivers` has no entries.
     assert_eq!(
         report.waived_count(),
-        2,
-        "expected the checked-in waivers to cover exactly two findings"
+        1,
+        "expected the checked-in waivers to cover exactly one finding"
     );
 }
 

@@ -1,5 +1,6 @@
 //! One memory channel: an Infinity Cache slice in front of an HBM
-//! pseudo-channel, decomposed into independent per-bank units.
+//! pseudo-channel, decomposed into independent per-bank units. A
+//! `MemorySubsystem` owns every bank of every channel.
 //!
 //! Requests arrive (already steered by the interleaver), are mapped to
 //! the bank owning their DRAM row, look up that bank's slice sub-array,
@@ -16,19 +17,19 @@
 //! the rule `MemorySubsystem::replay_sharded` relies on.
 //!
 //! The layout keeps the replay working set small: a [`BankUnit`] holds
-//! only mutable state, every parameter its channel's banks share sits
-//! once in a `BankParams`, and a `BankArray` keeps every bank's
-//! Infinity Cache set records in one first-touch `SetStore`, which holds
-//! only the sets the traffic so far has filled.
+//! only mutable state, every parameter the banks share sits once in a
+//! `BankParams`, and the subsystem keeps every bank's Infinity Cache set
+//! records in one first-touch `SetStore`, which holds only the sets the
+//! traffic so far has filled.
 
 use ehp_sim_core::stats::Accumulator;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-use crate::hbm::{HbmBank, HbmParams, HbmTimings, Lane, ROW_BYTES};
+use crate::hbm::{HbmBank, HbmGeneration, HbmParams, HbmTimings, Lane, ROW_BYTES};
 use crate::icache::{
-    CacheOutcome, PrefetcherConfig, SetRecord, SetStore, Sets, SetsMut, SliceGeometry, SliceMut,
-    SliceState, MAX_PREFETCH_DEGREE,
+    CacheOutcome, PrefetcherConfig, Sets, SetsMut, SliceGeometry, SliceMut, SliceState,
+    MAX_PREFETCH_DEGREE,
 };
 use crate::request::ServicePoint;
 
@@ -62,10 +63,9 @@ impl ChannelConfig {
     /// 17 TB/s ÷ 128 ≈ 133 GB/s.
     #[must_use]
     pub(crate) fn mi300() -> ChannelConfig {
-        let gen = crate::hbm::HbmGeneration::Hbm3;
         ChannelConfig {
-            hbm_timings: gen.timings(),
-            hbm_rate: gen.stack_bandwidth().scale(1.0 / 16.0),
+            hbm_timings: HbmTimings::hbm3(),
+            hbm_rate: HbmGeneration::Hbm3.stack_bandwidth().scale(1.0 / 16.0),
             icache_capacity: Some(Bytes::from_mib(2)),
             icache_ways: 16,
             line_bytes: Bytes(128),
@@ -152,7 +152,7 @@ pub(crate) struct BankParams {
 impl BankParams {
     /// One bank's share of a `cfg` channel: `1/banks` of its slice, its
     /// HBM bus rate and its slice rate.
-    fn new(cfg: &ChannelConfig) -> BankParams {
+    pub(crate) fn new(cfg: &ChannelConfig) -> BankParams {
         let banks = cfg.banks() as u64;
         let slice = cfg.icache_capacity.map(|cap| {
             SliceGeometry::new(
@@ -178,6 +178,11 @@ impl BankParams {
         }
     }
 
+    /// Sets per bank slice: 0 without a slice.
+    pub(crate) fn sets_per_bank(&self) -> usize {
+        self.slice.map_or(0, |g| g.sets())
+    }
+
     /// Starts loading the set record bank-local `addr` maps to in a bank
     /// whose sets are `sets`, without waiting for it (see
     /// `SetRecord::preload`); does nothing without a slice or for a set
@@ -201,8 +206,8 @@ impl BankParams {
 /// `1/banks` bus lane, a `1/banks` Infinity Cache sub-array and its own
 /// latency accumulator. Addresses are bank-local (see `bank_slot`).
 ///
-/// A bank holds only mutable state. Its parameters are its channel's
-/// `BankParams`, and its slice's set records sit in the `BankArray`'s
+/// A bank holds only mutable state. Its parameters are the subsystem's
+/// `BankParams`, and its slice's set records sit in the subsystem's
 /// `SetStore`; both are passed to `BankUnit::access`.
 #[derive(Debug, Clone)]
 pub struct BankUnit {
@@ -217,7 +222,7 @@ pub struct BankUnit {
 }
 
 impl BankUnit {
-    fn new(p: &BankParams) -> BankUnit {
+    pub(crate) fn new(p: &BankParams) -> BankUnit {
         BankUnit {
             slice: p.slice.map(|_| SliceState::default()),
             hbm: HbmBank::new(&p.hbm),
@@ -328,151 +333,13 @@ impl BankUnit {
     }
 }
 
-/// A run of banks that share one `BankParams`: their states in flat
-/// order and every bank's slice sets in one `SetStore`, bank `b` being
-/// its slice `b`. A [`MemoryChannel`] is one channel's banks; a memory
-/// subsystem keeps every bank of every channel in one array.
-#[derive(Debug, Clone)]
-pub(crate) struct BankArray {
-    params: BankParams,
-    units: Vec<BankUnit>,
-    sets: SetStore,
-}
-
-impl BankArray {
-    /// `banks` idle banks of a `cfg` channel, with no set touched.
-    pub(crate) fn new(cfg: &ChannelConfig, banks: usize) -> BankArray {
-        let params = BankParams::new(cfg);
-        let sets_per_bank = params.slice.map_or(0, |g| g.sets());
-        BankArray {
-            units: (0..banks).map(|_| BankUnit::new(&params)).collect(),
-            sets: SetStore::new(banks, sets_per_bank),
-            params,
-        }
-    }
-
-    /// Performs one access at bank-local `addr` of bank `flat`.
-    #[inline]
-    pub(crate) fn access(
-        &mut self,
-        flat: usize,
-        at: SimTime,
-        addr: u64,
-        size: Bytes,
-        is_write: bool,
-    ) -> (SimTime, ServicePoint) {
-        let (params, unit, sets) = self.bank_mut(flat);
-        unit.access(params, sets, at, addr, size, is_write)
-    }
-
-    /// Starts loading the set record bank-local `addr` of bank `flat`
-    /// maps to, without waiting for it (see `SetRecord::preload`).
-    #[inline]
-    pub(crate) fn preload(&self, flat: usize, addr: u64) {
-        self.params.preload(self.sets.slice(flat), addr);
-    }
-
-    /// Makes room for the set records `accesses` more accesses can add,
-    /// so that replaying them never grows the store.
-    pub(crate) fn reserve_sets(&mut self, accesses: u64) {
-        self.sets.reserve(self.params.set_fills(accesses));
-    }
-
-    /// Number of set records: the sets touched so far.
-    pub(crate) fn set_records(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// The shared parameters and bank `flat` with its sets.
-    #[inline]
-    pub(crate) fn bank_mut(&mut self, flat: usize) -> (&BankParams, &mut BankUnit, SetsMut<'_>) {
-        (
-            &self.params,
-            &mut self.units[flat],
-            self.sets.slice_mut(flat),
-        )
-    }
-
-    /// Moves each bank's set records into a `Vec` of its own, with room
-    /// for the records `accesses(flat)` more accesses to bank `flat` can
-    /// add, so banks can be replayed apart through
-    /// [`BankArray::split_mut`]; [`BankArray::join_sets`] puts them back.
-    pub(crate) fn split_sets(&mut self, accesses: impl Fn(usize) -> u64) -> Vec<Vec<SetRecord>> {
-        let params = &self.params;
-        self.sets
-            .split((0..self.units.len()).map(|flat| params.set_fills(accesses(flat))))
-    }
-
-    /// Returns the records of [`BankArray::split_sets`] to the one store,
-    /// in flat-bank order.
-    pub(crate) fn join_sets(&mut self, parts: Vec<Vec<SetRecord>>) {
-        self.sets.join(parts);
-    }
-
-    /// The shared parameters, and every bank with its sets in flat order
-    /// over the per-bank records `parts` of [`BankArray::split_sets`]:
-    /// disjoint views that replay workers may own.
-    pub(crate) fn split_mut<'a>(
-        &'a mut self,
-        parts: &'a mut [Vec<SetRecord>],
-    ) -> (
-        &'a BankParams,
-        impl Iterator<Item = (&'a mut BankUnit, SetsMut<'a>)>,
-    ) {
-        let banks = self.units.iter_mut().zip(self.sets.apart(parts));
-        (&self.params, banks)
-    }
-
-    /// Read-only views of consecutive runs of `per_channel` banks.
-    pub(crate) fn channels(&self, per_channel: usize) -> impl Iterator<Item = ChannelView<'_>> {
-        self.units.chunks(per_channel).map(|banks| ChannelView {
-            params: &self.params,
-            banks,
-        })
-    }
-
-    /// Number of banks.
-    pub(crate) fn len(&self) -> usize {
-        self.units.len()
-    }
-}
-
-/// A memory channel: independent per-bank units behind a shared address
-/// mapping.
-#[derive(Debug, Clone)]
-pub struct MemoryChannel {
-    banks: BankArray,
-}
-
-impl MemoryChannel {
-    /// Builds a channel from its configuration.
-    #[must_use]
-    pub fn new(cfg: ChannelConfig) -> MemoryChannel {
-        MemoryChannel {
-            banks: BankArray::new(&cfg, cfg.banks()),
-        }
-    }
-
-    /// Performs one access; returns completion time and service point.
-    pub fn access(
-        &mut self,
-        at: SimTime,
-        addr: u64,
-        size: Bytes,
-        is_write: bool,
-    ) -> (SimTime, ServicePoint) {
-        let (bank, local) = bank_slot(addr, self.banks.len() as u64);
-        self.banks.access(bank, at, local, size, is_write)
-    }
-}
-
 /// One channel of a memory subsystem, read only: its banks in
 /// bank-index order and the parameters they share. Aggregate statistics
 /// fold the banks in bank-index order.
 #[derive(Debug, Clone, Copy)]
 pub struct ChannelView<'a> {
-    params: &'a BankParams,
-    banks: &'a [BankUnit],
+    pub(crate) params: &'a BankParams,
+    pub(crate) banks: &'a [BankUnit],
 }
 
 impl<'a> ChannelView<'a> {
@@ -560,12 +427,44 @@ impl<'a> ChannelView<'a> {
 mod tests {
     use super::*;
 
-    /// The statistics of a standalone channel.
-    fn view(ch: &MemoryChannel) -> ChannelView<'_> {
-        ch.banks
-            .channels(ch.banks.len())
-            .next()
-            .expect("one channel")
+    use crate::interleave::InterleaveConfig;
+    use crate::request::{AccessKind, MemRequest};
+    use crate::subsystem::{MemConfig, MemorySubsystem};
+
+    /// One `cfg` channel alone: a subsystem over a 1-stack × 1-channel
+    /// interleave, so address `addr` reaches bank `bank_slot(addr, 16)`.
+    fn channel(cfg: ChannelConfig) -> MemorySubsystem {
+        MemorySubsystem::new(MemConfig {
+            interleave: InterleaveConfig {
+                stacks: 1,
+                channels_per_stack: 1,
+                ..InterleaveConfig::mi300()
+            },
+            channel: cfg,
+        })
+    }
+
+    /// One 128 B access at `addr` issued at `at`: its completion time
+    /// and service point.
+    fn access(
+        ch: &mut MemorySubsystem,
+        at: SimTime,
+        addr: u64,
+        is_write: bool,
+    ) -> (SimTime, ServicePoint) {
+        let kind = if is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let size = Bytes(128);
+        let r = ch.access(at, MemRequest { addr, size, kind });
+        (r.completes_at, r.served_by)
+    }
+
+    /// The statistics of the one channel.
+    fn view(ch: &MemorySubsystem) -> ChannelView<'_> {
+        ch.channels()[0]
     }
 
     /// The MI300 channel with its Infinity Cache slice disabled.
@@ -645,19 +544,19 @@ mod tests {
         // Adjacent rows land in different banks, whose row machines and
         // bus lanes run in parallel: the second access does not queue
         // behind the first.
-        let mut ch = MemoryChannel::new(no_slice());
+        let mut ch = channel(no_slice());
         assert_ne!(bank_slot(0, 16).0, bank_slot(1024, 16).0, "distinct banks");
-        let d1 = ch.access(SimTime::ZERO, 0, Bytes(128), false).0;
-        let d2 = ch.access(SimTime::ZERO, 1024, Bytes(128), false).0;
+        let d1 = access(&mut ch, SimTime::ZERO, 0, false).0;
+        let d2 = access(&mut ch, SimTime::ZERO, 1024, false).0;
         assert_eq!(d1, d2);
     }
 
     #[test]
     fn hit_is_faster_than_miss() {
-        let mut ch = MemoryChannel::new(ChannelConfig::mi300());
-        let (t_miss, p1) = ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);
+        let mut ch = channel(ChannelConfig::mi300());
+        let (t_miss, p1) = access(&mut ch, SimTime::ZERO, 0x1000, false);
         assert_eq!(p1, ServicePoint::Hbm);
-        let (t_hit_abs, p2) = ch.access(t_miss, 0x1000, Bytes(128), false);
+        let (t_hit_abs, p2) = access(&mut ch, t_miss, 0x1000, false);
         assert_eq!(p2, ServicePoint::InfinityCache);
         let t_hit = t_hit_abs - t_miss;
         assert!(t_hit < t_miss, "cache hit {t_hit} should beat HBM {t_miss}");
@@ -665,10 +564,10 @@ mod tests {
 
     #[test]
     fn no_cache_goes_to_hbm() {
-        let mut ch = MemoryChannel::new(no_slice());
-        let (_, p) = ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);
+        let mut ch = channel(no_slice());
+        let (_, p) = access(&mut ch, SimTime::ZERO, 0x1000, false);
         assert_eq!(p, ServicePoint::Hbm);
-        let (_, p2) = ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);
+        let (_, p2) = access(&mut ch, SimTime::ZERO, 0x1000, false);
         assert_eq!(p2, ServicePoint::Hbm, "no slice, still HBM");
     }
 
@@ -677,12 +576,12 @@ mod tests {
         // A working set that fits in the slice should be served mostly at
         // slice speed after warm-up: more bytes served by the slice than
         // fetched from HBM.
-        let mut ch = MemoryChannel::new(ChannelConfig::mi300());
+        let mut ch = channel(ChannelConfig::mi300());
         let lines = 1024u64; // 128 KiB, well inside 2 MiB
         let mut t = SimTime::ZERO;
         for _pass in 0..8 {
             for i in 0..lines {
-                let (done, _) = ch.access(t, i * 128, Bytes(128), false);
+                let (done, _) = access(&mut ch, t, i * 128, false);
                 t = done;
             }
         }
@@ -699,13 +598,13 @@ mod tests {
 
     #[test]
     fn streaming_beyond_capacity_misses() {
-        let mut ch = MemoryChannel::new(ChannelConfig::mi300());
+        let mut ch = channel(ChannelConfig::mi300());
         // Stride past the prefetcher (non-sequential lines) over a huge
         // footprint: mostly HBM.
         let mut t = SimTime::ZERO;
         for i in 0..20_000u64 {
             let addr = (i * 7919) % (1 << 30); // prime stride, no streams
-            let (done, _) = ch.access(t, addr & !127, Bytes(128), false);
+            let (done, _) = access(&mut ch, t, addr & !127, false);
             t = done;
         }
         let v = view(&ch);
@@ -724,11 +623,11 @@ mod tests {
             prefetcher: PrefetcherConfig::disabled(),
             ..ChannelConfig::mi300()
         };
-        let mut ch = MemoryChannel::new(cfg);
+        let mut ch = channel(cfg);
         assert_eq!(bank_slot(0, 16).0, bank_slot(128, 16).0, "same bank");
-        ch.access(SimTime::ZERO, 0, Bytes(128), true);
+        access(&mut ch, SimTime::ZERO, 0, true);
         assert_eq!(view(&ch).hbm_bytes_moved(), Bytes(128), "demand fill only");
-        ch.access(SimTime::ZERO, 128, Bytes(128), false);
+        access(&mut ch, SimTime::ZERO, 128, false);
         assert_eq!(
             view(&ch).hbm_bytes_moved(),
             Bytes(3 * 128),
@@ -738,10 +637,10 @@ mod tests {
 
     #[test]
     fn energy_includes_both_levels() {
-        let mut ch = MemoryChannel::new(ChannelConfig::mi300());
-        ch.access(SimTime::ZERO, 0, Bytes(128), false); // miss: HBM energy
+        let mut ch = channel(ChannelConfig::mi300());
+        access(&mut ch, SimTime::ZERO, 0, false); // miss: HBM energy
         let e_miss = view(&ch).energy_used().as_joules();
-        ch.access(SimTime::ZERO, 0, Bytes(128), false); // hit: slice energy
+        access(&mut ch, SimTime::ZERO, 0, false); // hit: slice energy
         let e_total = view(&ch).energy_used().as_joules();
         assert!(e_total > e_miss);
         // A slice hit must be cheaper than the HBM fetch.

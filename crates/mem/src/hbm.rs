@@ -10,11 +10,11 @@
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-/// DRAM row size: [`HbmChannelModel`] decodes a bank-local address's
-/// row as `addr / ROW_BYTES`, and the channel layer's bank-local address
+/// DRAM row size: an [`HbmBank`] decodes a bank-local address's row as
+/// `addr / ROW_BYTES`, and the channel layer's bank-local address
 /// mapping (`crate::channel::bank_slot`) renumbers rows in the same
 /// unit.
-pub const ROW_BYTES: u64 = 1024;
+pub(crate) const ROW_BYTES: u64 = 1024;
 
 /// The HBM generation attached to a product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,50 +46,41 @@ impl HbmGeneration {
             HbmGeneration::Hbm3 | HbmGeneration::Hbm3TwelveHigh => Bandwidth::from_gb_s(662.5),
         }
     }
-
-    /// Default timing set for this generation.
-    #[must_use]
-    pub fn timings(self) -> HbmTimings {
-        match self {
-            HbmGeneration::Hbm2e => HbmTimings {
-                row_hit: SimTime::from_nanos(48),
-                row_activate: SimTime::from_nanos(82),
-                banks_per_channel: 8,
-                energy_per_byte: Energy::from_picojoules(56.0), // ~7 pJ/bit
-                refresh_interval: SimTime::from_nanos(3_900),
-                refresh_duration: SimTime::from_nanos(260),
-            },
-            HbmGeneration::Hbm3 | HbmGeneration::Hbm3TwelveHigh => HbmTimings {
-                row_hit: SimTime::from_nanos(45),
-                row_activate: SimTime::from_nanos(75),
-                banks_per_channel: 16,
-                energy_per_byte: Energy::from_picojoules(44.0), // ~5.5 pJ/bit
-                refresh_interval: SimTime::from_nanos(3_900),
-                refresh_duration: SimTime::from_nanos(210),
-            },
-        }
-    }
 }
 
 /// Channel timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HbmTimings {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HbmTimings {
     /// Access latency when the target row is already open.
-    pub row_hit: SimTime,
+    pub(crate) row_hit: SimTime,
     /// Access latency when a different row must be precharged + activated.
-    pub row_activate: SimTime,
-    /// Independent banks per pseudo-channel: how many
-    /// [`HbmChannelModel`]s a channel is split into (see
-    /// `crate::channel::bank_slot`). A single model ignores it.
+    pub(crate) row_activate: SimTime,
+    /// Independent banks per pseudo-channel: how many [`HbmBank`]s a
+    /// channel is split into (see `crate::channel::bank_slot`).
     pub(crate) banks_per_channel: u32,
     /// DRAM access energy per byte moved.
     pub(crate) energy_per_byte: Energy,
     /// Average refresh interval (tREFI): one refresh command is due per
     /// bank group every such period.
-    pub refresh_interval: SimTime,
+    pub(crate) refresh_interval: SimTime,
     /// Refresh command duration (tRFC): the channel is blocked while it
     /// runs.
-    pub refresh_duration: SimTime,
+    pub(crate) refresh_duration: SimTime,
+}
+
+impl HbmTimings {
+    /// The HBM3 timing set of every modelled memory channel (both HBM3
+    /// stack heights share it).
+    pub(crate) fn hbm3() -> HbmTimings {
+        HbmTimings {
+            row_hit: SimTime::from_nanos(45),
+            row_activate: SimTime::from_nanos(75),
+            banks_per_channel: 16,
+            energy_per_byte: Energy::from_picojoules(44.0), // ~5.5 pJ/bit
+            refresh_interval: SimTime::from_nanos(3_900),
+            refresh_duration: SimTime::from_nanos(210),
+        }
+    }
 }
 
 /// A serialised bus lane at a fixed rate, with the transfer time of
@@ -287,88 +278,38 @@ impl HbmBank {
     }
 }
 
-/// One HBM bank on its own: the `HbmParams` and `HbmBank` state a
-/// channel keeps apart, owned together, over the same
-/// `HbmBank::access` code. A channel is `banks_per_channel` banks at
-/// an equal share of the channel's bus rate each (see
-/// `crate::channel`).
-///
-/// # Example
-///
-/// ```
-/// use ehp_mem::hbm::{HbmChannelModel, HbmGeneration};
-/// use ehp_sim_core::time::SimTime;
-/// use ehp_sim_core::units::{Bandwidth, Bytes};
-///
-/// let gen = HbmGeneration::Hbm3;
-/// let per_channel = gen.stack_bandwidth().scale(1.0 / 16.0);
-/// let mut ch = HbmChannelModel::new(gen.timings(), per_channel);
-/// let first = ch.access(SimTime::ZERO, 0x0, Bytes(128));
-/// let second = ch.access(first, 0x40, Bytes(128)); // same row: faster
-/// assert!(second - first < first);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HbmChannelModel {
-    params: HbmParams,
-    bank: HbmBank,
-}
-
-impl HbmChannelModel {
-    /// Creates a bank with the given timings and bus lane rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `refresh_duration < refresh_interval`: the
-    /// closed-form refresh catch-up in [`HbmChannelModel::access`]
-    /// relies on refreshes never overlapping.
-    #[must_use]
-    pub fn new(timings: HbmTimings, bus_rate: Bandwidth) -> HbmChannelModel {
-        let params = HbmParams::new(timings, bus_rate, MODEL_LINE);
-        HbmChannelModel {
-            bank: HbmBank::new(&params),
-            params,
-        }
-    }
-
-    /// Performs one access; returns its completion time.
-    ///
-    /// `addr` is the bank-local address; only its row (`addr /
-    /// ROW_BYTES`) matters.
-    pub fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
-        self.bank.access(&self.params, at, addr, size)
-    }
-
-    /// Row-buffer hit count so far.
-    #[must_use]
-    pub fn row_hits(&self) -> u64 {
-        self.bank.row_hits
-    }
-
-    /// Row-buffer miss (activate) count so far.
-    #[must_use]
-    pub fn row_misses(&self) -> u64 {
-        self.bank.row_misses
-    }
-
-    /// Refresh commands retired so far.
-    #[must_use]
-    pub fn refreshes(&self) -> u64 {
-        self.bank.refreshes
-    }
-}
-
-/// The transfer size whose bus time a standalone [`HbmChannelModel`]
-/// precomputes: the 128 B line every modelled channel uses. Other sizes
-/// take the same time, computed per access.
-const MODEL_LINE: Bytes = Bytes(128);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::loop_refresh::LoopRefresh;
+    use ehp_sim_core::rng::SplitMix64;
 
-    fn channel() -> HbmChannelModel {
-        let gen = HbmGeneration::Hbm3;
-        HbmChannelModel::new(gen.timings(), gen.stack_bandwidth().scale(1.0 / 16.0))
+    /// One bank owning its parameters, with the 128 B line every
+    /// modelled channel uses.
+    struct Bank {
+        p: HbmParams,
+        b: HbmBank,
+    }
+
+    impl Bank {
+        fn new(timings: HbmTimings, bus_rate: Bandwidth) -> Bank {
+            let p = HbmParams::new(timings, bus_rate, Bytes(128));
+            Bank {
+                b: HbmBank::new(&p),
+                p,
+            }
+        }
+
+        fn access(&mut self, at: SimTime, addr: u64, size: Bytes) -> SimTime {
+            self.b.access(&self.p, at, addr, size)
+        }
+    }
+
+    fn channel() -> Bank {
+        Bank::new(
+            HbmTimings::hbm3(),
+            HbmGeneration::Hbm3.stack_bandwidth().scale(1.0 / 16.0),
+        )
     }
 
     #[test]
@@ -404,9 +345,9 @@ mod tests {
     fn row_hit_faster_than_miss() {
         let mut ch = channel();
         let first = ch.access(SimTime::ZERO, 0, Bytes(128));
-        assert_eq!(ch.row_misses(), 1);
+        assert_eq!(ch.b.row_misses(), 1);
         let second = ch.access(first, 64, Bytes(128));
-        assert_eq!(ch.row_hits(), 1);
+        assert_eq!(ch.b.row_hits(), 1);
         let t_miss = first;
         let t_hit = second - first;
         assert!(t_hit < t_miss, "hit {t_hit} vs miss {t_miss}");
@@ -417,7 +358,7 @@ mod tests {
         let mut ch = channel();
         let d1 = ch.access(SimTime::ZERO, 0, Bytes(128));
         let d2 = ch.access(SimTime::ZERO, 16 * 1024, Bytes(128));
-        assert_eq!(ch.row_misses(), 2);
+        assert_eq!(ch.b.row_misses(), 2);
         assert!(d2 > d1, "second conflicting access queues behind");
     }
 
@@ -425,10 +366,12 @@ mod tests {
     fn sustained_stream_approaches_bus_rate() {
         // A bank on its share of the channel bus, as a channel builds
         // it: sequential row hits keep the bus lane saturated.
-        let gen = HbmGeneration::Hbm3;
-        let banks = f64::from(gen.timings().banks_per_channel);
-        let lane = gen.stack_bandwidth().scale(1.0 / 16.0 / banks);
-        let mut ch = HbmChannelModel::new(gen.timings(), lane);
+        let timings = HbmTimings::hbm3();
+        let banks = f64::from(timings.banks_per_channel);
+        let lane = HbmGeneration::Hbm3
+            .stack_bandwidth()
+            .scale(1.0 / 16.0 / banks);
+        let mut ch = Bank::new(timings, lane);
         let line = Bytes(128);
         let mut t = SimTime::ZERO;
         let n = 10_000u64;
@@ -436,7 +379,7 @@ mod tests {
             // Sequential addresses: high row-buffer locality.
             t = ch.access(SimTime::ZERO, i * 128, line);
         }
-        let moved = ch.bank.bytes_moved();
+        let moved = ch.b.bytes_moved();
         assert_eq!(moved, Bytes(128 * n));
         let achieved = moved.as_f64() / t.as_secs();
         let peak = lane.as_bytes_per_sec();
@@ -451,12 +394,11 @@ mod tests {
     fn refresh_steals_bandwidth() {
         // A long sequential stream must retire refreshes and lose a few
         // percent of throughput versus a refresh-free configuration.
-        let gen = HbmGeneration::Hbm3;
-        let rate = gen.stack_bandwidth().scale(1.0 / 16.0);
-        let mut with = HbmChannelModel::new(gen.timings(), rate);
-        let mut without_t = gen.timings();
+        let rate = HbmGeneration::Hbm3.stack_bandwidth().scale(1.0 / 16.0);
+        let mut with = Bank::new(HbmTimings::hbm3(), rate);
+        let mut without_t = HbmTimings::hbm3();
         without_t.refresh_interval = SimTime::from_secs_f64(1e6);
-        let mut without = HbmChannelModel::new(without_t, rate);
+        let mut without = Bank::new(without_t, rate);
 
         let mut t_with = SimTime::ZERO;
         let mut t_without = SimTime::ZERO;
@@ -464,8 +406,8 @@ mod tests {
             t_with = with.access(t_with, i * 128, Bytes(128));
             t_without = without.access(t_without, i * 128, Bytes(128));
         }
-        assert!(with.refreshes() > 50, "stream spans many tREFI windows");
-        assert_eq!(without.refreshes(), 0);
+        assert!(with.b.refreshes() > 50, "stream spans many tREFI windows");
+        assert_eq!(without.b.refreshes(), 0);
         let loss = t_with.as_secs() / t_without.as_secs() - 1.0;
         assert!(
             (0.01..0.15).contains(&loss),
@@ -476,24 +418,106 @@ mod tests {
 
     #[test]
     fn refresh_closes_open_rows() {
-        let gen = HbmGeneration::Hbm3;
-        let mut ch = HbmChannelModel::new(gen.timings(), gen.stack_bandwidth().scale(1.0 / 16.0));
+        let mut ch = channel();
         ch.access(SimTime::ZERO, 0, Bytes(128));
         // Jump past a refresh window: the same row must re-activate.
         let later = SimTime::from_nanos(4_500);
-        let misses_before = ch.row_misses();
+        let misses_before = ch.b.row_misses();
         ch.access(later, 64, Bytes(128));
-        assert_eq!(ch.row_misses(), misses_before + 1, "row closed by refresh");
-        assert!(ch.refreshes() >= 1);
+        assert_eq!(
+            ch.b.row_misses(),
+            misses_before + 1,
+            "row closed by refresh"
+        );
+        assert!(ch.b.refreshes() >= 1);
     }
 
     #[test]
     fn energy_scales_with_traffic() {
         let mut ch = channel();
         ch.access(SimTime::ZERO, 0, Bytes(1_000_000));
-        let e1 = ch.params.energy(&ch.bank).as_joules();
+        let e1 = ch.p.energy(&ch.b).as_joules();
         ch.access(SimTime::ZERO, 0, Bytes(1_000_000));
-        let e2 = ch.params.energy(&ch.bank).as_joules();
+        let e2 = ch.p.energy(&ch.b).as_joules();
         assert!((e2 / e1 - 2.0).abs() < 1e-9);
+    }
+
+    // The closed-form refresh catch-up in `HbmBank::access` against the
+    // per-interval loop it replaced (`LoopRefresh`, in the test
+    // oracles). On seeded access sequences with idle gaps of up to ~500
+    // tREFI — some landing exactly on a refresh boundary or inside a
+    // tRFC window — the bank must match the loop access for access:
+    // completion times, row hits, row misses and refreshes.
+
+    /// Base seed of the access-sequence stream.
+    const SEED: u64 = 0x00DE_F12E_5400;
+    /// Accesses per sequence.
+    const ACCESSES: usize = 2_000;
+    /// Sequences checked.
+    const SEQUENCES: u64 = 8;
+
+    /// Picks the next issue time: back to back, batch-style at zero,
+    /// after a short or a long (up to ~500 tREFI) idle gap, exactly on
+    /// one of the oracle's next three refresh boundaries, or inside that
+    /// refresh's tRFC window.
+    fn next_issue(rng: &mut SplitMix64, oracle: &LoopRefresh, last_done: SimTime) -> SimTime {
+        let t = oracle.timings;
+        let interval = t.refresh_interval.as_picos();
+        let boundary = oracle.next_refresh + t.refresh_interval * rng.next_below(3);
+        match rng.next_below(6) {
+            0 => last_done,
+            1 => SimTime::ZERO,
+            2 => last_done + SimTime::from_picos(rng.next_below(2 * interval)),
+            3 => last_done + SimTime::from_picos(rng.next_below(500 * interval)),
+            4 => boundary,
+            _ => boundary + SimTime::from_picos(rng.next_below(t.refresh_duration.as_picos())),
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_loop_hbm3_one_bank() {
+        let timings = HbmTimings::hbm3();
+        let rate = HbmGeneration::Hbm3.stack_bandwidth().scale(1.0 / 256.0);
+        for seq in 0..SEQUENCES {
+            let mut rng = SplitMix64::new(SEED ^ (1 << 32) ^ seq);
+            let mut model = Bank::new(timings, rate);
+            let mut oracle = LoopRefresh::new(timings, rate);
+            let mut done = SimTime::ZERO;
+            for i in 0..ACCESSES {
+                let at = next_issue(&mut rng, &oracle, done);
+                // A few hot rows (row hits) mixed with a wide random range.
+                let addr = if rng.chance(0.5) {
+                    rng.next_below(4 * ROW_BYTES)
+                } else {
+                    rng.next_below(1 << 30)
+                };
+                let size = Bytes(64 << rng.next_below(3));
+                let expect = oracle.access(at, addr, size);
+                done = model.access(at, addr, size);
+                let ctx = || format!("seq={seq} access={i} at={at}");
+                assert_eq!(done, expect, "{}: completion", ctx());
+                assert_eq!(
+                    model.b.refreshes(),
+                    oracle.refreshes,
+                    "{}: refreshes",
+                    ctx()
+                );
+            }
+            let ctx = format!("seq={seq}");
+            assert_eq!(model.b.row_hits(), oracle.row_hits, "{ctx}: row hits");
+            assert_eq!(model.b.row_misses(), oracle.row_misses, "{ctx}: row misses");
+            assert!(
+                oracle.refreshes > 0 && oracle.row_hits > 0,
+                "{ctx}: coverage"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than tREFI")]
+    fn overlapping_refreshes_are_rejected() {
+        let mut timings = HbmTimings::hbm3();
+        timings.refresh_duration = timings.refresh_interval;
+        let _ = HbmParams::new(timings, HbmGeneration::Hbm3.stack_bandwidth(), Bytes(128));
     }
 }

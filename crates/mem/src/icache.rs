@@ -12,13 +12,13 @@
 //! `SliceGeometry` per channel, one [`SliceState`] per bank, and the
 //! `SetRecord`s of every bank in one first-touch `SetStore`, which holds
 //! a record only for a set some access has filled. `SliceMut` runs the
-//! slice over borrowed parts; [`InfinityCacheSlice`] owns all three.
+//! slice over borrowed parts.
 
 use ehp_sim_core::units::Bytes;
 
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// Line present (demand hit).
     Hit,
     /// Line present because the prefetcher brought it in earlier; counts
@@ -32,51 +32,33 @@ pub enum CacheOutcome {
     },
 }
 
-impl CacheOutcome {
-    /// `true` if the access is served from the cache.
-    #[must_use]
-    pub fn is_hit(&self) -> bool {
-        matches!(self, CacheOutcome::Hit | CacheOutcome::PrefetchedHit)
-    }
-}
-
 /// Stream prefetcher configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetcherConfig {
+pub(crate) struct PrefetcherConfig {
     /// Whether prefetching is enabled.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Lines fetched ahead on a detected sequential stream.
-    pub degree: u32,
+    pub(crate) degree: u32,
     /// Consecutive-line accesses needed before the stream trains.
-    pub train_threshold: u32,
+    pub(crate) train_threshold: u32,
 }
 
 impl PrefetcherConfig {
     /// The MI300-style default: enabled, moderate depth.
     #[must_use]
-    pub fn mi300() -> PrefetcherConfig {
+    pub(crate) fn mi300() -> PrefetcherConfig {
         PrefetcherConfig {
             enabled: true,
             degree: 4,
             train_threshold: 2,
         }
     }
-
-    /// Disabled prefetcher (ablation baseline).
-    #[must_use]
-    pub fn disabled() -> PrefetcherConfig {
-        PrefetcherConfig {
-            enabled: false,
-            degree: 0,
-            train_threshold: u32::MAX,
-        }
-    }
 }
 
-/// Largest supported prefetch degree: [`InfinityCacheSlice::new`]
-/// asserts `degree <= MAX_PREFETCH_DEGREE`, so one access's prefetch
-/// targets always fit a fixed array.
-pub const MAX_PREFETCH_DEGREE: usize = 16;
+/// Largest supported prefetch degree: [`SliceGeometry::new`] asserts
+/// `degree <= MAX_PREFETCH_DEGREE`, so one access's prefetch targets
+/// always fit a fixed array.
+pub(crate) const MAX_PREFETCH_DEGREE: usize = 16;
 
 /// Largest supported associativity: a set's recency order is sixteen
 /// 4-bit slot indices packed in one `u64`, and its tags are a
@@ -262,7 +244,6 @@ pub struct SliceState {
     prefetch_hits: u64,
     misses: u64,
     writebacks: u64,
-    prefetch_issued: u64,
 }
 
 impl SliceState {
@@ -354,11 +335,6 @@ impl SetStore {
     /// Number of records: the sets touched so far.
     pub(crate) fn len(&self) -> usize {
         self.records.len() - 1
-    }
-
-    /// Lines resident across every slice.
-    fn resident_lines(&self) -> usize {
-        self.records.iter().map(|r| usize::from(r.len)).sum()
     }
 
     /// Moves each slice's records into a `Vec` of its own, led by an
@@ -510,9 +486,8 @@ impl<'a> Sets<'a> {
 }
 
 /// A slice at work: its scalar state plus its borrowed geometry and set
-/// records. Every slice operation runs here, whether the sets belong to
-/// a bank of a memory subsystem or to a standalone
-/// [`InfinityCacheSlice`].
+/// records. Every slice operation runs here, on the sets of one bank of
+/// a memory subsystem.
 ///
 /// Addresses given to the slice are full physical addresses; the slice
 /// indexes with line-granular bits above the line offset. Because the
@@ -629,7 +604,6 @@ impl SliceMut<'_> {
     /// Installs a prefetched line; returns dirty victim address if any.
     /// A line that is already resident just becomes the set's MRU.
     pub(crate) fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
-        self.state.prefetch_issued += 1;
         let line = self.geom.line_of(addr);
         let set_idx = self.geom.set_of(line);
         let tag = self.geom.tag_of(line);
@@ -641,131 +615,75 @@ impl SliceMut<'_> {
     }
 }
 
-/// One Infinity Cache slice on its own: the geometry, scalar state and
-/// set records a memory subsystem keeps apart, owned together, over the
-/// same `SliceMut` code the banks run.
-///
-/// # Example
-///
-/// ```
-/// use ehp_mem::icache::{InfinityCacheSlice, PrefetcherConfig, CacheOutcome};
-/// use ehp_sim_core::units::Bytes;
-///
-/// let mut s = InfinityCacheSlice::new(Bytes::from_mib(2), 16, 128,
-///                                     PrefetcherConfig::disabled());
-/// assert!(!s.access(0x1000, false).is_hit()); // cold miss
-/// assert!(s.access(0x1000, false).is_hit());  // now resident
-/// ```
-#[derive(Debug, Clone)]
-pub struct InfinityCacheSlice {
-    geom: SliceGeometry,
-    state: SliceState,
-    sets: SetStore,
-}
-
-impl InfinityCacheSlice {
-    /// Creates a slice of the given capacity/associativity/line size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is inconsistent (capacity not divisible into
-    /// `ways × line` sets, set count not a power of two, or more than 16
-    /// ways) or the prefetch degree exceeds [`MAX_PREFETCH_DEGREE`].
-    #[must_use]
-    pub fn new(
-        capacity: Bytes,
-        ways: usize,
-        line_bytes: u64,
-        pf: PrefetcherConfig,
-    ) -> InfinityCacheSlice {
-        let geom = SliceGeometry::new(capacity, ways, line_bytes, pf);
-        InfinityCacheSlice {
-            sets: SetStore::new(1, geom.sets()),
-            geom,
-            state: SliceState::default(),
-        }
-    }
-
-    fn view(&mut self) -> SliceMut<'_> {
-        SliceMut {
-            geom: &self.geom,
-            state: &mut self.state,
-            sets: self.sets.slice_mut(0),
-        }
-    }
-
-    /// Looks up `addr`, updating replacement and dirty state.
-    ///
-    /// The prefetch addresses the stream prefetcher wants fetched come
-    /// from [`InfinityCacheSlice::take_prefetches`].
-    pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
-        self.view().access(addr, is_write)
-    }
-
-    /// Writes the prefetch addresses triggered by an access at `addr` to
-    /// the front of `out` and returns how many there are (at most the
-    /// prefetch degree). Call after [`InfinityCacheSlice::access`]; the
-    /// caller charges the fetches to HBM bandwidth and installs them via
-    /// [`InfinityCacheSlice::fill_prefetch`].
-    pub fn take_prefetches(&mut self, addr: u64, out: &mut [u64; MAX_PREFETCH_DEGREE]) -> usize {
-        self.view().take_prefetches(addr, out)
-    }
-
-    /// Installs a prefetched line; returns dirty victim address if any.
-    /// A line that is already resident just becomes the set's MRU.
-    pub fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
-        self.view().fill_prefetch(addr)
-    }
-
-    /// Demand hits.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.state.hits
-    }
-
-    /// Hits on prefetched lines.
-    #[must_use]
-    pub fn prefetch_hits(&self) -> u64 {
-        self.state.prefetch_hits
-    }
-
-    /// Misses.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.state.misses
-    }
-
-    /// Dirty evictions written back to HBM.
-    #[must_use]
-    pub fn writebacks(&self) -> u64 {
-        self.state.writebacks
-    }
-
-    /// Prefetch fills issued.
-    #[must_use]
-    pub fn prefetches_issued(&self) -> u64 {
-        self.state.prefetch_issued
-    }
-
-    /// Number of resident lines (for tests/diagnostics).
-    #[must_use]
-    pub fn resident_lines(&self) -> usize {
-        self.sets.resident_lines()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::stamp_slice::{StampSlice, LINE};
+    use ehp_sim_core::rng::SplitMix64;
 
-    fn slice() -> InfinityCacheSlice {
-        InfinityCacheSlice::new(Bytes::from_kib(64), 4, 128, PrefetcherConfig::disabled())
+    impl PrefetcherConfig {
+        /// A prefetcher that never fires. Defined with the tests: no
+        /// product configuration turns the prefetcher off.
+        pub(crate) fn disabled() -> PrefetcherConfig {
+            PrefetcherConfig {
+                enabled: false,
+                degree: 0,
+                train_threshold: u32::MAX,
+            }
+        }
+    }
+
+    /// One slice owning the geometry, state and set store that a bank
+    /// of a memory subsystem borrows, with 128 B lines.
+    struct Slice {
+        geom: SliceGeometry,
+        state: SliceState,
+        sets: SetStore,
+    }
+
+    impl Slice {
+        fn new(capacity: Bytes, ways: usize, pf: PrefetcherConfig) -> Slice {
+            let geom = SliceGeometry::new(capacity, ways, LINE, pf);
+            Slice {
+                sets: SetStore::new(1, geom.sets()),
+                geom,
+                state: SliceState::default(),
+            }
+        }
+
+        fn run(&mut self) -> SliceMut<'_> {
+            SliceMut {
+                geom: &self.geom,
+                state: &mut self.state,
+                sets: self.sets.slice_mut(0),
+            }
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
+            self.run().access(addr, is_write)
+        }
+
+        fn take_prefetches(&mut self, addr: u64, out: &mut [u64; MAX_PREFETCH_DEGREE]) -> usize {
+            self.run().take_prefetches(addr, out)
+        }
+
+        fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
+            self.run().fill_prefetch(addr)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.records.iter().map(|r| usize::from(r.len)).sum()
+        }
+    }
+
+    fn slice() -> Slice {
+        Slice::new(Bytes::from_kib(64), 4, PrefetcherConfig::disabled())
     }
 
     #[test]
     fn mi300_geometry() {
         // The MI300 per-channel slice: 2 MB, 16-way, 128 B lines.
-        let s = InfinityCacheSlice::new(Bytes::from_mib(2), 16, 128, PrefetcherConfig::mi300());
+        let s = Slice::new(Bytes::from_mib(2), 16, PrefetcherConfig::mi300());
         // 2 MiB / 128 B / 16 ways = 1024 sets.
         assert_eq!(s.geom.sets(), 1024);
         assert_eq!(s.geom.addr_of(1), 128, "128 B lines");
@@ -776,15 +694,19 @@ mod tests {
         let mut s = slice();
         assert!(matches!(s.access(0x1000, false), CacheOutcome::Miss { .. }));
         assert_eq!(s.access(0x1000, false), CacheOutcome::Hit);
-        assert_eq!(s.hits(), 1);
-        assert_eq!(s.misses(), 1);
+        assert_eq!(s.state.hits(), 1);
+        assert_eq!(s.state.misses(), 1);
     }
 
     #[test]
     fn same_line_different_offsets_hit() {
         let mut s = slice();
         s.access(0x1000, false);
-        assert!(s.access(0x1040, false).is_hit(), "same 128 B line");
+        assert_eq!(
+            s.access(0x1040, false),
+            CacheOutcome::Hit,
+            "same 128 B line"
+        );
     }
 
     #[test]
@@ -799,8 +721,15 @@ mod tests {
         s.access(0, false);
         // Insert a 5th line -> evicts line 1.
         s.access(4 * stride, false);
-        assert!(s.access(0, false).is_hit(), "recently used survives");
-        assert!(!s.access(stride, false).is_hit(), "LRU victim was evicted");
+        assert_eq!(
+            s.access(0, false),
+            CacheOutcome::Hit,
+            "recently used survives"
+        );
+        assert!(
+            matches!(s.access(stride, false), CacheOutcome::Miss { .. }),
+            "LRU victim was evicted"
+        );
     }
 
     #[test]
@@ -817,7 +746,7 @@ mod tests {
             CacheOutcome::Miss { writeback: Some(a) } => assert_eq!(a, 0),
             other => panic!("expected dirty writeback, got {other:?}"),
         }
-        assert_eq!(s.writebacks(), 1);
+        assert_eq!(s.state.writebacks(), 1);
     }
 
     #[test]
@@ -843,15 +772,16 @@ mod tests {
         for i in 1..5 {
             s.access(i * stride, false);
         }
-        assert_eq!(s.writebacks(), 1);
+        assert_eq!(s.state.writebacks(), 1);
     }
 
     #[test]
     fn stream_prefetcher_trains_and_hits() {
-        let mut s = InfinityCacheSlice::new(Bytes::from_kib(64), 4, 128, PrefetcherConfig::mi300());
+        let mut s = Slice::new(Bytes::from_kib(64), 4, PrefetcherConfig::mi300());
         // Walk sequential lines; after training, later lines should be
         // prefetched hits.
         let mut prefetched_hits = 0;
+        let mut issued = 0;
         for i in 0..64u64 {
             let addr = i * 128;
             let out = s.access(addr, false);
@@ -863,12 +793,13 @@ mod tests {
             for &pa in &pf[..n] {
                 s.fill_prefetch(pa);
             }
+            issued += n;
         }
         assert!(
             prefetched_hits > 40,
             "got {prefetched_hits} prefetched hits"
         );
-        assert!(s.prefetches_issued() > 0);
+        assert!(issued > 0);
     }
 
     #[test]
@@ -882,8 +813,8 @@ mod tests {
 
     #[test]
     fn random_stream_does_not_train() {
-        let mut s = InfinityCacheSlice::new(Bytes::from_kib(64), 4, 128, PrefetcherConfig::mi300());
-        let mut rng = ehp_sim_core::rng::SplitMix64::new(1);
+        let mut s = Slice::new(Bytes::from_kib(64), 4, PrefetcherConfig::mi300());
+        let mut rng = SplitMix64::new(1);
         let mut issued = 0;
         for _ in 0..256 {
             let addr = rng.next_below(1 << 30) & !127;
@@ -898,10 +829,11 @@ mod tests {
     fn hit_rate_reporting() {
         // The counters `MemorySubsystem::icache_hit_rate` folds together.
         let mut s = slice();
-        assert_eq!((s.hits(), s.prefetch_hits(), s.misses()), (0, 0, 0));
+        let counts = |s: &Slice| (s.state.hits(), s.state.prefetch_hits(), s.state.misses());
+        assert_eq!(counts(&s), (0, 0, 0));
         s.access(0, false);
         s.access(0, false);
-        assert_eq!((s.hits(), s.prefetch_hits(), s.misses()), (1, 0, 1));
+        assert_eq!(counts(&s), (1, 0, 1));
     }
 
     #[test]
@@ -913,16 +845,36 @@ mod tests {
         assert!(s.resident_lines() <= 512);
     }
 
+    /// This property's seed: the FNV-1a hash of `"cache_capacity"`.
+    const CAPACITY_SEED: u64 = 0xA3F1_C771_A400_FF92;
+
+    /// Cache capacity is never exceeded and hit/miss counts add up.
+    #[test]
+    fn cache_capacity_and_accounting() {
+        let mut rng = SplitMix64::new(CAPACITY_SEED);
+        for _ in 0..32 {
+            let n_ops = 1 + rng.next_below(2_000) as usize;
+            let mut s = slice();
+            for _ in 0..n_ops {
+                let addr = rng.next_u64() as u32;
+                s.access(u64::from(addr) & !127, rng.chance(0.5));
+            }
+            assert!(s.resident_lines() <= 512);
+            let st = &s.state;
+            assert_eq!(st.hits() + st.prefetch_hits() + st.misses(), n_ops as u64);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
-        let _ = InfinityCacheSlice::new(Bytes(3 * 128 * 4), 4, 128, PrefetcherConfig::disabled());
+        let _ = Slice::new(Bytes(3 * 128 * 4), 4, PrefetcherConfig::disabled());
     }
 
     #[test]
     #[should_panic(expected = "at most 16 ways")]
     fn more_than_sixteen_ways_panics() {
-        let _ = InfinityCacheSlice::new(Bytes(32 * 128), 32, 128, PrefetcherConfig::disabled());
+        let _ = Slice::new(Bytes(32 * 128), 32, PrefetcherConfig::disabled());
     }
 
     #[test]
@@ -932,6 +884,130 @@ mod tests {
             degree: 17,
             ..PrefetcherConfig::mi300()
         };
-        let _ = InfinityCacheSlice::new(Bytes::from_kib(64), 4, 128, pf);
+        let _ = Slice::new(Bytes::from_kib(64), 4, pf);
+    }
+
+    // The per-set recency record against the stamp-based slice it
+    // replaced (`StampSlice`, in the test oracles). On seeded streams of
+    // reads, writes and prefetch fills over slices of one to eight sets
+    // — so most operations evict — the slice must match it operation
+    // for operation: every outcome (including writeback addresses and
+    // `PrefetchedHit`), every list of prefetch addresses and victim of a
+    // prefetch fill, and the final counters and resident line count.
+
+    /// Base seed of the operation streams.
+    const SEED: u64 = 0x1A0_0AC1E;
+    /// Operations per stream.
+    const OPS: usize = 20_000;
+
+    /// The next address: the line after the previous one (trains the
+    /// stream prefetcher), a line from a window a few times the capacity
+    /// (hits and evictions), or a far line (a large tag).
+    fn next_addr(rng: &mut SplitMix64, prev: u64, capacity_lines: u64) -> u64 {
+        let line = match rng.next_below(4) {
+            0 | 1 => prev / LINE + 1,
+            2 => rng.next_below(4 * capacity_lines),
+            _ => rng.next_below(1 << 28),
+        };
+        line * LINE + rng.next_below(LINE)
+    }
+
+    fn check(ways: usize, sets: usize, pf: PrefetcherConfig) {
+        let capacity = Bytes(sets as u64 * ways as u64 * LINE);
+        let capacity_lines = (sets * ways) as u64;
+        let mut rng = SplitMix64::new(SEED ^ ((ways as u64) << 40) ^ ((sets as u64) << 32));
+        let mut model = Slice::new(capacity, ways, pf);
+        let mut oracle = StampSlice::new(sets, ways, pf);
+        let mut addr = 0;
+        for op in 0..OPS {
+            addr = next_addr(&mut rng, addr, capacity_lines);
+            let ctx = || {
+                format!(
+                    "ways={ways} sets={sets} pf={} op={op} addr={addr:#x}",
+                    pf.enabled
+                )
+            };
+            match rng.next_below(8) {
+                // A prefetch fill of an arbitrary line, resident or not.
+                0 => assert_eq!(
+                    model.fill_prefetch(addr),
+                    oracle.fill_prefetch(addr),
+                    "{}",
+                    ctx()
+                ),
+                kind => {
+                    let is_write = kind >= 5;
+                    let got = model.access(addr, is_write);
+                    assert_eq!(got, oracle.access(addr, is_write), "{}: outcome", ctx());
+                    let mut prefetches = [0; MAX_PREFETCH_DEGREE];
+                    let n = model.take_prefetches(addr, &mut prefetches);
+                    assert_eq!(
+                        prefetches[..n],
+                        oracle.take_prefetches(addr),
+                        "{}: prefetches",
+                        ctx()
+                    );
+                    for &pa in &prefetches[..n] {
+                        assert_eq!(
+                            model.fill_prefetch(pa),
+                            oracle.fill_prefetch(pa),
+                            "{}: fill",
+                            ctx()
+                        );
+                    }
+                }
+            }
+        }
+        let ctx = format!("ways={ways} sets={sets} pf={}", pf.enabled);
+        let st = &model.state;
+        assert_eq!(st.hits(), oracle.hits, "{ctx}: hits");
+        assert_eq!(
+            st.prefetch_hits(),
+            oracle.prefetch_hits,
+            "{ctx}: prefetch hits"
+        );
+        assert_eq!(st.misses(), oracle.misses, "{ctx}: misses");
+        assert_eq!(st.writebacks(), oracle.writebacks, "{ctx}: writebacks");
+        assert_eq!(
+            model.resident_lines(),
+            oracle.resident_lines(),
+            "{ctx}: resident lines"
+        );
+        assert!(
+            oracle.hits > 0 && oracle.writebacks > 0 && (!pf.enabled || oracle.prefetch_hits > 0),
+            "{ctx}: coverage"
+        );
+    }
+
+    fn check_ways(ways: usize) {
+        let pfs = [
+            PrefetcherConfig::disabled(),
+            PrefetcherConfig::mi300(),
+            PrefetcherConfig {
+                enabled: true,
+                degree: 16,
+                train_threshold: 1,
+            },
+        ];
+        for sets in [1, 2, 4, 8] {
+            for pf in pfs {
+                check(ways, sets, pf);
+            }
+        }
+    }
+
+    #[test]
+    fn record_matches_stamps_direct_mapped() {
+        check_ways(1);
+    }
+
+    #[test]
+    fn record_matches_stamps_four_way() {
+        check_ways(4);
+    }
+
+    #[test]
+    fn record_matches_stamps_sixteen_way() {
+        check_ways(16);
     }
 }

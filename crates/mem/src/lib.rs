@@ -9,10 +9,9 @@
 //! total, up to 17 TB/s of bandwidth amplification, with a hardware
 //! prefetcher).
 //!
-//! The top-level entry point is
-//! [`MemorySubsystem`](subsystem::MemorySubsystem), which routes requests
-//! through the interleaver to per-channel
-//! [`MemoryChannel`](channel::MemoryChannel)s.
+//! The one entry point is [`MemorySubsystem`](subsystem::MemorySubsystem),
+//! which routes requests through the interleaver to the per-bank units
+//! of its channels (see [`channel`]).
 //!
 //! ## Example
 //!
@@ -36,3 +35,9 @@ pub mod interleave;
 pub mod request;
 pub mod subsystem;
 pub mod trace;
+
+// The unit tests check the slice, the HBM bank and the bucketed replay
+// against the oracles in `tests/oracle/`.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

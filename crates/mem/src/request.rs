@@ -60,7 +60,7 @@ impl MemRequest {
 
 /// Where a request was ultimately served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServicePoint {
+pub(crate) enum ServicePoint {
     /// Hit in the Infinity Cache slice.
     InfinityCache,
     /// Served by the HBM channel (cache miss or bypass).

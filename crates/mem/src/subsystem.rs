@@ -7,8 +7,8 @@ use ehp_sim_core::stats::{Accumulator, Counter};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-use crate::channel::{bank_slot, BankArray, BankParams, BankUnit, ChannelConfig, ChannelView};
-use crate::icache::SetsMut;
+use crate::channel::{bank_slot, BankParams, BankUnit, ChannelConfig, ChannelView};
+use crate::icache::{SetStore, SetsMut};
 use crate::interleave::{InterleaveConfig, Interleaver};
 use crate::request::{MemRequest, MemResponse, ServicePoint};
 
@@ -125,10 +125,14 @@ pub struct MemorySubsystem {
     /// Peak HBM bus rate of one channel.
     channel_rate: Bandwidth,
     banks_per_channel: usize,
+    /// The parameters every bank shares.
+    params: BankParams,
     /// Every bank of every channel in flat order (channel-major,
-    /// bank-minor), with all their Infinity Cache sets in one
-    /// first-touch store.
-    banks: BankArray,
+    /// bank-minor).
+    units: Vec<BankUnit>,
+    /// Every bank's Infinity Cache set records in one first-touch
+    /// store, flat bank `b` being its slice `b`.
+    sets: SetStore,
     reads: Counter,
     writes: Counter,
     bytes: Bytes,
@@ -146,9 +150,13 @@ impl MemorySubsystem {
         let interleaver = Interleaver::new(cfg.interleave).expect("valid interleave config");
         let channels = cfg.interleave.total_channels() as usize;
         let banks_per_channel = cfg.channel.banks();
+        let banks = channels * banks_per_channel;
+        let params = BankParams::new(&cfg.channel);
         MemorySubsystem {
             interleaver,
-            banks: BankArray::new(&cfg.channel, channels * banks_per_channel),
+            units: (0..banks).map(|_| BankUnit::new(&params)).collect(),
+            sets: SetStore::new(banks, params.sets_per_bank()),
+            params,
             channel_rate: cfg.channel.hbm_rate,
             banks_per_channel,
             reads: Counter::new("mem_reads"),
@@ -179,7 +187,9 @@ impl MemorySubsystem {
         local: u64,
         req: MemRequest,
     ) -> (SimTime, ServicePoint) {
-        let served = self.banks.access(flat, at, local, req.size, req.is_write());
+        let sets = self.sets.slice_mut(flat);
+        let served =
+            self.units[flat].access(&self.params, sets, at, local, req.size, req.is_write());
         if req.is_read() {
             self.reads.inc();
         } else {
@@ -194,20 +204,13 @@ impl MemorySubsystem {
     /// access finds it near; no state changes.
     #[inline]
     pub(crate) fn preload(&self, flat: usize, local: u64) {
-        self.banks.preload(flat, local);
+        self.params.preload(self.sets.slice(flat), local);
     }
 
     /// Makes room for every Infinity Cache set record `accesses` more
     /// accesses can add, so that replaying them never grows the store.
     pub(crate) fn reserve_sets(&mut self, accesses: u64) {
-        self.banks.reserve_sets(accesses);
-    }
-
-    /// Infinity Cache set records held: one per set some access has
-    /// filled so far, over every bank; 0 without slices.
-    #[must_use]
-    pub fn set_records(&self) -> usize {
-        self.banks.set_records()
+        self.sets.reserve(self.params.set_fills(accesses));
     }
 
     /// Replays independent (issue-at-zero) request streams across the
@@ -248,25 +251,30 @@ impl MemorySubsystem {
     /// Panics if `buckets` does not have one bucket per bank or a
     /// worker panics.
     pub(crate) fn replay_sharded(&mut self, jobs: usize, buckets: &BankBuckets) -> SimTime {
-        let n = self.banks.len();
+        let n = self.units.len();
         assert_eq!(buckets.banks(), n, "one bucket per flat bank required");
         let jobs = jobs.clamp(1, n.max(1));
         let size = buckets.size;
+        let params = &self.params;
 
         let totals: Vec<ShardTotals> = if jobs == 1 {
-            self.banks.reserve_sets(buckets.entries);
+            self.sets.reserve(params.set_fills(buckets.entries));
             let mut t = ShardTotals::default();
             for (flat, reqs) in buckets.buckets.iter().enumerate() {
-                let (params, unit, sets) = self.banks.bank_mut(flat);
-                Self::replay_bank(params, unit, sets, reqs, size, &mut t);
+                let sets = self.sets.slice_mut(flat);
+                Self::replay_bank(params, &mut self.units[flat], sets, reqs, size, &mut t);
             }
             vec![t]
         } else {
-            let mut parts = self
-                .banks
-                .split_sets(|flat| buckets.buckets[flat].len() as u64);
-            let (params, banks) = self.banks.split_mut(&mut parts);
-            let items: Vec<ShardItem> = banks
+            let fills = buckets
+                .buckets
+                .iter()
+                .map(|reqs| params.set_fills(reqs.len() as u64));
+            let mut parts = self.sets.split(fills);
+            let items: Vec<ShardItem> = self
+                .units
+                .iter_mut()
+                .zip(self.sets.apart(&mut parts))
                 .zip(&buckets.buckets)
                 .filter(|(_, reqs)| !reqs.is_empty())
                 .map(|((unit, sets), reqs)| ShardItem {
@@ -276,7 +284,7 @@ impl MemorySubsystem {
                 })
                 .collect();
             let totals = Self::run_stealing(params, jobs, items, size);
-            self.banks.join_sets(parts);
+            self.sets.join(parts);
             totals
         };
 
@@ -442,7 +450,7 @@ impl MemorySubsystem {
     /// Total DRAM banks across all channels.
     #[must_use]
     pub fn total_banks(&self) -> usize {
-        self.banks.len()
+        self.units.len()
     }
 
     /// Maps an address to its flat bank id (`channel x banks_per_channel
@@ -466,7 +474,17 @@ impl MemorySubsystem {
     /// Read-only per-channel views, in channel order.
     #[must_use]
     pub fn channels(&self) -> Vec<ChannelView<'_>> {
-        self.banks.channels(self.banks_per_channel).collect()
+        self.channel_views().collect()
+    }
+
+    /// Consecutive runs of `banks_per_channel` banks, read only.
+    fn channel_views(&self) -> impl Iterator<Item = ChannelView<'_>> {
+        self.units
+            .chunks(self.banks_per_channel)
+            .map(|banks| ChannelView {
+                params: &self.params,
+                banks,
+            })
     }
 
     /// Total reads served.
@@ -503,7 +521,7 @@ impl MemorySubsystem {
     #[must_use]
     pub(crate) fn latency_stats(&self) -> Accumulator {
         let mut acc = Accumulator::new("mem_latency_ns");
-        for c in self.banks.channels(self.banks_per_channel) {
+        for c in self.channel_views() {
             acc.merge(&c.latency_stats());
         }
         acc
@@ -512,7 +530,7 @@ impl MemorySubsystem {
     /// Aggregate peak HBM bandwidth across channels.
     #[must_use]
     pub fn peak_hbm_bandwidth(&self) -> Bandwidth {
-        (0..self.banks.len() / self.banks_per_channel)
+        (0..self.units.len() / self.banks_per_channel)
             .map(|_| self.channel_rate)
             .sum()
     }
@@ -520,10 +538,7 @@ impl MemorySubsystem {
     /// Aggregate energy consumed.
     #[must_use]
     pub fn energy_used(&self) -> Energy {
-        self.banks
-            .channels(self.banks_per_channel)
-            .map(|c| c.energy_used())
-            .sum()
+        self.channel_views().map(|c| c.energy_used()).sum()
     }
 
     /// Fraction of accesses served by the Infinity Cache; `None` if the
@@ -532,7 +547,7 @@ impl MemorySubsystem {
     pub fn icache_hit_rate(&self) -> Option<f64> {
         let mut hits = 0u64;
         let mut total = 0u64;
-        for c in self.banks.channels(self.banks_per_channel) {
+        for c in self.channel_views() {
             if !c.has_icache() {
                 return None;
             }
@@ -579,6 +594,24 @@ mod tests {
         let mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
         assert_eq!(mem.channels().len(), 128);
         assert!((mem.peak_hbm_bandwidth().as_tb_s() - 5.3).abs() < 0.05);
+    }
+
+    #[test]
+    fn one_channel_interleave_decodes_like_bank_slot() {
+        // On a 1-stack × 1-channel interleave every address reaches
+        // channel 0, so the flat bank and bank-local address are the
+        // channel's own `bank_slot` decode: the property the bank
+        // audit's row streams rely on.
+        let mut cfg = MemConfig::mi300_hbm3();
+        cfg.interleave.stacks = 1;
+        cfg.interleave.channels_per_stack = 1;
+        let mem = MemorySubsystem::new(cfg);
+        let banks = mem.banks_per_channel() as u64;
+        let mut rng = ehp_sim_core::rng::SplitMix64::new(0x1C4A_77E1);
+        for _ in 0..100_000 {
+            let addr = rng.next_below(1 << 40);
+            assert_eq!(mem.flat_bank_of(addr), bank_slot(addr, banks), "{addr:#x}");
+        }
     }
 
     #[test]
@@ -690,10 +723,7 @@ mod tests {
 
     #[test]
     fn a_new_subsystem_holds_no_set_records() {
-        assert_eq!(
-            MemorySubsystem::new(MemConfig::mi300_hbm3()).set_records(),
-            0
-        );
+        assert_eq!(MemorySubsystem::new(MemConfig::mi300_hbm3()).sets.len(), 0);
         let mut off = MemConfig::mi300_hbm3();
         off.channel.icache_capacity = None;
         let mut mem = MemorySubsystem::new(off);
@@ -702,7 +732,7 @@ mod tests {
             ..TraceConfig::new(Pattern::Random)
         };
         let _ = replay(&mut mem, &trace);
-        assert_eq!(mem.set_records(), 0, "no slices, no sets");
+        assert_eq!(mem.sets.len(), 0, "no slices, no sets");
     }
 
     #[test]
@@ -720,13 +750,9 @@ mod tests {
                 let _ = replay(&mut mem, &trace);
                 let want = touched_sets(&cfg, &mem, &trace);
                 assert!(want > 1_000, "{name}: the trace reaches many sets");
-                assert_eq!(mem.set_records(), want, "{name} jobs={jobs}");
+                assert_eq!(mem.sets.len(), want, "{name} jobs={jobs}");
                 let _ = replay(&mut mem, &trace);
-                assert_eq!(
-                    mem.set_records(),
-                    want,
-                    "{name} jobs={jobs}: replayed again"
-                );
+                assert_eq!(mem.sets.len(), want, "{name} jobs={jobs}: replayed again");
             }
         }
     }
@@ -749,7 +775,7 @@ mod tests {
                 let mut mem = MemorySubsystem::new(cfg.clone());
                 let _ = replay(&mut mem, &trace);
                 let demand = touched_sets(&cfg, &mem, &trace);
-                let held = mem.set_records();
+                let held = mem.sets.len();
                 let most = (1 + pf.degree as usize) * demand;
                 assert!(
                     (demand..=most).contains(&held),

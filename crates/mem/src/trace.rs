@@ -92,8 +92,8 @@ impl TraceConfig {
     /// This is the single source of truth for trace generation: the
     /// whole stream is a pure function of the config (one SplitMix64
     /// seed). [`replay`] makes one pass to bucket every request by flat
-    /// bank before any bank replays; [`replay_sequential`] consumes it
-    /// directly. Either way the trace is generated exactly once.
+    /// bank before any bank replays, or to feed the dependent chase, so
+    /// the trace is generated exactly once.
     ///
     /// # Panics
     ///
@@ -197,12 +197,14 @@ pub struct ReplayResult {
 /// `jobs = 1` and under its work-stealing scheduler above that. One
 /// bank's state then stays in the host cache for its whole sub-stream
 /// instead of being revisited at random. Banks share no state, so the
-/// results are bit-identical to [`replay_sequential`] at any job count
-/// (see the `replay_determinism` suite).
+/// results are bit-identical at any job count to the sequential
+/// reference, one [`MemorySubsystem::access`] per request in trace order
+/// (the crate's test oracle `tests/oracle/replay.rs`, which the
+/// `replay_determinism` suite checks against).
 ///
 /// [`Pattern::PointerChase`] carries a cross-bank dependency — each
 /// access issues when the previous one completes — so it replays access
-/// by access, in trace order, exactly as [`replay_sequential`] does. Its
+/// by access, in trace order, exactly as the sequential reference does. Its
 /// addresses do not depend on timing, though, so it replays in windows
 /// of `LOOKAHEAD` requests: each window first loads the set record
 /// of every request in it, then replays them one after another.
@@ -231,8 +233,8 @@ const LOOKAHEAD: usize = 32;
 type Located = (usize, u64, MemRequest);
 
 /// The dependent replay behind [`replay`] for [`Pattern::PointerChase`]:
-/// the same accesses, issue times and order as [`replay_sequential`],
-/// in windows of `LOOKAHEAD` requests.
+/// the same accesses, issue times and order as the sequential
+/// reference, in windows of `LOOKAHEAD` requests.
 fn replay_chase(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
     mem.reserve_sets(cfg.accesses);
     let mut window: [Located; LOOKAHEAD] = [(0, 0, MemRequest::read(0, 0)); LOOKAHEAD];
@@ -267,26 +269,6 @@ fn replay_window(mem: &mut MemorySubsystem, window: &[Located], mut t: SimTime) 
     t
 }
 
-/// The sequential reference replay: one [`MemorySubsystem::access`] call
-/// per request, in trace order. [`replay`] uses it for
-/// [`Pattern::PointerChase`], and must match it bit for bit on every
-/// other pattern.
-#[must_use]
-pub fn replay_sequential(mem: &mut MemorySubsystem, cfg: &TraceConfig) -> ReplayResult {
-    let dependent = cfg.pattern == Pattern::PointerChase;
-    let mut t = SimTime::ZERO;
-    let mut last = SimTime::ZERO;
-    cfg.for_each(|req| {
-        let issue = if dependent { t } else { SimTime::ZERO };
-        let resp = mem.access(issue, req);
-        t = resp.completes_at;
-        if t > last {
-            last = t;
-        }
-    });
-    finish(mem, cfg, last)
-}
-
 /// Summarises a replay that finished at `last`. An empty trace takes no
 /// time and reports zero bandwidth and zero mean latency.
 fn finish(mem: &MemorySubsystem, cfg: &TraceConfig, last: SimTime) -> ReplayResult {
@@ -307,6 +289,7 @@ fn finish(mem: &MemorySubsystem, cfg: &TraceConfig, last: SimTime) -> ReplayResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::replay::replay_sequential;
     use crate::subsystem::MemConfig;
 
     fn run(pattern: Pattern) -> ReplayResult {
@@ -439,19 +422,10 @@ mod tests {
                     };
                     let ctx = format!("{pattern:?} accesses={accesses} ic={ic:?}");
                     let mut want = make();
-                    let (mut t, mut last) = (SimTime::ZERO, SimTime::ZERO);
-                    for req in cfg.generate() {
-                        let issue = if pattern == Pattern::PointerChase {
-                            t
-                        } else {
-                            SimTime::ZERO
-                        };
-                        t = want.access(issue, req).completes_at;
-                        last = last.max(t);
-                    }
+                    let expect = replay_sequential(&mut want, &cfg);
                     let mut got = make();
                     let r = replay(&mut got, &cfg);
-                    assert_eq!(r, finish(&want, &cfg, last), "{ctx}");
+                    assert_eq!(r, expect, "{ctx}");
                     assert_eq!(got.reads(), want.reads(), "{ctx}");
                     assert_eq!(got.writes(), want.writes(), "{ctx}");
                     assert_eq!(got.bytes_served(), want.bytes_served(), "{ctx}");

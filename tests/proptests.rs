@@ -10,14 +10,12 @@ use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence, NodeCoherence
 use ehp_coherence::probe_filter::{LineState, ProbeFilter};
 use ehp_dispatch::aql::AqlPacket;
 use ehp_dispatch::dispatcher::{DispatcherConfig, MultiXcdDispatcher};
-use ehp_mem::icache::{InfinityCacheSlice, PrefetcherConfig};
 use ehp_mem::interleave::{InterleaveConfig, Interleaver};
 use ehp_mem::trace::{Pattern, TraceConfig};
 use ehp_package::bond::{BpvTarget, HybridBondInterface};
 use ehp_package::geometry::{Point, Transform};
 use ehp_sim_core::ids::AgentId;
 use ehp_sim_core::rng::SplitMix64;
-use ehp_sim_core::units::Bytes;
 
 fn rng_for(tag: &str) -> SplitMix64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -157,23 +155,6 @@ fn dispatch_covers_every_workgroup() {
         let max = run.per_xcd.iter().max().unwrap();
         let min = run.per_xcd.iter().min().unwrap();
         assert!(max - min <= 1, "{:?}", run.per_xcd);
-    }
-}
-
-/// Cache capacity is never exceeded and hit/miss counts add up.
-#[test]
-fn cache_capacity_and_accounting() {
-    let mut rng = rng_for("cache_capacity");
-    for _ in 0..32 {
-        let n_ops = 1 + rng.next_below(2_000) as usize;
-        let mut s =
-            InfinityCacheSlice::new(Bytes::from_kib(64), 4, 128, PrefetcherConfig::disabled());
-        for _ in 0..n_ops {
-            let addr = rng.next_u64() as u32;
-            s.access(u64::from(addr) & !127, rng.chance(0.5));
-        }
-        assert!(s.resident_lines() <= 512);
-        assert_eq!(s.hits() + s.prefetch_hits() + s.misses(), n_ops as u64);
     }
 }
 

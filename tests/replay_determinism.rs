@@ -1,9 +1,10 @@
 //! Determinism suite for bank-bucketed trace replay: for every access
 //! pattern, every memory configuration, and every parallelism level,
-//! `replay` must produce a [`ReplayResult`] and subsystem-level
+//! `replay` must produce a `ReplayResult` and subsystem-level
 //! statistics bit-identical to the sequential reference path
 //! (`replay_sequential`, one `MemorySubsystem::access` per request in
-//! trace order). This is the contract that makes the `jobs` knob safe
+//! trace order, from the memory crate's test oracles in
+//! `crates/mem/tests/oracle/replay.rs`). This is the contract that makes the `jobs` knob safe
 //! to flip in scenario specs: parallelism changes wall-clock time and
 //! nothing else.
 //!
@@ -18,9 +19,16 @@
 //! access issues when the previous one completes), so `replay` must
 //! take the sequential path for it at any `jobs` value.
 
+#[path = "../crates/mem/tests/oracle/replay.rs"]
+mod oracle;
+// The oracle names the memory modules as `crate::subsystem` and
+// `crate::trace`.
+use ehp_mem::{subsystem, trace};
+
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
-use ehp_mem::trace::{replay, replay_sequential, Pattern, TraceConfig};
+use ehp_mem::trace::{replay, Pattern, TraceConfig};
 use ehp_sim_core::units::Bytes;
+use oracle::replay_sequential;
 
 const PATTERNS: [(&str, Pattern); 5] = [
     ("sequential", Pattern::Sequential),
