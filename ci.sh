@@ -159,9 +159,21 @@ step "ehp all (cold cache)" sh -c '
 # and names the metrics that moved in CHANGES.md.
 step "ehp all summary matches tests/golden" \
     cmp target/run_summary.cold.json tests/golden/run_summary.json
+# The same pin for every per-experiment artifact: the 20 payloads
+# target/figures/<id>.json and the 21 reports target/figures/<id>.txt
+# must match the committed listing, so a change that moves a report or
+# a payload but not the summary still fails. A change that moves them by
+# design re-saves the listing (from the repo root):
+#   (cd target/figures && ls *.json *.txt | grep -v -e run_summary -e lint_report \
+#       -e run_timing -e cache_stats | sort | xargs sha256sum) |
+#       sed 's#  #  target/figures/#' > tests/golden/figures.sha256
+step "ehp all figures match tests/golden" \
+    sha256sum --check --quiet tests/golden/figures.sha256
 step "ehp all (warm cache)" ./target/release/ehp all --jobs 8 --quiet
 step "warm summary byte-identical" \
     cmp target/run_summary.cold.json target/figures/run_summary.json
+step "warm figures match tests/golden" \
+    sha256sum --check --quiet tests/golden/figures.sha256
 step "warm run re-executed nothing" \
     grep -q '"misses": 0' target/figures/cache_stats.json
 

@@ -27,7 +27,7 @@ pub enum AgentClass {
 }
 
 /// Result of one coherent access at node scope.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct NodeAccess {
     /// Whether hardware coherence covered this access; if not, the
     /// access is software coherent.
@@ -35,7 +35,7 @@ pub struct NodeAccess {
 }
 
 /// Node-level coherence configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeCoherenceConfig {
     /// Sockets in the node.
     pub(crate) sockets: u32,

@@ -36,14 +36,12 @@ pub enum DataSource {
 }
 
 /// The coherence actions triggered by one request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CoherenceAction {
     /// Agents that must be probed (invalidated or downgraded).
     pub probes: Vec<AgentId>,
     /// Where the requester's data comes from.
     pub data_from: DataSource,
-    /// Whether a dirty copy was written back to memory as a side effect.
-    pub(crate) writeback: bool,
 }
 
 impl CoherenceAction {
@@ -51,7 +49,6 @@ impl CoherenceAction {
         CoherenceAction {
             probes: Vec::new(),
             data_from,
-            writeback: false,
         }
     }
 }
@@ -96,8 +93,8 @@ impl ProbeFilter {
             lines: BTreeMap::new(),
             versions: BTreeMap::new(),
             observed: BTreeMap::new(),
-            probes_sent: Counter::new("pf_probes"),
-            cache_to_cache: Counter::new("pf_c2c"),
+            probes_sent: Counter::default(),
+            cache_to_cache: Counter::default(),
         }
     }
 
@@ -148,7 +145,6 @@ impl ProbeFilter {
                 CoherenceAction {
                     probes: vec![owner],
                     data_from: DataSource::Cache(owner),
-                    writeback: true,
                 }
             }
         };
@@ -180,7 +176,6 @@ impl ProbeFilter {
                     } else {
                         DataSource::Memory
                     },
-                    writeback: false,
                 }
             }
             LineState::Owned(owner) if owner == agent => CoherenceAction::silent(DataSource::Local),
@@ -191,7 +186,6 @@ impl ProbeFilter {
                 CoherenceAction {
                     probes: vec![owner],
                     data_from: DataSource::Cache(owner),
-                    writeback: false,
                 }
             }
         };
@@ -294,7 +288,6 @@ mod tests {
         let act = pf.read(B, 0);
         assert_eq!(act.probes, vec![A]);
         assert_eq!(act.data_from, DataSource::Cache(A));
-        assert!(act.writeback);
         assert_eq!(pf.state(0), LineState::Shared(BTreeSet::from([A, B])));
     }
 

@@ -1,7 +1,6 @@
 //! The CDNA compute unit (CU) model and the Table 1 throughput rates.
 
 use ehp_sim_core::time::Frequency;
-use ehp_sim_core::units::Bytes;
 
 use crate::dtype::{DataType, ExecUnit, Sparsity};
 
@@ -85,19 +84,16 @@ impl GpuArch {
     }
 }
 
-/// Static parameters of one CU.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Static parameters of one CU: what its Table 1 peak rates depend on.
+/// The LDS capacity the occupancy study reads is in
+/// [`CuResources`](crate::occupancy::CuResources), and the shared
+/// instruction cache is in [`IcacheStudy`](crate::icache::IcacheStudy).
+#[derive(Debug, Clone, Copy)]
 pub struct CuSpec {
     /// Architecture generation.
     pub(crate) arch: GpuArch,
     /// Core clock.
     pub(crate) clock: Frequency,
-    /// L1 data cache capacity (32 KB).
-    pub(crate) l1d: Bytes,
-    /// Local Data Share capacity (64 KB).
-    pub(crate) lds: Bytes,
-    /// Instruction cache shared between a CU pair (64 KB, 8-way).
-    pub(crate) shared_icache: Bytes,
 }
 
 impl CuSpec {
@@ -107,9 +103,6 @@ impl CuSpec {
         CuSpec {
             arch: GpuArch::Cdna3,
             clock: Frequency::from_ghz(2.1),
-            l1d: Bytes::from_kib(32),
-            lds: Bytes::from_kib(64),
-            shared_icache: Bytes::from_kib(64),
         }
     }
 
@@ -119,9 +112,6 @@ impl CuSpec {
         CuSpec {
             arch: GpuArch::Cdna2,
             clock: Frequency::from_ghz(1.7),
-            l1d: Bytes::from_kib(32),
-            lds: Bytes::from_kib(64),
-            shared_icache: Bytes::from_kib(32),
         }
     }
 }
@@ -138,7 +128,7 @@ impl CuSpec {
 /// let fp64 = cu.peak_flops(ExecUnit::Matrix, DataType::Fp64).unwrap();
 /// assert!((fp64 / 1e9 - 537.6).abs() < 1.0); // 256 ops/clk * 2.1 GHz
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CuModel {
     spec: CuSpec,
 }

@@ -51,7 +51,7 @@ impl fmt::Display for DataType {
 }
 
 /// Which pipeline executes an operation (the row groups of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum ExecUnit {
     /// SIMD vector ALUs.
     Vector,
@@ -69,7 +69,7 @@ impl fmt::Display for ExecUnit {
 }
 
 /// Structured-sparsity mode of a matrix operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum Sparsity {
     /// Dense operands.
     #[default]

@@ -12,7 +12,7 @@
 use ehp_sim_core::units::Bytes;
 
 /// Instruction-cache organisation under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum IcacheOrg {
     /// Each CU has a private cache of `capacity / 2` (same total area).
     PrivatePerCu,
@@ -31,12 +31,10 @@ pub enum IcacheOrg {
 /// assert!(s.hit_rate(IcacheOrg::SharedPerPair) > s.hit_rate(IcacheOrg::PrivatePerCu));
 /// ```
 ///
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct IcacheStudy {
     /// Total cache capacity per CU pair (64 KB on CDNA 3).
     pub(crate) capacity_per_pair: Bytes,
-    /// Cache line size.
-    pub(crate) line_bytes: Bytes,
     /// Kernel instruction footprint.
     pub kernel_footprint: Bytes,
     /// Fraction of fetches that are loop-back (re-fetching resident
@@ -50,7 +48,6 @@ impl IcacheStudy {
     pub fn cdna3_default() -> IcacheStudy {
         IcacheStudy {
             capacity_per_pair: Bytes::from_kib(64),
-            line_bytes: Bytes(64),
             kernel_footprint: Bytes::from_kib(48),
             loop_locality: 0.95,
         }

@@ -2,8 +2,8 @@
 //!
 //! Compute-chiplet models: the CDNA compute unit (CU) with the per-datatype
 //! vector/matrix throughput rates of Table 1, the accelerator complex die
-//! (XCD — 38 of 40 CUs enabled, four ACEs, a shared 4 MB L2), and the
-//! "Zen 4" CPU complex die (CCD — eight cores, 32 MB L3, AVX-512).
+//! (XCD — 38 of 40 CUs enabled), and the "Zen 4" CPU complex die (CCD —
+//! eight cores at 16 DP FLOPs per cycle).
 //!
 //! These models are *throughput-accurate*: they answer "how many
 //! operations per clock can this block retire for datatype X on unit Y"

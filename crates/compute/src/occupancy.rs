@@ -10,7 +10,7 @@
 use ehp_sim_core::units::Bytes;
 
 /// Per-CU schedulable resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CuResources {
     /// Maximum resident wavefronts per CU.
     pub(crate) max_waves: u32,
@@ -37,7 +37,7 @@ impl CuResources {
 }
 
 /// A kernel's per-workgroup resource appetite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct KernelResources {
     /// Wavefronts per workgroup (workgroup size ÷ 64).
     pub waves_per_workgroup: u32,
@@ -71,7 +71,7 @@ impl KernelResources {
 /// assert_eq!(o.waves_per_cu, 32); // full occupancy
 /// ```
 ///
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Occupancy {
     /// Workgroups resident per CU.
     pub workgroups_per_cu: u32,

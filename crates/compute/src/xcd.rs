@@ -3,7 +3,8 @@
 //! Each MI300 XCD physically implements 40 CUs but enables 38 for yield
 //! (Section IV.B), contains four Asynchronous Compute Engines (ACEs), a
 //! hardware scheduler, and a 4 MB L2 that "serves to coalesce all of the
-//! memory traffic for the die".
+//! memory traffic for the die". The model keeps the CU counts and the
+//! per-CU rates; the ACEs and the L2 are not modelled.
 
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
@@ -13,7 +14,7 @@ use crate::dtype::{DataType, ExecUnit};
 
 /// Static parameters of an XCD (or a CDNA 2 GCD, which this type also
 /// describes).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct XcdSpec {
     /// Per-CU parameters.
     pub(crate) cu: CuSpec,
@@ -21,35 +22,27 @@ pub struct XcdSpec {
     pub(crate) cus_physical: u32,
     /// CUs enabled after yield harvesting.
     pub cus_enabled: u32,
-    /// Asynchronous compute engines for kernel dispatch.
-    pub(crate) aces: u32,
-    /// Die-level L2 capacity.
-    pub(crate) l2: Bytes,
 }
 
 impl XcdSpec {
-    /// The MI300 XCD: 40 CUs built, 38 enabled, 4 ACEs, 4 MB L2.
+    /// The MI300 XCD: 40 CUs built, 38 enabled.
     #[must_use]
     pub fn mi300() -> XcdSpec {
         XcdSpec {
             cu: CuSpec::cdna3(),
             cus_physical: 40,
             cus_enabled: 38,
-            aces: 4,
-            l2: Bytes::from_mib(4),
         }
     }
 
     /// An MI250X GCD described in the same terms: 112 CUs built, 110
-    /// enabled, 4 ACEs, 8 MB L2, CDNA 2 CUs.
+    /// enabled, CDNA 2 CUs.
     #[must_use]
     pub fn mi250x_gcd() -> XcdSpec {
         XcdSpec {
             cu: CuSpec::cdna2(),
             cus_physical: 112,
             cus_enabled: 110,
-            aces: 4,
-            l2: Bytes::from_mib(8),
         }
     }
 }
@@ -67,7 +60,7 @@ impl XcdSpec {
 /// let fp64 = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp64).unwrap();
 /// assert!((fp64 / 1e12 - 20.4).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct XcdModel {
     spec: XcdSpec,
     cu: CuModel,
@@ -145,8 +138,6 @@ mod tests {
             2,
             "up to two CUs can be defective"
         );
-        assert_eq!(s.aces, 4);
-        assert_eq!(s.l2, Bytes::from_mib(4));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ehp_package::floorplan::Floorplan;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
 /// One organisation's measurements for the audit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OrgMetrics {
     /// Organisation name.
     pub name: &'static str,
@@ -31,7 +31,7 @@ pub struct OrgMetrics {
 }
 
 /// The full audit: EHPv4 vs MI300A.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Ehpv4Audit {
     /// EHPv4 measurements.
     pub ehpv4: OrgMetrics,

@@ -162,7 +162,7 @@ impl ModularVariant {
 }
 
 /// One row of the design-space evaluation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct VariantEval {
     /// The variant.
     pub variant: ModularVariant,

@@ -21,7 +21,7 @@ pub(crate) enum NodeLinkKind {
 }
 
 /// A bundle of x16 links between two sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeLink {
     /// First endpoint (socket index).
     pub a: usize,
@@ -34,7 +34,7 @@ pub struct NodeLink {
 }
 
 /// A socket in the node.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum NodeSocket {
     /// An accelerator/APU module.
     Accelerator(ProductSpec),
@@ -64,14 +64,14 @@ impl NodeSocket {
 /// let audit = node.audit().unwrap();
 /// assert_eq!(audit.free_links_per_socket, vec![2; 4]); // NICs/storage
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct NodeTopology {
     sockets: Vec<NodeSocket>,
     links: Vec<NodeLink>,
 }
 
 /// Audit results for a node topology.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct NodeAudit {
     /// Links left over per socket (available for network/storage).
     pub free_links_per_socket: Vec<u32>,

@@ -62,24 +62,6 @@ pub(crate) enum PartitionError {
     UnsupportedNuma(Product),
 }
 
-impl core::fmt::Display for PartitionError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            PartitionError::UnsupportedMode(p) => {
-                write!(f, "partitioning mode not offered on {p:?}")
-            }
-            PartitionError::Indivisible { xcds, partitions } => {
-                write!(f, "{partitions} partitions do not divide {xcds} XCDs")
-            }
-            PartitionError::UnsupportedNuma(p) => {
-                write!(f, "NUMA mode not offered on {p:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PartitionError {}
-
 /// A validated partition configuration for a product.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
@@ -284,12 +266,5 @@ mod tests {
         let modes = PartitionConfig::enumerate(Product::Mi250x);
         assert_eq!(modes.len(), 1);
         assert_eq!(modes[0].mode().count(), 1);
-    }
-
-    #[test]
-    fn error_display_nonempty() {
-        let e = PartitionConfig::new(Product::Mi300x, ComputePartitioning::Triple, NumaMode::Nps1)
-            .unwrap_err();
-        assert!(!e.to_string().is_empty());
     }
 }

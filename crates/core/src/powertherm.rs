@@ -40,7 +40,7 @@ pub fn assign_power_map(fp: &mut Floorplan, d: &PowerDistribution) {
 }
 
 /// Controller parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Junction temperature limit (°C).
     pub tj_limit_c: f64,

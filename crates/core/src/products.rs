@@ -235,7 +235,7 @@ impl ProductSpec {
 }
 
 /// One row of the Figure 7 interface-bandwidth audit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct InterfaceBandwidth {
     /// Interface name.
     pub name: &'static str,
@@ -254,7 +254,7 @@ impl InterfaceBandwidth {
 }
 
 /// Generational uplift ratios versus a baseline product (Figure 19).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Uplift {
     /// FP64 vector ratio.
     pub fp64_vector: Option<f64>,

@@ -15,7 +15,7 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
 /// The shape of a Figure-14-style workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadShape {
     /// Bytes the CPU initialises and the kernel reads.
     pub(crate) bytes_in: Bytes,

@@ -11,7 +11,7 @@ use ehp_sim_core::time::SimTime;
 
 /// Failure rates in FIT (failures per 10⁹ device-hours) for the node's
 /// components.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeFitRates {
     /// Per HBM stack (dominated by DRAM; ECC leaves the uncorrectable
     /// residue counted here).
@@ -42,7 +42,7 @@ impl NodeFitRates {
 }
 
 /// A node's RAS bill of materials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeBom {
     /// HBM stacks per node.
     pub(crate) hbm_stacks: u32,
@@ -110,7 +110,7 @@ impl NodeBom {
 /// assert!(plan.optimal_efficiency() > 0.85);
 /// ```
 ///
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CheckpointPlan {
     /// Time to write one checkpoint.
     pub checkpoint_cost: SimTime,
@@ -148,7 +148,7 @@ impl CheckpointPlan {
 }
 
 /// The system-level RAS summary used by the report binary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RasSummary {
     /// Node MTBF (hours).
     pub node_mtbf_h: f64,

@@ -31,7 +31,7 @@ pub enum Target {
 }
 
 /// A generic library call, BLAS-style.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct LibraryCall {
     /// Arithmetic work.
     pub(crate) flops: f64,

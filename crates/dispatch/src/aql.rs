@@ -8,8 +8,6 @@
 //! kernel-dispatch packet the cooperative dispatcher reads: the grid and
 //! workgroup dimensions.
 
-use core::fmt;
-
 /// Errors from packet validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AqlError {
@@ -18,17 +16,6 @@ pub enum AqlError {
     /// A grid dimension is zero.
     ZeroGridDim,
 }
-
-impl fmt::Display for AqlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AqlError::ZeroWorkgroupDim => f.write_str("workgroup dimension is zero"),
-            AqlError::ZeroGridDim => f.write_str("grid dimension is zero"),
-        }
-    }
-}
-
-impl std::error::Error for AqlError {}
 
 /// The dispatch dimensions of a kernel-dispatch AQL packet.
 ///
@@ -41,7 +28,7 @@ impl std::error::Error for AqlError {}
 /// assert_eq!(pkt.total_workgroups(), 16);
 /// assert_eq!(pkt.validate(), Ok(()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct AqlPacket {
     /// Number of dimensions used (1-3).
     pub(crate) setup_dims: u16,
@@ -146,13 +133,6 @@ mod tests {
         let mut p = AqlPacket::dispatch_1d(64, 8);
         p.grid_size[2] = 0;
         assert_eq!(p.validate(), Ok(()));
-    }
-
-    #[test]
-    fn error_display_nonempty() {
-        for e in [AqlError::ZeroWorkgroupDim, AqlError::ZeroGridDim] {
-            assert!(!e.to_string().is_empty());
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::aql::AqlPacket;
 use crate::signal::CompletionSignal;
 
 /// Partition/dispatcher parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DispatcherConfig {
     /// XCDs cooperating in this partition.
     pub xcds: u32,
@@ -47,7 +47,7 @@ impl DispatcherConfig {
 }
 
 /// One entry in the dispatch event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum DispatchEvent {
     /// Step ①: an XCD's ACE read the AQL packet from the user queue.
     PacketRead {
@@ -82,7 +82,7 @@ pub enum DispatchEvent {
 }
 
 /// The outcome of one cooperative dispatch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DispatchRun {
     /// Total workgroups launched (must equal the packet's count).
     pub workgroups_launched: u64,
@@ -290,7 +290,7 @@ mod tests {
         let run = d.dispatch(&big_packet(), |_| 500);
         assert!(run.completion_at > run.last_retire);
         // Overhead is at most two high-priority channel traversals.
-        assert!(run.sync_overhead() <= cfg.sync_latency * 2);
+        assert!(run.sync_overhead() <= cfg.sync_latency + cfg.sync_latency);
         assert!(run.sync_overhead() >= cfg.sync_latency);
     }
 

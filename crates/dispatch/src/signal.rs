@@ -19,7 +19,7 @@
 /// s.decrement();
 /// assert!(s.is_complete());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CompletionSignal {
     value: i64,
 }

@@ -8,14 +8,12 @@ use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 use crate::topology::{NodeKey, Topology};
 
 /// A completed transfer's accounting record.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Transfer {
     /// When the transfer was submitted.
     pub(crate) submitted: SimTime,
     /// When the last byte arrived.
     pub completed: SimTime,
-    /// Payload size.
-    pub(crate) size: Bytes,
     /// Number of links crossed.
     pub hops: usize,
     /// Transport energy consumed across all hops.
@@ -105,7 +103,6 @@ impl FabricSim {
         Some(Transfer {
             submitted: at,
             completed: t,
-            size,
             hops: path.len(),
             energy,
         })

@@ -19,7 +19,6 @@
 //! pre-refactor map-based solver, which the tests under `tests/` keep as
 //! an oracle: outputs are bit-identical.
 
-use ehp_sim_core::json::{Json, ToJson};
 use ehp_sim_core::units::Bandwidth;
 
 use crate::topology::{NodeKey, Topology};
@@ -56,24 +55,6 @@ pub struct FlowRate {
     pub rate: Bandwidth,
     /// Whether the flow is bottlenecked by a link (vs its own demand).
     pub link_limited: bool,
-}
-
-impl ToJson for FlowRate {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("from", self.flow.from.to_json()),
-            ("to", self.flow.to.to_json()),
-            (
-                "demand_bytes_per_sec",
-                self.flow.demand.map(Bandwidth::as_bytes_per_sec).to_json(),
-            ),
-            (
-                "rate_bytes_per_sec",
-                Json::Num(self.rate.as_bytes_per_sec()),
-            ),
-            ("link_limited", Json::Bool(self.link_limited)),
-        ])
-    }
 }
 
 /// Reusable dense scratch state for [`FlowSolver`]: per-flow rates,

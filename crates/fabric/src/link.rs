@@ -8,7 +8,7 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Energy};
 
 /// The physical technology a link is built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum LinkTech {
     /// TSV/hybrid-bond 3D interface between a compute chiplet and the IOD
     /// beneath it (9 µm pad pitch).
@@ -34,7 +34,6 @@ impl LinkTech {
             // 3D hybrid bond: effectively monolithic — enormous bandwidth,
             // sub-ns latency, near-zero transport energy (~0.05 pJ/bit).
             LinkTech::HybridBond3D => LinkSpec {
-                tech: self,
                 per_direction: Bandwidth::from_tb_s(3.0),
                 latency: SimTime::from_picos(500),
                 energy_per_byte: Energy::from_picojoules(0.4),
@@ -43,7 +42,6 @@ impl LinkTech {
             // USR: 0.4 mW/Gbps => 0.4 pJ/bit => 3.2 pJ/B; >10x the density
             // of SerDes; "multiple TB/s" between IOD pairs.
             LinkTech::Usr => LinkSpec {
-                tech: self,
                 per_direction: Bandwidth::from_tb_s(1.5),
                 latency: SimTime::from_nanos(2),
                 energy_per_byte: Energy::from_picojoules(3.2),
@@ -51,7 +49,6 @@ impl LinkTech {
             },
             // HBM PHY: one stack's worth of bandwidth.
             LinkTech::HbmPhy => LinkSpec {
-                tech: self,
                 per_direction: Bandwidth::from_gb_s(662.5),
                 latency: SimTime::from_nanos(4),
                 energy_per_byte: Energy::from_picojoules(8.0),
@@ -60,21 +57,18 @@ impl LinkTech {
             // 2D SerDes: DDR-provisioned EPYC-style IFOP — both slower and
             // ~5x the energy per bit of USR.
             LinkTech::Serdes2D => LinkSpec {
-                tech: self,
                 per_direction: Bandwidth::from_gb_s(64.0),
                 latency: SimTime::from_nanos(9),
                 energy_per_byte: Energy::from_picojoules(16.0),
                 area_density_tbps_mm2: 0.9,
             },
             LinkTech::X16InfinityFabric => LinkSpec {
-                tech: self,
                 per_direction: Bandwidth::from_gb_s(64.0),
                 latency: SimTime::from_nanos(30),
                 energy_per_byte: Energy::from_picojoules(24.0),
                 area_density_tbps_mm2: 0.5,
             },
             LinkTech::X16Pcie => LinkSpec {
-                tech: self,
                 per_direction: Bandwidth::from_gb_s(64.0),
                 latency: SimTime::from_nanos(150),
                 energy_per_byte: Energy::from_picojoules(30.0),
@@ -85,10 +79,8 @@ impl LinkTech {
 }
 
 /// Performance/energy/area parameters of one link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
-    /// Technology the link is built from.
-    pub(crate) tech: LinkTech,
     /// Peak bandwidth in each direction (links are full-duplex).
     pub per_direction: Bandwidth,
     /// Per-hop propagation + PHY latency.

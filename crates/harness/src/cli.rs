@@ -3,7 +3,7 @@
 //! ```text
 //! ehp list                          show every registered experiment
 //! ehp run <exp...> [options]       run selected experiments / spec files
-//! ehp all [--jobs N]              run the whole registry in parallel
+//! ehp all [--jobs N]              run the whole registry (N threads, default 1)
 //! ehp check [--jobs N]            run + compare against expected shapes
 //! ehp lint [--json] [--no-cache] [--jobs N] [--explain <rule>]
 //!                                  static determinism/hot-path analysis

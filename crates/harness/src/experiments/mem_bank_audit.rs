@@ -26,6 +26,7 @@
 //! more workers). The trace seed is the scenario seed.
 
 use ehp_mem::channel::bank_mix;
+use ehp_mem::hbm::ROW_BYTES;
 use ehp_mem::request::MemRequest;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, Pattern, TraceConfig};
@@ -34,9 +35,6 @@ use ehp_sim_core::time::SimTime;
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
 use crate::scenario::Scenario;
-
-/// DRAM row pitch mirrored from `ehp_mem::hbm::ROW_BYTES`.
-const ROW_BYTES: u64 = 1024;
 
 /// Last completion time of a row stream read back to back at t = 0 on
 /// one cache-less MI300 channel (pure HBM bank timing): a subsystem over

@@ -174,7 +174,7 @@ impl Scenario {
 }
 
 /// A malformed scenario spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SpecError {
     /// What is wrong with the spec.
     pub(crate) message: String,
@@ -194,11 +194,9 @@ impl fmt::Display for SpecError {
     }
 }
 
-impl std::error::Error for SpecError {}
-
 /// A declarative scenario spec: a base [`Scenario`] plus optional sweep
 /// axes that expand into many concrete scenarios.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// The base scenario (sweep keys not yet applied).
     pub(crate) base: Scenario,

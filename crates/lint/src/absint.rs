@@ -42,7 +42,7 @@ const MAX_SELECTOR_BOUND: u64 = 256;
 // ---------------------------------------------------------------------
 
 /// Dependency-lane info for one source parameter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Lanes {
     /// Source bits the value may depend on.
     pub(crate) lanes: u64,
@@ -57,7 +57,7 @@ pub(crate) struct Lanes {
 
 /// Abstract value: per-parameter lane dependencies plus constant and
 /// selector refinements.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct AbsVal {
     /// Parameter index → lane info. Empty = no tracked dependence.
     pub(crate) deps: BTreeMap<usize, Lanes>,

@@ -10,7 +10,8 @@ use ehp_sim_core::json::{Json, ToJson};
 pub enum Rule {
     /// D1: no iteration over `HashMap`/`HashSet` in sim crates.
     HashIter,
-    /// D2: no wall-clock reads outside `bench` / `harness::executor`.
+    /// D2: no wall-clock reads outside `bench`, `harness::executor` and
+    /// the serving layer (`ehp-serve`, `harness::serving`).
     WallClock,
     /// H2: no allocation inside a `// lint:hot-path` fence, written there
     /// (zero hops) or reachable through the workspace call graph.

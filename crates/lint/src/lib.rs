@@ -15,7 +15,7 @@
 //! | rule              | code | invariant                                        |
 //! |-------------------|------|--------------------------------------------------|
 //! | `hash-iter`       | D1   | no `HashMap`/`HashSet` iteration in sim crates   |
-//! | `wall-clock`      | D2   | no `Instant::now`/`SystemTime` outside bench     |
+//! | `wall-clock`      | D2   | no `Instant::now`/`SystemTime` outside bench, the executor and serving |
 //! | `hot-path-reach`  | H2   | no allocation in or reachable from fences        |
 //! | `thread-capture`  | R1   | no shared mutable capture in spawn closures      |
 //! | `nondet-taint`    | N1   | no nondeterminism reaches summary/merge sinks    |

@@ -16,7 +16,7 @@ use ehp_sim_core::json::Json;
 use crate::findings::{Finding, Rule};
 
 /// The type and legal range of one scenario parameter.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum ParamKind {
     /// Unsigned integer within `[min, max]`.
     U64 {
@@ -63,7 +63,7 @@ impl ParamKind {
 }
 
 /// One declared scenario parameter.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ParamSpec {
     /// Parameter name as it appears in `params` / `sweep`.
     pub name: &'static str,
@@ -72,7 +72,7 @@ pub struct ParamSpec {
 }
 
 /// The parameter schema one experiment exports.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExperimentSchema {
     /// Experiment id (matches `Experiment::id`).
     pub id: &'static str,

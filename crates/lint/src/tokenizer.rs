@@ -36,7 +36,7 @@ pub enum TokKind {
 }
 
 /// One token with its source line; `text` borrows the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Tok<'a> {
     /// Token class.
     pub kind: TokKind,
@@ -61,7 +61,7 @@ impl Tok<'_> {
 }
 
 /// A `//` line comment (the carrier for lint markers and waivers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct LineComment<'a> {
     /// 1-based source line the comment starts on.
     pub line: u32,

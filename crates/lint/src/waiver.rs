@@ -96,7 +96,7 @@ pub fn apply_inline(findings: &mut [Finding], waivers: &[InlineWaiver]) {
 }
 
 /// One waiver-file entry: waives `rule` for the whole file at `path`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct FileWaiver {
     /// The waived rule.
     pub(crate) rule: Rule,

@@ -31,7 +31,6 @@ use crate::icache::{
     CacheOutcome, PrefetcherConfig, Sets, SetsMut, SliceGeometry, SliceMut, SliceState,
     MAX_PREFETCH_DEGREE,
 };
-use crate::request::ServicePoint;
 
 /// Static parameters of one channel.
 #[derive(Debug, Clone)]
@@ -234,8 +233,8 @@ impl BankUnit {
     }
 
     /// Performs one access at a bank-local address, with the bank's
-    /// shared parameters `p` and its own sets `sets`; returns completion
-    /// time and service point.
+    /// shared parameters `p` and its own sets `sets`; returns the
+    /// completion time.
     pub(crate) fn access(
         &mut self,
         p: &BankParams,
@@ -244,12 +243,12 @@ impl BankUnit {
         addr: u64,
         size: Bytes,
         is_write: bool,
-    ) -> (SimTime, ServicePoint) {
+    ) -> SimTime {
         let (Some(geom), Some(state)) = (&p.slice, self.slice.as_mut()) else {
             // No memory-side cache: straight to HBM.
             let done = self.hbm.access(&p.hbm, at, addr, size);
             self.latency.record((done - at).as_nanos_f64());
-            return (done, ServicePoint::Hbm);
+            return done;
         };
 
         // lint:hot-path
@@ -258,7 +257,7 @@ impl BankUnit {
         let mut prefetches = [0; MAX_PREFETCH_DEGREE];
         let n = slice.take_prefetches(addr, &mut prefetches);
 
-        let (done, point) = match outcome {
+        let done = match outcome {
             CacheOutcome::Hit | CacheOutcome::PrefetchedHit => {
                 self.icache_energy += p.icache_energy_per_byte.scale(size.as_f64());
                 let start = if at > self.icache_free {
@@ -268,10 +267,7 @@ impl BankUnit {
                 };
                 self.icache_free = start + p.icache_lane.time(size);
                 self.icache_bytes += size;
-                (
-                    self.icache_free + p.icache_hit_latency,
-                    ServicePoint::InfinityCache,
-                )
+                self.icache_free + p.icache_hit_latency
             }
             CacheOutcome::Miss { writeback } => {
                 // Demand fill from HBM, then delivery through the slice.
@@ -281,7 +277,7 @@ impl BankUnit {
                     // but is off the critical path.
                     let _ = self.hbm.access(&p.hbm, fetched, victim, p.line_bytes);
                 }
-                (fetched, ServicePoint::Hbm)
+                fetched
             }
         };
 
@@ -297,7 +293,7 @@ impl BankUnit {
         // lint:hot-path-end
 
         self.latency.record((done - at).as_nanos_f64());
-        (done, point)
+        done
     }
 
     /// This bank's slice state and counters, if the channel has a slice.
@@ -444,22 +440,15 @@ mod tests {
         })
     }
 
-    /// One 128 B access at `addr` issued at `at`: its completion time
-    /// and service point.
-    fn access(
-        ch: &mut MemorySubsystem,
-        at: SimTime,
-        addr: u64,
-        is_write: bool,
-    ) -> (SimTime, ServicePoint) {
+    /// One 128 B access at `addr` issued at `at`: its completion time.
+    fn access(ch: &mut MemorySubsystem, at: SimTime, addr: u64, is_write: bool) -> SimTime {
         let kind = if is_write {
             AccessKind::Write
         } else {
             AccessKind::Read
         };
         let size = Bytes(128);
-        let r = ch.access(at, MemRequest { addr, size, kind });
-        (r.completes_at, r.served_by)
+        ch.access(at, MemRequest { addr, size, kind }).completes_at
     }
 
     /// The statistics of the one channel.
@@ -546,18 +535,18 @@ mod tests {
         // behind the first.
         let mut ch = channel(no_slice());
         assert_ne!(bank_slot(0, 16).0, bank_slot(1024, 16).0, "distinct banks");
-        let d1 = access(&mut ch, SimTime::ZERO, 0, false).0;
-        let d2 = access(&mut ch, SimTime::ZERO, 1024, false).0;
+        let d1 = access(&mut ch, SimTime::ZERO, 0, false);
+        let d2 = access(&mut ch, SimTime::ZERO, 1024, false);
         assert_eq!(d1, d2);
     }
 
     #[test]
     fn hit_is_faster_than_miss() {
         let mut ch = channel(ChannelConfig::mi300());
-        let (t_miss, p1) = access(&mut ch, SimTime::ZERO, 0x1000, false);
-        assert_eq!(p1, ServicePoint::Hbm);
-        let (t_hit_abs, p2) = access(&mut ch, t_miss, 0x1000, false);
-        assert_eq!(p2, ServicePoint::InfinityCache);
+        let t_miss = access(&mut ch, SimTime::ZERO, 0x1000, false);
+        assert_eq!((view(&ch).icache_hits(), view(&ch).icache_misses()), (0, 1));
+        let t_hit_abs = access(&mut ch, t_miss, 0x1000, false);
+        assert_eq!((view(&ch).icache_hits(), view(&ch).icache_misses()), (1, 1));
         let t_hit = t_hit_abs - t_miss;
         assert!(t_hit < t_miss, "cache hit {t_hit} should beat HBM {t_miss}");
     }
@@ -565,10 +554,15 @@ mod tests {
     #[test]
     fn no_cache_goes_to_hbm() {
         let mut ch = channel(no_slice());
-        let (_, p) = access(&mut ch, SimTime::ZERO, 0x1000, false);
-        assert_eq!(p, ServicePoint::Hbm);
-        let (_, p2) = access(&mut ch, SimTime::ZERO, 0x1000, false);
-        assert_eq!(p2, ServicePoint::Hbm, "no slice, still HBM");
+        let t1 = access(&mut ch, SimTime::ZERO, 0x1000, false);
+        let t2 = access(&mut ch, SimTime::ZERO, 0x1000, false);
+        // No slice: the repeat queues behind the first on the same HBM
+        // bank instead of hitting, and both move HBM bytes.
+        assert!(t2 > t1, "no slice, still HBM");
+        let v = view(&ch);
+        assert_eq!((v.icache_hits(), v.icache_misses()), (0, 0));
+        assert_eq!(v.icache_bytes(), Bytes::ZERO);
+        assert_eq!(v.hbm_bytes_moved(), Bytes(256));
     }
 
     #[test]
@@ -581,7 +575,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _pass in 0..8 {
             for i in 0..lines {
-                let (done, _) = access(&mut ch, t, i * 128, false);
+                let done = access(&mut ch, t, i * 128, false);
                 t = done;
             }
         }
@@ -604,7 +598,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for i in 0..20_000u64 {
             let addr = (i * 7919) % (1 << 30); // prime stride, no streams
-            let (done, _) = access(&mut ch, t, addr & !127, false);
+            let done = access(&mut ch, t, addr & !127, false);
             t = done;
         }
         let v = view(&ch);

@@ -10,11 +10,11 @@
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-/// DRAM row size: an [`HbmBank`] decodes a bank-local address's row as
+/// DRAM row size: an `HbmBank` decodes a bank-local address's row as
 /// `addr / ROW_BYTES`, and the channel layer's bank-local address
 /// mapping (`crate::channel::bank_slot`) renumbers rows in the same
 /// unit.
-pub(crate) const ROW_BYTES: u64 = 1024;
+pub const ROW_BYTES: u64 = 1024;
 
 /// The HBM generation attached to a product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -33,7 +33,7 @@ pub(crate) enum CacheOutcome {
 }
 
 /// Stream prefetcher configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PrefetcherConfig {
     /// Whether prefetching is enabled.
     pub(crate) enabled: bool,

@@ -10,7 +10,7 @@
 use ehp_sim_core::ids::ChannelId;
 
 /// Static description of the interleaving scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct InterleaveConfig {
     /// Number of HBM stacks on the socket (8 on MI300).
     pub stacks: u32,

@@ -58,24 +58,13 @@ impl MemRequest {
     }
 }
 
-/// Where a request was ultimately served from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum ServicePoint {
-    /// Hit in the Infinity Cache slice.
-    InfinityCache,
-    /// Served by the HBM channel (cache miss or bypass).
-    Hbm,
-}
-
 /// The outcome of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemResponse {
     /// Absolute time at which the access completes.
     pub completes_at: SimTime,
     /// Channel that served the request.
     pub channel: ChannelId,
-    /// Cache hit or HBM service.
-    pub(crate) served_by: ServicePoint,
 }
 
 #[cfg(test)]

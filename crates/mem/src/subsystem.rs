@@ -10,7 +10,7 @@ use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 use crate::channel::{bank_slot, BankParams, BankUnit, ChannelConfig, ChannelView};
 use crate::icache::{SetStore, SetsMut};
 use crate::interleave::{InterleaveConfig, Interleaver};
-use crate::request::{MemRequest, MemResponse, ServicePoint};
+use crate::request::{MemRequest, MemResponse};
 
 /// Replay requests bucketed by flat bank id, packed for the replay hot
 /// path: each entry is a **bank-local** address (see
@@ -159,8 +159,8 @@ impl MemorySubsystem {
             params,
             channel_rate: cfg.channel.hbm_rate,
             banks_per_channel,
-            reads: Counter::new("mem_reads"),
-            writes: Counter::new("mem_writes"),
+            reads: Counter::default(),
+            writes: Counter::default(),
             bytes: Bytes::ZERO,
         }
     }
@@ -169,11 +169,10 @@ impl MemorySubsystem {
     pub fn access(&mut self, at: SimTime, req: MemRequest) -> MemResponse {
         let channel = self.interleaver.channel_of(req.addr);
         let (flat, local) = self.bank_of_channel(channel.index(), req.addr);
-        let (completes_at, served_by) = self.access_bank(at, flat, local, req);
+        let completes_at = self.access_bank(at, flat, local, req);
         MemResponse {
             completes_at,
             channel,
-            served_by,
         }
     }
 
@@ -186,17 +185,16 @@ impl MemorySubsystem {
         flat: usize,
         local: u64,
         req: MemRequest,
-    ) -> (SimTime, ServicePoint) {
+    ) -> SimTime {
         let sets = self.sets.slice_mut(flat);
-        let served =
-            self.units[flat].access(&self.params, sets, at, local, req.size, req.is_write());
+        let done = self.units[flat].access(&self.params, sets, at, local, req.size, req.is_write());
         if req.is_read() {
             self.reads.inc();
         } else {
             self.writes.inc();
         }
         self.bytes += req.size;
-        served
+        done
     }
 
     /// Starts loading the Infinity Cache set record that bank-local
@@ -430,8 +428,7 @@ impl MemorySubsystem {
         for &packed in reqs {
             let addr = packed & !BankBuckets::WRITE_BIT;
             let is_write = packed & BankBuckets::WRITE_BIT != 0;
-            let (done, _) =
-                bank.access(params, sets.reborrow(), SimTime::ZERO, addr, size, is_write);
+            let done = bank.access(params, sets.reborrow(), SimTime::ZERO, addr, size, is_write);
             if done > totals.last {
                 totals.last = done;
             }

@@ -50,7 +50,7 @@ pub enum Pattern {
 /// let r = replay(&mut mem, &cfg);
 /// assert!(r.bandwidth.as_gb_s() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Pattern to generate.
     pub pattern: Pattern,
@@ -263,7 +263,7 @@ fn replay_window(mem: &mut MemorySubsystem, window: &[Located], mut t: SimTime) 
         mem.preload(flat, local);
     }
     for &(flat, local, req) in window {
-        t = mem.access_bank(t, flat, local, req).0;
+        t = mem.access_bank(t, flat, local, req);
     }
     // lint:hot-path-end
     t

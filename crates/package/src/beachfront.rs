@@ -10,7 +10,7 @@ use crate::chiplet::{reticle_limit, ChipletKind, Footprint};
 use crate::geometry::Rect;
 
 /// Edge-length demands of a socket's external interfaces.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BeachfrontDemand {
     /// HBM stacks to interface.
     pub hbm_stacks: u32,
@@ -44,7 +44,7 @@ impl BeachfrontDemand {
 }
 
 /// Edge supply of a candidate die (or set of dies).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BeachfrontSupply {
     /// Total perimeter across the dies (mm).
     pub(crate) perimeter_mm: f64,
@@ -96,7 +96,7 @@ impl BeachfrontSupply {
 }
 
 /// The full Section V.A audit: single-reticle IOD vs four-IOD partition.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BeachfrontAudit {
     /// The interface demand.
     pub demand: BeachfrontDemand,

@@ -9,7 +9,7 @@
 //! V-Cache SRAM die.
 
 /// What the bond-pad via lands on inside the upper die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum BpvTarget {
     /// Top-level (thin) metal — the V-Cache arrangement.
     TopLevelMetal,
@@ -43,7 +43,7 @@ impl BpvTarget {
 /// assert!(iface.drop_fraction(70.0) < MAX_DROP_FRACTION);
 /// ```
 ///
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct HybridBondInterface {
     /// Bond pad pitch in µm (9 µm for both V-Cache and MI300).
     pub pad_pitch_um: f64,

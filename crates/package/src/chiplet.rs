@@ -8,7 +8,7 @@
 use crate::geometry::Rect;
 
 /// The kinds of silicon die in an MI300-class package.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum ChipletKind {
     /// Accelerator complex die (CDNA 3, 5 nm).
     Xcd,
@@ -22,11 +22,9 @@ pub enum ChipletKind {
     Interposer,
 }
 
-/// A die footprint: kind plus physical dimensions.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A die footprint: physical dimensions.
+#[derive(Debug, Clone, Copy)]
 pub struct Footprint {
-    /// Die kind.
-    pub(crate) kind: ChipletKind,
     /// Width in mm.
     pub w: f64,
     /// Height in mm.
@@ -44,7 +42,7 @@ impl Footprint {
             ChipletKind::HbmStack => (11.0, 10.0),   // ~110 mm²
             ChipletKind::Interposer => (47.0, 47.0), // > 2200 mm² stitched
         };
-        Footprint { kind, w, h }
+        Footprint { w, h }
     }
 
     /// The footprint as a rect at an origin.

@@ -11,10 +11,8 @@
 //! the same yardstick.
 
 /// One vertical level of a 3D assembly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct StackLevel {
-    /// Level name (bottom-up).
-    pub(crate) name: &'static str,
     /// Dies placed side by side at this level.
     pub(crate) dies: u32,
     /// Area of one die at this level (mm²).
@@ -38,7 +36,7 @@ pub(crate) struct StackLevel {
 /// assert!(v.beyond_two_high && v.exceeds_cooling);
 /// ```
 ///
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StackedAssembly {
     /// Assembly name.
     pub(crate) name: &'static str,
@@ -59,15 +57,15 @@ impl StackedAssembly {
         StackedAssembly {
             name: "V-Cache",
             levels: vec![
+                // CCD
                 StackLevel {
-                    name: "CCD",
                     dies: 1,
                     die_area_mm2: 71.0,
                     needs_tsvs: true,
                     power_w: 60.0,
                 },
+                // SRAM chiplet
                 StackLevel {
-                    name: "SRAM chiplet",
                     dies: 1,
                     die_area_mm2: 41.0,
                     needs_tsvs: false,
@@ -88,22 +86,22 @@ impl StackedAssembly {
         StackedAssembly {
             name: "EHPv3 complex",
             levels: vec![
+                // active interposer
                 StackLevel {
-                    name: "active interposer",
                     dies: 1,
                     die_area_mm2: 440.0,
                     needs_tsvs: true,
                     power_w: 40.0,
                 },
+                // GPU chiplets
                 StackLevel {
-                    name: "GPU chiplets",
                     dies: 4,
                     die_area_mm2: 110.0,
                     needs_tsvs: true,
                     power_w: 240.0,
                 },
+                // HBM stacks
                 StackLevel {
-                    name: "HBM stacks",
                     dies: 4,
                     die_area_mm2: 110.0,
                     needs_tsvs: false,
@@ -123,15 +121,15 @@ impl StackedAssembly {
         StackedAssembly {
             name: "MI300A complex",
             levels: vec![
+                // IOD
                 StackLevel {
-                    name: "IOD",
                     dies: 1,
                     die_area_mm2: 370.0,
                     needs_tsvs: true,
                     power_w: 45.0,
                 },
+                // compute chiplets
                 StackLevel {
-                    name: "compute chiplets",
                     dies: 3,
                     die_area_mm2: 110.0,
                     needs_tsvs: false,
@@ -218,7 +216,7 @@ impl StackedAssembly {
 }
 
 /// The Section III.A verdict for an assembly against a cooling limit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Ehpv3Verdict {
     /// Assembly audited.
     pub name: &'static str,

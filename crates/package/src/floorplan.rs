@@ -28,7 +28,7 @@ pub enum Layer {
 }
 
 /// A named floorplan region.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Region {
     /// Region name, e.g. `"xcd2"`, `"usr01"`, `"hbm_phy3"`.
     pub(crate) name: String,
@@ -53,7 +53,7 @@ pub struct Region {
 /// assert_eq!(fp.regions_matching("hbm_stack").count(), 8);
 /// fp.check().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Floorplan {
     outline: Rect,
     regions: Vec<Region>,

@@ -1,10 +1,8 @@
 //! Planar geometry in millimetres: points, rectangles, and the
 //! mirror/rotate transforms the IOD scheme relies on.
 
-use core::fmt;
-
 /// A point in package coordinates (mm).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Point {
     /// X coordinate (mm).
     pub x: f64,
@@ -26,14 +24,8 @@ impl Point {
     }
 }
 
-impl fmt::Display for Point {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({:.3}, {:.3})", self.x, self.y)
-    }
-}
-
 /// An axis-aligned rectangle (mm), stored as min corner + size.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Rect {
     /// Minimum-x/minimum-y corner.
     pub origin: Point,
@@ -102,12 +94,6 @@ impl Rect {
             && other.origin.x < self.origin.x + self.w
             && self.origin.y < other.origin.y + other.h
             && other.origin.y < self.origin.y + self.h
-    }
-}
-
-impl fmt::Display for Rect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} {:.3}x{:.3}]", self.origin, self.w, self.h)
     }
 }
 

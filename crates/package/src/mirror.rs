@@ -11,7 +11,7 @@
 use crate::geometry::{Point, Transform};
 
 /// The four IOD instances in the package (Figure 9's A–D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum IodVariant {
     /// Original design, as placed.
     Normal,
@@ -46,7 +46,7 @@ impl IodVariant {
 
 /// A 3D signal interface region shared by an IOD and the chiplet above:
 /// pin sites live in region-local coordinates within a `w × h` window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BondInterface {
     /// Region width (mm).
     pub(crate) w: f64,
@@ -126,7 +126,7 @@ impl UsrPolarity {
 /// The USR modules along one die edge, as `(position, polarity)` pairs
 /// with positions measured along the edge from a fixed package-frame
 /// datum.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct UsrEdge {
     modules: Vec<(f64, UsrPolarity)>,
 }
@@ -198,7 +198,7 @@ impl UsrEdge {
 }
 
 /// One IOD instance: variant + its chiplet interfaces.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct IodInstance {
     /// Which of the four variants this is.
     pub(crate) variant: IodVariant,

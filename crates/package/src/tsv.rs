@@ -5,7 +5,7 @@ use crate::geometry::Transform;
 
 /// The uniform power/ground TSV grid (Section V.D): pitch-`p` lattice
 /// delivering `current_per_tsv` amps per via pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct PgTsvGrid {
     /// Grid pitch in mm.
     pub(crate) pitch_mm: f64,
@@ -80,7 +80,7 @@ impl PgTsvGrid {
 
 /// Pitch-matching of Infinity Cache SRAM macros to the P/G TSV stripes
 /// (Figure 10): macros must fit in the channels between TSV stripes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheMacroPlan {
     /// Distance between successive P/G TSV stripes (mm).
     pub(crate) stripe_pitch: f64,

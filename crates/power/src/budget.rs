@@ -51,7 +51,7 @@ impl PowerDomain {
 }
 
 /// A power assignment across domains.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PowerDistribution {
     watts: BTreeMap<PowerDomain, Power>,
 }
@@ -96,7 +96,7 @@ impl PowerDistribution {
 }
 
 /// Named workload scenarios with representative power shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub enum WorkloadProfile {
     /// GPU compute-dominated (dense GEMM-like): "the majority of the
     /// power can be directed to the compute chiplets."

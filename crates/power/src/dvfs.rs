@@ -24,7 +24,7 @@ use ehp_sim_core::units::Power;
 /// let f = xcd.clock_for(p);
 /// assert!((f.as_ghz() - 2.1).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DvfsCurve {
     /// Static (leakage + always-on) power.
     static_power: Power,

@@ -375,6 +375,29 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
+    fn timed_out_workers_are_killed_and_reaped() {
+        // Each worker records its pid, then hangs. Once `run_jobs`
+        // returns, every one of them must be gone: killed, and waited
+        // for, so not even a zombie keeps its `/proc` entry.
+        let pids = std::env::temp_dir().join(format!("ehp-pool-reap-{}.pids", std::process::id()));
+        let _ = std::fs::remove_file(&pids);
+        let script = format!("echo $$ >> '{}'; exec sleep 30", pids.display());
+        let cmd = WorkerCommand::new("/bin/sh", &["-c", &script]);
+        let (_, stats) = run_jobs(&jobs(2), &cmd, 1, &fast_cfg(), &mut echo_fallback, None);
+        let recorded = std::fs::read_to_string(&pids).expect("workers recorded their pids");
+        let _ = std::fs::remove_file(&pids);
+        let recorded: Vec<&str> = recorded.lines().collect();
+        assert_eq!(recorded.len() as u64, stats.worker_spawns, "{recorded:?}");
+        for pid in recorded {
+            assert!(
+                !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+                "worker {pid} outlived the pool"
+            );
+        }
+    }
+
+    #[test]
     fn unspawnable_program_degrades_without_retring_forever() {
         let cmd = WorkerCommand::new("/nonexistent/worker", &[]);
         let input = jobs(5);

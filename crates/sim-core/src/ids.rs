@@ -5,10 +5,8 @@
 //! design has a deep component hierarchy — node → socket → IOD → chiplet →
 //! CU — and these ids mirror it.
 
-use core::fmt;
-
 macro_rules! define_id {
-    ($(#[$doc:meta])* $name:ident, $label:literal) => {
+    ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
@@ -20,82 +18,53 @@ macro_rules! define_id {
                 self.0 as usize
             }
         }
-
-        impl From<u32> for $name {
-            fn from(v: u32) -> Self {
-                $name(v)
-            }
-        }
-
-        impl From<usize> for $name {
-            fn from(v: usize) -> Self {
-                $name(u32::try_from(v).expect("id out of range"))
-            }
-        }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($label, "{}"), self.0)
-            }
-        }
     };
 }
 
 define_id!(
     /// A node in a multi-socket system topology (Figure 18).
-    NodeId,
-    "node"
+    NodeId
 );
 define_id!(
     /// A processor socket (one MI300A/MI300X module, or one EPYC host).
-    SocketId,
-    "skt"
+    SocketId
 );
 define_id!(
     /// One of the four I/O dies within a socket.
-    IodId,
-    "iod"
+    IodId
 );
 define_id!(
     /// A compute chiplet (XCD or CCD) stacked on an IOD.
-    ChipletId,
-    "chiplet"
+    ChipletId
 );
 define_id!(
     /// A compute unit within an XCD.
-    CuId,
-    "cu"
+    CuId
 );
 define_id!(
     /// An HBM memory channel (0..128 on MI300).
-    ChannelId,
-    "ch"
+    ChannelId
 );
 define_id!(
     /// A user-mode HSA queue.
-    QueueId,
-    "queue"
+    QueueId
 );
 define_id!(
     /// A kernel dispatch (one AQL dispatch packet).
-    DispatchId,
-    "disp"
+    DispatchId
 );
 define_id!(
     /// A workgroup within a kernel dispatch.
-    WorkgroupId,
-    "wg"
+    WorkgroupId
 );
 define_id!(
     /// A compute/memory partition exposed to software (Figure 17).
-    PartitionId,
-    "part"
+    PartitionId
 );
 define_id!(
     /// An agent that can own cache lines in the coherence protocol
     /// (a CCD core-complex or an XCD).
-    AgentId,
-    "agent"
+    AgentId
 );
 
 #[cfg(test)]
@@ -105,12 +74,8 @@ mod tests {
 
     #[test]
     fn ids_are_distinct_types() {
-        // This is a compile-time property; just exercise the conversions.
-        let c = ChannelId::from(5u32);
-        let x = ChipletId::from(5usize);
-        assert_eq!(c.index(), x.index());
-        assert_eq!(format!("{c}"), "ch5");
-        assert_eq!(format!("{x}"), "chiplet5");
+        // This is a compile-time property; just exercise the accessor.
+        assert_eq!(ChannelId(5).index(), ChipletId(5).index());
     }
 
     #[test]
@@ -121,11 +86,5 @@ mod tests {
         }
         assert_eq!(set.len(), 128);
         assert!(ChannelId(3) < ChannelId(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "id out of range")]
-    fn oversized_id_panics() {
-        let _ = CuId::from(usize::MAX);
     }
 }

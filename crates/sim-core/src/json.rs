@@ -45,85 +45,11 @@ pub enum Json {
 
 /// Types that can render themselves as a [`Json`] value.
 ///
-/// The hand-written replacement for `#[derive(serde::Serialize)]`:
-/// simulator components implement this to export structured metrics.
+/// The hand-written replacement for `#[derive(serde::Serialize)]`; the
+/// lint's findings implement it.
 pub trait ToJson {
     /// Converts `self` into a JSON value.
     fn to_json(&self) -> Json;
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-macro_rules! impl_to_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
-            }
-        }
-    )*};
-}
-impl_to_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
 }
 
 impl From<&str> for Json {
@@ -175,7 +101,7 @@ impl From<usize> for Json {
 pub const MAX_DEPTH: usize = 128;
 
 /// A parse failure, with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct JsonError {
     /// What went wrong.
     pub(crate) message: String,
@@ -188,8 +114,6 @@ impl fmt::Display for JsonError {
         write!(f, "JSON error at byte {}: {}", self.offset, self.message)
     }
 }
-
-impl std::error::Error for JsonError {}
 
 impl Json {
     /// Builds an object from `(key, value)` pairs.
@@ -339,12 +263,6 @@ impl Json {
             return Err(p.err("trailing content after JSON value"));
         }
         Ok(v)
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string_compact())
     }
 }
 
@@ -729,13 +647,5 @@ mod tests {
         );
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(false));
         assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn to_json_impls() {
-        let v: Vec<Option<u32>> = vec![Some(1), None];
-        assert_eq!(v.to_json().to_string_compact(), "[1,null]");
-        assert_eq!("s".to_json(), Json::Str("s".into()));
-        assert_eq!(true.to_json(), Json::Bool(true));
     }
 }

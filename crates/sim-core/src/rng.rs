@@ -19,7 +19,7 @@
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64()); // deterministic
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -2,18 +2,9 @@
 //!
 //! Every simulator component exposes its observable behaviour through
 //! these types; the experiment harness reads them out at the end of a
-//! run. Sinks export through:
-//!
-//! * [`Display`](fmt::Display) — human-readable one-liners,
-//! * [`ToJson`] — structured values the harness folds into an
-//!   `ExperimentResult`,
-//! * [`merge`](Accumulator::merge) — combining sinks from parallel
-//!   shards (e.g. per-channel accumulators) into one aggregate before
-//!   export.
-
-use core::fmt;
-
-use crate::json::{Json, ToJson};
+//! run through their accessors. [`merge`](Accumulator::merge) combines
+//! sinks from parallel shards (e.g. per-bank accumulators) into one
+//! aggregate first.
 
 /// A monotonically increasing event counter.
 ///
@@ -21,24 +12,17 @@ use crate::json::{Json, ToJson};
 ///
 /// ```
 /// use ehp_sim_core::stats::Counter;
-/// let mut hits = Counter::new("l2_hits");
+/// let mut hits = Counter::default();
 /// hits.inc();
 /// hits.add(3);
 /// assert_eq!(hits.value(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
-    name: &'static str,
     value: u64,
 }
 
 impl Counter {
-    /// Creates a zeroed counter with a display name.
-    #[must_use]
-    pub fn new(name: &'static str) -> Counter {
-        Counter { name, value: 0 }
-    }
-
     /// Increments by one.
     pub fn inc(&mut self) {
         self.value += 1;
@@ -53,22 +37,6 @@ impl Counter {
     #[must_use]
     pub fn value(&self) -> u64 {
         self.value
-    }
-}
-
-impl ToJson for Counter {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("kind", Json::from("counter")),
-            ("name", Json::from(self.name)),
-            ("value", Json::from(self.value)),
-        ])
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
     }
 }
 
@@ -154,34 +122,6 @@ impl Accumulator {
     }
 }
 
-impl ToJson for Accumulator {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("kind", Json::from("accumulator")),
-            ("name", Json::from(self.name)),
-            ("count", Json::from(self.count)),
-            ("sum", Json::from(self.sum)),
-            ("mean", self.mean().to_json()),
-            ("min", self.min().to_json()),
-            ("max", self.max().to_json()),
-            ("stddev", self.stddev().to_json()),
-        ])
-    }
-}
-
-impl fmt::Display for Accumulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.mean() {
-            Some(mean) => write!(
-                f,
-                "{}: n={} mean={:.3} min={:.3} max={:.3}",
-                self.name, self.count, mean, self.min, self.max
-            ),
-            None => write!(f, "{}: empty", self.name),
-        }
-    }
-}
-
 /// Nearest-rank percentile of an **ascending-sorted** slice.
 ///
 /// `q` is in `[0, 100]`; returns `None` on an empty slice. Nearest-rank
@@ -210,12 +150,11 @@ mod tests {
 
     #[test]
     fn counter_basics() {
-        let mut c = Counter::new("x");
+        let mut c = Counter::default();
         assert_eq!(c.value(), 0);
         c.inc();
         c.add(9);
         assert_eq!(c.value(), 10);
-        assert_eq!(format!("{c}"), "x = 10");
     }
 
     #[test]
@@ -229,7 +168,6 @@ mod tests {
         assert_eq!(a.mean(), Some(4.0));
         assert_eq!(a.min(), Some(1.0));
         assert_eq!(a.max(), Some(10.0));
-        assert_eq!(a.to_json().get("sum").and_then(Json::as_f64), Some(16.0));
     }
 
     #[test]
@@ -246,17 +184,6 @@ mod tests {
         c.record(3.0);
         c.record(3.0);
         assert_eq!(c.stddev(), Some(0.0));
-    }
-
-    #[test]
-    fn counter_merge_and_snapshot() {
-        let mut a = Counter::new("hits");
-        a.add(3);
-        a.add(4);
-        assert_eq!(a.value(), 7);
-        let snap = a.to_json();
-        assert_eq!(snap.get("value").and_then(|v| v.as_u64()), Some(7));
-        assert_eq!(snap.get("name").and_then(|v| v.as_str()), Some("hits"));
     }
 
     #[test]

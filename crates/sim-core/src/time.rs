@@ -7,13 +7,13 @@
 
 use core::fmt;
 use core::iter::Sum;
-use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A point (or span) in simulated time measured in reference-clock cycles.
 ///
-/// `Cycle` is ordered and supports saturating-free arithmetic: overflow in a
+/// `Cycle` is ordered and adds without saturating: overflow in a
 /// simulation would indicate a run of ~10^19 cycles, far beyond any
-/// experiment in this project, so plain `+`/`-` are used.
+/// experiment in this project, so plain `+` is used.
 ///
 /// # Example
 ///
@@ -21,7 +21,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// use ehp_sim_core::time::Cycle;
 /// let a = Cycle(100);
 /// assert_eq!(a + Cycle(20), Cycle(120));
-/// assert_eq!((a + Cycle(20)) - a, Cycle(20));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
@@ -47,38 +46,6 @@ impl Add for Cycle {
     type Output = Cycle;
     fn add(self, rhs: Cycle) -> Cycle {
         Cycle(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycle {
-    fn add_assign(&mut self, rhs: Cycle) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for Cycle {
-    type Output = Cycle;
-    fn sub(self, rhs: Cycle) -> Cycle {
-        Cycle(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Cycle {
-    fn sub_assign(&mut self, rhs: Cycle) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Mul<u64> for Cycle {
-    type Output = Cycle;
-    fn mul(self, rhs: u64) -> Cycle {
-        Cycle(self.0 * rhs)
-    }
-}
-
-impl Sum for Cycle {
-    fn sum<I: Iterator<Item = Cycle>>(iter: I) -> Cycle {
-        Cycle(iter.map(|c| c.0).sum())
     }
 }
 
@@ -290,12 +257,6 @@ impl Frequency {
     }
 }
 
-impl fmt::Display for Frequency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} GHz", self.as_ghz())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,15 +266,13 @@ mod tests {
         let a = Cycle(10);
         let b = Cycle(4);
         assert_eq!(a + b, Cycle(14));
-        assert_eq!(a - b, Cycle(6));
-        assert_eq!(a * 3, Cycle(30));
         assert_eq!(b.saturating_sub(a), Cycle::ZERO);
         assert_eq!(a.max(b), a);
     }
 
     #[test]
     fn cycle_sum_and_display() {
-        let total: Cycle = [Cycle(1), Cycle(2), Cycle(3)].into_iter().sum();
+        let total = Cycle(1) + Cycle(2) + Cycle(3);
         assert_eq!(total, Cycle(6));
         assert_eq!(format!("{total}"), "6 cyc");
     }

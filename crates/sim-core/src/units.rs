@@ -8,7 +8,7 @@
 
 use core::fmt;
 use core::iter::Sum;
-use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
 use crate::time::SimTime;
 
@@ -76,19 +76,6 @@ impl Add for Bytes {
 impl AddAssign for Bytes {
     fn add_assign(&mut self, rhs: Bytes) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub for Bytes {
-    type Output = Bytes;
-    fn sub(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Bytes {
-    fn sub_assign(&mut self, rhs: Bytes) {
-        self.0 -= rhs.0;
     }
 }
 
@@ -221,19 +208,6 @@ impl Add for Bandwidth {
         Bandwidth {
             bytes_per_sec: self.bytes_per_sec + rhs.bytes_per_sec,
         }
-    }
-}
-
-impl AddAssign for Bandwidth {
-    fn add_assign(&mut self, rhs: Bandwidth) {
-        self.bytes_per_sec += rhs.bytes_per_sec;
-    }
-}
-
-impl Mul<f64> for Bandwidth {
-    type Output = Bandwidth;
-    fn mul(self, rhs: f64) -> Bandwidth {
-        self.scale(rhs)
     }
 }
 
@@ -412,23 +386,10 @@ impl Add for Power {
     }
 }
 
-impl AddAssign for Power {
-    fn add_assign(&mut self, rhs: Power) {
-        self.watts += rhs.watts;
-    }
-}
-
 impl Sub for Power {
     type Output = Power;
     fn sub(self, rhs: Power) -> Power {
         Power::from_watts(self.watts - rhs.watts)
-    }
-}
-
-impl Mul<f64> for Power {
-    type Output = Power;
-    fn mul(self, rhs: f64) -> Power {
-        self.scale(rhs)
     }
 }
 
@@ -445,7 +406,7 @@ impl fmt::Display for Power {
 }
 
 /// A temperature in degrees Celsius (the thermal solver's unit).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Celsius(pub f64);
 
 impl Celsius {
@@ -453,26 +414,6 @@ impl Celsius {
     #[must_use]
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-}
-
-impl Add for Celsius {
-    type Output = Celsius;
-    fn add(self, rhs: Celsius) -> Celsius {
-        Celsius(self.0 + rhs.0)
-    }
-}
-
-impl Sub for Celsius {
-    type Output = Celsius;
-    fn sub(self, rhs: Celsius) -> Celsius {
-        Celsius(self.0 - rhs.0)
-    }
-}
-
-impl fmt::Display for Celsius {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1} C", self.0)
     }
 }
 
@@ -491,7 +432,6 @@ mod tests {
     fn bytes_arithmetic() {
         let a = Bytes(100);
         assert_eq!(a + Bytes(20), Bytes(120));
-        assert_eq!(a - Bytes(20), Bytes(80));
         assert_eq!(a * 2, Bytes(200));
         assert_eq!(a / 4, Bytes(25));
     }
@@ -547,6 +487,5 @@ mod tests {
         assert!(!format!("{}", Bandwidth::ZERO).is_empty());
         assert!(!format!("{}", Energy::ZERO).is_empty());
         assert!(!format!("{}", Power::ZERO).is_empty());
-        assert!(!format!("{}", Celsius(85.0)).is_empty());
     }
 }

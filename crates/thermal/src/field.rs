@@ -5,7 +5,7 @@ use ehp_sim_core::units::Celsius;
 
 /// A temperature field sampled on a regular grid over a package outline,
 /// with the convergence evidence of the solve that produced it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TemperatureField {
     origin: Point,
     cell_w: f64,

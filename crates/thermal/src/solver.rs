@@ -7,7 +7,7 @@ use ehp_package::geometry::Point;
 use crate::field::TemperatureField;
 
 /// Solver parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThermalConfig {
     /// Grid cells along x.
     pub nx: usize,

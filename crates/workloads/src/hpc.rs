@@ -15,7 +15,7 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
 /// A machine as seen by the workload models.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineModel {
     /// Product identity.
     pub(crate) product: Product,
@@ -87,7 +87,7 @@ impl MachineModel {
 }
 
 /// An HPC workload's per-step character.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct HpcWorkload {
     /// Workload name.
     pub name: &'static str,
@@ -187,7 +187,7 @@ impl HpcWorkload {
 }
 
 /// One bar of Figure 20.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Figure20Row {
     /// Workload name.
     pub workload: &'static str,

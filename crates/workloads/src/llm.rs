@@ -12,10 +12,8 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
 /// A GPU platform as the LLM model sees it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuPlatform {
-    /// Platform name.
-    pub(crate) name: &'static str,
     /// Per-GPU HBM bandwidth.
     pub mem_bw: Bandwidth,
     /// Per-GPU dense FP16 matrix throughput (FLOP/s).
@@ -35,7 +33,6 @@ impl GpuPlatform {
     #[must_use]
     pub fn mi300x_platform() -> GpuPlatform {
         GpuPlatform {
-            name: "MI300X x8",
             mem_bw: Bandwidth::from_tb_s(5.3),
             fp16_flops: 1307.4e12,
             fp8_flops: Some(2614.9e12),
@@ -50,7 +47,6 @@ impl GpuPlatform {
     #[must_use]
     pub fn baseline_platform() -> GpuPlatform {
         GpuPlatform {
-            name: "Baseline x8",
             mem_bw: Bandwidth::from_tb_s(3.35),
             fp16_flops: 989.0e12,
             fp8_flops: Some(1978.0e12),
@@ -62,10 +58,8 @@ impl GpuPlatform {
 }
 
 /// The serving software stack's achieved efficiencies.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct SoftwareStack {
-    /// Stack name.
-    pub(crate) name: &'static str,
     /// Fraction of peak compute achieved in prefill.
     pub(crate) prefill_eff: f64,
     /// Fraction of peak bandwidth achieved in decode.
@@ -79,7 +73,6 @@ impl SoftwareStack {
     #[must_use]
     pub fn vllm_rocm() -> SoftwareStack {
         SoftwareStack {
-            name: "vLLM (ROCm)",
             prefill_eff: 0.55,
             decode_eff: 0.78,
             // "The vLLM library currently does not support FP8."
@@ -92,7 +85,6 @@ impl SoftwareStack {
     #[must_use]
     pub(crate) fn vllm_baseline() -> SoftwareStack {
         SoftwareStack {
-            name: "vLLM (baseline)",
             prefill_eff: 0.40,
             decode_eff: 0.42,
             supports_fp8: false,
@@ -103,7 +95,6 @@ impl SoftwareStack {
     #[must_use]
     pub fn tensorrt_llm() -> SoftwareStack {
         SoftwareStack {
-            name: "TensorRT-LLM",
             prefill_eff: 0.62,
             decode_eff: 0.85,
             supports_fp8: true,
@@ -116,7 +107,6 @@ impl SoftwareStack {
     #[must_use]
     pub(crate) fn tensorrt_llm_fp8() -> SoftwareStack {
         SoftwareStack {
-            name: "TensorRT-LLM FP8",
             prefill_eff: 0.50,
             decode_eff: 0.50,
             supports_fp8: true,
@@ -145,7 +135,7 @@ impl WeightPrecision {
 }
 
 /// The inference workload configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct InferenceConfig {
     /// Model parameters.
     pub params: f64,
@@ -214,8 +204,6 @@ impl core::fmt::Display for InferenceError {
     }
 }
 
-impl std::error::Error for InferenceError {}
-
 /// Estimates median latency for a (platform, stack, config) combination.
 ///
 /// # Errors
@@ -265,7 +253,7 @@ pub fn estimate_latency(
 }
 
 /// One bar of Figure 21.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Figure21Row {
     /// Scenario label.
     pub scenario: &'static str,

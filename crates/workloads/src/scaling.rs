@@ -25,7 +25,7 @@ use crate::hpc::{HpcWorkload, MachineModel};
 /// let node = NodeTopology::quad_mi300a();
 /// assert!(study.speedup(&node, 4) > 2.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScalingStudy {
     /// The workload (per-step character at one socket).
     pub(crate) workload: HpcWorkload,
