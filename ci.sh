@@ -187,6 +187,15 @@ step "ehp all --workers 2 byte-identical" sh -c '
     cmp target/run_summary.cold.json target/figures/run_summary.json'
 step "ehp check" ./target/release/ehp check
 
+# The checked-in scenario specs are the users that keep the ic_sweep and
+# figure13 parameters settable (DESIGN.md §5), so each one must run, not
+# only pass S1. Their figures go to their own directory so the golden
+# ones above stay untouched.
+for spec in scenarios/*.json; do
+    step "spec $(basename "$spec" .json)" env EHP_FIGURES_DIR=target/spec-figures \
+        ./target/release/ehp run --spec "$spec" --no-result-cache --quiet
+done
+
 echo
 if [ "$failures" -ne 0 ]; then
     echo "CI: $failures step(s) failed"

@@ -25,11 +25,7 @@ fn bench_solver(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{nx}x{ny}")),
             &(nx, ny),
             |b, &(nx, ny)| {
-                let solver = ThermalSolver::new(ThermalConfig {
-                    nx,
-                    ny,
-                    ..ThermalConfig::default()
-                });
+                let solver = ThermalSolver::new(ThermalConfig { nx, ny });
                 b.iter(|| black_box(solver.solve(&fp).max()));
             },
         );

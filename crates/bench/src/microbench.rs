@@ -192,7 +192,7 @@ impl Bencher {
     fn new(samples: usize) -> Bencher {
         Bencher {
             samples,
-            acc: Accumulator::new("sample_ns"),
+            acc: Accumulator::default(),
         }
     }
 
@@ -200,7 +200,7 @@ impl Bencher {
     /// timed calls so the spread (stddev/min/max) is observable.
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         black_box(f());
-        self.acc = Accumulator::new("sample_ns");
+        self.acc = Accumulator::default();
         for _ in 0..self.samples {
             let start = Instant::now();
             black_box(f());

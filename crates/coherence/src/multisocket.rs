@@ -34,36 +34,21 @@ pub struct NodeAccess {
     pub hardware_coherent: bool,
 }
 
-/// Node-level coherence configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeCoherenceConfig {
-    /// Sockets in the node.
-    pub(crate) sockets: u32,
-    /// Bytes of physical address space per socket (flat map: the home
-    /// socket is `addr / socket_span`).
-    pub(crate) socket_span: u64,
-}
-
-impl NodeCoherenceConfig {
-    /// The quad-MI300A node: four sockets × 128 GiB.
-    #[must_use]
-    pub fn quad_mi300a() -> NodeCoherenceConfig {
-        NodeCoherenceConfig {
-            sockets: 4,
-            socket_span: 128 << 30,
-        }
-    }
-}
+/// Sockets in the quad-MI300A node.
+const SOCKETS: u32 = 4;
+/// Bytes of physical address space per socket (flat map: the home
+/// socket is `addr / SOCKET_SPAN`).
+const SOCKET_SPAN: u64 = 128 << 30;
 
 /// The node-level coherence fabric.
 ///
 /// # Examples
 ///
 /// ```
-/// use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence, NodeCoherenceConfig};
+/// use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence};
 /// use ehp_sim_core::ids::AgentId;
 ///
-/// let mut n = MultiSocketCoherence::new(NodeCoherenceConfig::quad_mi300a());
+/// let mut n = MultiSocketCoherence::quad_mi300a();
 /// n.register(AgentId(0), 0, AgentClass::Cpu);
 /// n.register(AgentId(1), 0, AgentClass::Gpu);
 /// let remote = 128u64 << 30; // homed on socket 1
@@ -72,22 +57,15 @@ impl NodeCoherenceConfig {
 /// ```
 #[derive(Debug)]
 pub struct MultiSocketCoherence {
-    cfg: NodeCoherenceConfig,
     /// Agent registry.
     agents: HashMap<AgentId, (u32, AgentClass)>,
 }
 
 impl MultiSocketCoherence {
-    /// Builds the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero sockets.
+    /// The quad-MI300A node: four sockets × 128 GiB.
     #[must_use]
-    pub fn new(cfg: NodeCoherenceConfig) -> MultiSocketCoherence {
-        assert!(cfg.sockets > 0, "need at least one socket");
+    pub fn quad_mi300a() -> MultiSocketCoherence {
         MultiSocketCoherence {
-            cfg,
             agents: HashMap::new(),
         }
     }
@@ -98,12 +76,12 @@ impl MultiSocketCoherence {
     ///
     /// Panics if the socket index is out of range.
     pub fn register(&mut self, agent: AgentId, socket: u32, class: AgentClass) {
-        assert!(socket < self.cfg.sockets, "socket {socket} out of range");
+        assert!(socket < SOCKETS, "socket {socket} out of range");
         self.agents.insert(agent, (socket, class));
     }
 
-    fn home_socket(&self, addr: u64) -> u32 {
-        u32::try_from(addr / self.cfg.socket_span).expect("address in range") % self.cfg.sockets
+    fn home_socket(addr: u64) -> u32 {
+        u32::try_from(addr / SOCKET_SPAN).expect("address in range") % SOCKETS
     }
 
     /// A coherent read of `addr` by `agent`: hardware coherent for a CPU
@@ -116,7 +94,7 @@ impl MultiSocketCoherence {
     pub fn read(&self, agent: AgentId, addr: u64) -> NodeAccess {
         let (socket, class) = *self.agents.get(&agent).expect("agent registered");
         NodeAccess {
-            hardware_coherent: class == AgentClass::Cpu || self.home_socket(addr) == socket,
+            hardware_coherent: class == AgentClass::Cpu || Self::home_socket(addr) == socket,
         }
     }
 }
@@ -130,10 +108,9 @@ mod tests {
     const GPU0: AgentId = AgentId(1);
     const CPU1: AgentId = AgentId(2);
     const GPU1: AgentId = AgentId(3);
-    const SPAN: u64 = 128 << 30;
 
     fn node() -> MultiSocketCoherence {
-        let mut n = MultiSocketCoherence::new(NodeCoherenceConfig::quad_mi300a());
+        let mut n = MultiSocketCoherence::quad_mi300a();
         n.register(CPU0, 0, AgentClass::Cpu);
         n.register(GPU0, 0, AgentClass::Gpu);
         n.register(CPU1, 1, AgentClass::Cpu);
@@ -145,7 +122,7 @@ mod tests {
     fn cpu_remote_access_is_hardware_coherent() {
         let n = node();
         // CPU0 reads an address homed on socket 1.
-        assert!(n.read(CPU0, SPAN + 0x100).hardware_coherent);
+        assert!(n.read(CPU0, SOCKET_SPAN + 0x100).hardware_coherent);
     }
 
     #[test]
@@ -157,7 +134,7 @@ mod tests {
     #[test]
     fn gpu_remote_access_is_software_coherent() {
         let n = node();
-        assert!(!n.read(GPU0, SPAN + 0x100).hardware_coherent);
+        assert!(!n.read(GPU0, SOCKET_SPAN + 0x100).hardware_coherent);
     }
 
     #[test]
@@ -172,8 +149,8 @@ mod tests {
         let mut directories: Vec<ProbeFilter> = (0..4).map(|_| ProbeFilter::new()).collect();
         let mut probes_hw = 0;
         for i in 0..1_000u64 {
-            let addr = 2 * SPAN + i % 64 * 128;
-            let home = (addr / SPAN) as usize;
+            let addr = 2 * SOCKET_SPAN + i % 64 * 128;
+            let home = (addr / SOCKET_SPAN) as usize;
             for gpu in [GPU0, GPU1] {
                 probes_hw += directories[home].write(gpu, addr / 128).probes.len();
                 assert!(!n.read(gpu, addr).hardware_coherent, "software path");

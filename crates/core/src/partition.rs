@@ -169,8 +169,6 @@ impl PartitionConfig {
         DispatcherConfig {
             xcds: self.xcds_per_partition(),
             cus_per_xcd: self.spec.cus_per_chiplet,
-            aces_per_xcd: 4,
-            ..DispatcherConfig::mi300a_partition()
         }
     }
 

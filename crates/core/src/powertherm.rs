@@ -15,6 +15,8 @@ use ehp_power::dvfs::DvfsCurve;
 use ehp_sim_core::units::Power;
 use ehp_thermal::{ThermalConfig, ThermalSolver};
 
+use crate::products::Product;
+
 /// The compute domain's share that heats the XCDs; the CCDs take the
 /// rest.
 pub const XCD_SHARE: f64 = 0.88;
@@ -39,15 +41,16 @@ pub fn assign_power_map(fp: &mut Floorplan, d: &PowerDistribution) {
     );
 }
 
+/// Power stepped away from compute per iteration (W).
+const STEP_W: f64 = 10.0;
+/// Iteration cap.
+const MAX_ITERS: u32 = 40;
+
 /// Controller parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Junction temperature limit (°C).
     pub tj_limit_c: f64,
-    /// Power stepped away from compute per iteration (W).
-    pub step_w: f64,
-    /// Iteration cap.
-    pub max_iters: u32,
     /// Thermal solver settings.
     pub thermal: ThermalConfig,
 }
@@ -56,8 +59,6 @@ impl Default for ControllerConfig {
     fn default() -> ControllerConfig {
         ControllerConfig {
             tj_limit_c: 95.0,
-            step_w: 10.0,
-            max_iters: 40,
             thermal: ThermalConfig::default(),
         }
     }
@@ -98,20 +99,20 @@ pub struct PowerThermalController {
 }
 
 impl PowerThermalController {
-    /// Creates a controller for a socket with the given TDP.
+    /// Creates a controller for an MI300A socket at its spec-sheet TDP.
     #[must_use]
-    pub fn new(cfg: ControllerConfig, tdp: Power) -> PowerThermalController {
+    pub fn new(cfg: ControllerConfig) -> PowerThermalController {
         PowerThermalController {
             cfg,
-            pm: SocketPowerManager::new(tdp),
+            pm: SocketPowerManager::new(Product::Mi300a.spec().tdp),
             xcd_curve: DvfsCurve::mi300_xcd(),
         }
     }
 
-    /// An MI300A controller at 550 W.
+    /// An MI300A controller with the default configuration.
     #[must_use]
     pub fn mi300a() -> PowerThermalController {
-        PowerThermalController::new(ControllerConfig::default(), Power::from_watts(550.0))
+        PowerThermalController::new(ControllerConfig::default())
     }
 
     /// Runs the loop for a workload profile and returns the converged
@@ -128,7 +129,7 @@ impl PowerThermalController {
             let (peak, _) = field.max();
 
             let compute = self.pm.current().get(PowerDomain::ComputeChiplets);
-            if peak <= self.cfg.tj_limit_c || iterations >= self.cfg.max_iters {
+            if peak <= self.cfg.tj_limit_c || iterations >= MAX_ITERS {
                 let per_xcd = compute.scale(XCD_SHARE / 6.0);
                 return OperatingPoint {
                     compute_power: compute,
@@ -143,14 +144,14 @@ impl PowerThermalController {
             // (cooler, laterally spread) memory system. If compute is
             // already at the floor, shed the power entirely by moving it
             // to I/O then zeroing is not modelled — the DVFS floor keeps
-            // this loop bounded via max_iters.
+            // this loop bounded via MAX_ITERS.
             let moved = self.pm.shift(
                 PowerDomain::ComputeChiplets,
                 PowerDomain::HbmDram,
-                Power::from_watts(self.cfg.step_w),
+                Power::from_watts(STEP_W),
             );
             if moved == Power::ZERO {
-                iterations = self.cfg.max_iters;
+                iterations = MAX_ITERS;
             }
             iterations += 1;
         }
@@ -164,18 +165,13 @@ mod tests {
     fn fast_cfg(tj: f64) -> ControllerConfig {
         ControllerConfig {
             tj_limit_c: tj,
-            thermal: ThermalConfig {
-                nx: 35,
-                ny: 28,
-                ..ThermalConfig::default()
-            },
-            ..ControllerConfig::default()
+            thermal: ThermalConfig { nx: 35, ny: 28 },
         }
     }
 
     #[test]
     fn cool_limit_needs_no_intervention() {
-        let mut c = PowerThermalController::new(fast_cfg(95.0), Power::from_watts(550.0));
+        let mut c = PowerThermalController::new(fast_cfg(95.0));
         let op = c.converge(WorkloadProfile::ComputeIntensive);
         assert!(op.thermally_safe);
         assert_eq!(op.iterations, 0, "95C limit is comfortable at 550 W");
@@ -184,13 +180,10 @@ mod tests {
 
     #[test]
     fn tight_limit_sheds_compute_power() {
-        let mut base = PowerThermalController::new(fast_cfg(95.0), Power::from_watts(550.0));
+        let mut base = PowerThermalController::new(fast_cfg(95.0));
         let unconstrained = base.converge(WorkloadProfile::ComputeIntensive);
 
-        let mut tight = PowerThermalController::new(
-            fast_cfg(unconstrained.peak_c - 2.0),
-            Power::from_watts(550.0),
-        );
+        let mut tight = PowerThermalController::new(fast_cfg(unconstrained.peak_c - 2.0));
         let op = tight.converge(WorkloadProfile::ComputeIntensive);
         assert!(op.thermally_safe, "controller must converge");
         assert!(op.iterations > 0);
@@ -206,7 +199,7 @@ mod tests {
 
     #[test]
     fn total_power_conserved_by_shifting() {
-        let mut c = PowerThermalController::new(fast_cfg(40.0), Power::from_watts(550.0));
+        let mut c = PowerThermalController::new(fast_cfg(40.0));
         c.converge(WorkloadProfile::ComputeIntensive);
         // Shifting moves power between domains; the envelope stays at
         // TDP even when the loop runs out of compute power to shed.
@@ -215,17 +208,17 @@ mod tests {
 
     #[test]
     fn impossible_limit_terminates() {
-        let mut c = PowerThermalController::new(fast_cfg(5.0), Power::from_watts(550.0));
+        let mut c = PowerThermalController::new(fast_cfg(5.0));
         let op = c.converge(WorkloadProfile::MemoryIntensive);
         assert!(!op.thermally_safe, "5C is below coolant; cannot be met");
-        assert!(op.iterations <= ControllerConfig::default().max_iters + 1);
+        assert!(op.iterations <= MAX_ITERS + 1);
     }
 
     #[test]
     fn memory_profile_runs_cooler_than_compute() {
-        let mut c = PowerThermalController::new(fast_cfg(200.0), Power::from_watts(550.0));
+        let mut c = PowerThermalController::new(fast_cfg(200.0));
         let hot = c.converge(WorkloadProfile::ComputeIntensive).peak_c;
-        let mut c2 = PowerThermalController::new(fast_cfg(200.0), Power::from_watts(550.0));
+        let mut c2 = PowerThermalController::new(fast_cfg(200.0));
         let cool = c2.converge(WorkloadProfile::MemoryIntensive).peak_c;
         assert!(
             cool < hot,

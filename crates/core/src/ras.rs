@@ -162,16 +162,19 @@ pub struct RasSummary {
     pub efficiency: f64,
 }
 
-/// Summarises a system of `nodes` quad-MI300A nodes with a given
-/// checkpoint cost.
+/// Time to write one system checkpoint (s).
+const CHECKPOINT_WRITE_S: f64 = 90.0;
+
+/// Summarises a system of `nodes` quad-MI300A nodes at the fixed
+/// checkpoint write time.
 #[must_use]
-pub fn summarize(nodes: u32, checkpoint_cost: SimTime) -> RasSummary {
+pub fn summarize(nodes: u32) -> RasSummary {
     let bom = NodeBom::quad_mi300a();
     let rates = NodeFitRates::exascale_class();
     let node_mtbf_h = bom.node_mtbf_hours(&rates);
     let system_mtbf_h = bom.system_mtbf_hours(&rates, nodes);
     let plan = CheckpointPlan {
-        checkpoint_cost,
+        checkpoint_cost: SimTime::from_secs_f64(CHECKPOINT_WRITE_S),
         mtbf: SimTime::from_secs_f64(system_mtbf_h * 3600.0),
     };
     RasSummary {
@@ -255,7 +258,7 @@ mod tests {
 
     #[test]
     fn summary_is_consistent() {
-        let s = summarize(9_408, SimTime::from_secs_f64(90.0));
+        let s = summarize(9_408);
         assert!(s.system_mtbf_h < s.node_mtbf_h);
         assert!((s.failures_per_day - 24.0 / s.system_mtbf_h).abs() < 1e-9);
         assert!(

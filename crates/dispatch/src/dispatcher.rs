@@ -18,6 +18,12 @@ use crate::ace::AceEngine;
 use crate::aql::AqlPacket;
 use crate::signal::CompletionSignal;
 
+/// ACEs per XCD.
+const ACES_PER_XCD: u32 = 4;
+/// One-way latency of the inter-ACE high-priority Infinity Fabric
+/// channel.
+const SYNC_LATENCY: Cycle = Cycle(200);
+
 /// Partition/dispatcher parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DispatcherConfig {
@@ -25,11 +31,6 @@ pub struct DispatcherConfig {
     pub xcds: u32,
     /// Enabled CUs per XCD.
     pub cus_per_xcd: u32,
-    /// ACEs per XCD.
-    pub aces_per_xcd: u32,
-    /// One-way latency of the inter-ACE high-priority Infinity Fabric
-    /// channel.
-    pub sync_latency: Cycle,
 }
 
 impl DispatcherConfig {
@@ -40,8 +41,6 @@ impl DispatcherConfig {
         DispatcherConfig {
             xcds: 6,
             cus_per_xcd: 38,
-            aces_per_xcd: 4,
-            sync_latency: Cycle(200),
         }
     }
 }
@@ -124,7 +123,7 @@ impl MultiXcdDispatcher {
     pub fn new(cfg: DispatcherConfig) -> MultiXcdDispatcher {
         assert!(cfg.xcds > 0, "partition needs at least one XCD");
         let engines = (0..cfg.xcds)
-            .map(|_| AceEngine::new(cfg.cus_per_xcd, cfg.aces_per_xcd))
+            .map(|_| AceEngine::new(cfg.cus_per_xcd, ACES_PER_XCD))
             .collect();
         MultiXcdDispatcher { cfg, engines }
     }
@@ -207,7 +206,7 @@ impl MultiXcdDispatcher {
                         to: nominated,
                     },
                 ));
-                done + self.cfg.sync_latency
+                done + SYNC_LATENCY
             };
             signal.decrement();
             if arrival > nominated_sees_all {
@@ -219,7 +218,7 @@ impl MultiXcdDispatcher {
         // Step 4: the nominated XCD publishes the completion signal, whose
         // store must become visible at the appropriate coherence scope
         // (one more fabric traversal).
-        let completion_at = nominated_sees_all + self.cfg.sync_latency;
+        let completion_at = nominated_sees_all + SYNC_LATENCY;
         events.push((
             completion_at,
             DispatchEvent::CompletionSignaled { xcd: nominated },
@@ -285,13 +284,12 @@ mod tests {
 
     #[test]
     fn completion_after_last_retire_by_sync_cost() {
-        let cfg = DispatcherConfig::mi300a_partition();
-        let mut d = MultiXcdDispatcher::new(cfg);
+        let mut d = MultiXcdDispatcher::new(DispatcherConfig::mi300a_partition());
         let run = d.dispatch(&big_packet(), |_| 500);
         assert!(run.completion_at > run.last_retire);
         // Overhead is at most two high-priority channel traversals.
-        assert!(run.sync_overhead() <= cfg.sync_latency + cfg.sync_latency);
-        assert!(run.sync_overhead() >= cfg.sync_latency);
+        assert!(run.sync_overhead() <= SYNC_LATENCY + SYNC_LATENCY);
+        assert!(run.sync_overhead() >= SYNC_LATENCY);
     }
 
     #[test]

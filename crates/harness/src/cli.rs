@@ -46,7 +46,6 @@ struct Args {
     /// clamped to ≥ 1 for the batch executor).
     jobs_given: Option<usize>,
     no_result_cache: bool,
-    progress: bool,
     workers: usize,
     socket: Option<String>,
     explain: Option<String>,
@@ -57,12 +56,12 @@ struct Args {
 }
 
 impl Args {
-    /// Whether batch progress lines go to stderr: explicitly requested
-    /// with `--progress`, or stderr is an interactive terminal and
-    /// `--quiet` was not given. Redirected/CI stderr stays clean —
-    /// progress is a live-feedback feature, not a log format.
+    /// Whether batch progress lines go to stderr: stderr is an
+    /// interactive terminal and `--quiet` was not given. Redirected/CI
+    /// stderr stays clean — progress is a live-feedback feature, not a
+    /// log format.
     fn progress_enabled(&self) -> bool {
-        self.progress || (!self.quiet && std::io::stderr().is_terminal())
+        !self.quiet && std::io::stderr().is_terminal()
     }
 
     /// The serving configuration shared by `run`, `all`, and `serve`.
@@ -152,7 +151,6 @@ fn print_usage() {
            --param k=v     scenario parameter override (repeatable)\n\
            --spec FILE     scenario spec file (repeatable)\n\
            --quiet         suppress report text\n\
-           --progress      stream per-scenario progress to stderr (default: only on a TTY)\n\
            --no-result-cache  bypass the result cache for this batch\n\
            --socket PATH   serve-mode Unix socket (default target/ehp-serve.sock)\n\
            --json          machine-readable lint findings\n\
@@ -212,7 +210,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--socket" => args.socket = Some(value_of("--socket")?.to_string()),
             "--spec" => args.specs.push(value_of("--spec")?.to_string()),
             "--quiet" | "-q" => args.quiet = true,
-            "--progress" => args.progress = true,
             "--json" => args.json = true,
             "--no-cache" => args.no_cache = true,
             "--no-result-cache" => args.no_result_cache = true,

@@ -1,14 +1,12 @@
 //! **Figure 12**: (a) representative power distributions for
 //! compute-intensive vs memory-intensive scenarios, and (b)/(c) thermal
 //! simulation heat maps for both scenarios over the MI300A floorplan.
-//!
-//! Scenario parameters: `socket_power_w` (default 550).
 
 use ehp_core::powertherm::assign_power_map;
+use ehp_core::products::Product;
 use ehp_package::floorplan::Floorplan;
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_sim_core::json::Json;
-use ehp_sim_core::units::Power;
 use ehp_thermal::{ThermalConfig, ThermalSolver};
 
 use crate::experiment::ExperimentResult;
@@ -17,8 +15,7 @@ use crate::scenario::Scenario;
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
-    let socket_power = sc.f64("socket_power_w", 550.0);
-    let mut pm = SocketPowerManager::new(Power::from_watts(socket_power));
+    let mut pm = SocketPowerManager::new(Product::Mi300a.spec().tdp);
     let mut rows = Vec::new();
     let mut compute_xcd_fraction = 0.0;
 

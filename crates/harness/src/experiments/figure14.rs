@@ -1,8 +1,6 @@
 //! **Figure 14**: code/data-movement comparison of (a) CPU-only, (b)
 //! CPU + discrete GPU with separate memories, and (c) the APU with
 //! unified memory — phase timelines and a problem-size sweep.
-//!
-//! Scenario parameters: `elements` (default 256 Mi).
 
 use ehp_core::progmodel::{ExecutionModel, WorkloadShape};
 use ehp_core::shim::{LibraryCall, Shim, Target};
@@ -20,8 +18,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         ("(c) APU, unified memory", ExecutionModel::apu_mi300a()),
     ];
 
-    let elements = sc.u64("elements", 256 << 20);
-    let shape = WorkloadShape::vector_scale(elements);
+    let shape = WorkloadShape::vector_scale(256 << 20);
     rep.section("Phase timelines (256 Mi elements)");
     for (name, model) in &models {
         let tl = model.run(&shape);

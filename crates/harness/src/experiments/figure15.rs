@@ -1,9 +1,6 @@
 //! **Figure 15**: fine-grained decoupling of GPU and CPU execution via
 //! per-chunk completion flags in coherent unified memory — overlapped
 //! timeline vs the original kernel-level-sync timeline.
-//!
-//! Scenario parameters: `elements` (default 256 Mi), `chunks`
-//! (default 8).
 
 use ehp_core::progmodel::{ExecutionModel, WorkloadShape};
 use ehp_sim_core::json::Json;
@@ -15,8 +12,7 @@ use crate::scenario::Scenario;
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
     let apu = ExecutionModel::apu_mi300a();
-    let shape = WorkloadShape::vector_scale(sc.u64("elements", 256 << 20));
-    let chunk_default = sc.u64("chunks", 8) as u32;
+    let shape = WorkloadShape::vector_scale(256 << 20);
 
     let coarse = apu.run(&shape);
     rep.section("(c) original code: coarse kernel-level synchronisation");
@@ -30,7 +26,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     }
     rep.kv("total", coarse.total());
 
-    let fine = apu.run_overlapped(&shape, chunk_default);
+    let fine = apu.run_overlapped(&shape, 8);
     rep.section("(b) fine-grained flags: CPU consumes chunks as produced");
     for p in fine.phases() {
         rep.row(format!(

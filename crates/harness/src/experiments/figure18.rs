@@ -3,7 +3,7 @@
 //! connected with EPYC hosts over PCIe — with link budgets, bisection
 //! bandwidth and coherent-memory accounting.
 
-use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence, NodeCoherenceConfig};
+use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence};
 use ehp_core::node::NodeTopology;
 use ehp_core::node_fabric::NodeFabric;
 use ehp_sim_core::ids::AgentId;
@@ -104,7 +104,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
 
     rep.section("Node coherence policy (Section IV.D at node scale)");
-    let mut coh = MultiSocketCoherence::new(NodeCoherenceConfig::quad_mi300a());
+    let mut coh = MultiSocketCoherence::quad_mi300a();
     coh.register(AgentId(0), 0, AgentClass::Cpu);
     coh.register(AgentId(1), 0, AgentClass::Gpu);
     let span = 128u64 << 30;

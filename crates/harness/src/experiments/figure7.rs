@@ -15,13 +15,8 @@ use crate::scenario::Scenario;
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
-    let product = super::product_param(sc, Product::Mi300a);
-    let spec = product.spec();
-    let mut fabric = FabricSim::new(match product {
-        Product::Ehpv4 => Topology::ehpv4_package(),
-        Product::Mi300a => Topology::mi300_package(2, 3),
-        Product::Mi250x | Product::Mi300x => Topology::mi300_package(2, 0),
-    });
+    let spec = Product::Mi300a.spec();
+    let mut fabric = FabricSim::new(Topology::mi300_package(2, 3));
 
     rep.section("Interface bandwidths (bidirectional)");
     let mut rows = Vec::new();

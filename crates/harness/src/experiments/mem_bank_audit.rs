@@ -19,11 +19,10 @@
 //!    re-mapping preserves locality (the Section IV.C amplification
 //!    story survives the decomposition).
 //!
-//! Scenario parameters: `accesses` (per stream / trace; default
-//! 20000), `jobs` (replay workers for the hot-set trace; default 1 —
-//! sharded replay is bit-identical to sequential, so it moves only
-//! wall time, and the 20000-access default trace gains nothing from
-//! more workers). The trace seed is the scenario seed.
+//! Scenario parameters: `jobs` (replay workers for the hot-set trace;
+//! default 1 — sharded replay is bit-identical to sequential, so it
+//! moves only wall time, and the [`ACCESSES`]-access trace gains
+//! nothing from more workers). The trace seed is the scenario seed.
 
 use ehp_mem::channel::bank_mix;
 use ehp_mem::hbm::ROW_BYTES;
@@ -35,6 +34,10 @@ use ehp_sim_core::time::SimTime;
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
 use crate::scenario::Scenario;
+
+/// Accesses in the hot-set trace; the bank-parallelism streams take
+/// one sixteenth of it.
+const ACCESSES: u64 = 20_000;
 
 /// Last completion time of a row stream read back to back at t = 0 on
 /// one cache-less MI300 channel (pure HBM bank timing): a subsystem over
@@ -59,7 +62,6 @@ fn stream_last_completion(rows: impl Iterator<Item = u64>) -> SimTime {
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
-    let accesses = sc.u64("accesses", 20_000);
     let jobs = sc.u64("jobs", 1).max(1) as usize;
 
     // One subsystem serves the geometry, the coverage scan (both depend
@@ -77,7 +79,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     // miss, so the single-bank stream serialises on `row_activate`
     // while the striped one runs all the banks' activate pipelines in
     // parallel.
-    let stream = (accesses / 16).clamp(256, 4_096);
+    let stream = ACCESSES / 16;
     let b = banks as u64;
     let t_single = stream_last_completion((0..stream).map(|i| i * b + (b - bank_mix(i, b)) % b));
     let t_striped = stream_last_completion(0..stream);
@@ -122,7 +124,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
             hot_fraction: 0.9,
             hot_bytes: 1 << 20,
         },
-        accesses,
+        accesses: ACCESSES,
         footprint: 64 << 20,
         write_fraction: 0.3,
         seed: sc.effective_seed(),
@@ -134,7 +136,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.section("Hot-set service");
     rep.kv(
         "trace",
-        format!("hot 90/10, {accesses} accesses, jobs {jobs}"),
+        format!("hot 90/10, {ACCESSES} accesses, jobs {jobs}"),
     );
     rep.kv("hot hit rate", format!("{:.1}%", hot_hit_rate * 100.0));
 

@@ -2,13 +2,10 @@
 //! IOD compute-stack assignments (MI300X … a CPU-only variant) evaluated
 //! on HPC and AI figures of merit — plus the exascale RAS arithmetic the
 //! DOE program that started all of this cared about.
-//!
-//! Scenario parameters: `checkpoint_write_s` (default 90).
 
 use ehp_core::modular::{evaluate_design_space, ModularVariant};
 use ehp_core::ras;
 use ehp_sim_core::json::Json;
-use ehp_sim_core::time::SimTime;
 
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
@@ -63,13 +60,12 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.row("  compute differs: the paper's \"new level of chiplet modularity\".");
 
     rep.section("Reliability at exascale (the DOE concern, Section I)");
-    let write_s = sc.f64("checkpoint_write_s", 90.0);
     let mut frontier_eff = 0.0;
     for (label, nodes) in [
         ("1,000-node system", 1_000u32),
         ("9,408-node (Frontier-scale)", 9_408),
     ] {
-        let s = ras::summarize(nodes, SimTime::from_secs_f64(write_s));
+        let s = ras::summarize(nodes);
         rep.row(format!("  {label}:"));
         rep.kv("  node MTBF", format!("{:.0} h", s.node_mtbf_h));
         rep.kv("  system MTBF", format!("{:.1} h", s.system_mtbf_h));

@@ -2,11 +2,9 @@
 //! closed power→thermal→DVFS loop, the vertical power shifting between
 //! IOD and compute chiplets, and the bond-interface power-delivery check
 //! of Figure 11.
-//!
-//! Scenario parameters: `socket_power_w` (default 550), `shift_w`
-//! (default 60).
 
 use ehp_core::powertherm::{ControllerConfig, PowerThermalController, XCD_SHARE};
+use ehp_core::products::Product;
 use ehp_package::bond::{BpvTarget, HybridBondInterface, MAX_DROP_FRACTION};
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_power::dvfs::DvfsCurve;
@@ -18,28 +16,25 @@ use crate::experiment::ExperimentResult;
 use crate::report::Report;
 use crate::scenario::Scenario;
 
+/// Power the vertical-shifting demo moves from the HBM DRAM to the
+/// compute chiplets (W).
+const SHIFT_W: f64 = 60.0;
+
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
-    let socket_w = sc.f64("socket_power_w", 550.0);
+    let tdp = Product::Mi300a.spec().tdp;
 
     rep.section(&format!(
-        "Closed power/thermal/DVFS loop (MI300A, {socket_w:.0} W)"
+        "Closed power/thermal/DVFS loop (MI300A, {:.0} W)",
+        tdp.as_watts()
     ));
     let mut rows = Vec::new();
     let mut tight_safe = false;
     for (label, tj) in [("roomy (95 C)", 95.0), ("tight (42 C)", 42.0)] {
-        let mut c = PowerThermalController::new(
-            ControllerConfig {
-                tj_limit_c: tj,
-                thermal: ThermalConfig {
-                    nx: 35,
-                    ny: 28,
-                    ..ThermalConfig::default()
-                },
-                ..ControllerConfig::default()
-            },
-            Power::from_watts(socket_w),
-        );
+        let mut c = PowerThermalController::new(ControllerConfig {
+            tj_limit_c: tj,
+            thermal: ThermalConfig { nx: 35, ny: 28 },
+        });
         let op = c.converge(WorkloadProfile::ComputeIntensive);
         rep.row(format!(
             "  Tj limit {label}: peak {:.1} C after {} iterations, compute {}, XCD clock {:.0}% of nominal, safe: {}",
@@ -62,7 +57,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     }
 
     rep.section("Vertical power shifting and what it buys (DVFS)");
-    let mut pm = SocketPowerManager::new(Power::from_watts(socket_w));
+    let mut pm = SocketPowerManager::new(tdp);
     pm.apply_profile(WorkloadProfile::MemoryIntensive);
     let xcd = DvfsCurve::mi300_xcd();
     let before = pm.current().get(PowerDomain::ComputeChiplets);
@@ -70,12 +65,15 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     pm.shift(
         PowerDomain::HbmDram,
         PowerDomain::ComputeChiplets,
-        Power::from_watts(sc.f64("shift_w", 60.0)),
+        Power::from_watts(SHIFT_W),
     );
     let after = pm.current().get(PowerDomain::ComputeChiplets);
     let per_xcd_after = after.scale(XCD_SHARE / 6.0);
     rep.kv("compute allocation before", before);
-    rep.kv("compute allocation after +60 W shift", after);
+    rep.kv(
+        &format!("compute allocation after +{SHIFT_W:.0} W shift"),
+        after,
+    );
     let clock_before = xcd.perf_factor(per_xcd_before);
     let clock_after = xcd.perf_factor(per_xcd_after);
     rep.kv("XCD clock factor before", format!("{clock_before:.2}"));

@@ -18,17 +18,6 @@ const fn u64_pos(name: &'static str) -> ParamSpec {
     }
 }
 
-/// Shorthand for a non-negative number parameter.
-const fn num_pos(name: &'static str) -> ParamSpec {
-    ParamSpec {
-        name,
-        kind: ParamKind::Num {
-            min: 0.0,
-            max: f64::MAX,
-        },
-    }
-}
-
 /// Largest `figure13` workgroup: the HSA limit of 1024 workitems.
 const FIGURE13_MAX_WORKGROUP_SIZE: u64 = 1024;
 /// Most `figure13` workgroups whose grid still fits an AQL `u32`.
@@ -45,16 +34,13 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "figure7",
         title: "Figure 7: MI300A IOD interface bandwidths",
-        params: &[ParamSpec {
-            name: "product",
-            kind: ParamKind::EnumStr(&["mi250x", "mi300a", "mi300x", "ehpv4"]),
-        }],
+        params: &[],
         runner: experiments::figure7::run,
     },
     Experiment {
         id: "figure12",
         title: "Figure 12: power distributions and thermal maps",
-        params: &[num_pos("socket_power_w")],
+        params: &[],
         runner: experiments::figure12::run,
     },
     Experiment {
@@ -81,13 +67,13 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "figure14",
         title: "Figure 14: CPU-only vs discrete GPU vs APU data movement",
-        params: &[u64_pos("elements")],
+        params: &[],
         runner: experiments::figure14::run,
     },
     Experiment {
         id: "figure15",
         title: "Figure 15: fine-grained CPU/GPU overlap via chunk flags",
-        params: &[u64_pos("elements"), u64_pos("chunks")],
+        params: &[],
         runner: experiments::figure15::run,
     },
     Experiment {
@@ -135,13 +121,13 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "modular_platform",
         title: "Section VII: modular platform design space + exascale RAS",
-        params: &[num_pos("checkpoint_write_s")],
+        params: &[],
         runner: experiments::modular_platform::run,
     },
     Experiment {
         id: "power_management",
         title: "Section V.D/V.E: power/thermal/DVFS management loop",
-        params: &[num_pos("socket_power_w"), num_pos("shift_w")],
+        params: &[],
         runner: experiments::power_management::run,
     },
     Experiment {
@@ -179,14 +165,14 @@ static REGISTRY: &[Experiment] = &[
             },
             ParamSpec {
                 name: "stack_granule",
-                kind: ParamKind::U64 {
+                kind: ParamKind::PowerOfTwo {
                     min: 256,
                     max: 1 << 30,
                 },
             },
             ParamSpec {
                 name: "channel_granule",
-                kind: ParamKind::U64 {
+                kind: ParamKind::PowerOfTwo {
                     min: 128,
                     max: 1 << 30,
                 },
@@ -215,13 +201,10 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "mem_bank_audit",
         title: "Section IV.C: bank-level channel decomposition audit",
-        params: &[
-            u64_pos("accesses"),
-            ParamSpec {
-                name: "jobs",
-                kind: ParamKind::U64 { min: 1, max: 64 },
-            },
-        ],
+        params: &[ParamSpec {
+            name: "jobs",
+            kind: ParamKind::U64 { min: 1, max: 64 },
+        }],
         runner: experiments::mem_bank_audit::run,
     },
 ];

@@ -167,8 +167,8 @@ fn fast_pool() -> PoolConfig {
 fn panicking_scenario_in_worker_degrades_to_identical_summary() {
     let scenarios = {
         let mut v = paper_batch(5);
-        // An unknown product name panics inside Figure 7.
-        let mut bad = Scenario::default_for("figure7").with_param("product", "tpu_v5");
+        // A granule that is not a power of two panics inside ic_sweep.
+        let mut bad = Scenario::default_for("ic_sweep").with_param("stack_granule", 3000u64);
         bad.name = "e2e-poison".to_string();
         v.insert(2, bad);
         v

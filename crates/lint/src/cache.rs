@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use ehp_sim_core::json::{Json, ToJson};
+use ehp_sim_core::json::Json;
 
 use crate::findings::Finding;
 use crate::parse::FileIndex;

@@ -3,7 +3,7 @@
 
 use std::cmp::Ordering;
 
-use ehp_sim_core::json::{Json, ToJson};
+use ehp_sim_core::json::Json;
 
 /// The project invariants `ehp-lint` enforces (DESIGN.md §10–§11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -294,7 +294,8 @@ impl Finding {
         out
     }
 
-    /// Rebuilds a finding from its [`ToJson`] form (incremental cache).
+    /// Rebuilds a finding from its [`Finding::to_json`] form (incremental
+    /// cache).
     #[must_use]
     pub(crate) fn from_json(j: &Json) -> Option<Finding> {
         let rule = Rule::from_name_any(j.get("rule")?.as_str()?)?;
@@ -315,10 +316,11 @@ impl Finding {
             waived: j.get("waived").and_then(|w| w.as_str()).map(str::to_string),
         })
     }
-}
 
-impl ToJson for Finding {
-    fn to_json(&self) -> Json {
+    /// The finding as JSON, as the report and the incremental cache
+    /// store it.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
         Json::object([
             ("rule", Json::from(self.rule.name())),
             ("code", Json::from(self.rule.code())),

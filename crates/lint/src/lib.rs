@@ -120,7 +120,7 @@ impl LintReport {
     /// must produce a byte-identical report to an uncached one.
     #[must_use]
     pub fn to_json(&self) -> ehp_sim_core::json::Json {
-        use ehp_sim_core::json::{Json, ToJson};
+        use ehp_sim_core::json::Json;
         Json::object([
             ("files_scanned", Json::from(self.files_scanned as u64)),
             (
@@ -131,7 +131,7 @@ impl LintReport {
             ("waived", Json::from(self.waived_count() as u64)),
             (
                 "findings",
-                Json::array(self.findings.iter().map(ToJson::to_json)),
+                Json::array(self.findings.iter().map(Finding::to_json)),
             ),
         ])
     }

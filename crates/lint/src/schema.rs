@@ -25,6 +25,13 @@ pub enum ParamKind {
         /// Inclusive upper bound.
         max: u64,
     },
+    /// Power of two within `[min, max]`.
+    PowerOfTwo {
+        /// Inclusive lower bound.
+        min: u64,
+        /// Inclusive upper bound.
+        max: u64,
+    },
     /// Floating-point number within `[min, max]`.
     Num {
         /// Inclusive lower bound.
@@ -44,6 +51,7 @@ impl ParamKind {
         match self {
             ParamKind::U64 { min, max } if *max == u64::MAX => format!("integer >= {min}"),
             ParamKind::U64 { min, max } => format!("integer in {min}..={max}"),
+            ParamKind::PowerOfTwo { min, max } => format!("power of two in {min}..={max}"),
             ParamKind::Num { min, max } if *max == f64::MAX => format!("number >= {min}"),
             ParamKind::Num { min, max } => format!("number in {min}..={max}"),
             ParamKind::Bool => "bool".to_string(),
@@ -55,6 +63,9 @@ impl ParamKind {
     fn accepts(&self, v: &Json) -> bool {
         match self {
             ParamKind::U64 { min, max } => v.as_u64().is_some_and(|x| x >= *min && x <= *max),
+            ParamKind::PowerOfTwo { min, max } => v
+                .as_u64()
+                .is_some_and(|x| x.is_power_of_two() && x >= *min && x <= *max),
             ParamKind::Num { min, max } => v.as_f64().is_some_and(|x| x >= *min && x <= *max),
             ParamKind::Bool => v.as_bool().is_some(),
             ParamKind::EnumStr(opts) => v.as_str().is_some_and(|s| opts.contains(&s)),
@@ -225,7 +236,8 @@ fn validate_spec_obj(
         }
     }
 
-    // `sweep`: maps a declared parameter to an array of in-range values.
+    // `sweep`: maps a declared parameter to a non-empty array of
+    // in-range values.
     if let Some(sweep) = obj.get("sweep") {
         match sweep.as_obj() {
             None => fail(
@@ -234,6 +246,10 @@ fn validate_spec_obj(
             ),
             Some(map) => {
                 for (k, v) in map {
+                    // An empty axis would expand to no scenarios at all.
+                    if v.as_arr().is_some_and(|vs| vs.is_empty()) {
+                        fail(line_of_key(src, k), format!("sweep axis {k:?} is empty"));
+                    }
                     // `"seed"` is the documented seed fan-out axis, not a
                     // parameter: an array of unsigned integers.
                     if k == "seed" {
@@ -313,6 +329,13 @@ mod tests {
                     name: "hashed",
                     kind: ParamKind::Bool,
                 },
+                ParamSpec {
+                    name: "stack_granule",
+                    kind: ParamKind::PowerOfTwo {
+                        min: 256,
+                        max: 1 << 30,
+                    },
+                },
             ],
         },
         ExperimentSchema {
@@ -365,6 +388,31 @@ mod tests {
         assert!(msgs.iter().any(|m| m.contains("\"hashed\"")));
         assert!(msgs.iter().any(|m| m.contains("\"half\"")));
         assert!(msgs.iter().any(|m| m.contains("must be an array")));
+    }
+
+    #[test]
+    fn empty_sweep_axes_and_non_power_of_two_granules_fire() {
+        let empty = rules(r#"{"experiment": "ic_sweep", "sweep": {"ic_mib": [], "seed": []}}"#);
+        assert_eq!(empty.len(), 2, "{empty:?}");
+        assert!(empty.iter().all(|(_, m)| m.ends_with("is empty")));
+
+        let granules = |v: &str| {
+            rules(&format!(
+                r#"{{"experiment": "ic_sweep", "params": {{"stack_granule": {v}}}}}"#
+            ))
+            .len()
+        };
+        assert_eq!(granules("4096"), 0);
+        assert_eq!(granules("3000"), 1);
+        assert_eq!(granules("128"), 1, "power of two below the minimum");
+        let sweep =
+            rules(r#"{"experiment": "ic_sweep", "sweep": {"stack_granule": [1024, 1000]}}"#);
+        assert_eq!(sweep.len(), 1);
+        assert!(
+            sweep[0].1.contains("power of two in 256..="),
+            "{}",
+            sweep[0].1
+        );
     }
 
     #[test]

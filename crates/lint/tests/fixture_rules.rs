@@ -5,7 +5,7 @@
 use ehp_lint::rules::lint_source;
 use ehp_lint::schema::{validate_scenario, ExperimentSchema, ParamKind, ParamSpec};
 use ehp_lint::{lint_sources, Finding, Rule};
-use ehp_sim_core::json::{Json, ToJson};
+use ehp_sim_core::json::Json;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));

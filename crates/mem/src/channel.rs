@@ -228,7 +228,7 @@ impl BankUnit {
             icache_free: SimTime::ZERO,
             icache_bytes: Bytes::ZERO,
             icache_energy: Energy::ZERO,
-            latency: Accumulator::new("mem_latency_ns"),
+            latency: Accumulator::default(),
         }
     }
 
@@ -411,7 +411,7 @@ impl<'a> ChannelView<'a> {
     /// in bank-index order.
     #[must_use]
     pub(crate) fn latency_stats(&self) -> Accumulator {
-        let mut acc = Accumulator::new("mem_latency_ns");
+        let mut acc = Accumulator::default();
         for b in self.banks {
             acc.merge(b.latency());
         }

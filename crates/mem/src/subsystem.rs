@@ -517,7 +517,7 @@ impl MemorySubsystem {
     /// in flat bank order (channel-major, bank-minor).
     #[must_use]
     pub(crate) fn latency_stats(&self) -> Accumulator {
-        let mut acc = Accumulator::new("mem_latency_ns");
+        let mut acc = Accumulator::default();
         for c in self.channel_views() {
             acc.merge(&c.latency_stats());
         }

@@ -43,15 +43,6 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Types that can render themselves as a [`Json`] value.
-///
-/// The hand-written replacement for `#[derive(serde::Serialize)]`; the
-/// lint's findings implement it.
-pub trait ToJson {
-    /// Converts `self` into a JSON value.
-    fn to_json(&self) -> Json;
-}
-
 impl From<&str> for Json {
     fn from(s: &str) -> Json {
         Json::Str(s.to_string())

@@ -43,7 +43,6 @@ impl Counter {
 /// Running sum/min/max/mean/stddev over `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accumulator {
-    name: &'static str,
     count: u64,
     sum: f64,
     sumsq: f64,
@@ -51,12 +50,10 @@ pub struct Accumulator {
     max: f64,
 }
 
-impl Accumulator {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new(name: &'static str) -> Accumulator {
+impl Default for Accumulator {
+    /// An empty accumulator.
+    fn default() -> Accumulator {
         Accumulator {
-            name,
             count: 0,
             sum: 0.0,
             sumsq: 0.0,
@@ -64,7 +61,9 @@ impl Accumulator {
             max: f64::NEG_INFINITY,
         }
     }
+}
 
+impl Accumulator {
     /// Records one sample.
     pub fn record(&mut self, sample: f64) {
         self.count += 1;
@@ -159,7 +158,7 @@ mod tests {
 
     #[test]
     fn accumulator_stats() {
-        let mut a = Accumulator::new("lat");
+        let mut a = Accumulator::default();
         assert_eq!(a.mean(), None);
         for v in [1.0, 2.0, 3.0, 10.0] {
             a.record(v);
@@ -172,7 +171,7 @@ mod tests {
 
     #[test]
     fn accumulator_stddev() {
-        let mut a = Accumulator::new("s");
+        let mut a = Accumulator::default();
         assert_eq!(a.stddev(), None);
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             a.record(v);
@@ -180,7 +179,7 @@ mod tests {
         // Classic example: population stddev is exactly 2.
         assert!((a.stddev().unwrap() - 2.0).abs() < 1e-12);
         // Constant samples: zero spread, never NaN from rounding.
-        let mut c = Accumulator::new("c");
+        let mut c = Accumulator::default();
         c.record(3.0);
         c.record(3.0);
         assert_eq!(c.stddev(), Some(0.0));
@@ -188,9 +187,9 @@ mod tests {
 
     #[test]
     fn accumulator_merge_matches_combined_stream() {
-        let mut split_a = Accumulator::new("lat");
-        let mut split_b = Accumulator::new("lat");
-        let mut combined = Accumulator::new("lat");
+        let mut split_a = Accumulator::default();
+        let mut split_b = Accumulator::default();
+        let mut combined = Accumulator::default();
         for (i, v) in [5.0, 1.0, 9.0, 2.0].iter().enumerate() {
             if i % 2 == 0 {
                 split_a.record(*v);
@@ -205,9 +204,9 @@ mod tests {
 
     #[test]
     fn accumulator_merge_with_empty_keeps_stats() {
-        let mut a = Accumulator::new("lat");
+        let mut a = Accumulator::default();
         a.record(2.0);
-        a.merge(&Accumulator::new("lat"));
+        a.merge(&Accumulator::default());
         assert_eq!(a.mean(), Some(2.0));
         assert_eq!(a.min(), Some(2.0));
     }

@@ -14,7 +14,7 @@
 //! extraction into the cold plate. The solver runs red-black successive
 //! over-relaxation on a flat grid, with the relaxation factor derived from
 //! the cell size, and stops once a sweep's largest diagonal-scaled residual
-//! drops below `ThermalConfig::tolerance_c`: about 110 sweeps at one cell
+//! drops below [`solver::TOLERANCE_C`]: about 110 sweeps at one cell
 //! per mm² (70×56) and 56 at 35×28. Every solved field carries its sweep
 //! count and final residual, and `ThermalSolver::imbalance` reports the
 //! energy balance as independent evidence of convergence.

@@ -9,6 +9,7 @@ use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_sim_core::rng::SplitMix64;
 use ehp_sim_core::units::Power;
 use ehp_thermal::field::TemperatureField;
+use ehp_thermal::solver::{COOLANT_C, HTC_W_PER_K_MM2, LATERAL_W_PER_K, TOLERANCE_C};
 use ehp_thermal::{ThermalConfig, ThermalSolver};
 
 /// The oracle stops when no cell moves by this much in a sweep (°C).
@@ -30,9 +31,9 @@ fn gauss_seidel(c: &ThermalConfig, fp: &Floorplan, tol: f64) -> Vec<Vec<f64>> {
         .iter()
         .map(|row| row.iter().map(|d| d * cell_area).collect())
         .collect();
-    let g = c.lateral_w_per_k;
-    let h_cell = c.htc_w_per_k_mm2 * cell_area;
-    let mut t = vec![vec![c.coolant_c; c.nx]; c.ny];
+    let g = LATERAL_W_PER_K;
+    let h_cell = HTC_W_PER_K_MM2 * cell_area;
+    let mut t = vec![vec![COOLANT_C; c.nx]; c.ny];
     for _ in 0..1_000_000 {
         let mut max_delta: f64 = 0.0;
         for j in 0..c.ny {
@@ -55,7 +56,7 @@ fn gauss_seidel(c: &ThermalConfig, fp: &Floorplan, tol: f64) -> Vec<Vec<f64>> {
                     nsum += t[j + 1][i];
                     ncount += 1.0;
                 }
-                let new_t = (g * nsum + p[j][i] + h_cell * c.coolant_c) / (g * ncount + h_cell);
+                let new_t = (g * nsum + p[j][i] + h_cell * COOLANT_C) / (g * ncount + h_cell);
                 max_delta = max_delta.max((new_t - t[j][i]).abs());
                 t[j][i] = new_t;
             }
@@ -84,7 +85,7 @@ fn agree(cfg: ThermalConfig, fp: &Floorplan, what: &str) -> usize {
         }
     }
     assert!(
-        field.residual_c() < cfg.tolerance_c,
+        field.residual_c() < TOLERANCE_C,
         "{what}: stopped on the sweep cap, residual {}",
         field.residual_c()
     );
@@ -120,11 +121,7 @@ fn figure12_plan(profile: WorkloadProfile) -> Floorplan {
 
 #[test]
 fn sor_matches_gauss_seidel_on_figure12_floorplans() {
-    let cfg = ThermalConfig {
-        nx: 35,
-        ny: 28,
-        ..ThermalConfig::default()
-    };
+    let cfg = ThermalConfig { nx: 35, ny: 28 };
     for profile in [
         WorkloadProfile::ComputeIntensive,
         WorkloadProfile::MemoryIntensive,
@@ -151,11 +148,7 @@ fn sor_matches_gauss_seidel_on_random_floorplans() {
             fp.add(name.clone(), rect, Layer::Compute);
             fp.assign_power(&name, Power::from_watts(uniform(1.0, 150.0)));
         }
-        let cfg = ThermalConfig {
-            nx,
-            ny,
-            ..ThermalConfig::default()
-        };
+        let cfg = ThermalConfig { nx, ny };
         let sweeps = agree(
             cfg,
             &fp,

@@ -65,8 +65,8 @@ fn node_fabric_contention_matches_topology_budget() {
 
 #[test]
 fn ras_summary_scales_with_node_count() {
-    let small = ras::summarize(500, SimTime::from_secs_f64(90.0));
-    let large = ras::summarize(9_408, SimTime::from_secs_f64(90.0));
+    let small = ras::summarize(500);
+    let large = ras::summarize(9_408);
     assert!(large.failures_per_day > small.failures_per_day);
     assert!(large.efficiency < small.efficiency);
     assert!(

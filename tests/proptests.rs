@@ -6,7 +6,7 @@
 //! with a fixed seed — deterministic, reproducible, and shrink-free but
 //! still covering hundreds of random inputs per invariant.
 
-use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence, NodeCoherenceConfig};
+use ehp_coherence::multisocket::{AgentClass, MultiSocketCoherence};
 use ehp_coherence::probe_filter::{LineState, ProbeFilter};
 use ehp_dispatch::aql::AqlPacket;
 use ehp_dispatch::dispatcher::{DispatcherConfig, MultiXcdDispatcher};
@@ -227,7 +227,7 @@ fn multisocket_policy_invariants() {
     let mut rng = rng_for("multisocket_policy_invariants");
     for _ in 0..8 {
         let n_ops = 1 + rng.next_below(1_500);
-        let mut n = MultiSocketCoherence::new(NodeCoherenceConfig::quad_mi300a());
+        let mut n = MultiSocketCoherence::quad_mi300a();
         for a in 0..4u32 {
             n.register(
                 AgentId(a),
@@ -337,14 +337,10 @@ fn thermal_monotone_in_power() {
     use ehp_package::floorplan::{Floorplan, Layer};
     use ehp_package::geometry::Rect;
     use ehp_sim_core::units::Power;
+    use ehp_thermal::solver::COOLANT_C;
     use ehp_thermal::{ThermalConfig, ThermalSolver};
 
-    let cfg = ThermalConfig {
-        nx: 12,
-        ny: 12,
-        ..ThermalConfig::default()
-    };
-    let solver = ThermalSolver::new(cfg);
+    let solver = ThermalSolver::new(ThermalConfig { nx: 12, ny: 12 });
     let build = |w: f64| {
         let mut fp = Floorplan::new(Rect::new(0.0, 0.0, 12.0, 12.0));
         fp.add("hot", Rect::new(3.0, 3.0, 4.0, 4.0), Layer::Compute);
@@ -363,7 +359,7 @@ fn thermal_monotone_in_power() {
                 let a = base.at(i, j).as_f64();
                 let b = hotter.at(i, j).as_f64();
                 assert!(b >= a - 1e-6, "cell ({i},{j}): {b} < {a}");
-                assert!(a >= cfg.coolant_c - 1e-6);
+                assert!(a >= COOLANT_C - 1e-6);
             }
         }
     }
