@@ -31,6 +31,17 @@ step "tests" cargo test -q --offline
 # testing it here makes an API change that breaks the benchmark fail CI.
 step "perfsuite tests" cargo test --release --offline --manifest-path perfsuite/Cargo.toml
 
+# The benchmark's outputs are pinned too: each workload's run at seed 11
+# prints one `digest …` line on stdout (a hash of its run summary or lint
+# report), which must appear in tests/golden/perfsuite_digests.txt. A
+# change that moves a digest by design re-saves that line and says so.
+for workload in paper_suite mem_rw_sweep lint_corpus; do
+    step "perfsuite digest $workload" sh -c "
+        line=\$(cargo run --release --offline --quiet --manifest-path perfsuite/Cargo.toml -- \
+            --workload $workload --seed 11 --seconds 1 --trace 0 | grep '^digest $workload ') &&
+        grep -qxF \"\$line\" tests/golden/perfsuite_digests.txt"
+done
+
 # Determinism & hot-path static analysis (DESIGN.md §10–§11, §15):
 # fails on any unwaived finding — hash-order iteration (D1), wall-clock
 # reads (D2), allocations inside (or reachable from) `// lint:hot-path`

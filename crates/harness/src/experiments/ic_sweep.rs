@@ -9,9 +9,9 @@
 //! `0` disables the cache; default 2), `stack_granule` (default 4096),
 //! `channel_granule` (default 256), `hashed` (default true), `pattern`
 //! (`sequential` | `strided` | `random` | `hot` | `chase`; default
-//! `hot`), `footprint_mib` (default 64), `accesses` (default 40000),
-//! `write_fraction` (default 0.3), `jobs` (replay worker threads;
-//! default 1). The trace seed is the scenario seed. Replay buckets the
+//! `hot`), `accesses` (default 40000), `write_fraction` (default 0.3),
+//! `jobs` (replay worker threads; default 1). The trace covers a fixed
+//! 64 MiB footprint, and its seed is the scenario seed. Replay buckets the
 //! trace by DRAM bank and replays bank by bank, on `jobs` workers, with
 //! results bit-identical to an access-by-access loop at any `jobs`;
 //! `chase` always replays access by access because each access issues
@@ -26,6 +26,12 @@ use crate::experiment::ExperimentResult;
 use crate::report::Report;
 use crate::scenario::Scenario;
 
+/// The default stack granule: the paper's 4 KB.
+pub(crate) const STACK_GRANULE: u64 = 4096;
+
+/// The trace footprint: 64 MiB, a quarter of the 256 MB Infinity Cache.
+const FOOTPRINT: u64 = 64 << 20;
+
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
 
@@ -36,7 +42,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     } else {
         Some(Bytes::from_mib(ic_mib))
     };
-    cfg.interleave.stack_granule = sc.u64("stack_granule", 4096).max(256);
+    cfg.interleave.stack_granule = sc.u64("stack_granule", STACK_GRANULE).max(256);
     cfg.interleave.channel_granule = sc.u64("channel_granule", 256).max(128);
     cfg.interleave.hashed = sc.bool("hashed", true);
 
@@ -53,7 +59,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let trace = TraceConfig {
         pattern,
         accesses: sc.u64("accesses", 40_000),
-        footprint: sc.u64("footprint_mib", 64) << 20,
+        footprint: FOOTPRINT,
         write_fraction: sc.f64("write_fraction", 0.3).clamp(0.0, 1.0),
         line: 128,
         seed: sc.effective_seed(),

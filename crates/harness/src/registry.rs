@@ -160,21 +160,32 @@ static REGISTRY: &[Experiment] = &[
         params: &[
             ParamSpec {
                 name: "ic_mib",
-                // 0 disables the cache.
-                kind: ParamKind::U64 { min: 0, max: 4096 },
+                // 0 disables the cache; a slice splits into a power of
+                // two of sets.
+                kind: ParamKind::PowerOfTwo {
+                    min: 0,
+                    max: 4096,
+                    at_most: None,
+                },
             },
             ParamSpec {
                 name: "stack_granule",
                 kind: ParamKind::PowerOfTwo {
                     min: 256,
                     max: 1 << 30,
+                    at_most: None,
                 },
             },
             ParamSpec {
                 name: "channel_granule",
+                // A stack granule holds whole channel granules. The
+                // default channel granule, 256, is no larger than the
+                // smallest stack granule, so leaving it unset never
+                // breaks the order.
                 kind: ParamKind::PowerOfTwo {
                     min: 128,
                     max: 1 << 30,
+                    at_most: Some(("stack_granule", experiments::ic_sweep::STACK_GRANULE)),
                 },
             },
             ParamSpec {
@@ -186,7 +197,6 @@ static REGISTRY: &[Experiment] = &[
                 kind: ParamKind::EnumStr(&["sequential", "strided", "random", "chase", "hot"]),
             },
             u64_pos("accesses"),
-            u64_pos("footprint_mib"),
             ParamSpec {
                 name: "write_fraction",
                 kind: ParamKind::Num { min: 0.0, max: 1.0 },

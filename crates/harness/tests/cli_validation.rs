@@ -62,6 +62,33 @@ fn run_rejects_a_param_above_its_schema_range() {
 }
 
 #[test]
+fn run_rejects_ic_sweep_params_the_memory_model_cannot_build() {
+    // Each used to pass S1 and then panic building the memory model.
+    assert_rejected(
+        "ic-mib-3",
+        &["run", "ic_sweep", "-p", "ic_mib=3"],
+        "\"ic_mib\" = 3 does not match schema",
+    );
+    assert_rejected(
+        "granules-512-256",
+        &[
+            "run",
+            "ic_sweep",
+            "-p",
+            "stack_granule=256",
+            "-p",
+            "channel_granule=512",
+        ],
+        "\"channel_granule\" = 512 exceeds \"stack_granule\" = 256",
+    );
+    assert_rejected(
+        "granule-1g",
+        &["run", "ic_sweep", "-p", "channel_granule=1073741824"],
+        "exceeds \"stack_granule\" = 4096, its default",
+    );
+}
+
+#[test]
 fn run_rejects_an_undeclared_param() {
     assert_rejected(
         "bogus",

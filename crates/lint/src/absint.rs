@@ -10,7 +10,7 @@
 //! summaries (param lanes → return lanes) are propagated over the
 //! conservative call graph's symbol table, to convergence and
 //! re-evaluating a function only when a callee's summary changed, so
-//! helpers like `bank_mix` and `fast_mod` compose across files.
+//! helpers like `bank_mix` compose across files.
 //!
 //! One rule lives on top, next to the L3 lock-order graph pass
 //! ([`check_lock_order`]): **B1 correlated-selectors**
@@ -782,9 +782,9 @@ fn shift_op(a: &AbsVal, b: &AbsVal, left: bool) -> AbsVal {
 
 fn and_op(a: &AbsVal, b: &AbsVal) -> AbsVal {
     // Lane narrowing only composes against a known mask; `x & (m - 1)`
-    // with unknown `m` (the fast_mod shape) keeps lanes and does NOT
-    // become a selector — runtime masks are windows until proven
-    // otherwise.
+    // with unknown `m` (a runtime mask, as in the address decode) keeps
+    // lanes and does NOT become a selector — runtime masks are windows
+    // until proven otherwise.
     let (v, m) = match (a.konst, b.konst) {
         (_, Some(m)) => (a, m),
         (Some(m), _) => (b, m),

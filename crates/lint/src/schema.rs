@@ -25,12 +25,17 @@ pub enum ParamKind {
         /// Inclusive upper bound.
         max: u64,
     },
-    /// Power of two within `[min, max]`.
+    /// Power of two within `[min, max]`, or 0 when `min` is 0 (the value
+    /// that turns a feature off).
     PowerOfTwo {
         /// Inclusive lower bound.
         min: u64,
         /// Inclusive upper bound.
         max: u64,
+        /// `Some((other, default))`: no value may exceed a value of
+        /// parameter `other`, which is `default` where a scenario leaves
+        /// it unset.
+        at_most: Option<(&'static str, u64)>,
     },
     /// Floating-point number within `[min, max]`.
     Num {
@@ -51,7 +56,8 @@ impl ParamKind {
         match self {
             ParamKind::U64 { min, max } if *max == u64::MAX => format!("integer >= {min}"),
             ParamKind::U64 { min, max } => format!("integer in {min}..={max}"),
-            ParamKind::PowerOfTwo { min, max } => format!("power of two in {min}..={max}"),
+            ParamKind::PowerOfTwo { min: 0, max, .. } => format!("0 or a power of two up to {max}"),
+            ParamKind::PowerOfTwo { min, max, .. } => format!("power of two in {min}..={max}"),
             ParamKind::Num { min, max } if *max == f64::MAX => format!("number >= {min}"),
             ParamKind::Num { min, max } => format!("number in {min}..={max}"),
             ParamKind::Bool => "bool".to_string(),
@@ -63,9 +69,9 @@ impl ParamKind {
     fn accepts(&self, v: &Json) -> bool {
         match self {
             ParamKind::U64 { min, max } => v.as_u64().is_some_and(|x| x >= *min && x <= *max),
-            ParamKind::PowerOfTwo { min, max } => v
+            ParamKind::PowerOfTwo { min, max, .. } => v
                 .as_u64()
-                .is_some_and(|x| x.is_power_of_two() && x >= *min && x <= *max),
+                .is_some_and(|x| (x.is_power_of_two() || x == 0) && x >= *min && x <= *max),
             ParamKind::Num { min, max } => v.as_f64().is_some_and(|x| x >= *min && x <= *max),
             ParamKind::Bool => v.as_bool().is_some(),
             ParamKind::EnumStr(opts) => v.as_str().is_some_and(|s| opts.contains(&s)),
@@ -296,6 +302,48 @@ fn validate_spec_obj(
             }
         }
     }
+
+    // `at_most`: the largest value the spec gives a parameter, in
+    // `params` or on its sweep axis, must not exceed the smallest it
+    // gives the other one (or the other's default), so that every
+    // scenario the spec expands to keeps the order.
+    let values = |name: &str| {
+        let set = obj.get("params").and_then(|p| p.get(name)).into_iter();
+        let swept = obj
+            .get("sweep")
+            .and_then(|s| s.get(name))
+            .and_then(Json::as_arr)
+            .into_iter()
+            .flatten();
+        set.chain(swept)
+            .filter_map(Json::as_u64)
+            .collect::<Vec<u64>>()
+    };
+    for spec in schema.params {
+        let ParamKind::PowerOfTwo {
+            at_most: Some((other, default)),
+            ..
+        } = spec.kind
+        else {
+            continue;
+        };
+        let Some(&high) = values(spec.name).iter().max() else {
+            continue;
+        };
+        let (limit, whose) = match values(other).iter().min() {
+            Some(&v) => (v, ""),
+            None => (default, ", its default"),
+        };
+        if high > limit {
+            fail(
+                line_of_key(src, spec.name),
+                format!(
+                    "parameter {:?} = {high} exceeds {other:?} = {limit}{whose}",
+                    spec.name
+                ),
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -308,9 +356,10 @@ mod tests {
             params: &[
                 ParamSpec {
                     name: "ic_mib",
-                    kind: ParamKind::U64 {
-                        min: 1,
-                        max: u64::MAX,
+                    kind: ParamKind::PowerOfTwo {
+                        min: 0,
+                        max: 4096,
+                        at_most: None,
                     },
                 },
                 ParamSpec {
@@ -334,6 +383,15 @@ mod tests {
                     kind: ParamKind::PowerOfTwo {
                         min: 256,
                         max: 1 << 30,
+                        at_most: None,
+                    },
+                },
+                ParamSpec {
+                    name: "channel_granule",
+                    kind: ParamKind::PowerOfTwo {
+                        min: 128,
+                        max: 1 << 30,
+                        at_most: Some(("stack_granule", 4096)),
                     },
                 },
             ],
@@ -413,6 +471,60 @@ mod tests {
             "{}",
             sweep[0].1
         );
+    }
+
+    fn ic_sweep(params: &str) -> Vec<String> {
+        rules(&format!(r#"{{"experiment": "ic_sweep", {params}}}"#))
+            .into_iter()
+            .map(|(_, m)| m)
+            .collect()
+    }
+
+    #[test]
+    fn ic_mib_must_be_zero_or_a_power_of_two() {
+        for ok in [0, 1, 2, 4, 4096] {
+            assert!(ic_sweep(&format!(r#""params": {{"ic_mib": {ok}}}"#)).is_empty());
+        }
+        let three = ic_sweep(r#""params": {"ic_mib": 3}"#);
+        assert_eq!(three.len(), 1, "{three:?}");
+        assert!(
+            three[0].contains("0 or a power of two up to 4096"),
+            "{three:?}"
+        );
+        for bad in ["5", "6", "12", "100", "8192"] {
+            assert_eq!(
+                ic_sweep(&format!(r#""params": {{"ic_mib": {bad}}}"#)).len(),
+                1
+            );
+        }
+        assert_eq!(ic_sweep(r#""sweep": {"ic_mib": [0, 1, 3]}"#).len(), 1);
+    }
+
+    #[test]
+    fn channel_granule_above_the_stack_granule_fires() {
+        let both = ic_sweep(r#""params": {"stack_granule": 256, "channel_granule": 512}"#);
+        assert_eq!(both.len(), 1, "{both:?}");
+        assert!(
+            both[0].contains(r#""channel_granule" = 512 exceeds "stack_granule" = 256"#),
+            "{both:?}"
+        );
+        // Unset, the stack granule is its default, 4096.
+        let alone = ic_sweep(r#""params": {"channel_granule": 1073741824}"#);
+        assert_eq!(alone.len(), 1, "{alone:?}");
+        assert!(alone[0].ends_with("= 4096, its default"), "{alone:?}");
+        for ok in [
+            r#""params": {"channel_granule": 4096}"#,
+            r#""params": {"stack_granule": 256, "channel_granule": 256}"#,
+            r#""params": {"stack_granule": 256}"#,
+            r#""sweep": {"stack_granule": [1024, 4096], "channel_granule": [128, 1024]}"#,
+        ] {
+            assert!(ic_sweep(ok).is_empty(), "{ok}");
+        }
+        // Every scenario a sweep expands to must keep the order.
+        let swept = ic_sweep(
+            r#""params": {"channel_granule": 2048}, "sweep": {"stack_granule": [1024, 4096]}"#,
+        );
+        assert_eq!(swept.len(), 1, "{swept:?}");
     }
 
     #[test]

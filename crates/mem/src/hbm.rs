@@ -11,9 +11,9 @@ use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
 /// DRAM row size: an `HbmBank` decodes a bank-local address's row as
-/// `addr / ROW_BYTES`, and the channel layer's bank-local address
-/// mapping (`crate::channel::bank_slot`) renumbers rows in the same
-/// unit.
+/// `addr / ROW_BYTES`, and the bank-local address mapping
+/// (`crate::interleave::Interleaver::decode`) renumbers rows in the
+/// same unit.
 pub const ROW_BYTES: u64 = 1024;
 
 /// The HBM generation attached to a product.
@@ -56,7 +56,7 @@ pub(crate) struct HbmTimings {
     /// Access latency when a different row must be precharged + activated.
     pub(crate) row_activate: SimTime,
     /// Independent banks per pseudo-channel: how many [`HbmBank`]s a
-    /// channel is split into (see `crate::channel::bank_slot`).
+    /// channel is split into (see `crate::interleave::Interleaver::decode`).
     pub(crate) banks_per_channel: u32,
     /// DRAM access energy per byte moved.
     pub(crate) energy_per_byte: Energy,

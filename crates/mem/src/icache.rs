@@ -98,6 +98,7 @@ impl SetRecord {
     /// to `slot` (slot indices are unique among the first `len` nibbles,
     /// and the zero-nibble test flags no position below the first true
     /// match).
+    #[inline]
     fn position(&self, slot: usize) -> u32 {
         const ONES: u64 = 0x1111_1111_1111_1111;
         let x = self.order ^ (slot as u64 * ONES);
@@ -107,6 +108,7 @@ impl SetRecord {
 
     /// Moves the slot at recency position `pos` — or, with `pos == len`,
     /// a slot just appended — to the MRU position.
+    #[inline]
     fn promote(&mut self, pos: u32, slot: usize) {
         let shift = 4 * pos;
         let below = self.order & ((1u64 << shift) - 1);
@@ -115,16 +117,23 @@ impl SetRecord {
     }
 
     /// Makes live `slot` the MRU.
+    #[inline]
     fn touch(&mut self, slot: usize) {
         self.promote(self.position(slot), slot);
     }
 
-    /// The slot holding `tag`, if the line is resident.
+    /// The slot holding `tag`, if the line is resident. Every slot is
+    /// compared into one bit mask, which keeps the live slots `0..len`;
+    /// live tags are unique, so its lowest bit is the only match.
+    #[inline]
     fn find(&self, tag: u32) -> Option<usize> {
         // lint:hot-path
-        self.tags[..usize::from(self.len)]
-            .iter()
-            .position(|&t| t == tag)
+        let mut hits = 0u32;
+        for (slot, &t) in self.tags.iter().enumerate() {
+            hits |= u32::from(t == tag) << slot;
+        }
+        let live = hits & ((1u32 << self.len) - 1);
+        (live != 0).then(|| live.trailing_zeros() as usize)
         // lint:hot-path-end
     }
 
@@ -202,14 +211,17 @@ impl SliceGeometry {
         }
     }
 
+    #[inline]
     fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 
+    #[inline]
     fn addr_of(&self, line: u64) -> u64 {
         line << self.line_shift
     }
 
+    #[inline]
     fn set_of(&self, line: u64) -> usize {
         (line & self.set_mask) as usize
     }
@@ -226,6 +238,7 @@ impl SliceGeometry {
     ///
     /// Panics if the tag exceeds 32 bits — an address beyond the
     /// modelled physical space (≥ `line_bytes << (32 + set_bits)`).
+    #[inline]
     fn tag_of(&self, line: u64) -> u32 {
         let tag = line >> self.set_mask.trailing_ones();
         u32::try_from(tag).expect("address beyond the modelled physical space")
@@ -278,7 +291,7 @@ impl SliceState {
 /// untouched set reads as an empty one with no branch on the way. A new
 /// store is one zeroed `index` allocation and that one record, so
 /// building one costs nothing per set, and a replay pays only for the
-/// sets its trace reaches. Only `SetsMut::get_or_insert`, which
+/// sets its trace reaches. Only `SetsMut::record_mut`, which
 /// `SliceMut::install` calls, appends a record.
 #[derive(Debug, Clone)]
 pub(crate) struct SetStore {
@@ -425,28 +438,26 @@ impl SetsMut<'_> {
         }
     }
 
-    /// The record of set `set` (see [`Sets::get`]).
+    /// The index entry of set `set`: 0 if the set was never touched,
+    /// otherwise the position of its record. A slice access reads it
+    /// once and hands it to every step that follows.
     #[inline]
-    fn get(&self, set: usize) -> &SetRecord {
-        self.view().get(set)
+    fn entry(&self, set: usize) -> usize {
+        self.index[set] as usize
     }
 
-    /// The record of set `set`, which holds the line that was just found
-    /// in it, so the set has been touched and the record is its own.
+    /// The record at index entry `entry`: the store's empty record for
+    /// entry 0.
     #[inline]
-    fn get_found(&mut self, set: usize) -> &mut SetRecord {
-        // lint:hot-path
-        let entry = self.index[set] as usize;
-        debug_assert_ne!(entry, 0, "a line was found in an untouched set");
-        &mut self.records[entry]
-        // lint:hot-path-end
+    fn record(&self, entry: usize) -> &SetRecord {
+        &self.records[entry]
     }
 
-    /// The record of set `set`, appended empty on its first touch.
+    /// The record of set `set`, whose index entry is `entry`, to write:
+    /// appended empty on the set's first touch (`entry == 0`).
     #[inline]
-    fn get_or_insert(&mut self, set: usize) -> &mut SetRecord {
+    fn record_mut(&mut self, set: usize, mut entry: usize) -> &mut SetRecord {
         // lint:hot-path
-        let mut entry = self.index[set] as usize;
         if entry == 0 {
             entry = self.records.len();
             self.records.push(SetRecord::default());
@@ -501,12 +512,21 @@ pub(crate) struct SliceMut<'a> {
 }
 
 impl SliceMut<'_> {
-    /// Installs an absent line (demand fill or prefetch) as the set's
-    /// MRU; returns the dirty victim address if one was evicted. The
-    /// only operation that adds a record to the store.
-    fn install(&mut self, set_idx: usize, tag: u32, dirty: bool, prefetched: bool) -> Option<u64> {
+    /// Installs an absent line (demand fill or prefetch) as the MRU of
+    /// set `set_idx`, whose index entry is `entry`; returns the dirty
+    /// victim address if one was evicted. The only operation that adds
+    /// a record to the store.
+    #[inline(always)]
+    fn install(
+        &mut self,
+        set_idx: usize,
+        entry: usize,
+        tag: u32,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Option<u64> {
         let ways = self.geom.ways;
-        let set = self.sets.get_or_insert(set_idx);
+        let set = self.sets.record_mut(set_idx, entry);
         let len = usize::from(set.len);
         let mut victim_addr = None;
         let slot = if len == ways {
@@ -534,6 +554,7 @@ impl SliceMut<'_> {
 
     /// Runs the stream detector; returns whether the stream is trained
     /// (the caller then prefetches `degree` lines ahead of `line`).
+    #[inline]
     fn stream_trained(&mut self, line: u64) -> bool {
         let pf = &self.geom.pf;
         if !pf.enabled {
@@ -550,17 +571,21 @@ impl SliceMut<'_> {
     }
 
     /// Looks up `addr`, updating replacement and dirty state.
+    #[inline(always)]
     pub(crate) fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         let line = self.geom.line_of(addr);
         let set_idx = self.geom.set_of(line);
         let tag = self.geom.tag_of(line);
+        let entry = self.sets.entry(set_idx);
 
-        let Some(slot) = self.sets.get(set_idx).find(tag) else {
+        let Some(slot) = self.sets.record(entry).find(tag) else {
             self.state.misses += 1;
-            let writeback = self.install(set_idx, tag, is_write, false);
+            let writeback = self.install(set_idx, entry, tag, is_write, false);
             return CacheOutcome::Miss { writeback };
         };
-        let set = self.sets.get_found(set_idx);
+        // A line was found, so the set was touched and the record is its
+        // own.
+        let set = &mut self.sets.records[entry];
         set.touch(slot);
         let bit = 1u16 << slot;
         set.dirty |= u16::from(is_write) << slot;
@@ -578,6 +603,7 @@ impl SliceMut<'_> {
     /// Writes the prefetch addresses triggered by an access at `addr` to
     /// the front of `out` and returns how many there are (at most the
     /// prefetch degree).
+    #[inline(always)]
     pub(crate) fn take_prefetches(
         &mut self,
         addr: u64,
@@ -592,7 +618,8 @@ impl SliceMut<'_> {
         let mut n = 0;
         for d in 1..=u64::from(geom.pf.degree) {
             let l = line + d;
-            if self.sets.get(geom.set_of(l)).find(geom.tag_of(l)).is_none() {
+            let entry = self.sets.entry(geom.set_of(l));
+            if self.sets.record(entry).find(geom.tag_of(l)).is_none() {
                 out[n] = geom.addr_of(l);
                 n += 1;
             }
@@ -603,15 +630,17 @@ impl SliceMut<'_> {
 
     /// Installs a prefetched line; returns dirty victim address if any.
     /// A line that is already resident just becomes the set's MRU.
+    #[inline]
     pub(crate) fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
         let line = self.geom.line_of(addr);
         let set_idx = self.geom.set_of(line);
         let tag = self.geom.tag_of(line);
-        if let Some(slot) = self.sets.get(set_idx).find(tag) {
-            self.sets.get_found(set_idx).touch(slot);
+        let entry = self.sets.entry(set_idx);
+        if let Some(slot) = self.sets.record(entry).find(tag) {
+            self.sets.records[entry].touch(slot);
             return None;
         }
-        self.install(set_idx, tag, false, true)
+        self.install(set_idx, entry, tag, false, true)
     }
 }
 

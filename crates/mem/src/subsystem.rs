@@ -3,11 +3,12 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use ehp_sim_core::ids::ChannelId;
 use ehp_sim_core::stats::{Accumulator, Counter};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
 
-use crate::channel::{bank_slot, BankParams, BankUnit, ChannelConfig, ChannelView};
+use crate::channel::{BankParams, BankUnit, ChannelConfig, ChannelView};
 use crate::icache::{SetStore, SetsMut};
 use crate::interleave::{InterleaveConfig, Interleaver};
 use crate::request::{MemRequest, MemResponse};
@@ -147,9 +148,10 @@ impl MemorySubsystem {
     /// `InterleaveConfig::validate`).
     #[must_use]
     pub fn new(cfg: MemConfig) -> MemorySubsystem {
-        let interleaver = Interleaver::new(cfg.interleave).expect("valid interleave config");
-        let channels = cfg.interleave.total_channels() as usize;
         let banks_per_channel = cfg.channel.banks();
+        let interleaver = Interleaver::new(cfg.interleave, banks_per_channel as u32)
+            .expect("valid interleave config");
+        let channels = cfg.interleave.total_channels() as usize;
         let banks = channels * banks_per_channel;
         let params = BankParams::new(&cfg.channel);
         MemorySubsystem {
@@ -167,12 +169,11 @@ impl MemorySubsystem {
 
     /// Routes and performs one access.
     pub fn access(&mut self, at: SimTime, req: MemRequest) -> MemResponse {
-        let channel = self.interleaver.channel_of(req.addr);
-        let (flat, local) = self.bank_of_channel(channel.index(), req.addr);
+        let (flat, local) = self.flat_bank_of(req.addr);
         let completes_at = self.access_bank(at, flat, local, req);
         MemResponse {
             completes_at,
-            channel,
+            channel: ChannelId((flat / self.banks_per_channel) as u32),
         }
     }
 
@@ -224,8 +225,8 @@ impl MemorySubsystem {
     ///
     /// `buckets` holds one request bucket per flat bank — bank-local
     /// packed addresses via [`MemorySubsystem::flat_bank_of`] — in
-    /// trace order. Because the interleaver and [`bank_slot`]
-    /// deterministically steer every address to exactly one bank, and
+    /// trace order. Because [`Interleaver::decode`] deterministically
+    /// steers every address to exactly one bank, and
     /// banks share no state, replaying each bank's sub-stream in order
     /// evolves precisely the state the sequential loop would have
     /// produced **regardless of which worker replays which bank or in
@@ -452,20 +453,11 @@ impl MemorySubsystem {
 
     /// Maps an address to its flat bank id (`channel x banks_per_channel
     /// + bank`) and bank-local address — the sharding key of
-    /// [`MemorySubsystem::replay_sharded`].
+    /// [`MemorySubsystem::replay_sharded`] (see [`Interleaver::decode`]).
     #[inline]
     #[must_use]
     pub fn flat_bank_of(&self, addr: u64) -> (usize, u64) {
-        let channel = self.interleaver.channel_of(addr).index();
-        self.bank_of_channel(channel, addr)
-    }
-
-    /// The flat bank and bank-local address of `addr` on `channel`.
-    #[inline]
-    fn bank_of_channel(&self, channel: usize, addr: u64) -> (usize, u64) {
-        let banks = self.banks_per_channel;
-        let (bank, local) = bank_slot(addr, banks as u64);
-        (channel * banks + bank, local)
+        self.interleaver.decode(addr)
     }
 
     /// Read-only per-channel views, in channel order.
@@ -572,6 +564,7 @@ mod tests {
 
     use super::*;
     use crate::icache::PrefetcherConfig;
+    use crate::oracle::decode::bank_slot;
     use crate::trace::{replay, Pattern, TraceConfig};
 
     /// Issues a batch of independent requests all arriving at `at` and
@@ -597,8 +590,8 @@ mod tests {
     fn one_channel_interleave_decodes_like_bank_slot() {
         // On a 1-stack × 1-channel interleave every address reaches
         // channel 0, so the flat bank and bank-local address are the
-        // channel's own `bank_slot` decode: the property the bank
-        // audit's row streams rely on.
+        // channel's own `bank_slot` decode (the test oracle's): the
+        // property the bank audit's row streams rely on.
         let mut cfg = MemConfig::mi300_hbm3();
         cfg.interleave.stacks = 1;
         cfg.interleave.channels_per_stack = 1;

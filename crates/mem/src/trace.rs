@@ -5,8 +5,17 @@
 //! address streams (sequential, strided, random, zipfian-hot,
 //! pointer-chase) so cache/interleave/bandwidth behaviour can be
 //! measured rather than assumed.
+//!
+//! Per access, replay does the model's work and little else:
+//! `TraceConfig::for_each` draws the line and the read/write choice in
+//! one loop per pattern, testing each probability as an integer
+//! threshold ([`chance_threshold`]) with the draws `chance` would make;
+//! `Interleaver::decode` (`crate::interleave`) takes the address to its
+//! flat bank and bank-local address with shifts and masks; and the bank
+//! and slice code it then runs is inlined into one per-bank loop (see
+//! DESIGN.md §13, "round 4").
 
-use ehp_sim_core::rng::SplitMix64;
+use ehp_sim_core::rng::{chance_threshold, SplitMix64};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
@@ -95,6 +104,12 @@ impl TraceConfig {
     /// bank before any bank replays, or to feed the dependent chase, so
     /// the trace is generated exactly once.
     ///
+    /// Each pattern runs a loop of its own, so the per-access loop
+    /// carries no `match`, and each probability is turned once into the
+    /// integer threshold `SplitMix64::chance` compares against
+    /// ([`chance_threshold`]): the draws and their outcomes are those of
+    /// `chance(p)`, one per decision.
+    ///
     /// # Panics
     ///
     /// Panics if the footprint is smaller than one line or fractions are
@@ -106,52 +121,70 @@ impl TraceConfig {
             "write fraction out of range"
         );
         let lines = self.footprint / self.line;
-        // Lines of the hot region, clamped to the footprint.
-        let hot_lines = match self.pattern {
-            Pattern::Hot {
-                hot_fraction,
-                hot_bytes,
-            } => {
-                assert!((0.0..=1.0).contains(&hot_fraction));
-                (hot_bytes / self.line).max(1).min(lines)
-            }
-            _ => 0,
-        };
+        let line = self.line;
+        let write = chance_threshold(self.write_fraction);
         let mut rng = SplitMix64::new(self.seed);
-        let mut chase_state = 0x9E37_79B9u64 % lines;
-        for i in 0..self.accesses {
-            let line_idx = match self.pattern {
-                Pattern::Sequential => i % lines,
-                Pattern::Strided { stride } => (i * stride.max(self.line) / self.line) % lines,
-                Pattern::Random => rng.next_below(lines),
-                Pattern::Hot { hot_fraction, .. } => {
-                    if rng.chance(hot_fraction) {
-                        rng.next_below(hot_lines)
-                    } else {
-                        rng.next_below(lines)
-                    }
-                }
-                Pattern::PointerChase => {
-                    // LCG-style dependent next pointer.
-                    chase_state = chase_state
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407)
-                        % lines;
-                    chase_state
-                }
-            };
-            let addr = line_idx * self.line;
-            let kind = if rng.chance(self.write_fraction) {
+        // lint:hot-path
+        // Every access ends with its write draw, after its line draws.
+        let mut emit = |rng: &mut SplitMix64, line_idx: u64| {
+            let kind = if rng.chance_below(write) {
                 AccessKind::Write
             } else {
                 AccessKind::Read
             };
             f(MemRequest {
-                addr,
-                size: Bytes(self.line),
+                addr: line_idx * line,
+                size: Bytes(line),
                 kind,
             });
+        };
+        match self.pattern {
+            Pattern::Sequential => {
+                for i in 0..self.accesses {
+                    emit(&mut rng, i % lines);
+                }
+            }
+            Pattern::Strided { stride } => {
+                let stride = stride.max(line);
+                for i in 0..self.accesses {
+                    emit(&mut rng, (i * stride / line) % lines);
+                }
+            }
+            Pattern::Random => {
+                for _ in 0..self.accesses {
+                    let line_idx = rng.next_below(lines);
+                    emit(&mut rng, line_idx);
+                }
+            }
+            Pattern::Hot {
+                hot_fraction,
+                hot_bytes,
+            } => {
+                let hot = chance_threshold(hot_fraction);
+                // Lines of the hot region, clamped to the footprint.
+                let hot_lines = (hot_bytes / line).max(1).min(lines);
+                for _ in 0..self.accesses {
+                    let line_idx = if rng.chance_below(hot) {
+                        rng.next_below(hot_lines)
+                    } else {
+                        rng.next_below(lines)
+                    };
+                    emit(&mut rng, line_idx);
+                }
+            }
+            Pattern::PointerChase => {
+                let mut chase_state = 0x9E37_79B9u64 % lines;
+                for _ in 0..self.accesses {
+                    // LCG-style dependent next pointer.
+                    chase_state = chase_state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407)
+                        % lines;
+                    emit(&mut rng, chase_state);
+                }
+            }
         }
+        // lint:hot-path-end
     }
 
     /// Generates the address/kind trace as a vector.

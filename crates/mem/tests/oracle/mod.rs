@@ -6,11 +6,15 @@
 //!   recency record replaced, checked against `icache::SliceMut`.
 //! - [`loop_refresh`]: the per-interval refresh catch-up loop the closed
 //!   form replaced, checked against `hbm::HbmBank`.
+//! - [`decode`]: the two-step address decode (stack and channel, then
+//!   bank) the fused `interleave::Interleaver::decode` replaced, checked
+//!   against it.
 //! - [`replay`]: the sequential reference replay, one
 //!   `MemorySubsystem::access` per request. It needs only the public API,
 //!   so `tests/replay_determinism.rs` and `crates/bench/benches/replay.rs`
 //!   include that file alone by `#[path]`.
 
+pub mod decode;
 pub mod loop_refresh;
 pub mod replay;
 pub mod stamp_slice;

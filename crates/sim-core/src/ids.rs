@@ -10,14 +10,6 @@ macro_rules! define_id {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
-
-        impl $name {
-            /// Raw index value.
-            #[must_use]
-            pub fn index(self) -> usize {
-                self.0 as usize
-            }
-        }
     };
 }
 
@@ -74,8 +66,8 @@ mod tests {
 
     #[test]
     fn ids_are_distinct_types() {
-        // This is a compile-time property; just exercise the accessor.
-        assert_eq!(ChannelId(5).index(), ChipletId(5).index());
+        // This is a compile-time property; just exercise the field.
+        assert_eq!(ChannelId(5).0, ChipletId(5).0);
     }
 
     #[test]

@@ -32,6 +32,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -47,6 +48,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         loop {
@@ -60,20 +62,48 @@ impl SplitMix64 {
     }
 
     /// Returns a uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p`.
+    /// Returns `true` with probability `p`: exactly when
+    /// `next_f64() < p` would be, in the integer form of
+    /// [`chance_threshold`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        self.next_f64() < p
+        self.chance_below(chance_threshold(p))
     }
+
+    /// Returns `true` when the next draw's top 53 bits are below
+    /// `threshold`: `chance(p)` for `threshold = chance_threshold(p)`,
+    /// with the float work done once, outside a per-draw loop.
+    #[inline]
+    pub fn chance_below(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
+    }
+}
+
+/// The integer threshold `SplitMix64::chance(p)` compares a draw's top
+/// 53 bits `m` against: `ceil(p * 2^53)`. `next_f64()` returns
+/// `m * 2^-53`, and for an integer `m < 2^53`,
+/// `m * 2^-53 < p` holds exactly when `m < ceil(p * 2^53)`. Scaling by a
+/// power of two and `ceil` are exact in `f64`, so no draw lands on the
+/// other side of the comparison.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]`.
+#[inline]
+#[must_use]
+pub fn chance_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 #[cfg(test)]
@@ -139,6 +169,50 @@ mod tests {
         let mut r = SplitMix64::new(17);
         let hits = (0..100_000).filter(|_| r.chance(0.25)).count();
         assert!((24_000..26_000).contains(&hits), "hits = {hits}");
+    }
+
+    /// The generator whose next draw is `x`: SplitMix64's output mix is
+    /// a bijection, so undo it and step the state back one increment.
+    fn drawing(x: u64) -> SplitMix64 {
+        fn unshift(y: u64, s: u32) -> u64 {
+            (0..64 / s).fold(y, |z, _| y ^ (z >> s))
+        }
+        fn inverse(c: u64) -> u64 {
+            (0..6).fold(c, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i)))
+            })
+        }
+        let mut z = unshift(x, 31);
+        z = unshift(z.wrapping_mul(inverse(0x94D0_49BB_1331_11EB)), 27);
+        z = unshift(z.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9)), 30);
+        SplitMix64::new(z.wrapping_sub(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// This property's seed: the FNV-1a hash of `"chance"`.
+    const CHANCE_SEED: u64 = 0x4A54_9303_4C71_4E81;
+
+    #[test]
+    fn chance_is_next_f64_below_p() {
+        // `chance(p)` against its definition `next_f64() < p`, on seeded
+        // draws and on draws whose top 53 bits sit one below, at and one
+        // above the threshold, where an off-by-one threshold would flip.
+        let eps = 1.0 / (1u64 << 53) as f64;
+        let mut seeds = SplitMix64::new(CHANCE_SEED);
+        for p in [0.0, eps, 0.1, 0.3, 0.5, 0.9, 1.0 - eps, 1.0] {
+            let t = chance_threshold(p);
+            let mut draws: Vec<u64> = [t.wrapping_sub(1), t, t + 1]
+                .into_iter()
+                .filter(|&m| m < 1 << 53)
+                .map(|m| (m << 11) | seeds.next_below(1 << 11))
+                .collect();
+            draws.extend((0..2_000).map(|_| seeds.next_u64()));
+            for x in draws {
+                let mut a = drawing(x);
+                assert_eq!(a.clone().next_u64(), x);
+                let want = drawing(x).next_f64() < p;
+                assert_eq!(a.chance(p), want, "p={p} draw={x:#x}");
+            }
+        }
     }
 
     #[test]

@@ -24,11 +24,13 @@ pub struct Counter {
 
 impl Counter {
     /// Increments by one.
+    #[inline]
     pub fn inc(&mut self) {
         self.value += 1;
     }
 
     /// Increments by `n`.
+    #[inline]
     pub fn add(&mut self, n: u64) {
         self.value += n;
     }
@@ -65,6 +67,7 @@ impl Default for Accumulator {
 
 impl Accumulator {
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, sample: f64) {
         self.count += 1;
         self.sum += sample;

@@ -75,12 +75,14 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime { picos: 0 };
 
     /// Constructs a time from picoseconds.
+    #[inline]
     #[must_use]
     pub fn from_picos(picos: u64) -> SimTime {
         SimTime { picos }
     }
 
     /// Constructs a time from nanoseconds.
+    #[inline]
     #[must_use]
     pub fn from_nanos(nanos: u64) -> SimTime {
         SimTime {
@@ -110,12 +112,14 @@ impl SimTime {
     }
 
     /// Time in picoseconds.
+    #[inline]
     #[must_use]
     pub fn as_picos(self) -> u64 {
         self.picos
     }
 
     /// Time in (fractional) nanoseconds.
+    #[inline]
     #[must_use]
     pub fn as_nanos_f64(self) -> f64 {
         self.picos as f64 / 1e3
@@ -150,6 +154,7 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime {
             picos: self.picos + rhs.picos,
@@ -158,6 +163,7 @@ impl Add for SimTime {
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         self.picos += rhs.picos;
     }
@@ -165,6 +171,7 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime {
             picos: self.picos - rhs.picos,
@@ -174,6 +181,7 @@ impl Sub for SimTime {
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn mul(self, rhs: u64) -> SimTime {
         SimTime {
             picos: self.picos * rhs,

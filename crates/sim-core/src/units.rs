@@ -48,12 +48,14 @@ impl Bytes {
     }
 
     /// Raw byte count.
+    #[inline]
     #[must_use]
     pub fn as_u64(self) -> u64 {
         self.0
     }
 
     /// Byte count as `f64`.
+    #[inline]
     #[must_use]
     pub fn as_f64(self) -> f64 {
         self.0 as f64
@@ -68,12 +70,14 @@ impl Bytes {
 
 impl Add for Bytes {
     type Output = Bytes;
+    #[inline]
     fn add(self, rhs: Bytes) -> Bytes {
         Bytes(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Bytes {
+    #[inline]
     fn add_assign(&mut self, rhs: Bytes) {
         self.0 += rhs.0;
     }
@@ -81,6 +85,7 @@ impl AddAssign for Bytes {
 
 impl Mul<u64> for Bytes {
     type Output = Bytes;
+    #[inline]
     fn mul(self, rhs: u64) -> Bytes {
         Bytes(self.0 * rhs)
     }
@@ -242,6 +247,7 @@ impl Energy {
     /// # Panics
     ///
     /// Panics if `joules` is negative or not finite.
+    #[inline]
     #[must_use]
     pub(crate) fn from_joules(joules: f64) -> Energy {
         assert!(
@@ -271,6 +277,7 @@ impl Energy {
     }
 
     /// Scales the energy by a dimensionless factor (e.g. a byte count).
+    #[inline]
     #[must_use]
     pub fn scale(self, factor: f64) -> Energy {
         Energy::from_joules(self.joules * factor)
@@ -279,6 +286,7 @@ impl Energy {
 
 impl Add for Energy {
     type Output = Energy;
+    #[inline]
     fn add(self, rhs: Energy) -> Energy {
         Energy {
             joules: self.joules + rhs.joules,
@@ -287,6 +295,7 @@ impl Add for Energy {
 }
 
 impl AddAssign for Energy {
+    #[inline]
     fn add_assign(&mut self, rhs: Energy) {
         self.joules += rhs.joules;
     }

@@ -30,18 +30,30 @@ fn f64_in(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
     lo + rng.next_f64() * (hi - lo)
 }
 
+/// The MI300 decode: 8 stacks x 16 channels x 16 banks.
+fn mi300_interleaver() -> Interleaver {
+    Interleaver::new(InterleaveConfig::mi300(), 16).unwrap()
+}
+
+/// The (stack, channel within the stack, flat channel) of `addr`, read
+/// off its flat bank (`channel x 16 + bank`).
+fn place(il: &Interleaver, addr: u64) -> (usize, usize, usize) {
+    let channel = il.decode(addr).0 / 16;
+    (channel / 16, channel % 16, channel)
+}
+
 /// Interleaving is a pure function and always lands in range.
 #[test]
 fn interleave_in_range_and_deterministic() {
-    let il = Interleaver::new(InterleaveConfig::mi300()).unwrap();
+    let il = mi300_interleaver();
     let mut rng = rng_for("interleave_in_range");
     for _ in 0..512 {
         let addr = rng.next_u64();
-        let p = il.place(addr);
-        assert!(p.stack < 8);
-        assert!(p.channel_in_stack < 16);
-        assert!(p.channel.0 < 128);
-        assert_eq!(p, il.place(addr));
+        let (stack, channel_in_stack, channel) = place(&il, addr);
+        assert!(stack < 8);
+        assert!(channel_in_stack < 16);
+        assert!(channel < 128);
+        assert_eq!(il.decode(addr), il.decode(addr));
     }
 }
 
@@ -49,16 +61,16 @@ fn interleave_in_range_and_deterministic() {
 /// addresses in the same 256 B sub-granule share a channel.
 #[test]
 fn interleave_granule_cohesion() {
-    let il = Interleaver::new(InterleaveConfig::mi300()).unwrap();
+    let il = mi300_interleaver();
     let mut rng = rng_for("interleave_granule_cohesion");
     for _ in 0..512 {
         let base = rng.next_u64() & !0xFFF;
         let off = rng.next_below(4096);
-        assert_eq!(il.place(base).stack, il.place(base + off).stack);
+        assert_eq!(place(&il, base).0, place(&il, base + off).0);
         let line_base = base + (off & !0xFF);
         assert_eq!(
-            il.place(line_base).channel,
-            il.place(line_base + (off & 0xFF)).channel
+            place(&il, line_base).2,
+            place(&il, line_base + (off & 0xFF)).2
         );
     }
 }
@@ -67,13 +79,13 @@ fn interleave_granule_cohesion() {
 /// 128-granule window (bandwidth-spreading property).
 #[test]
 fn interleave_spreads_sequential_sweeps() {
-    let il = Interleaver::new(InterleaveConfig::mi300()).unwrap();
+    let il = mi300_interleaver();
     let mut rng = rng_for("interleave_spreads");
     for _ in 0..64 {
         let start_granule = rng.next_below(1_000_000);
         let mut stacks = std::collections::HashSet::new();
         for g in 0..64u64 {
-            stacks.insert(il.place((start_granule + g) * 4096).stack);
+            stacks.insert(place(&il, (start_granule + g) * 4096).0);
         }
         assert!(
             stacks.len() >= 6,
