@@ -91,12 +91,16 @@ step "rustdoc" env RUSTDOCFLAGS="-D warnings" \
     cargo doc --workspace --no-deps --document-private-items --offline
 
 # Every example under examples/ must run to completion, not just
-# compile: a panicking example fails CI. Stdout is discarded; a panic
-# message still reaches the log on stderr.
+# compile: a panicking example fails CI. Its stdout is pinned too: it
+# must match tests/golden/examples.sha256. A change that moves an
+# example's output by design re-saves its line (from the repo root):
+#   sha256sum target/examples/<name>.out   # after the loop below
+mkdir -p target/examples
 for example in examples/*.rs; do
     name=$(basename "$example" .rs)
-    step "example $name" sh -c \
-        "cargo run --release --offline -q -p ehp-bench --example $name > /dev/null"
+    step "example $name" sh -c "
+        cargo run --release --offline -q -p ehp-bench --example $name > target/examples/$name.out &&
+        grep -F '  target/examples/$name.out' tests/golden/examples.sha256 | sha256sum --check --quiet"
 done
 
 # Perf smoke: the sharded-replay bench must stay within 30% of the

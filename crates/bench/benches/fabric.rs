@@ -52,7 +52,7 @@ type PackageCase = (&'static str, fn() -> Topology, Vec<u32>);
 fn bench_packages(c: &mut Criterion) {
     let mut g = c.benchmark_group("fabric_uniform_traffic");
     let cases: [PackageCase; 2] = [
-        ("mi300a", || Topology::mi300_package(2, 3), (0..6).collect()),
+        ("mi300a", || Topology::mi300_package(3), (0..6).collect()),
         ("ehpv4", Topology::ehpv4_package, vec![2, 3, 4, 5]),
     ];
     for (label, topo_fn, chiplets) in cases {
@@ -69,7 +69,7 @@ fn bench_packages(c: &mut Criterion) {
 /// The MI300X-scale streaming pattern: every XCD to every HBM stack,
 /// with a third of the flows demand-capped so both freeze paths run.
 fn mi300x_flow_set() -> (Topology, Vec<Flow>) {
-    let topo = Topology::mi300_package(2, 0);
+    let topo = Topology::mi300_package(0);
     let mut flows = Vec::new();
     for c in 0..8u32 {
         for s in 0..8u32 {

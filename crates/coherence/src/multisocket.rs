@@ -49,16 +49,16 @@ const SOCKET_SPAN: u64 = 128 << 30;
 /// use ehp_sim_core::ids::AgentId;
 ///
 /// let mut n = MultiSocketCoherence::quad_mi300a();
-/// n.register(AgentId(0), 0, AgentClass::Cpu);
-/// n.register(AgentId(1), 0, AgentClass::Gpu);
+/// n.register(AgentId(0), AgentClass::Cpu);
+/// n.register(AgentId(1), AgentClass::Gpu);
 /// let remote = 128u64 << 30; // homed on socket 1
 /// assert!(n.read(AgentId(0), remote).hardware_coherent);  // CPU: hw everywhere
 /// assert!(!n.read(AgentId(1), remote).hardware_coherent); // GPU: sw cross-socket
 /// ```
 #[derive(Debug)]
 pub struct MultiSocketCoherence {
-    /// Agent registry.
-    agents: HashMap<AgentId, (u32, AgentClass)>,
+    /// Agent registry; every agent sits on socket 0.
+    agents: HashMap<AgentId, AgentClass>,
 }
 
 impl MultiSocketCoherence {
@@ -70,14 +70,9 @@ impl MultiSocketCoherence {
         }
     }
 
-    /// Registers an agent on a socket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket index is out of range.
-    pub fn register(&mut self, agent: AgentId, socket: u32, class: AgentClass) {
-        assert!(socket < SOCKETS, "socket {socket} out of range");
-        self.agents.insert(agent, (socket, class));
+    /// Registers an agent on socket 0.
+    pub fn register(&mut self, agent: AgentId, class: AgentClass) {
+        self.agents.insert(agent, class);
     }
 
     fn home_socket(addr: u64) -> u32 {
@@ -85,16 +80,16 @@ impl MultiSocketCoherence {
     }
 
     /// A coherent read of `addr` by `agent`: hardware coherent for a CPU
-    /// anywhere and for a GPU on the line's home socket; a GPU read of
-    /// another socket's memory is software coherent.
+    /// anywhere and for a GPU when the line is homed on its own socket; a
+    /// GPU read of another socket's memory is software coherent.
     ///
     /// # Panics
     ///
     /// Panics if the agent is unregistered.
     pub fn read(&self, agent: AgentId, addr: u64) -> NodeAccess {
-        let (socket, class) = *self.agents.get(&agent).expect("agent registered");
+        let class = *self.agents.get(&agent).expect("agent registered");
         NodeAccess {
-            hardware_coherent: class == AgentClass::Cpu || Self::home_socket(addr) == socket,
+            hardware_coherent: class == AgentClass::Cpu || Self::home_socket(addr) == 0,
         }
     }
 }
@@ -106,15 +101,13 @@ mod tests {
 
     const CPU0: AgentId = AgentId(0);
     const GPU0: AgentId = AgentId(1);
-    const CPU1: AgentId = AgentId(2);
     const GPU1: AgentId = AgentId(3);
 
     fn node() -> MultiSocketCoherence {
         let mut n = MultiSocketCoherence::quad_mi300a();
-        n.register(CPU0, 0, AgentClass::Cpu);
-        n.register(GPU0, 0, AgentClass::Gpu);
-        n.register(CPU1, 1, AgentClass::Cpu);
-        n.register(GPU1, 1, AgentClass::Gpu);
+        n.register(CPU0, AgentClass::Cpu);
+        n.register(GPU0, AgentClass::Gpu);
+        n.register(GPU1, AgentClass::Gpu);
         n
     }
 
@@ -167,12 +160,5 @@ mod tests {
     fn unregistered_agent_panics() {
         let n = node();
         n.read(AgentId(99), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_socket_panics() {
-        let mut n = node();
-        n.register(AgentId(50), 9, AgentClass::Cpu);
     }
 }

@@ -2,7 +2,7 @@
 
 use ehp_sim_core::time::Frequency;
 
-use crate::dtype::{DataType, ExecUnit, Sparsity};
+use crate::dtype::{DataType, ExecUnit};
 
 /// GPU compute architecture generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,20 +46,15 @@ impl GpuArch {
         }
     }
 
-    /// Peak rate including structured sparsity: CDNA 3's matrix cores
-    /// support 4:2 sparsity, reaching 8192 ops/clock/CU for FP8 and INT8.
+    /// Peak matrix rate with 4:2 structured sparsity: CDNA 3's matrix
+    /// cores double their dense rate, reaching 8192 ops/clock/CU for FP8
+    /// and INT8. `None` where the hardware has no sparsity support.
     #[must_use]
-    pub fn ops_per_clock_sparse(
-        self,
-        unit: ExecUnit,
-        dtype: DataType,
-        sparsity: Sparsity,
-    ) -> Option<u64> {
-        let dense = self.ops_per_clock(unit, dtype)?;
-        match (self, unit, sparsity) {
-            (GpuArch::Cdna3, ExecUnit::Matrix, Sparsity::FourTwo) => Some(dense * 2),
-            (_, _, Sparsity::FourTwo) => None, // unsupported elsewhere
-            (_, _, Sparsity::Dense) => Some(dense),
+    pub fn ops_per_clock_sparse(self, dtype: DataType) -> Option<u64> {
+        let dense = self.ops_per_clock(ExecUnit::Matrix, dtype)?;
+        match self {
+            GpuArch::Cdna3 => Some(dense * 2),
+            GpuArch::Cdna2 => None,
         }
     }
 
@@ -86,7 +81,7 @@ impl GpuArch {
 
 /// Static parameters of one CU: what its Table 1 peak rates depend on.
 /// The LDS capacity the occupancy study reads is in
-/// [`CuResources`](crate::occupancy::CuResources), and the shared
+/// [`occupancy`](crate::occupancy)'s `CDNA3_CU`, and the shared
 /// instruction cache is in [`IcacheStudy`](crate::icache::IcacheStudy).
 #[derive(Debug, Clone, Copy)]
 pub struct CuSpec {
@@ -189,30 +184,17 @@ mod tests {
 
     #[test]
     fn sparsity_doubles_cdna3_8bit_matrix() {
-        let r = GpuArch::Cdna3
-            .ops_per_clock_sparse(ExecUnit::Matrix, DataType::Fp8, Sparsity::FourTwo)
-            .unwrap();
+        let r = GpuArch::Cdna3.ops_per_clock_sparse(DataType::Fp8).unwrap();
         assert_eq!(r, 8192, "paper: up to 8192 ops/cycle/CU with 4:2 sparsity");
         assert_eq!(
-            GpuArch::Cdna3.ops_per_clock_sparse(
-                ExecUnit::Matrix,
-                DataType::Int8,
-                Sparsity::FourTwo
-            ),
+            GpuArch::Cdna3.ops_per_clock_sparse(DataType::Int8),
             Some(8192)
         );
     }
 
     #[test]
     fn cdna2_has_no_sparsity() {
-        assert_eq!(
-            GpuArch::Cdna2.ops_per_clock_sparse(
-                ExecUnit::Matrix,
-                DataType::Fp16,
-                Sparsity::FourTwo
-            ),
-            None
-        );
+        assert_eq!(GpuArch::Cdna2.ops_per_clock_sparse(DataType::Fp16), None);
     }
 
     #[test]

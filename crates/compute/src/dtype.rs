@@ -68,17 +68,6 @@ impl fmt::Display for ExecUnit {
     }
 }
 
-/// Structured-sparsity mode of a matrix operation.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum Sparsity {
-    /// Dense operands.
-    #[default]
-    Dense,
-    /// 4:2 structured sparsity (CDNA 3 matrix cores; doubles peak
-    /// throughput for the supported 8-bit types).
-    FourTwo,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,6 +11,10 @@
 
 use ehp_sim_core::units::Bytes;
 
+/// Die area of the pair-shared organisation relative to private caches:
+/// sharing saves the duplicated tag/control overhead, ~7%.
+pub const SHARED_RELATIVE_AREA: f64 = 0.93;
+
 /// Instruction-cache organisation under evaluation.
 #[derive(Debug, Clone, Copy)]
 pub enum IcacheOrg {
@@ -93,16 +97,6 @@ impl IcacheStudy {
         let shared = 1.0 - self.hit_rate(IcacheOrg::SharedPerPair);
         private / shared
     }
-
-    /// Relative die area of the organisation versus private caches
-    /// (shared saves the duplicated tag/control overhead, ~7%).
-    #[must_use]
-    pub fn relative_area(&self, org: IcacheOrg) -> f64 {
-        match org {
-            IcacheOrg::PrivatePerCu => 1.0,
-            IcacheOrg::SharedPerPair => 0.93,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,12 +143,9 @@ mod tests {
 
     #[test]
     fn minimal_area_impact() {
-        let s = IcacheStudy::cdna3_default();
         // "with minimal impact on die area" — the shared organisation is
         // no bigger.
-        assert!(
-            s.relative_area(IcacheOrg::SharedPerPair) <= s.relative_area(IcacheOrg::PrivatePerCu)
-        );
+        const { assert!(SHARED_RELATIVE_AREA <= 1.0) };
     }
 
     #[test]

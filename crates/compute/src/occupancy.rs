@@ -10,31 +10,25 @@
 use ehp_sim_core::units::Bytes;
 
 /// Per-CU schedulable resources.
-#[derive(Debug, Clone, Copy)]
-pub struct CuResources {
+struct CuResources {
     /// Maximum resident wavefronts per CU.
-    pub(crate) max_waves: u32,
+    max_waves: u32,
     /// Vector general-purpose registers per SIMD lane pool (per CU,
     /// counted in per-wave allocation units).
-    pub(crate) vgprs: u32,
+    vgprs: u32,
     /// LDS capacity.
-    pub(crate) lds: Bytes,
+    lds: Bytes,
     /// Maximum workgroups resident per CU.
-    pub(crate) max_workgroups: u32,
+    max_workgroups: u32,
 }
 
-impl CuResources {
-    /// CDNA 3 CU resources.
-    #[must_use]
-    pub fn cdna3() -> CuResources {
-        CuResources {
-            max_waves: 32,
-            vgprs: 2048,
-            lds: Bytes::from_kib(64),
-            max_workgroups: 16,
-        }
-    }
-}
+/// CDNA 3 CU resources.
+const CDNA3_CU: CuResources = CuResources {
+    max_waves: 32,
+    vgprs: 2048,
+    lds: Bytes(64 * 1024),
+    max_workgroups: 16,
+};
 
 /// A kernel's per-workgroup resource appetite.
 #[derive(Debug, Clone, Copy)]
@@ -65,9 +59,9 @@ impl KernelResources {
 /// # Examples
 ///
 /// ```
-/// use ehp_compute::occupancy::{CuResources, KernelResources, Occupancy};
+/// use ehp_compute::occupancy::{KernelResources, Occupancy};
 ///
-/// let o = Occupancy::compute(&CuResources::cdna3(), &KernelResources::light());
+/// let o = Occupancy::compute(&KernelResources::light());
 /// assert_eq!(o.waves_per_cu, 32); // full occupancy
 /// ```
 ///
@@ -95,14 +89,15 @@ pub enum OccupancyLimiter {
 }
 
 impl Occupancy {
-    /// Computes occupancy for a kernel on a CU.
+    /// Computes occupancy for a kernel on a CDNA 3 CU.
     ///
     /// # Panics
     ///
     /// Panics if the kernel needs zero waves, more VGPRs than the CU
     /// has, or more LDS than the CU has (an unlaunchable kernel).
     #[must_use]
-    pub fn compute(cu: &CuResources, k: &KernelResources) -> Occupancy {
+    pub fn compute(k: &KernelResources) -> Occupancy {
+        let cu = &CDNA3_CU;
         assert!(k.waves_per_workgroup > 0, "kernel needs at least one wave");
         assert!(
             k.vgprs_per_wave <= cu.vgprs,
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn light_kernel_hits_wave_or_wg_limit() {
-        let o = Occupancy::compute(&CuResources::cdna3(), &KernelResources::light());
+        let o = Occupancy::compute(&KernelResources::light());
         // 32 slots / 4 waves = 8 workgroups; VGPRs allow 2048/64/4 = 8.
         assert_eq!(o.workgroups_per_cu, 8);
         assert_eq!(o.waves_per_cu, 32);
@@ -162,7 +157,7 @@ mod tests {
             vgprs_per_wave: 256,
             lds_per_workgroup: Bytes::ZERO,
         };
-        let o = Occupancy::compute(&CuResources::cdna3(), &k);
+        let o = Occupancy::compute(&k);
         // 2048/256 = 8 waves -> 2 workgroups.
         assert_eq!(o.workgroups_per_cu, 2);
         assert_eq!(o.limiter, OccupancyLimiter::Vgprs);
@@ -175,7 +170,7 @@ mod tests {
             vgprs_per_wave: 32,
             lds_per_workgroup: Bytes::from_kib(32),
         };
-        let o = Occupancy::compute(&CuResources::cdna3(), &k);
+        let o = Occupancy::compute(&k);
         assert_eq!(o.workgroups_per_cu, 2, "64 KB / 32 KB");
         assert_eq!(o.limiter, OccupancyLimiter::Lds);
     }
@@ -187,14 +182,13 @@ mod tests {
             vgprs_per_wave: 16,
             lds_per_workgroup: Bytes::ZERO,
         };
-        let o = Occupancy::compute(&CuResources::cdna3(), &k);
+        let o = Occupancy::compute(&k);
         assert_eq!(o.workgroups_per_cu, 16);
         assert_eq!(o.limiter, OccupancyLimiter::WorkgroupSlots);
     }
 
     #[test]
     fn more_registers_fewer_waves_monotone() {
-        let cu = CuResources::cdna3();
         let mut prev = u32::MAX;
         for vgprs in [32u32, 64, 128, 256, 512] {
             let k = KernelResources {
@@ -202,7 +196,7 @@ mod tests {
                 vgprs_per_wave: vgprs,
                 lds_per_workgroup: Bytes::ZERO,
             };
-            let o = Occupancy::compute(&cu, &k);
+            let o = Occupancy::compute(&k);
             assert!(o.waves_per_cu <= prev);
             prev = o.waves_per_cu;
         }
@@ -216,6 +210,6 @@ mod tests {
             vgprs_per_wave: 16,
             lds_per_workgroup: Bytes::from_kib(128),
         };
-        let _ = Occupancy::compute(&CuResources::cdna3(), &k);
+        let _ = Occupancy::compute(&k);
     }
 }

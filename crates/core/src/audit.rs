@@ -78,7 +78,7 @@ impl Ehpv4Audit {
             &Floorplan::ehpv4(),
         );
 
-        let mi300_fab = FabricSim::new(Topology::mi300_package(2, 3));
+        let mi300_fab = FabricSim::new(Topology::mi300_package(3));
         let mi300a = measure(
             "MI300A",
             &mi300_fab,

@@ -13,6 +13,14 @@ use ehp_compute::xcd::XcdSpec;
 use ehp_sim_core::time::Frequency;
 use ehp_sim_core::units::{Bandwidth, Power};
 
+/// FP64 GPU work of the representative mixed HPC phase, in FLOPs.
+const HPC_GPU_FLOPS: f64 = 1e15;
+/// Serial CPU work of that phase, in FLOPs: 99.5% of the phase's flops
+/// are GPU-parallel, a well-ported exascale code.
+const HPC_CPU_FLOPS: f64 = 5e12;
+/// Weight bytes streamed per decoded token: a 70B-parameter FP16 model.
+const DECODE_WEIGHT_BYTES: f64 = 140e9;
+
 /// One point in the modular design space: how many of the four IODs
 /// carry CCD stacks.
 ///
@@ -94,14 +102,15 @@ impl ModularVariant {
         }
     }
 
-    /// Peak GPU throughput for a unit/dtype (TFLOP/s); `None` when the
-    /// variant has no XCDs or the dtype is unsupported.
+    /// Peak FP64 matrix throughput (TFLOP/s); `None` when the variant
+    /// has no XCDs.
     #[must_use]
-    pub(crate) fn gpu_peak_tflops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
+    pub(crate) fn gpu_peak_tflops(&self) -> Option<f64> {
         if self.xcds() == 0 {
             return None;
         }
-        let ops = ehp_compute::cu::GpuArch::Cdna3.ops_per_clock(unit, dtype)?;
+        let ops =
+            ehp_compute::cu::GpuArch::Cdna3.ops_per_clock(ExecUnit::Matrix, DataType::Fp64)?;
         Some(ops as f64 * f64::from(self.cus()) * Frequency::from_ghz(2.1).as_hz() / 1e12)
     }
 
@@ -128,36 +137,36 @@ impl ModularVariant {
     }
 
     /// Figure of merit for a mixed HPC workload: seconds for a phase of
-    /// `gpu_flops` FP64 GPU work plus `cpu_flops` serial CPU work
-    /// (runs on an external host if the variant has no CPU, at a 10x
-    /// effective penalty for link crossings and synchronisation).
+    /// [`HPC_GPU_FLOPS`] FP64 GPU work plus [`HPC_CPU_FLOPS`] serial CPU
+    /// work (runs on an external host if the variant has no CPU, at a
+    /// 10x effective penalty for link crossings and synchronisation).
     #[must_use]
-    pub(crate) fn hpc_time(&self, gpu_flops: f64, cpu_flops: f64) -> f64 {
-        let gpu = match self.gpu_peak_tflops(ExecUnit::Matrix, DataType::Fp64) {
-            Some(peak) => gpu_flops / (peak * 1e12 * 0.7),
+    pub(crate) fn hpc_time(&self) -> f64 {
+        let gpu = match self.gpu_peak_tflops() {
+            Some(peak) => HPC_GPU_FLOPS / (peak * 1e12 * 0.7),
             // CPU-only variant runs GPU work on its cores.
-            None => gpu_flops / (self.cpu_peak_tflops() * 1e12 * 0.5),
+            None => HPC_GPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * 0.5),
         };
         let cpu = if self.cpu_cores() > 0 {
-            cpu_flops / (self.cpu_peak_tflops() * 1e12 * 0.5)
+            HPC_CPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * 0.5)
         } else {
             // Accelerator-only part: serial sections live on an external
             // host — every one pays link crossings, launch round trips
             // and synchronisation, an order-of-magnitude effective
             // penalty (the Amdahl cost the APU exists to remove).
-            10.0 * cpu_flops / (0.4736e12 * 8.0 * 0.5)
+            10.0 * HPC_CPU_FLOPS / (0.4736e12 * 8.0 * 0.5)
         };
         gpu + cpu
     }
 
     /// Figure of merit for LLM decode: tokens/second streaming
-    /// `weight_bytes` per token.
+    /// [`DECODE_WEIGHT_BYTES`] per token.
     #[must_use]
-    pub(crate) fn decode_tokens_per_s(&self, weight_bytes: f64) -> f64 {
+    pub(crate) fn decode_tokens_per_s(&self) -> f64 {
         if self.xcds() == 0 {
             return 0.0; // no tensor engines worth speaking of
         }
-        self.memory_bandwidth().as_bytes_per_sec() * 0.7 / weight_bytes
+        self.memory_bandwidth().as_bytes_per_sec() * 0.7 / DECODE_WEIGHT_BYTES
     }
 }
 
@@ -181,8 +190,7 @@ pub struct VariantEval {
 }
 
 /// Evaluates the whole design space for a representative mixed HPC phase
-/// (99.5% GPU-parallel by flops — a well-ported exascale code) and 70B
-/// FP16 decode.
+/// (`HPC_GPU_FLOPS` + `HPC_CPU_FLOPS`) and 70B FP16 decode.
 #[must_use]
 pub fn evaluate_design_space() -> Vec<VariantEval> {
     ModularVariant::ALL
@@ -190,10 +198,10 @@ pub fn evaluate_design_space() -> Vec<VariantEval> {
         .map(|&v| VariantEval {
             variant: v,
             name: v.name(),
-            fp64_tflops: v.gpu_peak_tflops(ExecUnit::Matrix, DataType::Fp64),
+            fp64_tflops: v.gpu_peak_tflops(),
             cpu_cores: v.cpu_cores(),
-            hpc_time_s: v.hpc_time(1e15, 5e12),
-            decode_tps: v.decode_tokens_per_s(140e9),
+            hpc_time_s: v.hpc_time(),
+            decode_tps: v.decode_tokens_per_s(),
             tdp: v.tdp(),
         })
         .collect()
@@ -230,18 +238,15 @@ mod tests {
         let x = ModularVariant::new(0);
         let a = ModularVariant::new(1);
         // Pure decode: MI300X >= MI300A (same memory; both fine) but
-        // FP16 peak is higher on X.
-        assert!(
-            x.gpu_peak_tflops(ExecUnit::Matrix, DataType::Fp16).unwrap()
-                > a.gpu_peak_tflops(ExecUnit::Matrix, DataType::Fp16).unwrap()
-        );
+        // matrix peak is higher on X.
+        assert!(x.gpu_peak_tflops().unwrap() > a.gpu_peak_tflops().unwrap());
         // Mixed HPC with a serial CPU component: the APU wins because
         // the accelerator-only part pays the host-link penalty.
         assert!(
-            a.hpc_time(1e15, 5e12) < x.hpc_time(1e15, 5e12),
+            a.hpc_time() < x.hpc_time(),
             "MI300A {} vs MI300X {}",
-            a.hpc_time(1e15, 5e12),
-            x.hpc_time(1e15, 5e12)
+            a.hpc_time(),
+            x.hpc_time()
         );
         // And for this well-ported mix, MI300A is the sweet spot of the
         // whole space — the shipped HPC design point.
@@ -256,9 +261,7 @@ mod tests {
     fn cpu_heavy_variants_lose_gpu_peak_monotonically() {
         let mut prev = f64::INFINITY;
         for v in ModularVariant::ALL {
-            let peak = v
-                .gpu_peak_tflops(ExecUnit::Matrix, DataType::Fp64)
-                .unwrap_or(0.0);
+            let peak = v.gpu_peak_tflops().unwrap_or(0.0);
             assert!(peak < prev || (peak == 0.0 && prev == 0.0));
             prev = peak.max(f64::MIN_POSITIVE);
         }
@@ -266,7 +269,7 @@ mod tests {
 
     #[test]
     fn cpu_only_variant_has_no_decode() {
-        assert_eq!(ModularVariant::new(4).decode_tokens_per_s(140e9), 0.0);
+        assert_eq!(ModularVariant::new(4).decode_tokens_per_s(), 0.0);
         assert_eq!(ModularVariant::new(4).cpu_cores(), 96);
     }
 

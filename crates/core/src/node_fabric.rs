@@ -45,7 +45,7 @@ pub fn fabric_topology(node: &NodeTopology) -> Topology {
 ///
 /// let fab = NodeFabric::new(&NodeTopology::quad_mi300a());
 /// // Two x16 links per pair: 128 GB/s per direction.
-/// assert!((fab.socket_bandwidth(0, 1).unwrap().as_gb_s() - 128.0).abs() < 1e-6);
+/// assert!((fab.socket_bandwidth().unwrap().as_gb_s() - 128.0).abs() < 1e-6);
 /// ```
 #[derive(Debug)]
 pub struct NodeFabric {
@@ -72,37 +72,37 @@ impl NodeFabric {
         )
     }
 
-    /// Peak bandwidth between two sockets (bottleneck along the route).
+    /// Peak bandwidth from socket 0 to socket 1 (bottleneck along the
+    /// route).
     #[must_use]
-    pub fn socket_bandwidth(&self, from: usize, to: usize) -> Option<Bandwidth> {
+    pub fn socket_bandwidth(&self) -> Option<Bandwidth> {
         self.fabric
-            .path_bandwidth(NodeKey::External(from as u32), NodeKey::External(to as u32))
+            .path_bandwidth(NodeKey::External(0), NodeKey::External(1))
     }
 
-    /// Latency floor between two sockets.
+    /// Latency floor from socket 0 to socket 1.
     #[must_use]
-    pub fn socket_latency(&self, from: usize, to: usize) -> Option<SimTime> {
+    pub fn socket_latency(&self) -> Option<SimTime> {
         self.fabric
-            .path_latency(NodeKey::External(from as u32), NodeKey::External(to as u32))
+            .path_latency(NodeKey::External(0), NodeKey::External(1))
     }
 
-    /// A remote load-store access: the request and response each cross
+    /// A load-store access at time zero by socket 0 to memory homed on
+    /// socket `home`: a remote access's request and response each cross
     /// the node fabric around the remote memory's service time.
     /// Returns the total completion time.
     pub fn remote_access(
         &mut self,
-        at: SimTime,
-        from: usize,
         home: usize,
         size: Bytes,
         remote_service: SimTime,
     ) -> Option<SimTime> {
-        if from == home {
-            return Some(at + remote_service);
+        if home == 0 {
+            return Some(remote_service);
         }
-        let request = self.send(at, from, home, Bytes(64))?; // command packet
+        let request = self.send(SimTime::ZERO, 0, home, Bytes(64))?; // command packet
         let served = request.completed + remote_service;
-        let response = self.send(served, home, from, size)?;
+        let response = self.send(served, home, 0, size)?;
         Some(response.completed)
     }
 }
@@ -123,7 +123,10 @@ mod tests {
         for a in 0..4 {
             for b in 0..4 {
                 if a != b {
-                    let bw = f.socket_bandwidth(a, b).expect("connected");
+                    let bw = f
+                        .fabric
+                        .path_bandwidth(NodeKey::External(a), NodeKey::External(b))
+                        .expect("connected");
                     // Two x16 links per pair: 128 GB/s per direction.
                     assert!((bw.as_gb_s() - 128.0).abs() < 1e-6);
                 }
@@ -135,12 +138,8 @@ mod tests {
     fn remote_access_slower_than_local() {
         let mut f = quad();
         let service = SimTime::from_nanos(120);
-        let local = f
-            .remote_access(SimTime::ZERO, 0, 0, Bytes(128), service)
-            .unwrap();
-        let remote = f
-            .remote_access(SimTime::ZERO, 0, 1, Bytes(128), service)
-            .unwrap();
+        let local = f.remote_access(0, Bytes(128), service).unwrap();
+        let remote = f.remote_access(1, Bytes(128), service).unwrap();
         assert!(
             remote > local * 1,
             "remote {remote} must exceed local {local}"
@@ -154,13 +153,7 @@ mod tests {
         // Stream 1 GiB remotely: limited by the 128 GB/s pair bundle,
         // not the 5.3 TB/s HBM.
         let t = f
-            .remote_access(
-                SimTime::ZERO,
-                0,
-                1,
-                Bytes::from_gib(1),
-                SimTime::from_nanos(120),
-            )
+            .remote_access(1, Bytes::from_gib(1), SimTime::from_nanos(120))
             .unwrap();
         let achieved = Bytes::from_gib(1).as_f64() / t.as_secs() / 1e9;
         assert!(achieved < 130.0, "achieved {achieved:.0} GB/s");
@@ -175,9 +168,7 @@ mod tests {
         let mut remote_mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
         let resp = remote_mem.access(SimTime::ZERO, MemRequest::read(0x4000, 128));
         let service = resp.completes_at;
-        let total = f
-            .remote_access(SimTime::ZERO, 0, 1, Bytes(128), service)
-            .unwrap();
+        let total = f.remote_access(1, Bytes(128), service).unwrap();
         assert!(total > service, "fabric adds on top of memory service");
     }
 
@@ -189,8 +180,11 @@ mod tests {
             assert_eq!(t.hops, 1, "fully connected: one hop to socket {b}");
         }
         // Host access rides PCIe (higher latency).
-        let to_host = f.socket_latency(0, 8).unwrap();
-        let to_peer = f.socket_latency(0, 1).unwrap();
+        let to_host = f
+            .fabric
+            .path_latency(NodeKey::External(0), NodeKey::External(8))
+            .unwrap();
+        let to_peer = f.socket_latency().unwrap();
         assert!(to_host > to_peer);
     }
 

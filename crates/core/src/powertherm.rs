@@ -21,11 +21,13 @@ use crate::products::Product;
 /// rest.
 pub const XCD_SHARE: f64 = 0.88;
 
-/// Heats `fp`'s regions from a power distribution: the compute domain
-/// splits [`XCD_SHARE`] to the XCDs and the rest to the CCDs, the IODs
-/// carry the Infinity Cache and the data fabric, the USR and HBM PHYs
-/// their own domains, and the HBM stacks the DRAM and I/O power.
-pub fn assign_power_map(fp: &mut Floorplan, d: &PowerDistribution) {
+/// The MI300A floorplan heated from a power distribution: the compute
+/// domain splits [`XCD_SHARE`] to the XCDs and the rest to the CCDs, the
+/// IODs carry the Infinity Cache and the data fabric, the USR and HBM
+/// PHYs their own domains, and the HBM stacks the DRAM and I/O power.
+#[must_use]
+pub fn mi300a_power_map(d: &PowerDistribution) -> Floorplan {
+    let mut fp = Floorplan::mi300a();
     let compute = d.get(PowerDomain::ComputeChiplets);
     fp.assign_power("xcd", compute.scale(XCD_SHARE));
     fp.assign_power("ccd", compute.scale(1.0 - XCD_SHARE));
@@ -39,6 +41,7 @@ pub fn assign_power_map(fp: &mut Floorplan, d: &PowerDistribution) {
         "hbm_stack",
         d.get(PowerDomain::HbmDram) + d.get(PowerDomain::Io),
     );
+    fp
 }
 
 /// Power stepped away from compute per iteration (W).
@@ -123,8 +126,7 @@ impl PowerThermalController {
 
         let mut iterations = 0;
         loop {
-            let mut fp = Floorplan::mi300a();
-            assign_power_map(&mut fp, self.pm.current());
+            let fp = mi300a_power_map(self.pm.current());
             let field = solver.solve(&fp);
             let (peak, _) = field.max();
 

@@ -209,10 +209,11 @@ impl ProductSpec {
         ]
     }
 
-    /// One row of the Figure 19 comparison against a baseline: ratios of
+    /// One row of the Figure 19 comparison against MI250X: ratios of
     /// peak rates, bandwidth, capacity and I/O.
     #[must_use]
-    pub fn uplift_over(&self, base: &ProductSpec) -> Uplift {
+    pub fn uplift_over_mi250x(&self) -> Uplift {
+        let base = Product::Mi250x.spec();
         let ratio = |unit, dt| -> Option<f64> {
             match (self.peak_tflops(unit, dt), base.peak_tflops(unit, dt)) {
                 (Some(a), Some(b)) => Some(a / b),
@@ -319,22 +320,21 @@ mod tests {
         assert_eq!(x.memory_capacity(), Bytes::from_gib(192));
         assert_eq!(m.memory_capacity(), Bytes::from_gib(128));
         // "peak memory bandwidth has also improved by 70%"
-        let up = a.uplift_over(&m);
+        let up = a.uplift_over_mi250x();
         assert!(
             (1.55..1.75).contains(&up.memory_bandwidth),
             "{}",
             up.memory_bandwidth
         );
         // "total memory capacity is also 50% greater" (MI300X).
-        assert!((x.uplift_over(&m).memory_capacity - 1.5).abs() < 1e-9);
+        assert!((x.uplift_over_mi250x().memory_capacity - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn io_doubled_over_mi250x() {
         let a = Product::Mi300a.spec();
-        let m = Product::Mi250x.spec();
         // "I/O (network) bandwidth has also doubled."
-        assert!((a.uplift_over(&m).io_bandwidth - 2.0).abs() < 1e-9);
+        assert!((a.uplift_over_mi250x().io_bandwidth - 2.0).abs() < 1e-9);
         // 8 x16 links at 128 GB/s bidirectional = 1024 GB/s per socket.
         assert!((a.io_bandwidth().as_gb_s() - 1024.0).abs() < 1e-6);
     }

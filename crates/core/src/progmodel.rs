@@ -8,7 +8,7 @@
 //! let the CPU consume results while the GPU still produces, made safe by
 //! the APU's cache-coherent memory.
 
-use ehp_compute::ccd::{CcdModel, CcdSpec};
+use ehp_compute::ccd;
 use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_compute::xcd::{XcdModel, XcdSpec};
 use ehp_sim_core::time::SimTime;
@@ -119,8 +119,6 @@ impl Timeline {
 pub enum ExecutionModel {
     /// Figure 14(a): everything on the CPU.
     CpuOnly {
-        /// CPU model.
-        ccd: CcdModel,
         /// CPU chiplet count.
         ccds: u32,
         /// CPU-visible memory bandwidth.
@@ -128,8 +126,6 @@ pub enum ExecutionModel {
     },
     /// Figure 14(b): host CPU plus a discrete GPU with its own memory.
     DiscreteGpu {
-        /// Host CPU model.
-        ccd: CcdModel,
         /// Host CPU chiplet count.
         ccds: u32,
         /// Host (DDR) memory bandwidth.
@@ -146,8 +142,6 @@ pub enum ExecutionModel {
     },
     /// Figure 14(c): the APU with one unified HBM.
     Apu {
-        /// CPU model.
-        ccd: CcdModel,
         /// CPU chiplet count.
         ccds: u32,
         /// GPU model.
@@ -166,7 +160,6 @@ impl ExecutionModel {
     #[must_use]
     pub fn cpu_only() -> ExecutionModel {
         ExecutionModel::CpuOnly {
-            ccd: CcdModel::new(CcdSpec::zen4()),
             ccds: 8,
             mem_bw: Bandwidth::from_gb_s(300.0),
         }
@@ -176,7 +169,6 @@ impl ExecutionModel {
     #[must_use]
     pub fn discrete_mi250x() -> ExecutionModel {
         ExecutionModel::DiscreteGpu {
-            ccd: CcdModel::new(CcdSpec::zen4()),
             ccds: 8,
             host_bw: Bandwidth::from_gb_s(300.0),
             link_bw: Bandwidth::from_gb_s(55.0),
@@ -190,7 +182,6 @@ impl ExecutionModel {
     #[must_use]
     pub fn apu_mi300a() -> ExecutionModel {
         ExecutionModel::Apu {
-            ccd: CcdModel::new(CcdSpec::zen4()),
             ccds: 3,
             xcd: XcdModel::new(XcdSpec::mi300()),
             xcds: 6,
@@ -199,21 +190,13 @@ impl ExecutionModel {
         }
     }
 
-    fn cpu_time(
-        ccd: &CcdModel,
-        ccds: u32,
-        flops: f64,
-        bytes: Bytes,
-        bw: Bandwidth,
-        eff: f64,
-    ) -> SimTime {
-        // Use all cores of all CCDs; CcdModel::phase_time handles one CCD,
-        // so scale flops down by the CCD count.
-        ccd.phase_time(
+    fn cpu_time(ccds: u32, flops: f64, bytes: Bytes, bw: Bandwidth, eff: f64) -> SimTime {
+        // Use all cores of all CCDs; ccd::phase_time handles one CCD, so
+        // scale flops down by the CCD count.
+        ccd::phase_time(
             flops / f64::from(ccds),
             Bytes(bytes.as_u64() / u64::from(ccds).max(1)),
             bw.scale(1.0 / f64::from(ccds)),
-            ccd.spec().cores,
             eff,
         )
     }
@@ -237,14 +220,13 @@ impl ExecutionModel {
         let mut tl = Timeline::default();
         let mut t = SimTime::ZERO;
         match self {
-            ExecutionModel::CpuOnly { ccd, ccds, mem_bw } => {
+            ExecutionModel::CpuOnly { ccds, mem_bw } => {
                 t = tl.push("init", t, mem_bw.transfer_time(shape.bytes_in));
                 // CPU does the "kernel" work too.
                 t = tl.push(
                     "kernel",
                     t,
                     Self::cpu_time(
-                        ccd,
                         *ccds,
                         shape.kernel_flops,
                         shape.bytes_in + shape.bytes_out,
@@ -256,7 +238,6 @@ impl ExecutionModel {
                     "post",
                     t,
                     Self::cpu_time(
-                        ccd,
                         *ccds,
                         shape.cpu_post_flops,
                         shape.bytes_out,
@@ -266,7 +247,6 @@ impl ExecutionModel {
                 );
             }
             ExecutionModel::DiscreteGpu {
-                ccd,
                 ccds,
                 host_bw,
                 link_bw,
@@ -286,7 +266,6 @@ impl ExecutionModel {
                     "post",
                     t,
                     Self::cpu_time(
-                        ccd,
                         *ccds,
                         shape.cpu_post_flops,
                         shape.bytes_out,
@@ -296,7 +275,6 @@ impl ExecutionModel {
                 );
             }
             ExecutionModel::Apu {
-                ccd,
                 ccds,
                 xcd,
                 xcds,
@@ -312,7 +290,6 @@ impl ExecutionModel {
                     "post",
                     t,
                     Self::cpu_time(
-                        ccd,
                         *ccds,
                         shape.cpu_post_flops,
                         shape.bytes_out,
@@ -339,7 +316,6 @@ impl ExecutionModel {
     pub fn run_overlapped(&self, shape: &WorkloadShape, chunks: u32) -> Timeline {
         assert!(chunks > 0, "need at least one chunk");
         let ExecutionModel::Apu {
-            ccd,
             ccds,
             xcd,
             xcds,
@@ -356,7 +332,6 @@ impl ExecutionModel {
 
         let kernel_total = Self::gpu_time(xcd, *xcds, shape, *hbm_bw);
         let post_total = Self::cpu_time(
-            ccd,
             *ccds,
             shape.cpu_post_flops,
             shape.bytes_out,

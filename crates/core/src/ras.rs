@@ -26,20 +26,15 @@ pub struct NodeFitRates {
     pub(crate) board: f64,
 }
 
-impl NodeFitRates {
-    /// Representative exascale-class rates (uncorrectable-error residue
-    /// after ECC, per component).
-    #[must_use]
-    pub(crate) fn exascale_class() -> NodeFitRates {
-        NodeFitRates {
-            hbm_stack: 150.0,
-            xcd: 60.0,
-            ccd: 40.0,
-            iod: 50.0,
-            board: 400.0,
-        }
-    }
-}
+/// Representative exascale-class rates (uncorrectable-error residue
+/// after ECC, per component).
+const EXASCALE_FIT: NodeFitRates = NodeFitRates {
+    hbm_stack: 150.0,
+    xcd: 60.0,
+    ccd: 40.0,
+    iod: 50.0,
+    board: 400.0,
+};
 
 /// A node's RAS bill of materials.
 #[derive(Debug, Clone, Copy)]
@@ -66,9 +61,10 @@ impl NodeBom {
         }
     }
 
-    /// Total node FIT under a rate set.
+    /// Total node FIT at the exascale-class rates.
     #[must_use]
-    pub(crate) fn node_fit(&self, r: &NodeFitRates) -> f64 {
+    pub(crate) fn node_fit(&self) -> f64 {
+        let r = EXASCALE_FIT;
         f64::from(self.hbm_stacks) * r.hbm_stack
             + f64::from(self.xcds) * r.xcd
             + f64::from(self.ccds) * r.ccd
@@ -78,8 +74,8 @@ impl NodeBom {
 
     /// Node MTBF in hours.
     #[must_use]
-    pub(crate) fn node_mtbf_hours(&self, r: &NodeFitRates) -> f64 {
-        1e9 / self.node_fit(r)
+    pub(crate) fn node_mtbf_hours(&self) -> f64 {
+        1e9 / self.node_fit()
     }
 
     /// System MTBF in hours for `nodes` nodes (failures are independent
@@ -89,9 +85,9 @@ impl NodeBom {
     ///
     /// Panics if `nodes` is zero.
     #[must_use]
-    pub(crate) fn system_mtbf_hours(&self, r: &NodeFitRates, nodes: u32) -> f64 {
+    pub(crate) fn system_mtbf_hours(&self, nodes: u32) -> f64 {
         assert!(nodes > 0, "system needs nodes");
-        self.node_mtbf_hours(r) / f64::from(nodes)
+        self.node_mtbf_hours() / f64::from(nodes)
     }
 }
 
@@ -125,25 +121,19 @@ impl CheckpointPlan {
         SimTime::from_secs_f64((2.0 * self.checkpoint_cost.as_secs() * self.mtbf.as_secs()).sqrt())
     }
 
-    /// Machine efficiency at a checkpoint interval `tau`: useful work ÷
-    /// wall time, first-order model — checkpoint overhead `δ/τ` plus
-    /// expected rework `τ/(2M)` per interval.
+    /// Machine efficiency at the optimal interval τ: useful work ÷ wall
+    /// time, first-order model — checkpoint overhead `δ/τ` plus expected
+    /// rework `τ/(2M)` per interval.
     ///
     /// # Panics
     ///
-    /// Panics if `tau` is zero.
+    /// Panics if the optimal interval is zero.
     #[must_use]
-    pub(crate) fn efficiency(&self, tau: SimTime) -> f64 {
-        let t = tau.as_secs();
+    pub fn optimal_efficiency(&self) -> f64 {
+        let t = self.optimal_interval().as_secs();
         assert!(t > 0.0, "interval must be positive");
         let overhead = self.checkpoint_cost.as_secs() / t + t / (2.0 * self.mtbf.as_secs());
         (1.0 - overhead).max(0.0)
-    }
-
-    /// Efficiency at the optimal interval.
-    #[must_use]
-    pub fn optimal_efficiency(&self) -> f64 {
-        self.efficiency(self.optimal_interval())
     }
 }
 
@@ -170,9 +160,8 @@ const CHECKPOINT_WRITE_S: f64 = 90.0;
 #[must_use]
 pub fn summarize(nodes: u32) -> RasSummary {
     let bom = NodeBom::quad_mi300a();
-    let rates = NodeFitRates::exascale_class();
-    let node_mtbf_h = bom.node_mtbf_hours(&rates);
-    let system_mtbf_h = bom.system_mtbf_hours(&rates, nodes);
+    let node_mtbf_h = bom.node_mtbf_hours();
+    let system_mtbf_h = bom.system_mtbf_hours(nodes);
     let plan = CheckpointPlan {
         checkpoint_cost: SimTime::from_secs_f64(CHECKPOINT_WRITE_S),
         mtbf: SimTime::from_secs_f64(system_mtbf_h * 3600.0),
@@ -193,7 +182,7 @@ mod tests {
     #[test]
     fn node_mtbf_in_plausible_range() {
         let bom = NodeBom::quad_mi300a();
-        let m = bom.node_mtbf_hours(&NodeFitRates::exascale_class());
+        let m = bom.node_mtbf_hours();
         // Thousands of hours to low hundreds of thousands.
         assert!((5e4..5e5).contains(&m), "node MTBF {m:.0} h");
     }
@@ -201,7 +190,7 @@ mod tests {
     #[test]
     fn frontier_scale_system_fails_daily_ish() {
         let bom = NodeBom::quad_mi300a();
-        let m = bom.system_mtbf_hours(&NodeFitRates::exascale_class(), 9_408);
+        let m = bom.system_mtbf_hours(9_408);
         // Exascale systems see failures on the hours scale.
         assert!((1.0..48.0).contains(&m), "system MTBF {m:.1} h");
     }
@@ -209,9 +198,8 @@ mod tests {
     #[test]
     fn system_mtbf_scales_inversely_with_nodes() {
         let bom = NodeBom::quad_mi300a();
-        let r = NodeFitRates::exascale_class();
-        let m1 = bom.system_mtbf_hours(&r, 100);
-        let m2 = bom.system_mtbf_hours(&r, 200);
+        let m1 = bom.system_mtbf_hours(100);
+        let m2 = bom.system_mtbf_hours(200);
         assert!((m1 / m2 - 2.0).abs() < 1e-9);
     }
 
@@ -231,12 +219,14 @@ mod tests {
             checkpoint_cost: SimTime::from_secs_f64(120.0),
             mtbf: SimTime::from_secs_f64(4.0 * 3600.0),
         };
-        let tau = plan.optimal_interval();
-        let best = plan.efficiency(tau);
+        let tau = plan.optimal_interval().as_secs();
+        let best = plan.optimal_efficiency();
         for factor in [0.25, 0.5, 2.0, 4.0] {
-            let other = SimTime::from_secs_f64(tau.as_secs() * factor);
+            // The same first-order model at a neighbouring interval.
+            let t = tau * factor;
+            let other = 1.0 - (120.0 / t + t / (2.0 * 4.0 * 3600.0));
             assert!(
-                plan.efficiency(other) <= best + 1e-9,
+                other <= best + 1e-9,
                 "tau x{factor} should not beat the optimum"
             );
         }
@@ -271,6 +261,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "system needs nodes")]
     fn zero_nodes_panics() {
-        let _ = NodeBom::quad_mi300a().system_mtbf_hours(&NodeFitRates::exascale_class(), 0);
+        let _ = NodeBom::quad_mi300a().system_mtbf_hours(0);
     }
 }

@@ -14,7 +14,7 @@
 //! higher: the APU's unified memory is what makes fine-grained
 //! offloading profitable.
 
-use ehp_compute::ccd::{CcdModel, CcdSpec};
+use ehp_compute::ccd;
 use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
@@ -70,7 +70,6 @@ impl LibraryCall {
 #[derive(Debug, Clone, Copy)]
 pub struct Shim {
     spec: ProductSpec,
-    ccd: CcdModel,
     /// CPU-visible memory bandwidth.
     cpu_bw: Bandwidth,
     /// Fixed kernel-launch overhead for a GPU call.
@@ -85,7 +84,6 @@ impl Shim {
     pub fn mi300a() -> Shim {
         Shim {
             spec: Product::Mi300a.spec(),
-            ccd: CcdModel::new(CcdSpec::zen4()),
             cpu_bw: Bandwidth::from_gb_s(320.0),
             launch_overhead: SimTime::from_micros(4),
             transfer: None,
@@ -98,7 +96,6 @@ impl Shim {
     pub fn discrete_mi250x() -> Shim {
         Shim {
             spec: Product::Mi250x.spec(),
-            ccd: CcdModel::new(CcdSpec::zen4()),
             cpu_bw: Bandwidth::from_gb_s(300.0),
             launch_overhead: SimTime::from_micros(10),
             transfer: Some(Bandwidth::from_gb_s(55.0)),
@@ -110,11 +107,10 @@ impl Shim {
     #[must_use]
     pub(crate) fn cpu_time(&self, call: &LibraryCall) -> SimTime {
         let ccds = self.spec.ccds.max(8); // discrete host has a full EPYC
-        self.ccd.phase_time(
+        ccd::phase_time(
             call.flops / f64::from(ccds),
             Bytes(call.bytes.as_u64() / u64::from(ccds)),
             self.cpu_bw.scale(1.0 / f64::from(ccds)),
-            self.ccd.spec().cores,
             0.5,
         )
     }

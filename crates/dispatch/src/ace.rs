@@ -12,6 +12,9 @@
 use ehp_sim_core::resource::SlotServer;
 use ehp_sim_core::time::Cycle;
 
+/// Parallel ACE units on an XCD (4 on MI300).
+const ACES_PER_XCD: u64 = 4;
+
 /// One XCD's dispatch engine: packet decode, workgroup launch throughput,
 /// and CU occupancy.
 #[derive(Debug)]
@@ -20,50 +23,46 @@ pub struct AceEngine {
     decode_latency: Cycle,
     /// Cycles between successive workgroup launches per ACE.
     cycles_per_launch: Cycle,
-    /// Parallel ACE units on the XCD (4 on MI300).
-    ace_count: u32,
     /// One slot per CU: a workgroup occupies a CU for its duration.
     cus: SlotServer,
 }
 
 impl AceEngine {
     /// Creates an engine for an XCD with `cus` compute units and
-    /// `ace_count` ACEs.
+    /// [`ACES_PER_XCD`] ACEs.
     ///
     /// # Panics
     ///
-    /// Panics if `cus` or `ace_count` is zero.
+    /// Panics if `cus` is zero.
     #[must_use]
-    pub(crate) fn new(cus: u32, ace_count: u32) -> AceEngine {
-        assert!(ace_count > 0, "need at least one ACE");
+    pub(crate) fn new(cus: u32) -> AceEngine {
         AceEngine {
             decode_latency: Cycle(64),
             cycles_per_launch: Cycle(4),
-            ace_count,
-            cus: SlotServer::new("cu_slots", cus as usize),
+            cus: SlotServer::new(cus as usize),
         }
     }
 
-    /// Launches `n_wgs` workgroups starting after packet decode at `at`;
-    /// each workgroup `i` runs for `duration(i)` cycles on a CU slot.
+    /// Launches `n_wgs` workgroups starting after packet decode at time
+    /// zero; each workgroup `i` runs for `duration(i)` cycles on a CU
+    /// slot.
     ///
     /// Returns `(first_launch, all_complete)` — the time the first
     /// workgroup begins and the time the last one retires. Launches are
     /// throttled by the combined ACE launch throughput.
     pub(crate) fn launch(
         &mut self,
-        at: Cycle,
         wg_indices: impl IntoIterator<Item = u64>,
         mut duration: impl FnMut(u64) -> u64,
     ) -> (Cycle, Cycle) {
-        let decoded = at + self.decode_latency;
+        let decoded = self.decode_latency;
         let mut first_launch = None;
         let mut all_done = decoded;
         // Combined launch throughput of all ACEs: one workgroup every
-        // cycles_per_launch / ace_count cycles (modelled by striding).
+        // cycles_per_launch / ACES_PER_XCD cycles (modelled by striding).
         for (i, wg) in wg_indices.into_iter().enumerate() {
             let launch_ready =
-                decoded + Cycle(self.cycles_per_launch.0 * (i as u64 / u64::from(self.ace_count)));
+                decoded + Cycle(self.cycles_per_launch.0 * (i as u64 / ACES_PER_XCD));
             let (start, done) = self.cus.submit(launch_ready, Cycle(duration(wg)));
             first_launch.get_or_insert(start);
             if done > all_done {
@@ -80,9 +79,9 @@ mod tests {
 
     #[test]
     fn ace_launch_occupies_cus() {
-        let mut ace = AceEngine::new(4, 1);
+        let mut ace = AceEngine::new(4);
         // 8 equal workgroups on 4 CUs: two waves.
-        let (first, done) = ace.launch(Cycle(0), 0..8u64, |_| 100);
+        let (first, done) = ace.launch(0..8u64, |_| 100);
         assert!(first >= ace.decode_latency);
         // Two waves of 100 cycles plus decode/launch overheads.
         assert!(done.0 >= 200 + ace.decode_latency.0);
@@ -90,27 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn more_aces_launch_faster() {
-        let run = |aces: u32| {
-            let mut ace = AceEngine::new(1024, aces);
-            // Tiny workgroups: launch throughput dominates.
-            let (_, done) = ace.launch(Cycle(0), 0..1024u64, |_| 1);
-            done
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(
-            four.0 * 3 < one.0,
-            "4 ACEs ({four}) should be ~4x faster than 1 ({one})"
-        );
-    }
-
-    #[test]
     fn empty_launch_completes_at_decode() {
-        // The MI300 XCD engine: 38 CUs, 4 ACEs.
-        let mut ace = AceEngine::new(38, 4);
-        let (first, done) = ace.launch(Cycle(10), std::iter::empty(), |_| 1);
+        // The MI300 XCD engine: 38 CUs.
+        let mut ace = AceEngine::new(38);
+        let (first, done) = ace.launch(std::iter::empty(), |_| 1);
         assert_eq!(first, done);
-        assert_eq!(done, Cycle(10) + ace.decode_latency);
+        assert_eq!(done, ace.decode_latency);
     }
 }

@@ -18,8 +18,6 @@ use crate::ace::AceEngine;
 use crate::aql::AqlPacket;
 use crate::signal::CompletionSignal;
 
-/// ACEs per XCD.
-const ACES_PER_XCD: u32 = 4;
 /// One-way latency of the inter-ACE high-priority Infinity Fabric
 /// channel.
 const SYNC_LATENCY: Cycle = Cycle(200);
@@ -123,7 +121,7 @@ impl MultiXcdDispatcher {
     pub fn new(cfg: DispatcherConfig) -> MultiXcdDispatcher {
         assert!(cfg.xcds > 0, "partition needs at least one XCD");
         let engines = (0..cfg.xcds)
-            .map(|_| AceEngine::new(cfg.cus_per_xcd, ACES_PER_XCD))
+            .map(|_| AceEngine::new(cfg.cus_per_xcd))
             .collect();
         MultiXcdDispatcher { cfg, engines }
     }
@@ -134,18 +132,8 @@ impl MultiXcdDispatcher {
     /// # Panics
     ///
     /// Panics if the packet fails validation.
-    pub fn dispatch(&mut self, pkt: &AqlPacket, duration: impl FnMut(u64) -> u64) -> DispatchRun {
-        self.dispatch_at(Cycle::ZERO, pkt, duration)
-    }
-
-    /// Dispatches one AQL packet at `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet fails validation.
-    pub fn dispatch_at(
+    pub fn dispatch(
         &mut self,
-        at: Cycle,
         pkt: &AqlPacket,
         mut duration: impl FnMut(u64) -> u64,
     ) -> DispatchRun {
@@ -157,7 +145,7 @@ impl MultiXcdDispatcher {
 
         // Step 1: every ACE reads the packet.
         for x in 0..n {
-            events.push((at, DispatchEvent::PacketRead { xcd: x }));
+            events.push((Cycle::ZERO, DispatchEvent::PacketRead { xcd: x }));
         }
 
         // Step 2: partition the workgroups round-robin (adjacent
@@ -169,18 +157,18 @@ impl MultiXcdDispatcher {
 
         let mut per_xcd = vec![0u64; n as usize];
         let mut first_launch: Option<Cycle> = None;
-        let mut last_retire = at;
-        let mut drain_times = vec![at; n as usize];
+        let mut last_retire = Cycle::ZERO;
+        let mut drain_times = vec![Cycle::ZERO; n as usize];
         for (x, wgs) in assignments.iter().enumerate() {
             per_xcd[x] = wgs.len() as u64;
             events.push((
-                at,
+                Cycle::ZERO,
                 DispatchEvent::SubsetLaunched {
                     xcd: x as u32,
                     count: wgs.len() as u64,
                 },
             ));
-            let (first, done) = self.engines[x].launch(at, wgs.iter().copied(), &mut duration);
+            let (first, done) = self.engines[x].launch(wgs.iter().copied(), &mut duration);
             if !wgs.is_empty() {
                 first_launch = Some(first_launch.map_or(first, |f: Cycle| f.min(first)));
             }
@@ -194,7 +182,7 @@ impl MultiXcdDispatcher {
         // Step 3: each XCD notifies the nominated XCD when drained; the
         // notification crosses the high-priority IF channel.
         let mut signal = CompletionSignal::new(i64::from(n));
-        let mut nominated_sees_all = at;
+        let mut nominated_sees_all = Cycle::ZERO;
         for (x, &done) in drain_times.iter().enumerate() {
             let arrival = if x as u32 == nominated {
                 done // local: no fabric hop
@@ -228,7 +216,7 @@ impl MultiXcdDispatcher {
         DispatchRun {
             workgroups_launched: total,
             per_xcd,
-            first_launch: first_launch.unwrap_or(at),
+            first_launch: first_launch.unwrap_or(Cycle::ZERO),
             last_retire,
             completion_at,
             events,

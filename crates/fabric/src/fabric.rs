@@ -47,7 +47,7 @@ impl Transfer {
 /// use ehp_sim_core::time::SimTime;
 /// use ehp_sim_core::units::Bytes;
 ///
-/// let mut fab = FabricSim::new(Topology::mi300_package(2, 0));
+/// let mut fab = FabricSim::new(Topology::mi300_package(0));
 /// let t = fab.send(SimTime::ZERO, NodeKey::Chiplet(0), NodeKey::HbmStack(0),
 ///                  Bytes::from_kib(4)).unwrap();
 /// assert!(t.completed > SimTime::ZERO);
@@ -67,9 +67,7 @@ impl FabricSim {
         let pipes = topo
             .edges()
             .iter()
-            .map(|e| {
-                BandwidthPipe::with_energy("edge", e.spec.per_direction, e.spec.energy_per_byte)
-            })
+            .map(|e| BandwidthPipe::with_energy(e.spec.per_direction, e.spec.energy_per_byte))
             .collect();
         FabricSim { topo, pipes }
     }
@@ -153,7 +151,7 @@ mod tests {
     use crate::link::LinkTech;
 
     fn mi300x() -> FabricSim {
-        FabricSim::new(Topology::mi300_package(2, 0))
+        FabricSim::new(Topology::mi300_package(0))
     }
 
     #[test]
@@ -239,7 +237,7 @@ mod tests {
 
     #[test]
     fn ehpv4_cross_package_energy_exceeds_mi300() {
-        let mi300 = FabricSim::new(Topology::mi300_package(2, 0));
+        let mi300 = FabricSim::new(Topology::mi300_package(0));
         let ehpv4 = FabricSim::new(Topology::ehpv4_package());
         let size = Bytes::from_mib(1);
         // GPU chiplet reading the farthest HBM in each organisation.

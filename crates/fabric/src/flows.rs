@@ -116,7 +116,7 @@ impl SolverWorkspace {
 /// use ehp_fabric::flows::{Flow, FlowSolver};
 /// use ehp_fabric::topology::{NodeKey, Topology};
 ///
-/// let topo = Topology::mi300_package(2, 0);
+/// let topo = Topology::mi300_package(0);
 /// let solver = FlowSolver::new(&topo);
 /// let rates = solver.solve(&[Flow::greedy(NodeKey::Chiplet(0), NodeKey::HbmStack(0))]);
 /// assert!(rates[0].rate.as_gb_s() > 600.0); // HBM-PHY bottleneck
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn single_flow_gets_bottleneck_bandwidth() {
-        let topo = Topology::mi300_package(2, 0);
+        let topo = Topology::mi300_package(0);
         let solver = FlowSolver::new(&topo);
         let rates = solver.solve(&[Flow::greedy(NodeKey::Chiplet(0), NodeKey::HbmStack(0))]);
         // Bottleneck is the HBM PHY: 662.5 GB/s.
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn unroutable_flow_gets_zero() {
-        let topo = Topology::mi300_package(2, 0);
+        let topo = Topology::mi300_package(0);
         let solver = FlowSolver::new(&topo);
         let rates = solver.solve(&[Flow::greedy(NodeKey::Iod(0), NodeKey::External(77))]);
         assert_eq!(rates[0].rate.as_gb_s(), 0.0);
@@ -352,7 +352,7 @@ mod tests {
     fn all_xcds_streaming_all_stacks_reach_hbm_class_aggregate() {
         // The paper's architectural claim: with the USR mesh, aggregate
         // GPU streaming saturates the HBM, not the fabric.
-        let topo = Topology::mi300_package(2, 0);
+        let topo = Topology::mi300_package(0);
         let solver = FlowSolver::new(&topo);
         let mut flows = Vec::new();
         for c in 0..8u32 {
@@ -398,7 +398,7 @@ mod tests {
     fn dense_solver_matches_reference_exactly() {
         // Bit-identical, not approximately equal: the dense solver must
         // not perturb any experiment output.
-        let topo = Topology::mi300_package(2, 3);
+        let topo = Topology::mi300_package(3);
         let mut flows = Vec::new();
         for c in 0..9u32 {
             for s in 0..8u32 {
@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn fairness_no_flow_starves() {
-        let topo = Topology::mi300_package(2, 3);
+        let topo = Topology::mi300_package(3);
         let solver = FlowSolver::new(&topo);
         let mut flows = Vec::new();
         for c in 0..9u32 {
@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_one_shot_solve() {
-        let topo = Topology::mi300_package(2, 0);
+        let topo = Topology::mi300_package(0);
         let solver = FlowSolver::new(&topo);
         let mut ws = SolverWorkspace::new();
         let mut out = Vec::new();

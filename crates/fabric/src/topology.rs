@@ -21,6 +21,10 @@ use std::collections::HashMap;
 
 use crate::link::{LinkSpec, LinkTech};
 
+/// XCDs hybrid-bonded to each GPU IOD of an MI300 package: two on every
+/// IOD of MI300X and on three of MI300A's four.
+const XCDS_PER_IOD: u32 = 2;
+
 /// A fabric endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKey {
@@ -54,7 +58,7 @@ pub struct Edge {
 ///
 /// ```
 /// use ehp_fabric::topology::Topology;
-/// let topo = Topology::mi300_package(2, 0); // MI300X: 2 XCDs per IOD
+/// let topo = Topology::mi300_package(0); // MI300X: no CCDs
 /// // Any chiplet can reach any HBM stack.
 /// use ehp_fabric::topology::NodeKey;
 /// let path = topo.route(NodeKey::Chiplet(0), NodeKey::HbmStack(7)).unwrap();
@@ -203,7 +207,7 @@ impl Topology {
     }
 
     /// Builds the MI300-style package fabric: four IODs in a 2×2 grid
-    /// joined by USR links, `xcds_per_iod` XCD chiplets hybrid-bonded to
+    /// joined by USR links, `XCDS_PER_IOD` XCD chiplets hybrid-bonded to
     /// the first IODs and `ccds` CCDs on the remainder (MI300A: 2 XCDs on
     /// three IODs + 3 CCDs on one; MI300X: 2 XCDs on all four), two HBM
     /// stacks per IOD, and two x16 I/O ports per IOD.
@@ -211,7 +215,7 @@ impl Topology {
     /// Chiplet indices are assigned IOD-major: chiplets on IOD *i* come
     /// before chiplets on IOD *i+1*.
     #[must_use]
-    pub fn mi300_package(xcds_per_iod: u32, ccds: u32) -> Topology {
+    pub fn mi300_package(ccds: u32) -> Topology {
         let mut links = Vec::new();
         let usr = LinkTech::Usr.spec();
         // 2x2 grid: IODs 0,1 on top; 2,3 on bottom. Adjacent pairs get USR.
@@ -225,7 +229,7 @@ impl Topology {
         // here the *last* IOD hosts them when ccds > 0.
         for iod in 0..4u32 {
             let is_ccd_iod = ccds > 0 && iod == 3;
-            let count = if is_ccd_iod { ccds } else { xcds_per_iod };
+            let count = if is_ccd_iod { ccds } else { XCDS_PER_IOD };
             for _ in 0..count {
                 links.push((NodeKey::Chiplet(chiplet), NodeKey::Iod(iod), bond));
                 chiplet += 1;
@@ -312,7 +316,7 @@ mod tests {
     #[test]
     fn mi300a_package_shape() {
         // MI300A: 2 XCDs per XCD-IOD, 3 CCDs on the last IOD.
-        let t = Topology::mi300_package(2, 3);
+        let t = Topology::mi300_package(3);
         let chiplets = count_nodes(&t, |n| matches!(n, NodeKey::Chiplet(_)));
         assert_eq!(chiplets, 9, "6 XCDs + 3 CCDs");
         let stacks = count_nodes(&t, |n| matches!(n, NodeKey::HbmStack(_)));
@@ -323,14 +327,14 @@ mod tests {
 
     #[test]
     fn mi300x_package_shape() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         let chiplets = count_nodes(&t, |n| matches!(n, NodeKey::Chiplet(_)));
         assert_eq!(chiplets, 8, "8 XCDs on MI300X");
     }
 
     #[test]
     fn dense_ids_follow_first_appearance() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         let mut expect: HashMap<NodeKey, u32> = HashMap::new();
         for e in t.edges() {
             for key in [e.from, e.to] {
@@ -360,8 +364,8 @@ mod tests {
     #[test]
     fn table_matches_bfs_on_builders() {
         for t in [
-            Topology::mi300_package(2, 0),
-            Topology::mi300_package(2, 3),
+            Topology::mi300_package(0),
+            Topology::mi300_package(3),
             Topology::ehpv4_package(),
         ] {
             let bfs = crate::oracle::Bfs::new(&t);
@@ -379,7 +383,7 @@ mod tests {
 
     #[test]
     fn adjacent_iods_one_hop_diagonal_two() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         assert_eq!(t.hops(NodeKey::Iod(0), NodeKey::Iod(1)), Some(1));
         assert_eq!(t.hops(NodeKey::Iod(0), NodeKey::Iod(2)), Some(1));
         assert_eq!(t.hops(NodeKey::Iod(0), NodeKey::Iod(3)), Some(2));
@@ -387,7 +391,7 @@ mod tests {
 
     #[test]
     fn chiplet_to_any_stack_reachable() {
-        let t = Topology::mi300_package(2, 3);
+        let t = Topology::mi300_package(3);
         for c in 0..9u32 {
             for s in 0..8u32 {
                 let hops = t
@@ -404,7 +408,7 @@ mod tests {
 
     #[test]
     fn local_stack_is_closest() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         // Chiplet 0 is on IOD 0; stacks 0,1 are local (2 hops), stacks on
         // the diagonal IOD 3 are 4 hops.
         assert_eq!(t.hops(NodeKey::Chiplet(0), NodeKey::HbmStack(0)), Some(2));
@@ -413,14 +417,14 @@ mod tests {
 
     #[test]
     fn route_to_self_is_empty() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         assert_eq!(t.route(NodeKey::Iod(0), NodeKey::Iod(0)), Some(&[][..]));
         assert_eq!(t.hops(NodeKey::Iod(0), NodeKey::Iod(0)), Some(0));
     }
 
     #[test]
     fn unknown_node_unreachable() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         assert_eq!(t.route(NodeKey::Iod(0), NodeKey::External(99)), None);
         assert_eq!(t.route(NodeKey::External(99), NodeKey::Iod(0)), None);
         assert_eq!(t.hops(NodeKey::Iod(0), NodeKey::External(99)), None);
@@ -446,7 +450,7 @@ mod tests {
 
     #[test]
     fn mi300_cross_traffic_uses_usr_only() {
-        let t = Topology::mi300_package(2, 0);
+        let t = Topology::mi300_package(0);
         let path = t.route(NodeKey::Chiplet(0), NodeKey::HbmStack(7)).unwrap();
         for &ei in path {
             assert!(

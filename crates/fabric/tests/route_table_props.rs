@@ -85,8 +85,8 @@ fn nodes(topo: &Topology) -> Vec<NodeKey> {
 /// the node fabrics of the three built-in nodes.
 fn production_topologies() -> [(&'static str, Topology); 6] {
     [
-        ("mi300x", Topology::mi300_package(2, 0)),
-        ("mi300a", Topology::mi300_package(2, 3)),
+        ("mi300x", Topology::mi300_package(0)),
+        ("mi300a", Topology::mi300_package(3)),
         ("ehpv4", Topology::ehpv4_package()),
         ("quad_mi300a", fabric_topology(&NodeTopology::quad_mi300a())),
         (

@@ -83,7 +83,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
 
     rep.section("Steady-state all-to-all streaming (max-min fair flows)");
-    let mi300 = Topology::mi300_package(2, 0);
+    let mi300 = Topology::mi300_package(0);
     let mut flows = Vec::new();
     for c in 0..8u32 {
         for s in 0..8u32 {

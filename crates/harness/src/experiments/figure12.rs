@@ -2,9 +2,8 @@
 //! compute-intensive vs memory-intensive scenarios, and (b)/(c) thermal
 //! simulation heat maps for both scenarios over the MI300A floorplan.
 
-use ehp_core::powertherm::assign_power_map;
+use ehp_core::powertherm::mi300a_power_map;
 use ehp_core::products::Product;
-use ehp_package::floorplan::Floorplan;
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
 use ehp_sim_core::json::Json;
 use ehp_thermal::{ThermalConfig, ThermalSolver};
@@ -52,8 +51,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     .enumerate()
     {
         pm.apply_profile(profile);
-        let mut fp = Floorplan::mi300a();
-        assign_power_map(&mut fp, pm.current());
+        let fp = mi300a_power_map(pm.current());
         let field = solver.solve(&fp);
         let (max_t, _) = field.max();
         max_by_label[k] = max_t;
@@ -95,7 +93,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         }
         rep.row("");
         // One character per ~2 mm cell: the solved field's row pairs.
-        for line in field.merge_row_pairs().ascii_map(" .:-=+*#%@").lines() {
+        for line in field.merge_row_pairs().ascii_map().lines() {
             rep.row(format!("  {line}"));
         }
     }

@@ -4,7 +4,7 @@
 
 use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_core::products::Product;
-use ehp_package::mirror::{mi300_chiplet_pins, IodInstance, IodVariant};
+use ehp_package::mirror::{IodInstance, IodVariant};
 use ehp_sim_core::json::Json;
 
 use crate::experiment::ExperimentResult;
@@ -63,11 +63,10 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
 
     rep.section("Interface compatibility across every IOD variant");
-    let pins = mi300_chiplet_pins();
     let mut all_variants_accept = true;
     for v in IodVariant::ALL {
         let inst = IodInstance::production(v);
-        let ok = inst.accepts_chiplet(&pins);
+        let ok = inst.accepts_chiplet();
         all_variants_accept &= ok;
         rep.row(format!("  {v:?}: accepts unmirrored compute chiplet: {ok}"));
         assert!(ok, "swap must work on all variants");

@@ -86,16 +86,14 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.section("Flat address space in action (4x MI300A)");
     let mut fab = NodeFabric::new(&NodeTopology::quad_mi300a());
     let service = SimTime::from_nanos(120);
-    let local = fab
-        .remote_access(SimTime::ZERO, 0, 0, Bytes(128), service)
-        .expect("local");
+    let local = fab.remote_access(0, Bytes(128), service).expect("local");
     let remote = fab
-        .remote_access(SimTime::ZERO, 0, 1, Bytes(128), service)
+        .remote_access(1, Bytes(128), service)
         .expect("connected");
     rep.kv("local HBM line access", local);
     rep.kv("remote-socket HBM line access", remote);
     let big = fab
-        .remote_access(SimTime::ZERO, 0, 2, Bytes::from_gib(1), service)
+        .remote_access(2, Bytes::from_gib(1), service)
         .expect("connected");
     let remote_stream_gb_s = Bytes::from_gib(1).as_f64() / big.as_secs() / 1e9;
     rep.kv(
@@ -105,8 +103,8 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     rep.section("Node coherence policy (Section IV.D at node scale)");
     let mut coh = MultiSocketCoherence::quad_mi300a();
-    coh.register(AgentId(0), 0, AgentClass::Cpu);
-    coh.register(AgentId(1), 0, AgentClass::Gpu);
+    coh.register(AgentId(0), AgentClass::Cpu);
+    coh.register(AgentId(1), AgentClass::Gpu);
     let span = 128u64 << 30;
     let cpu_remote = coh.read(AgentId(0), span + 0x100);
     let gpu_remote = coh.read(AgentId(1), span + 0x100);

@@ -70,7 +70,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     rep.section("Uplift over MI250X");
     for (name, spec) in [("MI300A", &a), ("MI300X", &x)] {
-        let u = spec.uplift_over(&m);
+        let u = spec.uplift_over_mi250x();
         rep.row(format!("  {name}:"));
         let fmt = |v: Option<f64>| v.map_or("new".into(), |v| format!("{v:.2}x"));
         rep.kv("  FP64 vector", fmt(u.fp64_vector));
@@ -112,7 +112,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
 
     rep.section("Paper claims check");
-    let ua = a.uplift_over(&m);
+    let ua = a.uplift_over_mi250x();
     rep.kv(
         "memory BW 'improved by 70%'",
         format!("{:.0}%", (ua.memory_bandwidth - 1.0) * 100.0),
@@ -120,13 +120,19 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv("I/O 'doubled'", format!("{:.2}x", ua.io_bandwidth));
     rep.kv(
         "MI300X capacity '50% greater'",
-        format!("{:.0}%", (x.uplift_over(&m).memory_capacity - 1.0) * 100.0),
+        format!(
+            "{:.0}%",
+            (x.uplift_over_mi250x().memory_capacity - 1.0) * 100.0
+        ),
     );
 
     let mut res = ExperimentResult::new(rep);
     res.metric("mi300a_mem_bw_uplift", ua.memory_bandwidth);
     res.metric("mi300a_io_bw_uplift", ua.io_bandwidth);
-    res.metric("mi300x_capacity_uplift", x.uplift_over(&m).memory_capacity);
+    res.metric(
+        "mi300x_capacity_uplift",
+        x.uplift_over_mi250x().memory_capacity,
+    );
     res.metric("mi300a_fp64_per_watt_uplift", eff_uplift);
     res.set_payload(Json::Arr(rows));
     res

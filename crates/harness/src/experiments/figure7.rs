@@ -16,7 +16,7 @@ use crate::scenario::Scenario;
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
     let spec = Product::Mi300a.spec();
-    let mut fabric = FabricSim::new(Topology::mi300_package(2, 3));
+    let mut fabric = FabricSim::new(Topology::mi300_package(3));
 
     rep.section("Interface bandwidths (bidirectional)");
     let mut rows = Vec::new();

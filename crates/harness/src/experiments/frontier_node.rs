@@ -56,7 +56,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.section("CPU<->GPU path vs the MI300A APU");
     let mut fab = NodeFabric::new(&node);
     let t = fab
-        .remote_access(SimTime::ZERO, 0, 1, Bytes(128), SimTime::from_nanos(120))
+        .remote_access(1, Bytes(128), SimTime::from_nanos(120))
         .expect("connected");
     rep.kv("Frontier: CPU line access to GPU HBM", t);
     rep.kv(
@@ -64,13 +64,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         "~local (shared package; no inter-socket hop)",
     );
     let stream = fab
-        .remote_access(
-            SimTime::ZERO,
-            0,
-            1,
-            Bytes::from_gib(1),
-            SimTime::from_nanos(120),
-        )
+        .remote_access(1, Bytes::from_gib(1), SimTime::from_nanos(120))
         .expect("connected");
     let stream_gb_s = Bytes::from_gib(1).as_f64() / stream.as_secs() / 1e9;
     rep.kv(
@@ -85,12 +79,11 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.section("Strong scaling across the four GPUs (HPCG-class)");
     let mut study = ScalingStudy::hpcg_on_mi300a();
     study.machine = ehp_workloads::hpc::MachineModel::mi250x();
-    // Only the accelerators run the solve: sockets 1..=4; the study uses
-    // socket count directly, so evaluate 1..4 GPUs on the GPU sub-node.
-    let quad_gpus = NodeTopology::quad_mi300a(); // same all-to-all shape
+    // Only the accelerators run the solve: 1..=4 GPUs on the quad
+    // node's all-to-all shape.
     let mut rows = Vec::new();
     let mut speedup_4 = 0.0;
-    for (n, s) in study.curve(&quad_gpus) {
+    for (n, s) in study.curve() {
         rep.row(format!("  {n} GPU(s): speedup {s:.2}x"));
         if n == 4 {
             speedup_4 = s;

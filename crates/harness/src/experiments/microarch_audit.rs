@@ -3,8 +3,8 @@
 //! widened L1 data path of CDNA 3.
 
 use ehp_compute::cu::GpuArch;
-use ehp_compute::icache::{IcacheOrg, IcacheStudy};
-use ehp_compute::occupancy::{CuResources, KernelResources, Occupancy};
+use ehp_compute::icache::{IcacheOrg, IcacheStudy, SHARED_RELATIVE_AREA};
+use ehp_compute::occupancy::{KernelResources, Occupancy};
 use ehp_sim_core::json::Json;
 use ehp_sim_core::units::Bytes;
 
@@ -34,10 +34,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
     rep.kv(
         "relative area of shared organisation",
-        format!(
-            "{:.0}%",
-            study.relative_area(IcacheOrg::SharedPerPair) * 100.0
-        ),
+        format!("{:.0}%", SHARED_RELATIVE_AREA * 100.0),
     );
 
     rep.section("L1 data path (CDNA 2 -> CDNA 3)");
@@ -59,7 +56,6 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         "  {:<34} {:>6} {:>6} {:>14}",
         "kernel", "wgs/CU", "waves", "limiter"
     ));
-    let cu = CuResources::cdna3();
     let cases: [(&str, KernelResources); 4] = [
         ("light (256 thr, 64 VGPR)", KernelResources::light()),
         (
@@ -89,7 +85,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     ];
     let mut rows = Vec::new();
     for (name, k) in cases {
-        let o = Occupancy::compute(&cu, &k);
+        let o = Occupancy::compute(&k);
         rep.row(format!(
             "  {:<34} {:>6} {:>6} {:>14?}",
             name, o.workgroups_per_cu, o.waves_per_cu, o.limiter

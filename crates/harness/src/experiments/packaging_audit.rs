@@ -6,9 +6,7 @@
 use ehp_package::beachfront::BeachfrontAudit;
 use ehp_package::chiplet::{reticle_limit, ChipletKind, Footprint};
 use ehp_package::floorplan::Floorplan;
-use ehp_package::mirror::{
-    mi300_base_interface, mi300_chiplet_pins, IodInstance, IodVariant, UsrEdge,
-};
+use ehp_package::mirror::{mi300_base_interface, IodInstance, IodVariant, UsrEdge};
 use ehp_package::tsv::{CacheMacroPlan, PgTsvGrid};
 use ehp_sim_core::json::Json;
 
@@ -21,12 +19,11 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     rep.section("Figure 9: TSV redundancy across IOD variants");
     let base = mi300_base_interface();
-    let pins = mi300_chiplet_pins();
     let mut rows = Vec::new();
     let mut all_with_redundancy = true;
     for v in IodVariant::ALL {
-        let without = base.alignment(&pins, v).is_some();
-        let with = IodInstance::production(v).accepts_chiplet(&pins);
+        let without = base.alignment(v).is_some();
+        let with = IodInstance::production(v).accepts_chiplet();
         all_with_redundancy &= with;
         rep.row(format!(
             "  {v:?}: without redundancy: {without:<5}  with redundant TSVs: {with}"
@@ -96,11 +93,11 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv("partitioning necessary and sufficient", partitioning_ok);
 
     rep.section("MI300A plan view (I=IOD X=XCD C=CCD H=HBM u/p=PHYs)");
-    for line in Floorplan::mi300a().ascii_render(1.4).lines() {
+    for line in Floorplan::mi300a().ascii_render().lines() {
         rep.row(format!("  {line}"));
     }
     rep.section("EHPv4 plan view (note the empty regions)");
-    for line in Floorplan::ehpv4().ascii_render(1.4).lines() {
+    for line in Floorplan::ehpv4().ascii_render().lines() {
         rep.row(format!("  {line}"));
     }
 

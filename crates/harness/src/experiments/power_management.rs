@@ -82,7 +82,6 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv("TDP respected after shift", true);
 
     rep.section("Figure 11: bond-pad via landing and power delivery");
-    let xcd_current = 70.0; // ~55 W at 0.8 V
     let vcache_style = HybridBondInterface {
         bpv: BpvTarget::TopLevelMetal,
         ..HybridBondInterface::mi300_compute()
@@ -92,9 +91,9 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         "V-Cache-style BPV->top-metal drop at XCD current",
         format!(
             "{:.1}% (budget {:.0}%) -> {}",
-            vcache_style.drop_fraction(xcd_current) * 100.0,
+            vcache_style.drop_fraction() * 100.0,
             MAX_DROP_FRACTION * 100.0,
-            if vcache_style.drop_fraction(xcd_current) > MAX_DROP_FRACTION {
+            if vcache_style.drop_fraction() > MAX_DROP_FRACTION {
                 "INADEQUATE"
             } else {
                 "ok"
@@ -105,8 +104,8 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         "MI300 BPV->aluminium-RDL drop at XCD current",
         format!(
             "{:.2}% -> {}",
-            mi300.drop_fraction(xcd_current) * 100.0,
-            if mi300.drop_fraction(xcd_current) <= MAX_DROP_FRACTION {
+            mi300.drop_fraction() * 100.0,
+            if mi300.drop_fraction() <= MAX_DROP_FRACTION {
                 "ok"
             } else {
                 "INADEQUATE"
@@ -115,17 +114,14 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
     rep.kv(
         "interface I2R loss at 70 A",
-        format!("{:.2} W", mi300.i2r_loss_w(xcd_current)),
+        format!("{:.2} W", mi300.i2r_loss_w()),
     );
 
     let mut res = ExperimentResult::new(rep);
     res.metric("tight_limit_thermally_safe", f64::from(tight_safe));
     res.metric("clock_gain_from_shift", clock_after - clock_before);
-    res.metric("mi300_bond_drop_fraction", mi300.drop_fraction(xcd_current));
-    res.metric(
-        "vcache_bond_drop_fraction",
-        vcache_style.drop_fraction(xcd_current),
-    );
+    res.metric("mi300_bond_drop_fraction", mi300.drop_fraction());
+    res.metric("vcache_bond_drop_fraction", vcache_style.drop_fraction());
     res.set_payload(Json::Arr(rows));
     res
 }

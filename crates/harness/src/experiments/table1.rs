@@ -3,7 +3,7 @@
 //! footnote.
 
 use ehp_compute::cu::GpuArch;
-use ehp_compute::dtype::{DataType, ExecUnit, Sparsity};
+use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_sim_core::json::Json;
 
 use crate::experiment::ExperimentResult;
@@ -56,7 +56,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut sparse_fp8 = 0u64;
     for dt in [DataType::Fp8, DataType::Int8] {
         let v = GpuArch::Cdna3
-            .ops_per_clock_sparse(ExecUnit::Matrix, dt, Sparsity::FourTwo)
+            .ops_per_clock_sparse(dt)
             .expect("cdna3 supports 8-bit sparsity");
         if dt == DataType::Fp8 {
             sparse_fp8 = v;

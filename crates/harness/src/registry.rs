@@ -7,21 +7,17 @@ use ehp_lint::{ExperimentSchema, ParamKind, ParamSpec};
 use crate::experiment::Experiment;
 use crate::experiments;
 
-/// Shorthand for an unbounded positive integer parameter.
-const fn u64_pos(name: &'static str) -> ParamSpec {
-    ParamSpec {
-        name,
-        kind: ParamKind::U64 {
-            min: 1,
-            max: u64::MAX,
-        },
-    }
-}
-
 /// Largest `figure13` workgroup: the HSA limit of 1024 workitems.
 const FIGURE13_MAX_WORKGROUP_SIZE: u64 = 1024;
 /// Most `figure13` workgroups whose grid still fits an AQL `u32`.
 const FIGURE13_MAX_WORKGROUPS: u64 = u32::MAX as u64 / FIGURE13_MAX_WORKGROUP_SIZE;
+/// Largest `ic_sweep` Infinity Cache: the set index holds one `u32` per
+/// (bank, set) of the modelled cache, 16 MiB at 64 MiB of cache.
+const IC_SWEEP_MAX_IC_MIB: u64 = 64;
+/// Most `ic_sweep` trace accesses: a replay's time and memory grow with
+/// the trace (2^24 accesses took 1.4 s and 181 MiB RSS on a 2-vCPU
+/// host), so a scenario cannot ask for a run that never ends.
+const IC_SWEEP_MAX_ACCESSES: u64 = 1 << 24;
 
 /// Every registered experiment, in paper order.
 static REGISTRY: &[Experiment] = &[
@@ -164,7 +160,7 @@ static REGISTRY: &[Experiment] = &[
                 // two of sets.
                 kind: ParamKind::PowerOfTwo {
                     min: 0,
-                    max: 4096,
+                    max: IC_SWEEP_MAX_IC_MIB,
                     at_most: None,
                 },
             },
@@ -196,7 +192,13 @@ static REGISTRY: &[Experiment] = &[
                 name: "pattern",
                 kind: ParamKind::EnumStr(&["sequential", "strided", "random", "chase", "hot"]),
             },
-            u64_pos("accesses"),
+            ParamSpec {
+                name: "accesses",
+                kind: ParamKind::U64 {
+                    min: 1,
+                    max: IC_SWEEP_MAX_ACCESSES,
+                },
+            },
             ParamSpec {
                 name: "write_fraction",
                 kind: ParamKind::Num { min: 0.0, max: 1.0 },

@@ -89,6 +89,22 @@ fn run_rejects_ic_sweep_params_the_memory_model_cannot_build() {
 }
 
 #[test]
+fn run_rejects_ic_sweep_runs_above_their_cost_caps() {
+    // A 4 GiB cache would build a 2^28-entry set index, and a trace
+    // with no bound need never end.
+    assert_rejected(
+        "ic-mib-4096",
+        &["run", "ic_sweep", "-p", "ic_mib=4096"],
+        "\"ic_mib\" = 4096 does not match schema",
+    );
+    assert_rejected(
+        "accesses-2-pow-24-plus-1",
+        &["run", "ic_sweep", "-p", "accesses=16777217"],
+        "\"accesses\" = 16777217 does not match schema",
+    );
+}
+
+#[test]
 fn run_rejects_an_undeclared_param() {
     assert_rejected(
         "bogus",

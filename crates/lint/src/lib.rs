@@ -331,7 +331,7 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
     let waiver_path = config.root.join(WAIVER_FILE);
     if waiver_path.is_file() {
         let text = fs::read_to_string(&waiver_path)?;
-        let (waivers, mut errs) = waiver::parse_waiver_file(WAIVER_FILE, &text);
+        let (waivers, mut errs) = waiver::parse_waiver_file(&text);
         report.findings.append(&mut errs);
         for idx in waiver::apply_file(&mut report.findings, &waivers) {
             report.findings.push(Finding::new(

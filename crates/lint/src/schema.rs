@@ -54,11 +54,9 @@ impl ParamKind {
     /// Human rendering of the expected type/range, for messages.
     fn expect(&self) -> String {
         match self {
-            ParamKind::U64 { min, max } if *max == u64::MAX => format!("integer >= {min}"),
             ParamKind::U64 { min, max } => format!("integer in {min}..={max}"),
             ParamKind::PowerOfTwo { min: 0, max, .. } => format!("0 or a power of two up to {max}"),
             ParamKind::PowerOfTwo { min, max, .. } => format!("power of two in {min}..={max}"),
-            ParamKind::Num { min, max } if *max == f64::MAX => format!("number >= {min}"),
             ParamKind::Num { min, max } => format!("number in {min}..={max}"),
             ParamKind::Bool => "bool".to_string(),
             ParamKind::EnumStr(opts) => format!("one of {opts:?}"),
@@ -358,8 +356,15 @@ mod tests {
                     name: "ic_mib",
                     kind: ParamKind::PowerOfTwo {
                         min: 0,
-                        max: 4096,
+                        max: 64,
                         at_most: None,
+                    },
+                },
+                ParamSpec {
+                    name: "accesses",
+                    kind: ParamKind::U64 {
+                        min: 1,
+                        max: 1 << 24,
                     },
                 },
                 ParamSpec {
@@ -415,7 +420,7 @@ mod tests {
   "experiment": "ic_sweep",
   "name": "demo",
   "seed": 7,
-  "params": {"ic_mib": 256, "pattern": "random", "hashed": true},
+  "params": {"ic_mib": 4, "pattern": "random", "hashed": true},
   "sweep": {"write_fraction": [0.0, 0.5, 1.0]}
 }"#;
         assert!(rules(src).is_empty());
@@ -482,22 +487,45 @@ mod tests {
 
     #[test]
     fn ic_mib_must_be_zero_or_a_power_of_two() {
-        for ok in [0, 1, 2, 4, 4096] {
+        for ok in [0, 1, 2, 4, 64] {
             assert!(ic_sweep(&format!(r#""params": {{"ic_mib": {ok}}}"#)).is_empty());
         }
         let three = ic_sweep(r#""params": {"ic_mib": 3}"#);
         assert_eq!(three.len(), 1, "{three:?}");
         assert!(
-            three[0].contains("0 or a power of two up to 4096"),
+            three[0].contains("0 or a power of two up to 64"),
             "{three:?}"
         );
-        for bad in ["5", "6", "12", "100", "8192"] {
+        for bad in ["5", "6", "12", "100"] {
             assert_eq!(
                 ic_sweep(&format!(r#""params": {{"ic_mib": {bad}}}"#)).len(),
                 1
             );
         }
         assert_eq!(ic_sweep(r#""sweep": {"ic_mib": [0, 1, 3]}"#).len(), 1);
+    }
+
+    #[test]
+    fn ic_mib_above_its_cap_fires() {
+        // Every power of two above 64 MiB would build a set index of a
+        // quarter GiB or more.
+        for bad in ["128", "4096", "8192"] {
+            let got = ic_sweep(&format!(r#""params": {{"ic_mib": {bad}}}"#));
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert!(got[0].contains("up to 64"), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn accesses_above_its_cap_fires() {
+        for ok in ["1", "80000", "2000000", "16777216"] {
+            assert!(ic_sweep(&format!(r#""params": {{"accesses": {ok}}}"#)).is_empty());
+        }
+        for bad in ["0", "16777217", "18446744073709551615"] {
+            let got = ic_sweep(&format!(r#""params": {{"accesses": {bad}}}"#));
+            assert_eq!(got.len(), 1, "{bad}: {got:?}");
+            assert!(got[0].contains("integer in 1..=16777216"), "{got:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::findings::{Finding, Rule};
 use crate::tokenizer::LineComment;
+use crate::WAIVER_FILE;
 
 /// An inline `lint:allow` waiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,10 +107,10 @@ pub(crate) struct FileWaiver {
     pub(crate) reason: String,
 }
 
-/// Parses a waiver file. Malformed lines become [`Rule::Waiver`]
-/// findings attributed to the waiver file itself.
+/// Parses the waiver file [`WAIVER_FILE`]. Malformed lines become
+/// [`Rule::Waiver`] findings attributed to the waiver file itself.
 #[must_use]
-pub(crate) fn parse_waiver_file(file_rel: &str, text: &str) -> (Vec<FileWaiver>, Vec<Finding>) {
+pub(crate) fn parse_waiver_file(text: &str) -> (Vec<FileWaiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -127,7 +128,7 @@ pub(crate) fn parse_waiver_file(file_rel: &str, text: &str) -> (Vec<FileWaiver>,
         let Some(rule) = Rule::from_name(name) else {
             findings.push(Finding::new(
                 Rule::Waiver,
-                file_rel,
+                WAIVER_FILE,
                 line_no,
                 format!("unknown rule {name:?} in waiver file"),
             ));
@@ -136,7 +137,7 @@ pub(crate) fn parse_waiver_file(file_rel: &str, text: &str) -> (Vec<FileWaiver>,
         if path.is_empty() || reason.is_empty() {
             findings.push(Finding::new(
                 Rule::Waiver,
-                file_rel,
+                WAIVER_FILE,
                 line_no,
                 "waiver entry needs `<rule> <path> <reason...>`",
             ));
@@ -216,7 +217,7 @@ mod tests {
     #[test]
     fn waiver_file_round_trip_and_stale_detection() {
         let text = "# comment\n\nhash-iter crates/x/src/a.rs kept verbatim\nbogus p r\nhash-iter\n";
-        let (ws, errs) = parse_waiver_file("lint.waivers", text);
+        let (ws, errs) = parse_waiver_file(text);
         assert_eq!(ws.len(), 1);
         assert_eq!(errs.len(), 2);
         let mut findings = vec![Finding::new(Rule::HashIter, "crates/x/src/a.rs", 7, "it")];

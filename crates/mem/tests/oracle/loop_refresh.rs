@@ -26,7 +26,7 @@ impl LoopRefresh {
     pub fn new(timings: HbmTimings, bus_rate: Bandwidth) -> LoopRefresh {
         LoopRefresh {
             timings,
-            bus: BandwidthPipe::new("oracle_bus", bus_rate),
+            bus: BandwidthPipe::new(bus_rate),
             open_row: None,
             bank_free: SimTime::ZERO,
             next_refresh: timings.refresh_interval,

@@ -7,7 +7,6 @@
 //! four IODs. This module turns that argument into arithmetic.
 
 use crate::chiplet::{reticle_limit, ChipletKind, Footprint};
-use crate::geometry::Rect;
 
 /// Edge-length demands of a socket's external interfaces.
 #[derive(Debug, Clone, Copy)]
@@ -57,11 +56,11 @@ pub struct BeachfrontSupply {
 }
 
 impl BeachfrontSupply {
-    /// A single die of the given outline.
+    /// A single reticle-limit die.
     #[must_use]
-    pub fn single_die(outline: Rect) -> BeachfrontSupply {
+    pub fn single_die() -> BeachfrontSupply {
         BeachfrontSupply {
-            perimeter_mm: outline.perimeter(),
+            perimeter_mm: reticle_limit().perimeter(),
             usable_fraction: 0.7,
             interdie_mm: 0.0,
         }
@@ -112,7 +111,7 @@ impl BeachfrontAudit {
     pub fn mi300() -> BeachfrontAudit {
         BeachfrontAudit {
             demand: BeachfrontDemand::mi300(),
-            single_reticle: BeachfrontSupply::single_die(reticle_limit()),
+            single_reticle: BeachfrontSupply::single_die(),
             four_iods: BeachfrontSupply::four_iods(),
         }
     }

@@ -40,7 +40,7 @@ impl BpvTarget {
 /// use ehp_package::bond::{HybridBondInterface, MAX_DROP_FRACTION};
 ///
 /// let iface = HybridBondInterface::mi300_compute();
-/// assert!(iface.drop_fraction(70.0) < MAX_DROP_FRACTION);
+/// assert!(iface.drop_fraction() < MAX_DROP_FRACTION);
 /// ```
 ///
 #[derive(Debug, Clone, Copy)]
@@ -78,25 +78,29 @@ impl HybridBondInterface {
         self.bpv.spreading_resistance_mohm_mm2() / self.area_mm2
     }
 
-    /// IR drop (mV) at a given die current (A).
+    /// IR drop (mV) at the XCD current `XCD_CURRENT_A`.
     #[must_use]
-    pub fn ir_drop_mv(&self, current_a: f64) -> f64 {
-        self.effective_resistance_mohm() * current_a
+    pub fn ir_drop_mv(&self) -> f64 {
+        self.effective_resistance_mohm() * XCD_CURRENT_A
     }
 
-    /// I²R loss in watts at a given current.
+    /// I²R loss in watts at the XCD current.
     #[must_use]
-    pub fn i2r_loss_w(&self, current_a: f64) -> f64 {
-        current_a * current_a * self.effective_resistance_mohm() * 1e-3
+    pub fn i2r_loss_w(&self) -> f64 {
+        XCD_CURRENT_A * XCD_CURRENT_A * self.effective_resistance_mohm() * 1e-3
     }
 
-    /// Fraction of the supply voltage lost in the interface at
-    /// `current_a` — the feasibility figure of merit (keep under ~2%).
+    /// Fraction of the supply voltage lost in the interface at the XCD
+    /// current — the feasibility figure of merit (keep under ~2%).
     #[must_use]
-    pub fn drop_fraction(&self, current_a: f64) -> f64 {
-        self.ir_drop_mv(current_a) * 1e-3 / self.supply_v
+    pub fn drop_fraction(&self) -> f64 {
+        self.ir_drop_mv() * 1e-3 / self.supply_v
     }
 }
+
+/// Die current through a compute chiplet's bond interface: an XCD at
+/// ~55 W on a 0.8 V rail draws ~70 A, far more than a V-Cache SRAM die.
+const XCD_CURRENT_A: f64 = 70.0;
 
 /// Acceptable supply droop through the bond interface.
 pub const MAX_DROP_FRACTION: f64 = 0.02;
@@ -104,11 +108,6 @@ pub const MAX_DROP_FRACTION: f64 = 0.02;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Representative die currents: V-Cache SRAM ~5 A; an XCD at ~55 W
-    /// on a 0.8 V rail ~70 A.
-    const SRAM_CURRENT_A: f64 = 5.0;
-    const XCD_CURRENT_A: f64 = 70.0;
 
     /// The V-Cache interface (SRAM die, modest current): the reference
     /// the MI300 compute-chiplet interface is compared against.
@@ -138,16 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn v_cache_interface_fine_for_sram_current() {
-        let v = v_cache();
-        assert!(
-            v.drop_fraction(SRAM_CURRENT_A) < MAX_DROP_FRACTION,
-            "drop {:.4}",
-            v.drop_fraction(SRAM_CURRENT_A)
-        );
-    }
-
-    #[test]
     fn top_metal_landing_inadequate_for_compute_current() {
         // Figure 11's motivation: keep the V-Cache BPV arrangement but
         // push XCD-class current through it and the droop budget blows.
@@ -156,9 +145,9 @@ mod tests {
             ..HybridBondInterface::mi300_compute()
         };
         assert!(
-            hypothetical.drop_fraction(XCD_CURRENT_A) > MAX_DROP_FRACTION,
+            hypothetical.drop_fraction() > MAX_DROP_FRACTION,
             "drop {:.4} should exceed the budget",
-            hypothetical.drop_fraction(XCD_CURRENT_A)
+            hypothetical.drop_fraction()
         );
     }
 
@@ -166,12 +155,12 @@ mod tests {
     fn rdl_landing_fixes_compute_delivery() {
         let m = HybridBondInterface::mi300_compute();
         assert!(
-            m.drop_fraction(XCD_CURRENT_A) < MAX_DROP_FRACTION,
+            m.drop_fraction() < MAX_DROP_FRACTION,
             "drop {:.4}",
-            m.drop_fraction(XCD_CURRENT_A)
+            m.drop_fraction()
         );
         // And the I2R loss stays small relative to the die power.
-        assert!(m.i2r_loss_w(XCD_CURRENT_A) < 1.0);
+        assert!(m.i2r_loss_w() < 1.0);
     }
 
     #[test]
@@ -180,13 +169,5 @@ mod tests {
             BpvTarget::AluminumRdl.spreading_resistance_mohm_mm2()
                 < BpvTarget::TopLevelMetal.spreading_resistance_mohm_mm2() / 3.0
         );
-    }
-
-    #[test]
-    fn ir_drop_linear_in_current() {
-        let m = HybridBondInterface::mi300_compute();
-        let d1 = m.ir_drop_mv(10.0);
-        let d2 = m.ir_drop_mv(20.0);
-        assert!((d2 / d1 - 2.0).abs() < 1e-12);
     }
 }

@@ -10,6 +10,9 @@ use ehp_sim_core::units::Power;
 use crate::chiplet::{ChipletKind, Footprint};
 use crate::geometry::Rect;
 
+/// Millimetres per character of [`Floorplan::ascii_render`].
+const RENDER_SCALE_MM: f64 = 1.4;
+
 /// The vertical layer a region occupies (3D stacking means regions on
 /// different layers legitimately overlap in plan view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -191,12 +194,13 @@ impl Floorplan {
         grid
     }
 
-    /// Renders the floorplan as ASCII art (one character ≈ `scale` mm),
-    /// top row first. Layer glyphs: `I` IOD, `X` XCD, `C` CCD, `H` HBM,
-    /// `u` USR PHY, `p` HBM PHY, `.` interposer/empty.
+    /// Renders the floorplan as ASCII art (one character ≈
+    /// `RENDER_SCALE_MM`), top row first. Layer glyphs: `I` IOD, `X`
+    /// XCD, `C` CCD, `H` HBM, `u` USR PHY, `p` HBM PHY, `.`
+    /// interposer/empty.
     #[must_use]
-    pub fn ascii_render(&self, scale: f64) -> String {
-        assert!(scale > 0.0, "scale must be positive");
+    pub fn ascii_render(&self) -> String {
+        let scale = RENDER_SCALE_MM;
         let nx = (self.outline.w / scale).ceil() as usize;
         let ny = (self.outline.h / scale).ceil() as usize;
         let mut rows = vec![vec!['.'; nx]; ny];
@@ -433,23 +437,23 @@ mod tests {
 
     #[test]
     fn ascii_render_shows_every_component_class() {
-        let art = Floorplan::mi300a().ascii_render(1.0);
+        let art = Floorplan::mi300a().ascii_render();
         for glyph in ['I', 'X', 'C', 'H', 'u', 'p', '.'] {
             assert!(art.contains(glyph), "missing {glyph} in render");
         }
-        // 56 rows of 70 characters.
-        assert_eq!(art.lines().count(), 56);
-        assert!(art.lines().all(|l| l.len() == 70));
+        // The 70 × 56 mm outline at 1.4 mm per character: 40 rows of 50.
+        assert_eq!(art.lines().count(), 40);
+        assert!(art.lines().all(|l| l.len() == 50));
     }
 
     #[test]
     fn ascii_render_stacks_compute_over_iod() {
         // An XCD cell covers its IOD cell (Compute sorts above Iod).
         let fp = Floorplan::mi300a();
-        let art = fp.ascii_render(1.0);
+        let art = fp.ascii_render();
         let xcds = art.matches('X').count();
-        // 6 XCDs x ~114 cells at 1 mm scale.
-        assert!((500..800).contains(&xcds), "XCD cells: {xcds}");
+        // 6 XCDs x ~114 mm² at 1.96 mm² per cell.
+        assert!((300..500).contains(&xcds), "XCD cells: {xcds}");
     }
 
     #[test]

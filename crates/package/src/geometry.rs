@@ -1,6 +1,10 @@
 //! Planar geometry in millimetres: points, rectangles, and the
 //! mirror/rotate transforms the IOD scheme relies on.
 
+/// Tolerance of [`Point::approx_eq`] per coordinate (mm): far below any
+/// pad pitch, far above the rounding of the mirror/rotate transforms.
+const POINT_EPS_MM: f64 = 1e-9;
+
 /// A point in package coordinates (mm).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Point {
@@ -17,10 +21,10 @@ impl Point {
         Point { x, y }
     }
 
-    /// `true` if within `eps` of `other` in both coordinates.
+    /// `true` if within `POINT_EPS_MM` of `other` in both coordinates.
     #[must_use]
-    pub fn approx_eq(self, other: Point, eps: f64) -> bool {
-        (self.x - other.x).abs() <= eps && (self.y - other.y).abs() <= eps
+    pub fn approx_eq(self, other: Point) -> bool {
+        (self.x - other.x).abs() <= POINT_EPS_MM && (self.y - other.y).abs() <= POINT_EPS_MM
     }
 }
 
@@ -171,20 +175,20 @@ mod tests {
         let p = Point::new(3.0, 7.0);
         for t in Transform::ALL {
             let twice = t.apply_point(t.apply_point(p, 20.0, 30.0), 20.0, 30.0);
-            assert!(twice.approx_eq(p, 1e-12), "{t:?} applied twice");
+            assert!(twice.approx_eq(p), "{t:?} applied twice");
         }
     }
 
     #[test]
     fn rot180_moves_corner_to_corner() {
         let p = Transform::Rot180.apply_point(Point::new(0.0, 0.0), 10.0, 20.0);
-        assert!(p.approx_eq(Point::new(10.0, 20.0), 1e-12));
+        assert!(p.approx_eq(Point::new(10.0, 20.0)));
     }
 
     #[test]
     fn mirror_flips_x_only() {
         let p = Transform::MirrorX.apply_point(Point::new(2.0, 5.0), 10.0, 20.0);
-        assert!(p.approx_eq(Point::new(8.0, 5.0), 1e-12));
+        assert!(p.approx_eq(Point::new(8.0, 5.0)));
     }
 
     #[test]

@@ -70,20 +70,21 @@ impl BondInterface {
         let mut pins = self.iod_pins.clone();
         for p in &self.iod_pins {
             let m = Transform::MirrorX.apply_point(*p, self.w, self.h);
-            if !pins.iter().any(|q| q.approx_eq(m, 1e-9)) {
+            if !pins.iter().any(|q| q.approx_eq(m)) {
                 pins.push(m);
             }
         }
         BondInterface::new(self.w, self.h, pins)
     }
 
-    /// Checks whether a chiplet's pins (region-local, chiplet is never
-    /// mirrored but may rotate 180°) all land on IOD pin sites when the
-    /// IOD is built/placed as `variant`.
+    /// Checks whether the MI300 chiplet's pins (region-local, chiplet is
+    /// never mirrored but may rotate 180°) all land on IOD pin sites when
+    /// the IOD is built/placed as `variant`.
     ///
     /// Returns the chiplet rotation that aligns, or `None`.
     #[must_use]
-    pub fn alignment(&self, chiplet_pins: &[Point], variant: IodVariant) -> Option<Transform> {
+    pub fn alignment(&self, variant: IodVariant) -> Option<Transform> {
+        let chiplet_pins = mi300_chiplet_pins();
         let t = variant.transform();
         let physical_sites: Vec<Point> = self
             .iod_pins
@@ -93,7 +94,7 @@ impl BondInterface {
         for rot in [Transform::Identity, Transform::Rot180] {
             let ok = chiplet_pins.iter().all(|p| {
                 let q = rot.apply_point(*p, self.w, self.h);
-                physical_sites.iter().any(|s| s.approx_eq(q, 1e-9))
+                physical_sites.iter().any(|s| s.approx_eq(q))
             });
             if ok {
                 return Some(rot);
@@ -218,13 +219,11 @@ impl IodInstance {
         }
     }
 
-    /// Checks a (never-mirrored) chiplet pin pattern against this
-    /// instance.
+    /// Checks the (never-mirrored) MI300 chiplet pin pattern against
+    /// this instance.
     #[must_use]
-    pub fn accepts_chiplet(&self, chiplet_pins: &[Point]) -> bool {
-        self.interface
-            .alignment(chiplet_pins, self.variant)
-            .is_some()
+    pub fn accepts_chiplet(&self) -> bool {
+        self.interface.alignment(self.variant).is_some()
     }
 }
 
@@ -247,8 +246,7 @@ pub fn mi300_base_interface() -> BondInterface {
 
 /// The matching chiplet pin pattern (identical to the base IOD pattern —
 /// they were co-designed).
-#[must_use]
-pub fn mi300_chiplet_pins() -> Vec<Point> {
+fn mi300_chiplet_pins() -> Vec<Point> {
     mi300_base_interface().iod_pins
 }
 
@@ -264,14 +262,14 @@ mod tests {
     #[test]
     fn chiplet_aligns_on_normal_iod_without_rotation() {
         let iface = mi300_base_interface();
-        let rot = iface.alignment(&mi300_chiplet_pins(), IodVariant::Normal);
+        let rot = iface.alignment(IodVariant::Normal);
         assert_eq!(rot, Some(Transform::Identity));
     }
 
     #[test]
     fn chiplet_aligns_on_rotated_iod_by_rotating() {
         let iface = mi300_base_interface();
-        let rot = iface.alignment(&mi300_chiplet_pins(), IodVariant::NormalRot180);
+        let rot = iface.alignment(IodVariant::NormalRot180);
         assert_eq!(rot, Some(Transform::Rot180));
     }
 
@@ -280,14 +278,8 @@ mod tests {
         // The heart of Figure 9: a chiral pin pattern cannot land on a
         // mirrored IOD by rotation alone.
         let iface = mi300_base_interface();
-        assert_eq!(
-            iface.alignment(&mi300_chiplet_pins(), IodVariant::Mirrored),
-            None
-        );
-        assert_eq!(
-            iface.alignment(&mi300_chiplet_pins(), IodVariant::MirroredRot180),
-            None
-        );
+        assert_eq!(iface.alignment(IodVariant::Mirrored), None);
+        assert_eq!(iface.alignment(IodVariant::MirroredRot180), None);
     }
 
     #[test]
@@ -296,8 +288,8 @@ mod tests {
         // "carefully choreographed" interface planning guarantees.
         let iface = mi300_base_interface().with_mirror_redundancy();
         for v in IodVariant::ALL {
-            assert!(iface.alignment(&mi300_chiplet_pins(), v).is_some(), "{v:?}");
-            assert!(IodInstance::production(v).accepts_chiplet(&mi300_chiplet_pins()));
+            assert!(iface.alignment(v).is_some(), "{v:?}");
+            assert!(IodInstance::production(v).accepts_chiplet());
         }
     }
 

@@ -186,7 +186,7 @@ mod tests {
         };
         let p = Point::new(0.5, 0.5);
         let q = Transform::Rot180.apply_point(p, 4.0, 4.0);
-        assert!(q.approx_eq(Point::new(3.5, 3.5), 1e-12));
+        assert!(q.approx_eq(Point::new(3.5, 3.5)));
         g.check_symmetry(4.0, 4.0).unwrap();
     }
 }

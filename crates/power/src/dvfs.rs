@@ -39,47 +39,17 @@ pub struct DvfsCurve {
 }
 
 impl DvfsCurve {
-    /// Constructs a curve.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `fmin <= nominal <= fmax` and powers are positive.
-    #[must_use]
-    pub(crate) fn new(
-        static_power: Power,
-        dynamic_at_nominal: Power,
-        nominal: Frequency,
-        fmin: Frequency,
-        fmax: Frequency,
-    ) -> DvfsCurve {
-        assert!(
-            fmin.as_hz() <= nominal.as_hz() && nominal.as_hz() <= fmax.as_hz(),
-            "require fmin <= nominal <= fmax"
-        );
-        assert!(
-            dynamic_at_nominal.as_watts() > 0.0,
-            "dynamic power must be positive"
-        );
-        DvfsCurve {
-            static_power,
-            dynamic_at_nominal,
-            nominal,
-            fmax,
-            fmin,
-        }
-    }
-
     /// One MI300 XCD: ~50 W nominal dynamic at 2.1 GHz plus 6 W static
-    /// (6 XCDs ≈ 330 W of the compute allocation).
+    /// (6 XCDs ≈ 330 W of the compute allocation), clocked 0.8–2.5 GHz.
     #[must_use]
     pub fn mi300_xcd() -> DvfsCurve {
-        DvfsCurve::new(
-            Power::from_watts(6.0),
-            Power::from_watts(50.0),
-            Frequency::from_ghz(2.1),
-            Frequency::from_ghz(0.8),
-            Frequency::from_ghz(2.5),
-        )
+        DvfsCurve {
+            static_power: Power::from_watts(6.0),
+            dynamic_at_nominal: Power::from_watts(50.0),
+            nominal: Frequency::from_ghz(2.1),
+            fmax: Frequency::from_ghz(2.5),
+            fmin: Frequency::from_ghz(0.8),
+        }
     }
 
     /// Power drawn at clock `f` (cubic dynamic + static).
@@ -156,15 +126,8 @@ mod tests {
 
     #[test]
     fn perf_factor_at_nominal_is_one() {
-        // One "Zen 4" CCD: ~28 W nominal dynamic at 3.7 GHz.
-        let c = DvfsCurve::new(
-            Power::from_watts(4.0),
-            Power::from_watts(28.0),
-            Frequency::from_ghz(3.7),
-            Frequency::from_ghz(1.5),
-            Frequency::from_ghz(4.1),
-        );
-        let p = c.power_at(Frequency::from_ghz(3.7));
+        let c = DvfsCurve::mi300_xcd();
+        let p = c.power_at(Frequency::from_ghz(2.1));
         assert!((c.perf_factor(p) - 1.0).abs() < 1e-6);
     }
 
@@ -177,17 +140,5 @@ mod tests {
         let per_xcd_after = Power::from_watts(55.0);
         let gain = c.perf_factor(per_xcd_after) / c.perf_factor(per_xcd_before);
         assert!(gain > 1.05, "10 W per XCD should buy >5% clock, got {gain}");
-    }
-
-    #[test]
-    #[should_panic(expected = "fmin <= nominal <= fmax")]
-    fn bad_ordering_panics() {
-        let _ = DvfsCurve::new(
-            Power::from_watts(1.0),
-            Power::from_watts(10.0),
-            Frequency::from_ghz(3.0),
-            Frequency::from_ghz(1.0),
-            Frequency::from_ghz(2.0),
-        );
     }
 }

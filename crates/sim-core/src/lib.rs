@@ -21,7 +21,7 @@
 //!
 //! // Two 1 KB transfers issued together on a 1 TB/s pipe: the second
 //! // queues behind the first, so both finish after 2 ns.
-//! let mut pipe = BandwidthPipe::new("link", Bandwidth::from_gb_s(1000.0));
+//! let mut pipe = BandwidthPipe::new(Bandwidth::from_gb_s(1000.0));
 //! pipe.request(SimTime::ZERO, Bytes(1000));
 //! let done = pipe.request(SimTime::ZERO, Bytes(1000));
 //! assert_eq!(done, SimTime::from_nanos(2));

@@ -23,7 +23,7 @@ use crate::units::{Bandwidth, Bytes, Energy};
 /// use ehp_sim_core::time::SimTime;
 /// use ehp_sim_core::units::{Bandwidth, Bytes};
 ///
-/// let mut pipe = BandwidthPipe::new("usr_tx", Bandwidth::from_gb_s(1000.0));
+/// let mut pipe = BandwidthPipe::new(Bandwidth::from_gb_s(1000.0));
 /// let done1 = pipe.request(SimTime::ZERO, Bytes::from_kib(1));
 /// let done2 = pipe.request(SimTime::ZERO, Bytes::from_kib(1));
 /// assert!(done2 > done1); // second transfer queues behind the first
@@ -51,10 +51,10 @@ impl BandwidthPipe {
     /// Panics if `rate` is zero — a zero-rate pipe can never serve a
     /// request.
     #[must_use]
-    pub fn new(name: &'static str, rate: Bandwidth) -> BandwidthPipe {
+    pub fn new(rate: Bandwidth) -> BandwidthPipe {
         assert!(
             rate.as_bytes_per_sec() > 0.0,
-            "bandwidth pipe '{name}' must have positive rate"
+            "bandwidth pipe must have positive rate"
         );
         BandwidthPipe {
             rate,
@@ -69,12 +69,8 @@ impl BandwidthPipe {
 
     /// Creates a pipe that also accounts transport energy per byte.
     #[must_use]
-    pub fn with_energy(
-        name: &'static str,
-        rate: Bandwidth,
-        energy_per_byte: Energy,
-    ) -> BandwidthPipe {
-        let mut p = BandwidthPipe::new(name, rate);
+    pub fn with_energy(rate: Bandwidth, energy_per_byte: Energy) -> BandwidthPipe {
+        let mut p = BandwidthPipe::new(rate);
         p.energy_per_byte = energy_per_byte;
         p
     }
@@ -126,8 +122,8 @@ impl SlotServer {
     ///
     /// Panics if `k` is zero.
     #[must_use]
-    pub fn new(name: &'static str, k: usize) -> SlotServer {
-        assert!(k > 0, "slot server '{name}' needs at least one slot");
+    pub fn new(k: usize) -> SlotServer {
+        assert!(k > 0, "slot server needs at least one slot");
         SlotServer {
             slots: vec![Cycle::ZERO; k],
         }
@@ -155,7 +151,7 @@ mod tests {
 
     #[test]
     fn pipe_serialises_back_to_back_requests() {
-        let mut p = BandwidthPipe::new("p", Bandwidth::from_gb_s(1.0));
+        let mut p = BandwidthPipe::new(Bandwidth::from_gb_s(1.0));
         // 1 GB/s => 1000 bytes take 1 us.
         let d1 = p.request(SimTime::ZERO, Bytes(1_000));
         let d2 = p.request(SimTime::ZERO, Bytes(1_000));
@@ -166,7 +162,7 @@ mod tests {
 
     #[test]
     fn pipe_idle_gap_is_not_charged() {
-        let mut p = BandwidthPipe::new("p", Bandwidth::from_gb_s(1.0));
+        let mut p = BandwidthPipe::new(Bandwidth::from_gb_s(1.0));
         let _ = p.request(SimTime::ZERO, Bytes(1_000));
         // Arrives long after the pipe drained: starts immediately.
         let d = p.request(SimTime::from_micros(100), Bytes(1_000));
@@ -176,14 +172,14 @@ mod tests {
     #[test]
     fn pipe_energy_accounting() {
         let e = Energy::from_picojoules(1.0);
-        let mut p = BandwidthPipe::with_energy("p", Bandwidth::from_gb_s(10.0), e);
+        let mut p = BandwidthPipe::with_energy(Bandwidth::from_gb_s(10.0), e);
         p.request(SimTime::ZERO, Bytes(1_000_000));
         assert!((p.energy_used().as_joules() - 1e-6).abs() < 1e-12);
     }
 
     #[test]
     fn pipe_achieved_bandwidth() {
-        let mut p = BandwidthPipe::new("p", Bandwidth::from_gb_s(2.0));
+        let mut p = BandwidthPipe::new(Bandwidth::from_gb_s(2.0));
         let done = p.request(SimTime::ZERO, Bytes(2_000_000));
         let achieved = p.bytes_moved().as_f64() / done.as_secs();
         assert!((achieved / 1e9 - 2.0).abs() < 1e-6);
@@ -191,7 +187,7 @@ mod tests {
 
     #[test]
     fn slot_server_parallel_then_queued() {
-        let mut s = SlotServer::new("banks", 2);
+        let mut s = SlotServer::new(2);
         let (_, d1) = s.submit(Cycle(0), Cycle(10));
         let (_, d2) = s.submit(Cycle(0), Cycle(10));
         let (start3, d3) = s.submit(Cycle(0), Cycle(10));
@@ -203,7 +199,7 @@ mod tests {
 
     #[test]
     fn slot_server_free_times() {
-        let mut s = SlotServer::new("s", 2);
+        let mut s = SlotServer::new(2);
         s.submit(Cycle(0), Cycle(5));
         s.submit(Cycle(0), Cycle(9));
         // Each later job goes to whichever slot frees first.
@@ -214,12 +210,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive rate")]
     fn zero_rate_pipe_panics() {
-        let _ = BandwidthPipe::new("bad", Bandwidth::ZERO);
+        let _ = BandwidthPipe::new(Bandwidth::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_slot_server_panics() {
-        let _ = SlotServer::new("bad", 0);
+        let _ = SlotServer::new(0);
     }
 }

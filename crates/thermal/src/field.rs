@@ -3,6 +3,9 @@
 use ehp_package::geometry::{Point, Rect};
 use ehp_sim_core::units::Celsius;
 
+/// The glyphs of [`TemperatureField::ascii_map`], from cold to hot.
+const HEAT_LEVELS: &str = " .:-=+*#%@";
+
 /// A temperature field sampled on a regular grid over a package outline,
 /// with the convergence evidence of the solve that produced it.
 #[derive(Debug, Clone)]
@@ -148,11 +151,11 @@ impl TemperatureField {
     }
 
     /// Renders the field as a coarse ASCII heat map (for the figure
-    /// reports): `levels` characters from cold to hot.
+    /// reports): one of the `HEAT_LEVELS` characters per cell, from cold
+    /// to hot.
     #[must_use]
-    pub fn ascii_map(&self, levels: &str) -> String {
-        assert!(!levels.is_empty());
-        let chars: Vec<char> = levels.chars().collect();
+    pub fn ascii_map(&self) -> String {
+        let chars: Vec<char> = HEAT_LEVELS.chars().collect();
         let (max, _) = self.max();
         let min = self.min();
         let span = (max - min).max(1e-9);
@@ -209,12 +212,12 @@ mod tests {
     #[test]
     fn ascii_map_shape() {
         let f = field();
-        let map = f.ascii_map(".:*#");
+        let map = f.ascii_map();
         let lines: Vec<&str> = map.lines().collect();
         assert_eq!(lines.len(), 2);
-        // Hottest cell (top-right in render) is '#', coldest '.'.
-        assert_eq!(lines[0].chars().nth(1), Some('#'));
-        assert_eq!(lines[1].chars().next(), Some('.'));
+        // Hottest cell (top-right in render) is '@', coldest ' '.
+        assert_eq!(lines[0].chars().nth(1), Some('@'));
+        assert_eq!(lines[1].chars().next(), Some(' '));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Multi-socket strong scaling over the node fabric.
 //!
 //! The node architectures of Figure 18 exist to scale HPC and AI out;
-//! this module prices a workload's strong scaling on N sockets: the
+//! this module prices a workload's strong scaling on N sockets of a
+//! quad-MI300A node (Figure 18a's all-to-all shape): the
 //! parallel fraction divides, the serial fraction does not (Amdahl, as
 //! invoked in Section II.A), and each step pays a ring all-reduce over
 //! the inter-socket links.
@@ -19,11 +20,9 @@ use crate::hpc::{HpcWorkload, MachineModel};
 ///
 /// ```
 /// use ehp_workloads::scaling::ScalingStudy;
-/// use ehp_core::node::NodeTopology;
 ///
 /// let study = ScalingStudy::hpcg_on_mi300a();
-/// let node = NodeTopology::quad_mi300a();
-/// assert!(study.speedup(&node, 4) > 2.5);
+/// assert!(study.speedup(4) > 2.5);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingStudy {
@@ -49,7 +48,7 @@ impl ScalingStudy {
         }
     }
 
-    /// Per-step time on `sockets` sockets of a node.
+    /// Per-step time on `sockets` sockets of the quad-MI300A node.
     ///
     /// Communication: ring all-reduce of `comm_bytes` costs
     /// `2·(N−1)/N × bytes ÷ pair_bandwidth` plus per-hop latency.
@@ -58,7 +57,8 @@ impl ScalingStudy {
     ///
     /// Panics if `sockets` is zero or exceeds the node's socket count.
     #[must_use]
-    pub(crate) fn step_time(&self, node: &NodeTopology, sockets: usize) -> SimTime {
+    pub(crate) fn step_time(&self, sockets: usize) -> SimTime {
+        let node = &NodeTopology::quad_mi300a();
         assert!(
             sockets >= 1 && sockets <= node.sockets().len(),
             "socket count {sockets} out of range"
@@ -70,11 +70,11 @@ impl ScalingStudy {
         let comm = if sockets > 1 {
             let fabric = NodeFabric::new(node);
             let pair_bw = fabric
-                .socket_bandwidth(0, 1)
+                .socket_bandwidth()
                 .expect("sockets connected")
                 .as_bytes_per_sec();
             let lat = fabric
-                .socket_latency(0, 1)
+                .socket_latency()
                 .expect("sockets connected")
                 .as_secs();
             let n = sockets as f64;
@@ -88,15 +88,15 @@ impl ScalingStudy {
 
     /// Speedup of `sockets` sockets over one.
     #[must_use]
-    pub fn speedup(&self, node: &NodeTopology, sockets: usize) -> f64 {
-        self.step_time(node, 1).as_secs() / self.step_time(node, sockets).as_secs()
+    pub fn speedup(&self, sockets: usize) -> f64 {
+        self.step_time(1).as_secs() / self.step_time(sockets).as_secs()
     }
 
     /// The whole scaling curve up to the node's size.
     #[must_use]
-    pub fn curve(&self, node: &NodeTopology) -> Vec<(usize, f64)> {
-        (1..=node.sockets().len())
-            .map(|n| (n, self.speedup(node, n)))
+    pub fn curve(&self) -> Vec<(usize, f64)> {
+        (1..=NodeTopology::quad_mi300a().sockets().len())
+            .map(|n| (n, self.speedup(n)))
             .collect()
     }
 }
@@ -105,14 +105,10 @@ impl ScalingStudy {
 mod tests {
     use super::*;
 
-    fn quad() -> NodeTopology {
-        NodeTopology::quad_mi300a()
-    }
-
     #[test]
     fn four_sockets_speed_up_substantially() {
         let s = ScalingStudy::hpcg_on_mi300a();
-        let speedup = s.speedup(&quad(), 4);
+        let speedup = s.speedup(4);
         assert!(
             (2.8..4.0).contains(&speedup),
             "4-socket HPCG speedup {speedup:.2}"
@@ -122,7 +118,7 @@ mod tests {
     #[test]
     fn speedup_is_monotone_in_sockets() {
         let s = ScalingStudy::hpcg_on_mi300a();
-        let curve = s.curve(&quad());
+        let curve = s.curve();
         for pair in curve.windows(2) {
             assert!(
                 pair[1].1 >= pair[0].1 * 0.98,
@@ -137,7 +133,7 @@ mod tests {
         let mut s = ScalingStudy::hpcg_on_mi300a();
         s.serial_fraction = 0.25;
         s.comm_bytes = Bytes::ZERO;
-        let speedup = s.speedup(&quad(), 4);
+        let speedup = s.speedup(4);
         // Amdahl bound: 1 / (0.25 + 0.75/4) = 2.286.
         assert!((speedup - 2.286).abs() < 0.05, "got {speedup:.3}");
     }
@@ -147,7 +143,7 @@ mod tests {
         let light = ScalingStudy::hpcg_on_mi300a();
         let mut heavy = light;
         heavy.comm_bytes = Bytes::from_gib(1);
-        assert!(heavy.speedup(&quad(), 4) < light.speedup(&quad(), 4) - 0.5);
+        assert!(heavy.speedup(4) < light.speedup(4) - 0.5);
     }
 
     #[test]
@@ -155,7 +151,7 @@ mod tests {
         let mut s = ScalingStudy::hpcg_on_mi300a();
         s.serial_fraction = 0.0;
         s.comm_bytes = Bytes::ZERO;
-        let speedup = s.speedup(&quad(), 4);
+        let speedup = s.speedup(4);
         // Zero payload still pays the all-reduce latency floor, so the
         // result is near-linear rather than exactly 4x.
         assert!((speedup - 4.0).abs() < 0.01, "got {speedup}");
@@ -165,6 +161,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn too_many_sockets_panics() {
         let s = ScalingStudy::hpcg_on_mi300a();
-        let _ = s.step_time(&quad(), 9);
+        let _ = s.step_time(9);
     }
 }

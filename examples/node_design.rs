@@ -47,7 +47,7 @@ fn main() {
         hbm_stacks: 4,
         ..BeachfrontDemand::mi300()
     };
-    let single = BeachfrontSupply::single_die(reticle_limit());
+    let single = BeachfrontSupply::single_die();
     println!(
         "With only 4 HBM stacks, one reticle-limit die {} the demand.\n",
         if single.meets(&half_demand) {
@@ -60,11 +60,7 @@ fn main() {
     // 2. Fabric quality of two candidate packages under the same traffic.
     println!("Candidate package fabrics (64 MiB chiplet->far-HBM transfer):");
     for (name, topo, chiplet) in [
-        (
-            "MI300-style (USR mesh)",
-            Topology::mi300_package(2, 0),
-            0u32,
-        ),
+        ("MI300-style (USR mesh)", Topology::mi300_package(0), 0u32),
         ("EHPv4-style (SerDes hub)", Topology::ehpv4_package(), 2u32),
     ] {
         let mut fab = FabricSim::new(topo);

@@ -39,7 +39,7 @@ fn main() {
 
     // 2. A timed 64 MiB transfer from XCD 0 to an HBM stack attached
     //    to the diagonal IOD.
-    let mut fabric = FabricSim::new(Topology::mi300_package(2, 3));
+    let mut fabric = FabricSim::new(Topology::mi300_package(3));
     let mb = Bytes::from_mib(64);
     let t = fabric
         .send(SimTime::ZERO, NodeKey::Chiplet(0), NodeKey::HbmStack(7), mb)

@@ -55,7 +55,7 @@ fn dispatch_and_fabric_compose() {
     // A dispatch's completion signal conceptually crosses the fabric's
     // high-priority channel; verify the fabric path the signal takes
     // exists on the MI300A package for every XCD pair.
-    let fab = FabricSim::new(Topology::mi300_package(2, 3));
+    let fab = FabricSim::new(Topology::mi300_package(3));
     for a in 0..6u32 {
         for b in 0..6u32 {
             let lat = fab
@@ -66,23 +66,6 @@ fn dispatch_and_fabric_compose() {
             }
         }
     }
-}
-
-#[test]
-fn back_to_back_dispatches_complete_in_order() {
-    // A second kernel launched when the first one's completion signal is
-    // visible starts on the same ACE engines and finishes strictly later.
-    // One partition of MI300A's triple-partition (TPX) mode: two XCDs.
-    let mut d = MultiXcdDispatcher::new(DispatcherConfig {
-        xcds: 2,
-        ..DispatcherConfig::mi300a_partition()
-    });
-    let r1 = d.dispatch_at(Cycle(0), &AqlPacket::dispatch_1d(64, 64), |_| 100);
-    assert_eq!(r1.workgroups_launched, 1);
-    let r2 = d.dispatch_at(r1.completion_at, &AqlPacket::dispatch_1d(128, 64), |_| 100);
-    assert_eq!(r2.workgroups_launched, 2);
-    assert!(r2.first_launch >= r1.completion_at);
-    assert!(r2.completion_at > r1.completion_at);
 }
 
 #[test]

@@ -211,7 +211,7 @@ fn transforms_preserve_geometry() {
             assert!(q.y >= -1e-9 && q.y <= h + 1e-9);
             // Involution.
             let back = t.apply_point(q, w, h);
-            assert!(back.approx_eq(p, 1e-9));
+            assert!(back.approx_eq(p));
         }
     }
 }
@@ -231,9 +231,9 @@ fn aql_workgroup_math() {
     }
 }
 
-/// Multi-socket coherence policy: CPUs are always hardware coherent,
-/// and a GPU is exactly when the line is homed on its own socket, under
-/// arbitrary traces.
+/// Multi-socket coherence policy: every agent sits on socket 0; CPUs
+/// are always hardware coherent, and a GPU is exactly when the line is
+/// homed on socket 0, under arbitrary traces.
 #[test]
 fn multisocket_policy_invariants() {
     let mut rng = rng_for("multisocket_policy_invariants");
@@ -243,7 +243,6 @@ fn multisocket_policy_invariants() {
         for a in 0..4u32 {
             n.register(
                 AgentId(a),
-                a % 4,
                 if a % 2 == 0 {
                     AgentClass::Cpu
                 } else {
@@ -260,7 +259,7 @@ fn multisocket_policy_invariants() {
             if agent.is_multiple_of(2) {
                 assert!(acc.hardware_coherent, "CPU access is hardware coherent");
             } else {
-                assert_eq!(acc.hardware_coherent, home == u64::from(agent));
+                assert_eq!(acc.hardware_coherent, home == 0);
             }
         }
     }
@@ -393,27 +392,24 @@ fn dvfs_round_trip() {
     }
 }
 
-/// Bond-interface IR drop is monotone in current and inversely
-/// monotone in area; RDL always beats top-level metal.
+/// Bond-interface IR drop is inversely monotone in area; RDL always
+/// beats top-level metal.
 #[test]
 fn bond_drop_monotonicity() {
     let mut rng = rng_for("bond_drop_monotonicity");
     for _ in 0..128 {
         let area = f64_in(&mut rng, 20.0, 200.0);
-        let i1 = f64_in(&mut rng, 1.0, 60.0);
-        let delta = f64_in(&mut rng, 1.0, 60.0);
         for bpv in [BpvTarget::TopLevelMetal, BpvTarget::AluminumRdl] {
             let iface = HybridBondInterface {
                 area_mm2: area,
                 bpv,
                 ..HybridBondInterface::mi300_compute()
             };
-            assert!(iface.ir_drop_mv(i1 + delta) > iface.ir_drop_mv(i1));
             let bigger = HybridBondInterface {
                 area_mm2: area * 2.0,
                 ..iface
             };
-            assert!(bigger.ir_drop_mv(i1) < iface.ir_drop_mv(i1));
+            assert!(bigger.ir_drop_mv() < iface.ir_drop_mv());
         }
         let top = HybridBondInterface {
             area_mm2: area,
@@ -424,6 +420,6 @@ fn bond_drop_monotonicity() {
             bpv: BpvTarget::AluminumRdl,
             ..top
         };
-        assert!(rdl.ir_drop_mv(i1) < top.ir_drop_mv(i1));
+        assert!(rdl.ir_drop_mv() < top.ir_drop_mv());
     }
 }
