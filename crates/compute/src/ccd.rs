@@ -20,6 +20,8 @@ const CLOCK_GHZ: f64 = 3.7;
 /// Double-precision FLOPs per cycle per core (Zen 4: two 256-bit FMA
 /// pipes => 16 DP FLOPs/cycle; AVX-512 instructions are double-pumped).
 const DP_FLOPS_PER_CYCLE: u32 = 16;
+/// Fraction of peak a CPU phase sustains.
+const EFFICIENCY: f64 = 0.5;
 
 /// Peak double-precision FLOP/s across the CCD.
 ///
@@ -35,18 +37,10 @@ pub fn peak_dp_flops() -> f64 {
 }
 
 /// Time for a CPU phase of `flops` FLOPs and `bytes` of memory traffic
-/// at `mem_bw`, on all of one CCD's cores at `efficiency` of peak.
-///
-/// # Panics
-///
-/// Panics if `efficiency` is not in `(0, 1]`.
+/// at `mem_bw`, on all of one CCD's cores at `EFFICIENCY` of peak.
 #[must_use]
-pub fn phase_time(flops: f64, bytes: Bytes, mem_bw: Bandwidth, efficiency: f64) -> SimTime {
-    assert!(
-        efficiency > 0.0 && efficiency <= 1.0,
-        "efficiency must be in (0,1]: {efficiency}"
-    );
-    let t_compute = flops / (peak_dp_flops() * efficiency);
+pub fn phase_time(flops: f64, bytes: Bytes, mem_bw: Bandwidth) -> SimTime {
+    let t_compute = flops / (peak_dp_flops() * EFFICIENCY);
     let t_memory = bytes.as_f64() / mem_bw.as_bytes_per_sec();
     SimTime::from_secs_f64(t_compute.max(t_memory))
 }
@@ -68,22 +62,16 @@ mod tests {
 
     #[test]
     fn compute_bound_phase_runs_at_peak_times_efficiency() {
-        let t = phase_time(peak_dp_flops(), Bytes(1), Bandwidth::from_tb_s(1.0), 0.5);
+        let t = phase_time(peak_dp_flops(), Bytes(1), Bandwidth::from_tb_s(1.0));
         assert!((t.as_secs() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn memory_bound_phase_runs_at_memory_bandwidth() {
-        let t = phase_time(1.0, Bytes::from_gib(1), Bandwidth::from_gb_s(100.0), 1.0);
+        let t = phase_time(1.0, Bytes::from_gib(1), Bandwidth::from_gb_s(100.0));
         assert_eq!(
             t,
             Bandwidth::from_gb_s(100.0).transfer_time(Bytes::from_gib(1))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "efficiency must be in")]
-    fn zero_efficiency_panics() {
-        let _ = phase_time(1.0, Bytes(1), Bandwidth::from_gb_s(1.0), 0.0);
     }
 }

@@ -17,6 +17,17 @@ impl GpuArch {
     /// Peak operations-per-clock-per-CU for dense operands — exactly
     /// Table 1 of the paper. `None` marks the "n/a" cells (no hardware
     /// support).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ehp_compute::cu::GpuArch;
+    /// use ehp_compute::dtype::{DataType, ExecUnit};
+    ///
+    /// let fp64 = GpuArch::Cdna3.ops_per_clock(ExecUnit::Matrix, DataType::Fp64);
+    /// assert_eq!(fp64, Some(256)); // 537.6 GFLOP/s per CU at 2.1 GHz
+    /// assert_eq!(GpuArch::Cdna2.ops_per_clock(ExecUnit::Matrix, DataType::Fp8), None);
+    /// ```
     #[must_use]
     pub fn ops_per_clock(self, unit: ExecUnit, dtype: DataType) -> Option<u64> {
         use DataType::*;
@@ -111,40 +122,6 @@ impl CuSpec {
     }
 }
 
-/// A compute unit: spec plus derived peak rates.
-///
-/// # Example
-///
-/// ```
-/// use ehp_compute::cu::{CuModel, CuSpec};
-/// use ehp_compute::dtype::{DataType, ExecUnit};
-///
-/// let cu = CuModel::new(CuSpec::cdna3());
-/// let fp64 = cu.peak_flops(ExecUnit::Matrix, DataType::Fp64).unwrap();
-/// assert!((fp64 / 1e9 - 537.6).abs() < 1.0); // 256 ops/clk * 2.1 GHz
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct CuModel {
-    spec: CuSpec,
-}
-
-impl CuModel {
-    /// Wraps a spec.
-    #[must_use]
-    pub fn new(spec: CuSpec) -> CuModel {
-        CuModel { spec }
-    }
-
-    /// Peak dense ops/second for a unit/datatype; `None` if unsupported.
-    #[must_use]
-    pub fn peak_flops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
-        self.spec
-            .arch
-            .ops_per_clock(unit, dtype)
-            .map(|ops| ops as f64 * self.spec.clock.as_hz())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,9 +194,16 @@ mod tests {
 
     #[test]
     fn peak_flops_matches_hand_computation() {
-        let cu = CuModel::new(CuSpec::cdna3());
-        let fp8 = cu.peak_flops(ExecUnit::Matrix, DataType::Fp8).unwrap();
+        let cu = CuSpec::cdna3();
+        let fp8 = cu
+            .arch
+            .ops_per_clock(ExecUnit::Matrix, DataType::Fp8)
+            .unwrap() as f64
+            * cu.clock.as_hz();
         assert!((fp8 - 4096.0 * 2.1e9).abs() < 1.0);
-        assert!(cu.peak_flops(ExecUnit::Vector, DataType::Fp8).is_none());
+        assert!(cu
+            .arch
+            .ops_per_clock(ExecUnit::Vector, DataType::Fp8)
+            .is_none());
     }
 }

@@ -9,8 +9,16 @@
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
-use crate::cu::{CuModel, CuSpec};
+use crate::cu::CuSpec;
 use crate::dtype::{DataType, ExecUnit};
+
+/// Execution unit of the kernels the roofline prices: Figure 14's FP64
+/// vector workload is the only one.
+const KERNEL_UNIT: ExecUnit = ExecUnit::Vector;
+/// Datatype of those kernels.
+const KERNEL_DTYPE: DataType = DataType::Fp64;
+/// Fraction of peak a kernel sustains.
+const KERNEL_EFFICIENCY: f64 = 0.7;
 
 /// Static parameters of an XCD (or a CDNA 2 GCD, which this type also
 /// describes).
@@ -53,17 +61,14 @@ impl XcdSpec {
 ///
 /// ```
 /// use ehp_compute::xcd::{XcdModel, XcdSpec};
-/// use ehp_compute::dtype::{DataType, ExecUnit};
 ///
 /// let xcd = XcdModel::new(XcdSpec::mi300());
-/// // 38 CUs * 256 ops/clk * 2.1 GHz ~= 20.4 TFLOP/s FP64 matrix per XCD.
-/// let fp64 = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp64).unwrap();
-/// assert!((fp64 / 1e12 - 20.4).abs() < 0.1);
+/// // 38 CUs * 128 ops/clk * 2.1 GHz ~= 10.2 TFLOP/s FP64 vector per XCD.
+/// assert!((xcd.peak_flops() / 1e12 - 10.2).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct XcdModel {
     spec: XcdSpec,
-    cu: CuModel,
 }
 
 impl XcdModel {
@@ -80,45 +85,26 @@ impl XcdModel {
             spec.cus_enabled,
             spec.cus_physical
         );
-        XcdModel {
-            spec,
-            cu: CuModel::new(spec.cu),
-        }
+        XcdModel { spec }
     }
 
-    /// Peak dense ops/second across all enabled CUs.
+    /// Peak dense FP64 vector ops/second across all enabled CUs.
     #[must_use]
-    pub fn peak_flops(&self, unit: ExecUnit, dtype: DataType) -> Option<f64> {
-        self.cu
-            .peak_flops(unit, dtype)
-            .map(|f| f * f64::from(self.spec.cus_enabled))
+    pub fn peak_flops(&self) -> f64 {
+        let cu = self.spec.cu;
+        let ops = cu
+            .arch
+            .ops_per_clock(KERNEL_UNIT, KERNEL_DTYPE)
+            .expect("every CDNA CU runs FP64 vector ops");
+        ops as f64 * cu.clock.as_hz() * f64::from(self.spec.cus_enabled)
     }
 
     /// Roofline execution time for a kernel phase: the longer of compute
-    /// time at `efficiency × peak` and memory time at `mem_bw`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the datatype/unit is unsupported, or `efficiency` is not
-    /// in `(0, 1]`.
+    /// time for `ops` at `KERNEL_EFFICIENCY × peak` and memory time for
+    /// `bytes` at `mem_bw`.
     #[must_use]
-    pub fn roofline_time(
-        &self,
-        unit: ExecUnit,
-        dtype: DataType,
-        ops: f64,
-        bytes: Bytes,
-        mem_bw: Bandwidth,
-        efficiency: f64,
-    ) -> SimTime {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0,1]: {efficiency}"
-        );
-        let peak = self
-            .peak_flops(unit, dtype)
-            .unwrap_or_else(|| panic!("{dtype} on {unit} unsupported"));
-        let t_compute = ops / (peak * efficiency);
+    pub fn roofline_time(&self, ops: f64, bytes: Bytes, mem_bw: Bandwidth) -> SimTime {
+        let t_compute = ops / (self.peak_flops() * KERNEL_EFFICIENCY);
         let t_memory = bytes.as_f64() / mem_bw.as_bytes_per_sec();
         SimTime::from_secs_f64(t_compute.max(t_memory))
     }
@@ -153,64 +139,35 @@ mod tests {
     #[test]
     fn xcd_peak_scales_with_cus() {
         let xcd = XcdModel::new(XcdSpec::mi300());
-        let per_cu = CuModel::new(XcdSpec::mi300().cu)
-            .peak_flops(ExecUnit::Matrix, DataType::Fp16)
-            .unwrap();
-        let total = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp16).unwrap();
-        assert!((total / per_cu - 38.0).abs() < 1e-9);
+        let cu = XcdSpec::mi300().cu;
+        let per_cu =
+            cu.arch.ops_per_clock(KERNEL_UNIT, KERNEL_DTYPE).unwrap() as f64 * cu.clock.as_hz();
+        assert!((xcd.peak_flops() / per_cu - 38.0).abs() < 1e-9);
     }
 
     #[test]
     fn roofline_compute_bound() {
         let xcd = XcdModel::new(XcdSpec::mi300());
         // Huge FLOPs, tiny data: compute bound.
-        let t = xcd.roofline_time(
-            ExecUnit::Matrix,
-            DataType::Fp64,
-            1e12,
-            Bytes::from_mib(1),
-            Bandwidth::from_tb_s(1.0),
-            1.0,
-        );
-        let peak = xcd.peak_flops(ExecUnit::Matrix, DataType::Fp64).unwrap();
-        assert!((t.as_secs() - 1e12 / peak).abs() < 1e-9);
+        let t = xcd.roofline_time(1e12, Bytes::from_mib(1), Bandwidth::from_tb_s(1.0));
+        let expect = 1e12 / (xcd.peak_flops() * KERNEL_EFFICIENCY);
+        assert!((t.as_secs() - expect).abs() < 1e-9);
     }
 
     #[test]
     fn roofline_memory_bound() {
         let xcd = XcdModel::new(XcdSpec::mi300());
         // Tiny FLOPs, huge data: memory bound.
-        let t = xcd.roofline_time(
-            ExecUnit::Vector,
-            DataType::Fp64,
-            1e6,
-            Bytes::from_gib(1),
-            Bandwidth::from_gb_s(100.0),
-            1.0,
-        );
+        let t = xcd.roofline_time(1e6, Bytes::from_gib(1), Bandwidth::from_gb_s(100.0));
         assert!((t.as_millis_f64() - (1u64 << 30) as f64 / 1e8 * 1e3 / 1e3).abs() < 0.2);
     }
 
     #[test]
     fn efficiency_slows_compute() {
         let xcd = XcdModel::new(XcdSpec::mi300());
-        let fast = xcd.roofline_time(
-            ExecUnit::Matrix,
-            DataType::Fp32,
-            1e12,
-            Bytes(1),
-            Bandwidth::from_tb_s(5.0),
-            1.0,
-        );
-        let slow = xcd.roofline_time(
-            ExecUnit::Matrix,
-            DataType::Fp32,
-            1e12,
-            Bytes(1),
-            Bandwidth::from_tb_s(5.0),
-            0.5,
-        );
-        assert!((slow.as_secs() / fast.as_secs() - 2.0).abs() < 1e-6);
+        let t = xcd.roofline_time(1e12, Bytes(1), Bandwidth::from_tb_s(5.0));
+        let at_peak = 1e12 / xcd.peak_flops();
+        assert!((t.as_secs() / at_peak - 1.0 / 0.7).abs() < 1e-6);
     }
 
     #[test]
@@ -219,19 +176,5 @@ mod tests {
         let mut s = XcdSpec::mi300();
         s.cus_enabled = 41;
         let _ = XcdModel::new(s);
-    }
-
-    #[test]
-    #[should_panic(expected = "efficiency")]
-    fn bad_efficiency_panics() {
-        let xcd = XcdModel::new(XcdSpec::mi300());
-        let _ = xcd.roofline_time(
-            ExecUnit::Matrix,
-            DataType::Fp32,
-            1.0,
-            Bytes(1),
-            Bandwidth::from_gb_s(1.0),
-            0.0,
-        );
     }
 }

@@ -9,7 +9,6 @@
 //! the APU's cache-coherent memory.
 
 use ehp_compute::ccd;
-use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_compute::xcd::{XcdModel, XcdSpec};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
@@ -21,18 +20,12 @@ pub struct WorkloadShape {
     pub(crate) bytes_in: Bytes,
     /// Bytes the kernel produces and the CPU post-processes.
     pub(crate) bytes_out: Bytes,
-    /// Kernel arithmetic work.
+    /// Kernel arithmetic work (FP64 vector, at the roofline's kernel
+    /// efficiency; see `XcdModel::roofline_time`).
     pub kernel_flops: f64,
-    /// Kernel datatype.
-    pub(crate) dtype: DataType,
-    /// Kernel execution unit.
-    pub(crate) unit: ExecUnit,
-    /// CPU post-processing arithmetic work.
+    /// CPU post-processing arithmetic work (at `ccd::phase_time`'s
+    /// efficiency).
     pub(crate) cpu_post_flops: f64,
-    /// Fraction of peak the kernel sustains.
-    pub(crate) gpu_efficiency: f64,
-    /// Fraction of peak the CPU sustains.
-    pub(crate) cpu_efficiency: f64,
 }
 
 impl WorkloadShape {
@@ -45,11 +38,7 @@ impl WorkloadShape {
             bytes_in: Bytes(n * 8),
             bytes_out: Bytes(n * 8),
             kernel_flops: n as f64 * 1600.0,
-            dtype: DataType::Fp64,
-            unit: ExecUnit::Vector,
             cpu_post_flops: n as f64,
-            gpu_efficiency: 0.7,
-            cpu_efficiency: 0.5,
         }
     }
 }
@@ -190,26 +179,22 @@ impl ExecutionModel {
         }
     }
 
-    fn cpu_time(ccds: u32, flops: f64, bytes: Bytes, bw: Bandwidth, eff: f64) -> SimTime {
+    fn cpu_time(ccds: u32, flops: f64, bytes: Bytes, bw: Bandwidth) -> SimTime {
         // Use all cores of all CCDs; ccd::phase_time handles one CCD, so
         // scale flops down by the CCD count.
         ccd::phase_time(
             flops / f64::from(ccds),
             Bytes(bytes.as_u64() / u64::from(ccds).max(1)),
             bw.scale(1.0 / f64::from(ccds)),
-            eff,
         )
     }
 
     fn gpu_time(xcd: &XcdModel, xcds: u32, shape: &WorkloadShape, bw: Bandwidth) -> SimTime {
         let bytes = shape.bytes_in + shape.bytes_out;
         xcd.roofline_time(
-            shape.unit,
-            shape.dtype,
             shape.kernel_flops / f64::from(xcds),
             Bytes(bytes.as_u64() / u64::from(xcds)),
             bw.scale(1.0 / f64::from(xcds)),
-            shape.gpu_efficiency,
         )
     }
 
@@ -231,19 +216,12 @@ impl ExecutionModel {
                         shape.kernel_flops,
                         shape.bytes_in + shape.bytes_out,
                         *mem_bw,
-                        shape.cpu_efficiency,
                     ),
                 );
                 tl.push(
                     "post",
                     t,
-                    Self::cpu_time(
-                        *ccds,
-                        shape.cpu_post_flops,
-                        shape.bytes_out,
-                        *mem_bw,
-                        shape.cpu_efficiency,
-                    ),
+                    Self::cpu_time(*ccds, shape.cpu_post_flops, shape.bytes_out, *mem_bw),
                 );
             }
             ExecutionModel::DiscreteGpu {
@@ -265,13 +243,7 @@ impl ExecutionModel {
                 tl.push(
                     "post",
                     t,
-                    Self::cpu_time(
-                        *ccds,
-                        shape.cpu_post_flops,
-                        shape.bytes_out,
-                        *host_bw,
-                        shape.cpu_efficiency,
-                    ),
+                    Self::cpu_time(*ccds, shape.cpu_post_flops, shape.bytes_out, *host_bw),
                 );
             }
             ExecutionModel::Apu {
@@ -289,13 +261,7 @@ impl ExecutionModel {
                 tl.push(
                     "post",
                     t,
-                    Self::cpu_time(
-                        *ccds,
-                        shape.cpu_post_flops,
-                        shape.bytes_out,
-                        *cpu_hbm_bw,
-                        shape.cpu_efficiency,
-                    ),
+                    Self::cpu_time(*ccds, shape.cpu_post_flops, shape.bytes_out, *cpu_hbm_bw),
                 );
             }
         }
@@ -331,13 +297,7 @@ impl ExecutionModel {
         let t = tl.push("init", t, cpu_hbm_bw.transfer_time(shape.bytes_in));
 
         let kernel_total = Self::gpu_time(xcd, *xcds, shape, *hbm_bw);
-        let post_total = Self::cpu_time(
-            *ccds,
-            shape.cpu_post_flops,
-            shape.bytes_out,
-            *cpu_hbm_bw,
-            shape.cpu_efficiency,
-        );
+        let post_total = Self::cpu_time(*ccds, shape.cpu_post_flops, shape.bytes_out, *cpu_hbm_bw);
         let kernel_chunk = kernel_total / u64::from(chunks);
         let post_chunk = post_total / u64::from(chunks);
 

@@ -111,7 +111,6 @@ impl Shim {
             call.flops / f64::from(ccds),
             Bytes(call.bytes.as_u64() / u64::from(ccds)),
             self.cpu_bw.scale(1.0 / f64::from(ccds)),
-            0.5,
         )
     }
 

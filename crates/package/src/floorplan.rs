@@ -5,6 +5,8 @@
 //! solver (Figure 12's heat maps), which consumes the per-region power
 //! densities produced here.
 
+use std::ops::Range;
+
 use ehp_sim_core::units::Power;
 
 use crate::chiplet::{ChipletKind, Footprint};
@@ -151,47 +153,68 @@ impl Floorplan {
     #[must_use]
     pub fn silicon_utilization(&self) -> f64 {
         // Approximate coverage on a fine grid so stacked layers are not
-        // double counted.
+        // double counted. A point is covered when some region's column
+        // range and row range both hold it, so each row is marked from
+        // the regions whose rows hold it.
         let n = 200;
-        let (w, h) = (self.outline.w, self.outline.h);
-        let mut covered = 0u32;
-        for i in 0..n {
-            for j in 0..n {
-                let p = crate::geometry::Point::new(
-                    self.outline.origin.x + (i as f64 + 0.5) * w / f64::from(n),
-                    self.outline.origin.y + (j as f64 + 0.5) * h / f64::from(n),
-                );
-                if self
-                    .regions
-                    .iter()
-                    .any(|r| r.layer >= Layer::Iod && r.rect.contains(p))
-                {
-                    covered += 1;
+        let spans: Vec<_> = self
+            .regions
+            .iter()
+            .filter(|r| r.layer >= Layer::Iod)
+            .map(|r| self.sample_spans(&r.rect, n, n))
+            .collect();
+        let mut row = vec![false; n];
+        let mut covered = 0;
+        for j in 0..n {
+            row.fill(false);
+            for (cols, rows) in &spans {
+                if rows.contains(&j) {
+                    row[cols.clone()].fill(true);
                 }
             }
+            covered += row.iter().filter(|&&c| c).count();
         }
-        f64::from(covered) / f64::from(n * n)
+        covered as f64 / (n * n) as f64
     }
 
-    /// Power density (W/mm²) sampled on an `nx × ny` grid over the
-    /// outline; stacked layers add.
+    /// Power density (W/mm²) sampled at the centres of an `nx × ny` grid
+    /// over the outline, row-major (`grid[j * nx + i]`); stacked layers
+    /// add, in region order.
     #[must_use]
-    pub fn power_density_grid(&self, nx: usize, ny: usize) -> Vec<Vec<f64>> {
-        let mut grid = vec![vec![0.0; nx]; ny];
-        for (j, row) in grid.iter_mut().enumerate() {
-            for (i, cell) in row.iter_mut().enumerate() {
-                let p = crate::geometry::Point::new(
-                    self.outline.origin.x + (i as f64 + 0.5) * self.outline.w / nx as f64,
-                    self.outline.origin.y + (j as f64 + 0.5) * self.outline.h / ny as f64,
-                );
-                for r in &self.regions {
-                    if r.rect.contains(p) && r.rect.area() > 0.0 {
-                        *cell += r.power.as_watts() / r.rect.area();
+    pub fn power_density_grid(&self, nx: usize, ny: usize) -> Vec<f64> {
+        let mut grid = vec![0.0; nx * ny];
+        for r in &self.regions {
+            let area = r.rect.area();
+            if area > 0.0 {
+                let density = r.power.as_watts() / area;
+                let (cols, rows) = self.sample_spans(&r.rect, nx, ny);
+                for j in rows {
+                    for cell in &mut grid[j * nx + cols.start..j * nx + cols.end] {
+                        *cell += density;
                     }
                 }
             }
         }
         grid
+    }
+
+    /// The columns and rows of an `nx × ny` centre-sampled grid over the
+    /// outline whose sample points `rect` contains (edges inclusive, as
+    /// [`Rect::contains`]). Sample `i` of `n` sits at
+    /// `origin + (i + 0.5) · extent / n`; those rise with `i`, so each
+    /// set is one range.
+    fn sample_spans(&self, rect: &Rect, nx: usize, ny: usize) -> (Range<usize>, Range<usize>) {
+        let o = &self.outline;
+        let span = |origin: f64, extent: f64, n: usize, lo: f64, hi: f64| {
+            let at = |i: usize| origin + (i as f64 + 0.5) * extent / n as f64;
+            let start = (0..n).find(|&i| at(i) >= lo).unwrap_or(n);
+            let end = (start..n).find(|&i| at(i) > hi).unwrap_or(n);
+            start..end
+        };
+        (
+            span(o.origin.x, o.w, nx, rect.origin.x, rect.origin.x + rect.w),
+            span(o.origin.y, o.h, ny, rect.origin.y, rect.origin.y + rect.h),
+        )
     }
 
     /// Renders the floorplan as ASCII art (one character ≈
@@ -393,13 +416,13 @@ mod tests {
         let mut fp = Floorplan::mi300a();
         fp.assign_power("xcd", Power::from_watts(300.0));
         let grid = fp.power_density_grid(70, 56);
-        let max = grid.iter().flatten().cloned().fold(0.0f64, f64::max);
+        let max = grid.iter().copied().fold(0.0f64, f64::max);
         assert!(
             max > 0.3,
             "XCD power density should exceed 0.3 W/mm², got {max}"
         );
         // Package corners are cold.
-        assert_eq!(grid[0][0], 0.0);
+        assert_eq!(grid[0], 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! TSV planning: signal-interface sites, the uniform power/ground grid,
 //! and Infinity-Cache macro pitch matching.
 
-use crate::geometry::Transform;
+use crate::geometry::{Point, Transform};
 
 /// The uniform power/ground TSV grid (Section V.D): pitch-`p` lattice
 /// delivering `current_per_tsv` amps per via pair.
@@ -30,23 +30,6 @@ impl PgTsvGrid {
         self.current_per_cell / (self.pitch_mm * self.pitch_mm)
     }
 
-    /// TSV cell positions (cell centres) over a `w × h` region.
-    #[must_use]
-    pub(crate) fn positions(&self, w: f64, h: f64) -> Vec<crate::geometry::Point> {
-        let nx = (w / self.pitch_mm).floor() as usize;
-        let ny = (h / self.pitch_mm).floor() as usize;
-        let mut out = Vec::with_capacity(nx * ny);
-        for i in 0..nx {
-            for j in 0..ny {
-                out.push(crate::geometry::Point::new(
-                    (i as f64 + 0.5) * self.pitch_mm,
-                    (j as f64 + 0.5) * self.pitch_mm,
-                ));
-            }
-        }
-        out
-    }
-
     /// Checks that the grid maps onto itself under every mirror/rotate
     /// permutation of a `w × h` die — the property that makes one P/G
     /// plan serve "every permutation of mirrored/rotated IOD, CCD, and
@@ -61,17 +44,27 @@ impl PgTsvGrid {
     /// a grid position.
     pub fn check_symmetry(&self, w: f64, h: f64) -> Result<(), Transform> {
         let eps = 1e-6;
-        let on_grid = |p: crate::geometry::Point| {
-            let fx = (p.x / self.pitch_mm) - 0.5;
-            let fy = (p.y / self.pitch_mm) - 0.5;
-            (fx - fx.round()).abs() < eps && (fy - fy.round()).abs() < eps
+        let on_grid = |v: f64| {
+            let f = (v / self.pitch_mm) - 0.5;
+            (f - f.round()).abs() < eps
         };
+        // The TSVs sit at the cell centres of an `nx × ny` lattice.
+        let cells = |extent: f64| (extent / self.pitch_mm).floor() as usize;
+        let centre = |k: usize| (k as f64 + 0.5) * self.pitch_mm;
+        let (nx, ny) = (cells(w), cells(h));
+        if nx == 0 || ny == 0 {
+            return Ok(());
+        }
+        // A transform maps x and y independently, and a point is on the
+        // grid when its x and its y are, so every TSV lands exactly when
+        // every column centre and every row centre does.
         for t in Transform::ALL {
-            for p in self.positions(w, h) {
-                let q = t.apply_point(p, w, h);
-                if !on_grid(q) {
-                    return Err(t);
-                }
+            let x_lands =
+                (0..nx).all(|i| on_grid(t.apply_point(Point::new(centre(i), 0.0), w, h).x));
+            let y_lands =
+                (0..ny).all(|j| on_grid(t.apply_point(Point::new(0.0, centre(j)), w, h).y));
+            if !(x_lands && y_lands) {
+                return Err(t);
             }
         }
         Ok(())
@@ -126,7 +119,6 @@ impl CacheMacroPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Point;
 
     #[test]
     fn mi300_grid_meets_paper_density() {
@@ -149,16 +141,6 @@ mod tests {
     fn grid_symmetry_fails_for_fractional_dims() {
         let g = PgTsvGrid::mi300();
         assert!(g.check_symmetry(21.65, 17.1).is_err());
-    }
-
-    #[test]
-    fn positions_count() {
-        let g = PgTsvGrid {
-            pitch_mm: 1.0,
-            current_per_cell: 2.0,
-        };
-        assert_eq!(g.positions(4.0, 3.0).len(), 12);
-        assert!((g.current_density() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! i.e. lateral conduction through the silicon/lid plus vertical heat
 //! extraction into the cold plate. The solver runs red-black successive
-//! over-relaxation on a flat grid, with the relaxation factor derived from
-//! the cell size, and stops once a sweep's largest diagonal-scaled residual
+//! over-relaxation on two planes split by column parity, so each
+//! half-sweep updates contiguous rows of one colour from the other's,
+//! with the relaxation factor derived from the cell size, and stops once a sweep's largest diagonal-scaled residual
 //! drops below [`solver::TOLERANCE_C`]: about 110 sweeps at one cell
 //! per mm² (70×56) and 56 at 35×28. Every solved field carries its sweep
 //! count and final residual, and `ThermalSolver::imbalance` reports the

@@ -50,6 +50,47 @@ fn sor_omega(g: f64, h_cell: f64) -> f64 {
     2.0 / (1.0 + (1.0 - rho * rho).sqrt())
 }
 
+/// Relaxes one half-sweep's cells of one row in place: cell `m` of `row`
+/// has `sides[m]` and `sides[m + 1]` as its left and right neighbours and
+/// `up[m]` and `down[m]` above and below it. Returns the largest
+/// `|T' − T|` of the row.
+fn relax_row(
+    row: &mut [f64],
+    sides: &[f64],
+    up: &[f64],
+    down: &[f64],
+    source: &[f64],
+    gain: &[f64],
+    keep: f64,
+) -> f64 {
+    let n = row.len();
+    let (left, right) = (&sides[..n], &sides[1..=n]);
+    let (up, down, source, gain) = (&up[..n], &down[..n], &source[..n], &gain[..n]);
+    let relax = |row: &mut [f64], m: usize| {
+        let old = row[m];
+        let new = keep * old + source[m] + gain[m] * (left[m] + right[m] + up[m] + down[m]);
+        row[m] = new;
+        (new - old).abs()
+    };
+    // Two running maxima, one per cell of a pair, so the pair's updates
+    // need not wait on each other; the maximum is exact in any order. The
+    // comparison (not `f64::max`, which must order NaNs) lets the pair
+    // compile to two-lane vector code.
+    let mut lanes = [0.0f64; 2];
+    for q in 0..n / 2 {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let step = relax(row, 2 * q + l);
+            if step > *lane {
+                *lane = step;
+            }
+        }
+    }
+    if n % 2 == 1 {
+        lanes[0] = lanes[0].max(relax(row, n - 1));
+    }
+    lanes[0].max(lanes[1])
+}
+
 impl ThermalSolver {
     /// Creates a solver.
     ///
@@ -79,54 +120,77 @@ impl ThermalSolver {
         let h_cell = HTC_W_PER_K_MM2 * cell_area;
         let omega = sor_omega(g, h_cell);
 
-        // Grid `t` carries a ring of zero ghost cells, so every cell sums
+        // The grid carries a ring of zero ghost cells, so every cell sums
         // four neighbours without branching; `diag` counts only the real
         // ones (adiabatic package edges). With diag = g·neighbours +
         // h_cell, the SOR update of cell k is
         //   T' = (1 − ω)·T + source_k + gain_k · Σ T_neighbour,
         // source_k = ω·(P_k + h_cell·T_cool)/diag, gain_k = ω·g/diag.
-        let w = nx + 2;
-        let mut gain = vec![0.0; w * (ny + 2)];
-        let mut source = vec![0.0; w * (ny + 2)];
-        for (j, row) in fp.power_density_grid(nx, ny).iter().enumerate() {
+        //
+        // `t`, `gain` and `source` each hold two planes split by column
+        // parity, ghost columns included: ghost-ring column `I` of row `J`
+        // sits at `(I % 2) * plane + J * hw + I / 2`.
+        let hw = (nx + 2).div_ceil(2);
+        let plane = (ny + 2) * hw;
+        let at = |i: usize, j: usize| (i % 2) * plane + j * hw + i / 2;
+        let mut gain = vec![0.0; 2 * plane];
+        let mut source = vec![0.0; 2 * plane];
+        let mut t = vec![0.0; 2 * plane];
+        let density = fp.power_density_grid(nx, ny);
+        for (j, row) in density.chunks_exact(nx).enumerate() {
             for (i, density) in row.iter().enumerate() {
                 let neighbours = usize::from(i > 0)
                     + usize::from(i + 1 < nx)
                     + usize::from(j > 0)
                     + usize::from(j + 1 < ny);
                 let diag = g * neighbours as f64 + h_cell;
-                let k = (j + 1) * w + i + 1;
+                let k = at(i + 1, j + 1);
                 gain[k] = omega * g / diag;
                 source[k] = omega * (density * cell_area + h_cell * COOLANT_C) / diag;
+                t[k] = COOLANT_C;
             }
         }
-        let mut t = vec![0.0; w * (ny + 2)];
-        for row in t.chunks_exact_mut(w).skip(1).take(ny) {
-            row[1..=nx].fill(COOLANT_C);
-        }
+        drop(density);
 
-        // Red-black ordering: each half-sweep updates one colour of the
-        // checkerboard from the other's latest values.
+        // Red-black ordering: each half-sweep updates the cells of one
+        // colour, `(I + J) % 2`, from the other's latest values. In row
+        // `J` those are the real cells of plane `(colour + J) % 2`, from
+        // position `first` on; their left and right neighbours are the
+        // other plane's row at positions `m − 1 + p` and `m + p`, and
+        // their up and down neighbours are their own plane's adjacent
+        // rows, which hold the other colour. A half-sweep therefore
+        // reads no cell it writes, and the order of its updates does not
+        // change a bit.
         let keep = 1.0 - omega;
+        let (t_even, t_odd) = t.split_at_mut(plane);
         let mut sweeps = 0;
         let mut residual = f64::INFINITY;
         while sweeps < MAX_ITERS {
             sweeps += 1;
-            let mut max_step = 0.0;
+            let mut max_step = 0.0f64;
             for colour in 0..2 {
-                for j in 1..ny + 1 {
-                    let first = j * w + 1 + (j + colour + 1) % 2;
-                    for k in (first..j * w + nx + 1).step_by(2) {
-                        let old = t[k];
-                        let new = keep * old
-                            + source[k]
-                            + gain[k] * (t[k - 1] + t[k + 1] + t[k - w] + t[k + w]);
-                        let step = (new - old).abs();
-                        if step > max_step {
-                            max_step = step;
-                        }
-                        t[k] = new;
-                    }
+                for j in 1..=ny {
+                    // Even columns 2..=nx start at position 1, odd columns
+                    // 1..=nx at position 0.
+                    let p = (colour + j) % 2;
+                    let (own, other, first, cells) = if p == 0 {
+                        (&mut *t_even, &*t_odd, 1, nx / 2)
+                    } else {
+                        (&mut *t_odd, &*t_even, 0, nx.div_ceil(2))
+                    };
+                    let (above, rest) = own.split_at_mut(j * hw);
+                    let (row, below) = rest.split_at_mut(hw);
+                    let k = p * plane + j * hw + first;
+                    let step = relax_row(
+                        &mut row[first..first + cells],
+                        &other[j * hw..j * hw + cells + 1],
+                        &above[(j - 1) * hw + first..(j - 1) * hw + first + cells],
+                        &below[first..first + cells],
+                        &source[k..k + cells],
+                        &gain[k..k + cells],
+                        keep,
+                    );
+                    max_step = max_step.max(step);
                 }
             }
             residual = max_step / omega;
@@ -135,19 +199,18 @@ impl ThermalSolver {
             }
         }
 
-        // Drop the ghost ring in place: row j's destination ends before
-        // row j + 1's source starts.
-        for j in 0..ny {
-            let row = (j + 1) * w + 1;
-            t.copy_within(row..row + nx, j * nx);
+        // The field reuses `source`'s buffer, which is larger than it.
+        let mut data = source;
+        data.clear();
+        for j in 1..=ny {
+            data.extend((1..=nx).map(|i| t[at(i, j)]));
         }
-        t.truncate(nx * ny);
         TemperatureField::new(
             Point::new(outline.origin.x, outline.origin.y),
             cell_w,
             cell_h,
             nx,
-            t,
+            data,
         )
         .with_convergence(sweeps, residual)
     }
@@ -163,7 +226,6 @@ impl ThermalSolver {
         let injected: f64 = fp
             .power_density_grid(c.nx, c.ny)
             .iter()
-            .flatten()
             .map(|d| d * cell_area)
             .sum();
         let mut extracted = 0.0;

@@ -28,7 +28,7 @@ fn gauss_seidel(c: &ThermalConfig, fp: &Floorplan, tol: f64) -> Vec<Vec<f64>> {
     let cell_area = (outline.w / c.nx as f64) * (outline.h / c.ny as f64);
     let p: Vec<Vec<f64>> = fp
         .power_density_grid(c.nx, c.ny)
-        .iter()
+        .chunks_exact(c.nx)
         .map(|row| row.iter().map(|d| d * cell_area).collect())
         .collect();
     let g = LATERAL_W_PER_K;

@@ -143,7 +143,7 @@ impl HpcWorkload {
     /// HPCG: sparse matrix-vector products — almost pure memory
     /// bandwidth.
     #[must_use]
-    pub(crate) fn hpcg() -> HpcWorkload {
+    pub fn hpcg() -> HpcWorkload {
         HpcWorkload {
             name: "HPCG",
             gpu_flops: 2.0e9,

@@ -6,6 +6,7 @@ use ehp_core::node_fabric::NodeFabric;
 use ehp_core::ras;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
+use ehp_workloads::hpc::{HpcWorkload, MachineModel};
 use ehp_workloads::scaling::ScalingStudy;
 
 #[test]
@@ -30,17 +31,29 @@ fn every_builtin_topology_audits_clean_and_routes() {
 
 #[test]
 fn scaling_is_consistent_with_fabric_bandwidth() {
-    // Halving the effective inter-socket bandwidth (by doubling comm
-    // bytes) must lower the 4-socket speedup.
+    // The 4-socket speedup is Amdahl's split of one socket's step (2 %
+    // serial) plus a ring all-reduce of 4 MiB per socket at the pair
+    // bandwidth and latency the node fabric reports.
     let node = NodeTopology::quad_mi300a();
-    let base = ScalingStudy::hpcg_on_mi300a();
-    let mut heavy = base;
-    heavy.comm_bytes = Bytes(base.comm_bytes.as_u64() * 8);
-    assert!(heavy.speedup(4) < base.speedup(4));
-    // And the study's communication term uses the same pair bandwidth the
-    // fabric reports.
     let fab = NodeFabric::new(&node);
-    assert!(fab.socket_bandwidth().is_some());
+    let pair_bw = fab
+        .socket_bandwidth()
+        .expect("connected")
+        .as_bytes_per_sec();
+    let lat = fab.socket_latency().expect("connected").as_secs();
+    let single = MachineModel::mi300a()
+        .step_time(&HpcWorkload::hpcg())
+        .as_secs();
+    let n = 4.0;
+    let comm = 2.0 * (n - 1.0) / n * Bytes::from_mib(4).as_f64() / pair_bw + 2.0 * (n - 1.0) * lat;
+    let want = single / (single * 0.02 + single * 0.98 / n + comm);
+    let got = ScalingStudy::hpcg_on_mi300a().speedup(4);
+    assert!(
+        (got - want).abs() < 1e-6 * want,
+        "speedup {got} vs {want} from the fabric's numbers"
+    );
+    // The all-reduce costs something: below the communication-free bound.
+    assert!(got < 1.0 / (0.02 + 0.98 / n));
 }
 
 #[test]
