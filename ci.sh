@@ -211,6 +211,21 @@ for spec in scenarios/*.json; do
         ./target/release/ehp run --spec "$spec" --no-result-cache --quiet
 done
 
+# Size report: non-test lines per crate, counted as every line of each
+# crates/<crate>/src/**/*.rs file before its first `#[cfg(test)]`. A
+# change that sets out to shrink the code quotes its "before -> after"
+# from here. This step only reports; it cannot fail.
+echo
+echo "=== non-test lines per crate (report only) ==="
+count_lines() {
+    find "$@" -name '*.rs' | sort |
+        xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'
+}
+for crate in crates/*/; do
+    printf '%-10s %6s\n' "$(basename "$crate")" "$(count_lines "${crate}src")"
+done
+printf '%-10s %6s\n' total "$(count_lines crates/*/src)"
+
 echo
 if [ "$failures" -ne 0 ]; then
     echo "CI: $failures step(s) failed"

@@ -14,14 +14,14 @@ use ehp_sim_core::time::{Frequency, SimTime};
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
 /// Cores per CCD.
-const CORES: u32 = 8;
+pub const CORES: u32 = 8;
 /// Boost-class clock of the MI300A "Zen 4" CCD, in GHz.
 const CLOCK_GHZ: f64 = 3.7;
 /// Double-precision FLOPs per cycle per core (Zen 4: two 256-bit FMA
 /// pipes => 16 DP FLOPs/cycle; AVX-512 instructions are double-pumped).
 const DP_FLOPS_PER_CYCLE: u32 = 16;
 /// Fraction of peak a CPU phase sustains.
-const EFFICIENCY: f64 = 0.5;
+pub const EFFICIENCY: f64 = 0.5;
 
 /// Peak double-precision FLOP/s across the CCD.
 ///

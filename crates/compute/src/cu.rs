@@ -91,9 +91,9 @@ impl GpuArch {
 }
 
 /// Static parameters of one CU: what its Table 1 peak rates depend on.
-/// The LDS capacity the occupancy study reads is in
-/// [`occupancy`](crate::occupancy)'s `CDNA3_CU`, and the shared
-/// instruction cache is in [`IcacheStudy`](crate::icache::IcacheStudy).
+/// The LDS capacity the occupancy study reads is
+/// [`occupancy`](crate::occupancy)'s `LDS`, and the shared instruction
+/// cache is in [`icache`](crate::icache).
 #[derive(Debug, Clone, Copy)]
 pub struct CuSpec {
     /// Architecture generation.

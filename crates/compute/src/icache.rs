@@ -24,79 +24,63 @@ pub enum IcacheOrg {
     SharedPerPair,
 }
 
-/// Parameters of the instruction-cache study.
-///
-/// # Examples
-///
-/// ```
-/// use ehp_compute::icache::{IcacheOrg, IcacheStudy};
-///
-/// let s = IcacheStudy::cdna3_default();
-/// assert!(s.hit_rate(IcacheOrg::SharedPerPair) > s.hit_rate(IcacheOrg::PrivatePerCu));
-/// ```
-///
-#[derive(Debug, Clone, Copy)]
-pub struct IcacheStudy {
-    /// Total cache capacity per CU pair (64 KB on CDNA 3).
-    pub(crate) capacity_per_pair: Bytes,
-    /// Kernel instruction footprint.
-    pub kernel_footprint: Bytes,
-    /// Fraction of fetches that are loop-back (re-fetching resident
-    /// lines) once the working set is cached.
-    pub(crate) loop_locality: f64,
-}
+/// Total cache capacity per CU pair (64 KB on CDNA 3).
+const CAPACITY_PER_PAIR: Bytes = Bytes::from_kib(64);
+/// Instruction footprint of the representative HPC kernel.
+pub const KERNEL_FOOTPRINT: Bytes = Bytes::from_kib(48);
+/// Fraction of fetches that are loop-back (re-fetching resident lines)
+/// once the working set is cached.
+const LOOP_LOCALITY: f64 = 0.95;
 
-impl IcacheStudy {
-    /// The CDNA 3 configuration with a representative HPC kernel.
-    #[must_use]
-    pub fn cdna3_default() -> IcacheStudy {
-        IcacheStudy {
-            capacity_per_pair: Bytes::from_kib(64),
-            kernel_footprint: Bytes::from_kib(48),
-            loop_locality: 0.95,
+impl IcacheOrg {
+    fn capacity(self) -> Bytes {
+        match self {
+            IcacheOrg::PrivatePerCu => CAPACITY_PER_PAIR / 2,
+            IcacheOrg::SharedPerPair => CAPACITY_PER_PAIR,
         }
     }
 
-    fn capacity_for(&self, org: IcacheOrg) -> Bytes {
-        match org {
-            IcacheOrg::PrivatePerCu => self.capacity_per_pair / 2,
-            IcacheOrg::SharedPerPair => self.capacity_per_pair,
-        }
-    }
-
-    /// Steady-state hit rate when both CUs of a pair execute the same
-    /// kernel stream.
+    /// Steady-state hit rate when both CUs of a pair execute the
+    /// [`KERNEL_FOOTPRINT`] kernel's stream.
     ///
-    /// If the footprint fits, loop-back fetches hit (`loop_locality`);
+    /// If the footprint fits, loop-back fetches hit (`LOOP_LOCALITY`);
     /// if it does not, the resident fraction hits on loop-backs and the
     /// rest streams. The shared organisation additionally converts one
     /// CU's cold misses into hits because its partner already fetched
     /// the lines ("the stream gets executed by groups of CUs").
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ehp_compute::icache::IcacheOrg;
+    ///
+    /// assert!(IcacheOrg::SharedPerPair.hit_rate() > IcacheOrg::PrivatePerCu.hit_rate());
+    /// ```
     #[must_use]
-    pub fn hit_rate(&self, org: IcacheOrg) -> f64 {
-        let cap = self.capacity_for(org).as_f64();
-        let fp = self.kernel_footprint.as_f64();
+    pub fn hit_rate(self) -> f64 {
+        let cap = self.capacity().as_f64();
+        let fp = KERNEL_FOOTPRINT.as_f64();
         let resident = (cap / fp).min(1.0);
-        let base = self.loop_locality * resident;
-        match org {
+        let base = LOOP_LOCALITY * resident;
+        match self {
             IcacheOrg::PrivatePerCu => base,
             IcacheOrg::SharedPerPair => {
                 // Half the compulsory misses disappear: the partner CU
                 // already brought the line in.
-                let compulsory = (1.0 - self.loop_locality) * resident;
+                let compulsory = (1.0 - LOOP_LOCALITY) * resident;
                 base + compulsory / 2.0
             }
         }
     }
+}
 
-    /// Fetches served by the cache per kernel instruction executed by
-    /// the pair (2 CUs), for bandwidth accounting.
-    #[must_use]
-    pub fn fetch_traffic_reduction(&self) -> f64 {
-        let private = 1.0 - self.hit_rate(IcacheOrg::PrivatePerCu);
-        let shared = 1.0 - self.hit_rate(IcacheOrg::SharedPerPair);
-        private / shared
-    }
+/// Fetches served by the cache per kernel instruction executed by the
+/// pair (2 CUs), for bandwidth accounting.
+#[must_use]
+pub fn fetch_traffic_reduction() -> f64 {
+    let private = 1.0 - IcacheOrg::PrivatePerCu.hit_rate();
+    let shared = 1.0 - IcacheOrg::SharedPerPair.hit_rate();
+    private / shared
 }
 
 #[cfg(test)]
@@ -105,17 +89,15 @@ mod tests {
 
     #[test]
     fn shared_cache_fits_working_set_private_does_not() {
-        let s = IcacheStudy::cdna3_default();
         // 48 KB footprint: fits 64 KB shared, not 32 KB private.
-        assert!(s.capacity_for(IcacheOrg::SharedPerPair) >= s.kernel_footprint);
-        assert!(s.capacity_for(IcacheOrg::PrivatePerCu) < s.kernel_footprint);
+        assert!(IcacheOrg::SharedPerPair.capacity() >= KERNEL_FOOTPRINT);
+        assert!(IcacheOrg::PrivatePerCu.capacity() < KERNEL_FOOTPRINT);
     }
 
     #[test]
     fn sharing_increases_hit_rate() {
-        let s = IcacheStudy::cdna3_default();
-        let private = s.hit_rate(IcacheOrg::PrivatePerCu);
-        let shared = s.hit_rate(IcacheOrg::SharedPerPair);
+        let private = IcacheOrg::PrivatePerCu.hit_rate();
+        let shared = IcacheOrg::SharedPerPair.hit_rate();
         assert!(
             shared > private + 0.2,
             "shared {shared:.3} vs private {private:.3}"
@@ -124,21 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn small_kernels_see_little_difference() {
-        let s = IcacheStudy {
-            kernel_footprint: Bytes::from_kib(8),
-            ..IcacheStudy::cdna3_default()
-        };
-        let private = s.hit_rate(IcacheOrg::PrivatePerCu);
-        let shared = s.hit_rate(IcacheOrg::SharedPerPair);
-        // Both fit; sharing only halves the (tiny) compulsory misses.
-        assert!(shared - private < 0.05);
-    }
-
-    #[test]
     fn fetch_traffic_drops_with_sharing() {
-        let s = IcacheStudy::cdna3_default();
-        assert!(s.fetch_traffic_reduction() > 2.0);
+        assert!(fetch_traffic_reduction() > 2.0);
     }
 
     #[test]
@@ -146,19 +115,5 @@ mod tests {
         // "with minimal impact on die area" — the shared organisation is
         // no bigger.
         const { assert!(SHARED_RELATIVE_AREA <= 1.0) };
-    }
-
-    #[test]
-    fn hit_rate_monotone_in_capacity() {
-        let mut prev = 0.0;
-        for kib in [16u64, 32, 48, 64, 96] {
-            let s = IcacheStudy {
-                capacity_per_pair: Bytes::from_kib(kib),
-                ..IcacheStudy::cdna3_default()
-            };
-            let h = s.hit_rate(IcacheOrg::SharedPerPair);
-            assert!(h >= prev);
-            prev = h;
-        }
     }
 }

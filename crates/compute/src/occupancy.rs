@@ -9,26 +9,15 @@
 
 use ehp_sim_core::units::Bytes;
 
-/// Per-CU schedulable resources.
-struct CuResources {
-    /// Maximum resident wavefronts per CU.
-    max_waves: u32,
-    /// Vector general-purpose registers per SIMD lane pool (per CU,
-    /// counted in per-wave allocation units).
-    vgprs: u32,
-    /// LDS capacity.
-    lds: Bytes,
-    /// Maximum workgroups resident per CU.
-    max_workgroups: u32,
-}
-
-/// CDNA 3 CU resources.
-const CDNA3_CU: CuResources = CuResources {
-    max_waves: 32,
-    vgprs: 2048,
-    lds: Bytes(64 * 1024),
-    max_workgroups: 16,
-};
+/// Maximum resident wavefronts per CDNA 3 CU.
+const MAX_WAVES: u32 = 32;
+/// Vector general-purpose registers per SIMD lane pool (per CU, counted
+/// in per-wave allocation units).
+const VGPRS: u32 = 2048;
+/// LDS capacity per CU.
+const LDS: Bytes = Bytes(64 * 1024);
+/// Maximum workgroups resident per CU.
+const MAX_WORKGROUPS: u32 = 16;
 
 /// A kernel's per-workgroup resource appetite.
 #[derive(Debug, Clone, Copy)]
@@ -97,28 +86,26 @@ impl Occupancy {
     /// has, or more LDS than the CU has (an unlaunchable kernel).
     #[must_use]
     pub fn compute(k: &KernelResources) -> Occupancy {
-        let cu = &CDNA3_CU;
         assert!(k.waves_per_workgroup > 0, "kernel needs at least one wave");
         assert!(
-            k.vgprs_per_wave <= cu.vgprs,
+            k.vgprs_per_wave <= VGPRS,
             "kernel VGPR appetite exceeds the register file"
         );
         assert!(
-            k.lds_per_workgroup <= cu.lds,
+            k.lds_per_workgroup <= LDS,
             "kernel LDS appetite exceeds the LDS"
         );
 
-        let by_wave_slots = cu.max_waves / k.waves_per_workgroup;
-        let by_vgprs = cu
-            .vgprs
+        let by_wave_slots = MAX_WAVES / k.waves_per_workgroup;
+        let by_vgprs = VGPRS
             .checked_div(k.vgprs_per_wave)
             .map_or(u32::MAX, |waves| waves / k.waves_per_workgroup);
         let by_lds = if k.lds_per_workgroup == Bytes::ZERO {
             u32::MAX
         } else {
-            u32::try_from(cu.lds.as_u64() / k.lds_per_workgroup.as_u64()).unwrap_or(u32::MAX)
+            u32::try_from(LDS.as_u64() / k.lds_per_workgroup.as_u64()).unwrap_or(u32::MAX)
         };
-        let by_wg_slots = cu.max_workgroups;
+        let by_wg_slots = MAX_WORKGROUPS;
 
         let (workgroups, limiter) = [
             (by_wave_slots, OccupancyLimiter::WaveSlots),

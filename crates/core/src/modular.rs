@@ -8,6 +8,7 @@
 //! against HPC and AI figure-of-merit models, turning the paper's
 //! mix-and-match claim into an explorable design space.
 
+use ehp_compute::ccd;
 use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_compute::xcd::XcdSpec;
 use ehp_sim_core::time::Frequency;
@@ -18,6 +19,9 @@ const HPC_GPU_FLOPS: f64 = 1e15;
 /// Serial CPU work of that phase, in FLOPs: 99.5% of the phase's flops
 /// are GPU-parallel, a well-ported exascale code.
 const HPC_CPU_FLOPS: f64 = 5e12;
+/// CCDs of the external host an accelerator-only variant runs its serial
+/// sections on (a 64-core EPYC).
+const HOST_CCDS: f64 = 8.0;
 /// Weight bytes streamed per decoded token: a 70B-parameter FP16 model.
 const DECODE_WEIGHT_BYTES: f64 = 140e9;
 
@@ -88,7 +92,7 @@ impl ModularVariant {
     /// Total CPU cores.
     #[must_use]
     pub fn cpu_cores(&self) -> u32 {
-        self.ccds() * 8
+        self.ccds() * ccd::CORES
     }
 
     /// A display name (the shipping points get their product names).
@@ -117,7 +121,7 @@ impl ModularVariant {
     /// Peak CPU DP throughput (TFLOP/s).
     #[must_use]
     pub(crate) fn cpu_peak_tflops(&self) -> f64 {
-        f64::from(self.cpu_cores()) * 16.0 * Frequency::from_ghz(3.7).as_hz() / 1e12
+        f64::from(self.ccds()) * ccd::peak_dp_flops() / 1e12
     }
 
     /// The shared memory system (identical across variants — the point
@@ -145,16 +149,16 @@ impl ModularVariant {
         let gpu = match self.gpu_peak_tflops() {
             Some(peak) => HPC_GPU_FLOPS / (peak * 1e12 * 0.7),
             // CPU-only variant runs GPU work on its cores.
-            None => HPC_GPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * 0.5),
+            None => HPC_GPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * ccd::EFFICIENCY),
         };
         let cpu = if self.cpu_cores() > 0 {
-            HPC_CPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * 0.5)
+            HPC_CPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * ccd::EFFICIENCY)
         } else {
             // Accelerator-only part: serial sections live on an external
             // host — every one pays link crossings, launch round trips
             // and synchronisation, an order-of-magnitude effective
             // penalty (the Amdahl cost the APU exists to remove).
-            10.0 * HPC_CPU_FLOPS / (0.4736e12 * 8.0 * 0.5)
+            10.0 * HPC_CPU_FLOPS / (ccd::peak_dp_flops() * HOST_CCDS * ccd::EFFICIENCY)
         };
         gpu + cpu
     }

@@ -355,7 +355,6 @@ mod tests {
         // One MI250X == one EHPv4's GPU complement (4 GCD-halves = 2 big
         // dies; we model the MI250X as 2 GCDs).
         assert_eq!(gpu.gpu_chiplets * 2, ehp.gpu_chiplets);
-        assert_eq!(gpu.hbm_stacks, ehp.hbm_stacks);
         // A quarter of a 64-core Trento ~= 2 CCDs = EHPv4's CPU side.
         assert_eq!(ehp.ccds, 2);
     }

@@ -11,7 +11,7 @@
 
 use ehp_package::floorplan::Floorplan;
 use ehp_power::budget::{PowerDistribution, PowerDomain, SocketPowerManager, WorkloadProfile};
-use ehp_power::dvfs::DvfsCurve;
+use ehp_power::dvfs;
 use ehp_sim_core::units::Power;
 use ehp_thermal::{ThermalConfig, ThermalSolver};
 
@@ -98,7 +98,6 @@ pub struct OperatingPoint {
 pub struct PowerThermalController {
     cfg: ControllerConfig,
     pm: SocketPowerManager,
-    xcd_curve: DvfsCurve,
 }
 
 impl PowerThermalController {
@@ -108,7 +107,6 @@ impl PowerThermalController {
         PowerThermalController {
             cfg,
             pm: SocketPowerManager::new(Product::Mi300a.spec().tdp),
-            xcd_curve: DvfsCurve::mi300_xcd(),
         }
     }
 
@@ -136,7 +134,7 @@ impl PowerThermalController {
                 return OperatingPoint {
                     compute_power: compute,
                     peak_c: peak,
-                    xcd_perf_factor: self.xcd_curve.perf_factor(per_xcd),
+                    xcd_perf_factor: dvfs::perf_factor(per_xcd),
                     iterations,
                     thermally_safe: peak <= self.cfg.tj_limit_c,
                 };

@@ -32,7 +32,6 @@ impl Product {
     pub fn spec(self) -> ProductSpec {
         match self {
             Product::Mi250x => ProductSpec {
-                product: self,
                 name: "MI250X",
                 gpu_arch: GpuArch::Cdna2,
                 gpu_chiplets: 2,
@@ -41,16 +40,11 @@ impl Product {
                 ccds: 0,
                 cpu_cores: 0,
                 hbm: HbmGeneration::Hbm2e,
-                hbm_stacks: 8,
-                icache_total: None,
                 x16_links: 8,
                 x16_per_direction: Bandwidth::from_gb_s(32.0),
                 tdp: Power::from_watts(560.0),
-                unified_memory: false,
-                single_logical_gpu: false,
             },
             Product::Mi300a => ProductSpec {
-                product: self,
                 name: "MI300A",
                 gpu_arch: GpuArch::Cdna3,
                 gpu_chiplets: 6,
@@ -59,16 +53,11 @@ impl Product {
                 ccds: 3,
                 cpu_cores: 24,
                 hbm: HbmGeneration::Hbm3,
-                hbm_stacks: 8,
-                icache_total: Some(Bytes::from_mib(256)),
                 x16_links: 8,
                 x16_per_direction: Bandwidth::from_gb_s(64.0),
                 tdp: Power::from_watts(550.0),
-                unified_memory: true,
-                single_logical_gpu: true,
             },
             Product::Mi300x => ProductSpec {
-                product: self,
                 name: "MI300X",
                 gpu_arch: GpuArch::Cdna3,
                 gpu_chiplets: 8,
@@ -77,16 +66,11 @@ impl Product {
                 ccds: 0,
                 cpu_cores: 0,
                 hbm: HbmGeneration::Hbm3TwelveHigh,
-                hbm_stacks: 8,
-                icache_total: Some(Bytes::from_mib(256)),
                 x16_links: 8,
                 x16_per_direction: Bandwidth::from_gb_s(64.0),
                 tdp: Power::from_watts(750.0),
-                unified_memory: false,
-                single_logical_gpu: true,
             },
             Product::Ehpv4 => ProductSpec {
-                product: self,
                 name: "EHPv4",
                 gpu_arch: GpuArch::Cdna2,
                 gpu_chiplets: 4,
@@ -95,23 +79,20 @@ impl Product {
                 ccds: 2,
                 cpu_cores: 16,
                 hbm: HbmGeneration::Hbm2e,
-                hbm_stacks: 8,
-                icache_total: None,
                 x16_links: 4,
                 x16_per_direction: Bandwidth::from_gb_s(32.0),
                 tdp: Power::from_watts(600.0),
-                unified_memory: true,
-                single_logical_gpu: false,
             },
         }
     }
 }
 
+/// HBM stacks per package, on every product.
+pub const HBM_STACKS: u32 = 8;
+
 /// A product's architectural spec sheet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductSpec {
-    /// Which product this is.
-    pub(crate) product: Product,
     /// Marketing name.
     pub name: &'static str,
     /// GPU architecture generation.
@@ -128,20 +109,12 @@ pub struct ProductSpec {
     pub cpu_cores: u32,
     /// HBM generation.
     pub(crate) hbm: HbmGeneration,
-    /// HBM stacks.
-    pub hbm_stacks: u32,
-    /// Infinity Cache total capacity, if present.
-    pub(crate) icache_total: Option<Bytes>,
     /// Off-package x16 links.
     pub x16_links: u32,
     /// Per-direction bandwidth of one x16 link.
     pub(crate) x16_per_direction: Bandwidth,
     /// Board/package thermal design power.
     pub tdp: Power,
-    /// Whether CPU and GPU share one physical memory (APU).
-    pub(crate) unified_memory: bool,
-    /// Whether all GPU chiplets present as one logical device.
-    pub(crate) single_logical_gpu: bool,
 }
 
 impl ProductSpec {
@@ -162,13 +135,13 @@ impl ProductSpec {
     /// Peak HBM bandwidth.
     #[must_use]
     pub fn memory_bandwidth(&self) -> Bandwidth {
-        self.hbm.stack_bandwidth().scale(f64::from(self.hbm_stacks))
+        self.hbm.stack_bandwidth().scale(f64::from(HBM_STACKS))
     }
 
     /// HBM capacity.
     #[must_use]
     pub fn memory_capacity(&self) -> Bytes {
-        self.hbm.stack_capacity() * u64::from(self.hbm_stacks)
+        self.hbm.stack_capacity() * u64::from(HBM_STACKS)
     }
 
     /// Aggregate off-package I/O bandwidth (bidirectional).
@@ -198,7 +171,7 @@ impl ProductSpec {
             },
             InterfaceBandwidth {
                 name: "HBM PHY",
-                count: self.hbm_stacks,
+                count: HBM_STACKS,
                 per_interface: self.hbm.stack_bandwidth(),
             },
             InterfaceBandwidth {
@@ -384,23 +357,5 @@ mod tests {
         assert!(usr >= 2.0);
         // HBM aggregate ~5.3 TB/s.
         assert!((hbm - 5.3).abs() < 0.05);
-    }
-
-    #[test]
-    fn apu_flags() {
-        assert!(Product::Mi300a.spec().unified_memory);
-        assert!(!Product::Mi250x.spec().unified_memory);
-        assert!(Product::Mi300a.spec().single_logical_gpu);
-        // MI250X presented each GCD as a standalone accelerator.
-        assert!(!Product::Mi250x.spec().single_logical_gpu);
-    }
-
-    #[test]
-    fn icache_only_on_mi300() {
-        assert!(Product::Mi250x.spec().icache_total.is_none());
-        assert_eq!(
-            Product::Mi300a.spec().icache_total,
-            Some(Bytes::from_mib(256))
-        );
     }
 }

@@ -9,89 +9,60 @@
 
 use ehp_sim_core::time::SimTime;
 
-/// Failure rates in FIT (failures per 10⁹ device-hours) for the node's
-/// components.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeFitRates {
-    /// Per HBM stack (dominated by DRAM; ECC leaves the uncorrectable
-    /// residue counted here).
-    pub(crate) hbm_stack: f64,
-    /// Per GPU chiplet.
-    pub(crate) xcd: f64,
-    /// Per CPU chiplet.
-    pub(crate) ccd: f64,
-    /// Per IOD (fabric, cache, PHYs).
-    pub(crate) iod: f64,
-    /// Node residue: board, NIC, power delivery.
-    pub(crate) board: f64,
+// Representative exascale-class failure rates in FIT (failures per 10⁹
+// device-hours): the uncorrectable-error residue after ECC, per
+// component of a quad-MI300A node (Figure 18a).
+
+/// FIT per HBM stack (dominated by DRAM; ECC leaves the uncorrectable
+/// residue counted here).
+const FIT_HBM_STACK: f64 = 150.0;
+/// FIT per GPU chiplet.
+const FIT_XCD: f64 = 60.0;
+/// FIT per CPU chiplet.
+const FIT_CCD: f64 = 40.0;
+/// FIT per IOD (fabric, cache, PHYs).
+const FIT_IOD: f64 = 50.0;
+/// Node residue FIT: board, NIC, power delivery.
+const FIT_BOARD: f64 = 400.0;
+/// HBM stacks per node.
+const NODE_HBM_STACKS: u32 = 32;
+/// GPU chiplets per node.
+const NODE_XCDS: u32 = 24;
+/// CPU chiplets per node.
+const NODE_CCDS: u32 = 12;
+/// IODs per node.
+const NODE_IODS: u32 = 16;
+
+/// Total node FIT at the exascale-class rates.
+fn node_fit() -> f64 {
+    f64::from(NODE_HBM_STACKS) * FIT_HBM_STACK
+        + f64::from(NODE_XCDS) * FIT_XCD
+        + f64::from(NODE_CCDS) * FIT_CCD
+        + f64::from(NODE_IODS) * FIT_IOD
+        + FIT_BOARD
 }
 
-/// Representative exascale-class rates (uncorrectable-error residue
-/// after ECC, per component).
-const EXASCALE_FIT: NodeFitRates = NodeFitRates {
-    hbm_stack: 150.0,
-    xcd: 60.0,
-    ccd: 40.0,
-    iod: 50.0,
-    board: 400.0,
-};
-
-/// A node's RAS bill of materials.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeBom {
-    /// HBM stacks per node.
-    pub(crate) hbm_stacks: u32,
-    /// GPU chiplets per node.
-    pub(crate) xcds: u32,
-    /// CPU chiplets per node.
-    pub(crate) ccds: u32,
-    /// IODs per node.
-    pub(crate) iods: u32,
+/// Node MTBF in hours.
+fn node_mtbf_hours() -> f64 {
+    1e9 / node_fit()
 }
 
-impl NodeBom {
-    /// A quad-MI300A node (Figure 18a).
-    #[must_use]
-    pub(crate) fn quad_mi300a() -> NodeBom {
-        NodeBom {
-            hbm_stacks: 32,
-            xcds: 24,
-            ccds: 12,
-            iods: 16,
-        }
-    }
-
-    /// Total node FIT at the exascale-class rates.
-    #[must_use]
-    pub(crate) fn node_fit(&self) -> f64 {
-        let r = EXASCALE_FIT;
-        f64::from(self.hbm_stacks) * r.hbm_stack
-            + f64::from(self.xcds) * r.xcd
-            + f64::from(self.ccds) * r.ccd
-            + f64::from(self.iods) * r.iod
-            + r.board
-    }
-
-    /// Node MTBF in hours.
-    #[must_use]
-    pub(crate) fn node_mtbf_hours(&self) -> f64 {
-        1e9 / self.node_fit()
-    }
-
-    /// System MTBF in hours for `nodes` nodes (failures are independent
-    /// and exponential: rates add).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    #[must_use]
-    pub(crate) fn system_mtbf_hours(&self, nodes: u32) -> f64 {
-        assert!(nodes > 0, "system needs nodes");
-        self.node_mtbf_hours() / f64::from(nodes)
-    }
+/// System MTBF in hours for `nodes` nodes (failures are independent and
+/// exponential: rates add).
+///
+/// # Panics
+///
+/// Panics if `nodes` is zero.
+fn system_mtbf_hours(nodes: u32) -> f64 {
+    assert!(nodes > 0, "system needs nodes");
+    node_mtbf_hours() / f64::from(nodes)
 }
 
-/// Checkpoint/restart planning via the Young/Daly first-order optimum.
+/// Time to write one system checkpoint (s).
+const CHECKPOINT_WRITE_S: f64 = 90.0;
+
+/// Checkpoint/restart planning via the Young/Daly first-order optimum,
+/// for checkpoints that take `CHECKPOINT_WRITE_S` to write.
 ///
 /// # Examples
 ///
@@ -100,7 +71,6 @@ impl NodeBom {
 /// use ehp_sim_core::time::SimTime;
 ///
 /// let plan = CheckpointPlan {
-///     checkpoint_cost: SimTime::from_secs_f64(60.0),
 ///     mtbf: SimTime::from_secs_f64(6.0 * 3600.0),
 /// };
 /// assert!(plan.optimal_efficiency() > 0.85);
@@ -108,17 +78,20 @@ impl NodeBom {
 ///
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointPlan {
-    /// Time to write one checkpoint.
-    pub checkpoint_cost: SimTime,
     /// System MTBF.
     pub mtbf: SimTime,
+}
+
+/// Time to write one checkpoint.
+fn checkpoint_cost() -> SimTime {
+    SimTime::from_secs_f64(CHECKPOINT_WRITE_S)
 }
 
 impl CheckpointPlan {
     /// Young's optimal checkpoint interval: `sqrt(2·δ·M)`.
     #[must_use]
     pub(crate) fn optimal_interval(&self) -> SimTime {
-        SimTime::from_secs_f64((2.0 * self.checkpoint_cost.as_secs() * self.mtbf.as_secs()).sqrt())
+        SimTime::from_secs_f64((2.0 * checkpoint_cost().as_secs() * self.mtbf.as_secs()).sqrt())
     }
 
     /// Machine efficiency at the optimal interval τ: useful work ÷ wall
@@ -132,7 +105,7 @@ impl CheckpointPlan {
     pub fn optimal_efficiency(&self) -> f64 {
         let t = self.optimal_interval().as_secs();
         assert!(t > 0.0, "interval must be positive");
-        let overhead = self.checkpoint_cost.as_secs() / t + t / (2.0 * self.mtbf.as_secs());
+        let overhead = checkpoint_cost().as_secs() / t + t / (2.0 * self.mtbf.as_secs());
         (1.0 - overhead).max(0.0)
     }
 }
@@ -152,18 +125,13 @@ pub struct RasSummary {
     pub efficiency: f64,
 }
 
-/// Time to write one system checkpoint (s).
-const CHECKPOINT_WRITE_S: f64 = 90.0;
-
 /// Summarises a system of `nodes` quad-MI300A nodes at the fixed
 /// checkpoint write time.
 #[must_use]
 pub fn summarize(nodes: u32) -> RasSummary {
-    let bom = NodeBom::quad_mi300a();
-    let node_mtbf_h = bom.node_mtbf_hours();
-    let system_mtbf_h = bom.system_mtbf_hours(nodes);
+    let node_mtbf_h = node_mtbf_hours();
+    let system_mtbf_h = system_mtbf_hours(nodes);
     let plan = CheckpointPlan {
-        checkpoint_cost: SimTime::from_secs_f64(CHECKPOINT_WRITE_S),
         mtbf: SimTime::from_secs_f64(system_mtbf_h * 3600.0),
     };
     RasSummary {
@@ -181,42 +149,37 @@ mod tests {
 
     #[test]
     fn node_mtbf_in_plausible_range() {
-        let bom = NodeBom::quad_mi300a();
-        let m = bom.node_mtbf_hours();
+        let m = node_mtbf_hours();
         // Thousands of hours to low hundreds of thousands.
         assert!((5e4..5e5).contains(&m), "node MTBF {m:.0} h");
     }
 
     #[test]
     fn frontier_scale_system_fails_daily_ish() {
-        let bom = NodeBom::quad_mi300a();
-        let m = bom.system_mtbf_hours(9_408);
+        let m = system_mtbf_hours(9_408);
         // Exascale systems see failures on the hours scale.
         assert!((1.0..48.0).contains(&m), "system MTBF {m:.1} h");
     }
 
     #[test]
     fn system_mtbf_scales_inversely_with_nodes() {
-        let bom = NodeBom::quad_mi300a();
-        let m1 = bom.system_mtbf_hours(100);
-        let m2 = bom.system_mtbf_hours(200);
+        let m1 = system_mtbf_hours(100);
+        let m2 = system_mtbf_hours(200);
         assert!((m1 / m2 - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn young_interval_formula() {
         let plan = CheckpointPlan {
-            checkpoint_cost: SimTime::from_secs_f64(60.0),
             mtbf: SimTime::from_secs_f64(6.0 * 3600.0),
         };
         let tau = plan.optimal_interval().as_secs();
-        assert!((tau - (2.0 * 60.0 * 21_600.0f64).sqrt()).abs() < 1.0);
+        assert!((tau - (2.0 * 90.0 * 21_600.0f64).sqrt()).abs() < 1.0);
     }
 
     #[test]
     fn optimal_interval_beats_neighbours() {
         let plan = CheckpointPlan {
-            checkpoint_cost: SimTime::from_secs_f64(120.0),
             mtbf: SimTime::from_secs_f64(4.0 * 3600.0),
         };
         let tau = plan.optimal_interval().as_secs();
@@ -224,26 +187,12 @@ mod tests {
         for factor in [0.25, 0.5, 2.0, 4.0] {
             // The same first-order model at a neighbouring interval.
             let t = tau * factor;
-            let other = 1.0 - (120.0 / t + t / (2.0 * 4.0 * 3600.0));
+            let other = 1.0 - (CHECKPOINT_WRITE_S / t + t / (2.0 * 4.0 * 3600.0));
             assert!(
                 other <= best + 1e-9,
                 "tau x{factor} should not beat the optimum"
             );
         }
-    }
-
-    #[test]
-    fn cheaper_checkpoints_raise_efficiency() {
-        let mtbf = SimTime::from_secs_f64(4.0 * 3600.0);
-        let slow = CheckpointPlan {
-            checkpoint_cost: SimTime::from_secs_f64(600.0),
-            mtbf,
-        };
-        let fast = CheckpointPlan {
-            checkpoint_cost: SimTime::from_secs_f64(30.0),
-            mtbf,
-        };
-        assert!(fast.optimal_efficiency() > slow.optimal_efficiency() + 0.05);
     }
 
     #[test]
@@ -261,6 +210,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "system needs nodes")]
     fn zero_nodes_panics() {
-        let _ = NodeBom::quad_mi300a().system_mtbf_hours(0);
+        let _ = system_mtbf_hours(0);
     }
 }

@@ -30,17 +30,18 @@ pub enum Target {
     Gpu,
 }
 
-/// A generic library call, BLAS-style.
+/// Datatype of every library call.
+const CALL_DTYPE: DataType = DataType::Fp64;
+/// Execution unit a GPU implementation of a call would use.
+const CALL_UNIT: ExecUnit = ExecUnit::Matrix;
+
+/// A generic library call, BLAS-style: FP64 on the matrix unit.
 #[derive(Debug, Clone, Copy)]
 pub struct LibraryCall {
     /// Arithmetic work.
     pub(crate) flops: f64,
     /// Operand + result bytes touched.
     pub(crate) bytes: Bytes,
-    /// Datatype.
-    pub(crate) dtype: DataType,
-    /// Execution unit a GPU implementation would use.
-    pub(crate) unit: ExecUnit,
 }
 
 impl LibraryCall {
@@ -50,8 +51,6 @@ impl LibraryCall {
         LibraryCall {
             flops: 2.0 * (n as f64).powi(3),
             bytes: Bytes(3 * n * n * 8),
-            dtype: DataType::Fp64,
-            unit: ExecUnit::Matrix,
         }
     }
 }
@@ -120,7 +119,7 @@ impl Shim {
     pub(crate) fn gpu_time(&self, call: &LibraryCall) -> SimTime {
         let peak = self
             .spec
-            .peak_tflops(call.unit, call.dtype)
+            .peak_tflops(CALL_UNIT, CALL_DTYPE)
             .expect("dtype supported")
             * 1e12
             * 0.7;
@@ -162,13 +161,12 @@ impl Shim {
 mod tests {
     use super::*;
 
-    /// A DAXPY of length `n` (y += a·x).
+    /// A DAXPY of length `n` (y += a·x): bandwidth-bound, so the
+    /// unit's peak does not matter.
     fn daxpy(n: u64) -> LibraryCall {
         LibraryCall {
             flops: 2.0 * n as f64,
             bytes: Bytes(3 * n * 8),
-            dtype: DataType::Fp64,
-            unit: ExecUnit::Vector,
         }
     }
 

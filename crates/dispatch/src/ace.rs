@@ -14,15 +14,15 @@ use ehp_sim_core::time::Cycle;
 
 /// Parallel ACE units on an XCD (4 on MI300).
 const ACES_PER_XCD: u64 = 4;
+/// Cycles to read + decode an AQL packet.
+const DECODE_LATENCY: Cycle = Cycle(64);
+/// Cycles between successive workgroup launches per ACE.
+const CYCLES_PER_LAUNCH: u64 = 4;
 
 /// One XCD's dispatch engine: packet decode, workgroup launch throughput,
 /// and CU occupancy.
 #[derive(Debug)]
 pub struct AceEngine {
-    /// Cycles to read + decode an AQL packet.
-    decode_latency: Cycle,
-    /// Cycles between successive workgroup launches per ACE.
-    cycles_per_launch: Cycle,
     /// One slot per CU: a workgroup occupies a CU for its duration.
     cus: SlotServer,
 }
@@ -37,8 +37,6 @@ impl AceEngine {
     #[must_use]
     pub(crate) fn new(cus: u32) -> AceEngine {
         AceEngine {
-            decode_latency: Cycle(64),
-            cycles_per_launch: Cycle(4),
             cus: SlotServer::new(cus as usize),
         }
     }
@@ -55,14 +53,13 @@ impl AceEngine {
         wg_indices: impl IntoIterator<Item = u64>,
         mut duration: impl FnMut(u64) -> u64,
     ) -> (Cycle, Cycle) {
-        let decoded = self.decode_latency;
+        let decoded = DECODE_LATENCY;
         let mut first_launch = None;
         let mut all_done = decoded;
         // Combined launch throughput of all ACEs: one workgroup every
-        // cycles_per_launch / ACES_PER_XCD cycles (modelled by striding).
+        // CYCLES_PER_LAUNCH / ACES_PER_XCD cycles (modelled by striding).
         for (i, wg) in wg_indices.into_iter().enumerate() {
-            let launch_ready =
-                decoded + Cycle(self.cycles_per_launch.0 * (i as u64 / ACES_PER_XCD));
+            let launch_ready = decoded + Cycle(CYCLES_PER_LAUNCH * (i as u64 / ACES_PER_XCD));
             let (start, done) = self.cus.submit(launch_ready, Cycle(duration(wg)));
             first_launch.get_or_insert(start);
             if done > all_done {
@@ -82,10 +79,10 @@ mod tests {
         let mut ace = AceEngine::new(4);
         // 8 equal workgroups on 4 CUs: two waves.
         let (first, done) = ace.launch(0..8u64, |_| 100);
-        assert!(first >= ace.decode_latency);
+        assert!(first >= DECODE_LATENCY);
         // Two waves of 100 cycles plus decode/launch overheads.
-        assert!(done.0 >= 200 + ace.decode_latency.0);
-        assert!(done.0 < 200 + ace.decode_latency.0 + 64);
+        assert!(done.0 >= 200 + DECODE_LATENCY.0);
+        assert!(done.0 < 200 + DECODE_LATENCY.0 + 64);
     }
 
     #[test]
@@ -94,6 +91,6 @@ mod tests {
         let mut ace = AceEngine::new(38);
         let (first, done) = ace.launch(std::iter::empty(), |_| 1);
         assert_eq!(first, done);
-        assert_eq!(done, ace.decode_latency);
+        assert_eq!(done, DECODE_LATENCY);
     }
 }

@@ -128,16 +128,11 @@ impl MultiXcdDispatcher {
 
     /// Dispatches one AQL packet at time zero; `duration(wg)` gives each
     /// workgroup's execution cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet fails validation.
     pub fn dispatch(
         &mut self,
         pkt: &AqlPacket,
         mut duration: impl FnMut(u64) -> u64,
     ) -> DispatchRun {
-        pkt.validate().expect("valid AQL packet");
         let total = pkt.total_workgroups();
         let n = self.cfg.xcds;
         let nominated = 0u32;

@@ -49,8 +49,6 @@ impl Flow {
 /// The allocation result for one flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRate {
-    /// The flow.
-    pub(crate) flow: Flow,
     /// Allocated steady-state throughput.
     pub rate: Bandwidth,
     /// Whether the flow is bottlenecked by a link (vs its own demand).
@@ -257,7 +255,6 @@ impl<'a> FlowSolver<'a> {
         out.clear();
         out.extend(flows.iter().enumerate().map(|(i, &flow)| {
             FlowRate {
-                flow,
                 rate: Bandwidth::from_bytes_per_sec(ws.rate[i].max(0.0)),
                 link_limited: !ws.route(i).is_empty()
                     && flow
@@ -344,7 +341,7 @@ mod tests {
         };
         for r in solver.solve(&[greedy, capped]) {
             assert_eq!(r.rate.as_gb_s(), 0.0);
-            assert!(!r.link_limited, "{:?}", r.flow);
+            assert!(!r.link_limited);
         }
     }
 

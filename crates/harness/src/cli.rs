@@ -27,7 +27,7 @@ use ehp_lint::{ExperimentSchema, Finding};
 use ehp_sim_core::json::Json;
 
 use crate::check;
-use crate::executor::{run_batch, BatchConfig, BatchResult, OutcomeStatus};
+use crate::executor::{run_batch, BatchConfig, BatchResult, OutcomeStatus, MAX_SEED};
 use crate::output;
 use crate::registry;
 use crate::scenario::{Scenario, ScenarioSpec};
@@ -183,7 +183,9 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--seed" => {
                 let seed = value_of("--seed")?
                     .parse::<u64>()
-                    .map_err(|_| "--seed must be a non-negative integer".to_string())?;
+                    .ok()
+                    .filter(|&s| s <= MAX_SEED)
+                    .ok_or_else(|| format!("--seed must be an integer in 0..={MAX_SEED}"))?;
                 args.base_seed = seed;
                 args.seed_override = Some(seed);
             }

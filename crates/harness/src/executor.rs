@@ -111,6 +111,12 @@ pub struct BatchResult {
     pub wall: Duration,
 }
 
+/// The largest seed a run accepts, 2^53. A scenario's seed is rendered
+/// through the f64-backed JSON summary and cache key, which hold every
+/// integer up to 2^53 exactly and no larger one reliably;
+/// [`Json::as_u64`](ehp_sim_core::json::Json::as_u64) reads back no more.
+pub(crate) const MAX_SEED: u64 = 1 << 53;
+
 /// Derives a scenario seed from the batch base seed and scenario name.
 ///
 /// FNV-1a over the name ([`ehp_sim_core::hash`]) feeds a SplitMix64

@@ -5,7 +5,7 @@
 
 use ehp_core::node::NodeTopology;
 use ehp_core::node_fabric::NodeFabric;
-use ehp_core::products::Product;
+use ehp_core::products::{Product, HBM_STACKS};
 use ehp_sim_core::json::Json;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
@@ -42,7 +42,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
     rep.kv(
         "one EHPv4 quarter: HBM stacks",
-        format!("{} = {}", ehp.hbm_stacks, gpu.hbm_stacks),
+        format!("{HBM_STACKS} = {HBM_STACKS}"),
     );
     rep.kv(
         "one EHPv4 quarter: CCDs",

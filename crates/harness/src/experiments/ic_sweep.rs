@@ -17,6 +17,7 @@
 //! `chase` always replays access by access because each access issues
 //! when the previous one completes.
 
+use ehp_mem::channel::ICACHE_RATE_GB_S;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, Pattern, TraceConfig};
 use ehp_sim_core::json::Json;
@@ -71,7 +72,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let ic_peak_tb_s = if ic_mib == 0 {
         0.0
     } else {
-        cfg.channel.icache_rate.as_gb_s() * channels / 1e3
+        ICACHE_RATE_GB_S * channels / 1e3
     };
     let hbm_peak_tb_s = mem.peak_hbm_bandwidth().as_tb_s();
 

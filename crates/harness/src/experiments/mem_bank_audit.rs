@@ -42,8 +42,8 @@ const ACCESSES: u64 = 20_000;
 /// Last completion time of a row stream read back to back at t = 0 on
 /// one cache-less MI300 channel (pure HBM bank timing): a subsystem over
 /// a 1-stack × 1-channel interleave, so every row reaches that channel
-/// and row `r` lands on the bank `bank_slot` derives from it (lane
-/// `r % banks` rotated by the block's decorrelation mix).
+/// and row `r` lands on the bank `Interleaver::decode` derives from it
+/// (lane `r % banks` rotated by the block's decorrelation mix).
 fn stream_last_completion(rows: impl Iterator<Item = u64>) -> SimTime {
     let mut cfg = MemConfig::mi300_hbm3();
     cfg.interleave.stacks = 1;

@@ -3,7 +3,7 @@
 //! widened L1 data path of CDNA 3.
 
 use ehp_compute::cu::GpuArch;
-use ehp_compute::icache::{IcacheOrg, IcacheStudy, SHARED_RELATIVE_AREA};
+use ehp_compute::icache::{self, IcacheOrg, KERNEL_FOOTPRINT, SHARED_RELATIVE_AREA};
 use ehp_compute::occupancy::{KernelResources, Occupancy};
 use ehp_sim_core::json::Json;
 use ehp_sim_core::units::Bytes;
@@ -16,10 +16,9 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
 
     rep.section("Shared instruction cache per CU pair (Section IV.B)");
-    let study = IcacheStudy::cdna3_default();
-    rep.kv("kernel instruction footprint", study.kernel_footprint);
-    let private_hit = study.hit_rate(IcacheOrg::PrivatePerCu);
-    let shared_hit = study.hit_rate(IcacheOrg::SharedPerPair);
+    rep.kv("kernel instruction footprint", KERNEL_FOOTPRINT);
+    let private_hit = IcacheOrg::PrivatePerCu.hit_rate();
+    let shared_hit = IcacheOrg::SharedPerPair.hit_rate();
     rep.kv(
         "private 32 KB per CU: hit rate",
         format!("{:.1}%", private_hit * 100.0),
@@ -30,7 +29,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     );
     rep.kv(
         "fetch-traffic reduction from sharing",
-        format!("{:.1}x", study.fetch_traffic_reduction()),
+        format!("{:.1}x", icache::fetch_traffic_reduction()),
     );
     rep.kv(
         "relative area of shared organisation",
@@ -101,7 +100,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut res = ExperimentResult::new(rep);
     res.metric("shared_icache_hit_rate", shared_hit);
     res.metric("private_icache_hit_rate", private_hit);
-    res.metric("fetch_traffic_reduction", study.fetch_traffic_reduction());
+    res.metric("fetch_traffic_reduction", icache::fetch_traffic_reduction());
     res.metric("l1_bandwidth_factor", GpuArch::Cdna3.l1_bandwidth_factor());
     res.set_payload(Json::Arr(rows));
     res

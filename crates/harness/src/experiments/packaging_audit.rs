@@ -3,11 +3,11 @@
 //! Infinity-Cache macro pitch matching), and the Section V.A beachfront
 //! argument for four IODs.
 
-use ehp_package::beachfront::BeachfrontAudit;
+use ehp_package::beachfront::{self, BeachfrontDemand, BeachfrontSupply};
 use ehp_package::chiplet::{reticle_limit, ChipletKind, Footprint};
 use ehp_package::floorplan::Floorplan;
 use ehp_package::mirror::{mi300_base_interface, IodInstance, IodVariant, UsrEdge};
-use ehp_package::tsv::{CacheMacroPlan, PgTsvGrid};
+use ehp_package::tsv;
 use ehp_sim_core::json::Json;
 
 use crate::experiment::ExperimentResult;
@@ -50,46 +50,46 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv("after TX/RX swap pairs", fixed_pairs);
 
     rep.section("Section V.D / Figure 10: power delivery");
-    let grid = PgTsvGrid::mi300();
     rep.kv(
         "P/G TSV grid current density",
-        format!("{:.2} A/mm^2 (paper: >1.5)", grid.current_density()),
+        format!("{:.2} A/mm^2 (paper: >1.5)", tsv::current_density()),
     );
     let iod = Footprint::of(ChipletKind::Iod);
-    let grid_symmetric = grid.check_symmetry(iod.w, iod.h).is_ok();
+    let grid_symmetric = tsv::check_symmetry(iod.w, iod.h).is_ok();
     rep.kv(
         "grid symmetric under all mirror/rotate permutations",
         grid_symmetric,
     );
-    let plan = CacheMacroPlan::mi300();
     rep.kv(
         "Infinity Cache macro pitch-matched to TSV stripes",
-        plan.is_pitch_matched(),
+        tsv::is_pitch_matched(),
     );
     rep.kv(
         "inter-stripe channel utilisation",
-        format!("{:.0}%", plan.channel_utilization() * 100.0),
+        format!("{:.0}%", tsv::channel_utilization() * 100.0),
     );
 
     rep.section("Section V.A: beachfront accounting");
-    let audit = BeachfrontAudit::mi300();
     rep.kv(
         "edge demand (8 HBM PHYs + 8 x16)",
-        format!("{:.0} mm", audit.demand.required_mm()),
+        format!("{:.0} mm", BeachfrontDemand::mi300().required_mm()),
     );
     rep.kv(
         "single reticle-limit die supplies",
         format!(
             "{:.0} mm usable of {:.0} mm perimeter",
-            audit.single_reticle.available_mm(),
+            BeachfrontSupply::single_die().available_mm(),
             reticle_limit().perimeter()
         ),
     );
     rep.kv(
         "four IODs supply",
-        format!("{:.0} mm usable", audit.four_iods.available_mm()),
+        format!(
+            "{:.0} mm usable",
+            BeachfrontSupply::four_iods().available_mm()
+        ),
     );
-    let partitioning_ok = audit.partitioning_is_necessary_and_sufficient();
+    let partitioning_ok = beachfront::partitioning_is_necessary_and_sufficient();
     rep.kv("partitioning necessary and sufficient", partitioning_ok);
 
     rep.section("MI300A plan view (I=IOD X=XCD C=CCD H=HBM u/p=PHYs)");
@@ -110,7 +110,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         "txrx_swap_fixes_pairing",
         f64::from(!naive_pairs && fixed_pairs),
     );
-    res.metric("pg_grid_current_density", grid.current_density());
+    res.metric("pg_grid_current_density", tsv::current_density());
     res.metric(
         "partitioning_necessary_and_sufficient",
         f64::from(partitioning_ok),

@@ -7,7 +7,7 @@ use ehp_core::powertherm::{ControllerConfig, PowerThermalController, XCD_SHARE};
 use ehp_core::products::Product;
 use ehp_package::bond::{BpvTarget, HybridBondInterface, MAX_DROP_FRACTION};
 use ehp_power::budget::{PowerDomain, SocketPowerManager, WorkloadProfile};
-use ehp_power::dvfs::DvfsCurve;
+use ehp_power::dvfs;
 use ehp_sim_core::json::Json;
 use ehp_sim_core::units::Power;
 use ehp_thermal::ThermalConfig;
@@ -59,7 +59,6 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.section("Vertical power shifting and what it buys (DVFS)");
     let mut pm = SocketPowerManager::new(tdp);
     pm.apply_profile(WorkloadProfile::MemoryIntensive);
-    let xcd = DvfsCurve::mi300_xcd();
     let before = pm.current().get(PowerDomain::ComputeChiplets);
     let per_xcd_before = before.scale(XCD_SHARE / 6.0);
     pm.shift(
@@ -74,8 +73,8 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         &format!("compute allocation after +{SHIFT_W:.0} W shift"),
         after,
     );
-    let clock_before = xcd.perf_factor(per_xcd_before);
-    let clock_after = xcd.perf_factor(per_xcd_after);
+    let clock_before = dvfs::perf_factor(per_xcd_before);
+    let clock_after = dvfs::perf_factor(per_xcd_after);
     rep.kv("XCD clock factor before", format!("{clock_before:.2}"));
     rep.kv("XCD clock factor after", format!("{clock_after:.2}"));
     pm.check_budget().expect("budget respected");
@@ -84,7 +83,6 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.section("Figure 11: bond-pad via landing and power delivery");
     let vcache_style = HybridBondInterface {
         bpv: BpvTarget::TopLevelMetal,
-        ..HybridBondInterface::mi300_compute()
     };
     let mi300 = HybridBondInterface::mi300_compute();
     rep.kv(

@@ -552,6 +552,43 @@ mod tests {
     }
 
     #[test]
+    fn run_handler_rejects_a_spec_past_the_scenario_cap_and_keeps_serving() {
+        let mut handler = RunHandler {
+            base: memoryless_cfg(),
+        };
+        let mut stats = ServeStats::default();
+        let mut frames = 0;
+        let mut run = |handler: &mut RunHandler, stats: &mut ServeStats, spec: &str| {
+            let request = Json::object([
+                ("op", Json::from("run")),
+                ("spec", Json::parse(spec).unwrap()),
+            ]);
+            handler.handle(&request, stats, &mut |_| {
+                frames += 1;
+                Ok(())
+            })
+        };
+        let seeds: Vec<String> = (1..=4097).map(|s: u64| s.to_string()).collect();
+        let huge = format!(
+            r#"{{"experiment": "table1", "sweep": {{"seed": [{}]}}}}"#,
+            seeds.join(", ")
+        );
+        let reply = run(&mut handler, &mut stats, &huge);
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+        let findings = reply.get("findings").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            findings[0].as_str(),
+            Some("expands to 4097 scenarios; at most 4096 are allowed")
+        );
+        assert_eq!((stats.rejected, stats.scenarios), (1, 0));
+
+        let reply = run(&mut handler, &mut stats, r#"{"experiment": "table1"}"#);
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+        assert_eq!((stats.rejected, stats.scenarios), (1, 1));
+        assert_eq!(frames, 1, "only the valid request streamed a scenario");
+    }
+
+    #[test]
     fn worker_loop_round_trips_a_chunk() {
         let resolved = resolve_seeds(&paper_scenarios(2), 7);
         let chunk: Vec<Json> = resolved.iter().map(Scenario::to_json).collect();

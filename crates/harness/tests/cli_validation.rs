@@ -182,6 +182,69 @@ fn workers_outside_zero_to_64_is_a_usage_error() {
 }
 
 #[test]
+fn run_rejects_a_spec_that_expands_past_the_scenario_cap() {
+    // Seven in-range `ic_sweep` axes: 8 x 5 x 2 x 11 x 100 x 10 x 2 =
+    // 1,760,000 scenarios, which used to be expanded (and run out of
+    // memory) before anything checked how many there were.
+    let list = |values: Vec<String>| values.join(", ");
+    let sweep = [
+        ("ic_mib", "0, 1, 2, 4, 8, 16, 32, 64".to_string()),
+        (
+            "pattern",
+            r#""sequential", "strided", "random", "chase", "hot""#.to_string(),
+        ),
+        ("hashed", "true, false".to_string()),
+        (
+            "write_fraction",
+            list(
+                (0..=10)
+                    .map(|i| (f64::from(i) / 10.0).to_string())
+                    .collect(),
+            ),
+        ),
+        (
+            "accesses",
+            list((1..=100).map(|i| (i * 1000).to_string()).collect()),
+        ),
+        (
+            "stack_granule",
+            list((12..22).map(|i| (1u64 << i).to_string()).collect()),
+        ),
+        ("channel_granule", "128, 256".to_string()),
+    ];
+    let axes: Vec<String> = sweep
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": [{v}]"))
+        .collect();
+    let dir = tmp_dir("huge-sweep-file");
+    let spec = dir.join("huge.json");
+    fs::write(
+        &spec,
+        format!(
+            "{{\"experiment\": \"ic_sweep\",\n \"sweep\": {{{}}}}}",
+            axes.join(", ")
+        ),
+    )
+    .unwrap();
+    assert_rejected(
+        "huge-sweep",
+        &["run", "--spec", spec.to_str().unwrap()],
+        "huge.json:2: [S1 scenario-schema] expands to 1760000 scenarios; at most 4096 are allowed",
+    );
+}
+
+#[test]
+fn seed_above_2_pow_53_is_a_usage_error() {
+    // An f64-backed summary would record 2^53 for 2^53 + 1, and the two
+    // seeds would share one result-cache key.
+    assert_rejected(
+        "seed-2-pow-53-plus-1",
+        &["run", "ic_sweep", "--seed", "9007199254740993"],
+        "--seed must be an integer in 0..=9007199254740992",
+    );
+}
+
+#[test]
 fn run_applies_a_valid_override() {
     let dir = tmp_dir("valid");
     let out = ehp(

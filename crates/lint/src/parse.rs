@@ -1390,13 +1390,16 @@ fn scan_spawn(
 // ---------------------------------------------------------------------
 
 impl FileIndex {
-    /// Attaches a nondeterminism source to the fn whose body contains
-    /// `line` (the last fn starting at or before it). Used by the
-    /// hash-iter rule to register unsorted hash iteration as an N1
-    /// taint seed.
-    pub(crate) fn attach_nondet(&mut self, line: u32, kind: NondetKind, what: String) {
+    /// Attaches an unsorted hash iteration at `line` to the fn whose
+    /// body contains it (the last fn starting at or before it). Used by
+    /// the hash-iter rule to register it as an N1 taint seed.
+    pub(crate) fn attach_hash_order(&mut self, line: u32, what: String) {
         if let Some(f) = self.fns.iter_mut().rev().find(|f| f.line <= line) {
-            f.nondet.push(NondetSite { line, kind, what });
+            f.nondet.push(NondetSite {
+                line,
+                kind: NondetKind::HashOrder,
+                what,
+            });
         }
     }
 

@@ -21,7 +21,7 @@
 use std::collections::BTreeSet;
 
 use crate::findings::{Finding, Rule};
-use crate::parse::{self, CaptureKind, FileIndex, NondetKind};
+use crate::parse::{self, CaptureKind, FileIndex};
 use crate::tokenizer::{tokenize, Tok, TokKind, TokenizedFile};
 use crate::waiver;
 
@@ -80,7 +80,7 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
             .iter()
             .any(|w| w.rule == Rule::HashIter && (w.line == line || w.line + 1 == line));
         if !inline_waived {
-            index.attach_nondet(line, NondetKind::HashOrder, what);
+            index.attach_hash_order(line, what);
         }
     }
     check_wall_clock(path_rel, &file, &mut findings);
@@ -680,7 +680,7 @@ fn f(m: &HashMap<u32, u32>) -> u64 {
 ";
         let a = analyze("crates/x/src/a.rs", src);
         assert_eq!(a.index.fns[0].nondet.len(), 1);
-        assert_eq!(a.index.fns[0].nondet[0].kind, NondetKind::HashOrder);
+        assert_eq!(a.index.fns[0].nondet[0].kind, parse::NondetKind::HashOrder);
 
         let waived = "\
 use std::collections::HashMap;

@@ -101,6 +101,12 @@ impl ExperimentSchema {
     }
 }
 
+/// The most scenarios one spec file or daemon request may expand to. The
+/// checked-in specs expand to 14 and 24; a sweep over every `ic_sweep`
+/// axis reaches millions, and every expanded scenario is allocated
+/// before the first one runs.
+const MAX_SCENARIOS: u64 = 4096;
+
 /// Keys every scenario file may carry at the top level.
 const TOP_KEYS: &[&str] = &["experiment", "name", "seed", "params", "sweep"];
 
@@ -133,16 +139,36 @@ pub fn validate_scenario(path: &str, src: &str, schemas: &[ExperimentSchema]) ->
             return out;
         }
     };
-    match json.as_arr() {
-        Some(items) => {
-            for item in items {
-                validate_spec_obj(path, src, item, schemas, &mut out);
-            }
-        }
-        None => validate_spec_obj(path, src, &json, schemas, &mut out),
+    let items = json.as_arr().unwrap_or(std::slice::from_ref(&json));
+    for item in items {
+        validate_spec_obj(path, src, item, schemas, &mut out);
+    }
+    let total = items
+        .iter()
+        .try_fold(0u64, |sum, item| sum.checked_add(scenario_count(item)?));
+    if total.is_none_or(|n| n > MAX_SCENARIOS) {
+        let count = total.map_or_else(|| "2^64 or more".to_string(), |n| n.to_string());
+        out.push(Finding::new(
+            Rule::ScenarioSchema,
+            path,
+            line_of_key(src, "sweep"),
+            format!("expands to {count} scenarios; at most {MAX_SCENARIOS} are allowed"),
+        ));
     }
     crate::findings::sort_dedup(&mut out);
     out
+}
+
+/// How many scenarios one spec expands to: the product of its sweep
+/// axes' lengths (an axis that is not an array is reported elsewhere and
+/// counts once), or `None` when that overflows.
+fn scenario_count(spec: &Json) -> Option<u64> {
+    let Some(sweep) = spec.get("sweep").and_then(Json::as_obj) else {
+        return Some(1);
+    };
+    sweep.values().try_fold(1u64, |n, axis| {
+        n.checked_mul(axis.as_arr().map_or(1, |values| values.len() as u64))
+    })
 }
 
 /// Validates one spec object, appending findings.
@@ -475,6 +501,46 @@ mod tests {
             sweep[0].1.contains("power of two in 256..="),
             "{}",
             sweep[0].1
+        );
+    }
+
+    #[test]
+    fn specs_past_the_scenario_cap_fire() {
+        let axis = |n: u64| {
+            (1..=n)
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let spec = |a: u64, b: u64| {
+            format!(
+                r#"{{"experiment": "ic_sweep", "sweep": {{"accesses": [{}], "seed": [{}]}}}}"#,
+                axis(a),
+                axis(b)
+            )
+        };
+        assert!(rules(&spec(64, 64)).is_empty(), "4096 scenarios pass");
+        let over = rules(&spec(64, 65));
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert_eq!(
+            over[0].1,
+            "expands to 4160 scenarios; at most 4096 are allowed"
+        );
+
+        // The cap covers the whole file: two specs of 4096 fail together.
+        let two = format!("[{}, {}]", spec(64, 64), spec(64, 64));
+        assert_eq!(rules(&two).len(), 1);
+
+        // A product past u64 is reported, not wrapped: five axes of 2^13.
+        let wide = axis(8192);
+        let overflow = rules(&format!(
+            r#"{{"experiment": "ic_sweep", "sweep": {{"seed": [{wide}], "accesses": [{wide}], "a": [{wide}], "b": [{wide}], "c": [{wide}]}}}}"#
+        ));
+        assert!(
+            overflow
+                .iter()
+                .any(|(_, m)| m.starts_with("expands to 2^64 or more")),
+            "{overflow:?}"
         );
     }
 

@@ -32,45 +32,42 @@ use crate::icache::{
     MAX_PREFETCH_DEGREE,
 };
 
-/// Static parameters of one channel.
+/// Line size (128 B on MI300).
+pub(crate) const LINE_BYTES: Bytes = Bytes(128);
+/// Peak service rate of one channel's slice in GB/s: its share of the
+/// 17 TB/s, 17 TB/s ÷ 128 ≈ 133 GB/s, split evenly across banks.
+pub const ICACHE_RATE_GB_S: f64 = 133.0;
+/// Load-to-use latency of a slice hit.
+const ICACHE_HIT_LATENCY: SimTime = SimTime::from_nanos(25);
+/// Slice access energy per byte, in picojoules (~1.5 pJ/bit).
+const ICACHE_PJ_PER_BYTE: f64 = 12.0;
+
+/// Peak HBM bus rate of one channel, its HBM3 stack's share (split
+/// evenly across banks).
+pub(crate) fn hbm_rate() -> Bandwidth {
+    HbmGeneration::Hbm3.stack_bandwidth().scale(1.0 / 16.0)
+}
+
+/// Static parameters of one channel: the HBM3 timing set and bus share,
+/// and a 128 B-line Infinity Cache slice.
 #[derive(Debug, Clone)]
 pub struct ChannelConfig {
-    /// HBM timing set.
-    pub(crate) hbm_timings: HbmTimings,
-    /// Peak HBM bus rate for this channel (split evenly across banks).
-    pub(crate) hbm_rate: Bandwidth,
     /// Infinity Cache slice capacity; `None` disables the slice (the
     /// `ic_sweep` ablation). Split evenly across banks.
     pub icache_capacity: Option<Bytes>,
     /// Slice associativity.
     pub icache_ways: usize,
-    /// Line size (128 B on MI300).
-    pub(crate) line_bytes: Bytes,
-    /// Peak service rate of the slice (per-slice share of the 17 TB/s,
-    /// split evenly across banks).
-    pub icache_rate: Bandwidth,
-    /// Load-to-use latency of a slice hit.
-    pub(crate) icache_hit_latency: SimTime,
-    /// Slice access energy per byte.
-    pub(crate) icache_energy_per_byte: Energy,
     /// Prefetcher settings.
     pub(crate) prefetcher: PrefetcherConfig,
 }
 
 impl ChannelConfig {
-    /// MI300-style channel: HBM3 share plus a 2 MB / 16-way slice at
-    /// 17 TB/s ÷ 128 ≈ 133 GB/s.
+    /// MI300-style channel: HBM3 share plus a 2 MB / 16-way slice.
     #[must_use]
     pub(crate) fn mi300() -> ChannelConfig {
         ChannelConfig {
-            hbm_timings: HbmTimings::hbm3(),
-            hbm_rate: HbmGeneration::Hbm3.stack_bandwidth().scale(1.0 / 16.0),
             icache_capacity: Some(Bytes::from_mib(2)),
             icache_ways: 16,
-            line_bytes: Bytes(128),
-            icache_rate: Bandwidth::from_gb_s(133.0),
-            icache_hit_latency: SimTime::from_nanos(25),
-            icache_energy_per_byte: Energy::from_picojoules(12.0), // ~1.5 pJ/bit
             prefetcher: PrefetcherConfig::mi300(),
         }
     }
@@ -78,7 +75,7 @@ impl ChannelConfig {
     /// Banks per channel implied by the HBM timing set.
     #[must_use]
     pub(crate) fn banks(&self) -> usize {
-        self.hbm_timings.banks_per_channel as usize
+        HbmTimings::hbm3().banks_per_channel as usize
     }
 }
 
@@ -105,17 +102,14 @@ pub fn bank_mix(block: u64, banks: u64) -> u64 {
 }
 
 /// The parameters every bank of a channel shares, derived once from its
-/// [`ChannelConfig`]: the HBM timings and bus lane, the slice geometry,
-/// the slice lane, the hit latency and the slice energy per byte.
+/// [`ChannelConfig`]: the HBM timings and bus lane, the slice geometry
+/// and the slice lane.
 #[derive(Debug, Clone)]
 pub(crate) struct BankParams {
     /// `None` disables the slice.
     slice: Option<SliceGeometry>,
     hbm: HbmParams,
     icache_lane: Lane,
-    line_bytes: Bytes,
-    icache_hit_latency: SimTime,
-    icache_energy_per_byte: Energy,
 }
 
 impl BankParams {
@@ -127,23 +121,23 @@ impl BankParams {
             SliceGeometry::new(
                 Bytes(cap.as_u64() / banks),
                 cfg.icache_ways,
-                cfg.line_bytes.as_u64(),
+                LINE_BYTES.as_u64(),
                 cfg.prefetcher,
             )
         });
         let hbm = HbmParams::new(
-            cfg.hbm_timings,
-            cfg.hbm_rate.scale(1.0 / banks as f64),
-            cfg.line_bytes,
+            HbmTimings::hbm3(),
+            hbm_rate().scale(1.0 / banks as f64),
+            LINE_BYTES,
         );
-        let icache_lane = Lane::new(cfg.icache_rate.scale(1.0 / banks as f64), cfg.line_bytes);
+        let icache_lane = Lane::new(
+            Bandwidth::from_gb_s(ICACHE_RATE_GB_S).scale(1.0 / banks as f64),
+            LINE_BYTES,
+        );
         BankParams {
             slice,
             hbm,
             icache_lane,
-            line_bytes: cfg.line_bytes,
-            icache_hit_latency: cfg.icache_hit_latency,
-            icache_energy_per_byte: cfg.icache_energy_per_byte,
         }
     }
 
@@ -236,7 +230,8 @@ impl BankUnit {
 
         let done = match outcome {
             CacheOutcome::Hit | CacheOutcome::PrefetchedHit => {
-                self.icache_energy += p.icache_energy_per_byte.scale(size.as_f64());
+                self.icache_energy +=
+                    Energy::from_picojoules(ICACHE_PJ_PER_BYTE).scale(size.as_f64());
                 let start = if at > self.icache_free {
                     at
                 } else {
@@ -244,15 +239,15 @@ impl BankUnit {
                 };
                 self.icache_free = start + p.icache_lane.time(size);
                 self.icache_bytes += size;
-                self.icache_free + p.icache_hit_latency
+                self.icache_free + ICACHE_HIT_LATENCY
             }
             CacheOutcome::Miss { writeback } => {
                 // Demand fill from HBM, then delivery through the slice.
-                let fetched = self.hbm.access(&p.hbm, at, addr, size.max(p.line_bytes));
+                let fetched = self.hbm.access(&p.hbm, at, addr, size.max(LINE_BYTES));
                 if let Some(victim) = writeback {
                     // The dirty victim's writeback occupies HBM bandwidth
                     // but is off the critical path.
-                    let _ = self.hbm.access(&p.hbm, fetched, victim, p.line_bytes);
+                    let _ = self.hbm.access(&p.hbm, fetched, victim, LINE_BYTES);
                 }
                 fetched
             }
@@ -262,9 +257,9 @@ impl BankUnit {
         // dirty victim is written back once that fill lands.
         for &pa in &prefetches[..n] {
             let victim = slice.fill_prefetch(pa);
-            let filled = self.hbm.access(&p.hbm, done, pa, p.line_bytes);
+            let filled = self.hbm.access(&p.hbm, done, pa, LINE_BYTES);
             if let Some(victim) = victim {
-                let _ = self.hbm.access(&p.hbm, filled, victim, p.line_bytes);
+                let _ = self.hbm.access(&p.hbm, filled, victim, LINE_BYTES);
             }
         }
         // lint:hot-path-end
@@ -607,7 +602,6 @@ mod tests {
             icache_capacity: Some(Bytes(16 * 128)),
             icache_ways: 1,
             prefetcher: PrefetcherConfig::disabled(),
-            ..ChannelConfig::mi300()
         };
         let mut ch = channel(cfg);
         assert_eq!(bank_slot(0, 16).0, bank_slot(128, 16).0, "same bank");

@@ -1,6 +1,5 @@
 //! Memory request/response types shared across the memory subsystem.
 
-use ehp_sim_core::ids::ChannelId;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
 
@@ -63,8 +62,6 @@ impl MemRequest {
 pub struct MemResponse {
     /// Absolute time at which the access completes.
     pub completes_at: SimTime,
-    /// Channel that served the request.
-    pub channel: ChannelId,
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use ehp_sim_core::ids::ChannelId;
 use ehp_sim_core::stats::{Accumulator, Counter};
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes, Energy};
@@ -117,8 +116,9 @@ impl MemConfig {
 /// let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
 /// let r1 = mem.access(SimTime::ZERO, MemRequest::read(0x0, 128));
 /// let r2 = mem.access(SimTime::ZERO, MemRequest::read(0x100, 128));
-/// // Different channel granules: the accesses land on distinct channels.
-/// assert_ne!(r1.channel, r2.channel);
+/// // Different channel granules: the accesses land on distinct channels
+/// // and neither waits for the other.
+/// assert_eq!(r1.completes_at, r2.completes_at);
 /// ```
 #[derive(Debug)]
 pub struct MemorySubsystem {
@@ -159,7 +159,7 @@ impl MemorySubsystem {
             units: (0..banks).map(|_| BankUnit::new(&params)).collect(),
             sets: SetStore::new(banks, params.sets_per_bank()),
             params,
-            channel_rate: cfg.channel.hbm_rate,
+            channel_rate: crate::channel::hbm_rate(),
             banks_per_channel,
             reads: Counter::default(),
             writes: Counter::default(),
@@ -171,10 +171,7 @@ impl MemorySubsystem {
     pub fn access(&mut self, at: SimTime, req: MemRequest) -> MemResponse {
         let (flat, local) = self.flat_bank_of(req.addr);
         let completes_at = self.access_bank(at, flat, local, req);
-        MemResponse {
-            completes_at,
-            channel: ChannelId((flat / self.banks_per_channel) as u32),
-        }
+        MemResponse { completes_at }
     }
 
     /// Performs `req` at bank-local address `local` of flat bank `flat`
@@ -699,7 +696,7 @@ mod tests {
 
     /// The distinct (flat bank, set) pairs the trace's addresses map to.
     fn touched_sets(cfg: &MemConfig, mem: &MemorySubsystem, trace: &TraceConfig) -> usize {
-        let line = cfg.channel.line_bytes.as_u64();
+        let line = crate::channel::LINE_BYTES.as_u64();
         let capacity = cfg.channel.icache_capacity.expect("slices").as_u64();
         let sets_per_bank =
             capacity / mem.banks_per_channel() as u64 / line / cfg.channel.icache_ways as u64;

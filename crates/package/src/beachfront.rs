@@ -8,37 +8,36 @@
 
 use crate::chiplet::{reticle_limit, ChipletKind, Footprint};
 
-/// Edge-length demands of a socket's external interfaces.
+/// Die-edge millimetres per HBM PHY (the PHY must roughly face the
+/// ~11 mm-wide stack).
+const MM_PER_HBM_PHY: f64 = 10.5;
+/// Off-package x16 links.
+const X16_LINKS: u32 = 8;
+/// Die-edge millimetres per x16 PHY.
+const MM_PER_X16: f64 = 3.0;
+/// Fraction of the perimeter usable for PHYs (corners, power ingress
+/// and test structures consume the rest).
+const USABLE_FRACTION: f64 = 0.7;
+
+/// Edge-length demands of a socket's external interfaces: its HBM
+/// stacks, plus 8 x16 links.
 #[derive(Debug, Clone, Copy)]
 pub struct BeachfrontDemand {
     /// HBM stacks to interface.
     pub hbm_stacks: u32,
-    /// Die-edge millimetres per HBM PHY (the PHY must roughly face the
-    /// ~11 mm-wide stack).
-    pub mm_per_hbm_phy: f64,
-    /// Off-package x16 links.
-    pub x16_links: u32,
-    /// Die-edge millimetres per x16 PHY.
-    pub mm_per_x16: f64,
 }
 
 impl BeachfrontDemand {
     /// The MI300 socket: 8 HBM stacks, 8 x16 links.
     #[must_use]
     pub fn mi300() -> BeachfrontDemand {
-        BeachfrontDemand {
-            hbm_stacks: 8,
-            mm_per_hbm_phy: 10.5,
-            x16_links: 8,
-            mm_per_x16: 3.0,
-        }
+        BeachfrontDemand { hbm_stacks: 8 }
     }
 
     /// Total edge millimetres required.
     #[must_use]
     pub fn required_mm(&self) -> f64 {
-        f64::from(self.hbm_stacks) * self.mm_per_hbm_phy
-            + f64::from(self.x16_links) * self.mm_per_x16
+        f64::from(self.hbm_stacks) * MM_PER_HBM_PHY + f64::from(X16_LINKS) * MM_PER_X16
     }
 }
 
@@ -47,9 +46,6 @@ impl BeachfrontDemand {
 pub struct BeachfrontSupply {
     /// Total perimeter across the dies (mm).
     pub(crate) perimeter_mm: f64,
-    /// Fraction of the perimeter usable for PHYs (corners, power ingress
-    /// and test structures consume the rest).
-    pub(crate) usable_fraction: f64,
     /// Perimeter consumed by inter-die (USR) interfaces, unavailable for
     /// external PHYs (mm).
     pub(crate) interdie_mm: f64,
@@ -61,7 +57,6 @@ impl BeachfrontSupply {
     pub fn single_die() -> BeachfrontSupply {
         BeachfrontSupply {
             perimeter_mm: reticle_limit().perimeter(),
-            usable_fraction: 0.7,
             interdie_mm: 0.0,
         }
     }
@@ -69,14 +64,13 @@ impl BeachfrontSupply {
     /// Four MI300-style IODs in a 2×2 grid: each die spends its two inner
     /// edges on USR interfaces to its neighbours.
     #[must_use]
-    pub(crate) fn four_iods() -> BeachfrontSupply {
+    pub fn four_iods() -> BeachfrontSupply {
         let iod = Footprint::of(ChipletKind::Iod);
         let per_die = 2.0 * (iod.w + iod.h);
         // Each IOD has one vertical and one horizontal inner edge.
         let interdie_per_die = iod.w.min(iod.h); // conservative: the shorter edge pair
         BeachfrontSupply {
             perimeter_mm: 4.0 * per_die,
-            usable_fraction: 0.7,
             interdie_mm: 4.0 * interdie_per_die,
         }
     }
@@ -84,7 +78,7 @@ impl BeachfrontSupply {
     /// Edge millimetres available for external PHYs.
     #[must_use]
     pub fn available_mm(&self) -> f64 {
-        (self.perimeter_mm - self.interdie_mm).max(0.0) * self.usable_fraction
+        (self.perimeter_mm - self.interdie_mm).max(0.0) * USABLE_FRACTION
     }
 
     /// `true` if this supply meets a demand.
@@ -94,34 +88,13 @@ impl BeachfrontSupply {
     }
 }
 
-/// The full Section V.A audit: single-reticle IOD vs four-IOD partition.
-#[derive(Debug, Clone, Copy)]
-pub struct BeachfrontAudit {
-    /// The interface demand.
-    pub demand: BeachfrontDemand,
-    /// Supply of one reticle-limit die.
-    pub single_reticle: BeachfrontSupply,
-    /// Supply of four IODs.
-    pub four_iods: BeachfrontSupply,
-}
-
-impl BeachfrontAudit {
-    /// The MI300 audit.
-    #[must_use]
-    pub fn mi300() -> BeachfrontAudit {
-        BeachfrontAudit {
-            demand: BeachfrontDemand::mi300(),
-            single_reticle: BeachfrontSupply::single_die(),
-            four_iods: BeachfrontSupply::four_iods(),
-        }
-    }
-
-    /// `true` if the paper's conclusion holds in the model: one reticle
-    /// is insufficient, four IODs are sufficient.
-    #[must_use]
-    pub fn partitioning_is_necessary_and_sufficient(&self) -> bool {
-        !self.single_reticle.meets(&self.demand) && self.four_iods.meets(&self.demand)
-    }
+/// The Section V.A audit: `true` if the paper's conclusion holds in the
+/// model, that one reticle-limit die cannot meet the MI300 socket's
+/// demand and four IODs can.
+#[must_use]
+pub fn partitioning_is_necessary_and_sufficient() -> bool {
+    let demand = BeachfrontDemand::mi300();
+    !BeachfrontSupply::single_die().meets(&demand) && BeachfrontSupply::four_iods().meets(&demand)
 }
 
 #[cfg(test)]
@@ -136,20 +109,19 @@ mod tests {
 
     #[test]
     fn single_reticle_falls_short() {
-        let a = BeachfrontAudit::mi300();
+        let (single, demand) = (BeachfrontSupply::single_die(), BeachfrontDemand::mi300());
         assert!(
-            !a.single_reticle.meets(&a.demand),
+            !single.meets(&demand),
             "one reticle ({:.0} mm usable) cannot host {:.0} mm of PHY",
-            a.single_reticle.available_mm(),
-            a.demand.required_mm()
+            single.available_mm(),
+            demand.required_mm()
         );
     }
 
     #[test]
     fn four_iods_suffice() {
-        let a = BeachfrontAudit::mi300();
-        assert!(a.four_iods.meets(&a.demand));
-        assert!(a.partitioning_is_necessary_and_sufficient());
+        assert!(BeachfrontSupply::four_iods().meets(&BeachfrontDemand::mi300()));
+        assert!(partitioning_is_necessary_and_sufficient());
     }
 
     #[test]
@@ -158,16 +130,5 @@ mod tests {
         let with_usr = s.available_mm();
         s.interdie_mm = 0.0;
         assert!(s.available_mm() > with_usr);
-    }
-
-    #[test]
-    fn zero_usable_fraction_supplies_nothing() {
-        let s = BeachfrontSupply {
-            perimeter_mm: 100.0,
-            usable_fraction: 0.0,
-            interdie_mm: 0.0,
-        };
-        assert_eq!(s.available_mm(), 0.0);
-        assert!(!s.meets(&BeachfrontDemand::mi300()));
     }
 }

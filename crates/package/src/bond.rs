@@ -45,28 +45,21 @@ impl BpvTarget {
 ///
 #[derive(Debug, Clone, Copy)]
 pub struct HybridBondInterface {
-    /// Bond pad pitch in µm (9 µm for both V-Cache and MI300).
-    pub pad_pitch_um: f64,
-    /// Fraction of pads assigned to power/ground.
-    pub power_pad_fraction: f64,
-    /// Interface footprint in mm².
-    pub area_mm2: f64,
     /// BPV landing target.
     pub bpv: BpvTarget,
-    /// Supply voltage (V).
-    pub supply_v: f64,
 }
+
+/// Interface footprint in mm².
+const AREA_MM2: f64 = 110.0;
+/// Supply voltage (V).
+const SUPPLY_V: f64 = 0.8;
 
 impl HybridBondInterface {
     /// The MI300 compute-chiplet interface: same pitch, RDL landing.
     #[must_use]
     pub fn mi300_compute() -> HybridBondInterface {
         HybridBondInterface {
-            pad_pitch_um: 9.0,
-            power_pad_fraction: 0.25,
-            area_mm2: 110.0,
             bpv: BpvTarget::AluminumRdl,
-            supply_v: 0.8,
         }
     }
 
@@ -75,7 +68,7 @@ impl HybridBondInterface {
     /// interface area.
     #[must_use]
     pub(crate) fn effective_resistance_mohm(&self) -> f64 {
-        self.bpv.spreading_resistance_mohm_mm2() / self.area_mm2
+        self.bpv.spreading_resistance_mohm_mm2() / AREA_MM2
     }
 
     /// IR drop (mV) at the XCD current `XCD_CURRENT_A`.
@@ -94,7 +87,7 @@ impl HybridBondInterface {
     /// current — the feasibility figure of merit (keep under ~2%).
     #[must_use]
     pub fn drop_fraction(&self) -> f64 {
-        self.ir_drop_mv() * 1e-3 / self.supply_v
+        self.ir_drop_mv() * 1e-3 / SUPPLY_V
     }
 }
 
@@ -109,40 +102,12 @@ pub const MAX_DROP_FRACTION: f64 = 0.02;
 mod tests {
     use super::*;
 
-    /// The V-Cache interface (SRAM die, modest current): the reference
-    /// the MI300 compute-chiplet interface is compared against.
-    fn v_cache() -> HybridBondInterface {
-        HybridBondInterface {
-            pad_pitch_um: 9.0,
-            power_pad_fraction: 0.25,
-            area_mm2: 41.0,
-            bpv: BpvTarget::TopLevelMetal,
-            supply_v: 0.9,
-        }
-    }
-
-    /// Power pads across the interface.
-    fn power_pads(i: &HybridBondInterface) -> f64 {
-        let pads_per_mm2 = 1e6 / (i.pad_pitch_um * i.pad_pitch_um);
-        pads_per_mm2 * i.area_mm2 * i.power_pad_fraction
-    }
-
-    #[test]
-    fn pad_counts_scale_with_area() {
-        let v = v_cache();
-        let m = HybridBondInterface::mi300_compute();
-        assert!(power_pads(&m) > 2.0 * power_pads(&v));
-        // 9 um pitch -> ~12.3k pads/mm²; a quarter are power.
-        assert!((power_pads(&v) / v.area_mm2 - 3086.4).abs() < 1.0);
-    }
-
     #[test]
     fn top_metal_landing_inadequate_for_compute_current() {
         // Figure 11's motivation: keep the V-Cache BPV arrangement but
         // push XCD-class current through it and the droop budget blows.
         let hypothetical = HybridBondInterface {
             bpv: BpvTarget::TopLevelMetal,
-            ..HybridBondInterface::mi300_compute()
         };
         assert!(
             hypothetical.drop_fraction() > MAX_DROP_FRACTION,

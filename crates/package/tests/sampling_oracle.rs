@@ -1,13 +1,13 @@
 //! Point-by-point references for the package's sampled audits:
 //! `Floorplan::power_density_grid`, `Floorplan::silicon_utilization` and
-//! `PgTsvGrid::check_symmetry`. Each reference tests every sample point
+//! `tsv::check_symmetry`. Each reference tests every sample point
 //! against every region (or every TSV under every transform) with the
 //! same expressions the per-axis versions use, so the two must agree bit
 //! for bit.
 
 use ehp_package::floorplan::{Floorplan, Layer};
 use ehp_package::geometry::{Point, Rect, Transform};
-use ehp_package::tsv::PgTsvGrid;
+use ehp_package::tsv;
 use ehp_sim_core::rng::SplitMix64;
 use ehp_sim_core::units::Power;
 
@@ -15,7 +15,7 @@ use ehp_sim_core::units::Power;
 const SEED: u64 = 0x5A3F_1E0D;
 /// Samples per axis of `silicon_utilization`.
 const UTIL_SAMPLES: usize = 200;
-/// `PgTsvGrid::mi300`'s pitch (mm).
+/// The P/G TSV grid's pitch (mm).
 const PITCH_MM: f64 = 0.1;
 
 /// A region as the test drew it: what the floorplan keeps private.
@@ -235,7 +235,6 @@ fn silicon_utilization_matches_the_point_by_point_reference() {
 
 #[test]
 fn check_symmetry_matches_the_point_by_point_reference() {
-    let grid = PgTsvGrid::mi300();
     let mut rng = SplitMix64::new(SEED ^ 2);
     let mut dims = vec![(21.6, 17.1), (21.65, 17.1), (0.0, 0.0), (0.05, 3.0)];
     for _ in 0..80 {
@@ -255,7 +254,7 @@ fn check_symmetry_matches_the_point_by_point_reference() {
     }
     for (w, h) in dims {
         assert_eq!(
-            grid.check_symmetry(w, h),
+            tsv::check_symmetry(w, h),
             symmetry_reference(w, h),
             "{w} x {h} mm"
         );

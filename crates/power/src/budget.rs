@@ -162,9 +162,10 @@ impl WorkloadProfile {
 pub struct SocketPowerManager {
     tdp: Power,
     current: PowerDistribution,
-    /// Idle scenario at fraction of TDP.
-    idle_fraction: f64,
 }
+
+/// The idle profile's envelope, as a fraction of TDP.
+const IDLE_FRACTION: f64 = 0.25;
 
 impl SocketPowerManager {
     /// Creates a manager with the given TDP, starting in the idle
@@ -179,7 +180,6 @@ impl SocketPowerManager {
         let mut pm = SocketPowerManager {
             tdp,
             current: PowerDistribution::new([]),
-            idle_fraction: 0.25,
         };
         pm.apply_profile(WorkloadProfile::Idle);
         pm
@@ -195,7 +195,7 @@ impl SocketPowerManager {
     /// Idle runs at a fraction of TDP; active profiles use the full TDP.
     pub fn apply_profile(&mut self, profile: WorkloadProfile) -> PowerDistribution {
         let envelope = match profile {
-            WorkloadProfile::Idle => self.tdp.scale(self.idle_fraction),
+            WorkloadProfile::Idle => self.tdp.scale(IDLE_FRACTION),
             _ => self.tdp,
         };
         self.current = PowerDistribution::new(

@@ -66,25 +66,22 @@ impl Default for PoolConfig {
     }
 }
 
-/// How to spawn one worker: program, arguments, extra environment.
+/// How to spawn one worker: program and arguments.
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
     /// Executable path (the harness passes its own binary).
     pub(crate) program: PathBuf,
     /// Arguments (e.g. `["worker"]`).
     pub(crate) args: Vec<String>,
-    /// Extra environment variables for the child.
-    pub(crate) envs: Vec<(String, String)>,
 }
 
 impl WorkerCommand {
-    /// A command with no extra environment.
+    /// A command that runs `program` with `args`.
     #[must_use]
     pub fn new(program: impl Into<PathBuf>, args: &[&str]) -> WorkerCommand {
         WorkerCommand {
             program: program.into(),
             args: args.iter().map(|s| (*s).to_string()).collect(),
-            envs: Vec::new(),
         }
     }
 }
@@ -119,7 +116,6 @@ impl Worker {
     fn spawn(cmd: &WorkerCommand) -> io::Result<Worker> {
         let mut child = Command::new(&cmd.program)
             .args(&cmd.args)
-            .envs(cmd.envs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             // Workers are retried/degraded on failure; their panic

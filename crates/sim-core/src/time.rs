@@ -77,14 +77,14 @@ impl SimTime {
     /// Constructs a time from picoseconds.
     #[inline]
     #[must_use]
-    pub fn from_picos(picos: u64) -> SimTime {
+    pub const fn from_picos(picos: u64) -> SimTime {
         SimTime { picos }
     }
 
     /// Constructs a time from nanoseconds.
     #[inline]
     #[must_use]
-    pub fn from_nanos(nanos: u64) -> SimTime {
+    pub const fn from_nanos(nanos: u64) -> SimTime {
         SimTime {
             picos: nanos * 1_000,
         }
@@ -92,7 +92,7 @@ impl SimTime {
 
     /// Constructs a time from microseconds.
     #[must_use]
-    pub fn from_micros(micros: u64) -> SimTime {
+    pub const fn from_micros(micros: u64) -> SimTime {
         SimTime {
             picos: micros * 1_000_000,
         }

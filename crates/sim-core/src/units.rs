@@ -31,19 +31,19 @@ impl Bytes {
 
     /// Constructs from kibibytes (1024 B).
     #[must_use]
-    pub fn from_kib(kib: u64) -> Bytes {
+    pub const fn from_kib(kib: u64) -> Bytes {
         Bytes(kib << 10)
     }
 
     /// Constructs from mebibytes (1024 KiB).
     #[must_use]
-    pub fn from_mib(mib: u64) -> Bytes {
+    pub const fn from_mib(mib: u64) -> Bytes {
         Bytes(mib << 20)
     }
 
     /// Constructs from gibibytes (1024 MiB).
     #[must_use]
-    pub fn from_gib(gib: u64) -> Bytes {
+    pub const fn from_gib(gib: u64) -> Bytes {
         Bytes(gib << 30)
     }
 
@@ -259,6 +259,7 @@ impl Energy {
 
     /// Constructs from picojoules (the natural unit for per-bit transport
     /// energy).
+    #[inline]
     #[must_use]
     pub fn from_picojoules(pj: f64) -> Energy {
         Energy::from_joules(pj * 1e-12)

@@ -1,7 +1,7 @@
 //! The Figure 20 HPC workload models.
 //!
 //! Each workload is characterised per timestep/iteration by: GPU
-//! arithmetic work (with datatype and unit), GPU memory traffic, bytes
+//! arithmetic work (with datatype, on the vector unit), GPU memory traffic, bytes
 //! moved between host CPU and GPU memory (zero-copy on an APU), and a
 //! serial CPU phase. A [`MachineModel`] prices those components for a
 //! product; the speedup of MI300A over MI250X then emerges from the
@@ -14,20 +14,23 @@ use ehp_core::products::Product;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
+/// Sustained fraction of peak GPU compute.
+const GPU_EFFICIENCY: f64 = 0.70;
+/// Sustained fraction of peak HBM bandwidth.
+const MEM_EFFICIENCY: f64 = 0.80;
+/// Sustained CPU throughput for the serial fraction (FLOP/s).
+const CPU_FLOPS: f64 = 1.0e12;
+/// GPU execution unit of every workload's kernels.
+const UNIT: ExecUnit = ExecUnit::Vector;
+
 /// A machine as seen by the workload models.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineModel {
     /// Product identity.
     pub(crate) product: Product,
-    /// Sustained fraction of peak GPU compute.
-    pub(crate) gpu_efficiency: f64,
-    /// Sustained fraction of peak HBM bandwidth.
-    pub(crate) mem_efficiency: f64,
     /// Host↔device transfer bandwidth; `None` means unified memory
     /// (zero-copy).
     pub host_link: Option<Bandwidth>,
-    /// Sustained CPU throughput for the serial fraction (FLOP/s).
-    pub(crate) cpu_flops: f64,
 }
 
 impl MachineModel {
@@ -36,12 +39,9 @@ impl MachineModel {
     pub fn mi250x() -> MachineModel {
         MachineModel {
             product: Product::Mi250x,
-            gpu_efficiency: 0.70,
-            mem_efficiency: 0.80,
             // Coherent IF host link on Frontier blades, PCIe-class
             // elsewhere; tens of GB/s effective either way.
             host_link: Some(Bandwidth::from_gb_s(55.0)),
-            cpu_flops: 1.0e12,
         }
     }
 
@@ -50,10 +50,7 @@ impl MachineModel {
     pub fn mi300a() -> MachineModel {
         MachineModel {
             product: Product::Mi300a,
-            gpu_efficiency: 0.70,
-            mem_efficiency: 0.80,
             host_link: None,
-            cpu_flops: 1.0e12,
         }
     }
 
@@ -62,11 +59,11 @@ impl MachineModel {
     pub fn step_time(&self, w: &HpcWorkload) -> SimTime {
         let spec = self.product.spec();
         let peak = spec
-            .peak_tflops(w.unit, w.dtype)
+            .peak_tflops(UNIT, w.dtype)
             .expect("workload dtype supported")
             * 1e12
-            * self.gpu_efficiency;
-        let bw = spec.memory_bandwidth().as_bytes_per_sec() * self.mem_efficiency;
+            * GPU_EFFICIENCY;
+        let bw = spec.memory_bandwidth().as_bytes_per_sec() * MEM_EFFICIENCY;
         // GPU phase: roofline.
         let t_gpu = (w.gpu_flops / peak).max(w.gpu_bytes.as_f64() / bw);
         // Host transfer: zero on unified memory.
@@ -75,7 +72,7 @@ impl MachineModel {
             None => 0.0,
         };
         // Serial CPU phase.
-        let t_cpu = w.cpu_flops / self.cpu_flops;
+        let t_cpu = w.cpu_flops / CPU_FLOPS;
         SimTime::from_secs_f64(t_gpu + t_xfer + t_cpu)
     }
 
@@ -95,8 +92,6 @@ pub struct HpcWorkload {
     pub(crate) gpu_flops: f64,
     /// GPU kernel datatype.
     pub(crate) dtype: DataType,
-    /// GPU execution unit.
-    pub(crate) unit: ExecUnit,
     /// GPU memory traffic per step.
     pub(crate) gpu_bytes: Bytes,
     /// Host↔device bytes per step (fields/halos/reductions).
@@ -117,7 +112,6 @@ impl HpcWorkload {
             name: "GROMACS",
             gpu_flops: 7.2e12,
             dtype: DataType::Fp32,
-            unit: ExecUnit::Vector,
             gpu_bytes: Bytes(450 << 20), // compute-bound: non-bonded FP32 kernels
             host_transfer: Bytes(1 << 20),
             cpu_flops: 2.0e7,
@@ -132,7 +126,6 @@ impl HpcWorkload {
             name: "N-body",
             gpu_flops: 4.0e12,
             dtype: DataType::Fp64,
-            unit: ExecUnit::Vector,
             gpu_bytes: Bytes(64 << 20),
             host_transfer: Bytes(512 << 10),
             cpu_flops: 1.0e7,
@@ -148,7 +141,6 @@ impl HpcWorkload {
             name: "HPCG",
             gpu_flops: 2.0e9,
             dtype: DataType::Fp64,
-            unit: ExecUnit::Vector,
             gpu_bytes: Bytes::from_gib(8),
             host_transfer: Bytes(8 << 20),
             cpu_flops: 2.0e7,
@@ -166,7 +158,6 @@ impl HpcWorkload {
             name: "OpenFOAM",
             gpu_flops: 2.5e10,
             dtype: DataType::Fp64,
-            unit: ExecUnit::Vector,
             gpu_bytes: Bytes::from_gib(4),
             host_transfer: Bytes(100 << 20),
             cpu_flops: 4.0e8,

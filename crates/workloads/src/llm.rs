@@ -134,19 +134,22 @@ impl WeightPrecision {
     }
 }
 
-/// The inference workload configuration.
+/// Batch size of every inference run.
+const BATCH: u32 = 1;
+/// Input (prompt) tokens.
+const TOKENS_IN: u32 = 2048;
+/// Output (generated) tokens.
+const TOKENS_OUT: u32 = 128;
+
+/// The inference workload configuration: the model, at batch
+/// `BATCH` with `TOKENS_IN` prompt and `TOKENS_OUT` generated
+/// tokens.
 #[derive(Debug, Clone, Copy)]
 pub struct InferenceConfig {
     /// Model parameters.
     pub params: f64,
     /// Transformer layers (for all-reduce counting).
     pub layers: u32,
-    /// Batch size.
-    pub(crate) batch: u32,
-    /// Input (prompt) tokens.
-    pub(crate) tokens_in: u32,
-    /// Output (generated) tokens.
-    pub(crate) tokens_out: u32,
     /// Weight precision.
     pub(crate) precision: WeightPrecision,
 }
@@ -159,9 +162,6 @@ impl InferenceConfig {
         InferenceConfig {
             params: 70e9,
             layers: 80,
-            batch: 1,
-            tokens_in: 2048,
-            tokens_out: 128,
             precision,
         }
     }
@@ -235,7 +235,7 @@ pub fn estimate_latency(
 
     // Prefill: ~2 * params flops per token over the whole prompt,
     // compute-bound, plus one all-reduce per layer.
-    let prefill_flops = 2.0 * cfg.params * f64::from(cfg.tokens_in) * f64::from(cfg.batch);
+    let prefill_flops = 2.0 * cfg.params * f64::from(TOKENS_IN) * f64::from(BATCH);
     let prefill_s = prefill_flops / (peak_flops * stack.prefill_eff)
         + f64::from(cfg.layers) * platform.allreduce.as_secs();
 
@@ -244,7 +244,7 @@ pub fn estimate_latency(
     let per_token_s =
         weights / (bw * stack.decode_eff) + f64::from(cfg.layers) * platform.allreduce.as_secs();
 
-    let total_s = prefill_s + per_token_s * f64::from(cfg.tokens_out);
+    let total_s = prefill_s + per_token_s * f64::from(TOKENS_OUT);
     Ok(InferenceLatency {
         prefill_s,
         per_token_s,

@@ -9,7 +9,7 @@ use ehp_core::products::Product;
 use ehp_fabric::fabric::FabricSim;
 use ehp_fabric::link::LinkTech;
 use ehp_fabric::topology::{NodeKey, Topology};
-use ehp_package::beachfront::{BeachfrontAudit, BeachfrontDemand, BeachfrontSupply};
+use ehp_package::beachfront::{BeachfrontDemand, BeachfrontSupply};
 use ehp_package::chiplet::reticle_limit;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::Bytes;
@@ -18,14 +18,18 @@ fn main() {
     println!("== Node/package design-space exploration ==\n");
 
     // 1. Packaging feasibility: would a monolithic IOD have worked?
-    let audit = BeachfrontAudit::mi300();
+    let demand = BeachfrontDemand::mi300();
+    let (single, four_iods) = (
+        BeachfrontSupply::single_die(),
+        BeachfrontSupply::four_iods(),
+    );
     println!("Beachfront audit (8 HBM stacks + 8 x16 links):");
-    println!("  demand: {:.0} mm of die edge", audit.demand.required_mm());
+    println!("  demand: {:.0} mm of die edge", demand.required_mm());
     println!(
         "  single reticle ({:.0} mm perimeter): {:.0} mm usable -> {}",
         reticle_limit().perimeter(),
-        audit.single_reticle.available_mm(),
-        if audit.single_reticle.meets(&audit.demand) {
+        single.available_mm(),
+        if single.meets(&demand) {
             "OK"
         } else {
             "INSUFFICIENT"
@@ -33,8 +37,8 @@ fn main() {
     );
     println!(
         "  four IODs: {:.0} mm usable -> {}\n",
-        audit.four_iods.available_mm(),
-        if audit.four_iods.meets(&audit.demand) {
+        four_iods.available_mm(),
+        if four_iods.meets(&demand) {
             "OK"
         } else {
             "INSUFFICIENT"
@@ -43,11 +47,7 @@ fn main() {
 
     // What if a design only needed 4 HBM stacks? Then one die suffices —
     // the tool answers design questions, not just the MI300 one.
-    let half_demand = BeachfrontDemand {
-        hbm_stacks: 4,
-        ..BeachfrontDemand::mi300()
-    };
-    let single = BeachfrontSupply::single_die();
+    let half_demand = BeachfrontDemand { hbm_stacks: 4 };
     println!(
         "With only 4 HBM stacks, one reticle-limit die {} the demand.\n",
         if single.meets(&half_demand) {

@@ -5,9 +5,9 @@ use ehp_compute::dtype::{DataType, ExecUnit};
 use ehp_core::audit::Ehpv4Audit;
 use ehp_core::node::NodeTopology;
 use ehp_core::partition::PartitionConfig;
-use ehp_core::products::Product;
+use ehp_core::products::{Product, HBM_STACKS};
 use ehp_mem::subsystem::MemConfig;
-use ehp_package::beachfront::BeachfrontAudit;
+use ehp_package::beachfront;
 use ehp_package::floorplan::Floorplan;
 use ehp_package::mirror::{IodInstance, IodVariant};
 use ehp_workloads::hpc::figure20;
@@ -21,10 +21,7 @@ fn floorplans_match_product_specs() {
     let spec = Product::Mi300a.spec();
     assert_eq!(fp.regions_matching("xcd").count() as u32, spec.gpu_chiplets);
     assert_eq!(fp.regions_matching("ccd").count() as u32, spec.ccds);
-    assert_eq!(
-        fp.regions_matching("hbm_stack").count() as u32,
-        spec.hbm_stacks
-    );
+    assert_eq!(fp.regions_matching("hbm_stack").count() as u32, HBM_STACKS);
     fp.check().unwrap();
 }
 
@@ -33,7 +30,7 @@ fn apu_socket_matches_spec_numbers() {
     let spec = Product::Mi300a.spec();
     // 128 channels in the MI300 memory system = 8 stacks x 16 channels.
     assert_eq!(MemConfig::mi300_hbm3().total_channels(), 128);
-    assert_eq!(spec.hbm_stacks * 16, 128);
+    assert_eq!(HBM_STACKS * 16, 128);
     // Aggregate HBM in the Figure 7 audit equals the spec's bandwidth.
     let hbm = spec
         .interface_bandwidths()
@@ -109,7 +106,7 @@ fn headline_results_hold_together() {
     assert!(audit.cross_package_energy_advantage() > 1.0);
     assert!(audit.mi300a.package_utilization > audit.ehpv4.package_utilization);
     // Section V.A: the four-IOD partitioning is necessary & sufficient.
-    assert!(BeachfrontAudit::mi300().partitioning_is_necessary_and_sufficient());
+    assert!(beachfront::partitioning_is_necessary_and_sufficient());
 }
 
 #[test]

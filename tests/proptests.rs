@@ -380,46 +380,23 @@ fn thermal_monotone_in_power() {
 /// recovers it.
 #[test]
 fn dvfs_round_trip() {
-    use ehp_power::dvfs::DvfsCurve;
+    use ehp_power::dvfs::{clock_for, power_at};
     use ehp_sim_core::time::Frequency;
-    let curve = DvfsCurve::mi300_xcd();
     let mut rng = rng_for("dvfs_round_trip");
     for _ in 0..256 {
         let ghz = f64_in(&mut rng, 0.8, 2.5);
         let f = Frequency::from_ghz(ghz);
-        let back = curve.clock_for(curve.power_at(f));
+        let back = clock_for(power_at(f));
         assert!((back.as_ghz() - ghz).abs() < 1e-6, "got {}", back.as_ghz());
     }
 }
 
-/// Bond-interface IR drop is inversely monotone in area; RDL always
-/// beats top-level metal.
+/// RDL landing beats top-level metal on the bond interface's IR drop.
 #[test]
 fn bond_drop_monotonicity() {
-    let mut rng = rng_for("bond_drop_monotonicity");
-    for _ in 0..128 {
-        let area = f64_in(&mut rng, 20.0, 200.0);
-        for bpv in [BpvTarget::TopLevelMetal, BpvTarget::AluminumRdl] {
-            let iface = HybridBondInterface {
-                area_mm2: area,
-                bpv,
-                ..HybridBondInterface::mi300_compute()
-            };
-            let bigger = HybridBondInterface {
-                area_mm2: area * 2.0,
-                ..iface
-            };
-            assert!(bigger.ir_drop_mv() < iface.ir_drop_mv());
-        }
-        let top = HybridBondInterface {
-            area_mm2: area,
-            bpv: BpvTarget::TopLevelMetal,
-            ..HybridBondInterface::mi300_compute()
-        };
-        let rdl = HybridBondInterface {
-            bpv: BpvTarget::AluminumRdl,
-            ..top
-        };
-        assert!(rdl.ir_drop_mv() < top.ir_drop_mv());
-    }
+    let top = HybridBondInterface {
+        bpv: BpvTarget::TopLevelMetal,
+    };
+    let rdl = HybridBondInterface::mi300_compute();
+    assert!(rdl.ir_drop_mv() < top.ir_drop_mv());
 }
