@@ -129,7 +129,9 @@ step "perf smoke (fabric)" cargo bench --offline --bench fabric -- \
 # looser than the compute benches because the cold path is filesystem
 # bound. Regenerate with:
 #   cargo bench --bench serve -- --save-baseline crates/bench/baselines/serve.json
-# (then drop the serve_pool/* records — spawn cost is OS noise).
+# (then drop the serve_pool/* records — spawn cost is OS noise, and a
+# run without target/release/ehp skips those cases, so a saved entry
+# for them would fail the comparison as stale).
 step "perf smoke (serve)" cargo bench --offline --bench serve -- \
     --baseline crates/bench/baselines/serve.json --threshold 0.50
 

@@ -16,9 +16,10 @@ mod oracle;
 // `crate::topology`.
 use ehp_fabric::{flows, topology};
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ehp_bench::microbench::Bench;
 use ehp_fabric::fabric::FabricSim;
 use ehp_fabric::flows::{Flow, FlowSolver, SolverWorkspace};
 use ehp_fabric::topology::{NodeKey, Topology};
@@ -49,21 +50,17 @@ fn drive(fab: &mut FabricSim, chiplets: &[u32], stacks: u32, sends: u32, seed: u
 
 type PackageCase = (&'static str, fn() -> Topology, Vec<u32>);
 
-fn bench_packages(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fabric_uniform_traffic");
+fn bench_packages(b: &mut Bench) {
     let cases: [PackageCase; 2] = [
         ("mi300a", || Topology::mi300_package(3), (0..6).collect()),
         ("ehpv4", Topology::ehpv4_package, vec![2, 3, 4, 5]),
     ];
     for (label, topo_fn, chiplets) in cases {
-        g.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
-            b.iter(|| {
-                let mut fab = FabricSim::new(topo_fn());
-                black_box(drive(&mut fab, &chiplets, 8, 5_000, 11))
-            });
+        b.run(&format!("fabric_uniform_traffic/{label}"), || {
+            let mut fab = FabricSim::new(topo_fn());
+            drive(&mut fab, &chiplets, 8, 5_000, 11)
         });
     }
-    g.finish();
 }
 
 /// The MI300X-scale streaming pattern: every XCD to every HBM stack,
@@ -85,7 +82,7 @@ fn mi300x_flow_set() -> (Topology, Vec<Flow>) {
     (topo, flows)
 }
 
-fn bench_flow_solver(c: &mut Criterion) {
+fn bench_flow_solver(b: &mut Bench) {
     let (topo, flows) = mi300x_flow_set();
     let solver = FlowSolver::new(&topo);
 
@@ -96,19 +93,15 @@ fn bench_flow_solver(c: &mut Criterion) {
         "dense solver output diverged from the reference"
     );
 
-    let mut g = c.benchmark_group("fabric_solve");
-    g.bench_with_input(BenchmarkId::from_parameter("dense"), &(), |b, ()| {
-        let mut ws = SolverWorkspace::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            solver.solve_into(black_box(&flows), &mut ws, &mut out);
-            black_box(out.len())
-        });
+    let mut ws = SolverWorkspace::new();
+    let mut out = Vec::new();
+    b.run("fabric_solve/dense", || {
+        solver.solve_into(black_box(&flows), &mut ws, &mut out);
+        out.len()
     });
-    g.bench_with_input(BenchmarkId::from_parameter("reference"), &(), |b, ()| {
-        b.iter(|| black_box(oracle::solve(&topo, black_box(&flows)).len()));
+    b.run("fabric_solve/reference", || {
+        oracle::solve(&topo, black_box(&flows)).len()
     });
-    g.finish();
 
     // Invariant 2 (the PR's acceptance bar): >= 2x on repeated solves.
     // Min-of-N wall times so background noise cannot fake a regression.
@@ -122,9 +115,7 @@ fn bench_flow_solver(c: &mut Criterion) {
             .min()
             .expect("nonempty")
     };
-    let mut ws = SolverWorkspace::new();
-    let mut out = Vec::new();
-    solver.solve_into(&flows, &mut ws, &mut out); // warm the workspace
+    // `ws` and `out` are warm from the dense case.
     let dense_t = min_time(&mut || {
         for _ in 0..10 {
             solver.solve_into(black_box(&flows), &mut ws, &mut out);
@@ -143,9 +134,9 @@ fn bench_flow_solver(c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_packages, bench_flow_solver
+fn main() {
+    let mut b = Bench::from_args(10);
+    bench_packages(&mut b);
+    bench_flow_solver(&mut b);
+    std::process::exit(b.finish());
 }
-criterion_main!(benches);

@@ -15,11 +15,12 @@
 
 use std::path::Path;
 
-use ehp_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
+use ehp_bench::microbench::Bench;
 use ehp_harness::registry;
 use ehp_lint::{find_workspace_root, lint_workspace, LintConfig};
 
-fn bench_lint(c: &mut Criterion) {
+fn main() {
+    let mut b = Bench::from_args(10);
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("the bench crate sits inside the workspace");
     let schemas = registry::schemas();
@@ -37,14 +38,8 @@ fn bench_lint(c: &mut Criterion) {
         "the workspace has unwaived lint findings; refusing to time them"
     );
 
-    c.bench_function("lint/workspace", |b| {
-        b.iter(|| black_box(lint_workspace(&cfg).expect("lint the workspace")));
+    b.run("lint/workspace", || {
+        lint_workspace(&cfg).expect("lint the workspace")
     });
+    std::process::exit(b.finish());
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_lint
-}
-criterion_main!(benches);

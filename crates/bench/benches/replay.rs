@@ -16,7 +16,7 @@ mod oracle;
 // `crate::trace`.
 use ehp_mem::{subsystem, trace};
 
-use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ehp_bench::microbench::Bench;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, Pattern, TraceConfig};
 use oracle::replay_sequential;
@@ -32,13 +32,12 @@ fn cfg_for(pattern: Pattern, jobs: usize) -> TraceConfig {
     }
 }
 
-fn bench_pattern(c: &mut Criterion, label: &str, pattern: Pattern) {
+fn bench_pattern(b: &mut Bench, label: &str, pattern: Pattern) {
     // Sequential reference, computed once: sharded runs must merge to
     // exactly this result or the speedup is meaningless.
     let mut ref_mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
     let reference = replay_sequential(&mut ref_mem, &cfg_for(pattern, 1));
 
-    let mut g = c.benchmark_group(&format!("replay_{label}"));
     for jobs in [1usize, 2, 4, 8] {
         let cfg = cfg_for(pattern, jobs);
         let mut check = MemorySubsystem::new(MemConfig::mi300_hbm3());
@@ -47,37 +46,24 @@ fn bench_pattern(c: &mut Criterion, label: &str, pattern: Pattern) {
             reference,
             "{label} jobs={jobs} diverged from sequential replay"
         );
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("jobs{jobs}")),
-            &jobs,
-            |b, &jobs| {
-                let cfg = cfg_for(pattern, jobs);
-                b.iter(|| {
-                    let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
-                    black_box(replay(&mut mem, &cfg))
-                });
-            },
-        );
+        b.run(&format!("replay_{label}/jobs{jobs}"), || {
+            let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+            replay(&mut mem, &cfg)
+        });
     }
-    g.finish();
 }
 
-fn bench_replay_random(c: &mut Criterion) {
-    bench_pattern(c, "random", Pattern::Random);
-}
-
-fn bench_replay_hot(c: &mut Criterion) {
+fn main() {
+    let mut b = Bench::from_args(5);
+    bench_pattern(&mut b, "random", Pattern::Random);
     bench_pattern(
-        c,
+        &mut b,
         "hot",
         Pattern::Hot {
             hot_fraction: 0.9,
             hot_bytes: 16 << 20,
         },
     );
-}
-
-fn bench_replay_hot_skew(c: &mut Criterion) {
     // Worst-case shard imbalance: a single-granule (256 B) hot set
     // lands 90% of the trace on ONE flat bank, so one worker's deque
     // holds almost all the work and every other worker lives off the
@@ -85,32 +71,19 @@ fn bench_replay_hot_skew(c: &mut Criterion) {
     // regressing to static-partition behaviour (where this shape
     // serialises on the unlucky worker).
     bench_pattern(
-        c,
+        &mut b,
         "hot_skew",
         Pattern::Hot {
             hot_fraction: 0.9,
             hot_bytes: 256,
         },
     );
-}
-
-fn bench_replay_chase(c: &mut Criterion) {
     // Each access issues when the previous one completes, so `replay`
     // takes the sequential path at any `jobs`: one case covers it.
     let cfg = cfg_for(Pattern::PointerChase, 1);
-    let mut g = c.benchmark_group("replay_chase");
-    g.bench_with_input(BenchmarkId::from_parameter("jobs1"), &cfg, |b, cfg| {
-        b.iter(|| {
-            let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
-            black_box(replay(&mut mem, cfg))
-        });
+    b.run("replay_chase/jobs1", || {
+        let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+        replay(&mut mem, &cfg)
     });
-    g.finish();
+    std::process::exit(b.finish());
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(5);
-    targets = bench_replay_random, bench_replay_hot, bench_replay_hot_skew, bench_replay_chase
-}
-criterion_main!(benches);

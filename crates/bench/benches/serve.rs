@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ehp_bench::microbench::Bench;
 use ehp_harness::executor::resolve_seeds;
 use ehp_harness::scenario::Scenario;
 use ehp_harness::serving::{run_batch_served, scenario_key, ServingConfig};
@@ -51,7 +51,7 @@ fn cached_cfg(dir: &Path) -> ServingConfig {
 /// Cold batch: empty cache every iteration, so the cost is execute +
 /// store. Warm batch: primed cache, so the cost is lookup + decode.
 /// The byte-identity contract is asserted outside the timed region.
-fn bench_cache(c: &mut Criterion) {
+fn bench_cache(b: &mut Bench) {
     let scenarios = batch();
     let dir = bench_dir("cache");
 
@@ -66,47 +66,33 @@ fn bench_cache(c: &mut Criterion) {
         "warm summary must be byte-identical to cold"
     );
 
-    let mut g = c.benchmark_group("serve_cache");
-    g.bench_with_input(
-        BenchmarkId::from_parameter("cold"),
-        &scenarios,
-        |b, scenarios| {
-            b.iter(|| {
-                let _ = fs::remove_dir_all(&dir);
-                black_box(run_batch_served(scenarios, &cached_cfg(&dir)).cache.stores)
-            });
-        },
-    );
+    b.run("serve_cache/cold", || {
+        let _ = fs::remove_dir_all(&dir);
+        run_batch_served(&scenarios, &cached_cfg(&dir)).cache.stores
+    });
     // Re-prime after the last cold iteration left stores behind anyway.
     let _ = run_batch_served(&scenarios, &cached_cfg(&dir));
-    g.bench_with_input(
-        BenchmarkId::from_parameter("warm"),
-        &scenarios,
-        |b, scenarios| {
-            b.iter(|| black_box(run_batch_served(scenarios, &cached_cfg(&dir)).cache.hits));
-        },
-    );
-    g.finish();
+    b.run("serve_cache/warm", || {
+        run_batch_served(&scenarios, &cached_cfg(&dir)).cache.hits
+    });
 }
 
 /// The fenced FNV-1a key derivation over canonical scenario JSON — the
 /// per-scenario fixed cost every cached batch pays even on a full hit.
-fn bench_key(c: &mut Criterion) {
+fn bench_key(b: &mut Bench) {
     let resolved = resolve_seeds(&batch(), 0);
-    c.bench_function("serve_key/derive16", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for sc in &resolved {
-                acc ^= scenario_key(sc);
-            }
-            black_box(acc)
-        });
+    b.run("serve_key/derive16", || {
+        let mut acc = 0u64;
+        for sc in &resolved {
+            acc ^= scenario_key(sc);
+        }
+        acc
     });
 }
 
 /// Length-prefixed frame codec round trip on an outcome-sized payload —
 /// the per-chunk protocol overhead of the worker pool and the daemon.
-fn bench_frame(c: &mut Criterion) {
+fn bench_frame(b: &mut Bench) {
     let payload = Json::object([
         ("id", Json::from(7u64)),
         (
@@ -120,57 +106,47 @@ fn bench_frame(c: &mut Criterion) {
             })),
         ),
     ]);
-    c.bench_function("serve_frame/roundtrip", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(1024);
-            write_frame(&mut buf, &payload).unwrap();
-            let mut r: &[u8] = &buf;
-            black_box(read_frame(&mut r).unwrap())
-        });
+    b.run("serve_frame/roundtrip", || {
+        let mut buf = Vec::with_capacity(1024);
+        write_frame(&mut buf, &payload).unwrap();
+        let mut r: &[u8] = &buf;
+        read_frame(&mut r).unwrap()
     });
 }
 
 /// Worker pool vs in-process, unbaselined (spawn cost is environment
 /// noise): printed for eyeballing the pool's break-even point. Skipped
 /// when the release `ehp` binary has not been built yet.
-fn bench_pool(c: &mut Criterion) {
+fn bench_pool(b: &mut Bench) {
     let ehp = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/release/ehp");
     if !ehp.exists() {
         println!("serve_pool: skipped (build target/release/ehp first)");
         return;
     }
     let scenarios = batch();
-    let mut g = c.benchmark_group("serve_pool");
-    g.bench_with_input(
-        BenchmarkId::from_parameter("inprocess"),
-        &scenarios,
-        |b, scenarios| {
-            let cfg = ServingConfig {
-                use_cache: false,
-                ..ServingConfig::default()
-            };
-            b.iter(|| black_box(run_batch_served(scenarios, &cfg).result.ok_count()));
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::from_parameter("workers2"),
-        &scenarios,
-        |b, scenarios| {
-            let cfg = ServingConfig {
-                use_cache: false,
-                workers: 2,
-                worker_cmd: Some(WorkerCommand::new(&ehp, &["worker"])),
-                ..ServingConfig::default()
-            };
-            b.iter(|| black_box(run_batch_served(scenarios, &cfg).result.ok_count()));
-        },
-    );
-    g.finish();
+    let cfg = ServingConfig {
+        use_cache: false,
+        ..ServingConfig::default()
+    };
+    b.run("serve_pool/inprocess", || {
+        run_batch_served(&scenarios, &cfg).result.ok_count()
+    });
+    let cfg = ServingConfig {
+        use_cache: false,
+        workers: 2,
+        worker_cmd: Some(WorkerCommand::new(&ehp, &["worker"])),
+        ..ServingConfig::default()
+    };
+    b.run("serve_pool/workers2", || {
+        run_batch_served(&scenarios, &cfg).result.ok_count()
+    });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(5);
-    targets = bench_cache, bench_key, bench_frame, bench_pool
+fn main() {
+    let mut b = Bench::from_args(5);
+    bench_cache(&mut b);
+    bench_key(&mut b);
+    bench_frame(&mut b);
+    bench_pool(&mut b);
+    std::process::exit(b.finish());
 }
-criterion_main!(benches);

@@ -14,7 +14,7 @@
 //! (see `ci.sh`); regenerate with
 //! `cargo bench --bench suite -- --save-baseline crates/bench/baselines/suite.json`.
 
-use ehp_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
+use ehp_bench::microbench::Bench;
 use ehp_harness::executor::{run_batch, BatchConfig, OutcomeStatus};
 use ehp_harness::registry;
 use ehp_harness::Scenario;
@@ -26,7 +26,8 @@ fn default_scenarios() -> Vec<Scenario> {
         .collect()
 }
 
-fn bench_suite(c: &mut Criterion) {
+fn main() {
+    let mut b = Bench::from_args(5);
     let scenarios = default_scenarios();
     let cfg = BatchConfig::default();
 
@@ -41,14 +42,6 @@ fn bench_suite(c: &mut Criterion) {
         );
     }
 
-    c.bench_function("suite/ehp_all", |b| {
-        b.iter(|| black_box(run_batch(&scenarios, &cfg)));
-    });
+    b.run("suite/ehp_all", || run_batch(&scenarios, &cfg));
+    std::process::exit(b.finish());
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(5);
-    targets = bench_suite
-}
-criterion_main!(benches);

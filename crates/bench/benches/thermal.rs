@@ -1,7 +1,7 @@
 //! Bench for **Figure 12(b)/(c)**: the finite-difference thermal solver
 //! over the MI300A floorplan at several grid resolutions.
 
-use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ehp_bench::microbench::Bench;
 use ehp_package::floorplan::Floorplan;
 use ehp_sim_core::units::Power;
 use ehp_thermal::{ThermalConfig, ThermalSolver};
@@ -17,25 +17,14 @@ fn powered_floorplan() -> Floorplan {
     fp
 }
 
-fn bench_solver(c: &mut Criterion) {
+fn main() {
+    let mut b = Bench::from_args(10);
     let fp = powered_floorplan();
-    let mut g = c.benchmark_group("figure12_thermal");
     for (nx, ny) in [(35usize, 28usize), (70, 56), (140, 112)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{nx}x{ny}")),
-            &(nx, ny),
-            |b, &(nx, ny)| {
-                let solver = ThermalSolver::new(ThermalConfig { nx, ny });
-                b.iter(|| black_box(solver.solve(&fp).max()));
-            },
-        );
+        let solver = ThermalSolver::new(ThermalConfig { nx, ny });
+        b.run(&format!("figure12_thermal/{nx}x{ny}"), || {
+            solver.solve(&fp).max()
+        });
     }
-    g.finish();
+    std::process::exit(b.finish());
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_solver
-}
-criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! # ehp-bench
 //!
-//! The microbench shim ([`microbench`]) behind the benches under
-//! `benches/`, plus the workspace-root examples and cross-crate
-//! integration tests. The paper experiments themselves live in
+//! The microbench runner ([`microbench`]) behind the benches under
+//! `benches/`, each a plain `main` owning one
+//! [`Bench`](microbench::Bench), plus the workspace-root examples and
+//! cross-crate integration tests. The paper experiments themselves live in
 //! `ehp-harness` and run through the `ehp` CLI (`ehp run <id>`,
 //! `ehp all --jobs 8`).
 

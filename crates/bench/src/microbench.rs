@@ -1,25 +1,26 @@
-//! A minimal, dependency-free microbenchmark runner with a
-//! Criterion-compatible surface.
+//! A minimal, dependency-free microbenchmark runner.
 //!
-//! The build environment is fully offline, so the `criterion` crate can
-//! never resolve; the benches under `benches/` only use a small slice of
-//! its API (`bench_function`, `benchmark_group` + `bench_with_input`,
-//! `black_box`, the `criterion_group!`/`criterion_main!` macros), and
-//! this module implements exactly that slice. Each sample is timed
-//! individually, so every benchmark reports mean, standard deviation,
-//! minimum and maximum wall-clock time per iteration.
+//! Each bench under `benches/` is a plain `fn main` that owns one
+//! [`Bench`]: it times named cases with [`Bench::run`] and exits with the
+//! code [`Bench::finish`] returns. Every case makes one warm-up call,
+//! then a fixed number of individually timed calls, so every case
+//! reports mean, standard deviation, minimum and maximum wall-clock time
+//! per iteration.
 //!
-//! Beyond reporting, the runner supports regression gating for CI:
+//! Beyond reporting, the runner supports regression gating for CI. It
+//! accepts exactly these arguments (plus the `--bench` cargo appends);
+//! anything else, or a flag without its value, prints the usage line
+//! and exits 2, so a typo never turns a gate into an ungated pass:
 //!
-//! * `--save-baseline <name>` writes every benchmark's statistics to a
-//!   JSON baseline file after the run.
+//! * `--save-baseline <name>` writes every case's statistics to a JSON
+//!   baseline file after the run.
 //! * `--baseline <name>` compares the run against a saved baseline and
-//!   exits non-zero if any benchmark's per-iteration *minimum* regressed
-//!   by more than the threshold (`--threshold <fraction>`, default
-//!   0.30). The minimum, not the mean, is gated: background load only
-//!   inflates samples, so the min stays stable on a noisy CI box while
-//!   still moving on any real slowdown.
-//! * `--sample-size <n>` overrides the default sample count globally.
+//!   exits non-zero if any case's per-iteration *minimum* regressed by
+//!   more than the threshold (`--threshold <fraction>`, finite and
+//!   ≥ 0, default 0.30), or if the baseline names a case the run did
+//!   not produce. The minimum, not the mean, is gated: background load
+//!   only inflates samples, so the min stays stable on a noisy CI box
+//!   while still moving on any real slowdown.
 //!
 //! A `<name>` containing `/` or ending in `.json` is used as a literal
 //! path (so checked-in baselines like `crates/bench/baselines/replay.json`
@@ -27,24 +28,23 @@
 //!
 //! Baselines carry a `calibration_ns` measurement of a fixed integer
 //! workload taken on the machine that saved them; comparisons scale the
-//! saved means by the ratio of current to saved calibration, so a
+//! saved minima by the ratio of current to saved calibration, so a
 //! baseline generated on a faster or slower machine still gates on
 //! *relative* regressions rather than raw machine speed.
 
-use std::fmt::Display;
+use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use ehp_sim_core::json::Json;
 use ehp_sim_core::stats::Accumulator;
 
-pub use std::hint::black_box;
+/// The accepted command line, printed when an argument is rejected.
+const USAGE: &str = "usage: cargo bench --bench <name> -- \
+[--save-baseline <path|name>] [--baseline <path|name>] [--threshold <fraction>]";
 
-pub use crate::{criterion_group, criterion_main};
-
-/// One finished benchmark, as recorded in the results registry.
-#[derive(Debug, Clone)]
+/// One finished case.
+#[derive(Debug)]
 struct Record {
     name: String,
     mean_ns: f64,
@@ -54,193 +54,152 @@ struct Record {
     samples: u64,
 }
 
-static RESULTS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
-
-/// Options parsed once from the process arguments. Unknown flags are
-/// ignored because cargo passes its own (e.g. `--bench`).
-#[derive(Debug, Clone)]
+/// The runner's command-line options.
+#[derive(Debug, PartialEq)]
 struct Options {
     save_baseline: Option<String>,
     baseline: Option<String>,
     threshold: f64,
-    sample_size: Option<usize>,
 }
 
-fn options() -> &'static Options {
-    static OPTIONS: OnceLock<Options> = OnceLock::new();
-    OPTIONS.get_or_init(|| {
-        let mut opts = Options {
-            save_baseline: None,
-            baseline: None,
-            threshold: 0.30,
-            sample_size: None,
+/// Parses the runner's arguments (without the program name). Cargo
+/// appends `--bench` after the user's arguments; it is the one extra
+/// argument accepted.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut opts = Options {
+        save_baseline: None,
+        baseline: None,
+        threshold: 0.30,
+    };
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        // A following flag (such as cargo's `--bench`) is not a value.
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or(format!("{flag} needs a value"))
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--save-baseline" => opts.save_baseline = args.next(),
-                "--baseline" => opts.baseline = args.next(),
-                "--threshold" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse::<f64>().ok()) {
-                        opts.threshold = v.max(0.0);
-                    }
-                }
-                "--sample-size" => {
-                    if let Some(v) = args.next().and_then(|s| s.parse::<usize>().ok()) {
-                        opts.sample_size = Some(v.max(1));
-                    }
-                }
-                _ => {} // cargo's own flags, bench name filters, etc.
+        match flag.as_str() {
+            "--bench" => {}
+            "--save-baseline" => opts.save_baseline = Some(value()?),
+            "--baseline" => opts.baseline = Some(value()?),
+            "--threshold" => {
+                let v = value()?;
+                opts.threshold = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|t| t.is_finite() && *t >= 0.0)
+                    .ok_or(format!(
+                        "--threshold needs a finite fraction >= 0, got {v:?}"
+                    ))?;
+            }
+            _ => return Err(format!("unknown argument {flag:?}")),
+        }
+    }
+    Ok(opts)
+}
+
+/// One bench binary's runner: its sample count, its options and the
+/// cases it has timed so far.
+#[derive(Debug)]
+pub struct Bench {
+    samples: usize,
+    opts: Options,
+    records: Vec<Record>,
+}
+
+impl Bench {
+    /// A runner timing `samples` calls per case, configured from the
+    /// process arguments. A rejected argument prints the error and the
+    /// usage line and exits the process with status 2.
+    #[must_use]
+    pub fn from_args(samples: usize) -> Bench {
+        match parse_args(std::env::args().skip(1)) {
+            Ok(opts) => Bench::new(samples, opts),
+            Err(e) => {
+                eprintln!("error: {e}\n{USAGE}");
+                std::process::exit(2);
             }
         }
-        opts
-    })
-}
-
-/// The benchmark driver (mirrors `criterion::Criterion`).
-#[derive(Debug, Clone)]
-pub struct Criterion {
-    sample_size: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Criterion {
-        Criterion {
-            sample_size: options().sample_size.unwrap_or(100),
-        }
-    }
-}
-
-impl Criterion {
-    /// Sets the number of timed samples per benchmark. A
-    /// `--sample-size` flag on the command line wins over this.
-    #[must_use]
-    pub fn sample_size(mut self, n: usize) -> Criterion {
-        self.sample_size = options().sample_size.unwrap_or(n.max(1));
-        self
     }
 
-    /// Runs one named benchmark.
-    pub fn bench_function(
-        &mut self,
-        name: &str,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Criterion {
-        let mut b = Bencher::new(self.sample_size);
-        f(&mut b);
-        b.report(name);
-        self
-    }
-
-    /// Starts a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.to_string(),
-        }
-    }
-}
-
-/// A parameterised benchmark id (mirrors `criterion::BenchmarkId`).
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    parameter: String,
-}
-
-impl BenchmarkId {
-    /// An id labelled only by a parameter value.
-    pub fn from_parameter(parameter: impl Display) -> BenchmarkId {
-        BenchmarkId {
-            parameter: parameter.to_string(),
-        }
-    }
-}
-
-/// A benchmark group (mirrors `criterion::BenchmarkGroup`).
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one parameterised benchmark inside the group.
-    pub fn bench_with_input<I>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let mut b = Bencher::new(self.criterion.sample_size);
-        f(&mut b, input);
-        b.report(&format!("{}/{}", self.name, id.parameter));
-        self
-    }
-
-    /// Ends the group (a no-op here; kept for API compatibility).
-    pub fn finish(self) {}
-}
-
-/// The per-benchmark timing loop (mirrors `criterion::Bencher`).
-#[derive(Debug)]
-pub struct Bencher {
-    samples: usize,
-    acc: Accumulator,
-}
-
-impl Bencher {
-    fn new(samples: usize) -> Bencher {
-        Bencher {
+    fn new(samples: usize, opts: Options) -> Bench {
+        assert!(samples > 0, "a case needs at least one timed sample");
+        Bench {
             samples,
-            acc: Accumulator::default(),
+            opts,
+            records: Vec::new(),
         }
     }
 
-    /// Times `f`: one warm-up call, then `sample_size` individually
-    /// timed calls so the spread (stddev/min/max) is observable.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
+    /// Times case `name`: one warm-up call of `f`, then `samples`
+    /// individually timed calls so the spread (stddev/min/max) is
+    /// observable. Prints one line and keeps the record for
+    /// [`Bench::finish`].
+    pub fn run<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
         black_box(f());
-        self.acc = Accumulator::default();
+        let mut acc = Accumulator::default();
         for _ in 0..self.samples {
             let start = Instant::now();
             black_box(f());
-            self.acc.record(start.elapsed().as_nanos() as f64);
+            acc.record(start.elapsed().as_nanos() as f64);
         }
-    }
-
-    fn report(&self, name: &str) {
-        let (Some(mean), Some(sd), Some(min), Some(max)) = (
-            self.acc.mean(),
-            self.acc.stddev(),
-            self.acc.min(),
-            self.acc.max(),
-        ) else {
-            println!("{name:<48} (no measurement)");
-            return;
+        let r = Record {
+            name: name.to_string(),
+            mean_ns: acc.mean().expect("samples > 0"),
+            stddev_ns: acc.stddev().expect("samples > 0"),
+            min_ns: acc.min().expect("samples > 0"),
+            max_ns: acc.max().expect("samples > 0"),
+            samples: acc.count(),
         };
-        let (scale, unit) = if mean >= 1e6 {
+        let (scale, unit) = if r.mean_ns >= 1e6 {
             (1e6, "ms")
-        } else if mean >= 1e3 {
+        } else if r.mean_ns >= 1e3 {
             (1e3, "us")
         } else {
             (1.0, "ns")
         };
         println!(
             "{name:<48} {:>10.2} \u{b1} {:.2} {unit}/iter  [{:.2} .. {:.2}]  ({} samples)",
-            mean / scale,
-            sd / scale,
-            min / scale,
-            max / scale,
-            self.acc.count(),
+            r.mean_ns / scale,
+            r.stddev_ns / scale,
+            r.min_ns / scale,
+            r.max_ns / scale,
+            r.samples,
         );
-        RESULTS.lock().unwrap().push(Record {
-            name: name.to_string(),
-            mean_ns: mean,
-            stddev_ns: sd,
-            min_ns: min,
-            max_ns: max,
-            samples: self.acc.count(),
-        });
+        self.records.push(r);
+    }
+
+    /// Saves and/or compares baselines as the options ask and returns
+    /// the process exit code: 0, or 1 on a regression, a stale
+    /// baseline entry or an I/O error.
+    #[must_use]
+    pub fn finish(self) -> i32 {
+        match self.save_and_compare() {
+            Ok(()) => 0,
+            Err(e) => {
+                eprintln!("error: {e}");
+                1
+            }
+        }
+    }
+
+    fn save_and_compare(&self) -> Result<(), String> {
+        if let Some(name) = &self.opts.save_baseline {
+            let path = save_baseline(name, &self.records)?;
+            println!("\nsaved baseline to {}", path.display());
+        }
+        if let Some(name) = &self.opts.baseline {
+            let pct = self.opts.threshold * 100.0;
+            let n = compare_against_baseline(name, &self.records, self.opts.threshold)?;
+            if n > 0 {
+                return Err(format!(
+                    "{n} benchmark(s) regressed beyond the {pct:.0}% threshold"
+                ));
+            }
+            println!("no regressions beyond {pct:.0}% threshold");
+        }
+        Ok(())
     }
 }
 
@@ -334,6 +293,8 @@ fn compare_against_baseline(name: &str, records: &[Record], threshold: f64) -> R
 /// Compares `records` against a parsed baseline and returns how many
 /// regressed beyond `threshold`. Pure in its inputs: `calibration_ns`
 /// is this machine's [`calibrate`] measurement, taken by the caller.
+/// A baseline entry no record matches is an error: a renamed or
+/// deleted case must not lose its gate silently.
 fn count_regressions(
     baseline: &Json,
     calibration_ns: f64,
@@ -384,127 +345,156 @@ fn count_regressions(
             expected / 1e3,
         );
     }
+    let stale: Vec<&str> = benches
+        .keys()
+        .filter(|name| !records.iter().any(|r| &r.name == *name))
+        .map(String::as_str)
+        .collect();
+    for name in &stale {
+        println!("  {name:<46} in baseline, not run  STALE");
+    }
+    if !stale.is_empty() {
+        return Err(format!(
+            "no case produced baseline entry {}",
+            stale.join(", ")
+        ));
+    }
     if compared == 0 {
         return Err("no benchmark matched the baseline".to_string());
     }
     Ok(regressions)
 }
 
-/// Saves/compares baselines from the accumulated results and returns
-/// the process exit code. Called by `criterion_main!` after all groups
-/// have run.
-#[must_use]
-pub fn finalize() -> i32 {
-    let records: Vec<Record> = std::mem::take(&mut *RESULTS.lock().unwrap());
-    let opts = options();
-    if let Some(name) = &opts.save_baseline {
-        match save_baseline(name, &records) {
-            Ok(path) => println!("\nsaved baseline to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    }
-    if let Some(name) = &opts.baseline {
-        match compare_against_baseline(name, &records, opts.threshold) {
-            Ok(0) => println!(
-                "no regressions beyond {:.0}% threshold",
-                opts.threshold * 100.0
-            ),
-            Ok(n) => {
-                eprintln!(
-                    "error: {n} benchmark(s) regressed beyond the {:.0}% threshold",
-                    opts.threshold * 100.0
-                );
-                return 1;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    }
-    0
-}
-
-/// Declares a benchmark group function (mirrors
-/// `criterion::criterion_group!`; both invocation forms supported).
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $config;
-            $( $target(&mut criterion); )+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::microbench::Criterion::default();
-            $( $target(&mut criterion); )+
-        }
-    };
-}
-
-/// Declares the bench `main` (mirrors `criterion::criterion_main!`).
-/// After all groups run, [`finalize`] handles `--save-baseline` /
-/// `--baseline` and sets the exit code (non-zero on regression).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-            std::process::exit($crate::microbench::finalize());
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn bench_function_runs_the_closure() {
-        let mut calls = 0u32;
-        Criterion::default()
-            .sample_size(5)
-            .bench_function("shim/self_test", |b| {
-                b.iter(|| {
-                    calls += 1;
-                    black_box(calls)
-                });
-            });
-        // One warm-up call plus five timed samples.
-        assert_eq!(calls, 6);
+    fn defaults() -> Options {
+        parse_args([]).unwrap()
+    }
+
+    fn args(a: &[&str]) -> Result<Options, String> {
+        parse_args(a.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn groups_run_each_input() {
-        let mut c = Criterion::default().sample_size(2);
-        let mut seen = Vec::new();
-        let mut g = c.benchmark_group("shim/group");
+    fn run_makes_one_warm_up_call_then_n_timed_calls() {
+        let mut calls = 0u32;
+        let mut b = Bench::new(5, defaults());
+        b.run("shim/self_test", || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(calls, 6);
+        assert_eq!(b.records[0].samples, 5);
+    }
+
+    #[test]
+    fn records_carry_the_names_given_to_run() {
+        let mut b = Bench::new(2, defaults());
         for n in [1u32, 2, 3] {
-            g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-                b.iter(|| n * 2);
-            });
-            seen.push(n);
+            b.run(&format!("shim/group/{n}"), || n * 2);
         }
-        g.finish();
-        assert_eq!(seen, vec![1, 2, 3]);
+        b.run("shim/single", || 0);
+        let names: Vec<&str> = b.records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "shim/group/1",
+                "shim/group/2",
+                "shim/group/3",
+                "shim/single"
+            ]
+        );
+    }
+
+    #[test]
+    fn finish_without_flags_returns_zero_and_writes_nothing() {
+        let dir = workspace_root().join("target/microbench");
+        let listing = || -> Vec<PathBuf> {
+            std::fs::read_dir(&dir)
+                .map_or_else(|_| Vec::new(), |d| d.map(|e| e.unwrap().path()).collect())
+        };
+        let before = listing();
+        let mut b = Bench::new(2, defaults());
+        b.run("shim/finish", || 1u8);
+        assert_eq!(b.finish(), 0);
+        assert_eq!(listing(), before);
     }
 
     #[test]
     fn per_sample_stats_are_recorded() {
-        let mut b = Bencher::new(16);
-        b.iter(|| black_box(3u64).wrapping_mul(5));
-        assert_eq!(b.acc.count(), 16);
-        let (mean, min, max) = (
-            b.acc.mean().unwrap(),
-            b.acc.min().unwrap(),
-            b.acc.max().unwrap(),
+        let mut b = Bench::new(16, defaults());
+        b.run("shim/stats", || black_box(3u64).wrapping_mul(5));
+        let r = &b.records[0];
+        assert_eq!(r.samples, 16);
+        assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
+        assert!(r.stddev_ns >= 0.0);
+    }
+
+    #[test]
+    fn no_arguments_or_cargos_bench_flag_give_the_defaults() {
+        let d = defaults();
+        assert_eq!(
+            d,
+            Options {
+                save_baseline: None,
+                baseline: None,
+                threshold: 0.30
+            }
         );
-        assert!(min <= mean && mean <= max);
-        assert!(b.acc.stddev().unwrap() >= 0.0);
+        assert_eq!(args(&["--bench"]), Ok(d));
+    }
+
+    #[test]
+    fn accepted_flags_parse_before_cargos_bench_flag() {
+        let o = args(&[
+            "--save-baseline",
+            "before",
+            "--baseline",
+            "crates/bench/baselines/replay.json",
+            "--threshold",
+            "2.0",
+            "--bench",
+        ])
+        .unwrap();
+        assert_eq!(o.save_baseline.as_deref(), Some("before"));
+        assert_eq!(
+            o.baseline.as_deref(),
+            Some("crates/bench/baselines/replay.json")
+        );
+        assert_eq!(o.threshold, 2.0);
+        assert_eq!(args(&["--threshold", "0"]).unwrap().threshold, 0.0);
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        for bad in [
+            &[
+                "--baselne",
+                "crates/bench/baselines/thermal.json",
+                "--bench",
+            ][..],
+            &["--sample-size", "3"],
+            &["replay_hot"],
+        ] {
+            assert!(args(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn malformed_thresholds_are_rejected() {
+        for bad in ["0,3", "-0.1", "NaN", "inf", ""] {
+            assert!(args(&["--threshold", bad]).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn flags_missing_their_value_are_rejected() {
+        for flag in ["--save-baseline", "--baseline", "--threshold"] {
+            assert!(args(&[flag]).is_err(), "{flag} at the end");
+            assert!(args(&[flag, "--bench"]).is_err(), "{flag} before --bench");
+        }
     }
 
     fn record(name: &str, min_ns: f64) -> Record {
@@ -558,12 +548,17 @@ mod tests {
         };
         assert_eq!(count(1000.0), 0, "same speed: no regression");
         assert_eq!(count(3000.0), 1, "3x slower: regression");
-        // A bench absent from the baseline is skipped, not an error —
+        // A case absent from the baseline is skipped, not an error —
         // but a run where nothing matches is.
         let mixed = [record("x/1", 1000.0), record("y/2", 1.0)];
         assert_eq!(count_regressions(&loaded, 100.0, &mixed, 0.30), Ok(0));
         let stranger = [record("y/2", 1.0)];
         assert!(count_regressions(&loaded, 100.0, &stranger, 0.30).is_err());
+        // A baseline entry no case produced fails the comparison, even
+        // when every case that ran is within the threshold.
+        let stale = baseline_json(&[record("x/1", 1000.0), record("x/999", 1.0)], 100.0);
+        let err = count_regressions(&stale, 100.0, &[record("x/1", 1000.0)], 0.30).unwrap_err();
+        assert!(err.contains("x/999"), "{err}");
         assert!(
             compare_against_baseline(path.to_str().unwrap(), &[], 0.30).is_err(),
             "a missing baseline file is an error"

@@ -17,8 +17,9 @@ use crate::dtype::{DataType, ExecUnit};
 const KERNEL_UNIT: ExecUnit = ExecUnit::Vector;
 /// Datatype of those kernels.
 const KERNEL_DTYPE: DataType = DataType::Fp64;
-/// Fraction of peak a kernel sustains.
-const KERNEL_EFFICIENCY: f64 = 0.7;
+/// Fraction of peak GPU compute a kernel sustains: the one GPU-compute
+/// efficiency of every roofline in the workspace.
+pub const KERNEL_EFFICIENCY: f64 = 0.7;
 
 /// Static parameters of an XCD (or a CDNA 2 GCD, which this type also
 /// describes).

@@ -10,7 +10,7 @@
 
 use ehp_compute::ccd;
 use ehp_compute::dtype::{DataType, ExecUnit};
-use ehp_compute::xcd::XcdSpec;
+use ehp_compute::xcd::{XcdSpec, KERNEL_EFFICIENCY};
 use ehp_sim_core::time::Frequency;
 use ehp_sim_core::units::{Bandwidth, Power};
 
@@ -24,6 +24,8 @@ const HPC_CPU_FLOPS: f64 = 5e12;
 const HOST_CCDS: f64 = 8.0;
 /// Weight bytes streamed per decoded token: a 70B-parameter FP16 model.
 const DECODE_WEIGHT_BYTES: f64 = 140e9;
+/// Fraction of peak HBM bandwidth a decode step streams weights at.
+const DECODE_BW_EFFICIENCY: f64 = 0.7;
 
 /// One point in the modular design space: how many of the four IODs
 /// carry CCD stacks.
@@ -147,7 +149,7 @@ impl ModularVariant {
     #[must_use]
     pub(crate) fn hpc_time(&self) -> f64 {
         let gpu = match self.gpu_peak_tflops() {
-            Some(peak) => HPC_GPU_FLOPS / (peak * 1e12 * 0.7),
+            Some(peak) => HPC_GPU_FLOPS / (peak * 1e12 * KERNEL_EFFICIENCY),
             // CPU-only variant runs GPU work on its cores.
             None => HPC_GPU_FLOPS / (self.cpu_peak_tflops() * 1e12 * ccd::EFFICIENCY),
         };
@@ -170,7 +172,7 @@ impl ModularVariant {
         if self.xcds() == 0 {
             return 0.0; // no tensor engines worth speaking of
         }
-        self.memory_bandwidth().as_bytes_per_sec() * 0.7 / DECODE_WEIGHT_BYTES
+        self.memory_bandwidth().as_bytes_per_sec() * DECODE_BW_EFFICIENCY / DECODE_WEIGHT_BYTES
     }
 }
 

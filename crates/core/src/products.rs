@@ -4,6 +4,7 @@
 
 use ehp_compute::cu::GpuArch;
 use ehp_compute::dtype::{DataType, ExecUnit};
+use ehp_compute::xcd::KERNEL_EFFICIENCY;
 use ehp_fabric::link::LinkTech;
 use ehp_mem::hbm::HbmGeneration;
 use ehp_sim_core::time::Frequency;
@@ -89,6 +90,8 @@ impl Product {
 
 /// HBM stacks per package, on every product.
 pub const HBM_STACKS: u32 = 8;
+/// Fraction of peak HBM bandwidth a GPU kernel sustains.
+const MEM_EFFICIENCY: f64 = 0.8;
 
 /// A product's architectural spec sheet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,6 +139,32 @@ impl ProductSpec {
     #[must_use]
     pub fn memory_bandwidth(&self) -> Bandwidth {
         self.hbm.stack_bandwidth().scale(f64::from(HBM_STACKS))
+    }
+
+    /// GPU roofline time in seconds for `flops` of `dtype` work on
+    /// `unit` touching `bytes` of HBM: the longer of compute time at
+    /// [`KERNEL_EFFICIENCY`] of peak and memory time at
+    /// `MEM_EFFICIENCY` of peak bandwidth.
+    ///
+    /// # Panics
+    ///
+    /// If the product has no `unit` throughput for `dtype` (Table 1's
+    /// n/a cells).
+    #[must_use]
+    pub fn gpu_roofline_secs(
+        &self,
+        unit: ExecUnit,
+        dtype: DataType,
+        flops: f64,
+        bytes: Bytes,
+    ) -> f64 {
+        let peak = self
+            .peak_tflops(unit, dtype)
+            .expect("roofline dtype supported on this unit")
+            * 1e12
+            * KERNEL_EFFICIENCY;
+        let bw = self.memory_bandwidth().as_bytes_per_sec() * MEM_EFFICIENCY;
+        (flops / peak).max(bytes.as_f64() / bw)
     }
 
     /// HBM capacity.

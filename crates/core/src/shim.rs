@@ -117,14 +117,9 @@ impl Shim {
     /// discrete machines) the round-trip transfer.
     #[must_use]
     pub(crate) fn gpu_time(&self, call: &LibraryCall) -> SimTime {
-        let peak = self
+        let t_exec = self
             .spec
-            .peak_tflops(CALL_UNIT, CALL_DTYPE)
-            .expect("dtype supported")
-            * 1e12
-            * 0.7;
-        let bw = self.spec.memory_bandwidth().as_bytes_per_sec() * 0.8;
-        let t_exec = (call.flops / peak).max(call.bytes.as_f64() / bw);
+            .gpu_roofline_secs(CALL_UNIT, CALL_DTYPE, call.flops, call.bytes);
         let t_xfer = self
             .transfer
             .map_or(0.0, |l| call.bytes.as_f64() / l.as_bytes_per_sec());

@@ -14,10 +14,6 @@ use ehp_core::products::Product;
 use ehp_sim_core::time::SimTime;
 use ehp_sim_core::units::{Bandwidth, Bytes};
 
-/// Sustained fraction of peak GPU compute.
-const GPU_EFFICIENCY: f64 = 0.70;
-/// Sustained fraction of peak HBM bandwidth.
-const MEM_EFFICIENCY: f64 = 0.80;
 /// Sustained CPU throughput for the serial fraction (FLOP/s).
 const CPU_FLOPS: f64 = 1.0e12;
 /// GPU execution unit of every workload's kernels.
@@ -57,15 +53,11 @@ impl MachineModel {
     /// Time for one workload step on this machine.
     #[must_use]
     pub fn step_time(&self, w: &HpcWorkload) -> SimTime {
-        let spec = self.product.spec();
-        let peak = spec
-            .peak_tflops(UNIT, w.dtype)
-            .expect("workload dtype supported")
-            * 1e12
-            * GPU_EFFICIENCY;
-        let bw = spec.memory_bandwidth().as_bytes_per_sec() * MEM_EFFICIENCY;
         // GPU phase: roofline.
-        let t_gpu = (w.gpu_flops / peak).max(w.gpu_bytes.as_f64() / bw);
+        let t_gpu = self
+            .product
+            .spec()
+            .gpu_roofline_secs(UNIT, w.dtype, w.gpu_flops, w.gpu_bytes);
         // Host transfer: zero on unified memory.
         let t_xfer = match self.host_link {
             Some(link) => w.host_transfer.as_f64() / link.as_bytes_per_sec(),
